@@ -86,7 +86,7 @@ def cmd_eta_table(args):
 
 
 def cmd_verify_fe_gl1(args, rng):
-    from .abelian import characters, conductor
+    from .abelian import characters
     from .fxspace import FxFunction, TailSpec, check_fe_gl1
     from .padic import unit_group
     checks = []
@@ -96,16 +96,15 @@ def cmd_verify_fe_gl1(args, rng):
                 for k in range(-1, 2) for u in cosets}
         f = FxFunction(args.p, args.level, -1, 2, vals, TailSpec.compact())
         for chi in characters(args.p, args.level):
-            rep = check_fe_gl1(f, args.n, chi, args.psi_sign)
-            checks.append(_check(
-                f"fe-gl1[f{idx},chi^{chi.exponent}]",
-                lambda rep=rep: rep["max_deviation"], args.tolerance,
-                args.timing))
+            def dev(f=f, chi=chi):
+                return check_fe_gl1(f, args.n, chi, args.psi_sign)["max_deviation"]
+            checks.append(_check(f"fe-gl1[f{idx},chi^{chi.exponent}]", dev,
+                                 args.tolerance, args.timing))
     return {"verified": "fe-gl1", "n": args.n}, checks
 
 
 def cmd_verify_fe_pvs(args, rng):
-    from .abelian import characters, conductor
+    from .abelian import characters
     from .pvszeta import LatticeTestFunction, check_fe_pvs
     checks = []
     if args.n == 0:
@@ -118,12 +117,11 @@ def cmd_verify_fe_pvs(args, rng):
             functions.append(("dilated", LatticeTestFunction.dilated(3, 1), None))
     for name, Phi, hat_max in functions:
         for chi in characters(args.p, 1):
-            rep = check_fe_pvs(Phi, args.n, chi, args.p, args.k,
-                               sign=args.psi_sign, hat_fit_degree_max=hat_max)
-            checks.append(_check(
-                f"fe-pvs[{name},chi^{chi.exponent}]",
-                lambda rep=rep: rep["max_deviation"], args.tolerance,
-                args.timing))
+            def dev(Phi=Phi, chi=chi, hat_max=hat_max):
+                return check_fe_pvs(Phi, args.n, chi, args.p, args.k, sign=args.psi_sign,
+                                    hat_fit_degree_max=hat_max)["max_deviation"]
+            checks.append(_check(f"fe-pvs[{name},chi^{chi.exponent}]", dev,
+                                 args.tolerance, args.timing))
     return {"verified": "fe-pvs", "n": args.n, "k": args.k}, checks
 
 
@@ -196,9 +194,9 @@ def cmd_tate_oracle(args):
     for chi in characters(args.p, args.level):
         if conductor(chi) > args.conductor:
             continue
-        g = gamma_factor(chi, args.psi_sign)
 
-        def dev(chi=chi, g=g):
+        def dev(chi=chi):
+            g = gamma_factor(chi, args.psi_sign)
             worst = 0.0
             for s in (0.3, 0.5, 0.7):
                 z = complex(args.p) ** (-s)
@@ -258,18 +256,23 @@ def cmd_fourier_n0(args, rng):
 def cmd_shells(args):
     from .gdist import shell_coefficients_sum
     chi = _character(args.p, args.level, args.conductor)
-    rep = shell_coefficients_sum(chi, args.s, sign=args.psi_sign)
+    rep = {}
+
+    def deviation():
+        rep.update(shell_coefficients_sum(chi, args.s, sign=args.psi_sign))
+        return rep["deviation"]
+    checks = [_check("shells-vs-gamma", deviation, 1e-5, args.timing)]
     payload = {
         "chi": {"p": args.p, "exponent": chi.exponent, "conductor": args.conductor},
         "s": args.s,
-        "coefficients": [
+    }
+    if rep:
+        payload["coefficients"] = [
             {"ell": ell, "re": c.real, "im": c.imag}
             for ell, c in sorted(rep["coefficients"].items())
-        ],
-        "sum": [rep["sum"].real, rep["sum"].imag],
-        "target": [rep["target"].real, rep["target"].imag],
-    }
-    checks = [_check("shells-vs-gamma", lambda: rep["deviation"], 1e-5, args.timing)]
+        ]
+        payload["sum"] = [rep["sum"].real, rep["sum"].imag]
+        payload["target"] = [rep["target"].real, rep["target"].imag]
     return payload, checks
 
 

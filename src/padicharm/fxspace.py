@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .abelian import (UnitCharacter, beta_factor, beta_factor_inverse_argument,
                       conductor)
 from .padic import unit_group, unit_order
@@ -205,11 +207,6 @@ class FxFunction:
         num, den = obj.get("power_shift", [0, 1])
         return cls(obj["p"], obj["level"], obj["k_min"], obj["k_tail"], vals, tail,
                    Fraction(num, den))
-
-
-def indicator_coset(p: int, level: int, k: int, u: int, value=1.0) -> FxFunction:
-    return FxFunction(p, level, k, k + 1, {(k, u % p**level): complex(value)},
-                      TailSpec.compact())
 
 
 def one_k(p: int, k: int, level: int | None = None) -> FxFunction:
@@ -462,8 +459,13 @@ def _beta_inv_cached(n: int, p: int, level: int, j: int, sign: int) -> RationalF
 
 
 @lru_cache(maxsize=None)
-def _eta_coeff(n: int, p: int, level: int, j: int, sign: int, k: int) -> complex:
-    return _beta_inv_cached(n, p, level, j, sign).laurent_coeff_at_zero(k)
+def _eta_coeff(n: int, p: int, level: int, sign: int, k: int):
+    """The nonzero residues of shell k at this level, as vectors (js, cs):
+    cs[i] = Res_{z=0} beta_psi(chi_s^{-1}) z^{-k-1} for chi of exponent js[i]."""
+    cs = np.array([_beta_inv_cached(n, p, level, j, sign).laurent_coeff_at_zero(k)
+                   for j in range(unit_order(p, level))], dtype=complex)
+    js = np.flatnonzero(cs)
+    return js, cs[js]
 
 
 def eta_kernel(n: int, sign: int, k: int, u: int, p: int, level: int,
@@ -472,16 +474,15 @@ def eta_kernel(n: int, sign: int, k: int, u: int, p: int, level: int,
 
     The character sum is summed at increasing levels until two consecutive
     levels agree (it is finite for each shell: ramified chi^2 contributes a
-    single band at ord(x) = -e(chi) - 2n e(chi^2)).
+    single band at ord(x) = -e(chi) - 2n e(chi^2)).  At level L it is one
+    dot product: chi_j(u)^{-1} = exp(-2 pi i j dlog(u) / phi), with
+    j dlog(u) reduced mod phi in integers so that the phases stay exact.
     """
     def partial(L):
-        total = 0.0 + 0.0j
-        uL = u % p**L
-        for j in range(unit_order(p, L)):
-            c = _eta_coeff(n, p, L, j, sign, k)
-            if c != 0:
-                total += c * UnitCharacter(p, L, -j).value(uL)
-        return total
+        js, cs = _eta_coeff(n, p, L, sign, k)
+        phi = unit_order(p, L)
+        d = unit_group(p, L)[2][u % p**L]
+        return complex(cs @ np.exp(-2j * np.pi * ((js * d) % phi) / phi))
 
     prev = partial(max(1, level))
     for L in range(max(1, level) + 1, max_level + 1):

@@ -185,10 +185,6 @@ class RationalFunctionZ:
             return RationalFunctionZ(num, den)
         raise ValueError(f"unknown substitution rule: {rule}")
 
-    def shift_s(self, c) -> "RationalFunctionZ":
-        """R viewed at s + c, i.e. z -> q^(-c) z with c supplied as q^(-c)."""
-        return self.substitute("scale", c)
-
     # ---- Laurent expansion at z = 0 ----
     def laurent_coeff_at_zero(self, m: int) -> complex:
         """Coefficient of z^m, i.e. Res_{z=0}(R(z) z^(-m-1))."""
@@ -212,19 +208,6 @@ class RationalFunctionZ:
                 acc -= den0[t] * coeffs[j - t]
             coeffs[j] = acc * inv0
         return complex(coeffs[order])
-
-    def lowest_degree(self, tol=1e-10) -> int | None:
-        """Smallest m with nonzero Laurent coefficient; None for the zero function."""
-        if self.is_zero():
-            return None
-        den = self.den
-        v = 0
-        scale = np.max(np.abs(den))
-        while v < len(den) and abs(den[v]) <= 1e-13 * scale:
-            v += 1
-        nscale = np.max(np.abs(self.num))
-        nv = int(np.nonzero(np.abs(self.num) > 1e-12 * nscale)[0][0])
-        return nv - v
 
     # ---- partial fractions ----
     def partial_fractions(self, sep_threshold=1e-4):

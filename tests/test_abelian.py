@@ -26,6 +26,43 @@ def test_conductors():
     assert conductor(UnitCharacter(3, 2, 1)) == 2
 
 
+def value_conductor(chi):
+    """Least e with chi(u) = 1 on every unit u = 1 mod p^e, from chi's values."""
+    p, level = chi.p, chi.level
+    for e in range(level + 1):
+        if all(abs(chi.value(u) - 1.0) < 1e-9
+               for u in range(1, p**level) if u % p and (u - 1) % p**e == 0):
+            return e
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_conductor_closed_form_matches_values(p, level):
+    for chi in characters(p, level):
+        assert conductor(chi) == value_conductor(chi), chi
+
+
+def direct_gauss_sum(chi, sign):
+    """sum over (Z/p^e)^x of chi^{-1}(u) psi(u / p^e), term by term."""
+    p, e = chi.p, value_conductor(chi)
+    if e == 0:
+        return 1.0
+    return sum(chi.value(u).conjugate() * cmath.exp(sign * 2j * cmath.pi * u / p**e)
+               for u in range(1, p**e) if u % p)
+
+
+@pytest.mark.parametrize("p,max_level", [(3, 4), (5, 3), (7, 3)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_gauss_sum_table_matches_direct_sum(p, max_level, sign):
+    for level in range(1, max_level + 1):
+        for chi in characters(p, level):
+            G = gauss_sum(chi, sign)
+            assert abs(G - direct_gauss_sum(chi, sign)) < 1e-10, chi
+            e = conductor(chi)
+            if e > 0:
+                assert abs(abs(G) ** 2 - p**e) < 1e-10 * p**e, chi
+
+
 def test_from_table_validates():
     chi = quad3()
     table = chi.value_table()

@@ -1,4 +1,5 @@
 import json
+import time
 
 from padicharm.cli import main, run
 
@@ -68,6 +69,21 @@ def test_shells_verb(tmp_path):
                          "--s", "0.7", "--level", "1"], tmp_path)
     assert code == 0
     assert rep["checks"][0]["status"] == "pass"
+
+
+def test_timing_measures_the_checks():
+    t0 = time.perf_counter()
+    rep, code = run(["verify", "fe-gl1", "--p", "3", "--level", "2", "--timing"])
+    wall_ms = 1000 * (time.perf_counter() - t0)
+    assert code == 0 and len(rep["checks"]) == 18
+    assert sum(c["runtime_ms"] for c in rep["checks"]) >= 0.5 * wall_ms
+
+
+def test_check_errors_become_error_status():
+    rep, code = run(["shells", "--p", "3", "--level", "1", "--s", "-0.7"])
+    assert code == 1
+    assert rep["checks"][0]["status"] == "error"
+    assert "sum" not in rep["payload"]
 
 
 def test_deterministic_reports(tmp_path):

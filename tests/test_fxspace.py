@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from padicharm.abelian import UnitCharacter, beta_factor, characters, conductor
+from padicharm.abelian import (UnitCharacter, beta_factor,
+                               beta_factor_inverse_argument, characters, conductor)
 from padicharm.fxspace import (FxError, FxFunction, MellinData, TailSpec,
                                check_fe_gl1, check_paley_wiener, eta_kernel,
                                fit_fx_from_shell_data, fourier_L, fx_from_mellin,
                                indicator_integers, indicator_units,
                                mellin_inverse, mellin_transform, one_k,
                                pv_convolve)
-from padicharm.padic import psi_frac, unit_group
+from padicharm.padic import psi_frac, unit_group, unit_order
 from padicharm.ratfunc import RationalFunctionZ
 
 
@@ -141,6 +143,42 @@ def test_check_paley_wiener_examples():
     bad2 = MellinData(p, 1, {1: RationalFunctionZ([1.0], [1.0, -1.0])})
     ok, witness = check_paley_wiener(bad2, "plus", 1)
     assert not ok and witness["chi_exponent"] == 1
+
+
+@lru_cache(maxsize=None)
+def _beta_inv(n, p, level, j, sign):
+    return beta_factor_inverse_argument(n, UnitCharacter(p, level, j), sign)
+
+
+def eta_scalar_loop(n, sign, k, u, p, level, max_level=6, tol=1e-9):
+    """eta_kernel's character sum one character at a time, with its stopping rule."""
+    def partial(L):
+        total = 0.0 + 0.0j
+        for j in range(unit_order(p, L)):
+            c = _beta_inv(n, p, L, j, sign).laurent_coeff_at_zero(k)
+            if c != 0:
+                total += c * UnitCharacter(p, L, -j).value(u % p**L)
+        return total
+
+    prev = partial(level)
+    for L in range(level + 1, max_level + 1):
+        cur = partial(L)
+        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
+            return cur
+        prev = cur
+    raise AssertionError("scalar loop did not stabilize")
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("n", [0, 1])
+def test_eta_kernel_matches_scalar_loop(p, n):
+    for sign in (1, -1):
+        for level in (1, 2):
+            for k in range(-4, 4):
+                for u in unit_group(p, 2)[0]:
+                    want = eta_scalar_loop(n, sign, k, u, p, level)
+                    got = eta_kernel(n, sign, k, u, p, level)
+                    assert abs(got - want) < 1e-12 * max(1.0, abs(want)), (sign, level, k, u)
 
 
 def test_eta_n0_closed_form():
