@@ -22,3 +22,8 @@ cli         command-line verbs and machine-readable reports
 """
 
 __version__ = "0.1.0"
+
+
+class PadicharmError(ValueError):
+    """Base class of the package's errors: bad parameters and failed domain
+    computations (the CLI reports them as JSON with exit code 2)."""

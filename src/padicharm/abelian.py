@@ -33,11 +33,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import PadicharmError
 from .padic import psi_frac, unit_group, unit_order
 from .ratfunc import RationalFunctionZ
 
 
-class CharacterError(ValueError):
+class CharacterError(PadicharmError):
     pass
 
 
@@ -79,21 +80,20 @@ class UnitCharacter:
         return UnitCharacter(self.p, self.level, 2 * self.exponent)
 
     def at_level(self, level: int) -> "UnitCharacter":
-        """The same character seen on (Z/p^level)^x; level must be >= conductor."""
+        """The same character seen on (Z/p^level)^x; level must be >= conductor.
+
+        On the target generator g', chi(g') = exp(2 pi i a dlog(g') / phi(p^L)),
+        so the target exponent is a dlog(g') phi(p^level) / phi(p^L).  That is
+        an integer once chi is trivial on 1 + p^level Z_p, because g'^phi(p^level)
+        lies there."""
         if level == self.level:
             return self
         if level < conductor(self):
             raise CharacterError("cannot lower level below the conductor")
-        # match values on the generator of the target group
-        _, gen, _ = unit_group(self.p, level)
-        target = UnitCharacter(self.p, level, 0)
-        n_t = target.order_of_group
-        want = self.value(gen)
-        for j in range(n_t):
-            cand = cmath.exp(2j * cmath.pi * j / n_t)
-            if abs(cand - want) < 1e-9:
-                return UnitCharacter(self.p, level, j)
-        raise CharacterError("no consistent lift found")
+        gen = unit_group(self.p, level)[1]
+        dlog = unit_group(self.p, self.level)[2][gen % self.p**self.level]
+        j = self.exponent * dlog * unit_order(self.p, level) // self.order_of_group
+        return UnitCharacter(self.p, level, j)
 
     def value_minus_one(self) -> complex:
         return self.value(-1 % self.p**self.level)
@@ -254,7 +254,7 @@ def twist_by_pi_value(R: RationalFunctionZ, chi_at_pi: complex) -> RationalFunct
 
 # ---------------------------------------------------------------- oracle
 
-class OracleError(RuntimeError):
+class OracleError(PadicharmError, RuntimeError):
     pass
 
 

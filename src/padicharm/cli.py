@@ -3,9 +3,10 @@
 Verbs: gamma, beta, eta-table, verify fe-gl1, verify fe-pvs, count-fibers,
 symplectic-check, tate-oracle, fourier-n0, shells, phi-eval.  Reports are
 JSON (canonical) or CSV (count tables); exit code 0 iff every check passed,
-1 on check failure, 2 on usage errors.  A config file, when given,
-overrides flags; flags override defaults.  Reports are byte-identical for
-a fixed --seed (runtimes are only emitted under --timing).
+1 on check failure, 2 on usage errors, invalid parameters and domain errors
+raised outside a check (reported as JSON with an "error" field).  A config
+file, when given, overrides flags; flags override defaults.  Reports are
+byte-identical for a fixed --seed (runtimes are only emitted under --timing).
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ import random
 import sys
 import time
 
+from . import PadicharmError
+
 SCHEMA_VERSION = 1
 
 
-class UsageError(ValueError):
+class UsageError(PadicharmError):
     pass
 
 
@@ -208,25 +211,26 @@ def cmd_tate_oracle(args):
     return {"verified": "tate-oracle", "p": args.p}, checks
 
 
-def cmd_fourier_n0(args, rng):
+def cmd_fourier_n0(args, rng, phi=None):
     from .fxspace import FxFunction, TailSpec
     from .gdist import fourier_n0, fourier_n0_table, l2_norm_fx, l2_norm_truncated
     from .padic import unit_group
-    if args.fx_in:
-        with open(args.fx_in) as fh:
-            phi = FxFunction.from_json(json.load(fh))
-        args.p, args.level = phi.p, phi.level
-    else:
-        cosets_in = unit_group(args.p, args.level)[0]
-        vals = {(k, u): complex(rng.uniform(-1, 1))
-                for k in range(0, 2) for u in cosets_in}
-        phi = FxFunction(args.p, args.level, 0, 2, vals, TailSpec.compact())
     cosets = unit_group(args.p, args.level)[0]
-    table = fourier_n0_table(phi, -12, 12, sign=args.psi_sign)
+    if phi is None:
+        vals = {(k, u): complex(rng.uniform(-1, 1))
+                for k in range(0, 2) for u in cosets}
+        phi = FxFunction(args.p, args.level, 0, 2, vals, TailSpec.compact())
+    table = {}
+
+    def transform():
+        if not table:
+            table.update(fourier_n0_table(phi, -12, 12, sign=args.psi_sign))
+        return table
+
     checks = []
 
     def inversion():
-        ks = [k for k, _ in table]
+        ks = [k for k, _ in transform()]
         G = FxFunction(args.p, args.level, min(ks), max(ks) + 1,
                        {ku: complex(v) for ku, v in table.items()},
                        TailSpec.compact())
@@ -239,7 +243,7 @@ def cmd_fourier_n0(args, rng):
     checks.append(_check("double-transform", inversion, 1e-6, args.timing))
 
     def plancherel():
-        return abs(l2_norm_truncated(table, args.p, args.level, 12)
+        return abs(l2_norm_truncated(transform(), args.p, args.level, 12)
                    - l2_norm_fx(phi, 12))
     checks.append(_check("plancherel-truncated", plancherel, 1e-4, args.timing))
     payload = {
@@ -346,14 +350,40 @@ def build_parser():
     return ap
 
 
+def _read_inputs(args):
+    """Apply --config and --fx-in; returns the --fx-in function or None."""
+    from .fxspace import FxFunction
+    from .padic import load_config
+    phi = None
+    try:
+        if args.config:
+            cfg = load_config(args.config)
+            args.p, args.level = cfg.p, cfg.default_level
+            args.tolerance = cfg.numeric_tolerance
+        if args.fx_in:
+            with open(args.fx_in) as fh:
+                phi = FxFunction.from_json(json.load(fh))
+            args.p, args.level = phi.p, phi.level
+    except PadicharmError:
+        raise
+    except (OSError, KeyError, ValueError) as exc:
+        raise UsageError(f"unreadable input file: {exc}") from exc
+    return phi
+
+
+def _validate(args):
+    """The one input boundary: p an odd prime, n >= 0, level, k, m >= 1."""
+    from .padic import LocalFieldConfig
+    LocalFieldConfig(args.p)
+    for name, low in (("n", 0), ("level", 1), ("k", 1), ("m", 1)):
+        if getattr(args, name) < low:
+            raise UsageError(f"--{name} must be >= {low}, got {getattr(args, name)}")
+
+
 def run_parsed(args) -> tuple[dict, int]:
-    if args.config:
-        from .padic import load_config
-        cfg = load_config(args.config)
-        args.p, args.level = cfg.p, cfg.default_level
-        args.tolerance = cfg.numeric_tolerance
     verb = " ".join(args.verb)
     rng = random.Random(args.seed)
+    phi_in = None
     dispatch = {
         "gamma": lambda: cmd_gamma(args),
         "beta": lambda: cmd_beta(args),
@@ -363,16 +393,17 @@ def run_parsed(args) -> tuple[dict, int]:
         "count-fibers": lambda: cmd_count_fibers(args),
         "symplectic-check": lambda: cmd_symplectic_check(args, rng),
         "tate-oracle": lambda: cmd_tate_oracle(args),
-        "fourier-n0": lambda: cmd_fourier_n0(args, rng),
+        "fourier-n0": lambda: cmd_fourier_n0(args, rng, phi_in),
         "shells": lambda: cmd_shells(args),
         "phi-eval": lambda: cmd_phi_eval(args, rng),
     }
-    if verb not in dispatch:
-        sys.stderr.write(f"unknown verb: {verb}\n")
-        return {"error": f"unknown verb {verb}"}, 2
     try:
+        if verb not in dispatch:
+            raise UsageError(f"unknown verb {verb}")
+        phi_in = _read_inputs(args)
+        _validate(args)
         payload, checks = dispatch[verb]()
-    except UsageError as exc:
+    except PadicharmError as exc:
         sys.stderr.write(str(exc) + "\n")
         return {"error": str(exc)}, 2
     report = {
@@ -392,9 +423,8 @@ def run_parsed(args) -> tuple[dict, int]:
 
 def run(argv) -> tuple[dict, int]:
     """Parse and execute; returns (report, exit_code)."""
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit:
         return {"error": "usage"}, 2
     return run_parsed(args)
@@ -402,19 +432,17 @@ def run(argv) -> tuple[dict, int]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit:
         return 2
     report, code = run_parsed(args)
-    if code == 2:
-        return 2
     try:
-        data = emit(report, args.format)
+        data = emit(report, "json" if code == 2 else args.format)
     except UsageError as exc:
         sys.stderr.write(str(exc) + "\n")
-        return 2
+        report, code = {"error": str(exc)}, 2
+        data = emit(report, "json")
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(data)

@@ -28,17 +28,18 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import PadicharmError
 from .abelian import (UnitCharacter, beta_factor, beta_factor_inverse_argument,
                       conductor)
 from .padic import unit_group, unit_order
 from .ratfunc import RationalFunctionZ
 
 
-class FxError(ValueError):
+class FxError(PadicharmError):
     pass
 
 
-class StabilizationError(RuntimeError):
+class StabilizationError(PadicharmError, RuntimeError):
     pass
 
 
@@ -607,53 +608,3 @@ def check_fe_gl1(f: FxFunction, n: int, chi: UnitCharacter, sign: int = 1,
         "lhs": lhs,
         "rhs": rhs,
     }
-
-
-# ----------------------------------------------------------- tail fitting
-
-def fit_fx_from_shell_data(p: int, level: int, shells: dict, k_tail: int,
-                           kind: str, n: int, power_shift=Fraction(0),
-                           residual_tol: float = 1e-8) -> FxFunction:
-    """Build an FxFunction from exact shell data, fitting the tail by
-    solving the asymptotic-expansion linear system on the shells >= k_tail
-    (at least 2n+1 of them per unit coset; extra shells become residual
-    checks)."""
-    import numpy as np
-
-    q = float(p)
-    cosets = unit_group(p, level)[0]
-    sigma = float(power_shift)
-    ks = sorted({k for (k, _) in shells})
-    fit_ks = [k for k in ks if k >= k_tail]
-    if len(fit_ks) < 2 * n + 1:
-        raise FxError(
-            f"insufficient shells for the tail fit: need {2*n+1}, have {len(fit_ks)}")
-    if kind == "plus":
-        exps = [0.0] + [i + 0.5 for i in range(n)] + [i + 0.5 for i in range(n)]
-    elif kind == "minus":
-        exps = [float(n)] + [float(i) for i in range(n)] + [float(i) for i in range(n)]
-    else:
-        raise FxError(f"unknown tail kind {kind}")
-    signs = [0] + [0] * n + [1] * n   # 1 marks the (-1)^k family
-
-    a0, ap, am = [], [[] for _ in range(n)], [[] for _ in range(n)]
-    for u in cosets:
-        A = np.zeros((len(fit_ks), 2 * n + 1), dtype=complex)
-        rhs = np.zeros(len(fit_ks), dtype=complex)
-        for r, k in enumerate(fit_ks):
-            rhs[r] = complex(shells.get((k, u), 0.0))
-            for c, (e, sg) in enumerate(zip(exps, signs)):
-                A[r, c] = q ** (-k * (e + sigma)) * ((-1) ** k if sg else 1.0)
-        sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        resid = np.max(np.abs(A @ sol - rhs)) if len(fit_ks) else 0.0
-        scale = max(1.0, float(np.max(np.abs(rhs))))
-        if resid > residual_tol * scale:
-            raise FxError(f"tail fit residual {resid:.3g} exceeds {residual_tol}")
-        a0.append(complex(sol[0]))
-        for i in range(n):
-            ap[i].append(complex(sol[1 + i]))
-            am[i].append(complex(sol[1 + n + i]))
-    tail = TailSpec(kind, n, tuple(a0), tuple(map(tuple, ap)), tuple(map(tuple, am)))
-    vals = {(k, u): complex(v) for (k, u), v in shells.items() if k < k_tail}
-    k_min = min([k for k in ks if k < k_tail], default=k_tail)
-    return FxFunction(p, level, k_min, k_tail, vals, tail, Fraction(power_shift))

@@ -15,14 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import PadicharmError
 from .abelian import UnitCharacter, gamma_factor
 from .fxspace import FxFunction, eta_kernel, eta_smoothed, pv_convolve
-from .padic import PadicElement, unit_group, unit_order
+from .padic import PadicElement, unit_group, unit_order, unit_part, val_p
 from .symplectic import add, det, eye, is_symplectic, mat
-from .quadform import val_p
 
 
-class GDistError(ValueError):
+class GDistError(PadicharmError):
     pass
 
 
@@ -53,20 +53,11 @@ def phi_rho_eval(point: GPoint, n: int, level: int, sign: int = 1,
         dh = det(add(h, eye(2 * n)))
     if dh == 0:
         raise GDistError("singular locus of Phi: det(h + I) = 0")
-    v = val_p(dh, p) + a.valuation
-    mod = p**level
-    u_h = _unit_mod(dh, p, level)
-    u = a.unit * u_h % mod
-    eta = eta_kernel(n, sign, v, u, p, level, max_level=max_level)
+    vh = val_p(dh, p)
+    u = a.unit * unit_part(dh, p, level) % p**level
+    eta = eta_kernel(n, sign, vh + a.valuation, u, p, level, max_level=max_level)
     c0 = float(c0_constant(n, p))
-    return c0 * eta * float(p) ** (val_p(dh, p) * (2 * n + 1) / 2.0)
-
-
-def _unit_mod(x: Fraction, p: int, level: int) -> int:
-    v = val_p(x, p)
-    u = Fraction(x) / Fraction(p) ** v
-    mod = p**level
-    return u.numerator * pow(u.denominator, -1, mod) % mod
+    return c0 * eta * float(p) ** (vh * (2 * n + 1) / 2.0)
 
 
 def fourier_n0(phi: FxFunction, k0: int, u0: int, K_max: int = 40,

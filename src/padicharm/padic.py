@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import PadicharmError
 
-class PadicError(ValueError):
+
+class PadicError(PadicharmError):
     pass
 
 
@@ -67,6 +69,26 @@ def load_config(path) -> LocalFieldConfig:
     )
 
 
+def val_p(x, p: int) -> int:
+    """ord_p of a nonzero rational x."""
+    x = Fraction(x)
+    if x == 0:
+        raise PadicError("valuation undefined: zero input")
+    v = 0
+    for part, step in ((x.numerator, 1), (x.denominator, -1)):
+        while part % p == 0:
+            part //= p
+            v += step
+    return v
+
+
+def unit_part(x, p: int, level: int) -> int:
+    """ac(x) = x p^{-ord(x)} mod p^level for a nonzero rational x."""
+    u = Fraction(x) / Fraction(p) ** val_p(x, p)
+    mod = p**level
+    return u.numerator * pow(u.denominator, -1, mod) % mod
+
+
 @dataclass(frozen=True)
 class PadicElement:
     """x = unit * p^valuation with unit known mod p^level."""
@@ -86,20 +108,8 @@ class PadicElement:
 
     @classmethod
     def from_rational(cls, x, p: int, level: int) -> "PadicElement":
-        x = Fraction(x)
-        if x == 0:
-            raise PadicError("valuation undefined: zero input")
-        v = 0
-        num, den = x.numerator, x.denominator
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        mod = p**level
-        unit = num * pow(den, -1, mod) % mod
-        return cls(p=p, valuation=v, unit=unit, level=level)
+        return cls(p=p, valuation=val_p(x, p), unit=unit_part(x, p, level),
+                   level=level)
 
     def __mul__(self, other: "PadicElement") -> "PadicElement":
         if self.p != other.p:

@@ -6,10 +6,9 @@ Test functions are finite combinations of pieces
 
 (the phase matrix C only acts on the p^{-1}-scale pieces produced by the
 lattice Fourier transform).  Fibers of det over Sym_m(Z/p^k) are counted
-exhaustively, vectorized over the entry index space and optionally in
-parallel over disjoint outer blocks; Clifford weights are attached through
-closed-form Legendre data validated in tests against the exact quadform
-route.  The shell values
+exhaustively, vectorized over the entry index space; Clifford weights are
+attached through closed-form Legendre data validated in tests against the
+exact quadform route.  The shell values
 
     f_Phi(t) = count(det in t-class) / p^{k(d-1)},      d = m(m+1)/2
 
@@ -28,23 +27,24 @@ rational functions the functional-equation verifier compares.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import PadicharmError
 from .abelian import UnitCharacter, beta_factor
 from .fxspace import (FxFunction, MellinData, TailSpec, class_denominator,
                       fx_from_mellin, mellin_transform)
-from .padic import psi_frac, unit_group, unit_order
+from .padic import psi_frac, unit_group, unit_order, unit_part, val_p
+from .quadform import legendre
 from .ratfunc import RationalFunctionZ
 
 ENUM_BUDGET = 10 ** 9
 _ENTRY_ORDER = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
-class PvsError(ValueError):
+class PvsError(PadicharmError):
     pass
 
 
@@ -201,10 +201,7 @@ _SWEEP_CACHE: dict = {}
 
 
 def _legendre_table(p: int) -> np.ndarray:
-    t = np.zeros(p, dtype=np.int64)
-    for a in range(1, p):
-        t[a] = 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-    return t
+    return np.array([legendre(a, p) for a in range(p)], dtype=np.int64)
 
 
 def _mask_vec(mask_spec, x11, x22, m12, m13, m23, m33):
@@ -353,29 +350,6 @@ def _sweep3_block(p, k, jobs, x11_range):
     return out
 
 
-def _sweep3_worker(args):
-    p, k, jobs, rg = args
-    return _sweep3_block(p, k, jobs, rg)
-
-
-def _run_sweep3(p: int, k: int, jobs: tuple):
-    mod = p**k
-    workers = int(os.environ.get("PADICHARM_WORKERS", "1"))
-    if workers <= 1:
-        return _sweep3_block(p, k, jobs, range(mod))
-    from concurrent.futures import ProcessPoolExecutor
-    chunks = [list(range(i, mod, workers)) for i in range(workers)]
-    out = None
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_sweep3_worker, [(p, k, jobs, c) for c in chunks]):
-            if out is None:
-                out = part
-            else:
-                for job in part:
-                    out[job] += part[job]
-    return out
-
-
 def precompute_jobs(p: int, k: int, jobs) -> None:
     """Run (or extend) the cached Sym_3 sweep for the given jobs."""
     missing = tuple(j for j in jobs if j not in _SWEEP_CACHE.get((p, k), {}))
@@ -386,7 +360,7 @@ def precompute_jobs(p: int, k: int, jobs) -> None:
             f"enumeration budget exceeded: p^(kd) = {float(p)**(k*6):.3g} > {ENUM_BUDGET:.0g}")
     if k < 2 and any(job[0] == "rho" for job in missing):
         raise PvsError("Clifford-weighted sweeps need k >= 2")
-    _SWEEP_CACHE.setdefault((p, k), {}).update(_run_sweep3(p, k, missing))
+    _SWEEP_CACHE.setdefault((p, k), {}).update(_sweep3_block(p, k, missing, range(p**k)))
 
 
 def _get_bins(p, k, job):
@@ -436,11 +410,8 @@ def det_fiber_counts(m: int, p: int, k: int) -> FiberCountTable:
     counts: dict = {}
     zero = int(per[0])
     for tau in range(1, mod):
-        v, t = 0, tau
-        while t % p == 0:
-            t //= p
-            v += 1
-        key = (v, t % p ** (k - v))
+        v = val_p(tau, p)
+        key = (v, unit_part(tau, p, k - v))
         counts[key] = counts.get(key, 0) + int(per[tau])
     total = p ** (k * d)
     if sum(counts.values()) + zero != total:
@@ -451,34 +422,44 @@ def det_fiber_counts(m: int, p: int, k: int) -> FiberCountTable:
 # -------------------------------------------------- shell values and fitting
 
 def _piece_job(piece: LatticePiece, weighted: bool, p: int, k: int):
-    """(job, shell shift, prefactor) realizing one piece in the sweep."""
+    """(job, shell shift, prefactor) realizing one piece in the sweep.
+
+    Weighted pieces take a Clifford ("rho") job; so do unweighted pieces
+    with a phase at scale -1, whose job carries tr(Y C) mod p (their sign
+    is ignored at assembly)."""
     if piece.m != 3:
         raise PvsError("sweep jobs are for m = 3")
+    mask, shift, prefactor = None, 0, 1.0
     if piece.moduli is not None:
         if max(piece.moduli) > p**k:
             raise PvsError("entry-wise moduli exceed the sweep precision")
         residues = tuple(piece.B[i][j] % mo for (i, j), mo
                          in zip(_ENTRY_ORDER, piece.moduli))
         mask = (residues, piece.moduli)
-        return (("rho", mask, None) if weighted else ("count", mask)), 0, 1.0
-    if piece.r >= 0:
+    elif piece.r >= 0:
         if p**piece.r > p**k:
             raise PvsError("piece scale exceeds the sweep precision")
-        mask = None
         if piece.r > 0:
             residues = tuple(piece.B[i][j] % p**piece.r for (i, j) in _ENTRY_ORDER)
-            moduli = tuple(p**piece.r for _ in _ENTRY_ORDER)
-            mask = (residues, moduli)
-        return (("rho", mask, None) if weighted else ("count", mask)), 0, 1.0
-    if piece.r == -1:
+            mask = (residues, tuple(p**piece.r for _ in _ENTRY_ORDER))
+    elif piece.r == -1:
         # X = p^{-1} Y: det X = p^{-3} det Y and f picks up q^{d-3} = q^3;
         # rho(p^{-1} Y) = rho(Y) (scalars act trivially on rho at odd size)
-        if weighted or piece.C is not None:
-            job = ("rho", None, piece.C)
-        else:
-            job = ("count", None)
-        return job, -3, float(p) ** 3
-    raise PvsError("pieces with r < -1 are outside the enumeration budget")
+        shift, prefactor = -3, float(p) ** 3
+        if piece.C is not None:
+            return ("rho", None, piece.C), shift, prefactor
+    else:
+        raise PvsError("pieces with r < -1 are outside the enumeration budget")
+    job = ("rho", mask, None) if weighted else ("count", mask)
+    return job, shift, prefactor
+
+
+def _precompute_sides(sides, p: int, k: int, level: int) -> None:
+    """One sweep for the jobs of every (Phi, weighted) side of a check."""
+    if level > k - 1:
+        raise PvsError("level too deep for the enumeration precision")
+    precompute_jobs(p, k, {_piece_job(q, weighted, p, k)[0]
+                           for Phi, weighted in sides for q in Phi.pieces})
 
 
 def piece_shell_values(piece: LatticePiece, weighted: bool, p: int, k: int,
@@ -487,9 +468,8 @@ def piece_shell_values(piece: LatticePiece, weighted: bool, p: int, k: int,
     {(shell, unit coset mod p^level): complex}."""
     if level > k - 1:
         raise PvsError("level too deep for the enumeration precision")
-    use_rho_job = weighted or (piece.C is not None and piece.r < 0)
-    job, shift, prefactor = _piece_job(piece, use_rho_job, p, k)
-    ignore_sigma = use_rho_job and not weighted
+    job, shift, prefactor = _piece_job(piece, weighted, p, k)
+    ignore_sigma = not weighted
     bins = _get_bins(p, k, job)
     d = 6
     mod4 = p ** (k + 1)
@@ -529,13 +509,7 @@ def piece_shell_values(piece: LatticePiece, weighted: bool, p: int, k: int,
     for key4 in range(1, mod4):
         if abs(totals[key4]) == 0.0:
             continue
-        v, t = 0, key4
-        while t % p == 0:
-            t //= p
-            v += 1
-        if v > k:
-            continue
-        u = t % p**level
+        v, u = val_p(key4, p), unit_part(key4, p, level)
         n_classes = unit_order(p, k + 1 - v) // unit_order(p, level)
         val = complex(piece.weight) * prefactor * totals[key4] / (norm * n_classes)
         out[(v + shift, u)] = out.get((v + shift, u), 0.0) + val
@@ -564,13 +538,7 @@ def support_min(piece: LatticePiece, p: int) -> int:
         for perm in itertools.permutations(range(m)):
             tot = 0
             for i in range(m):
-                key = (min(i, perm[i]), max(i, perm[i]))
-                e = 0
-                mo = mods[key]
-                while mo % p == 0:
-                    mo //= p
-                    e += 1
-                tot += e
+                tot += val_p(mods[(min(i, perm[i]), max(i, perm[i]))], p)
             best = tot if best is None else min(best, tot)
         return best
     if piece.r >= 1 and all(x % p**piece.r == 0 for row in piece.B for x in row):
@@ -655,13 +623,13 @@ def _compact_shell_certificate(piece: LatticePiece, p: int):
     det(I + B^{-1} l) in 1 + p Z_p for every lattice element l by min-plus
     valuation bounds on the entries of B^{-1} l (trace, second elementary
     symmetric terms, determinant term all of positive valuation)."""
-    from .quadform import sym_det, val_p
     import itertools
+    from .symplectic import det, inverse
     m = piece.m
     if piece.C is not None:
         return None
     B = [[Fraction(x) for x in row] for row in piece.B]
-    detB = sym_det(B)
+    detB = det(B)
     if detB == 0:
         return None
     if piece.moduli is not None:
@@ -671,8 +639,7 @@ def _compact_shell_certificate(piece: LatticePiece, p: int):
         e = [[piece.r] * m for _ in range(m)]
     else:
         return None
-    from .symplectic import inverse as mat_inverse
-    Binv = mat_inverse(B)
+    Binv = inverse(B)
     big = 10**6
     ordinv = [[(val_p(x, p) if x != 0 else big) for x in row] for row in Binv]
     V = [[min(ordinv[i][t] + e[t][j] for t in range(m)) for j in range(m)]
@@ -748,13 +715,11 @@ def _fiber_function_m1(Phi: LatticeTestFunction, p: int, k: int, sign: int,
         b, r, w = q.B[0][0], q.r, q.weight
         cc = q.C[0][0] if q.C is not None else 0
         if r >= 1 and b % p**r != 0:
-            v, t = 0, b
-            while t % p == 0:
-                t //= p
-                v += 1
+            v = val_p(b, p)
             depth = r - v
             if depth > level:
                 raise PvsError("level too coarse for this base point")
+            t = unit_part(b, p, depth)
             for u in cosets:
                 if (u - t) % p**depth == 0:
                     window[(v, u)] = window.get((v, u), 0.0) + w
@@ -843,8 +808,10 @@ def check_fe_pvs(Phi: LatticeTestFunction, n: int, chi: UnitCharacter, p: int,
         raise PvsError("size/n mismatch")
     q = float(p)
     chi = chi.at_level(level)
-    f_plus = fiber_function(Phi, weighted=False, p=p, k=k, sign=sign, level=level)
     Phihat = lattice_fourier(Phi, p, sign)
+    if m != 1:
+        _precompute_sides(((Phi, False), (Phihat, True)), p, k, level)
+    f_plus = fiber_function(Phi, weighted=False, p=p, k=k, sign=sign, level=level)
     f_minus = fiber_function(Phihat, weighted=True, p=p, k=k, sign=sign,
                              level=level, fit_degree_max=hat_fit_degree_max)
     M_plus = mellin_transform(f_plus).component(chi)
@@ -884,6 +851,8 @@ def homogeneity_check(Phi: LatticeTestFunction, g_exponents, chi: UnitCharacter,
     a = tuple(int(x) for x in g_exponents)
     chi = chi.at_level(level)
     gPhi = act_diagonal(Phi, a, p)
+    if m != 1:
+        _precompute_sides(((Phi, False), (gPhi, False)), p, k, level)
     f_base = fiber_function(Phi, weighted=False, p=p, k=k, level=level)
     f_moved = fiber_function(gPhi, weighted=False, p=p, k=k, level=level)
     Zb = mellin_transform(f_base).component(chi)

@@ -16,13 +16,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import PadicharmError
+from .padic import unit_part, val_p
+from .symplectic import det, eye, mat, mul, transpose
 
-class QuadFormError(ValueError):
+
+class QuadFormError(PadicharmError):
     pass
 
 
 def _as_sym(rows):
-    M = [[Fraction(x) for x in row] for row in rows]
+    M = mat(rows)
     m = len(M)
     if any(len(row) != m for row in M):
         raise QuadFormError("matrix is not square")
@@ -33,36 +37,12 @@ def _as_sym(rows):
     return M
 
 
-def sym_det(rows) -> Fraction:
-    M = [[Fraction(x) for x in row] for row in rows]
-    m = len(M)
-    det = Fraction(1)
-    for col in range(m):
-        piv = None
-        for r in range(col, m):
-            if M[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = Fraction(1) / M[col][col]
-        for r in range(col + 1, m):
-            f = M[r][col] * inv
-            if f:
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return det
-
-
 def diagonalize(rows):
     """Congruence diagonalization: returns (diag entries, P) with P X P^t diagonal."""
     A = _as_sym(rows)
     m = len(A)
-    P = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    if sym_det(A) == 0:
+    P = eye(m)
+    if det(A) == 0:
         raise QuadFormError("singular matrix")
 
     def add_row_col(dst, src, factor):
@@ -103,29 +83,6 @@ def diagonalize(rows):
     return [A[i][i] for i in range(m)], P
 
 
-def val_p(x, p: int) -> int:
-    x = Fraction(x)
-    if x == 0:
-        raise QuadFormError("valuation of zero")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
-def unit_residue(x, p: int) -> int:
-    """The unit part of x mod p (x nonzero rational)."""
-    x = Fraction(x)
-    v = val_p(x, p)
-    u = x / Fraction(p) ** v
-    return u.numerator * pow(u.denominator, -1, p) % p
-
-
 def legendre(a: int, p: int) -> int:
     a %= p
     if a == 0:
@@ -141,7 +98,7 @@ def hilbert_symbol(a, b, p: int) -> int:
     if a == 0 or b == 0:
         raise QuadFormError("Hilbert symbol needs nonzero entries")
     al, bl = val_p(a, p), val_p(b, p)
-    ua, ub = unit_residue(a, p), unit_residue(b, p)
+    ua, ub = unit_part(a, p, 1), unit_part(b, p, 1)
     sign = -1 if (al * bl * ((p - 1) // 2)) % 2 else 1
     return sign * legendre(ua, p) ** (bl % 2) * legendre(ub, p) ** (al % 2)
 
@@ -156,7 +113,7 @@ def hilbert_symbol_oracle(a, b, p: int, k: int = 3) -> int:
     def reduce(c):
         c = Fraction(c)
         v = val_p(c, p) % 2
-        u = unit_residue(c, p)
+        u = unit_part(c, p, 1)
         return p**v * u % p ** k
 
     aa, bb = reduce(a), reduce(b)
@@ -188,23 +145,15 @@ def clifford_rho(rows, p: int) -> int:
     if m % 2 == 0:
         raise QuadFormError("clifford_rho needs odd size 2n+1")
     n = (m - 1) // 2
-    det = sym_det(M)
-    if det == 0:
+    d = det(M)
+    if d == 0:
         raise QuadFormError("singular matrix")
     h1 = hilbert_symbol(-1, -1, p) ** ((n * (n + 1) // 2) % 2)
-    h2 = hilbert_symbol(Fraction((-1) ** n), det, p)
+    h2 = hilbert_symbol(Fraction((-1) ** n), d, p)
     return h1 * h2 * hasse_invariant(M, p)
-
-
-def mat_mul(A, B):
-    m, inner, ncol = len(A), len(B), len(B[0])
-    return [[sum(A[i][t] * B[t][j] for t in range(inner)) for j in range(ncol)]
-            for i in range(m)]
 
 
 def congruence_transform(g, X):
     """g X g^t with exact rational arithmetic."""
-    gX = mat_mul([[Fraction(x) for x in row] for row in g],
-                 [[Fraction(x) for x in row] for row in X])
-    gt = [[Fraction(g[j][i]) for j in range(len(g))] for i in range(len(g[0]))]
-    return mat_mul(gX, gt)
+    g = mat(g)
+    return mul(mul(g, mat(X)), transpose(g))

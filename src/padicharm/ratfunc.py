@@ -15,6 +15,8 @@ from __future__ import annotations
 import cmath
 import numpy as np
 
+from . import PadicharmError
+
 _EQ_TOL = 1e-8
 _SAMPLES = tuple(
     r * cmath.exp(2j * cmath.pi * (k / 20.0 + 0.037))
@@ -22,7 +24,7 @@ _SAMPLES = tuple(
 )
 
 
-class PoleError(ValueError):
+class PoleError(PadicharmError):
     pass
 
 

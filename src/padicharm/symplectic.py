@@ -17,8 +17,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import PadicharmError
+from .padic import val_p
 
-class SymplecticError(ValueError):
+
+class SymplecticError(PadicharmError):
     pass
 
 
@@ -268,15 +271,7 @@ def abelianization_delta(A: Matrix, n: int, p: int | None = None):
         raise SymplecticError("singular Levi block")
     if p is None:
         return d, None
-    v = 0
-    num, den = d.numerator, d.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return d, Fraction(p) ** (-(2 * n + 1) * v)
+    return d, Fraction(p) ** (-(2 * n + 1) * val_p(d, p))
 
 
 def sp_order(n: int, q: int, mode: str = "formula"):

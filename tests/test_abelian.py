@@ -9,6 +9,7 @@ from padicharm.abelian import (CharacterError, OracleError, UnitCharacter,
                                conductor, epsilon_factor, epsilon_half,
                                gamma_factor, gauss_sum, tate_gamma_oracle,
                                twist_by_pi_value)
+from padicharm.padic import unit_group, unit_order
 from padicharm.ratfunc import RationalFunctionZ
 
 
@@ -40,6 +41,35 @@ def value_conductor(chi):
 def test_conductor_closed_form_matches_values(p, level):
     for chi in characters(p, level):
         assert conductor(chi) == value_conductor(chi), chi
+
+
+def value_lift(chi, level):
+    """The exponent at `level` of the character that agrees with chi on every
+    unit mod p^max(level, chi.level), or None if there is none.  Only the
+    candidate matching chi at the target generator can agree everywhere."""
+    p = chi.p
+    order = unit_order(p, level)
+    gen = unit_group(p, level)[1]
+    j = round(cmath.phase(chi.value(gen)) / (2 * cmath.pi) * order) % order
+    cand = UnitCharacter(p, level, j)
+    top = p ** max(level, chi.level)
+    agree = all(abs(cand.value(u) - chi.value(u)) < 1e-9
+                for u in range(1, top) if u % p)
+    return j if agree else None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_at_level_matches_values(p):
+    # every character of level <= 3 moved to every level <= 4, rejections too
+    for level in (1, 2, 3):
+        for chi in characters(p, level):
+            for target in (1, 2, 3, 4):
+                want = value_lift(chi, target)
+                if want is None:
+                    with pytest.raises(CharacterError):
+                        chi.at_level(target)
+                else:
+                    assert chi.at_level(target).exponent == want, (chi, target)
 
 
 def direct_gauss_sum(chi, sign):

@@ -1,7 +1,12 @@
 import json
 import time
+from pathlib import Path
+
+import pytest
 
 from padicharm.cli import main, run
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(args, tmp_path=None):
@@ -72,11 +77,13 @@ def test_shells_verb(tmp_path):
 
 
 def test_timing_measures_the_checks():
-    t0 = time.perf_counter()
-    rep, code = run(["verify", "fe-gl1", "--p", "3", "--level", "2", "--timing"])
-    wall_ms = 1000 * (time.perf_counter() - t0)
-    assert code == 0 and len(rep["checks"]) == 18
-    assert sum(c["runtime_ms"] for c in rep["checks"]) >= 0.5 * wall_ms
+    for argv, n_checks in ((["fourier-n0", "--p", "3", "--level", "2"], 2),
+                           (["verify", "fe-gl1", "--p", "3", "--level", "2"], 18)):
+        t0 = time.perf_counter()
+        rep, code = run(argv + ["--timing"])
+        wall_ms = 1000 * (time.perf_counter() - t0)
+        assert code == 0 and len(rep["checks"]) == n_checks, argv
+        assert sum(c["runtime_ms"] for c in rep["checks"]) >= 0.5 * wall_ms, argv
 
 
 def test_check_errors_become_error_status():
@@ -127,3 +134,40 @@ def test_fourier_n0_consumes_fx_json(tmp_path):
     got = {(r["k"], r["coset"]): complex(r["re"], r["im"])
            for r in rep["payload"]["transform"]}
     assert abs(got[(0, 1)] - (1 - 1 / 3)) < 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--p", "4"],
+    ["gamma", "--p", "9", "--conductor", "1"],
+    ["beta", "--n", "-2"],
+    ["count-fibers", "--p", "7", "--k", "3"],
+    ["fourier-n0", "--level", "0"],
+    ["eta-table", "--level", "0"],
+])
+def test_invalid_input_is_a_json_error(argv, capsys):
+    assert main(argv) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert list(rep) == ["error"] and rep["error"]
+
+
+def test_fx_in_parameters_are_validated(tmp_path):
+    src = tmp_path / "phi.json"
+    src.write_text(json.dumps({"p": 4, "level": 1, "k_min": 0, "k_tail": 1,
+                               "shells": [], "tail": {"kind": "compact"}}))
+    rep, code = run(["fourier-n0", "--fx-in", str(src)])
+    assert code == 2 and "not prime" in rep["error"]
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["count-fibers", "--p", "3", "--k", "2", "--m", "1", "--format", "csv"],
+     "count_fibers_p3_k2_m1.csv"),
+    (["count-fibers", "--p", "3", "--k", "2", "--m", "2", "--format", "csv"],
+     "count_fibers_p3_k2_m2.csv"),
+    (["count-fibers", "--p", "3", "--k", "2", "--m", "3", "--format", "csv"],
+     "count_fibers_p3_k2_m3.csv"),
+    (["symplectic-check", "--n", "1", "--seed", "9"], "symplectic_check_n1_seed9.json"),
+])
+def test_exact_reports_match_golden_files(argv, golden, tmp_path):
+    out = tmp_path / golden
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()

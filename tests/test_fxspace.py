@@ -8,7 +8,7 @@ from padicharm.abelian import (UnitCharacter, beta_factor,
                                beta_factor_inverse_argument, characters, conductor)
 from padicharm.fxspace import (FxError, FxFunction, MellinData, TailSpec,
                                check_fe_gl1, check_paley_wiener, eta_kernel,
-                               fit_fx_from_shell_data, fourier_L, fx_from_mellin,
+                               fourier_L, fx_from_mellin,
                                indicator_integers, indicator_units,
                                mellin_inverse, mellin_transform, one_k,
                                pv_convolve)
@@ -327,30 +327,6 @@ def test_pv_convolve_single_shell_average():
 
     got, _, _ = pv_convolve(kernel, f, 0, 1, K_max=6, tol=1e-12)
     assert abs(got - 2.0) < 1e-12
-
-
-def test_tail_fit_roundtrip():
-    rng = random.Random(61)
-    for kind in ("plus", "minus"):
-        for _ in range(20):
-            f = random_fx(rng, kind=kind, n=1)
-            shells = {}
-            for k in range(f.k_min, f.k_tail + 6):
-                for u in f.cosets:
-                    v = f.evaluate(k, u)
-                    if v != 0:
-                        shells[(k, u)] = v
-            g = fit_fx_from_shell_data(f.p, f.level, shells, f.k_tail, kind, 1)
-            for k in range(f.k_min, f.k_tail + 10):
-                for u in f.cosets:
-                    assert abs(f.evaluate(k, u) - g.evaluate(k, u)) < 1e-8
-
-
-def test_tail_fit_insufficient_shells():
-    p, level = 3, 1
-    shells = {(0, 1): 1.0, (0, 2): 1.0}
-    with pytest.raises(FxError, match="insufficient"):
-        fit_fx_from_shell_data(p, level, shells, 0, "plus", 1)
 
 
 def test_fx_json_roundtrip():

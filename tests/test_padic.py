@@ -5,7 +5,7 @@ import pytest
 
 from padicharm.padic import (LocalFieldConfig, PadicElement, PadicError,
                              coset_volume, load_config, ord_abs_ac, psi_eval,
-                             unit_group, unit_order)
+                             unit_group, unit_order, unit_part, val_p)
 
 
 def test_config_guards():
@@ -33,6 +33,23 @@ def test_ord_abs_ac_examples():
 def test_zero_input_rejected():
     with pytest.raises(PadicError, match="valuation undefined"):
         PadicElement.from_rational(0, 3, 2)
+
+
+def test_val_p_and_unit_part_definitions():
+    # x = p^v y with y a p-adic unit, and unit_part(x) = y mod p^level
+    import random
+    rng = random.Random(5)
+    for _ in range(200):
+        p = rng.choice([3, 5, 7])
+        x = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**4), rng.randint(1, 10**4))
+        y = x / Fraction(p) ** val_p(x, p)
+        assert y.numerator % p and y.denominator % p
+        for level in (1, 2, 3):
+            u = unit_part(x, p, level)
+            assert 0 < u < p**level
+            assert (u * y.denominator - y.numerator) % p**level == 0
+    with pytest.raises(PadicError, match="valuation undefined"):
+        val_p(0, 3)
 
 
 def test_multiplicativity_of_ord_and_ac():

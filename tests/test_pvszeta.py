@@ -11,7 +11,8 @@ from padicharm.pvszeta import (LatticeTestFunction, PvsError, check_fe_pvs,
                                fiber_function, fiber_shell_values,
                                homogeneity_check, lattice_fourier,
                                zeta_from_fibers)
-from padicharm.quadform import clifford_rho, sym_det
+from padicharm.quadform import clifford_rho
+from padicharm.symplectic import det as rational_det
 from padicharm.ratfunc import RationalFunctionZ
 
 P, K = 3, 2
@@ -100,7 +101,7 @@ def test_sigma_against_exact_clifford():
         for i in range(3):
             for j in range(i, 3):
                 Y[i][j] = Y[j][i] = rng.randrange(9)
-        det = sym_det(Y)
+        det = rational_det(Y)
         if det == 0 or det.numerator % 27 == 0:
             continue
         v = 0
@@ -141,7 +142,7 @@ def test_sigma_valuation_three_profiles():
         for i in range(3):
             for j in range(i, 3):
                 Y[i][j] = Y[j][i] = rng.randrange(27)
-        det = int(sym_det(Y))
+        det = int(rational_det(Y))
         if det == 0 or det % 27 != 0 or det % 81 == 0:
             continue
         x11, x22, x33 = Y[0][0], Y[1][1], Y[2][2]
@@ -281,23 +282,21 @@ def test_homogeneity_identity_and_scalar_dilation():
     assert rep["ratfunc_equal"], rep["max_deviation"]
 
 
-def test_parallel_sweep_matches_serial():
-    import os
-    import numpy as np
-    from padicharm.pvszeta import _run_sweep3
-    jobs = (("count", None), ("rho", None, None))
-    serial = _run_sweep3(P, 2, jobs)
-    old = os.environ.get("PADICHARM_WORKERS")
-    os.environ["PADICHARM_WORKERS"] = "3"
-    try:
-        parallel = _run_sweep3(P, 2, jobs)
-    finally:
-        if old is None:
-            os.environ.pop("PADICHARM_WORKERS", None)
-        else:
-            os.environ["PADICHARM_WORKERS"] = old
-    for job in jobs:
-        assert np.array_equal(serial[job], parallel[job])
+def test_check_fe_pvs_sweeps_once(monkeypatch):
+    # both sides of the functional equation share one pass over Sym_3(Z/p^k)
+    from padicharm import pvszeta
+    calls = []
+    block = pvszeta._sweep3_block
+
+    def counting_block(*args):
+        calls.append(args[2])
+        return block(*args)
+    monkeypatch.setattr(pvszeta, "_SWEEP_CACHE", {})
+    monkeypatch.setattr(pvszeta, "_sweep3_block", counting_block)
+    rep = check_fe_pvs(LatticeTestFunction.spherical(3), 1, UnitCharacter(P, 1, 1), P, K)
+    assert rep["ratfunc_equal"], rep["max_deviation"]
+    assert len(calls) == 1
+    assert {job[0] for job in calls[0]} == {"count", "rho"}
 
 
 def test_pvs_route_matches_mellin_route():
