@@ -20,6 +20,16 @@ of length phi gives
 
     G(chi_a, psi) = p^-(L-e) FFT(v_e)[a]     for every a of conductor e.
 
+Shell data and character data are related by one convention.  A row of
+values f(u) over the unit cosets, in unit_group (dlog) order u = g^k, has the
+character components
+
+    c_j = (1/phi) sum_u f(u) chi_j(u)      (character_components: inverse FFT)
+
+and is recovered from them as
+
+    f(u) = sum_j c_j chi_j(u)^{-1}          (coset_values: forward FFT).
+
 The whole stack is cross-checked by a shell-sum Tate integral oracle that
 never touches the closed forms.
 """
@@ -34,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import PadicharmError
-from .padic import psi_frac, unit_group, unit_order
+from .padic import psi_frac, unit_group, unit_order, val_p
 from .ratfunc import RationalFunctionZ
 
 
@@ -128,14 +138,18 @@ def conductor(chi: UnitCharacter) -> int:
     chi(p) = 1, e = 0 forces chi to be the trivial character, which is what
     makes eps = 1 and L = 1/(1-z) in the unramified case.
     """
-    a = chi.exponent
-    if a == 0:
-        return 0
-    e = chi.level
-    while a % chi.p == 0:
-        a //= chi.p
-        e -= 1
-    return e
+    return 0 if chi.exponent == 0 else chi.level - val_p(chi.exponent, chi.p)
+
+
+def character_components(rows) -> np.ndarray:
+    """c_j = (1/phi) sum_u f(u) chi_j(u) along the last axis, rows in unit_group order."""
+    return np.fft.ifft(np.asarray(rows, dtype=complex), axis=-1)
+
+
+def coset_values(components) -> np.ndarray:
+    """f(u) = sum_j c_j chi_j(u)^{-1} along the last axis, the inverse of
+    character_components; the result is in unit_group order."""
+    return np.fft.fft(np.asarray(components, dtype=complex), axis=-1)
 
 
 # ---------------------------------------------------------------- factors
@@ -150,12 +164,7 @@ def L_factor(chi: UnitCharacter) -> RationalFunctionZ:
 def _gauss_table(p: int, level: int, sign: int) -> np.ndarray:
     """G(chi_a, psi) for every exponent a mod phi(p^level), by one FFT per conductor."""
     elements = np.array(unit_group(p, level)[0], dtype=np.int64)
-    exponents = np.arange(len(elements))
-    # conductor of chi_a: level - v_p(a), and 0 for a = 0
-    cond = np.full(len(elements), level)
-    for t in range(1, level):
-        cond[exponents % p**t == 0] -= 1
-    cond[0] = 0
+    cond = np.array([conductor(chi) for chi in characters(p, level)])
     table = np.ones(len(elements), dtype=complex)
     for e in range(1, level + 1):
         pe = p**e

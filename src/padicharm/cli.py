@@ -371,13 +371,21 @@ def _read_inputs(args):
     return phi
 
 
-def _validate(args):
-    """The one input boundary: p an odd prime, n >= 0, level, k, m >= 1."""
+def _validate(args, verb):
+    """The one input boundary: p an odd prime, n >= 0, level, k, m >= 1, and
+    the enumerating verbs within their depth and the enumeration budget."""
     from .padic import LocalFieldConfig
+    from .pvszeta import check_budget
     LocalFieldConfig(args.p)
     for name, low in (("n", 0), ("level", 1), ("k", 1), ("m", 1)):
         if getattr(args, name) < low:
             raise UsageError(f"--{name} must be >= {low}, got {getattr(args, name)}")
+    if verb == "count-fibers":
+        check_budget(args.p, args.k, args.m)
+    elif verb == "verify fe-pvs" and args.n >= 1:
+        if args.k < 2:
+            raise UsageError(f"verify fe-pvs needs --k >= 2 when n >= 1, got {args.k}")
+        check_budget(args.p, args.k)
 
 
 def run_parsed(args) -> tuple[dict, int]:
@@ -401,7 +409,7 @@ def run_parsed(args) -> tuple[dict, int]:
         if verb not in dispatch:
             raise UsageError(f"unknown verb {verb}")
         phi_in = _read_inputs(args)
-        _validate(args)
+        _validate(args, verb)
         payload, checks = dispatch[verb]()
     except PadicharmError as exc:
         sys.stderr.write(str(exc) + "\n")
@@ -421,22 +429,25 @@ def run_parsed(args) -> tuple[dict, int]:
     return report, 1 if failed else 0
 
 
-def run(argv) -> tuple[dict, int]:
-    """Parse and execute; returns (report, exit_code)."""
+def _parse_and_run(argv):
+    """(args, report, exit_code); args is None when argv does not parse."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit:
-        return {"error": "usage"}, 2
-    return run_parsed(args)
+        return None, {"error": "usage"}, 2
+    return (args, *run_parsed(args))
+
+
+def run(argv) -> tuple[dict, int]:
+    """Parse and execute; returns (report, exit_code)."""
+    _, report, code = _parse_and_run(argv)
+    return report, code
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit:
+    args, report, code = _parse_and_run(sys.argv[1:] if argv is None else argv)
+    if args is None:
         return 2
-    report, code = run_parsed(args)
     try:
         data = emit(report, "json" if code == 2 else args.format)
     except UsageError as exc:

@@ -15,6 +15,13 @@ unit character is then a rational function of z whose poles sit at
 and the whole dictionary FxFunction <-> MellinData is exact in both
 directions (geometric summation one way, residues at z = 0 the other).
 
+Coset rows are in unit_group (dlog) order u = g^k, and component j belongs
+to chi_j(g^k) = exp(2 pi i j k / phi).  The change of axis is owned by
+abelian: character_components (an inverse FFT) gives the components
+(1/phi) sum_u f(u) chi_j(u) of a row, and coset_values (the forward FFT)
+gives back the values sum_j c_j chi_j(u)^{-1}.  Each Mellin component is
+expanded at z = 0 once, as one Laurent series.
+
 On top of that dictionary sit the kernel eta (residues of beta against
 monomials), the Fourier operator on the plus space, principal-value
 convolution, and the functional-equation / Paley-Wiener verifiers.
@@ -30,7 +37,7 @@ import numpy as np
 
 from . import PadicharmError
 from .abelian import (UnitCharacter, beta_factor, beta_factor_inverse_argument,
-                      conductor)
+                      character_components, conductor, coset_values)
 from .padic import unit_group, unit_order
 from .ratfunc import RationalFunctionZ
 
@@ -271,58 +278,46 @@ def mellin_transform(f: FxFunction) -> MellinData:
     """M(f)(z, chi) = sum_k z^k (1/phi(p^N)) sum_u f(p^k u) chi(u), closed form."""
     p, N = f.p, f.level
     cosets = unit_group(p, N)[0]
-    order = len(cosets)
-    q = float(p)
+    ks = range(f.k_min, f.k_tail)
+    window = character_components(
+        np.array([[f.values.get((k, u), 0.0) for u in cosets] for k in ks],
+                 dtype=complex).reshape(len(ks), len(cosets)))
+    t = f.tail
+    if t.kind == "compact":
+        tail, terms = np.zeros((0, len(cosets))), []
+    else:
+        # rows in allowed_alphas order (a0, then ap_i, am_i); the row of pole
+        # slot alpha sums to (q^-sigma alpha z)^k over k >= k_tail
+        tail = character_components([t.a0, *(row for pair in zip(t.ap, t.am) for row in pair)])
+        shift = float(p) ** -float(f.power_shift)
+        terms = [RationalFunctionZ.geometric(shift * alpha, f.k_tail)
+                 for alpha, _ in allowed_alphas(t.kind, t.n, float(p))]
     comps = {}
-    for j in range(order):
-        chi = UnitCharacter(p, N, j)
-        table = chi.value_table()
-        # window (Laurent polynomial)
-        R = RationalFunctionZ.zero()
-        window: dict[int, complex] = {}
-        for k in range(f.k_min, f.k_tail):
-            sh = sum(f.values.get((k, u), 0.0) * table[u] for u in cosets) / order
-            if sh != 0:
-                window[k] = sh
-        R = RationalFunctionZ.from_laurent(window)
-        # tail (geometric closed forms)
-        t = f.tail
-        if t.kind != "compact":
-            T = f.k_tail
-            sigma = float(f.power_shift)
-
-            def avg(coeffs):
-                return sum(c * table[u] for c, u in zip(coeffs, cosets)) / order
-
-            if t.kind == "plus":
-                ratios = [(avg(t.a0), q ** -sigma)]
-                for i in range(t.n):
-                    ratios.append((avg(t.ap[i]), q ** (-sigma - i - 0.5)))
-                    ratios.append((avg(t.am[i]), -q ** (-sigma - i - 0.5)))
-            else:
-                ratios = [(avg(t.a0), q ** (-sigma - t.n))]
-                for i in range(t.n):
-                    ratios.append((avg(t.ap[i]), q ** (-sigma - i)))
-                    ratios.append((avg(t.am[i]), -q ** (-sigma - i)))
-            for coef, ratio in ratios:
-                if coef != 0:
-                    R = R + RationalFunctionZ.geometric(ratio, T) * coef
+    for j in range(len(cosets)):
+        R = RationalFunctionZ.from_laurent(
+            {k: sh for k, sh in zip(ks, window[:, j]) if sh != 0})
+        for coef, term in zip(tail[:, j], terms):
+            if coef != 0:
+                R = R + term * coef
         comps[j] = R
-    klass = None if f.tail.kind == "compact" else (f.tail.kind, f.tail.n)
+    klass = None if t.kind == "compact" else (t.kind, t.n)
     return MellinData(p, N, comps, klass)
+
+
+def _component_series(Z: MellinData, lo: int, hi: int) -> np.ndarray:
+    """Laurent coefficients z^lo..z^hi of every nonzero component, as rows
+    k = lo..hi over the character exponents j."""
+    out = np.zeros((hi - lo + 1, unit_order(Z.p, Z.level)), dtype=complex)
+    for j, R in Z.comps.items():
+        if not R.is_zero(1e-13):
+            out[:, j] = R.laurent_coeffs(lo, hi)
+    return out
 
 
 def mellin_inverse(Z: MellinData, k: int, u: int) -> complex:
     """f(p^k u) = sum_chi Res_{z=0}(Z(z,chi) z^(-k-1)) chi(u)^{-1}."""
-    p, N = Z.p, Z.level
-    u = u % p**N
-    total = 0.0 + 0.0j
-    for j, R in Z.comps.items():
-        if R.is_zero(1e-14):
-            continue
-        chi_inv = UnitCharacter(p, N, -j)
-        total += R.laurent_coeff_at_zero(k) * chi_inv.value(u)
-    return total
+    dlog = unit_group(Z.p, Z.level)[2]
+    return complex(coset_values(_component_series(Z, k, k))[0, dlog[u % Z.p**Z.level]])
 
 
 def allowed_alphas(kind: str, n: int, q: float):
@@ -348,11 +343,11 @@ def fx_from_mellin(Z: MellinData, kind: str, n: int, tol=1e-7) -> FxFunction:
     p, N = Z.p, Z.level
     q = float(p)
     cosets = unit_group(p, N)[0]
-    order = len(cosets)
     slots = allowed_alphas(kind, n, q)
 
     lo, hi = 0, 0
-    per_slot: dict[tuple, dict[int, complex]] = {}
+    # residues b per (pole slot, character exponent j)
+    residues = np.zeros((len(slots), len(cosets)), dtype=complex)
     for j, R in Z.comps.items():
         if R.is_zero(1e-13):
             continue
@@ -369,40 +364,21 @@ def fx_from_mellin(Z: MellinData, kind: str, n: int, tol=1e-7) -> FxFunction:
         for alpha, bs in poles:
             if len(bs) > 1 and abs(bs[1]) > tol * max(scale, abs(bs[0])):
                 raise FxError(f"double pole at alpha={alpha} not allowed in S_{kind}")
-            b = bs[0]
-            match = None
-            for a_ref, slot in slots:
-                if abs(alpha - a_ref) < 1e-6 * max(1.0, abs(a_ref)):
-                    match = slot
-                    break
+            match = next((i for i, (a_ref, _) in enumerate(slots)
+                          if abs(alpha - a_ref) < 1e-6 * max(1.0, abs(a_ref))), None)
             if match is None:
                 raise FxError(
                     f"pole at z = {1.0/alpha:.6g} violates the {kind}({n}) class "
                     f"(chi exponent {j})")
-            per_slot.setdefault(match, {})[j] = per_slot.setdefault(match, {}).get(j, 0) + b
+            residues[match, j] += bs[0]
     k_min, k_tail = lo, hi + 1
 
-    vals = {}
-    for k in range(k_min, k_tail):
-        for u in cosets:
-            v = mellin_inverse(Z, k, u)
-            if v != 0:
-                vals[(k, u)] = v
-
-    def coset_fn(slot):
-        data = per_slot.get(slot, {})
-        out = []
-        for u in cosets:
-            s = 0.0 + 0.0j
-            for j, b in data.items():
-                s += b * UnitCharacter(p, N, -j).value(u)
-            out.append(s)
-        return tuple(out)
-
-    a0 = coset_fn(("a0",))
-    ap = tuple(coset_fn(("ap", i)) for i in range(n))
-    am = tuple(coset_fn(("am", i)) for i in range(n))
-    tail = TailSpec(kind, n, a0, ap, am)
+    shells = coset_values(_component_series(Z, k_min, hi)).tolist()
+    vals = {(k, u): v for k, row in zip(range(k_min, k_tail), shells)
+            for u, v in zip(cosets, row) if v != 0}
+    # slot rows come in allowed_alphas order: a0, then ap_i, am_i for each i
+    rows = [tuple(row) for row in coset_values(residues).tolist()]
+    tail = TailSpec(kind, n, rows[0], tuple(rows[1::2]), tuple(rows[2::2]))
     return FxFunction(p, N, k_min, k_tail, vals, tail, Fraction(0))
 
 

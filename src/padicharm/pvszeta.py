@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import PadicharmError
-from .abelian import UnitCharacter, beta_factor
+from .abelian import UnitCharacter, beta_factor, character_components
 from .fxspace import (FxFunction, MellinData, TailSpec, class_denominator,
                       fx_from_mellin, mellin_transform)
 from .padic import psi_frac, unit_group, unit_order, unit_part, val_p
@@ -41,11 +41,25 @@ from .quadform import legendre
 from .ratfunc import RationalFunctionZ
 
 ENUM_BUDGET = 10 ** 9
-_ENTRY_ORDER = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
 class PvsError(PadicharmError):
     pass
+
+
+def check_budget(p: int, k: int, m: int = 3) -> None:
+    """Refuse an exhaustive enumeration of Sym_m(Z/p^k) past ENUM_BUDGET."""
+    cells = float(p) ** (k * m * (m + 1) // 2)
+    if cells > ENUM_BUDGET:
+        raise PvsError(
+            f"enumeration budget exceeded: p^(kd) = {cells:.3g} > {ENUM_BUDGET:.0g}")
+
+
+def _entry_order(m: int):
+    """The entries (i, j), i <= j, of Sym_m: the diagonal first, then i < j
+    row by row.  Entry-wise moduli and masks are listed in this order."""
+    return ([(i, i) for i in range(m)]
+            + [(i, j) for i in range(m) for j in range(i + 1, m)])
 
 
 # ------------------------------------------------------------- test functions
@@ -129,7 +143,7 @@ def act_diagonal(Phi: LatticeTestFunction, exponents, p: int) -> LatticeTestFunc
         # B + p^r S -> g B g^t + {x_ij in p^{r + a_i + a_j} Z_p}
         newB = tuple(tuple(q.B[i][j] * p ** (a[i] + a[j]) for j in range(m))
                      for i in range(m))
-        moduli = tuple(p ** (q.r + a[i] + a[j]) for (i, j) in _ENTRY_ORDER)
+        moduli = tuple(p ** (q.r + a[i] + a[j]) for (i, j) in _entry_order(m))
         pieces.append(LatticePiece(m, newB, 0, q.weight, None, moduli))
     return LatticeTestFunction(m, tuple(pieces))
 
@@ -171,11 +185,10 @@ def lattice_fourier(Phi: LatticeTestFunction, p: int, sign: int = 1) -> LatticeT
 def evaluate_lattice_function(Phi: LatticeTestFunction, X, p: int, sign: int = 1) -> complex:
     """Pointwise evaluation at a rational symmetric matrix (for oracles)."""
     m = Phi.m
-    entry_order = [(i, j) for i in range(m) for j in range(i, m)] if m != 3 else list(_ENTRY_ORDER)
     total = 0.0 + 0.0j
     for piece in Phi.pieces:
         ok = True
-        for idx, (i, j) in enumerate(entry_order):
+        for idx, (i, j) in enumerate(_entry_order(m)):
             modulus = (Fraction(piece.moduli[idx]) if piece.moduli is not None
                        else Fraction(p) ** piece.r)
             diff = (Fraction(X[i][j]) - piece.B[i][j]) / modulus
@@ -355,9 +368,7 @@ def precompute_jobs(p: int, k: int, jobs) -> None:
     missing = tuple(j for j in jobs if j not in _SWEEP_CACHE.get((p, k), {}))
     if not missing:
         return
-    if float(p) ** (k * 6) > ENUM_BUDGET:
-        raise PvsError(
-            f"enumeration budget exceeded: p^(kd) = {float(p)**(k*6):.3g} > {ENUM_BUDGET:.0g}")
+    check_budget(p, k)
     if k < 2 and any(job[0] == "rho" for job in missing):
         raise PvsError("Clifford-weighted sweeps need k >= 2")
     _SWEEP_CACHE.setdefault((p, k), {}).update(_sweep3_block(p, k, missing, range(p**k)))
@@ -386,10 +397,8 @@ class FiberCountTable:
 
 def det_fiber_counts(m: int, p: int, k: int) -> FiberCountTable:
     """Exhaustive determinant-fiber counts over Sym_m(Z/p^k)."""
+    check_budget(p, k, m)
     d = m * (m + 1) // 2
-    if float(p) ** (k * d) > ENUM_BUDGET:
-        raise PvsError(
-            f"enumeration budget exceeded: p^(kd) = {float(p)**(k*d):.3g} > {ENUM_BUDGET:.0g}")
     mod = p**k
     if m == 1:
         per = np.ones(mod, dtype=np.int64)
@@ -434,14 +443,14 @@ def _piece_job(piece: LatticePiece, weighted: bool, p: int, k: int):
         if max(piece.moduli) > p**k:
             raise PvsError("entry-wise moduli exceed the sweep precision")
         residues = tuple(piece.B[i][j] % mo for (i, j), mo
-                         in zip(_ENTRY_ORDER, piece.moduli))
+                         in zip(_entry_order(3), piece.moduli))
         mask = (residues, piece.moduli)
     elif piece.r >= 0:
         if p**piece.r > p**k:
             raise PvsError("piece scale exceeds the sweep precision")
         if piece.r > 0:
-            residues = tuple(piece.B[i][j] % p**piece.r for (i, j) in _ENTRY_ORDER)
-            mask = (residues, tuple(p**piece.r for _ in _ENTRY_ORDER))
+            residues = tuple(piece.B[i][j] % p**piece.r for (i, j) in _entry_order(3))
+            mask = (residues, (p**piece.r,) * len(residues))
     elif piece.r == -1:
         # X = p^{-1} Y: det X = p^{-3} det Y and f picks up q^{d-3} = q^3;
         # rho(p^{-1} Y) = rho(Y) (scalars act trivially on rho at odd size)
@@ -533,7 +542,7 @@ def support_min(piece: LatticePiece, p: int) -> int:
         # pure lattice: min over permutations of sum_i ord(moduli[i, sigma(i)])
         import itertools
         m = piece.m
-        mods = {key: piece.moduli[idx] for idx, key in enumerate(_ENTRY_ORDER)}
+        mods = dict(zip(_entry_order(m), piece.moduli))
         best = None
         for perm in itertools.permutations(range(m)):
             tot = 0
@@ -564,16 +573,10 @@ def fiber_shell_values(Phi: LatticeTestFunction, weighted: bool, p: int, k: int,
 
 
 def _taylor_matrix(D: RationalFunctionZ, degrees, shells):
-    A = np.zeros((len(shells), len(degrees)), dtype=complex)
-    cache: dict = {}
-    for row, v in enumerate(shells):
-        for col, j in enumerate(degrees):
-            if v - j < 0:
-                continue
-            if v - j not in cache:
-                cache[v - j] = D.laurent_coeff_at_zero(v - j)
-            A[row, col] = cache[v - j]
-    return A
+    """A[row, col] = coefficient of z^(shells[row] - degrees[col]) in D."""
+    diff = np.subtract.outer(shells, degrees)
+    lo = int(diff.min())
+    return D.laurent_coeffs(lo, int(diff.max()))[diff - lo]
 
 
 def fit_mellin_structured(shells: dict, lo: int, hi: int, kind: str, n: int,
@@ -584,15 +587,12 @@ def fit_mellin_structured(shells: dict, lo: int, hi: int, kind: str, n: int,
     The numerator runs from the observed support start to fit_degree_max
     (default hi - 1, leaving one residual equation per character)."""
     cosets = unit_group(p, level)[0]
-    order = len(cosets)
     comps = {}
     grid = list(range(lo, hi + 1))
-    for j in range(order):
+    components = character_components([[shells[(v, u)] for u in cosets] for v in grid])
+    for j in range(len(cosets)):
         chi = UnitCharacter(p, level, j)
-        table = chi.value_table()
-        mvals = np.array([
-            sum(shells[(v, u)] * table[u] for u in cosets) / order for v in grid
-        ], dtype=complex)
+        mvals = components[:, j]
         scale = float(np.max(np.abs(mvals)))
         if scale < 1e-14:
             continue
@@ -633,7 +633,7 @@ def _compact_shell_certificate(piece: LatticePiece, p: int):
     if detB == 0:
         return None
     if piece.moduli is not None:
-        emat = {key: val_p(piece.moduli[idx], p) for idx, key in enumerate(_ENTRY_ORDER)}
+        emat = {key: val_p(mo, p) for key, mo in zip(_entry_order(m), piece.moduli)}
         e = [[emat[(min(i, j), max(i, j))] for j in range(m)] for i in range(m)]
     elif piece.r >= 1:
         e = [[piece.r] * m for _ in range(m)]

@@ -92,10 +92,14 @@ class RationalFunctionZ:
 
     @classmethod
     def from_laurent(cls, coeffs: dict) -> "RationalFunctionZ":
-        out = cls.zero()
+        """sum_k coeffs[k] z^k as num / z^(-lo), lo the lowest exponent (or 0)."""
+        if not coeffs:
+            return cls.zero()
+        lo = min(min(coeffs), 0)
+        num = np.zeros(max(coeffs) - lo + 1, dtype=complex)
         for k, c in coeffs.items():
-            out = out + cls.z_power(k) * c
-        return out
+            num[k - lo] += c
+        return cls(num, _mono(-lo))
 
     @classmethod
     def geometric(cls, ratio, start: int = 0) -> "RationalFunctionZ":
@@ -188,28 +192,30 @@ class RationalFunctionZ:
         raise ValueError(f"unknown substitution rule: {rule}")
 
     # ---- Laurent expansion at z = 0 ----
+    def laurent_coeffs(self, lo: int, hi: int) -> np.ndarray:
+        """Coefficients of z^lo..z^hi of the expansion at z = 0, from one
+        power-series division of num by the z-power-free part of den."""
+        v, den0 = _split_z_power(self.den)
+        out = np.zeros(hi - lo + 1, dtype=complex)
+        top = hi + v
+        if top < 0:
+            return out
+        # series[i] is the coefficient of z^(i - v)
+        series = np.zeros(top + 1, dtype=complex)
+        num, tail, inv0 = self.num, den0[1:], 1.0 / den0[0]
+        for i in range(top + 1):
+            acc = num[i] if i < len(num) else 0.0
+            t = min(i, len(tail))
+            if t:
+                acc -= tail[:t] @ series[i - 1::-1][:t]
+            series[i] = acc * inv0
+        start = lo + v
+        out[max(-start, 0):] = series[max(start, 0):]
+        return out
+
     def laurent_coeff_at_zero(self, m: int) -> complex:
         """Coefficient of z^m, i.e. Res_{z=0}(R(z) z^(-m-1))."""
-        den = self.den
-        v = 0
-        scale = np.max(np.abs(den))
-        while v < len(den) and abs(den[v]) <= 1e-13 * scale:
-            v += 1
-        den0 = den[v:]
-        order = m + v
-        if order < 0:
-            return 0.0 + 0.0j
-        num = self.num
-        # power-series division num/den0 up to z^order
-        inv0 = 1.0 / den0[0]
-        coeffs = np.zeros(order + 1, dtype=complex)
-        for j in range(order + 1):
-            acc = num[j] if j < len(num) else 0.0
-            upper = min(j, len(den0) - 1)
-            for t in range(1, upper + 1):
-                acc -= den0[t] * coeffs[j - t]
-            coeffs[j] = acc * inv0
-        return complex(coeffs[order])
+        return complex(self.laurent_coeffs(m, m)[0])
 
     # ---- partial fractions ----
     def partial_fractions(self, sep_threshold=1e-4):
@@ -220,13 +226,8 @@ class RationalFunctionZ:
         Multiplicity at most 2; closer root clusters raise PoleError.
         A z^v factor in the denominator becomes negative Laurent exponents.
         """
-        num, den = self.num.copy(), self.den.copy()
-        scale = np.max(np.abs(den))
-        v = 0
-        while v < len(den) and abs(den[v]) <= 1e-13 * scale:
-            v += 1
-        den0 = den[v:]
-        num = num / den0[0]
+        v, den0 = _split_z_power(self.den)
+        num = self.num / den0[0]
         den0 = den0 / den0[0]
 
         roots = np.roots(den0[::-1]) if len(den0) > 1 else np.array([])
@@ -296,12 +297,7 @@ class RationalFunctionZ:
         """None if R is a Laurent polynomial, else an offending pole z0."""
         if self.is_zero():
             return None
-        den = self.den
-        scale = np.max(np.abs(den))
-        v = 0
-        while v < len(den) and abs(den[v]) <= 1e-13 * scale:
-            v += 1
-        den0 = den[v:]
+        _, den0 = _split_z_power(self.den)
         if len(den0) == 1:
             return None
         roots = np.roots((den0 / den0[0])[::-1])
@@ -340,6 +336,12 @@ def _coerce(x) -> RationalFunctionZ:
     if isinstance(x, RationalFunctionZ):
         return x
     return RationalFunctionZ([complex(x)])
+
+
+def _split_z_power(den):
+    """(v, den0) with den = z^v den0 and den0(0) != 0 (relative to 1e-13)."""
+    v = int(np.argmax(np.abs(den) > 1e-13 * np.max(np.abs(den))))
+    return v, den[v:]
 
 
 def _mono(k: int) -> np.ndarray:

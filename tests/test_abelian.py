@@ -6,7 +6,8 @@ import pytest
 from padicharm.abelian import (CharacterError, OracleError, UnitCharacter,
                                ab_factors, beta_factor,
                                beta_factor_inverse_argument, characters,
-                               conductor, epsilon_factor, epsilon_half,
+                               character_components, conductor, coset_values,
+                               epsilon_factor, epsilon_half,
                                gamma_factor, gauss_sum, tate_gamma_oracle,
                                twist_by_pi_value)
 from padicharm.padic import unit_group, unit_order
@@ -91,6 +92,25 @@ def test_gauss_sum_table_matches_direct_sum(p, max_level, sign):
             e = conductor(chi)
             if e > 0:
                 assert abs(abs(G) ** 2 - p**e) < 1e-10 * p**e, chi
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_character_transforms_match_direct_sums(p, level):
+    # c_j = (1/phi) sum_u f(u) chi_j(u) and f(u) = sum_j c_j chi_j(u)^{-1},
+    # term by term over UnitCharacter.value, on rows in unit_group order
+    rng = np.random.default_rng(p * 10 + level)
+    cosets = unit_group(p, level)[0]
+    chis = characters(p, level)
+    table = np.array([[chi.value(u) for u in cosets] for chi in chis])
+    rows = rng.normal(size=(2, len(cosets))) + 1j * rng.normal(size=(2, len(cosets)))
+    comps = character_components(rows)
+    want = rows @ table.T / len(cosets)
+    assert np.max(np.abs(comps - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    vals = coset_values(rows)
+    want = rows @ table.conj()
+    assert np.max(np.abs(vals - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    assert np.max(np.abs(coset_values(comps) - rows)) <= 1e-12
 
 
 def test_from_table_validates():

@@ -143,6 +143,8 @@ def test_fourier_n0_consumes_fx_json(tmp_path):
     ["count-fibers", "--p", "7", "--k", "3"],
     ["fourier-n0", "--level", "0"],
     ["eta-table", "--level", "0"],
+    ["verify", "fe-pvs", "--p", "3", "--n", "1", "--k", "1"],
+    ["verify", "fe-pvs", "--p", "7", "--n", "1", "--k", "3"],
 ])
 def test_invalid_input_is_a_json_error(argv, capsys):
     assert main(argv) == 2
@@ -171,3 +173,55 @@ def test_exact_reports_match_golden_files(argv, golden, tmp_path):
     out = tmp_path / golden
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def assert_report_matches(got, want, path="report"):
+    """Keys, strings, integers, booleans and None exactly; floats within
+    |a - b| <= 1e-12 max(1, |a|), a the golden value."""
+    assert type(got) is type(want), f"{path}: {type(got).__name__} != {type(want).__name__}"
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), f"{path}: keys {sorted(got)} != {sorted(want)}"
+        for key in want:
+            assert_report_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{path}: length {len(got)} != {len(want)}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_report_matches(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), f"{path}: {got} != {want}"
+    else:
+        assert got == want, f"{path}: {got!r} != {want!r}"
+
+
+def test_report_comparer_tolerates_only_float_rounding():
+    want = {"checks": [{"name": "a", "status": "pass", "max_deviation": 2.0}], "k": 3}
+    assert_report_matches({"checks": [{"name": "a", "status": "pass",
+                                       "max_deviation": 2.0 + 1e-12}], "k": 3}, want)
+    for bad in ({"checks": [{"name": "a", "status": "fail", "max_deviation": 2.0}], "k": 3},
+                {"checks": [{"name": "a", "status": "pass", "max_deviation": 2.0}], "k": 3.0},
+                {"checks": [{"name": "a", "status": "pass", "max_deviation": 2.0 + 1e-11}],
+                 "k": 3},
+                {"checks": [], "k": 3},
+                {"checks": [{"name": "a", "status": "pass", "max_deviation": 2.0}]}):
+        with pytest.raises(AssertionError):
+            assert_report_matches(bad, want)
+
+
+@pytest.mark.parametrize("argv, golden, exit_code", [
+    (["gamma", "--p", "5", "--level", "2", "--conductor", "2"],
+     "gamma_p5_level2_cond2.json", 0),
+    (["beta", "--p", "5", "--n", "1", "--level", "1", "--conductor", "1"],
+     "beta_p5_n1_level1_cond1.json", 0),
+    (["verify", "fe-gl1", "--p", "5", "--level", "1", "--n", "1", "--seed", "0"],
+     "verify_fe_gl1_p5_level1_n1_seed0.json", 0),
+    (["verify", "fe-pvs", "--p", "3", "--n", "1", "--k", "2"],
+     "verify_fe_pvs_p3_n1_k2.json", 0),
+    (["shells", "--p", "5", "--level", "1", "--conductor", "1"],
+     "shells_p5_level1_cond1.json", 0),
+    (["fourier-n0", "--p", "3", "--level", "1", "--seed", "0"],
+     "fourier_n0_p3_level1_seed0.json", 0),
+])
+def test_float_reports_match_golden_files(argv, golden, exit_code, tmp_path):
+    code, rep = run_cli(argv, tmp_path)
+    assert code == exit_code
+    assert_report_matches(rep, json.loads((GOLDEN / golden).read_text()))

@@ -128,6 +128,24 @@ def test_fx_from_mellin_roundtrip():
                     assert abs(f.evaluate(k, u) - g.evaluate(k, u)) < 1e-8
 
 
+def test_fx_from_mellin_expands_each_component_once(monkeypatch):
+    rng = random.Random(37)
+    calls = []
+    series = RationalFunctionZ.laurent_coeffs
+
+    def counting(self, lo, hi):
+        calls.append((lo, hi))
+        return series(self, lo, hi)
+    monkeypatch.setattr(RationalFunctionZ, "laurent_coeffs", counting)
+    for kind in ("plus", "minus"):
+        f = random_fx(rng, kind=kind, n=1)
+        Z = mellin_transform(f)
+        nonzero = sum(not R.is_zero(1e-13) for R in Z.comps.values())
+        calls.clear()
+        fx_from_mellin(Z, kind, 1)
+        assert 0 < len(calls) <= nonzero
+
+
 def test_check_paley_wiener_examples():
     # 1/((1-z)(1-q^{-1}z^2)) at trivial chi is in the beta plus class for n=1
     p = 3

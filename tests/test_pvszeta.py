@@ -6,7 +6,8 @@ import pytest
 
 from padicharm.abelian import UnitCharacter, characters
 from padicharm.fxspace import check_paley_wiener, mellin_transform
-from padicharm.pvszeta import (LatticeTestFunction, PvsError, check_fe_pvs,
+from padicharm.pvszeta import (LatticeTestFunction, PvsError, _mask_vec,
+                               _piece_job, act_diagonal, check_fe_pvs,
                                det_fiber_counts, evaluate_lattice_function,
                                fiber_function, fiber_shell_values,
                                homogeneity_check, lattice_fourier,
@@ -280,6 +281,43 @@ def test_homogeneity_identity_and_scalar_dilation():
     rep = homogeneity_check(LatticeTestFunction.spherical(3), (0, 0, 1),
                             UnitCharacter(P, 1, 1), P, K)
     assert rep["ratfunc_equal"], rep["max_deviation"]
+
+
+@pytest.mark.parametrize("Phi, exponents", [
+    (LatticeTestFunction.shifted([[1]], 1), (1,)),
+    (LatticeTestFunction.dilated(1, 1), (2,)),
+    (LatticeTestFunction.shifted(I3, 1), (0, 1, 2)),
+    (LatticeTestFunction.shifted(((1, 1, 0), (1, 2, 0), (0, 0, 1)), 1), (1, 0, 1)),
+    (LatticeTestFunction.spherical(3), (0, 0, 1)),
+    (LatticeTestFunction.dilated(3, 1), (1, 1, 1)),
+])
+def test_act_diagonal_matches_pointwise_definition(Phi, exponents):
+    # (g Phi)(X) = Phi(g^{-1} X g^{-t}), g = diag(p^a_i), on random rational X;
+    # at m = 3 the sweep's mask of the moved piece must select the same X
+    rng = random.Random(41)
+    m, p = Phi.m, P
+    a = exponents
+    (piece,) = Phi.pieces
+    moved = act_diagonal(Phi, a, p)
+    mask = _piece_job(moved.pieces[0], False, p, 6)[0][1] if m == 3 else None
+    hits = 0
+    for _ in range(200):
+        # Y = g^{-1} X g^{-t}: near the piece's base point half of the time
+        base = piece.B if rng.random() < 0.5 else [[0] * m for _ in range(m)]
+        Y = [[None] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                Y[i][j] = Y[j][i] = base[i][j] + p ** piece.r * Fraction(
+                    rng.randint(-9, 9), rng.choice((1, 1, 1, p)))
+        X = [[Y[i][j] * p ** (a[i] + a[j]) for j in range(m)] for i in range(m)]
+        want = evaluate_lattice_function(Phi, Y, p)
+        hits += want != 0
+        assert evaluate_lattice_function(moved, X, p) == want, (X, a)
+        if mask is not None and all(x.denominator == 1 for row in X for x in row):
+            entries = [np.array([int(X[i][j])])
+                       for i, j in ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2), (2, 2))]
+            assert bool(_mask_vec(mask, *entries)[0]) == (want != 0), (X, a)
+    assert hits > 0
 
 
 def test_check_fe_pvs_sweeps_once(monkeypatch):
