@@ -39,7 +39,7 @@ from . import PadicharmError
 from .abelian import (UnitCharacter, beta_factor, beta_factor_inverse_argument,
                       character_components, conductor, coset_values)
 from .padic import unit_group, unit_order
-from .ratfunc import RationalFunctionZ
+from .ratfunc import PoleError, RationalFunctionZ
 
 
 class FxError(PadicharmError):
@@ -338,42 +338,32 @@ def allowed_alphas(kind: str, n: int, q: float):
     return out
 
 
-def fx_from_mellin(Z: MellinData, kind: str, n: int, tol=1e-7) -> FxFunction:
+def fx_from_mellin(Z: MellinData, kind: str, n: int) -> FxFunction:
     """Materialize the shell function with the stated pole class (power shift 0)."""
     p, N = Z.p, Z.level
-    q = float(p)
     cosets = unit_group(p, N)[0]
-    slots = allowed_alphas(kind, n, q)
+    alphas = [alpha for alpha, _ in allowed_alphas(kind, n, float(p))]
 
-    lo, hi = 0, 0
-    # residues b per (pole slot, character exponent j)
-    residues = np.zeros((len(slots), len(cosets)), dtype=complex)
+    # residues b per (pole slot, character exponent j), slots in alphas order
+    residues = np.zeros((len(alphas), len(cosets)), dtype=complex)
+    laurents = {}
     for j, R in Z.comps.items():
         if R.is_zero(1e-13):
             continue
-        laurent, poles = R.partial_fractions()
-        scale = max([abs(c) for c in laurent.values()]
-                    + [abs(b) for _, bs in poles for b in bs] + [1e-300])
-        # canceled factors of an unreduced fraction show up as poles with
-        # negligible residues; drop them before the class check
-        poles = [(alpha, bs) for alpha, bs in poles
-                 if max(abs(b) for b in bs) > tol * scale]
-        if laurent:
-            lo = min(lo, min(laurent))
-            hi = max(hi, max(laurent))
-        for alpha, bs in poles:
-            if len(bs) > 1 and abs(bs[1]) > tol * max(scale, abs(bs[0])):
-                raise FxError(f"double pole at alpha={alpha} not allowed in S_{kind}")
-            match = next((i for i, (a_ref, _) in enumerate(slots)
-                          if abs(alpha - a_ref) < 1e-6 * max(1.0, abs(a_ref))), None)
-            if match is None:
-                raise FxError(
-                    f"pole at z = {1.0/alpha:.6g} violates the {kind}({n}) class "
-                    f"(chi exponent {j})")
-            residues[match, j] += bs[0]
-    k_min, k_tail = lo, hi + 1
+        try:
+            laurents[j], residues[:, j] = R.partial_fractions(alphas)
+        except PoleError as exc:
+            raise FxError(f"chi exponent {j} leaves the {kind}({n}) class: {exc}") from exc
+    keys = [k for laurent in laurents.values() for k in laurent]
+    k_min, k_tail = min(keys + [0]), max(keys + [0]) + 1
 
-    shells = coset_values(_component_series(Z, k_min, hi)).tolist()
+    # shell k of component j: its Laurent coefficient plus the pole terms b alpha^k
+    ks = np.arange(k_min, k_tail)[:, None]
+    series = np.where(ks >= 0, np.array(alphas) ** ks, 0.0) @ residues
+    for j, laurent in laurents.items():
+        for k, c in laurent.items():
+            series[k - k_min, j] += c
+    shells = coset_values(series).tolist()
     vals = {(k, u): v for k, row in zip(range(k_min, k_tail), shells)
             for u, v in zip(cosets, row) if v != 0}
     # slot rows come in allowed_alphas order: a0, then ap_i, am_i for each i

@@ -3,7 +3,11 @@
 The Mellin machinery manipulates these through three substitutions
 (z -> c*z for s-shifts, z -> z^2 for s -> 2s, z -> 1/z for s -> -s),
 Laurent coefficients at z = 0 (residue inversion), and partial fractions
-whose pole terms b/(1 - a*z) carry the asymptotic data of shell functions.
+against a given pole set, whose simple-pole terms b/(1 - a*z) carry the
+asymptotic data of shell functions.  The pole set comes from the caller (the
+L-factors of a class fix it in advance), so no roots are searched for:
+multiplicities come from synthetic division, residues from cover-up, and the
+Laurent part from the series at z = 0.
 
 Polynomials are numpy arrays of complex coefficients in ascending order.
 Equality is decided by cross-multiplied evaluation at fixed sample points
@@ -18,6 +22,12 @@ import numpy as np
 from . import PadicharmError
 
 _EQ_TOL = 1e-8
+# a synthetic-division remainder this small against its own rounding scale
+# is a factor (1 - alpha z): far above float rounding, far below a real residue
+_DIV_TOL = 1e-9
+# a remainder series coefficient this small against the series is zero: the
+# class-membership margin, far above the ~1e-13 rounding of an n = 2 round trip
+_TERM_TOL = 1e-8
 _SAMPLES = tuple(
     r * cmath.exp(2j * cmath.pi * (k / 20.0 + 0.037))
     for k, r in zip(range(20), [0.63, 1.41] * 10)
@@ -218,101 +228,47 @@ class RationalFunctionZ:
         return complex(self.laurent_coeffs(m, m)[0])
 
     # ---- partial fractions ----
-    def partial_fractions(self, sep_threshold=1e-4):
-        """Laurent part + pole terms.
+    def partial_fractions(self, alphas):
+        """Laurent part and simple-pole residues against a given pole set.
 
-        Returns (laurent: dict[int, complex], poles: list[(alpha, [b1, b2...])])
-        where each pole term is sum_j b_j/(1 - alpha z)^j (pole at z = 1/alpha).
-        Multiplicity at most 2; closer root clusters raise PoleError.
-        A z^v factor in the denominator becomes negative Laurent exponents.
+        Returns (laurent, residues): laurent is a dict {k: c} and residues[i]
+        is the b of the term b/(1 - alphas[i] z) (0 where there is no pole),
+        so that R = sum_k c z^k + sum_i residues[i]/(1 - alphas[i] z).  The
+        multiplicity of each factor (1 - alpha z) comes from forward
+        synthetic division of the denominator and the numerator, a simple
+        pole's residue from cover-up.  The Laurent part is the series of R at
+        z = 0 minus the pole terms; a remainder that does not terminate means
+        a pole outside the set, and a net double pole is not a simple pole:
+        both raise PoleError.
         """
         v, den0 = _split_z_power(self.den)
-        num = self.num / den0[0]
-        den0 = den0 / den0[0]
+        residues = np.array([_cover_up(self.num, den0, v, a) for a in alphas],
+                            dtype=complex)
+        return _laurent_part(self, alphas, residues, _TERM_TOL), residues
 
-        roots = np.roots(den0[::-1]) if len(den0) > 1 else np.array([])
-        groups = _cluster_roots(roots, sep_threshold)
-
-        laurent: dict[int, complex] = {}
-        poles = []
-        # polynomial part of num/den0
-        if len(num) - 1 >= len(den0) - 1 and len(den0) > 1:
-            quot, num = _polydiv(num, den0)
-        elif len(den0) == 1:
-            quot, num = num.copy(), np.zeros(1, dtype=complex)
-        else:
-            quot = np.zeros(0, dtype=complex)
-        for j, cj in enumerate(quot):
-            if abs(cj) > 1e-12:
-                laurent[j - v] = laurent.get(j - v, 0.0) + complex(cj)
-
-        for root, mult in groups:
-            if abs(root) < 1e-12:
-                raise PoleError("denominator has a genuine pole at z = 0 beyond its z-power")
-            alpha = 1.0 / root
-            rest = den0.copy()
-            for _ in range(mult):
-                rest = _polydiv_exact_root(rest, root)
-            # den0 = rest (z-root)^mult and (1-alpha z)^mult = (-alpha)^mult (z-root)^mult,
-            # so num/den0 = h(z)/(1-alpha z)^mult with h = (-alpha)^mult num/rest
-            c_m = (-alpha) ** mult
-            if mult == 1:
-                bs = [complex(c_m * _peval(num, root) / _peval(rest, root))]
-            else:
-                h0 = c_m * _peval(num, root) / _peval(rest, root)
-                dh = c_m * (_peval(_pderiv(num), root) * _peval(rest, root)
-                            - _peval(num, root) * _peval(_pderiv(rest), root)) / _peval(rest, root) ** 2
-                # h(z) ~ h0 + dh (z-root) and (z-root) = -(1-alpha z)/alpha
-                bs = [complex(-dh / alpha), complex(h0)]
-            if v == 0:
-                poles.append((complex(alpha), bs))
-                continue
-            # fold z^(-v): b/(1-az)^j z^(-v) = head Laurent terms + shifted pole terms
-            folded = [0.0 + 0.0j] * len(bs)
-            for j, b in enumerate(bs, start=1):
-                if j == 1:
-                    folded[0] += b * alpha**v
-                    for t in range(1, v + 1):
-                        laurent[-t] = laurent.get(-t, 0.0) + b * alpha ** (v - t)
-                else:  # j == 2: sum (m+v+1) a^(m+v) z^m
-                    folded[1] += b * alpha**v
-                    folded[0] += b * v * alpha**v
-                    for t in range(1, v + 1):
-                        laurent[-t] = laurent.get(-t, 0.0) + b * (v - t + 1) * alpha ** (v - t)
-            poles.append((complex(alpha), folded))
-        return laurent, poles
-
-    def resum(self, laurent, poles) -> "RationalFunctionZ":
-        out = RationalFunctionZ.from_laurent(laurent)
-        for alpha, bs in poles:
-            base = RationalFunctionZ([1.0], [1.0, -alpha])
-            term = RationalFunctionZ.one()
-            for b in bs:
-                term = term * base
-                out = out + term * b
+    @classmethod
+    def resum(cls, laurent, alphas, residues) -> "RationalFunctionZ":
+        out = cls.from_laurent(laurent)
+        for alpha, b in zip(alphas, residues):
+            out = out + cls([b], [1.0, -alpha])
         return out
 
     # ---- Laurent-polynomial test ----
-    def laurent_polynomial_witness(self, tol=1e-8):
-        """None if R is a Laurent polynomial, else an offending pole z0."""
-        if self.is_zero():
+    def laurent_polynomial_witness(self, tol=_TERM_TOL):
+        """None if R is a Laurent polynomial (its series at z = 0
+        terminates), else the pole z0 of R where the numerator is largest;
+        only this failure path finds roots."""
+        try:
+            _laurent_part(self, (), (), tol)
             return None
-        _, den0 = _split_z_power(self.den)
-        if len(den0) == 1:
-            return None
-        roots = np.roots((den0 / den0[0])[::-1])
-        nscale = max(np.max(np.abs(self.num)), 1e-300)
-        for root, mult in _cluster_roots(roots, 1e-6):
-            # the root must cancel in num to multiplicity >= mult
-            cur = self.num
-            for _ in range(mult):
-                val = _peval(cur, root)
-                if abs(val) > tol * nscale * max(abs(root), 1.0) ** max(len(cur) - 1, 0):
-                    return complex(root)
-                cur = _deflate(cur, root)
-        return None
+        except PoleError:
+            _, den0 = _split_z_power(self.den)
+            roots = np.roots(den0[::-1])
+            deg = len(self.num) - 1
+            return complex(max(roots, key=lambda r: abs(_peval(self.num, r))
+                               / max(abs(r), 1.0) ** deg))
 
-    def is_laurent_polynomial(self, tol=1e-8) -> bool:
+    def is_laurent_polynomial(self, tol=_TERM_TOL) -> bool:
         return self.laurent_polynomial_witness(tol) is None
 
     # ---- serialization ----
@@ -350,47 +306,54 @@ def _mono(k: int) -> np.ndarray:
     return out
 
 
-def _pderiv(c):
-    if len(c) <= 1:
-        return np.zeros(1, dtype=complex)
-    return c[1:] * np.arange(1, len(c))
+def _divide(c, alpha):
+    """Forward synthetic division c = (1 - alpha z) q + r z^deg(c).
+
+    Returns (q, r, scale): r = sum_i c_i alpha^(deg - i) is the reversed
+    polynomial at alpha, and scale the same sum over |c_i| |alpha|^(deg - i),
+    the size of its rounding.  Each step multiplies the carry by alpha, so
+    the division is stable for |alpha| <= 1."""
+    powers = alpha ** np.arange(len(c))
+    q = np.convolve(c, powers)[: len(c)]
+    scale = np.convolve(np.abs(c), np.abs(powers))[len(c) - 1]
+    return q[:-1], q[-1], scale
 
 
-def _polydiv(num, den):
-    """Ascending-order polynomial division: num = quot*den + rem."""
-    q, r = np.polydiv(num[::-1], den[::-1])
-    q = np.atleast_1d(q)[::-1].astype(complex)
-    r = np.atleast_1d(r)[::-1].astype(complex)
-    return q, _trim(r)
+def _strip(c, alpha, most):
+    """Divide (1 - alpha z) out of c up to `most` times, while it divides.
+    Returns (multiplicity, quotient, reversed quotient at alpha)."""
+    m = 0
+    while True:
+        q, r, scale = _divide(c, alpha)
+        if m == most or len(c) == 1 or abs(r) > _DIV_TOL * scale:
+            return m, c, r
+        m, c = m + 1, q
 
 
-def _polydiv_exact_root(c, root):
-    """Deflate one factor (z - root) out of c (ascending coeffs)."""
-    d = np.atleast_1d(np.polydiv(c[::-1], np.array([1.0, -root]))[0])[::-1]
-    return d.astype(complex)
+def _cover_up(num, den0, v, alpha):
+    """Residue b of b/(1 - alpha z) in num/(z^v den0); 0 without a pole."""
+    md, D, rd = _strip(den0, alpha, len(den0))
+    mn, N, rn = _strip(num, alpha, md)
+    if md - mn > 1:
+        raise PoleError(f"pole of order {md - mn} at z = {1 / alpha:.6g}")
+    if md == mn:
+        return 0.0
+    # N(1/alpha) = alpha^-deg(N) rn, D(1/alpha) = alpha^-deg(D) rd
+    return rn / rd * alpha ** (v + len(D) - len(N))
 
 
-def _deflate(c, root):
-    return _polydiv_exact_root(c, root)
-
-
-def _cluster_roots(roots, sep_threshold):
-    """Group numerically coincident roots; multiplicity > 2 is rejected."""
-    used = [False] * len(roots)
-    groups = []
-    order = np.argsort(np.abs(roots)) if len(roots) else []
-    for i in order:
-        if used[i]:
-            continue
-        cluster = [roots[i]]
-        used[i] = True
-        for j in order:
-            if used[j]:
-                continue
-            if abs(roots[j] - roots[i]) < sep_threshold * max(1.0, abs(roots[i])):
-                cluster.append(roots[j])
-                used[j] = True
-        if len(cluster) > 2:
-            raise PoleError("ill-conditioned poles: cluster of multiplicity > 2")
-        groups.append((np.mean(cluster), len(cluster)))
-    return groups
+def _laurent_part(R, alphas, residues, tol):
+    """The series of R at z = 0 minus the pole terms, over the Laurent range
+    -v..top; deg(den0) further terms of the remainder must vanish, or R has
+    a pole outside alphas (PoleError)."""
+    v, den0 = _split_z_power(R.den)
+    top = max(len(R.num) - len(den0), -1)
+    series = R.laurent_coeffs(-v, top + len(den0) - 1)
+    ks = np.arange(-v, top + len(den0))
+    scale = max(np.max(np.abs(series)), np.max(np.abs(residues), initial=0.0))
+    for alpha, b in zip(alphas, residues):
+        series[ks >= 0] -= b * alpha ** ks[ks >= 0]
+    cut = top + v + 1
+    if np.any(np.abs(series[cut:]) > tol * scale):
+        raise PoleError("the series does not terminate: a pole outside the given set")
+    return {int(k): complex(c) for k, c in zip(ks[:cut], series[:cut]) if c != 0}

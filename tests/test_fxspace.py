@@ -117,15 +117,29 @@ def test_pv_convolve_reports_no_stabilization():
 
 
 def test_fx_from_mellin_roundtrip():
+    # the shells past k_tail come from the residues alone, so they check them
     rng = random.Random(31)
-    for kind in ("plus", "minus"):
-        for _ in range(25):
-            f = random_fx(rng, kind=kind, n=1)
-            Z = mellin_transform(f)
-            g = fx_from_mellin(Z, kind, 1)
-            for k in range(f.k_min - 1, f.k_tail + 5):
-                for u in f.cosets:
-                    assert abs(f.evaluate(k, u) - g.evaluate(k, u)) < 1e-8
+    for p in (3, 5):
+        for n in (0, 1, 2):
+            for kind in ("plus", "minus"):
+                for _ in range(25):
+                    f = random_fx(rng, p=p, kind=kind, n=n)
+                    g = fx_from_mellin(mellin_transform(f), kind, n)
+                    for k in range(f.k_min - 1, f.k_tail + 5):
+                        for u in f.cosets:
+                            assert abs(f.evaluate(k, u) - g.evaluate(k, u)) < 1e-8
+
+
+def test_fx_from_mellin_rejects_poles_outside_the_class():
+    p = 3
+    outside = RationalFunctionZ([1.0], [1.0, -9.0])     # pole at z = 1/9
+    double = RationalFunctionZ([1.0], [1.0, -2.0, 1.0])  # 1/(1 - z)^2
+    for R in (outside, double):
+        with pytest.raises(FxError, match="plus"):
+            fx_from_mellin(MellinData(p, 1, {0: R}), "plus", 1)
+    # the same double pole at the minus class's a0 slot q^-n
+    with pytest.raises(FxError, match="minus"):
+        fx_from_mellin(MellinData(p, 1, {1: double.substitute("scale", 1 / p)}), "minus", 1)
 
 
 def test_fx_from_mellin_expands_each_component_once(monkeypatch):
