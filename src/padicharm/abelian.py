@@ -280,8 +280,7 @@ def _shell_zeta(s: complex, chi: UnitCharacter, f, k_lo: int, k_hi: int) -> comp
     return total
 
 
-def tate_gamma_oracle(chi: UnitCharacter, s: complex, sign: int = 1,
-                      truncation: int = 48, tol: float = 1e-6) -> complex:
+def tate_gamma_oracle(chi: UnitCharacter, s: complex, sign: int = 1) -> complex:
     """Z(1-s, f^, chi^{-1}) / Z(s, f, chi) by brute shell sums.
 
     Uses f = ch(Z_p) and f = ch(1 + p^N Z_p) with closed-form Fourier
@@ -292,6 +291,7 @@ def tate_gamma_oracle(chi: UnitCharacter, s: complex, sign: int = 1,
         raise OracleError("sample s outside the common convergence strip 0 < Re(s) < 1")
     p, N = chi.p, chi.level
     chi_inv = chi.inverse()
+    truncation, tol = 48, 1e-6     # shells summed, and the stabilization tolerance
 
     def ch_O(k, u):
         return 1.0 if k >= 0 else 0.0

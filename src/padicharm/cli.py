@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 import time
@@ -372,8 +373,9 @@ def _read_inputs(args):
 
 
 def _validate(args, verb):
-    """The one input boundary: p an odd prime, n >= 0, level, k, m >= 1, and
-    the enumerating verbs within their depth and the enumeration budget."""
+    """The one input boundary: p an odd prime, n >= 0, level, k, m >= 1, the
+    count table within the budget, and verify fe-pvs at n <= 1 within its
+    sweep depth and the enumeration budget."""
     from .padic import LocalFieldConfig
     from .pvszeta import check_budget
     LocalFieldConfig(args.p)
@@ -381,8 +383,13 @@ def _validate(args, verb):
         if getattr(args, name) < low:
             raise UsageError(f"--{name} must be >= {low}, got {getattr(args, name)}")
     if verb == "count-fibers":
-        check_budget(args.p, args.k, args.m)
+        check_budget(args.p, args.k, 1)      # the table has p^k rows
+        # every count is at most p^(k d); Python prints ints of up to 4300 digits
+        if args.k * args.m * (args.m + 1) // 2 * math.log10(args.p) >= 4300:
+            raise UsageError(f"count-fibers: p^(k m(m+1)/2) has over 4300 digits at --m {args.m}")
     elif verb == "verify fe-pvs" and args.n >= 1:
+        if args.n >= 2:
+            raise UsageError(f"verify fe-pvs needs --n <= 1 (Sym_1 or Sym_3), got {args.n}")
         if args.k < 2:
             raise UsageError(f"verify fe-pvs needs --k >= 2 when n >= 1, got {args.k}")
         check_budget(args.p, args.k)

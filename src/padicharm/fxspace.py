@@ -374,31 +374,31 @@ def fx_from_mellin(Z: MellinData, kind: str, n: int) -> FxFunction:
 
 # --------------------------------------------------- Paley-Wiener checking
 
-def class_denominator(chi: UnitCharacter, kind: str, n: int,
-                      beta_restricted: bool = True) -> RationalFunctionZ:
-    """The L-product a Mellin component of the given class must divide into."""
+def class_denominator(chi: UnitCharacter, kind: str, n: int) -> RationalFunctionZ:
+    """The L-product a Mellin component of the given class must divide into,
+    restricted to the factors beta can carry: (1 - z)-type factors only for
+    unramified chi, z^2-type factors only for unramified chi^2."""
     q = float(chi.p)
     D = RationalFunctionZ.one()
     e, e2 = conductor(chi), conductor(chi.square())
     if kind == "plus":
-        if not beta_restricted or e == 0:
+        if e == 0:
             D = D * RationalFunctionZ([1.0], [1.0, -1.0])
         for i in range(n):
-            if not beta_restricted or e2 == 0:
+            if e2 == 0:
                 D = D * RationalFunctionZ([1.0], [1.0, 0.0, -q ** -(2 * i + 1)])
     elif kind == "minus":
-        if not beta_restricted or e == 0:
+        if e == 0:
             D = D * RationalFunctionZ([1.0], [1.0, -q ** -float(n)])
         for i in range(n):
-            if not beta_restricted or e2 == 0:
+            if e2 == 0:
                 D = D * RationalFunctionZ([1.0], [1.0, 0.0, -q ** -float(2 * i)])
     else:
         raise FxError(f"unknown class kind {kind}")
     return D
 
 
-def check_paley_wiener(Z: MellinData, kind: str, n: int,
-                       beta_restricted: bool = True, tol=1e-8):
+def check_paley_wiener(Z: MellinData, kind: str, n: int):
     """True iff every component over its class L-product is a Laurent polynomial.
 
     Returns (ok, witness); the witness names the offending character exponent
@@ -408,9 +408,8 @@ def check_paley_wiener(Z: MellinData, kind: str, n: int,
         if R.is_zero(1e-13):
             continue
         chi = Z.character(j)
-        D = class_denominator(chi, kind, n, beta_restricted)
-        quotient = R / D
-        w = quotient.laurent_polynomial_witness(tol)
+        quotient = R / class_denominator(chi, kind, n)
+        w = quotient.laurent_polynomial_witness()
         if w is not None:
             return False, {"chi_exponent": j, "pole": w,
                            "conductor": conductor(chi),
@@ -491,8 +490,7 @@ def fourier_L(f: FxFunction, n: int, sign: int = 1) -> FxFunction:
     """
     p, N = f.p, f.level
     q = float(p)
-    ok, witness = check_paley_wiener(mellin_transform(f.scale_by_power(2 * n)),
-                                     "plus", n, beta_restricted=True)
+    ok, witness = check_paley_wiener(mellin_transform(f.scale_by_power(2 * n)), "plus", n)
     if not ok:
         raise FxError(f"input is not in the pvs plus space: {witness}")
     Zg = mellin_transform(f.scale_by_power(Fraction(2 * n + 1, 2)))
@@ -508,7 +506,7 @@ def fourier_L(f: FxFunction, n: int, sign: int = 1) -> FxFunction:
     # so shift by |.|^{-1/2} more to reach the shift-free minus class
     V = MellinData(p, N, {j: R.substitute("scale", q**0.5) for j, R in comps.items()},
                    ("minus", n))
-    ok, witness = check_paley_wiener(V, "minus", n, beta_restricted=True)
+    ok, witness = check_paley_wiener(V, "minus", n)
     if not ok:
         raise FxError(f"transform left the minus class (this should not happen): {witness}")
     out = fx_from_mellin(V, "minus", n)
@@ -552,8 +550,7 @@ def pv_convolve(kernel, f: FxFunction, k0: int, u0: int, K_max: int,
         f"pv convolution did not stabilize by K={K_max}; trace={partial_sums}")
 
 
-def check_fe_gl1(f: FxFunction, n: int, chi: UnitCharacter, sign: int = 1,
-                 z_samples=None) -> dict:
+def check_fe_gl1(f: FxFunction, n: int, chi: UnitCharacter, sign: int = 1) -> dict:
     """Compare M(L(f) |.|^{-(2n+1)/2})(z^{-1}, chi^{-1}) with
     beta_psi(chi_s) M(f |.|^{(2n+1)/2})(z, chi), as rational functions."""
     p = f.p
@@ -563,10 +560,9 @@ def check_fe_gl1(f: FxFunction, n: int, chi: UnitCharacter, sign: int = 1,
     lhs = A.component(chi.inverse()).substitute("invert")
     B = mellin_transform(f.scale_by_power(Fraction(2 * n + 1, 2)))
     rhs = beta_factor(n, chi, sign) * B.component(chi)
-    if z_samples is None:
-        q = float(p)
-        z_samples = [0.45 * q ** -0.5, 0.8 * q ** -0.5 * 1j,
-                     (0.3 + 0.4j) * q ** -0.5, -0.22, 0.15 - 0.33j]
+    q = float(p)
+    z_samples = [0.45 * q ** -0.5, 0.8 * q ** -0.5 * 1j,
+                 (0.3 + 0.4j) * q ** -0.5, -0.22, 0.15 - 0.33j]
     dev = lhs.max_relative_deviation(rhs, z_samples)
     return {
         "max_deviation": dev,

@@ -1,14 +1,15 @@
-"""Brute-force finite-ring realization of the determinant-fiber zeta theory.
+"""Finite-ring realization of the determinant-fiber zeta theory.
 
 Test functions are finite combinations of pieces
 
     weight * psi(tr(X C)) * ch(B + p^r Sym_m(Z_p))
 
 (the phase matrix C only acts on the p^{-1}-scale pieces produced by the
-lattice Fourier transform).  Fibers of det over Sym_m(Z/p^k) are counted
-exhaustively, vectorized over the entry index space; Clifford weights are
-attached through closed-form Legendre data validated in tests against the
-exact quadform route.  The shell values
+lattice Fourier transform).  Fiber counts over Sym_m(Z/p^k) come from a
+Jordan-splitting recursion for every m; Sym_3 shell values come from an
+exhaustive sweep, vectorized over the entry index space, with Clifford
+weights attached through closed-form Legendre data validated in tests
+against the exact quadform route.  The shell values
 
     f_Phi(t) = count(det in t-class) / p^{k(d-1)},      d = m(m+1)/2
 
@@ -27,8 +28,10 @@ rational functions the functional-equation verifier compares.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,7 +51,8 @@ class PvsError(PadicharmError):
 
 
 def check_budget(p: int, k: int, m: int = 3) -> None:
-    """Refuse an exhaustive enumeration of Sym_m(Z/p^k) past ENUM_BUDGET."""
+    """Refuse p^(k m(m+1)/2) past ENUM_BUDGET: the cells of a Sym_m(Z/p^k)
+    sweep, or at m = 1 the p^k residues of a fiber count table."""
     cells = float(p) ** (k * m * (m + 1) // 2)
     if cells > ENUM_BUDGET:
         raise PvsError(
@@ -108,11 +112,6 @@ class LatticeTestFunction:
     def dilated(cls, m: int, r: int, weight=1.0) -> "LatticeTestFunction":
         zero = tuple(tuple(0 for _ in range(m)) for _ in range(m))
         return cls(m, (LatticePiece(m, zero, r, complex(weight)),))
-
-    def scaled(self, c) -> "LatticeTestFunction":
-        return LatticeTestFunction(
-            self.m, tuple(LatticePiece(q.m, q.B, q.r, q.weight * c, q.C, q.moduli)
-                          for q in self.pieces))
 
     def __add__(self, other: "LatticeTestFunction") -> "LatticeTestFunction":
         if self.m != other.m:
@@ -374,11 +373,6 @@ def precompute_jobs(p: int, k: int, jobs) -> None:
     _SWEEP_CACHE.setdefault((p, k), {}).update(_sweep3_block(p, k, missing, range(p**k)))
 
 
-def _get_bins(p, k, job):
-    precompute_jobs(p, k, (job,))
-    return _SWEEP_CACHE[(p, k)][job]
-
-
 # -------------------------------------------------------------- fiber counts
 
 @dataclass
@@ -395,34 +389,67 @@ class FiberCountTable:
             yield v, u, c
 
 
-def det_fiber_counts(m: int, p: int, k: int) -> FiberCountTable:
-    """Exhaustive determinant-fiber counts over Sym_m(Z/p^k)."""
-    check_budget(p, k, m)
-    d = m * (m + 1) // 2
-    mod = p**k
-    if m == 1:
-        per = np.ones(mod, dtype=np.int64)
-    elif m == 2:
-        r = np.arange(mod, dtype=np.int64)
-        a, b, c = (x.ravel() for x in np.meshgrid(r, r, r, indexing="ij"))
-        per = np.bincount((a * c - b * b) % mod, minlength=mod)
-    elif m == 3:
-        bins = _get_bins(p, k, ("count", None))
-        mod4 = p ** (k + 1)
-        folded = bins.reshape(mod4, 2).sum(axis=1)
-        per = np.zeros(mod, dtype=np.int64)
-        for key4 in range(mod4):
-            per[key4 % mod] += folded[key4]
-    else:
-        raise PvsError("supported sizes are m in {1, 2, 3}")
+@lru_cache(maxsize=None)
+def _rank_census(m: int, p: int) -> dict:
+    """N_m(r, delta): the matrices in Sym_m(F_p) of rank r whose nondegenerate
+    part has discriminant class delta (a Legendre symbol), by MacWilliams'
+    closed form [m choose r]_p |GL_r(F_p)| / |O_r^delta(F_p)| (Amer. Math.
+    Monthly 76, 1969)."""
+    census = {(0, 1): 1, (0, -1): 0}
+    for r in range(1, m + 1):
+        binom = gl = 1
+        for i in range(r):
+            binom = binom * (p ** (m - i) - 1) // (p ** (i + 1) - 1)
+            gl *= p ** r - p ** i
+        s, odd = divmod(r, 2)
+        orth = 2 * p ** (s * (s - 1 + odd))
+        for i in range(1, s + odd):
+            orth *= p ** (2 * i) - 1
+        for delta in (1, -1):
+            # O^+ when (-1)^s delta is a square; odd sizes have one group
+            plus = legendre(-1, p) ** s * delta
+            census[(r, delta)] = gl * binom // (orth * (1 if odd else p ** s - plus))
+    return census
 
-    counts: dict = {}
-    zero = int(per[0])
-    for tau in range(1, mod):
-        v = val_p(tau, p)
-        key = (v, unit_part(tau, p, k - v))
-        counts[key] = counts.get(key, 0) + int(per[tau])
-    total = p ** (k * d)
+
+@lru_cache(maxsize=None)
+def _det_class_counts(m: int, p: int, k: int):
+    """({(w, eps): count}, zero) over Sym_m(Z/p^k): det of valuation w < k and
+    unit part of Legendre class eps, and det = 0 mod p^k.
+
+    Jordan splitting: Y with reduction of rank r and class delta is
+    GL_m(Z_p)-equivalent to U + p Z, U an r x r unit block and Z uniform over
+    Sym_{m-r}(Z/p^{k-1}) (Schur complement), so det Y = det U p^{m-r} det Z
+    and each reduction has p^{(k-1)(d_m - d_{m-r})} lifts per Z."""
+    if m == 0:
+        return {(0, 1): 1}, 0       # the empty matrix has det 1 at every level
+    if k == 0:
+        return {}, 1
+    table: dict = {}
+    zero = 0
+    for (r, delta), n in _rank_census(m, p).items():
+        lifts = n * p ** ((k - 1) * (m * (m + 1) - (m - r) * (m - r + 1)) // 2)
+        sub, sub_zero = _det_class_counts(m - r, p, k - 1)
+        zero += lifts * sub_zero
+        for (w, eps), c in sub.items():
+            if w + m - r >= k:
+                zero += lifts * c
+            else:
+                key = (w + m - r, delta * eps)
+                table[key] = table.get(key, 0) + lifts * c
+    return table, zero
+
+
+def det_fiber_counts(m: int, p: int, k: int) -> FiberCountTable:
+    """Exact determinant-fiber counts over Sym_m(Z/p^k), any m >= 1, by the
+    Jordan-splitting recursion of `_det_class_counts`.  Unit residues of one
+    Legendre class are permuted by det(gYg^t) = det(g)^2 det(Y), so within a
+    shell every residue of a class carries the same count."""
+    check_budget(p, k, 1)
+    classes, zero = _det_class_counts(m, p, k)
+    counts = {(v, u): classes.get((v, legendre(u, p)), 0) // (unit_order(p, k - v) // 2)
+              for v in range(k) for u in range(1, p ** (k - v)) if u % p}
+    total = p ** (k * m * (m + 1) // 2)
     if sum(counts.values()) + zero != total:
         raise PvsError("count conservation failed")
     return FiberCountTable(m, p, k, counts, zero, total)
@@ -478,40 +505,18 @@ def piece_shell_values(piece: LatticePiece, weighted: bool, p: int, k: int,
     if level > k - 1:
         raise PvsError("level too deep for the enumeration precision")
     job, shift, prefactor = _piece_job(piece, weighted, p, k)
-    ignore_sigma = not weighted
-    bins = _get_bins(p, k, job)
+    precompute_jobs(p, k, (job,))
     d = 6
     mod4 = p ** (k + 1)
-    zeta = [psi_frac(p, t, 1, sign) for t in range(p)]
-
-    totals = np.zeros(mod4, dtype=complex)
-    if job[0] == "count":
-        arr = bins.reshape(mod4, 2)
-        for key4 in range(mod4):
-            exact, spread = int(arr[key4, 0]), int(arr[key4, 1])
-            if exact:
-                totals[key4] += exact * p**d
-            if spread:
-                base = key4 % p**k
-                for c in range(p):
-                    totals[(base + c * p**k) % mod4] += spread * p ** (d - 1)
-    else:
-        arr = bins.reshape(mod4, 2, 2, p)
-        for key4 in range(mod4):
-            for s01 in range(2):
-                sgn = 1 if (s01 == 0 or ignore_sigma) else -1
-                for t in range(p):
-                    exact = int(arr[key4, 0, s01, t])
-                    spread = int(arr[key4, 1, s01, t])
-                    if not exact and not spread:
-                        continue
-                    w = sgn * zeta[t]
-                    if exact:
-                        totals[key4] += exact * p**d * w
-                    if spread:
-                        base = key4 % p**k
-                        for c in range(p):
-                            totals[(base + c * p**k) % mod4] += spread * p ** (d - 1) * w
+    # count bins as (key4, adjnz, 1, 1), rho bins as (key4, adjnz, rho-sign, t);
+    # weight sign * psi(t), with the sign ignored on unweighted pieces
+    shape = (1, 1) if job[0] == "count" else (2, p)
+    arr = _SWEEP_CACHE[(p, k)][job].reshape(mod4, 2, *shape)
+    signs = np.array([1, -1 if weighted else 1][:shape[0]])
+    zeta = np.array([psi_frac(p, t, 1, sign) for t in range(shape[1])])
+    exact, spread = (arr * np.outer(signs, zeta)).sum(axis=(2, 3)).T
+    # a spread class adds its total to all p lifts of key4 mod p^k
+    totals = exact * p**d + np.tile(spread.reshape(p, p**k).sum(axis=0), p) * p ** (d - 1)
 
     out: dict = {}
     norm = float(p) ** ((k + 1) * (d - 1))
@@ -540,7 +545,6 @@ def support_min(piece: LatticePiece, p: int) -> int:
             cert = _compact_shell_certificate(piece, p)
             return cert if cert is not None else 0
         # pure lattice: min over permutations of sum_i ord(moduli[i, sigma(i)])
-        import itertools
         m = piece.m
         mods = dict(zip(_entry_order(m), piece.moduli))
         best = None
@@ -580,12 +584,12 @@ def _taylor_matrix(D: RationalFunctionZ, degrees, shells):
 
 
 def fit_mellin_structured(shells: dict, lo: int, hi: int, kind: str, n: int,
-                          p: int, level: int, fit_degree_max=None,
-                          residual_tol: float = 1e-8) -> MellinData:
+                          p: int, level: int, fit_degree_max=None) -> MellinData:
     """Recover M(f)(z, chi) = c_chi(z) * L-product from stable shell values.
 
     The numerator runs from the observed support start to fit_degree_max
-    (default hi - 1, leaving one residual equation per character)."""
+    (default hi - 1, leaving one residual equation per character); a fit
+    residual above 1e-8 of the component's scale is refused."""
     cosets = unit_group(p, level)[0]
     comps = {}
     grid = list(range(lo, hi + 1))
@@ -603,11 +607,11 @@ def fit_mellin_structured(shells: dict, lo: int, hi: int, kind: str, n: int,
         if len(degrees) > len(grid):
             raise PvsError(
                 f"insufficient k for tail: {len(degrees)} unknowns vs {len(grid)} shells")
-        D = class_denominator(chi, kind, n, beta_restricted=True)
+        D = class_denominator(chi, kind, n)
         A = _taylor_matrix(D, degrees, grid)
         sol, *_ = np.linalg.lstsq(A, mvals, rcond=None)
         resid = float(np.max(np.abs(A @ sol - mvals)))
-        if resid > residual_tol * max(1.0, scale):
+        if resid > 1e-8 * max(1.0, scale):
             raise PvsError(f"insufficient k for tail: fit residual {resid:.3g}")
         c = RationalFunctionZ.from_laurent(
             {deg: complex(x) for deg, x in zip(degrees, sol)})
@@ -623,7 +627,6 @@ def _compact_shell_certificate(piece: LatticePiece, p: int):
     det(I + B^{-1} l) in 1 + p Z_p for every lattice element l by min-plus
     valuation bounds on the entries of B^{-1} l (trace, second elementary
     symmetric terms, determinant term all of positive valuation)."""
-    import itertools
     from .symplectic import det, inverse
     m = piece.m
     if piece.C is not None:
@@ -729,8 +732,7 @@ def _fiber_function_m1(Phi: LatticeTestFunction, p: int, k: int, sign: int,
             tail_starts.append((r, w))
             k_min = min(k_min, r)
             if r < 0:
-                # psi(t c) on shells r..-1, t = p^v u: phase order p^{-(v+r?)}...
-                # tr argument t*c = p^v u c has fractional part u c / p^{-v}
+                # on shell v the argument t c = p^v u c has fractional part u c / p^{-v}
                 for v in range(r, 0):
                     for u in cosets:
                         ph = psi_frac(p, u * cc, -v, sign) if cc else 1.0
@@ -795,7 +797,7 @@ def zeta_from_fibers(f: FxFunction, chi: UnitCharacter, shift=Fraction(0)) -> Ra
 
 
 def check_fe_pvs(Phi: LatticeTestFunction, n: int, chi: UnitCharacter, p: int,
-                 k: int, sign: int = 1, z_samples=None, level: int = 1,
+                 k: int, sign: int = 1, level: int = 1,
                  hat_fit_degree_max=None) -> dict:
     """The odd-p prehomogeneous functional equation
 
@@ -823,10 +825,9 @@ def check_fe_pvs(Phi: LatticeTestFunction, n: int, chi: UnitCharacter, p: int,
     lhs = (M_minus.substitute("scale", q ** -0.5).substitute("invert")
            * (1 - 1.0 / q))
     lhs = lhs * chi.inverse().value(2 % p**chi.level) ** (2 * n)
-    if z_samples is None:
-        z_samples = [0.41, 0.27j, -0.35, 0.22 + 0.31j, 0.55,
-                     -0.13 - 0.4j, 0.61j, 0.18 - 0.22j, -0.52j, 0.33 + 0.1j]
-    dev = lhs.max_relative_deviation(rhs, z_samples)
+    dev = lhs.max_relative_deviation(rhs, [0.41, 0.27j, -0.35, 0.22 + 0.31j, 0.55,
+                                           -0.13 - 0.4j, 0.61j, 0.18 - 0.22j, -0.52j,
+                                           0.33 + 0.1j])
     return {
         "max_deviation": dev,
         "ratfunc_equal": lhs.equals(rhs, tol=1e-6),
@@ -836,7 +837,7 @@ def check_fe_pvs(Phi: LatticeTestFunction, n: int, chi: UnitCharacter, p: int,
 
 
 def homogeneity_check(Phi: LatticeTestFunction, g_exponents, chi: UnitCharacter,
-                      p: int, k: int, z_samples=None, level: int = 1) -> dict:
+                      p: int, k: int, level: int = 1) -> dict:
     """Homogeneity of the zeta distribution under g = diag(p^{a_i}).
 
     With (g Phi)(X) = Phi(g^{-1} X g^{-t}), the substitution X = g Y g^t
@@ -860,9 +861,7 @@ def homogeneity_check(Phi: LatticeTestFunction, g_exponents, chi: UnitCharacter,
     s_a = sum(a)
     factor = RationalFunctionZ.z_power(2 * s_a) * float(p) ** (-(m - 1) * s_a)
     predicted = Zb * factor
-    if z_samples is None:
-        z_samples = [0.4, -0.3, 0.25j, 0.2 + 0.2j, 0.5]
-    dev = Zm.max_relative_deviation(predicted, z_samples)
+    dev = Zm.max_relative_deviation(predicted, [0.4, -0.3, 0.25j, 0.2 + 0.2j, 0.5])
     return {
         "max_deviation": dev,
         "ratfunc_equal": Zm.equals(predicted, tol=1e-8),

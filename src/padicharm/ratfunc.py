@@ -83,10 +83,6 @@ class RationalFunctionZ:
 
     # ---- constructors ----
     @classmethod
-    def const(cls, c) -> "RationalFunctionZ":
-        return cls([complex(c)])
-
-    @classmethod
     def one(cls) -> "RationalFunctionZ":
         return cls([1.0])
 

@@ -110,7 +110,7 @@ def test_criterion_02_epsilon_identities():
            worst < 1e-9 and dt < 1.0, f"max dev {worst:.2e}, {dt:.2f}s")
 
 
-def test_criterion_03_spherical_mellin_formula(k3_sweep):
+def test_criterion_03_spherical_mellin_formula(k3_sweep, sweep_counts):
     t0 = time.perf_counter()
     ref = (RationalFunctionZ([1.0], [1.0, -1.0])
            * RationalFunctionZ([1.0], [1.0, 0.0, -Fraction(1, P)]))
@@ -131,6 +131,11 @@ def test_criterion_03_spherical_mellin_formula(k3_sweep):
                 if got != want:
                     ok = False
                     detail.append(f"k={k} v={v} got {got} want {want}")
+    # the recursion's table against the sweep's count fold, its oracle at k = 3
+    table = det_fiber_counts(3, P, 3)
+    if (table.counts, table.zero_count) != sweep_counts(P, 3):
+        ok = False
+        detail.append("k=3 recursion differs from the sweep's count fold")
     dt = time.perf_counter() - t0
     report(3, "spherical fiber counts reproduce the Mellin Taylor coefficients",
            ok and dt < 600, "; ".join(detail) or f"exact as rationals, {dt:.1f}s "

@@ -72,6 +72,18 @@ def test_count_fibers_csv(tmp_path):
     assert any(line.startswith("0,1,") for line in lines)
 
 
+@pytest.mark.parametrize("p, k, m", [(7, 3, 3), (3, 3, 5)])
+def test_count_fibers_past_the_sweep(p, k, m, tmp_path):
+    # counts come from the recursion, so sizes and depths the Sym_3 sweep
+    # cannot reach still conserve p^(k d)
+    code, rep = run_cli(["count-fibers", "--p", str(p), "--k", str(k), "--m", str(m)],
+                        tmp_path)
+    assert code == 0
+    payload = rep["payload"]
+    total = sum(r["count"] for r in payload["fiber_counts"]) + payload["zero_count"]
+    assert total == payload["total"] == p ** (k * m * (m + 1) // 2)
+
+
 def test_tate_oracle_verb(tmp_path):
     code, rep = run_cli(["tate-oracle", "--p", "3", "--level", "1",
                          "--conductor", "1"], tmp_path)
@@ -150,11 +162,13 @@ def test_fourier_n0_consumes_fx_json(tmp_path):
     ["gamma", "--p", "4"],
     ["gamma", "--p", "9", "--conductor", "1"],
     ["beta", "--n", "-2"],
-    ["count-fibers", "--p", "7", "--k", "3"],
+    ["count-fibers", "--p", "7", "--k", "11"],
+    ["count-fibers", "--p", "3", "--k", "1", "--m", "150"],
     ["fourier-n0", "--level", "0"],
     ["eta-table", "--level", "0"],
     ["verify", "fe-pvs", "--p", "3", "--n", "1", "--k", "1"],
     ["verify", "fe-pvs", "--p", "7", "--n", "1", "--k", "3"],
+    ["verify", "fe-pvs", "--p", "3", "--n", "2", "--k", "2"],
 ])
 def test_invalid_input_is_a_json_error(argv, capsys):
     assert main(argv) == 2

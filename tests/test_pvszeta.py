@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,12 +9,13 @@ import pytest
 from padicharm.abelian import UnitCharacter, characters
 from padicharm.fxspace import check_paley_wiener, mellin_transform
 from padicharm.pvszeta import (LatticeTestFunction, PvsError, _mask_vec,
-                               _piece_job, act_diagonal, check_fe_pvs,
-                               det_fiber_counts, evaluate_lattice_function,
-                               fiber_function, fiber_shell_values,
-                               homogeneity_check, lattice_fourier,
+                               _piece_job, _rank_census, act_diagonal,
+                               check_fe_pvs, det_fiber_counts,
+                               evaluate_lattice_function, fiber_function,
+                               fiber_shell_values, homogeneity_check,
+                               lattice_fourier, precompute_jobs,
                                zeta_from_fibers)
-from padicharm.quadform import clifford_rho
+from padicharm.quadform import clifford_rho, legendre
 from padicharm.symplectic import det as rational_det
 from padicharm.ratfunc import RationalFunctionZ
 
@@ -63,7 +66,82 @@ def test_det_fiber_counts_m3_conservation_and_values():
 
 def test_budget_guard():
     with pytest.raises(PvsError, match="budget"):
-        det_fiber_counts(3, 5, 4)
+        precompute_jobs(5, 4, (("count", None),))
+
+
+def brute_census(m, p):
+    """Sym_m(F_p) by rank and class: the rank of a symmetric matrix is the size
+    of its largest nonsingular principal minor, and any such minor has the
+    discriminant class of the nondegenerate part."""
+    census = {}
+    cells = [(i, j) for i in range(m) for j in range(i, m)]
+    for values in itertools.product(range(p), repeat=len(cells)):
+        Y = [[0] * m for _ in range(m)]
+        for (i, j), x in zip(cells, values):
+            Y[i][j] = Y[j][i] = x
+        key = (0, 1)
+        for r in range(m, 0, -1):
+            minors = [int(rational_det([[Y[i][j] for j in S] for i in S])) % p
+                      for S in itertools.combinations(range(m), r)]
+            nonzero = [x for x in minors if x]
+            if nonzero:
+                key = (r, legendre(nonzero[0], p))
+                break
+        census[key] = census.get(key, 0) + 1
+    return census
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5])
+def test_rank_census_matches_brute_force(m, p):
+    closed = {key: n for key, n in _rank_census(m, p).items() if n}
+    assert closed == brute_census(m, p)
+    assert sum(closed.values()) == p ** (m * (m + 1) // 2)
+
+
+@pytest.mark.parametrize("m, p, k", [(1, 3, 3), (1, 5, 2), (2, 3, 2), (2, 3, 4),
+                                     (2, 5, 3), (2, 7, 2)])
+def test_recursion_matches_enumeration(m, p, k, enumerated_counts):
+    t = det_fiber_counts(m, p, k)
+    assert (t.counts, t.zero_count) == enumerated_counts(m, p, k)
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (3, 2), (5, 1), (7, 1)])
+def test_recursion_matches_sweep(p, k, sweep_counts):
+    t = det_fiber_counts(3, p, k)
+    assert (t.counts, t.zero_count) == sweep_counts(p, k)
+
+
+def spherical_series(n, p, count):
+    """The first coefficients of prod_{i=1..n}(1 - p^(-2i-1)) times
+    1/((1 - z) prod_{i<n}(1 - p^(-2i-1) z^2)), exactly."""
+    coeffs = [Fraction(1)] * count
+    for i in range(n):
+        for v in range(2, count):
+            coeffs[v] += Fraction(1, p ** (2 * i + 1)) * coeffs[v - 2]
+    norm = math.prod(1 - Fraction(1, p ** (2 * i + 1)) for i in range(1, n + 1))
+    return [norm * c for c in coeffs]
+
+
+@pytest.mark.parametrize("m, p, k", [(1, 3, 4), (3, 5, 4), (5, 3, 6), (5, 5, 4),
+                                     (7, 3, 5)])
+def test_spherical_counts_match_igusa_series(m, p, k):
+    # every shell v < k and both unit classes: count / p^(k(d-1)) is the
+    # z^v coefficient of the plus-class L-product times its normalization
+    t = det_fiber_counts(m, p, k)
+    want = spherical_series((m - 1) // 2, p, k)
+    d = m * (m + 1) // 2
+    assert {(v, legendre(u, p)) for (v, u) in t.counts} == {
+        (v, e) for v in range(k) for e in (1, -1)}
+    for (v, u), c in t.counts.items():
+        assert Fraction(c, p ** (k * (d - 1))) == want[v], (v, u)
+
+
+def test_det_fiber_counts_does_not_sweep(monkeypatch):
+    from padicharm import pvszeta
+    monkeypatch.setattr(pvszeta, "_SWEEP_CACHE", {})
+    det_fiber_counts(3, 5, 2)
+    assert pvszeta._SWEEP_CACHE == {}
 
 
 def test_spherical_shells_match_product_formula():
