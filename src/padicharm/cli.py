@@ -373,17 +373,18 @@ def _read_inputs(args):
 
 
 def _validate(args, verb):
-    """The one input boundary: p an odd prime, n >= 0, level, k, m >= 1, the
-    count table within the budget, and verify fe-pvs at n <= 1 within its
-    sweep depth and the enumeration budget."""
+    """The one input boundary: p an odd prime, n >= 0, level, k, m >= 1, and
+    the rows a verb builds within ROW_BUDGET: the p^k rows of a count table,
+    and for verify fe-pvs at n = 1 the 2 p^(k+2) refined bins (det mod
+    p^(k+1), Clifford sign, tr(Y C) mod p) of a phased Clifford job."""
     from .padic import LocalFieldConfig
-    from .pvszeta import check_budget
+    from .pvszeta import check_rows
     LocalFieldConfig(args.p)
     for name, low in (("n", 0), ("level", 1), ("k", 1), ("m", 1)):
         if getattr(args, name) < low:
             raise UsageError(f"--{name} must be >= {low}, got {getattr(args, name)}")
     if verb == "count-fibers":
-        check_budget(args.p, args.k, 1)      # the table has p^k rows
+        check_rows(float(args.p) ** args.k)
         # every count is at most p^(k d); Python prints ints of up to 4300 digits
         if args.k * args.m * (args.m + 1) // 2 * math.log10(args.p) >= 4300:
             raise UsageError(f"count-fibers: p^(k m(m+1)/2) has over 4300 digits at --m {args.m}")
@@ -392,7 +393,7 @@ def _validate(args, verb):
             raise UsageError(f"verify fe-pvs needs --n <= 1 (Sym_1 or Sym_3), got {args.n}")
         if args.k < 2:
             raise UsageError(f"verify fe-pvs needs --k >= 2 when n >= 1, got {args.k}")
-        check_budget(args.p, args.k)
+        check_rows(2 * float(args.p) ** (args.k + 2))
 
 
 def run_parsed(args) -> tuple[dict, int]:

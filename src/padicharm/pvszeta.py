@@ -6,29 +6,32 @@ Test functions are finite combinations of pieces
 
 (the phase matrix C only acts on the p^{-1}-scale pieces produced by the
 lattice Fourier transform).  Fiber counts over Sym_m(Z/p^k) come from a
-Jordan-splitting recursion for every m; Sym_3 shell values come from an
-exhaustive sweep, vectorized over the entry index space, with Clifford
-weights attached through closed-form Legendre data validated in tests
-against the exact quadform route.  The shell values
-
-    f_Phi(t) = count(det in t-class) / p^{k(d-1)},      d = m(m+1)/2
-
-are exact on the stable range.  One extra determinant digit is recovered
-from a level-k sweep by the linear refinement
+Jordan-splitting recursion for every m.  Its state carries the Hasse
+invariant, so the same recursion gives the Clifford-weighted Sym_3 bins:
+counts over Sym_3(Z/p^(k+1)) by det, Clifford sign and tr(Y C) mod p, for
+every piece whose mask and phase depend on Y mod p only.  An exhaustive
+sweep of Sym_3(Z/p^k), vectorized over the entry index space, serves the
+entry-wise masks finer than Y mod p and is the recursion's oracle in tests;
+it recovers the extra determinant digit by the linear refinement
 
     det(Y0 + p^k Z) = det(Y0) + p^k tr(adj(Y0) Z)  (mod p^{2k})
 
 whose value classes spread uniformly when adj(Y0) != 0 mod p and are
-constant otherwise.  Mellin transforms of fiber functions are pinned down
-from the stable shells by their divisibility class (numerator Laurent
-polynomial times the plus/minus L-product), with leftover shells acting as
-residual checks; that is what turns finite enumerations into the exact
+constant otherwise.  The shell values
+
+    f_Phi(t) = count(det in t-class) / p^{k(d-1)},      d = m(m+1)/2
+
+are exact on the stable range.  Mellin transforms of fiber functions are
+pinned down from the stable shells by their divisibility class (numerator
+Laurent polynomial times the plus/minus L-product), with leftover shells
+acting as residual checks; that is what turns finite counts into the exact
 rational functions the functional-equation verifier compares.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,20 +46,28 @@ from .padic import psi_frac, unit_group, unit_order, unit_part, val_p
 from .quadform import legendre
 from .ratfunc import RationalFunctionZ
 
-ENUM_BUDGET = 10 ** 9
+ENUM_BUDGET = 10 ** 9      # cells of one Sym_3(Z/p^k) sweep
+# rows of a fiber count table or of refined bins: count-fibers at p = 3,
+# k = 12 (531,440 rows) peaks at 262 MB, about 500 bytes a row
+ROW_BUDGET = 10 ** 6
 
 
 class PvsError(PadicharmError):
     pass
 
 
-def check_budget(p: int, k: int, m: int = 3) -> None:
-    """Refuse p^(k m(m+1)/2) past ENUM_BUDGET: the cells of a Sym_m(Z/p^k)
-    sweep, or at m = 1 the p^k residues of a fiber count table."""
-    cells = float(p) ** (k * m * (m + 1) // 2)
+def check_budget(p: int, k: int) -> None:
+    """Refuse a sweep of Sym_3(Z/p^k) past ENUM_BUDGET cells."""
+    cells = float(p) ** (6 * k)
     if cells > ENUM_BUDGET:
         raise PvsError(
             f"enumeration budget exceeded: p^(kd) = {cells:.3g} > {ENUM_BUDGET:.0g}")
+
+
+def check_rows(rows: float) -> None:
+    """Refuse a table of more than ROW_BUDGET rows."""
+    if rows > ROW_BUDGET:
+        raise PvsError(f"row budget exceeded: {rows:.3g} rows > {ROW_BUDGET:.0g}")
 
 
 def _entry_order(m: int):
@@ -209,6 +220,7 @@ def evaluate_lattice_function(Phi: LatticeTestFunction, X, p: int, sign: int = 1
 
 # ------------------------------------------------------------------ the sweep
 
+# (p, k) -> {job: refined bins over Sym_3(Z/p^(k+1))}, by recursion or sweep
 _SWEEP_CACHE: dict = {}
 
 
@@ -362,15 +374,56 @@ def _sweep3_block(p, k, jobs, x11_range):
     return out
 
 
-def precompute_jobs(p: int, k: int, jobs) -> None:
-    """Run (or extend) the cached Sym_3 sweep for the given jobs."""
-    missing = tuple(j for j in jobs if j not in _SWEEP_CACHE.get((p, k), {}))
-    if not missing:
-        return
+def _bin_shape(job, p: int):
+    """(sign slots, phase slots) of a job's refined bins: one of each for a
+    count job; two signs for a Clifford job, and p phases t = tr(Y C) mod p
+    when it has a phase matrix."""
+    if job[0] == "count":
+        return 1, 1
+    return 2, (1 if job[2] is None else p)
+
+
+def _by_recursion(job, p: int) -> bool:
+    """True when the job's mask, if any, fixes Y mod p (its phase always
+    depends on Y mod p only)."""
+    return job[1] is None or all(mo == p for mo in job[1][1])
+
+
+def _sweep_refined(raw, job, p: int, k: int):
+    """A job's sweep bins as counts over Sym_3(Z/p^(k+1)): a cell with
+    adj = 0 mod p keeps its det mod p^(k+1) on all p^6 lifts, any other cell
+    spreads its lifts evenly over the p residues above its det mod p^k."""
+    signs, phases = _bin_shape(job, p)
+    exact, spread = np.moveaxis(raw.reshape(p ** (k + 1), 2, signs, -1)[..., :phases], 1, 0)
+    pooled = spread.reshape(p, p ** k, signs, phases).sum(axis=0)
+    return exact * p ** 6 + np.tile(pooled, (p, 1, 1)) * p ** 5
+
+
+def sweep_bins(p: int, k: int, jobs) -> dict:
+    """{job: refined bins} from one exhaustive sweep of Sym_3(Z/p^k).
+
+    The recursion's oracle, and the route for masks finer than Y mod p,
+    whose bins go to the cache."""
     check_budget(p, k)
-    if k < 2 and any(job[0] == "rho" for job in missing):
+    if k < 2 and any(job[0] == "rho" for job in jobs):
         raise PvsError("Clifford-weighted sweeps need k >= 2")
-    _SWEEP_CACHE.setdefault((p, k), {}).update(_sweep3_block(p, k, missing, range(p**k)))
+    raw = _sweep3_block(p, k, tuple(jobs), range(p ** k))
+    out = {job: _sweep_refined(raw[job], job, p, k) for job in jobs}
+    _SWEEP_CACHE.setdefault((p, k), {}).update(
+        {job: b for job, b in out.items() if not _by_recursion(job, p)})
+    return out
+
+
+def precompute_jobs(p: int, k: int, jobs) -> None:
+    """Cache the refined bins of the given jobs: by the Jordan-splitting
+    recursion when the job depends on Y mod p only, else by one sweep."""
+    cache = _SWEEP_CACHE.setdefault((p, k), {})
+    missing = [job for job in dict.fromkeys(jobs) if job not in cache]
+    cache.update({job: _recursion_bins(p, k, job)
+                  for job in missing if _by_recursion(job, p)})
+    swept = [job for job in missing if job not in cache]
+    if swept:
+        sweep_bins(p, k, swept)
 
 
 # -------------------------------------------------------------- fiber counts
@@ -412,30 +465,48 @@ def _rank_census(m: int, p: int) -> dict:
     return census
 
 
+def _split_state(state, s: int, delta: int, ell: int):
+    """The state (w, eps, c) of Z -> that of U + pZ, with U a unit block of
+    class delta and Z of size s: det valuation w, Legendre class eps of the
+    det's unit part, Hasse invariant c.  Hasse invariants of an orthogonal
+    sum and of a scaled form (Cassels, Rational Quadratic Forms, 1978), with
+    (p, p) = (p, -1) = ell and units pairing trivially at odd p:
+    c(pZ) = c(Z) ell^(s(s-1)/2) (ell^w eps)^(s-1), and
+    c(U + pZ) = c(pZ) (det U, p^(s+w)) = c(pZ) delta^(s+w)."""
+    w, eps, c = state
+    sign = (c * ell ** ((s * (s - 1) // 2 + w * (s - 1)) % 2)
+            * eps ** ((s - 1) % 2) * delta ** ((s + w) % 2))
+    return w + s, delta * eps, sign
+
+
 @lru_cache(maxsize=None)
 def _det_class_counts(m: int, p: int, k: int):
-    """({(w, eps): count}, zero) over Sym_m(Z/p^k): det of valuation w < k and
-    unit part of Legendre class eps, and det = 0 mod p^k.
+    """({(w, eps, c): count}, zero) over Sym_m(Z/p^k): det of valuation w < k,
+    unit part of Legendre class eps and Hasse invariant c of any lift (all
+    lifts agree when w < k), and det = 0 mod p^k.
 
     Jordan splitting: Y with reduction of rank r and class delta is
     GL_m(Z_p)-equivalent to U + p Z, U an r x r unit block and Z uniform over
-    Sym_{m-r}(Z/p^{k-1}) (Schur complement), so det Y = det U p^{m-r} det Z
-    and each reduction has p^{(k-1)(d_m - d_{m-r})} lifts per Z."""
+    Sym_{m-r}(Z/p^{k-1}) (Schur complement), so det Y = det U p^{m-r} det Z,
+    each reduction has p^{(k-1)(d_m - d_{m-r})} lifts per Z, and the state
+    moves by `_split_state`."""
     if m == 0:
-        return {(0, 1): 1}, 0       # the empty matrix has det 1 at every level
+        return {(0, 1, 1): 1}, 0    # the empty matrix has det 1 at every level
     if k == 0:
         return {}, 1
+    ell = legendre(-1, p)
     table: dict = {}
     zero = 0
     for (r, delta), n in _rank_census(m, p).items():
-        lifts = n * p ** ((k - 1) * (m * (m + 1) - (m - r) * (m - r + 1)) // 2)
-        sub, sub_zero = _det_class_counts(m - r, p, k - 1)
+        s = m - r
+        lifts = n * p ** ((k - 1) * (m * (m + 1) - s * (s + 1)) // 2)
+        sub, sub_zero = _det_class_counts(s, p, k - 1)
         zero += lifts * sub_zero
-        for (w, eps), c in sub.items():
-            if w + m - r >= k:
+        for state, c in sub.items():
+            key = _split_state(state, s, delta, ell)
+            if key[0] >= k:
                 zero += lifts * c
             else:
-                key = (w + m - r, delta * eps)
                 table[key] = table.get(key, 0) + lifts * c
     return table, zero
 
@@ -445,14 +516,109 @@ def det_fiber_counts(m: int, p: int, k: int) -> FiberCountTable:
     Jordan-splitting recursion of `_det_class_counts`.  Unit residues of one
     Legendre class are permuted by det(gYg^t) = det(g)^2 det(Y), so within a
     shell every residue of a class carries the same count."""
-    check_budget(p, k, 1)
-    classes, zero = _det_class_counts(m, p, k)
+    check_rows(float(p) ** k)
+    states, zero = _det_class_counts(m, p, k)
+    classes: dict = {}
+    for (w, eps, _), c in states.items():
+        classes[(w, eps)] = classes.get((w, eps), 0) + c
     counts = {(v, u): classes.get((v, legendre(u, p)), 0) // (unit_order(p, k - v) // 2)
               for v in range(k) for u in range(1, p ** (k - v)) if u % p}
     total = p ** (k * m * (m + 1) // 2)
     if sum(counts.values()) + zero != total:
         raise PvsError("count conservation failed")
     return FiberCountTable(m, p, k, counts, zero, total)
+
+
+def _job_census(p: int, job) -> dict:
+    """{(r, key, t): count} over the cells Y0 of Sym_3(F_p) inside the job's
+    mask, by rank r, phase t = tr(Y0 C) mod p and key: the class of the
+    nondegenerate part, or at full rank det Y0 mod p itself, which every
+    lift keeps.  A job without mask or phase takes the closed-form census."""
+    mask = job[1]
+    C = job[2] if job[0] == "rho" else None
+    if mask is None and C is None:
+        census = _rank_census(3, p)
+        out = {(r, delta, 0): n for (r, delta), n in census.items() if r < 3 and n}
+        for a in range(1, p):
+            out[(3, a, 0)] = census[(3, legendre(a, p))] // ((p - 1) // 2)
+        return out
+    if mask is not None:      # the mask fixes Y mod p: one cell
+        blocks = [[np.array([x % p]) for x in mask[0]]]
+    else:
+        r = np.arange(p)
+        rest = [a.ravel() for a in np.meshgrid(r, r, r, r, r, indexing="ij")]
+        blocks = [[np.full(p ** 5, x11)] + rest for x11 in range(p)]
+    leg = _legendre_table(p)
+    out: dict = {}
+    for x11, x22, x33, x12, x13, x23 in blocks:
+        a11, a22, a33 = x22 * x33 - x23 * x23, x11 * x33 - x13 * x13, x11 * x22 - x12 * x12
+        a12, a13, a23 = x13 * x23 - x12 * x33, x12 * x23 - x22 * x13, x12 * x13 - x11 * x23
+        det = (x11 * a11 + x12 * a12 + x13 * a13) % p
+        adjnz = np.any(np.stack([a11, a22, a33, a12, a13, a23]) % p != 0, axis=0)
+        nonzero = np.any(np.stack([x11, x22, x33, x12, x13, x23]) != 0, axis=0)
+        rank = np.where(det != 0, 3, np.where(adjnz, 2, np.where(nonzero, 1, 0)))
+        # a rank-2 adjugate is a multiple of w w^t by the nondegenerate
+        # part's discriminant, a rank-1 matrix one of v v^t
+        key = np.where(rank == 3, det, np.where(
+            rank == 2, _first_unit_diag_leg(leg, p, a11, a22, a33),
+            np.where(rank == 1, _first_unit_diag_leg(leg, p, x11, x22, x33), 1)))
+        t = 0 if C is None else (x11 * C[0][0] + x22 * C[1][1] + x33 * C[2][2] + 2 * (
+            x12 * C[0][1] + x13 * C[0][2] + x23 * C[1][2])) % p
+        # one code per (rank, key, t), with the class -1 stored as p
+        codes, counts = np.unique((rank * (p + 1) + key % (p + 1)) * p + t,
+                                  return_counts=True)
+        for code, n in zip(codes.tolist(), counts.tolist()):
+            rest, t0 = divmod(code, p)
+            r0, key0 = divmod(rest, p + 1)
+            cell = (r0, -1 if key0 == p else key0, t0)
+            out[cell] = out.get(cell, 0) + n
+    return out
+
+
+@lru_cache(maxsize=None)
+def _shell_keys(p: int, K: int) -> dict:
+    """{(v, eps): the residues p^v u mod p^K, u a unit of Legendre class eps}."""
+    leg = _legendre_table(p)
+    out = {}
+    for v in range(K):
+        u = np.arange(p ** (K - v))
+        for eps in (1, -1):
+            out[(v, eps)] = p ** v * u[leg[u % p] == eps]
+    return out
+
+
+def _recursion_bins(p: int, k: int, job):
+    """A job's refined bins, counts over Sym_3(Z/p^(k+1)) indexed by
+    (det mod p^(k+1), Clifford sign, tr(Y C) mod p), by Jordan splitting.
+
+    Each cell Y0 of the job's census has p^((K-1)(d_3 - d_s)) lifts per Z in
+    Sym_s(Z/p^(K-1)), K = k + 1 and s = 3 - rank, moved by `_split_state`;
+    the Clifford sign at size 3 is rho = (-1, -1) (-1, det) c = ell^v c.  At
+    full rank the lifts spread evenly over the residues of det Y0 mod p, with
+    rho = +1; below it, over the unit residues of the det's class in its
+    shell.  The row of det = 0 mod p^(k+1) is left empty: no shell reads it."""
+    K = k + 1
+    signs, phases = _bin_shape(job, p)
+    check_rows(p ** K * signs * phases)
+    ell = legendre(-1, p)
+    per_residue = Counter()      # (v, class or det residue, sign slot, t) -> count
+    for (r, key, t), n in _job_census(p, job).items():
+        if r == 3:
+            per_residue[(0, key, 0, t)] += n * p ** (5 * (K - 1))
+            continue
+        s = 3 - r
+        lifts = n * p ** ((K - 1) * (6 - s * (s + 1) // 2))
+        for state, c in _det_class_counts(s, p, K - 1)[0].items():
+            v, eps, hasse = _split_state(state, s, key, ell)
+            if v < K:
+                slot = (1 - ell ** (v % 2) * hasse) // 2 if signs == 2 else 0
+                per_residue[(v, eps, slot, t)] += lifts * c // (unit_order(p, K - v) // 2)
+    bins = np.zeros((p ** K, signs, phases),
+                    dtype=np.int64 if p ** (6 * K) < 2 ** 63 else object)
+    for (v, key, slot, t), n in per_residue.items():
+        rows = np.arange(key, p ** K, p) if v == 0 else _shell_keys(p, K)[(v, key)]
+        bins[rows, slot, t] = n
+    return bins
 
 
 # -------------------------------------------------- shell values and fitting
@@ -490,33 +656,23 @@ def _piece_job(piece: LatticePiece, weighted: bool, p: int, k: int):
     return job, shift, prefactor
 
 
-def _precompute_sides(sides, p: int, k: int, level: int) -> None:
-    """One sweep for the jobs of every (Phi, weighted) side of a check."""
-    if level > k - 1:
-        raise PvsError("level too deep for the enumeration precision")
-    precompute_jobs(p, k, {_piece_job(q, weighted, p, k)[0]
-                           for Phi, weighted in sides for q in Phi.pieces})
-
-
 def piece_shell_values(piece: LatticePiece, weighted: bool, p: int, k: int,
                        sign: int, level: int = 1):
     """Exact fiber values of one piece on its stable shells:
-    {(shell, unit coset mod p^level): complex}."""
+    {(shell, unit coset mod p^level): complex}, from the job's refined bins
+    weighted by Clifford sign times psi(t)."""
     if level > k - 1:
         raise PvsError("level too deep for the enumeration precision")
     job, shift, prefactor = _piece_job(piece, weighted, p, k)
     precompute_jobs(p, k, (job,))
     d = 6
     mod4 = p ** (k + 1)
-    # count bins as (key4, adjnz, 1, 1), rho bins as (key4, adjnz, rho-sign, t);
-    # weight sign * psi(t), with the sign ignored on unweighted pieces
-    shape = (1, 1) if job[0] == "count" else (2, p)
-    arr = _SWEEP_CACHE[(p, k)][job].reshape(mod4, 2, *shape)
-    signs = np.array([1, -1 if weighted else 1][:shape[0]])
-    zeta = np.array([psi_frac(p, t, 1, sign) for t in range(shape[1])])
-    exact, spread = (arr * np.outer(signs, zeta)).sum(axis=(2, 3)).T
-    # a spread class adds its total to all p lifts of key4 mod p^k
-    totals = exact * p**d + np.tile(spread.reshape(p, p**k).sum(axis=0), p) * p ** (d - 1)
+    # bins (det mod p^(k+1), sign, t): the sign is ignored on unweighted pieces
+    arr = _SWEEP_CACHE[(p, k)][job]
+    n_signs, n_phases = arr.shape[1:]
+    signs = np.array([1, -1 if weighted else 1][:n_signs])
+    zeta = np.array([psi_frac(p, t, 1, sign) for t in range(n_phases)])
+    totals = (arr.astype(float) * np.outer(signs, zeta)).sum(axis=(1, 2))
 
     out: dict = {}
     norm = float(p) ** ((k + 1) * (d - 1))
@@ -804,15 +960,13 @@ def check_fe_pvs(Phi: LatticeTestFunction, n: int, chi: UnitCharacter, p: int,
         chi^{-2n}(2) Z_{rho Phi^}(-s-1/2, chi^{-1})
             = beta_psi(chi_s) Z_Phi(s+1/2-(n+1), chi)
 
-    with both zeta functions built from their own enumerations."""
+    with both zeta functions built from their own fiber counts."""
     m = 2 * n + 1
     if Phi.m != m:
         raise PvsError("size/n mismatch")
     q = float(p)
     chi = chi.at_level(level)
     Phihat = lattice_fourier(Phi, p, sign)
-    if m != 1:
-        _precompute_sides(((Phi, False), (Phihat, True)), p, k, level)
     f_plus = fiber_function(Phi, weighted=False, p=p, k=k, sign=sign, level=level)
     f_minus = fiber_function(Phihat, weighted=True, p=p, k=k, sign=sign,
                              level=level, fit_degree_max=hat_fit_degree_max)
@@ -847,13 +1001,12 @@ def homogeneity_check(Phi: LatticeTestFunction, g_exponents, chi: UnitCharacter,
 
     so at the Mellin level (chi(p) = 1) the moved transform is the exact
     monomial multiple z^{2 sum a} q^{-(m-1) sum a} of the base one.  Both
-    sides come from independent enumerations."""
+    sides come from their own counts: the sweep for an entry-wise moved
+    piece, the recursion for the rest."""
     m = Phi.m
     a = tuple(int(x) for x in g_exponents)
     chi = chi.at_level(level)
     gPhi = act_diagonal(Phi, a, p)
-    if m != 1:
-        _precompute_sides(((Phi, False), (gPhi, False)), p, k, level)
     f_base = fiber_function(Phi, weighted=False, p=p, k=k, level=level)
     f_moved = fiber_function(gPhi, weighted=False, p=p, k=k, level=level)
     Zb = mellin_transform(f_base).component(chi)

@@ -19,13 +19,29 @@ def fold_residue_counts(per, p, k):
 
 
 @pytest.fixture(scope="session")
-def sweep_counts():
-    """The Sym_3(Z/p^k) fiber table folded from the sweep's count bins, which
-    are indexed by (det mod p^(k+1), adj != 0 mod p)."""
+def sweep_oracle():
+    """{job: refined bins} of the exhaustive Sym_3(Z/p^k) sweep, the
+    recursion's oracle.  One sweep per call, for the jobs not yet swept at
+    (p, k) in this session."""
+    swept = {}
+
+    def bins(p, k, jobs):
+        missing = [job for job in jobs if (p, k, job) not in swept]
+        if missing:
+            for job, b in pvszeta.sweep_bins(p, k, missing).items():
+                swept[(p, k, job)] = b
+        return {job: swept[(p, k, job)] for job in jobs}
+    return bins
+
+
+@pytest.fixture(scope="session")
+def sweep_counts(sweep_oracle):
+    """The Sym_3(Z/p^k) fiber table folded from the sweep's count bins over
+    Sym_3(Z/p^(k+1)); each matrix mod p^k has p^6 lifts, all with its det."""
     def table(p, k):
-        pvszeta.precompute_jobs(p, k, (("count", None),))
-        bins = pvszeta._SWEEP_CACHE[(p, k)][("count", None)]
-        return fold_residue_counts(bins.reshape(p, p**k, 2).sum(axis=(0, 2)), p, k)
+        job = ("count", None)
+        bins = sweep_oracle(p, k, [job])[job]
+        return fold_residue_counts(bins.reshape(p, p**k).sum(axis=0) // p**6, p, k)
     return table
 
 

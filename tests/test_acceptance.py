@@ -1,9 +1,11 @@
 """Acceptance suite: every criterion runs at its stated tolerance and
 prints one PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`.
 
-The Sym_3 sweep at k = 3 (3^18 matrices, vectorized) is shared between the
-criteria that need it through a session fixture; expect a couple of minutes
-for the full suite, dominated by that single enumeration.
+The checks read the Jordan-splitting recursion.  Its oracle, the Sym_3
+sweep at k = 3 (3^18 matrices, vectorized), is shared between the criteria
+that need it through a module fixture, which also serves the entry-wise
+masks of the homogeneity checks; expect a couple of minutes for the full
+suite, dominated by that single enumeration.
 """
 
 import random
@@ -11,6 +13,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from padicharm.abelian import (UnitCharacter, ab_factors, beta_factor,
@@ -25,13 +28,15 @@ from padicharm.padic import psi_frac, unit_group
 from padicharm.pvszeta import (LatticeTestFunction, act_diagonal, check_fe_pvs,
                                det_fiber_counts, fiber_function,
                                homogeneity_check, lattice_fourier,
-                               precompute_jobs, zeta_from_fibers, _piece_job)
+                               zeta_from_fibers, _by_recursion, _piece_job,
+                               _recursion_bins)
 from padicharm.ratfunc import RationalFunctionZ
 from padicharm.symplectic import (c0_constant, cayley_inv, mat_eq,
                                   siegel_factorize, sp_order)
 
 P = 3
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+NONDIAG = ((0, 1, 0), (1, 0, 2), (0, 2, 1))
 PVS_FUNCTIONS = [
     ("spherical", LatticeTestFunction.spherical(3), None),
     ("shifted-I", LatticeTestFunction.shifted(I3, r=1), 0),
@@ -57,9 +62,11 @@ HOMOGENEITY_CASES = [
 
 
 @pytest.fixture(scope="module")
-def k3_sweep():
-    """One shared Sym_3 sweep at k = 3 covering every job the suite needs."""
-    jobs = set()
+def k3_sweep(sweep_oracle):
+    """One shared Sym_3 sweep at k = 3: the oracle bins of every job the
+    suite needs, plus a non-diagonal phase; the sweep caches the masks the
+    recursion does not serve.  Returns (bins, seconds)."""
+    jobs = {("rho", None, NONDIAG)}
     for _, Phi, _ in PVS_FUNCTIONS:
         for piece in Phi.pieces:
             jobs.add(_piece_job(piece, False, P, 3)[0])
@@ -71,8 +78,8 @@ def k3_sweep():
                 for piece in Phi.pieces:
                     jobs.add(_piece_job(piece, False, P, 3)[0])
     t0 = time.perf_counter()
-    precompute_jobs(P, 3, jobs)
-    return time.perf_counter() - t0
+    bins = sweep_oracle(P, 3, sorted(jobs, key=repr))
+    return bins, time.perf_counter() - t0
 
 
 def test_criterion_01_tate_oracle_agreement():
@@ -139,7 +146,7 @@ def test_criterion_03_spherical_mellin_formula(k3_sweep, sweep_counts):
     dt = time.perf_counter() - t0
     report(3, "spherical fiber counts reproduce the Mellin Taylor coefficients",
            ok and dt < 600, "; ".join(detail) or f"exact as rationals, {dt:.1f}s "
-           f"(+{k3_sweep:.0f}s shared sweep)")
+           f"(+{k3_sweep[1]:.0f}s shared sweep)")
 
 
 def test_criterion_04_prehomogeneous_functional_equation(k3_sweep):
@@ -151,10 +158,15 @@ def test_criterion_04_prehomogeneous_functional_equation(k3_sweep):
             rep = check_fe_pvs(Phi, 1, chi, P, 3, hat_fit_degree_max=hat_max)
             worst = max(worst, rep["max_deviation"])
             all_eq = all_eq and rep["ratfunc_equal"]
+    # the recursion's bins against the shared sweep's, row 0 read by no shell
+    oracle = {job: b for job, b in k3_sweep[0].items() if _by_recursion(job, P)}
+    same = all(np.array_equal(_recursion_bins(P, 3, job)[1:], b[1:])
+               for job, b in oracle.items())
     dt = time.perf_counter() - t0
     report(4, "prehomogeneous functional equation at k = 3",
-           worst < 1e-6 and all_eq and dt < 900,
-           f"max dev {worst:.2e} over 3 functions x 2 characters, {dt:.1f}s")
+           worst < 1e-6 and all_eq and same and dt < 900,
+           f"max dev {worst:.2e} over 3 functions x 2 characters, recursion bins "
+           f"{'equal' if same else 'differ from'} the sweep's on {len(oracle)} jobs, {dt:.1f}s")
 
 
 def _gl1_family(n):

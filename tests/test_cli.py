@@ -52,6 +52,17 @@ def test_verify_fe_pvs(tmp_path):
     assert all(c["max_deviation"] < 1e-6 for c in rep["checks"])
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_verify_fe_pvs_k3_beyond_p3(p, tmp_path):
+    # the spherical, shifted and dilated functions at k = 3, from the
+    # recursion; the Sym_3 sweep could not reach these sizes
+    code, rep = run_cli(["verify", "fe-pvs", "--p", str(p), "--n", "1", "--k", "3"],
+                        tmp_path)
+    assert code == 0
+    assert len(rep["checks"]) == 3 * (p - 1)
+    assert all(c["status"] == "pass" for c in rep["checks"])
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_verify_fe_gl1_n2_to_1e_11(tmp_path, seed):
     # the n = 2 functional equation holds to 1e-11 once residues are taken at
@@ -167,8 +178,9 @@ def test_fourier_n0_consumes_fx_json(tmp_path):
     ["fourier-n0", "--level", "0"],
     ["eta-table", "--level", "0"],
     ["verify", "fe-pvs", "--p", "3", "--n", "1", "--k", "1"],
-    ["verify", "fe-pvs", "--p", "7", "--n", "1", "--k", "3"],
+    ["verify", "fe-pvs", "--p", "5", "--n", "1", "--k", "7"],
     ["verify", "fe-pvs", "--p", "3", "--n", "2", "--k", "2"],
+    ["count-fibers", "--p", "3", "--k", "18"],
 ])
 def test_invalid_input_is_a_json_error(argv, capsys):
     assert main(argv) == 2

@@ -8,8 +8,9 @@ import pytest
 
 from padicharm.abelian import UnitCharacter, characters
 from padicharm.fxspace import check_paley_wiener, mellin_transform
-from padicharm.pvszeta import (LatticeTestFunction, PvsError, _mask_vec,
-                               _piece_job, _rank_census, act_diagonal,
+from padicharm.pvszeta import (LatticeTestFunction, PvsError, _entry_order,
+                               _mask_vec, _piece_job, _rank_census,
+                               _recursion_bins, act_diagonal,
                                check_fe_pvs, det_fiber_counts,
                                evaluate_lattice_function, fiber_function,
                                fiber_shell_values, homogeneity_check,
@@ -21,6 +22,13 @@ from padicharm.ratfunc import RationalFunctionZ
 
 P, K = 3, 2
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+ZERO3 = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
+NONDIAG = ((0, 1, 0), (1, 0, 2), (0, 2, 1))
+
+
+def one_point(Y0, p):
+    """The job mask {Y = Y0 mod p}."""
+    return tuple(Y0[i][j] % p for i, j in _entry_order(3)), (p,) * 6
 
 
 def taylor(R, j):
@@ -65,8 +73,13 @@ def test_det_fiber_counts_m3_conservation_and_values():
 
 
 def test_budget_guard():
-    with pytest.raises(PvsError, match="budget"):
-        precompute_jobs(5, 4, (("count", None),))
+    # a job the sweep serves (an entry-wise mask) past ENUM_BUDGET cells, and
+    # recursion bins past ROW_BUDGET rows
+    moved = ("count", ((0,) * 6, (1, 1, 25, 1, 5, 5)))
+    with pytest.raises(PvsError, match="enumeration budget"):
+        precompute_jobs(5, 4, (moved,))
+    with pytest.raises(PvsError, match="row budget"):
+        precompute_jobs(3, 13, (("rho", None, I3),))
 
 
 def brute_census(m, p):
@@ -110,6 +123,80 @@ def test_recursion_matches_enumeration(m, p, k, enumerated_counts):
 def test_recursion_matches_sweep(p, k, sweep_counts):
     t = det_fiber_counts(3, p, k)
     assert (t.counts, t.zero_count) == sweep_counts(p, k)
+
+
+def test_recursion_bins_match_sweep(sweep_oracle):
+    # every job kind the checks build from Y mod p: count and Clifford jobs,
+    # unmasked, under one-point masks, and with diagonal and non-diagonal
+    # phases; row 0 (det = 0 mod p^(k+1)) is read by no shell
+    jobs = [("count", None), ("count", one_point(I3, P)), ("count", one_point(ZERO3, P)),
+            ("rho", None, None), ("rho", None, I3), ("rho", None, NONDIAG),
+            ("rho", one_point(((1, 0, 0), (0, 2, 0), (0, 0, 0)), P), None)]
+    for job, want in sweep_oracle(P, K, jobs).items():
+        got = _recursion_bins(P, K, job)
+        assert np.array_equal(got[1:], want[1:]), job
+
+
+def lift_law_cells(p):
+    """One Y0 per rank and class of Sym_3(F_p), two det residues of one
+    class at full rank, and a non-diagonal cell of ranks 2 and 3."""
+    n = next(a for a in range(2, p) if legendre(a, p) == -1)
+    sq = next(a for a in range(2, p) if legendre(a, p) == 1)
+
+    def diag(a, b, c):
+        return ((a, 0, 0), (0, b, 0), (0, 0, c))
+    return [diag(0, 0, 0), diag(1, 0, 0), diag(n, 0, 0), diag(1, 1, 0), diag(1, n, 0),
+            ((0, 1, 0), (1, 0, 0), (0, 0, 0)), diag(1, 1, 1), diag(1, 1, sq),
+            diag(1, 1, n), ((0, 1, 0), (1, 0, 0), (0, 0, 1))]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_lift_law_against_clifford_rho(p):
+    # all p^6 lifts Y0 + pX to Sym_3(Z/p^2): det mod p^2 by enumeration
+    # against the recursion's bins under the one-point mask Y0 (at full rank
+    # they keep det Y0 mod p, not just its class, which p = 3 cannot tell);
+    # the bins put all lifts of a det residue under one sign, which
+    # quadform.clifford_rho confirms on ten lifts of every residue
+    r = np.arange(p)
+    lifts = [a.ravel() for a in np.meshgrid(r, r, r, r, r, r, indexing="ij")]
+    for Y0 in lift_law_cells(p):
+        bins = _recursion_bins(p, 1, ("rho", one_point(Y0, p), None))
+        x11, x22, x33, x12, x13, x23 = (Y0[i][j] + p * x
+                                        for (i, j), x in zip(_entry_order(3), lifts))
+        det = (x11 * (x22 * x33 - x23 * x23) - x12 * (x12 * x33 - x23 * x13)
+               + x13 * (x12 * x23 - x22 * x13)) % p**2
+        hist = np.bincount(det, minlength=p**2)
+        assert np.array_equal(bins.sum(axis=(1, 2))[1:], hist[1:]), Y0
+        for key in np.flatnonzero(hist[1:]) + 1:
+            (slot,) = np.flatnonzero(bins[key, :, 0])
+            for i in np.flatnonzero(det == key)[:10]:
+                Y = [[int(x11[i]), int(x12[i]), int(x13[i])],
+                     [int(x12[i]), int(x22[i]), int(x23[i])],
+                     [int(x13[i]), int(x23[i]), int(x33[i])]]
+                assert clifford_rho(Y, p) == 1 - 2 * slot, (Y0, Y)
+
+
+def minus_series(p, count):
+    """(1 - p^-3) times the first coefficients of 1/((1 - z/p)(1 - z^2)),
+    exactly."""
+    return [(1 - Fraction(1, p**3)) * sum(Fraction(1, p ** (v - j)) for j in range(0, v + 1, 2))
+            for v in range(count)]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_weighted_spherical_shells_exact(p):
+    # the Clifford-weighted spherical counts on every shell v <= k and level-1
+    # class: the signed count over p^(5(k+1)) per unit residue is the z^v
+    # coefficient of the minus-class L-product times 1 - p^-3
+    for k in range(2, 6):
+        K = k + 1
+        bins = _recursion_bins(p, k, ("rho", None, None))
+        want = minus_series(p, K)
+        for v in range(K):
+            for u in range(1, p):
+                rows = p**v * np.arange(u, p ** (K - v), p)
+                signed = sum(int(x) for x in bins[rows, 0, 0] - bins[rows, 1, 0])
+                assert Fraction(signed, p ** (5 * K + K - v - 1)) == want[v], (k, v, u)
 
 
 def spherical_series(n, p, count):
@@ -398,8 +485,8 @@ def test_act_diagonal_matches_pointwise_definition(Phi, exponents):
     assert hits > 0
 
 
-def test_check_fe_pvs_sweeps_once(monkeypatch):
-    # both sides of the functional equation share one pass over Sym_3(Z/p^k)
+def counting_sweeps(monkeypatch):
+    """The job tuples of every Sym_3 sweep from here on, with an empty cache."""
     from padicharm import pvszeta
     calls = []
     block = pvszeta._sweep3_block
@@ -409,10 +496,31 @@ def test_check_fe_pvs_sweeps_once(monkeypatch):
         return block(*args)
     monkeypatch.setattr(pvszeta, "_SWEEP_CACHE", {})
     monkeypatch.setattr(pvszeta, "_sweep3_block", counting_block)
-    rep = check_fe_pvs(LatticeTestFunction.spherical(3), 1, UnitCharacter(P, 1, 1), P, K)
+    return calls
+
+
+def test_check_fe_pvs_never_sweeps(monkeypatch):
+    # both sides of the functional equation come from the recursion
+    calls = counting_sweeps(monkeypatch)
+    for Phi, hat_max in ((LatticeTestFunction.spherical(3), None),
+                         (LatticeTestFunction.shifted(I3, 1), 0),
+                         (LatticeTestFunction.dilated(3, 1), None)):
+        rep = check_fe_pvs(Phi, 1, UnitCharacter(P, 1, 1), P, 3,
+                           hat_fit_degree_max=hat_max)
+        assert rep["ratfunc_equal"], rep["max_deviation"]
+    assert calls == []
+
+
+def test_homogeneity_sweeps_the_moved_side_once(monkeypatch):
+    # the entry-wise mask of diag(1, 1, p) acting on the spherical function
+    # reaches past Y mod p: one sweep, for its one masked count job
+    calls = counting_sweeps(monkeypatch)
+    rep = homogeneity_check(LatticeTestFunction.spherical(3), (0, 0, 1),
+                            UnitCharacter(P, 1, 1), P, K)
     assert rep["ratfunc_equal"], rep["max_deviation"]
-    assert len(calls) == 1
-    assert {job[0] for job in calls[0]} == {"count", "rho"}
+    assert len(calls) == 1 and len(calls[0]) == 1
+    (kind, mask), = calls[0]
+    assert kind == "count" and max(mask[1]) > P
 
 
 def test_pvs_route_matches_mellin_route():
