@@ -434,52 +434,25 @@ def _eta_coeff(n: int, p: int, level: int, sign: int, k: int):
     return js, cs[js]
 
 
-def eta_kernel(n: int, sign: int, k: int, u: int, p: int, level: int,
-               max_level: int = 6, tol: float = 1e-9) -> complex:
-    """eta(x) = sum_chi chi(ac x)^{-1} Res_{z=0} beta_psi(chi_s^{-1}) z^{-ord(x)-1}.
+def eta_kernel(n: int, sign: int, k: int, u: int, p: int, level: int) -> complex:
+    """(eta * 1_N^v)(p^k u): eta averaged over the coset p^k u (1 + p^N Z_p),
+    N = level, which is all a level-N caller ever sees of it.
 
-    The character sum is summed at increasing levels until two consecutive
-    levels agree (it is finite for each shell: ramified chi^2 contributes a
-    single band at ord(x) = -e(chi) - 2n e(chi^2)).  At level L it is one
-    dot product: chi_j(u)^{-1} = exp(-2 pi i j dlog(u) / phi), with
-    j dlog(u) reduced mod phi in integers so that the phases stay exact.
+    The average keeps exactly the characters of conductor <= N, so it is
+
+        sum_{e(chi) <= N} chi(u)^{-1} Res_{z=0} beta_psi(chi_s^{-1}) z^{-k-1},
+
+    one dot product with chi_j(u)^{-1} = exp(-2 pi i j dlog(u) / phi), where
+    j dlog(u) is reduced mod phi in integers so that the phases stay exact.
+    It also equals the pointwise kernel for k > -(2n+1)(N+1): at odd p,
+    e(chi^2) = e(chi) whenever chi^2 is ramified, so a character of
+    conductor e >= 2 feeds only the shell -(2n+1)e, and every character the
+    average drops has e > N.
     """
-    def partial(L):
-        js, cs = _eta_coeff(n, p, L, sign, k)
-        phi = unit_order(p, L)
-        d = unit_group(p, L)[2][u % p**L]
-        return complex(cs @ np.exp(-2j * np.pi * ((js * d) % phi) / phi))
-
-    prev = partial(max(1, level))
-    for L in range(max(1, level) + 1, max_level + 1):
-        cur = partial(L)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise StabilizationError(
-        f"eta character sum did not stabilize by level {max_level} at shell {k}")
-
-
-def eta_smoothed(n: int, sign: int, k: int, u: int, p: int, invariance_level: int,
-                 max_level: int = 6, tol: float = 1e-9) -> complex:
-    """(eta * 1_N^v)(x): eta averaged over the coset x (1 + p^N Z_p).
-
-    Convolving with the normalized indicator 1_N projects eta onto its
-    conductor <= N character components, which is what makes the pairing
-    against chi_s converge shell by shell.
-    """
-    N = invariance_level
-    prev = None
-    for L in range(max(N, 1), max_level + 1):
-        mod = p**L
-        reps = [v for v in range(1, mod) if v % p and v % p**N == 1]
-        val = sum(eta_kernel(n, sign, k, u * v % mod, p, L, max_level=max_level + 2)
-                  for v in reps) / len(reps)
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return val
-        prev = val
-    raise StabilizationError(
-        f"smoothed eta did not stabilize by level {max_level} at shell {k}")
+    js, cs = _eta_coeff(n, p, level, sign, k)
+    phi = unit_order(p, level)
+    d = unit_group(p, level)[2][u % p**level]
+    return complex(cs @ np.exp(-2j * np.pi * ((js * d) % phi) / phi))
 
 
 def fourier_L(f: FxFunction, n: int, sign: int = 1) -> FxFunction:

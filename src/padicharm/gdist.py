@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import PadicharmError
 from .abelian import UnitCharacter, gamma_factor
-from .fxspace import FxFunction, eta_kernel, eta_smoothed, pv_convolve
+from .fxspace import FxFunction, eta_kernel, pv_convolve
 from .padic import PadicElement, unit_group, unit_order, unit_part, val_p
 from .symplectic import add, det, eye, is_symplectic, mat
 
@@ -40,9 +40,9 @@ class GPoint:
             raise GDistError("h is not symplectic")
 
 
-def phi_rho_eval(point: GPoint, n: int, level: int, sign: int = 1,
-                 max_level: int = 6) -> complex:
-    """Phi(a,h) = c0 eta(a det(h+I)) |det(h+I)|^{-(2n+1)/2}."""
+def phi_rho_eval(point: GPoint, n: int, level: int, sign: int = 1) -> complex:
+    """Phi(a,h) = c0 eta(a det(h+I)) |det(h+I)|^{-(2n+1)/2}, with eta the
+    level coset average (pointwise for ord > -(2n+1)(level+1))."""
     from .symplectic import c0_constant
     a = point.a
     p = a.p
@@ -55,7 +55,7 @@ def phi_rho_eval(point: GPoint, n: int, level: int, sign: int = 1,
         raise GDistError("singular locus of Phi: det(h + I) = 0")
     vh = val_p(dh, p)
     u = a.unit * unit_part(dh, p, level) % p**level
-    eta = eta_kernel(n, sign, vh + a.valuation, u, p, level, max_level=max_level)
+    eta = eta_kernel(n, sign, vh + a.valuation, u, p, level)
     c0 = float(c0_constant(n, p))
     return c0 * eta * float(p) ** (vh * (2 * n + 1) / 2.0)
 
@@ -76,11 +76,9 @@ def fourier_n0(phi: FxFunction, k0: int, u0: int, K_max: int = 40,
     from .fxspace import TailSpec
     phiv = FxFunction(p, level, lo, hi, refl, TailSpec.compact())
 
-    # the test function only sees eta through its level-N coset averages,
-    # so the convolution kernel is the 1_N-smoothed eta (deep ramified
-    # bands of the raw kernel average out exactly)
+    # the test function only sees eta through its level-N coset averages
     def kernel(k, u):
-        return eta_smoothed(0, sign, k, u, p, level)
+        return eta_kernel(0, sign, k, u, p, level)
 
     value, _, _ = pv_convolve(kernel, phiv, k0, u0, K_max=K_max, tol=tol)
     return value
@@ -115,16 +113,15 @@ def l2_norm_fx(phi: FxFunction, K: int) -> float:
     return total
 
 
-def shell_coefficient(ell: int, chi: UnitCharacter, z: complex, sign: int = 1,
-                      max_level: int = 7) -> complex:
-    """f_ell(chi_s) = z^ell avg_u (eta * 1_N^v)(p^ell u) chi(u): the shell
-    integral of the smoothed kernel against chi_s over |a| = q^{-ell}."""
+def shell_coefficient(ell: int, chi: UnitCharacter, z: complex, sign: int = 1) -> complex:
+    """f_ell(chi_s) = z^ell avg_u eta_N(p^ell u) chi(u): the shell integral of
+    the level-N coset average of eta against chi_s over |a| = q^{-ell}."""
     p = chi.p
     N = chi.level
     cosets = unit_group(p, N)[0]
     total = 0.0 + 0.0j
     for u in cosets:
-        total += eta_smoothed(0, sign, ell, u, p, N, max_level=max_level) * chi.value(u)
+        total += eta_kernel(0, sign, ell, u, p, N) * chi.value(u)
     return z**ell * total / len(cosets)
 
 

@@ -656,17 +656,15 @@ def _piece_job(piece: LatticePiece, weighted: bool, p: int, k: int):
     return job, shift, prefactor
 
 
-def piece_shell_values(piece: LatticePiece, weighted: bool, p: int, k: int,
-                       sign: int, level: int = 1):
+def piece_shell_values(piece: LatticePiece, weighted: bool, p: int, k: int, sign: int):
     """Exact fiber values of one piece on its stable shells:
-    {(shell, unit coset mod p^level): complex}, from the job's refined bins
+    {(shell, unit coset mod p): complex}, from the job's refined bins
     weighted by Clifford sign times psi(t)."""
-    if level > k - 1:
-        raise PvsError("level too deep for the enumeration precision")
+    if k < 2:
+        raise PvsError("level-1 shell values need k >= 2")
     job, shift, prefactor = _piece_job(piece, weighted, p, k)
     precompute_jobs(p, k, (job,))
     d = 6
-    mod4 = p ** (k + 1)
     # bins (det mod p^(k+1), sign, t): the sign is ignored on unweighted pieces
     arr = _SWEEP_CACHE[(p, k)][job]
     n_signs, n_phases = arr.shape[1:]
@@ -674,16 +672,17 @@ def piece_shell_values(piece: LatticePiece, weighted: bool, p: int, k: int,
     zeta = np.array([psi_frac(p, t, 1, sign) for t in range(n_phases)])
     totals = (arr.astype(float) * np.outer(signs, zeta)).sum(axis=(1, 2))
 
-    out: dict = {}
+    # the nonzero det residues p^v u mod p^(k+1), by valuation v and unit digit
+    keys = np.flatnonzero(totals[1:]) + 1
+    v = sum((keys % p**e == 0).astype(np.int64) for e in range(1, k + 1))
+    cell = v * p + keys // p**v % p
+    # a unit coset mod p holds p^(k-v) of the unit residues mod p^(k+1-v)
     norm = float(p) ** ((k + 1) * (d - 1))
-    for key4 in range(1, mod4):
-        if abs(totals[key4]) == 0.0:
-            continue
-        v, u = val_p(key4, p), unit_part(key4, p, level)
-        n_classes = unit_order(p, k + 1 - v) // unit_order(p, level)
-        val = complex(piece.weight) * prefactor * totals[key4] / (norm * n_classes)
-        out[(v + shift, u)] = out.get((v + shift, u), 0.0) + val
-    return out
+    vals = complex(piece.weight) * prefactor * totals[keys] / (norm * p ** (k - v))
+    re = np.bincount(cell, weights=vals.real)
+    im = np.bincount(cell, weights=vals.imag)
+    return {(c // p + shift, c % p): complex(re[c], im[c])
+            for c in np.flatnonzero(np.bincount(cell)).tolist()}
 
 
 def stable_shell_range(piece: LatticePiece, k: int):
@@ -718,15 +717,15 @@ def support_min(piece: LatticePiece, p: int) -> int:
 
 
 def fiber_shell_values(Phi: LatticeTestFunction, weighted: bool, p: int, k: int,
-                       sign: int = 1, level: int = 1):
+                       sign: int = 1):
     """Stable shell values of f_Phi / f_{rho Phi}: shells known for every piece."""
     lo = min(stable_shell_range(q, k)[0] for q in Phi.pieces)
     hi = min(stable_shell_range(q, k)[1] for q in Phi.pieces)
     vals: dict = {}
     for piece in Phi.pieces:
-        for (w, u), x in piece_shell_values(piece, weighted, p, k, sign, level).items():
+        for (w, u), x in piece_shell_values(piece, weighted, p, k, sign).items():
             vals[(w, u)] = vals.get((w, u), 0.0) + x
-    cosets = unit_group(p, level)[0]
+    cosets = unit_group(p, 1)[0]
     out = {(w, u): vals.get((w, u), 0.0 + 0.0j)
            for w in range(lo, hi + 1) for u in cosets}
     return out, lo, hi
@@ -820,7 +819,7 @@ def _compact_shell_certificate(piece: LatticePiece, p: int):
 
 
 def fiber_function(Phi: LatticeTestFunction, weighted: bool, p: int, k: int,
-                   sign: int = 1, level: int = 1, n: int | None = None,
+                   sign: int = 1, n: int | None = None,
                    fit_degree_max=None) -> FxFunction:
     """The fiber integration f_Phi (f_{rho Phi^} when weighted) as an exact
     FxFunction: unweighted fibers live in S_n^+, weighted ones in S_n^-."""
@@ -829,8 +828,8 @@ def fiber_function(Phi: LatticeTestFunction, weighted: bool, p: int, k: int,
         raise PvsError("even sizes are out of scope")
     n = (m - 1) // 2 if n is None else n
     if m == 1:
-        return _fiber_function_m1(Phi, p, k, sign, level)
-    shells, lo, hi = fiber_shell_values(Phi, weighted, p, k, sign, level)
+        return _fiber_function_m1(Phi, p, sign)
+    shells, lo, hi = fiber_shell_values(Phi, weighted, p, k, sign)
     smin = min(support_min(q, p) for q in Phi.pieces)
     if smin > hi:
         raise PvsError(
@@ -842,22 +841,21 @@ def fiber_function(Phi: LatticeTestFunction, weighted: bool, p: int, k: int,
             if vmax > hi:
                 raise PvsError(
                     f"insufficient k: compact support at shell {vmax} beyond {hi}")
-            cosets = unit_group(p, level)[0]
+            cosets = unit_group(p, 1)[0]
             for w in range(vmax + 1, hi + 1):
                 for u in cosets:
                     if abs(shells[(w, u)]) > 1e-12:
                         raise PvsError("compact support certificate contradicted by counts")
             vals = {(w, u): shells[(w, u)] for w in range(lo, vmax + 1)
                     for u in cosets if abs(shells[(w, u)]) > 1e-15}
-            return FxFunction(p, level, lo, vmax + 1, vals, TailSpec.compact())
+            return FxFunction(p, 1, lo, vmax + 1, vals, TailSpec.compact())
     kind = "minus" if weighted else "plus"
-    Z = fit_mellin_structured(shells, lo, hi, kind, n, p, level,
+    Z = fit_mellin_structured(shells, lo, hi, kind, n, p, 1,
                               fit_degree_max=fit_degree_max)
     return fx_from_mellin(Z, kind, n)
 
 
-def _fiber_function_m1(Phi: LatticeTestFunction, p: int, k: int, sign: int,
-                       level: int) -> FxFunction:
+def _fiber_function_m1(Phi: LatticeTestFunction, p: int, sign: int) -> FxFunction:
     """m = 1: det is the identity, f_Phi = Phi pointwise and rho = 1.
 
     Pieces b + p^r Z_p with p^r not dividing b are single-coset windows;
@@ -865,7 +863,7 @@ def _fiber_function_m1(Phi: LatticeTestFunction, p: int, k: int, sign: int,
     tail from shell r on; negative-scale pieces carry their psi phase on
     the window shells r..-1.
     """
-    cosets = unit_group(p, level)[0]
+    cosets = unit_group(p, 1)[0]
     window: dict = {}
     tail_a0 = {u: 0.0 + 0.0j for u in cosets}
     tail_starts = []
@@ -876,8 +874,8 @@ def _fiber_function_m1(Phi: LatticeTestFunction, p: int, k: int, sign: int,
         if r >= 1 and b % p**r != 0:
             v = val_p(b, p)
             depth = r - v
-            if depth > level:
-                raise PvsError("level too coarse for this base point")
+            if depth > 1:
+                raise PvsError("level 1 is too coarse for this base point")
             t = unit_part(b, p, depth)
             for u in cosets:
                 if (u - t) % p**depth == 0:
@@ -908,11 +906,11 @@ def _fiber_function_m1(Phi: LatticeTestFunction, p: int, k: int, sign: int,
     else:
         tail = TailSpec("plus", 0, tuple(tail_a0[u] for u in cosets), (), ())
     vals = {ku: v for ku, v in window.items() if abs(v) > 1e-15}
-    return FxFunction(p, level, min(k_min, k_tail), k_tail, vals, tail)
+    return FxFunction(p, 1, min(k_min, k_tail), k_tail, vals, tail)
 
 
 def pvs_route_transform(Phi: LatticeTestFunction, p: int, k: int, n: int = 1,
-                        sign: int = 1, level: int = 1) -> FxFunction:
+                        sign: int = 1) -> FxFunction:
     """The prehomogeneous route to the Fourier operator on the plus space:
 
         L(f)(t) = |2|^{2n^2-n} |t|^{n+1} f_{rho Phi^}(2^{-2n} t),
@@ -922,24 +920,23 @@ def pvs_route_transform(Phi: LatticeTestFunction, p: int, k: int, n: int = 1,
     twist is a unit rotation of the coset argument).  Cross-checks the
     Mellin-route transform."""
     fm = fiber_function(lattice_fourier(Phi, p, sign), weighted=True, p=p, k=k,
-                        sign=sign, level=level)
-    mod = p**level
-    twist = pow(pow(2, 2 * n, mod), -1, mod)
-    vals = {(kk, u): fm.evaluate(kk, u * twist % mod)
-            for kk in range(fm.k_min, fm.k_tail) for u in unit_group(p, level)[0]}
+                        sign=sign)
+    cosets = unit_group(p, 1)[0]
+    twist = pow(pow(2, 2 * n, p), -1, p)
+    vals = {(kk, u): fm.evaluate(kk, u * twist % p)
+            for kk in range(fm.k_min, fm.k_tail) for u in cosets}
     t = fm.tail
     if t.kind == "compact":
         tail = t
     else:
-        cosets = unit_group(p, level)[0]
         idx = {u: i for i, u in enumerate(cosets)}
 
         def tw(row):
-            return tuple(row[idx[u * twist % mod]] for u in cosets)
+            return tuple(row[idx[u * twist % p]] for u in cosets)
 
         tail = TailSpec(t.kind, t.n, tw(t.a0), tuple(tw(r) for r in t.ap),
                         tuple(tw(r) for r in t.am))
-    out = FxFunction(p, level, fm.k_min, fm.k_tail, vals, tail, fm.power_shift)
+    out = FxFunction(p, 1, fm.k_min, fm.k_tail, vals, tail, fm.power_shift)
     return out.scale_by_power(n + 1)
 
 
@@ -953,8 +950,7 @@ def zeta_from_fibers(f: FxFunction, chi: UnitCharacter, shift=Fraction(0)) -> Ra
 
 
 def check_fe_pvs(Phi: LatticeTestFunction, n: int, chi: UnitCharacter, p: int,
-                 k: int, sign: int = 1, level: int = 1,
-                 hat_fit_degree_max=None) -> dict:
+                 k: int, sign: int = 1, hat_fit_degree_max=None) -> dict:
     """The odd-p prehomogeneous functional equation
 
         chi^{-2n}(2) Z_{rho Phi^}(-s-1/2, chi^{-1})
@@ -965,11 +961,11 @@ def check_fe_pvs(Phi: LatticeTestFunction, n: int, chi: UnitCharacter, p: int,
     if Phi.m != m:
         raise PvsError("size/n mismatch")
     q = float(p)
-    chi = chi.at_level(level)
+    chi = chi.at_level(1)
     Phihat = lattice_fourier(Phi, p, sign)
-    f_plus = fiber_function(Phi, weighted=False, p=p, k=k, sign=sign, level=level)
+    f_plus = fiber_function(Phi, weighted=False, p=p, k=k, sign=sign)
     f_minus = fiber_function(Phihat, weighted=True, p=p, k=k, sign=sign,
-                             level=level, fit_degree_max=hat_fit_degree_max)
+                             fit_degree_max=hat_fit_degree_max)
     M_plus = mellin_transform(f_plus).component(chi)
     M_minus = mellin_transform(f_minus).component(chi.inverse())
     # Z(s',.) = (1-1/q) M(f)(s'+1): the shifts below are s' = s+1/2-(n+1)
@@ -991,7 +987,7 @@ def check_fe_pvs(Phi: LatticeTestFunction, n: int, chi: UnitCharacter, p: int,
 
 
 def homogeneity_check(Phi: LatticeTestFunction, g_exponents, chi: UnitCharacter,
-                      p: int, k: int, level: int = 1) -> dict:
+                      p: int, k: int) -> dict:
     """Homogeneity of the zeta distribution under g = diag(p^{a_i}).
 
     With (g Phi)(X) = Phi(g^{-1} X g^{-t}), the substitution X = g Y g^t
@@ -1005,10 +1001,10 @@ def homogeneity_check(Phi: LatticeTestFunction, g_exponents, chi: UnitCharacter,
     piece, the recursion for the rest."""
     m = Phi.m
     a = tuple(int(x) for x in g_exponents)
-    chi = chi.at_level(level)
+    chi = chi.at_level(1)
     gPhi = act_diagonal(Phi, a, p)
-    f_base = fiber_function(Phi, weighted=False, p=p, k=k, level=level)
-    f_moved = fiber_function(gPhi, weighted=False, p=p, k=k, level=level)
+    f_base = fiber_function(Phi, weighted=False, p=p, k=k)
+    f_moved = fiber_function(gPhi, weighted=False, p=p, k=k)
     Zb = mellin_transform(f_base).component(chi)
     Zm = mellin_transform(f_moved).component(chi)
     s_a = sum(a)

@@ -20,7 +20,7 @@ from padicharm.abelian import (UnitCharacter, ab_factors, beta_factor,
                                characters, conductor, epsilon_factor,
                                epsilon_half, gamma_factor, tate_gamma_oracle)
 from padicharm.fxspace import (FxFunction, TailSpec, check_fe_gl1,
-                               check_paley_wiener, eta_kernel, eta_smoothed,
+                               check_paley_wiener, eta_kernel,
                                fourier_L, mellin_transform, one_k, pv_convolve)
 from padicharm.gdist import (fourier_n0, fourier_n0_table, l2_norm_fx,
                              l2_norm_truncated, shell_coefficients_sum)
@@ -181,14 +181,14 @@ def _gl1_family(n):
     fam.append(one_k(P, 1, 2))
     fam.append(one_k(P, 2, 2))
     if n == 0:
-        f1 = fiber_function(LatticeTestFunction.dilated(1, 0), False, P, 2, level=1)
-        f2 = fiber_function(LatticeTestFunction.shifted(((2,),), 1), False, P, 2, level=1)
+        f1 = fiber_function(LatticeTestFunction.dilated(1, 0), False, P, 2)
+        f2 = fiber_function(LatticeTestFunction.shifted(((2,),), 1), False, P, 2)
         fam.append(f1.at_level(2))
         fam.append(f2.at_level(2))
     else:
-        fib = fiber_function(LatticeTestFunction.spherical(3), False, P, 2, level=1)
+        fib = fiber_function(LatticeTestFunction.spherical(3), False, P, 2)
         fam.append(fib.scale_by_power(-2 * n).at_level(2))
-        fib2 = fiber_function(LatticeTestFunction.shifted(I3, 1), False, P, 2, level=1)
+        fib2 = fiber_function(LatticeTestFunction.shifted(I3, 1), False, P, 2)
         fam.append(fib2.scale_by_power(-2 * n).at_level(2))
     return fam
 
@@ -221,7 +221,7 @@ def test_criterion_06_eta_kernel():
                        max(k for k, _ in refl) + 1, refl, TailSpec.compact())
 
     def kernel(k, u):
-        return eta_smoothed(n, 1, k, u, P, level) * P ** (-k * (2 * n + 1) / 2.0)
+        return eta_kernel(n, 1, k, u, P, level) * P ** (-k * (2 * n + 1) / 2.0)
 
     for (k0, u0) in [(0, 1), (1, 2), (-1, 4), (2, 5)]:
         got, _, _ = pv_convolve(kernel, frefl, k0, u0, K_max=30, tol=1e-12)
@@ -235,7 +235,7 @@ def test_criterion_06_eta_kernel():
         B = beta_factor(n, chi)
         shells = {}
         for i in range(-8, 60):
-            shells[i] = sum(eta_smoothed(n, 1, i, u, P, level)
+            shells[i] = sum(eta_kernel(n, 1, i, u, P, level)
                             * chi.inverse().value(u) for u in cosets) / len(cosets)
         for z in (0.95, 1.3j, -1.2, 0.8 + 0.6j, 1.5):
             total = sum(shells[i] * complex(z) ** (-i) for i in shells)
@@ -257,10 +257,10 @@ def test_criterion_07_paley_wiener_membership():
     t0 = time.perf_counter()
     checked, ok = 0, True
     for name, Phi, _ in PVS_FUNCTIONS[:2]:
-        f = fiber_function(Phi, False, P, 2, level=1)
+        f = fiber_function(Phi, False, P, 2)
         good, _ = check_paley_wiener(mellin_transform(f), "plus", 1)
         ok = ok and good
-        g = fiber_function(lattice_fourier(Phi, P), True, P, 2, level=1) \
+        g = fiber_function(lattice_fourier(Phi, P), True, P, 2) \
             if name == "spherical" else None
         if g is not None:
             good, _ = check_paley_wiener(mellin_transform(g), "minus", 1)
@@ -364,7 +364,7 @@ def test_criterion_11_homogeneity_and_pole_containment(k3_sweep):
     # pole containment: poles of Z_Phi within those of a_m(s + n + 1, chi)
     n, m = 1, 3
     for _, Phi, _ in PVS_FUNCTIONS[:2]:
-        f = fiber_function(Phi, False, P, 2, level=1)
+        f = fiber_function(Phi, False, P, 2)
         for chi in characters(P, 1):
             Z = zeta_from_fibers(f, chi)
             a_m, _ = ab_factors(m, chi)

@@ -182,23 +182,14 @@ def _beta_inv(n, p, level, j, sign):
     return beta_factor_inverse_argument(n, UnitCharacter(p, level, j), sign)
 
 
-def eta_scalar_loop(n, sign, k, u, p, level, max_level=6, tol=1e-9):
-    """eta_kernel's character sum one character at a time, with its stopping rule."""
-    def partial(L):
-        total = 0.0 + 0.0j
-        for j in range(unit_order(p, L)):
-            c = _beta_inv(n, p, L, j, sign).laurent_coeff_at_zero(k)
-            if c != 0:
-                total += c * UnitCharacter(p, L, -j).value(u % p**L)
-        return total
-
-    prev = partial(level)
-    for L in range(level + 1, max_level + 1):
-        cur = partial(L)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise AssertionError("scalar loop did not stabilize")
+def eta_scalar_loop(n, sign, k, u, p, level):
+    """eta_kernel's character sum over conductor <= level, one character at a time."""
+    total = 0.0 + 0.0j
+    for j in range(unit_order(p, level)):
+        c = _beta_inv(n, p, level, j, sign).laurent_coeff_at_zero(k)
+        if c != 0:
+            total += c * UnitCharacter(p, level, -j).value(u % p**level)
+    return total
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -226,6 +217,24 @@ def test_eta_n0_closed_form():
     import cmath
     want = cmath.exp(2j * cmath.pi / 3) * 3 ** 0.5 * (2.0 / 3.0)
     assert abs(eta_kernel(0, 1, -1, 1, p, 2) - want) < 1e-12
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_eta_kernel_n0_is_coset_average(p, level):
+    # eta_kernel at level N is the closed form psi(x)|x|^{1/2}(1 - 1/q) averaged
+    # by brute force over x in p^k u (1 + p^N Z_p); the average vanishes for -k > N
+    for sign in (1, -1):
+        for k in range(-6, 4):
+            depth = max(level, -k)
+            vs = range(1, p**depth, p**level)
+            for u in unit_group(p, level)[0]:
+                want = sum(psi_frac(p, u * v, -k, sign) for v in vs) / len(vs) \
+                    * p ** (-k / 2.0) * (1 - 1.0 / p)
+                got = eta_kernel(0, sign, k, u, p, level)
+                assert abs(got - want) < 1e-12, (sign, k, u)
+                if -k > level:
+                    assert abs(got) < 1e-12, (sign, k, u)
 
 
 def test_fourier_L_n0_is_classical_fourier_transform():
@@ -269,19 +278,18 @@ def test_fourier_L_one_k_mellin_data():
 
 
 def test_eta_equals_transform_limit():
-    # eta(x) = |x|^{-(2n+1)/2} lim_k L(1_k)(x): the limit stabilizes once
-    # k exceeds the conductors feeding the shell
+    # |x|^{(2n+1)/2} L(1_k)(x) is eta averaged over x (1 + p^k Z_p) on every
+    # shell, the deep ramified bands included; it is the pointwise eta above
+    # shell -(2n+1)(k+1), and tends to it as k grows
     p, n = 3, 1
     for k_cut in (2, 3):
         f = one_k(p, k_cut, k_cut)
         Lf = fourier_L(f, n)
-        for ord_x in range(-3, 4):
-            for u in (1, 2):
+        for ord_x in range(-12, 4):
+            for u in unit_group(p, k_cut)[0]:
                 lim = Lf.evaluate(ord_x, u % p**k_cut) * p ** (ord_x * (2 * n + 1) / 2.0)
                 eta = eta_kernel(n, 1, ord_x, u, p, level=k_cut)
-                if k_cut == 3 or ord_x >= -5:
-                    # at level 2 the shells above -6 are already stable
-                    assert abs(lim - eta) < 1e-8, (k_cut, ord_x, u)
+                assert abs(lim - eta) < 1e-8, (k_cut, ord_x, u)
 
 
 def test_fourier_L_rejects_wrong_class():
@@ -319,10 +327,9 @@ def test_eta_convolution_identity():
 
 
 def test_eta_pairing_equals_beta():
-    # pv pairing of (eta * 1_N^v) against chi_s equals beta_psi(chi_s); the
-    # 1_N smoothing kills the conductor > N bands and makes the shell sums
-    # converge (for |z| > q^{-1/2}, the decay rate of the smoothed kernel)
-    from padicharm.fxspace import eta_smoothed
+    # pv pairing of the level-N coset average of eta against chi_s equals
+    # beta_psi(chi_s); the average drops the conductor > N bands and makes the
+    # shell sums converge (for |z| > q^{-1/2}, the decay rate of the average)
     p, n, level = 3, 1, 2
     cosets = unit_group(p, level)[0]
     for chi in characters(p, level):
@@ -331,7 +338,7 @@ def test_eta_pairing_equals_beta():
         B = beta_factor(n, chi)
         shell = {}
         for i in range(-8, 64):
-            shell[i] = sum(eta_smoothed(n, 1, i, u, p, level) * chi.inverse().value(u)
+            shell[i] = sum(eta_kernel(n, 1, i, u, p, level) * chi.inverse().value(u)
                            for u in cosets) / len(cosets)
         for z in (0.95, 1.3j, -1.2, 0.8 + 0.6j, 1.5):
             total = sum(shell[i] * complex(z) ** (-i) for i in shell)

@@ -362,26 +362,26 @@ def test_lattice_fourier_closed_form():
 
 def test_fiber_function_m1():
     # Phi = ch(Z_p): f = 1 on Z_p - 0, M(f)(z, triv) = 1/(1-z)
-    f = fiber_function(LatticeTestFunction.dilated(1, 0), False, P, K, level=1)
+    f = fiber_function(LatticeTestFunction.dilated(1, 0), False, P, K)
     Z = mellin_transform(f)
     assert Z.comps[0].equals(RationalFunctionZ([1.0], [1.0, -1.0]))
     assert Z.comps[1].is_zero()
     # shifted interval: b=1, r=1: single coset window
-    g = fiber_function(LatticeTestFunction.shifted(((1,),), r=1), False, P, K, level=1)
+    g = fiber_function(LatticeTestFunction.shifted(((1,),), r=1), False, P, K)
     assert abs(g.evaluate(0, 1) - 1.0) < 1e-15
     assert abs(g.evaluate(0, 2)) < 1e-15
     assert abs(g.evaluate(1, 1)) < 1e-15
 
 
 def test_fiber_function_m3_spherical_exact_mellin():
-    f = fiber_function(LatticeTestFunction.spherical(3), False, P, K, level=1)
+    f = fiber_function(LatticeTestFunction.spherical(3), False, P, K)
     Z = mellin_transform(f)
     c = float(1 - Fraction(1, P) ** 3)
     assert Z.comps[0].equals(spherical_plus_mellin(P) * c, tol=1e-9)
     assert Z.comps[1].is_zero(1e-10)
     ok, witness = check_paley_wiener(Z, "plus", 1)
     assert ok, witness
-    g = fiber_function(LatticeTestFunction.spherical(3), True, P, K, level=1)
+    g = fiber_function(LatticeTestFunction.spherical(3), True, P, K)
     W = mellin_transform(g)
     assert W.comps[0].equals(spherical_minus_mellin(P) * c, tol=1e-9)
     ok, witness = check_paley_wiener(W, "minus", 1)
@@ -389,7 +389,7 @@ def test_fiber_function_m3_spherical_exact_mellin():
 
 
 def test_fiber_function_shifted_is_compact():
-    f = fiber_function(LatticeTestFunction.shifted(I3, r=1), False, P, K, level=1)
+    f = fiber_function(LatticeTestFunction.shifted(I3, r=1), False, P, K)
     assert f.tail.kind == "compact"
     # det(I + 3Z) = 1 mod 3: only the unit-1 coset of shell 0
     assert abs(f.evaluate(0, 1) - f.values[(0, 1)]) < 1e-15
@@ -402,7 +402,7 @@ def test_fiber_function_shifted_is_compact():
 
 def test_zeta_from_fibers_m1():
     # Z(s, ch_O, triv) = (1-q^{-1}) / (1 - q^{-1} z): geometric in s+1
-    f = fiber_function(LatticeTestFunction.dilated(1, 0), False, P, K, level=1)
+    f = fiber_function(LatticeTestFunction.dilated(1, 0), False, P, K)
     Z = zeta_from_fibers(f, UnitCharacter(P, 1, 0))
     expected = RationalFunctionZ([1 - 1.0 / P], [1.0, -1.0 / P])
     assert Z.equals(expected)
@@ -529,7 +529,7 @@ def test_pvs_route_matches_mellin_route():
     from padicharm.pvszeta import pvs_route_transform
     n = 1
     Phi = LatticeTestFunction.spherical(3)
-    f = fiber_function(Phi, False, P, K, level=1).scale_by_power(-2 * n)
+    f = fiber_function(Phi, False, P, K).scale_by_power(-2 * n)
     mellin_route = fourier_L(f, n)
     pvs_route = pvs_route_transform(Phi, P, K, n)
     for k in range(-2, 5):
@@ -545,7 +545,7 @@ def test_pole_containment_in_shifted_a_m():
     n, m = 1, 3
     for Phi in (LatticeTestFunction.spherical(3),
                 LatticeTestFunction.shifted(I3, r=1)):
-        f = fiber_function(Phi, False, P, K, level=1)
+        f = fiber_function(Phi, False, P, K)
         for chi in characters(P, 1):
             Z = zeta_from_fibers(f, chi)
             a_m, _ = ab_factors(m, chi)
