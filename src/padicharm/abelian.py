@@ -31,7 +31,9 @@ and is recovered from them as
     f(u) = sum_j c_j chi_j(u)^{-1}          (coset_values: forward FFT).
 
 The whole stack is cross-checked by a shell-sum Tate integral oracle that
-never touches the closed forms.
+never touches the closed forms.  Its shell averages avg_u f(p^k u) chi(u)
+are brute-force sums over the units that do not depend on s, so they are
+computed once per character; a sample s only forms the powers z^k.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import PadicharmError
-from .padic import psi_frac, unit_group, unit_order, val_p
+from .padic import unit_group, unit_order, val_p
 from .ratfunc import RationalFunctionZ
 
 
@@ -73,11 +75,6 @@ class UnitCharacter:
         k = dlog[u % self.p**self.level]
         n = self.order_of_group
         return cmath.exp(2j * cmath.pi * self.exponent * k / n)
-
-    def value_table(self) -> dict:
-        elements, _, dlog = unit_group(self.p, self.level)
-        n = self.order_of_group
-        return {u: cmath.exp(2j * cmath.pi * self.exponent * dlog[u] / n) for u in elements}
 
     @property
     def is_trivial(self) -> bool:
@@ -267,72 +264,72 @@ class OracleError(PadicharmError, RuntimeError):
     pass
 
 
-def _shell_zeta(s: complex, chi: UnitCharacter, f, k_lo: int, k_hi: int) -> complex:
-    """sum_k z^k avg_u f(p^k u) chi(u) over shells k_lo..k_hi, level = chi.level."""
-    p, N = chi.p, chi.level
-    z = complex(p) ** (-s)
-    elements, _, _ = unit_group(p, N)
-    table = chi.value_table()
-    total = 0.0 + 0.0j
-    for k in range(k_lo, k_hi + 1):
-        sh = sum(f(k, u) * table[u] for u in elements) / len(elements)
-        total += z**k * sh
-    return total
+_TRUNCATION = 48    # shells the oracle sums; its stabilization check sums 6 more
+
+
+@lru_cache(maxsize=None)
+def _oracle_shells(p: int, N: int, exponent: int, sign: int):
+    """The oracle's shell averages, which do not depend on s.
+
+    Row i holds, for the oracle's i-th test-function pair (f, f^), the arrays
+    avg_u f(p^k u) chi(u) and avg_u f^(p^k u) chi^{-1}(u) over the shells
+    k = -N..truncation+6, for chi of this exponent mod p^N.  Both functions
+    are evaluated from their definitions over (shells x units):
+
+        ch(Z_p)              its own transform, psi having conductor Z_p;
+        ch(u0 (1 + p^N Z_p)) transform q^{-N} psi(u0 y) ch(p^{-N} Z_p)(y).
+
+    A ramified chi has Z(s, ch(Z_p), chi) = 0, so it takes the two coset
+    indicators u0 = 1 and u0 = g instead.
+    """
+    elements, gen, _ = unit_group(p, N)
+    units = np.array(elements, dtype=np.int64)
+    phi = len(units)
+    chi = np.exp(2j * np.pi * exponent * np.arange(phi) / phi)    # chi(g^k) = chi(units[k])
+    ks = np.arange(-N, _TRUNCATION + 7)[:, None]
+
+    def coset(u0):
+        f = ((ks == 0) & (units == u0)).astype(float)
+        den = p ** np.maximum(-ks, 0)      # psi(u0 y) is 1 on the shells k >= 0
+        return f, p ** (-float(N)) * np.exp(sign * 2j * np.pi * (u0 * units % den) / den)
+
+    if exponent == 0:
+        ch_O = np.repeat((ks >= 0).astype(float), phi, axis=1)
+        pairs = ((ch_O, ch_O), coset(1))
+    else:
+        pairs = (coset(1), coset(gen))
+    shells = np.array([(f @ chi, fhat @ chi.conj()) for f, fhat in pairs]) / phi
+    shells.setflags(write=False)    # cached: every caller gets this same array
+    return shells
 
 
 def tate_gamma_oracle(chi: UnitCharacter, s: complex, sign: int = 1) -> complex:
     """Z(1-s, f^, chi^{-1}) / Z(s, f, chi) by brute shell sums.
 
-    Uses f = ch(Z_p) and f = ch(1 + p^N Z_p) with closed-form Fourier
-    transforms; the two ratios must agree (functional-equation uniqueness)
+    The shell averages come from _oracle_shells, once per character; a
+    sample s only takes their dot products with the powers z^k.  The ratios
+    of the two test functions must agree (functional-equation uniqueness)
     and the truncation must have stabilized, else OracleError.
     """
     if not 0.0 < complex(s).real < 1.0:
         raise OracleError("sample s outside the common convergence strip 0 < Re(s) < 1")
     p, N = chi.p, chi.level
-    chi_inv = chi.inverse()
-    truncation, tol = 48, 1e-6     # shells summed, and the stabilization tolerance
-
-    def ch_O(k, u):
-        return 1.0 if k >= 0 else 0.0
-
-    # ch_O is self-dual for psi of conductor Z_p
-    def ch_O_hat(k, u):
-        return 1.0 if k >= 0 else 0.0
-
-    def coset(u0):
-        # ch of u0 (1 + p^N O); hat(y) = q^{-N} psi(u0 y) ch_{p^{-N} O}(y)
-        def f(k, u):
-            return 1.0 if (k == 0 and u % p**N == u0 % p**N) else 0.0
-
-        def fhat(k, u):
-            if k < -N:
-                return 0.0
-            if k >= 0:
-                return p ** (-float(N))
-            return p ** (-float(N)) * psi_frac(p, u0 * u, -k, sign)
-
-        return f, fhat
-
-    _, gen, _ = unit_group(p, N)
-    if chi.is_trivial:
-        pairs = ((ch_O, ch_O_hat), coset(1))
-    else:
-        # Z(s, ch_O, chi) = 0 for ramified chi; use two coset translates instead
-        pairs = (coset(1), coset(gen))
-
+    tol = 1e-6      # the stabilization and agreement tolerance
+    ks = np.arange(-N, _TRUNCATION + 7)
+    za_pow = (complex(p) ** -(1 - s)) ** ks
+    zb_pow = (complex(p) ** -s) ** ks
     ratios = []
-    for f, fhat in pairs:
-        za1 = _shell_zeta(1 - s, chi_inv, fhat, -N, truncation)
-        za2 = _shell_zeta(1 - s, chi_inv, fhat, -N, truncation + 6)
-        zb = _shell_zeta(s, chi, f, -N, truncation + 6)
+    for b, a in _oracle_shells(p, N, chi.exponent, sign):
+        za = a * za_pow
+        za1, za2 = za[:_TRUNCATION + N + 1].sum(), za.sum()
+        zb = b @ zb_pow
         if abs(za1 - za2) > tol * max(abs(za2), 1.0):
             raise OracleError(
-                f"truncation not stabilized at K={truncation}: |delta|={abs(za1 - za2):.3g}")
+                f"truncation not stabilized at K={_TRUNCATION}: |delta|={abs(za1 - za2):.3g}")
         if abs(zb) < 1e-14:
             raise OracleError("denominator zeta integral vanished at this sample")
         ratios.append(za2 / zb)
     if abs(ratios[0] - ratios[1]) > tol * max(abs(ratios[0]), 1.0):
         raise OracleError(
             f"gamma ratio depends on the test function: {ratios[0]} vs {ratios[1]}")
-    return ratios[0]
+    return complex(ratios[0])

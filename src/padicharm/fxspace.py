@@ -523,17 +523,23 @@ def pv_convolve(kernel, f: FxFunction, k0: int, u0: int, K_max: int,
         f"pv convolution did not stabilize by K={K_max}; trace={partial_sums}")
 
 
-def check_fe_gl1(f: FxFunction, n: int, chi: UnitCharacter, sign: int = 1) -> dict:
+def fe_gl1_sides(f: FxFunction, n: int, sign: int = 1):
+    """The character-free parts of the GL(1) functional equation, once per f:
+    (M(L(f) |.|^{-(2n+1)/2}), M(f |.|^{(2n+1)/2})).  fe_gl1_compare reads one
+    character off each."""
+    Lf = fourier_L(f, n, sign)
+    return (mellin_transform(Lf.scale_by_power(Fraction(-(2 * n + 1), 2))),
+            mellin_transform(f.scale_by_power(Fraction(2 * n + 1, 2))))
+
+
+def fe_gl1_compare(sides, n: int, chi: UnitCharacter, sign: int = 1) -> dict:
     """Compare M(L(f) |.|^{-(2n+1)/2})(z^{-1}, chi^{-1}) with
     beta_psi(chi_s) M(f |.|^{(2n+1)/2})(z, chi), as rational functions."""
-    p = f.p
-    chi = chi.at_level(f.level)
-    Lf = fourier_L(f, n, sign)
-    A = mellin_transform(Lf.scale_by_power(Fraction(-(2 * n + 1), 2)))
+    A, B = sides
+    chi = chi.at_level(B.level)
     lhs = A.component(chi.inverse()).substitute("invert")
-    B = mellin_transform(f.scale_by_power(Fraction(2 * n + 1, 2)))
     rhs = beta_factor(n, chi, sign) * B.component(chi)
-    q = float(p)
+    q = float(B.p)
     z_samples = [0.45 * q ** -0.5, 0.8 * q ** -0.5 * 1j,
                  (0.3 + 0.4j) * q ** -0.5, -0.22, 0.15 - 0.33j]
     dev = lhs.max_relative_deviation(rhs, z_samples)
@@ -543,3 +549,8 @@ def check_fe_gl1(f: FxFunction, n: int, chi: UnitCharacter, sign: int = 1) -> di
         "lhs": lhs,
         "rhs": rhs,
     }
+
+
+def check_fe_gl1(f: FxFunction, n: int, chi: UnitCharacter, sign: int = 1) -> dict:
+    """The GL(1) functional equation of f at one character (see fe_gl1_compare)."""
+    return fe_gl1_compare(fe_gl1_sides(f, n, sign), n, chi, sign)

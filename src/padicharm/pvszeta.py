@@ -565,9 +565,10 @@ def _job_census(p: int, job) -> dict:
         t = 0 if C is None else (x11 * C[0][0] + x22 * C[1][1] + x33 * C[2][2] + 2 * (
             x12 * C[0][1] + x13 * C[0][2] + x23 * C[1][2])) % p
         # one code per (rank, key, t), with the class -1 stored as p
-        codes, counts = np.unique((rank * (p + 1) + key % (p + 1)) * p + t,
-                                  return_counts=True)
-        for code, n in zip(codes.tolist(), counts.tolist()):
+        counts = np.bincount(((rank * (p + 1) + key % (p + 1)) * p + t).ravel(),
+                             minlength=4 * (p + 1) * p)
+        codes = np.flatnonzero(counts)
+        for code, n in zip(codes.tolist(), counts[codes].tolist()):
             rest, t0 = divmod(code, p)
             r0, key0 = divmod(rest, p + 1)
             cell = (r0, -1 if key0 == p else key0, t0)

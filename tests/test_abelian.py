@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from padicharm import abelian
 from padicharm.abelian import (CharacterError, OracleError, UnitCharacter,
                                ab_factors, beta_factor,
                                beta_factor_inverse_argument, characters,
@@ -10,7 +11,7 @@ from padicharm.abelian import (CharacterError, OracleError, UnitCharacter,
                                epsilon_factor, epsilon_half,
                                gamma_factor, gauss_sum, tate_gamma_oracle,
                                twist_by_pi_value)
-from padicharm.padic import unit_group, unit_order
+from padicharm.padic import psi_frac, unit_group, unit_order
 from padicharm.ratfunc import RationalFunctionZ
 
 
@@ -115,7 +116,7 @@ def test_character_transforms_match_direct_sums(p, level):
 
 def test_from_table_validates():
     chi = quad3()
-    table = chi.value_table()
+    table = {u: chi.value(u) for u in unit_group(3, 1)[0]}
     assert UnitCharacter.from_table(3, 1, table) == chi
     bad = dict(table)
     bad[2] = 0.5
@@ -204,8 +205,93 @@ def test_gamma_reflection_identity():
 
 
 def test_oracle_rejects_bad_region():
-    with pytest.raises(OracleError):
-        tate_gamma_oracle(UnitCharacter(3, 1, 0), 1.7)
+    for s in (1.7, 0.0, -0.3 + 0.1j, 1.0):
+        with pytest.raises(OracleError):
+            tate_gamma_oracle(UnitCharacter(3, 1, 0), s)
+
+
+def _closed_form_forbidden(*args, **kwargs):
+    raise AssertionError("the oracle touched a closed-form factor")
+
+
+def test_oracle_never_touches_closed_forms(monkeypatch):
+    for name in ("gauss_sum", "_gauss_table", "epsilon_factor", "gamma_factor"):
+        monkeypatch.setattr(abelian, name, _closed_form_forbidden)
+    abelian._oracle_shells.cache_clear()
+    for chi in characters(5, 2):
+        for sign in (1, -1):
+            assert np.isfinite(tate_gamma_oracle(chi, 0.5, sign))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_oracle_matches_gamma_at_p7(sign):
+    for chi in characters(7, 2):
+        g = gamma_factor(chi, sign)
+        for s in (0.3, 0.5, 0.61 + 0.2j):
+            z = complex(7) ** (-s)
+            got = tate_gamma_oracle(chi, s, sign)
+            assert abs(got - g(z)) < 1e-6 * max(1.0, abs(g(z))), (chi, s)
+
+
+def test_oracle_shells_are_keyed_by_sign():
+    # the shell averages of f^ depend on psi, so a sign -1 call made after a
+    # sign +1 call for the same character must not reuse them
+    for chi in characters(5, 2)[1:6]:
+        for sign in (1, -1):
+            g = gamma_factor(chi, sign)
+            z = complex(5) ** -0.4
+            assert abs(tate_gamma_oracle(chi, 0.4, sign) - g(z)) < 1e-6 * max(1.0, abs(g(z)))
+
+
+@pytest.mark.parametrize("p, level", [(3, 2), (5, 1)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_oracle_shells_match_direct_sums(p, level, sign):
+    # the test functions and their transforms pointwise, summed in loops
+    elements, gen, _ = unit_group(p, level)
+    ks = range(-level, abelian._TRUNCATION + 7)
+
+    def coset(u0):
+        return (lambda k, u: float(k == 0 and u == u0),
+                lambda k, u: p ** -level * psi_frac(p, u0 * u, -k, sign))
+
+    def ch_O(k, u):
+        return float(k >= 0)
+
+    for chi in characters(p, level):
+        pairs = ((ch_O, ch_O), coset(1)) if chi.is_trivial else (coset(1), coset(gen))
+        got = abelian._oracle_shells(p, level, chi.exponent, sign)
+        for (f, fhat), (b, a) in zip(pairs, got):
+            want_b = [sum(f(k, u) * chi.value(u) for u in elements) / len(elements)
+                      for k in ks]
+            want_a = [sum(fhat(k, u) * chi.inverse().value(u) for u in elements)
+                      / len(elements) for k in ks]
+            assert np.max(np.abs(b - want_b)) <= 1e-13
+            assert np.max(np.abs(a - want_a)) <= 1e-13
+
+
+def test_oracle_rejects_disagreeing_test_functions(monkeypatch):
+    # perturb the second test function's denominator shells: the two gamma
+    # ratios then differ, and the oracle must refuse
+    shells = abelian._oracle_shells
+
+    def perturbed(*key):
+        first, (b, a) = shells(*key)
+        return first, (1.01 * b, a)
+    monkeypatch.setattr(abelian, "_oracle_shells", perturbed)
+    with pytest.raises(OracleError, match="depends on the test function"):
+        tate_gamma_oracle(UnitCharacter(5, 1, 1), 0.5)
+
+
+def test_oracle_rejects_unstabilized_truncation(monkeypatch):
+    # a numerator shell past the truncation, too heavy for its z^k to damp
+    shells = abelian._oracle_shells
+
+    def heavy_tail(*key):
+        (b, a), second = shells(*key)
+        return (b, np.where(np.arange(len(a)) == len(a) - 1, 1e40, a)), second
+    monkeypatch.setattr(abelian, "_oracle_shells", heavy_tail)
+    with pytest.raises(OracleError, match="not stabilized"):
+        tate_gamma_oracle(UnitCharacter(5, 1, 0), 0.5)
 
 
 def test_beta_n0_is_shifted_gamma():

@@ -19,8 +19,8 @@ import pytest
 from padicharm.abelian import (UnitCharacter, ab_factors, beta_factor,
                                characters, conductor, epsilon_factor,
                                epsilon_half, gamma_factor, tate_gamma_oracle)
-from padicharm.fxspace import (FxFunction, TailSpec, check_fe_gl1,
-                               check_paley_wiener, eta_kernel,
+from padicharm.fxspace import (FxFunction, TailSpec, check_paley_wiener,
+                               eta_kernel, fe_gl1_compare, fe_gl1_sides,
                                fourier_L, mellin_transform, one_k, pv_convolve)
 from padicharm.gdist import (fourier_n0, fourier_n0_table, l2_norm_fx,
                              l2_norm_truncated, shell_coefficients_sum)
@@ -199,8 +199,9 @@ def test_criterion_05_gl1_functional_equation():
     count = 0
     for n in (0, 1):
         for f in _gl1_family(n):
+            sides = fe_gl1_sides(f, n)
             for chi in characters(P, 2):
-                rep = check_fe_gl1(f, n, chi)
+                rep = fe_gl1_compare(sides, n, chi)
                 worst = max(worst, rep["max_deviation"])
                 count += 1
     dt = time.perf_counter() - t0

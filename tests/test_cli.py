@@ -73,6 +73,28 @@ def test_verify_fe_gl1_n2_to_1e_11(tmp_path, seed):
     assert max(c["max_deviation"] for c in rep["checks"]) <= 1e-11
 
 
+def test_verify_fe_gl1_transforms_each_function_once(monkeypatch):
+    from padicharm import fxspace
+    calls = []
+    fourier_L = fxspace.fourier_L
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fourier_L(*args, **kwargs)
+    monkeypatch.setattr(fxspace, "fourier_L", counted)
+    rep, code = run(["verify", "fe-gl1", "--p", "5", "--level", "1"])
+    assert code == 0 and len(rep["checks"]) == 12
+    assert len(calls) == 3
+
+
+def test_verify_fe_gl1_p7_level2():
+    # 3 functions times the 42 characters mod 49
+    rep, code = run(["verify", "fe-gl1", "--p", "7", "--level", "2", "--n", "1",
+                     "--seed", "0"])
+    assert code == 0 and len(rep["checks"]) == 126
+    assert all(c["status"] == "pass" for c in rep["checks"])
+
+
 def test_count_fibers_csv(tmp_path):
     out = tmp_path / "counts.csv"
     code = main(["count-fibers", "--p", "3", "--k", "2", "--m", "3",

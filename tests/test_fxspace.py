@@ -8,7 +8,7 @@ from padicharm.abelian import (UnitCharacter, beta_factor,
                                beta_factor_inverse_argument, characters, conductor)
 from padicharm.fxspace import (FxError, FxFunction, MellinData, TailSpec,
                                check_fe_gl1, check_paley_wiener, eta_kernel,
-                               fourier_L, fx_from_mellin,
+                               fe_gl1_compare, fe_gl1_sides, fourier_L, fx_from_mellin,
                                indicator_integers, indicator_units,
                                mellin_inverse, mellin_transform, one_k,
                                pv_convolve)
@@ -351,10 +351,15 @@ def test_check_fe_gl1():
     for n in (0, 1):
         for _ in range(4):
             f = random_fx(rng, kind="compact")
+            sides = fe_gl1_sides(f, n)
             for chi in characters(p, 2):
-                rep = check_fe_gl1(f, n, chi)
+                rep = fe_gl1_compare(sides, n, chi)
                 assert rep["max_deviation"] < 1e-8
                 assert rep["ratfunc_equal"]
+    # check_fe_gl1 is the composition of the two, for one character
+    chi = UnitCharacter(p, 2, 5)
+    assert check_fe_gl1(f, n, chi, -1)["max_deviation"] == \
+        fe_gl1_compare(fe_gl1_sides(f, n, -1), n, chi, -1)["max_deviation"]
 
 
 def test_pv_convolve_single_shell_average():
