@@ -244,6 +244,7 @@ def cmd_fourier_n0(args, rng, phi=None):
                 got = fourier_n0(G, k, u, sign=-args.psi_sign, K_max=40)
                 worst = max(worst, abs(got - phi.evaluate(k, u)))
         return worst
+    # two routes: the table is a character-space product, its inverse the pointwise kernel sum
     checks.append(_check("double-transform", inversion, 1e-6, args.timing))
 
     def plancherel():

@@ -434,6 +434,23 @@ def _eta_coeff(n: int, p: int, level: int, sign: int, k: int):
     return js, cs[js]
 
 
+def eta_components(n: int, sign: int, lo: int, hi: int, p: int, level: int) -> np.ndarray:
+    """Rows k = lo..hi of eta's level-N character components: entry (k, j) is
+    Res_{z=0} beta_psi(chi_j,s^{-1}) z^{-k-1}, the _eta_coeff residue, so that
+    eta_kernel on shell k is coset_values of row k."""
+    out = np.zeros((hi - lo + 1, unit_order(p, level)), dtype=complex)
+    for k in range(lo, hi + 1):
+        js, cs = _eta_coeff(n, p, level, sign, k)
+        out[k - lo, js] = cs
+    return out
+
+
+@lru_cache(maxsize=None)
+def _eta_values(n: int, p: int, level: int, sign: int, k: int) -> np.ndarray:
+    """eta_kernel on every coset of shell k, in unit_group order."""
+    return coset_values(eta_components(n, sign, k, k, p, level))[0]
+
+
 def eta_kernel(n: int, sign: int, k: int, u: int, p: int, level: int) -> complex:
     """(eta * 1_N^v)(p^k u): eta averaged over the coset p^k u (1 + p^N Z_p),
     N = level, which is all a level-N caller ever sees of it.
@@ -442,17 +459,15 @@ def eta_kernel(n: int, sign: int, k: int, u: int, p: int, level: int) -> complex
 
         sum_{e(chi) <= N} chi(u)^{-1} Res_{z=0} beta_psi(chi_s^{-1}) z^{-k-1},
 
-    one dot product with chi_j(u)^{-1} = exp(-2 pi i j dlog(u) / phi), where
-    j dlog(u) is reduced mod phi in integers so that the phases stay exact.
+    the coset values of shell k's component vector (eta_components), one
+    forward FFT per shell, cached, and looked up here by dlog(u).
     It also equals the pointwise kernel for k > -(2n+1)(N+1): at odd p,
     e(chi^2) = e(chi) whenever chi^2 is ramified, so a character of
     conductor e >= 2 feeds only the shell -(2n+1)e, and every character the
     average drops has e > N.
     """
-    js, cs = _eta_coeff(n, p, level, sign, k)
-    phi = unit_order(p, level)
     d = unit_group(p, level)[2][u % p**level]
-    return complex(cs @ np.exp(-2j * np.pi * ((js * d) % phi) / phi))
+    return complex(_eta_values(n, p, level, sign, k)[d])
 
 
 def fourier_L(f: FxFunction, n: int, sign: int = 1) -> FxFunction:
@@ -470,11 +485,10 @@ def fourier_L(f: FxFunction, n: int, sign: int = 1) -> FxFunction:
     order = unit_order(p, N)
     comps = {}
     for j in range(order):
-        chi = UnitCharacter(p, N, j)
         mirror = Zg.comps.get(-j % order, RationalFunctionZ.zero())
         if mirror.is_zero(1e-13):
             continue
-        comps[j] = beta_factor_inverse_argument(n, chi, sign) * mirror.substitute("invert")
+        comps[j] = _beta_inv_cached(n, p, N, j, sign) * mirror.substitute("invert")
     # comps is M(L(f) |.|^{-(2n+1)/2}); L(f) lands in |.|^{n+1} S^-_{n,beta},
     # so shift by |.|^{-1/2} more to reach the shift-free minus class
     V = MellinData(p, N, {j: R.substitute("scale", q**0.5) for j, R in comps.items()},
@@ -498,7 +512,8 @@ def pv_convolve(kernel, f: FxFunction, k0: int, u0: int, K_max: int,
     mod = p**N
     cosets = unit_group(p, N)[0]
     order = len(cosets)
-    u0 = u0 % mod
+    # the coset u0 u^{-1} of f that meets kernel coset u, the same on every shell
+    targets = [u0 * pow(u, -1, mod) % mod for u in cosets]
     partial_sums = []
     total = 0.0 + 0.0j
     # radii that have not yet swept past the support window of f cannot be
@@ -508,8 +523,8 @@ def pv_convolve(kernel, f: FxFunction, k0: int, u0: int, K_max: int,
         band = [K] if K == 0 else [K, -K]
         for i in band:
             sh = 0.0 + 0.0j
-            for u in cosets:
-                fv = f.evaluate(k0 - i, u0 * pow(u, -1, mod) % mod)
+            for u, target in zip(cosets, targets):
+                fv = f.evaluate(k0 - i, target)
                 if fv != 0:
                     sh += kernel(i, u) * fv
             total += sh / order

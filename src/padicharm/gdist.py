@@ -15,9 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import PadicharmError
-from .abelian import UnitCharacter, gamma_factor
-from .fxspace import FxFunction, eta_kernel, pv_convolve
+from .abelian import UnitCharacter, character_components, coset_values, gamma_factor
+from .fxspace import FxFunction, eta_components, eta_kernel, pv_convolve
 from .padic import PadicElement, unit_group, unit_order, unit_part, val_p
 from .symplectic import add, det, eye, is_symplectic, mat
 
@@ -84,14 +86,32 @@ def fourier_n0(phi: FxFunction, k0: int, u0: int, K_max: int = 40,
     return value
 
 
-def fourier_n0_table(phi: FxFunction, k_lo: int, k_hi: int, sign: int = 1,
-                     K_max: int = 40) -> dict:
-    """fourier_n0 on all shells k_lo..k_hi (inclusive), all cosets."""
-    out = {}
-    for k in range(k_lo, k_hi + 1):
-        for u in unit_group(phi.p, phi.level)[0]:
-            out[(k, u)] = fourier_n0(phi, k, u, K_max=K_max, sign=sign)
-    return out
+def fourier_n0_table(phi: FxFunction, k_lo: int, k_hi: int, sign: int = 1) -> dict:
+    """fourier_n0 on all shells k_lo..k_hi (inclusive), all cosets, as one
+    product in character space.
+
+    F(phi) = eta * phi^v is a convolution on Z x (Z/p^N)^x, so component j of
+    F(phi) on shell k is sum_m a_j(k - m) b_j(m), with a(i) the level-N
+    components of eta on shell i (eta_components) and b(m) those of phi^v's
+    shell m.  phi has compact support, so the sum over m is finite and needs
+    no stabilization; the table is one transform in and one out.
+    """
+    if phi.tail.kind != "compact":
+        raise GDistError("fourier_n0_table needs compactly supported input")
+    p, level = phi.p, phi.level
+    cosets = unit_group(p, level)[0]
+    refl = phi.reflect()
+    shells = [m for m, _ in refl] or [0]
+    m_lo, m_hi = min(shells), max(shells)
+    b = character_components([[refl.get((m, u), 0.0) for u in cosets]
+                              for m in range(m_lo, m_hi + 1)])
+    a = eta_components(0, sign, k_lo - m_hi, k_hi - m_lo, p, level)
+    comps = np.zeros((k_hi - k_lo + 1, len(cosets)), dtype=complex)
+    for m, row in zip(range(m_lo, m_hi + 1), b):
+        # eta shells k - m for k = k_lo..k_hi start at row m_hi - m of a
+        comps += a[m_hi - m:m_hi - m + len(comps)] * row
+    return {(k, u): v for k, vals in zip(range(k_lo, k_hi + 1), coset_values(comps).tolist())
+            for u, v in zip(cosets, vals)}
 
 
 def l2_norm_truncated(values: dict, p: int, level: int, K: int) -> float:

@@ -278,6 +278,8 @@ def test_report_comparer_tolerates_only_float_rounding():
      "shells_p5_level1_cond1.json", 0),
     (["fourier-n0", "--p", "3", "--level", "1", "--seed", "0"],
      "fourier_n0_p3_level1_seed0.json", 0),
+    (["fourier-n0", "--p", "3", "--level", "2", "--seed", "1"],
+     "fourier_n0_p3_level2_seed1.json", 0),
 ])
 def test_float_reports_match_golden_files(argv, golden, exit_code, tmp_path):
     code, rep = run_cli(argv, tmp_path)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from padicharm.abelian import UnitCharacter, characters, conductor
-from padicharm.fxspace import FxFunction, TailSpec, indicator_units
+from padicharm.fxspace import FxFunction, TailSpec, indicator_integers, indicator_units
 from padicharm.gdist import (GDistError, GPoint, fourier_n0, fourier_n0_table,
                              l2_norm_fx, l2_norm_truncated, phi_rho_eval,
                              shell_coefficients_sum)
@@ -88,10 +88,11 @@ def test_phi_rho_singular_locus():
         phi_rho_eval(GPoint(a, minus_eye), 1, level)
 
 
-def test_fourier_n0_matches_classical_fourier():
+@pytest.mark.parametrize("p", [3, 5])
+def test_fourier_n0_matches_classical_fourier(p):
     # F(phi)(a) = |a|^{1/2} (phi |.|^{-1/2})^(a): the d*y-to-dy conversion
     # puts the |y|^{-1/2} weight inside the additive Fourier transform
-    p, level = 3, 2
+    level = 2
     rng = random.Random(7)
     for _ in range(5):
         data = {}
@@ -103,11 +104,36 @@ def test_fourier_n0_matches_classical_fourier():
             continue
         phi = compact_fx(p, level, data)
         weighted = phi.scale_by_power(Fraction(-1, 2))
+        table = fourier_n0_table(phi, -2, 2)
         for k in range(-2, 3):
-            for u in (1, 5):
-                got = fourier_n0(phi, k, u)
+            for u in (1, 2, p + 2, p**level - 1):
                 want = p ** (-k / 2.0) * classical_fourier_shell(weighted, k, u)
-                assert abs(got - want) < 1e-8, (k, u)
+                assert abs(fourier_n0(phi, k, u) - want) < 1e-8, (k, u)
+                assert abs(table[(k, u)] - want) < 1e-8, (k, u)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("level", [1, 2])
+def test_fourier_n0_table_matches_pointwise_route(p, level):
+    # the character-space product against the principal-value kernel sum
+    rng = random.Random(100 * p + level)
+    cosets = unit_group(p, level)[0]
+    random_phi = compact_fx(p, level, {
+        (k, u): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        for k in range(-1, 2) for u in cosets})
+    zero_phi = compact_fx(p, level, {(k, u): 0.0 for k in range(-1, 2) for u in cosets})
+    for phi in (random_phi, zero_phi):
+        for sign in (1, -1):
+            table = fourier_n0_table(phi, -4, 4, sign=sign)
+            assert sorted(table) == [(k, u) for k in range(-4, 5) for u in sorted(cosets)]
+            for (k, u), got in table.items():
+                want = fourier_n0(phi, k, u, sign=sign)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (sign, k, u)
+
+
+def test_fourier_n0_table_needs_compact_support():
+    with pytest.raises(GDistError, match="compact"):
+        fourier_n0_table(indicator_integers(3, 1), -2, 2)
 
 
 def test_fourier_n0_double_transform_is_identity():
