@@ -213,10 +213,12 @@ def gamma_factor_shifted(chi: UnitCharacter, shift: Fraction, sign: int = 1,
     return g
 
 
+@lru_cache(maxsize=None)
 def beta_factor(n: int, chi: UnitCharacter, sign: int = 1) -> RationalFunctionZ:
     """beta_psi(chi_s) = gamma(s-(2n-1)/2, chi, psi) prod_r gamma(2s-2n+2r, chi^2, psi).
 
-    The n = 0 case is the empty product: gamma(s + 1/2, chi, psi).
+    The n = 0 case is the empty product: gamma(s + 1/2, chi, psi).  One
+    build per (n, p, level, exponent, sign), shared by every caller.
     """
     out = gamma_factor_shifted(chi, Fraction(-(2 * n - 1), 2), sign)
     chi2 = chi.square()

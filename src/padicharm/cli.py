@@ -112,21 +112,23 @@ def cmd_verify_fe_gl1(args, rng):
 
 def cmd_verify_fe_pvs(args, rng):
     from .abelian import characters
-    from .pvszeta import LatticeTestFunction, check_fe_pvs
+    from .pvszeta import LatticeTestFunction, fe_pvs_compare, fe_pvs_sides
     checks = []
     if args.n == 0:
-        functions = [("interval", LatticeTestFunction.dilated(1, 0), None)]
+        functions = [("interval", LatticeTestFunction.dilated(1, 0))]
     else:
         eye = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
-        functions = [("spherical", LatticeTestFunction.spherical(3), None)]
+        functions = [("spherical", LatticeTestFunction.spherical(3))]
         if args.k >= 3:
-            functions.append(("shifted", LatticeTestFunction.shifted(eye, 1), 0))
-            functions.append(("dilated", LatticeTestFunction.dilated(3, 1), None))
-    for name, Phi, hat_max in functions:
+            functions.append(("shifted", LatticeTestFunction.shifted(eye, 1)))
+            functions.append(("dilated", LatticeTestFunction.dilated(3, 1)))
+    for name, Phi in functions:
+        sides = []    # filled by the first check of Phi, so --timing charges it there
         for chi in characters(args.p, 1):
-            def dev(Phi=Phi, chi=chi, hat_max=hat_max):
-                return check_fe_pvs(Phi, args.n, chi, args.p, args.k, sign=args.psi_sign,
-                                    hat_fit_degree_max=hat_max)["max_deviation"]
+            def dev(Phi=Phi, chi=chi, sides=sides):
+                if not sides:
+                    sides.append(fe_pvs_sides(Phi, args.n, args.p, args.k, args.psi_sign))
+                return fe_pvs_compare(sides[0], args.n, chi, args.psi_sign)["max_deviation"]
             checks.append(_check(f"fe-pvs[{name},chi^{chi.exponent}]", dev,
                                  args.tolerance, args.timing))
     return {"verified": "fe-pvs", "n": args.n, "k": args.k}, checks
@@ -142,22 +144,20 @@ def cmd_count_fibers(args):
 
 
 def cmd_symplectic_check(args, rng):
-    from .symplectic import (c0_constant, cayley, cayley_inv, mat_eq,
-                             random_symplectic, siegel_factorize, sp_order,
-                             standard_elements)
+    from . import symplectic as sp
     checks = []
     n = args.n
 
     def std_ok():
-        standard_elements(n)   # raises on failure
+        sp.standard_elements(n)   # raises on failure
         return 0.0
     checks.append(_check("standard-elements", std_ok, 0.0, args.timing))
 
     def cayley_roundtrip():
         for _ in range(30):
-            h = random_symplectic(n, rng)
-            x = cayley_inv(h, n)
-            if not mat_eq(cayley(x, n), h):
+            h = sp.random_symplectic(n, rng)
+            x = sp.cayley_inv(h, n)
+            if not sp.mat_eq(sp.cayley(x, n), h):
                 return 1.0
         return 0.0
     checks.append(_check("cayley-roundtrip", cayley_roundtrip, 0.0, args.timing))
@@ -170,10 +170,9 @@ def cmd_symplectic_check(args, rng):
                 for j in range(i, 2 * n):
                     X[i][j] = X[j][i] = rng.randint(-3, 3)
             try:
-                siegel_factorize(X, n)
+                sp.siegel_factorize(X, n)
             except Exception as exc:
-                from .symplectic import SymplecticError
-                if isinstance(exc, SymplecticError) and "pole" in str(exc):
+                if isinstance(exc, sp.SymplecticError) and "pole" in str(exc):
                     continue
                 raise
             done += 1
@@ -182,13 +181,13 @@ def cmd_symplectic_check(args, rng):
 
     def order_check():
         if n == 1:
-            o_b, c_b = sp_order(1, args.p, mode="bruteforce")
-            o_f, c_f = sp_order(1, args.p, mode="formula")
-            if o_b != o_f or c_b != c_f or c_f != c0_constant(1, args.p):
+            o_b, c_b = sp.sp_order(1, args.p, mode="bruteforce")
+            o_f, c_f = sp.sp_order(1, args.p, mode="formula")
+            if o_b != o_f or c_b != c_f or c_f != sp.c0_constant(1, args.p):
                 return 1.0
         else:
-            _, c_f = sp_order(n, args.p, mode="formula")
-            if c_f != c0_constant(n, args.p):
+            _, c_f = sp.sp_order(n, args.p, mode="formula")
+            if c_f != sp.c0_constant(n, args.p):
                 return 1.0
         return 0.0
     checks.append(_check("group-order-c0", order_check, 0.0, args.timing))
@@ -286,20 +285,20 @@ def cmd_shells(args):
 
 
 def cmd_phi_eval(args, rng):
+    from . import symplectic as sp
     from .gdist import GPoint, phi_rho_eval
     from .padic import PadicElement
-    from .symplectic import inverse, random_symplectic
     a = PadicElement(p=args.p, valuation=args.ord, unit=args.unit, level=args.level)
     if args.n == 0:
         v = phi_rho_eval(GPoint(a, ()), 0, args.level, args.psi_sign)
         return {"phi": [v.real, v.imag], "n": 0}, []
-    h = random_symplectic(args.n, rng)
+    h = sp.random_symplectic(args.n, rng)
     point = GPoint(a, tuple(map(tuple, h)))
     v = phi_rho_eval(point, args.n, args.level, args.psi_sign)
     checks = []
 
     def inv_symmetry():
-        w = phi_rho_eval(GPoint(a, tuple(map(tuple, inverse(h)))),
+        w = phi_rho_eval(GPoint(a, tuple(map(tuple, sp.inverse(h)))),
                          args.n, args.level, args.psi_sign)
         return abs(w - v)
     checks.append(_check("phi(h)=phi(h^-1)", inv_symmetry, 1e-9, args.timing))
@@ -377,7 +376,8 @@ def _read_inputs(args):
 
 
 def _validate(args, verb):
-    """The one input boundary: p an odd prime, n >= 0, level, k, m >= 1, and
+    """The one input boundary: p an odd prime, n >= 0, level, k, m >= 1, a
+    finite tolerance >= 0, shells at s > -1/2 (where its sums converge), and
     the rows a verb builds within ROW_BUDGET: the p^k rows of a count table,
     and for verify fe-pvs at n = 1 the 2 p^(k+2) refined bins (det mod
     p^(k+1), Clifford sign, tr(Y C) mod p) of a phased Clifford job."""
@@ -387,6 +387,10 @@ def _validate(args, verb):
     for name, low in (("n", 0), ("level", 1), ("k", 1), ("m", 1)):
         if getattr(args, name) < low:
             raise UsageError(f"--{name} must be >= {low}, got {getattr(args, name)}")
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise UsageError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
+    if verb == "shells" and args.s <= -0.5:
+        raise UsageError(f"shells needs --s > -1/2 for convergent partial sums, got {args.s}")
     if verb == "count-fibers":
         check_rows(float(args.p) ** args.k)
         # every count is at most p^(k d); Python prints ints of up to 4300 digits

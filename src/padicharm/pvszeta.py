@@ -21,16 +21,16 @@ constant otherwise.  The shell values
 
     f_Phi(t) = count(det in t-class) / p^{k(d-1)},      d = m(m+1)/2
 
-are exact on the stable range.  Mellin transforms of fiber functions are
-pinned down from the stable shells by their divisibility class (numerator
-Laurent polynomial times the plus/minus L-product), with leftover shells
-acting as residual checks; that is what turns finite counts into the exact
-rational functions the functional-equation verifier compares.
+are exact on the stable range.  Summed over all depths, the recursion is
+a rational generating function of det over Sym_m(Z_p), one per state, with
+the known denominator prod_{s <= m} (1 - p^(-2 d_s) z^(2s)).  Summed over a
+job's census cells, it gives the Mellin transform of every fiber function
+the recursion serves exactly, and the depth-k shells above cross-check it.
+Those are the rational functions the functional-equation verifier compares.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,8 +40,8 @@ import numpy as np
 
 from . import PadicharmError
 from .abelian import UnitCharacter, beta_factor, character_components
-from .fxspace import (FxFunction, MellinData, TailSpec, class_denominator,
-                      fx_from_mellin, mellin_transform)
+from .fxspace import (FxFunction, MellinData, TailSpec, fx_from_mellin,
+                      mellin_transform)
 from .padic import psi_frac, unit_group, unit_order, unit_part, val_p
 from .quadform import legendre
 from .ratfunc import RationalFunctionZ
@@ -50,6 +50,7 @@ ENUM_BUDGET = 10 ** 9      # cells of one Sym_3(Z/p^k) sweep
 # rows of a fiber count table or of refined bins: count-fibers at p = 3,
 # k = 12 (531,440 rows) peaks at 262 MB, about 500 bytes a row
 ROW_BUDGET = 10 ** 6
+SERIES_TOL = 1e-12   # exact series against the recursion's shells; rounding is ~1e-14
 
 
 class PvsError(PadicharmError):
@@ -529,6 +530,7 @@ def det_fiber_counts(m: int, p: int, k: int) -> FiberCountTable:
     return FiberCountTable(m, p, k, counts, zero, total)
 
 
+@lru_cache(maxsize=None)
 def _job_census(p: int, job) -> dict:
     """{(r, key, t): count} over the cells Y0 of Sym_3(F_p) inside the job's
     mask, by rank r, phase t = tr(Y0 C) mod p and key: the class of the
@@ -622,7 +624,107 @@ def _recursion_bins(p: int, k: int, job):
     return bins
 
 
-# -------------------------------------------------- shell values and fitting
+# ------------------------------------------- the recursion summed over depths
+
+def _poly_add(a, b):
+    out = np.zeros(max(len(a), len(b)), dtype=object)
+    out[:len(a)] += a
+    out[:len(b)] += b
+    return out
+
+
+def _shifted(c, s: int):
+    """z^s times the polynomial c."""
+    return np.concatenate([np.zeros(s, dtype=object), c])
+
+
+def _at_pz(c, p: int) -> np.ndarray:
+    """The exact polynomial c(z) as c(pz), in floats."""
+    return np.array([float(x * p ** i) for i, x in enumerate(c)])
+
+
+def _size_denominator(p: int, lo: int, hi: int):
+    """prod_{lo < s <= hi} (1 - p^(-2 d_s) z^(2s)), exact."""
+    out = np.array([Fraction(1)], dtype=object)
+    for s in range(lo + 1, hi + 1):
+        out = _poly_add(out, _shifted(out, 2 * s) * -Fraction(1, p ** (s * (s + 1))))
+    return out
+
+
+def _move_into(out: dict, series: dict, s: int, delta: int, factor, ell: int) -> None:
+    """Add factor times each numerator of a size-s series to `out`, at its
+    state moved by a unit block of class delta (`_split_state`)."""
+    for state, num in series.items():
+        w, eps, c = _split_state(state, s, delta, ell)
+        out[(w % 2, eps, c)] = _poly_add(out.get((w % 2, eps, c), ()), np.convolve(factor, num))
+
+
+@lru_cache(maxsize=None)
+def _size_series(m: int, p: int) -> dict:
+    """G_m(z) = sum_w density(w, eps, c) z^w over Sym_m(Z_p), by the state
+    (w mod 2, eps, c) of `_det_class_counts`: {state: numerator over
+    _size_denominator(p, 0, m)}, exact Fraction coefficients.
+
+    The cells of rank r >= 1 of Sym_m(F_p) give A, the sum of
+    N_m(r, delta) p^-d_m z^(m-r) G_{m-r} moved by the rank-r block; the zero
+    cell p Sym_m(Z_p) gives a T G_m, with a = p^-d_m z^m and T the state move
+    of Y -> pY.  T is an involution: it moves w by m and multiplies c by a
+    sign that depends on w only through w (m - 1) mod 2, which T fixes.  So
+    G_m = (A + a T A) / (1 - a^2)."""
+    if m == 0:
+        return {(0, 1, 1): np.array([Fraction(1)], dtype=object)}
+    ell, d = legendre(-1, p), m * (m + 1) // 2
+    A: dict = {}
+    for (r, delta), n in _rank_census(m, p).items():
+        if r and n:
+            lift = _shifted(Fraction(n, p ** d) * _size_denominator(p, m - r, m - 1), m - r)
+            _move_into(A, _size_series(m - r, p), m - r, delta, lift, ell)
+    G = dict(A)
+    _move_into(G, A, m, 1, _shifted([Fraction(1, p ** d)], m), ell)
+    return G
+
+
+@lru_cache(maxsize=None)
+def _cell_series(p: int, s: int, delta: int) -> dict:
+    """{state (w, eps, c) at size 3: numerator}: z^s G_s moved by a unit block
+    of class delta (a bijection of states), the det density over the cells of
+    rank 3 - s and class delta, over _size_denominator(p, 0, 3), at pz."""
+    lift = _at_pz(_shifted(_size_denominator(p, s, 3), s), p)
+    return {_split_state(state, s, delta, legendre(-1, p)): np.convolve(lift, _at_pz(num, p))
+            for state, num in _size_series(s, p).items()}
+
+
+@lru_cache(maxsize=None)
+def _job_series(p: int, job, weighted: bool, sign: int) -> np.ndarray:
+    """Rows j of the numerator of M(f_job)(z, chi_j) over
+    _size_denominator(p, 0, 3) at pz, for the level-1 characters chi_j.
+
+    Each census cell Y0 + p Sym_3(Z_p) has measure p^-6; a cell of rank r
+    and class delta feeds `_cell_series` at s = 3 - r.  A full-rank cell
+    keeps det Y0 mod p, so it sits on that coset; any other spreads evenly
+    over the (p - 1)/2 cosets of each class.  Cells are weighted by psi(t),
+    and by rho = ell^w c when weighted.  As f(p^v u) = p^(v+1)
+    mu(det in p^v u (1 + p Z_p)), M(f)(z) is p^-5 times the sum at pz."""
+    ell = legendre(-1, p)
+    cosets = np.array(unit_group(p, 1)[0])
+    classes = _legendre_table(p)[cosets]
+    weights: Counter = Counter()      # (rank, key) -> sum of n psi(t)
+    for (r, key, t), n in _job_census(p, job).items():
+        weights[(r, key)] += n * psi_frac(p, t, 1, sign)
+    vectors, numerators = [], []
+    for (r, key), x in weights.items():
+        delta = legendre(key, p) if r == 3 else key
+        for (w, eps, c), num in _cell_series(p, 3 - r, delta).items():
+            cells = cosets == key if r == 3 else (classes == eps) * 2 / (p - 1)
+            vectors.append(x * (ell ** w * c if weighted else 1) * cells)
+            numerators.append(num)
+    N = np.zeros((len(numerators), max(map(len, numerators))))
+    for row, num in zip(N, numerators):
+        row[:len(num)] = num
+    return character_components(np.array(vectors, dtype=complex)).T @ N * float(p) ** -5
+
+
+# -------------------------------------------- shell values and fiber functions
 
 def _piece_job(piece: LatticePiece, weighted: bool, p: int, k: int):
     """(job, shell shift, prefactor) realizing one piece in the sweep.
@@ -686,42 +788,12 @@ def piece_shell_values(piece: LatticePiece, weighted: bool, p: int, k: int, sign
             for c in np.flatnonzero(np.bincount(cell)).tolist()}
 
 
-def stable_shell_range(piece: LatticePiece, k: int):
-    """(absolute support minimum, top stable shell) for this piece."""
-    if piece.moduli is not None or piece.r >= 0:
-        return 0, k
-    return -3, k - 3
-
-
-def support_min(piece: LatticePiece, p: int) -> int:
-    """A lower bound for ord(det) over the piece's lattice, sharp for pure
-    lattices p^r Sym (det lands in p^{mr} Z_p) and entry-wise dilations."""
-    if piece.moduli is not None:
-        if any(x for row in piece.B for x in row):
-            cert = _compact_shell_certificate(piece, p)
-            return cert if cert is not None else 0
-        # pure lattice: min over permutations of sum_i ord(moduli[i, sigma(i)])
-        m = piece.m
-        mods = dict(zip(_entry_order(m), piece.moduli))
-        best = None
-        for perm in itertools.permutations(range(m)):
-            tot = 0
-            for i in range(m):
-                tot += val_p(mods[(min(i, perm[i]), max(i, perm[i]))], p)
-            best = tot if best is None else min(best, tot)
-        return best
-    if piece.r >= 1 and all(x % p**piece.r == 0 for row in piece.B for x in row):
-        return piece.m * piece.r
-    if piece.r >= 0:
-        return 0
-    return -piece.m
-
-
 def fiber_shell_values(Phi: LatticeTestFunction, weighted: bool, p: int, k: int,
                        sign: int = 1):
-    """Stable shell values of f_Phi / f_{rho Phi}: shells known for every piece."""
-    lo = min(stable_shell_range(q, k)[0] for q in Phi.pieces)
-    hi = min(stable_shell_range(q, k)[1] for q in Phi.pieces)
+    """Stable shell values of f_Phi / f_{rho Phi}: shells known for every
+    piece, -3..k-3 at scale -1 and 0..k otherwise."""
+    lo = -3 if any(q.moduli is None and q.r < 0 for q in Phi.pieces) else 0
+    hi = k + min(-3 if q.moduli is None and q.r < 0 else 0 for q in Phi.pieces)
     vals: dict = {}
     for piece in Phi.pieces:
         for (w, u), x in piece_shell_values(piece, weighted, p, k, sign).items():
@@ -732,128 +804,42 @@ def fiber_shell_values(Phi: LatticeTestFunction, weighted: bool, p: int, k: int,
     return out, lo, hi
 
 
-def _taylor_matrix(D: RationalFunctionZ, degrees, shells):
-    """A[row, col] = coefficient of z^(shells[row] - degrees[col]) in D."""
-    diff = np.subtract.outer(shells, degrees)
-    lo = int(diff.min())
-    return D.laurent_coeffs(lo, int(diff.max()))[diff - lo]
-
-
-def fit_mellin_structured(shells: dict, lo: int, hi: int, kind: str, n: int,
-                          p: int, level: int, fit_degree_max=None) -> MellinData:
-    """Recover M(f)(z, chi) = c_chi(z) * L-product from stable shell values.
-
-    The numerator runs from the observed support start to fit_degree_max
-    (default hi - 1, leaving one residual equation per character); a fit
-    residual above 1e-8 of the component's scale is refused."""
-    cosets = unit_group(p, level)[0]
-    comps = {}
-    grid = list(range(lo, hi + 1))
-    components = character_components([[shells[(v, u)] for u in cosets] for v in grid])
-    for j in range(len(cosets)):
-        chi = UnitCharacter(p, level, j)
-        mvals = components[:, j]
-        scale = float(np.max(np.abs(mvals)))
-        if scale < 1e-14:
-            continue
-        j0 = min(v for v, x in zip(grid, mvals) if abs(x) > 1e-12 * scale)
-        j1 = hi - 1 if fit_degree_max is None else fit_degree_max
-        j1 = max(j1, j0)
-        degrees = list(range(j0, j1 + 1))
-        if len(degrees) > len(grid):
-            raise PvsError(
-                f"insufficient k for tail: {len(degrees)} unknowns vs {len(grid)} shells")
-        D = class_denominator(chi, kind, n)
-        A = _taylor_matrix(D, degrees, grid)
-        sol, *_ = np.linalg.lstsq(A, mvals, rcond=None)
-        resid = float(np.max(np.abs(A @ sol - mvals)))
-        if resid > 1e-8 * max(1.0, scale):
-            raise PvsError(f"insufficient k for tail: fit residual {resid:.3g}")
-        c = RationalFunctionZ.from_laurent(
-            {deg: complex(x) for deg, x in zip(degrees, sol)})
-        comps[j] = c * D
-    return MellinData(p, level, comps, (kind, n))
-
-
-def _compact_shell_certificate(piece: LatticePiece, p: int):
-    """If det is provably constant-shell over the piece's lattice, return
-    that shell; else None.
-
-    Writes det(B + l) = det(B) det(I + B^{-1} l) and certifies
-    det(I + B^{-1} l) in 1 + p Z_p for every lattice element l by min-plus
-    valuation bounds on the entries of B^{-1} l (trace, second elementary
-    symmetric terms, determinant term all of positive valuation)."""
-    from .symplectic import det, inverse
-    m = piece.m
-    if piece.C is not None:
-        return None
-    B = [[Fraction(x) for x in row] for row in piece.B]
-    detB = det(B)
-    if detB == 0:
-        return None
-    if piece.moduli is not None:
-        emat = {key: val_p(mo, p) for key, mo in zip(_entry_order(m), piece.moduli)}
-        e = [[emat[(min(i, j), max(i, j))] for j in range(m)] for i in range(m)]
-    elif piece.r >= 1:
-        e = [[piece.r] * m for _ in range(m)]
-    else:
-        return None
-    Binv = inverse(B)
-    big = 10**6
-    ordinv = [[(val_p(x, p) if x != 0 else big) for x in row] for row in Binv]
-    V = [[min(ordinv[i][t] + e[t][j] for t in range(m)) for j in range(m)]
-         for i in range(m)]
-    # trace term
-    if min(V[i][i] for i in range(m)) < 1:
-        return None
-    # second elementary symmetric terms
-    for i in range(m):
-        for j in range(i + 1, m):
-            if min(V[i][i] + V[j][j], V[i][j] + V[j][i]) < 1:
-                return None
-    # determinant term
-    for perm in itertools.permutations(range(m)):
-        tot = sum(V[i][perm[i]] for i in range(m))
-        if tot < 1:
-            return None
-    return val_p(detB, p)
-
-
 def fiber_function(Phi: LatticeTestFunction, weighted: bool, p: int, k: int,
-                   sign: int = 1, n: int | None = None,
-                   fit_degree_max=None) -> FxFunction:
+                   sign: int = 1) -> FxFunction:
     """The fiber integration f_Phi (f_{rho Phi^} when weighted) as an exact
-    FxFunction: unweighted fibers live in S_n^+, weighted ones in S_n^-."""
+    FxFunction: unweighted fibers live in S_n^+, weighted ones in S_n^-.
+
+    At m = 3 (n = 1) its Mellin transform sums the pieces' `_job_series`,
+    exact for every piece whose job the recursion serves.  The depth-k
+    recursion's shells (`fiber_shell_values`) cross-check it on the stable
+    range, which must hold a nonzero shell."""
     m = Phi.m
     if m % 2 == 0:
         raise PvsError("even sizes are out of scope")
-    n = (m - 1) // 2 if n is None else n
     if m == 1:
         return _fiber_function_m1(Phi, p, sign)
-    shells, lo, hi = fiber_shell_values(Phi, weighted, p, k, sign)
-    smin = min(support_min(q, p) for q in Phi.pieces)
-    if smin > hi:
-        raise PvsError(
-            f"insufficient k: support starts at shell {smin}, stable range tops at {hi}")
-    if not weighted:
-        certs = [_compact_shell_certificate(q, p) for q in Phi.pieces]
-        if all(c is not None for c in certs):
-            vmax = max(certs)
-            if vmax > hi:
-                raise PvsError(
-                    f"insufficient k: compact support at shell {vmax} beyond {hi}")
-            cosets = unit_group(p, 1)[0]
-            for w in range(vmax + 1, hi + 1):
-                for u in cosets:
-                    if abs(shells[(w, u)]) > 1e-12:
-                        raise PvsError("compact support certificate contradicted by counts")
-            vals = {(w, u): shells[(w, u)] for w in range(lo, vmax + 1)
-                    for u in cosets if abs(shells[(w, u)]) > 1e-15}
-            return FxFunction(p, 1, lo, vmax + 1, vals, TailSpec.compact())
+    den = np.concatenate([np.zeros(3), _at_pz(_size_denominator(p, 0, 3), p)])   # z^3 D(pz)
+    num = np.zeros((p - 1, 2 * len(den)), dtype=complex)
+    for piece in Phi.pieces:
+        job, shift, prefactor = _piece_job(piece, weighted, p, k)
+        if not _by_recursion(job, p):
+            raise PvsError("no exact series for masks finer than Y mod p")
+        series = _job_series(p, job, weighted, sign)
+        num[:, 3 + shift:3 + shift + series.shape[1]] += piece.weight * prefactor * series
     kind = "minus" if weighted else "plus"
-    Z = fit_mellin_structured(shells, lo, hi, kind, n, p, 1,
-                              fit_degree_max=fit_degree_max)
-    return fx_from_mellin(Z, kind, n)
+    Z = MellinData(p, 1, {j: RationalFunctionZ(row, den) for j, row in enumerate(num)
+                          if row.any()}, (kind, 1))
+    f = fx_from_mellin(Z, kind, 1)
+    shells, lo, hi = fiber_shell_values(Phi, weighted, p, k, sign)
+    scale = max(map(abs, shells.values()))
+    if scale == 0:
+        raise PvsError(f"insufficient k: the recursion's shells {lo}..{hi} are all zero")
+    dev = max(abs(f.evaluate(w, u) - x) for (w, u), x in shells.items()) / scale
+    if dev > SERIES_TOL:
+        raise PvsError(f"exact series differs from the depth-{k} recursion by {dev:.3g}")
+    if any(x for row in (f.tail.a0, *f.tail.ap, *f.tail.am) for x in row):
+        return f
+    return FxFunction(p, 1, f.k_min, f.k_tail, f.values, TailSpec.compact())
 
 
 def _fiber_function_m1(Phi: LatticeTestFunction, p: int, sign: int) -> FxFunction:
@@ -950,31 +936,30 @@ def zeta_from_fibers(f: FxFunction, chi: UnitCharacter, shift=Fraction(0)) -> Ra
     return comp.substitute("scale", float(p) ** (-(1.0 + float(shift)))) * (1 - 1.0 / p)
 
 
-def check_fe_pvs(Phi: LatticeTestFunction, n: int, chi: UnitCharacter, p: int,
-                 k: int, sign: int = 1, hat_fit_degree_max=None) -> dict:
-    """The odd-p prehomogeneous functional equation
+def fe_pvs_sides(Phi: LatticeTestFunction, n: int, p: int, k: int, sign: int = 1):
+    """The character-free parts of the prehomogeneous functional equation,
+    once per Phi: (M(f_Phi), M(f_{rho Phi^})), each from its own counts.
+    fe_pvs_compare reads one character off each."""
+    if Phi.m != 2 * n + 1:
+        raise PvsError("size/n mismatch")
+    return (mellin_transform(fiber_function(Phi, False, p, k, sign)),
+            mellin_transform(fiber_function(lattice_fourier(Phi, p, sign), True, p, k, sign)))
+
+
+def fe_pvs_compare(sides, n: int, chi: UnitCharacter, sign: int = 1) -> dict:
+    """The odd-p prehomogeneous functional equation at one character
 
         chi^{-2n}(2) Z_{rho Phi^}(-s-1/2, chi^{-1})
-            = beta_psi(chi_s) Z_Phi(s+1/2-(n+1), chi)
-
-    with both zeta functions built from their own fiber counts."""
-    m = 2 * n + 1
-    if Phi.m != m:
-        raise PvsError("size/n mismatch")
-    q = float(p)
+            = beta_psi(chi_s) Z_Phi(s+1/2-(n+1), chi)."""
+    M_plus, M_minus = sides
+    p, q = M_plus.p, float(M_plus.p)
     chi = chi.at_level(1)
-    Phihat = lattice_fourier(Phi, p, sign)
-    f_plus = fiber_function(Phi, weighted=False, p=p, k=k, sign=sign)
-    f_minus = fiber_function(Phihat, weighted=True, p=p, k=k, sign=sign,
-                             fit_degree_max=hat_fit_degree_max)
-    M_plus = mellin_transform(f_plus).component(chi)
-    M_minus = mellin_transform(f_minus).component(chi.inverse())
     # Z(s',.) = (1-1/q) M(f)(s'+1): the shifts below are s' = s+1/2-(n+1)
     # on the plus side and s' = -s-1/2 on the minus side
     rhs = (beta_factor(n, chi, sign)
-           * M_plus.substitute("scale", q ** (n - 0.5)) * (1 - 1.0 / q))
-    lhs = (M_minus.substitute("scale", q ** -0.5).substitute("invert")
-           * (1 - 1.0 / q))
+           * M_plus.component(chi).substitute("scale", q ** (n - 0.5)) * (1 - 1.0 / q))
+    lhs = (M_minus.component(chi.inverse()).substitute("scale", q ** -0.5)
+           .substitute("invert") * (1 - 1.0 / q))
     lhs = lhs * chi.inverse().value(2 % p**chi.level) ** (2 * n)
     dev = lhs.max_relative_deviation(rhs, [0.41, 0.27j, -0.35, 0.22 + 0.31j, 0.55,
                                            -0.13 - 0.4j, 0.61j, 0.18 - 0.22j, -0.52j,
@@ -987,34 +972,38 @@ def check_fe_pvs(Phi: LatticeTestFunction, n: int, chi: UnitCharacter, p: int,
     }
 
 
+def check_fe_pvs(Phi: LatticeTestFunction, n: int, chi: UnitCharacter, p: int,
+                 k: int, sign: int = 1) -> dict:
+    """The prehomogeneous functional equation of Phi at one character (see
+    fe_pvs_compare)."""
+    return fe_pvs_compare(fe_pvs_sides(Phi, n, p, k, sign), n, chi, sign)
+
+
 def homogeneity_check(Phi: LatticeTestFunction, g_exponents, chi: UnitCharacter,
                       p: int, k: int) -> dict:
-    """Homogeneity of the zeta distribution under g = diag(p^{a_i}).
+    """Homogeneity of the zeta distribution under g = diag(p^{a_i}) on Sym_3.
 
     With (g Phi)(X) = Phi(g^{-1} X g^{-t}), the substitution X = g Y g^t
     carries |det g|^{m+1} from dX and |det g|^{-2} from the fiber variable:
 
         f_{g Phi}(t) = |det g|^{m-1} f_Phi(det(g)^{-2} t),
 
-    so at the Mellin level (chi(p) = 1) the moved transform is the exact
-    monomial multiple z^{2 sum a} q^{-(m-1) sum a} of the base one.  Both
-    sides come from their own counts: the sweep for an entry-wise moved
-    piece, the recursion for the rest."""
-    m = Phi.m
-    a = tuple(int(x) for x in g_exponents)
-    chi = chi.at_level(1)
-    gPhi = act_diagonal(Phi, a, p)
-    f_base = fiber_function(Phi, weighted=False, p=p, k=k)
-    f_moved = fiber_function(gPhi, weighted=False, p=p, k=k)
-    Zb = mellin_transform(f_base).component(chi)
-    Zm = mellin_transform(f_moved).component(chi)
-    s_a = sum(a)
-    factor = RationalFunctionZ.z_power(2 * s_a) * float(p) ** (-(m - 1) * s_a)
-    predicted = Zb * factor
-    dev = Zm.max_relative_deviation(predicted, [0.4, -0.3, 0.25j, 0.2 + 0.2j, 0.5])
+    so (chi(p) = 1) the chi component of the moved function on shell w is
+    q^{-(m-1) sum a} times the base's exact one on shell w - 2 sum a.  The
+    moved side comes from its own counts on its stable shells: the sweep
+    for an entry-wise moved piece, the recursion for the rest."""
+    s_a, chi = sum(int(x) for x in g_exponents), chi.at_level(1)
+    shells, lo, hi = fiber_shell_values(act_diagonal(Phi, g_exponents, p), False, p, k)
+    cosets = unit_group(p, 1)[0]
+    moved = character_components(
+        [[shells[(w, u)] for u in cosets] for w in range(lo, hi + 1)])[:, chi.exponent]
+    base = mellin_transform(fiber_function(Phi, weighted=False, p=p, k=k)).component(chi)
+    predicted = base.laurent_coeffs(lo - 2 * s_a, hi - 2 * s_a) * float(p) ** ((1 - Phi.m) * s_a)
+    dev = float(np.max(np.abs(moved - predicted))) / max(
+        1.0, float(np.max(np.abs(predicted))), float(np.max(np.abs(moved))))
     return {
         "max_deviation": dev,
-        "ratfunc_equal": Zm.equals(predicted, tol=1e-8),
-        "moved": Zm,
+        "shells_equal": dev <= 1e-8,
+        "moved": moved,
         "predicted": predicted,
     }

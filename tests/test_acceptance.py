@@ -38,9 +38,9 @@ P = 3
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 NONDIAG = ((0, 1, 0), (1, 0, 2), (0, 2, 1))
 PVS_FUNCTIONS = [
-    ("spherical", LatticeTestFunction.spherical(3), None),
-    ("shifted-I", LatticeTestFunction.shifted(I3, r=1), 0),
-    ("dilated-p", LatticeTestFunction.dilated(3, 1), None),
+    ("spherical", LatticeTestFunction.spherical(3)),
+    ("shifted-I", LatticeTestFunction.shifted(I3, r=1)),
+    ("dilated-p", LatticeTestFunction.dilated(3, 1)),
 ]
 
 
@@ -67,7 +67,7 @@ def k3_sweep(sweep_oracle):
     suite needs, plus a non-diagonal phase; the sweep caches the masks the
     recursion does not serve.  Returns (bins, seconds)."""
     jobs = {("rho", None, NONDIAG)}
-    for _, Phi, _ in PVS_FUNCTIONS:
+    for _, Phi in PVS_FUNCTIONS:
         for piece in Phi.pieces:
             jobs.add(_piece_job(piece, False, P, 3)[0])
         for piece in lattice_fourier(Phi, P, 1).pieces:
@@ -153,9 +153,9 @@ def test_criterion_04_prehomogeneous_functional_equation(k3_sweep):
     t0 = time.perf_counter()
     worst = 0.0
     all_eq = True
-    for name, Phi, hat_max in PVS_FUNCTIONS:
+    for name, Phi in PVS_FUNCTIONS:
         for chi in characters(P, 1):
-            rep = check_fe_pvs(Phi, 1, chi, P, 3, hat_fit_degree_max=hat_max)
+            rep = check_fe_pvs(Phi, 1, chi, P, 3)
             worst = max(worst, rep["max_deviation"])
             all_eq = all_eq and rep["ratfunc_equal"]
     # the recursion's bins against the shared sweep's, row 0 read by no shell
@@ -257,7 +257,7 @@ def test_criterion_06_eta_kernel():
 def test_criterion_07_paley_wiener_membership():
     t0 = time.perf_counter()
     checked, ok = 0, True
-    for name, Phi, _ in PVS_FUNCTIONS[:2]:
+    for name, Phi in PVS_FUNCTIONS[:2]:
         f = fiber_function(Phi, False, P, 2)
         good, _ = check_paley_wiener(mellin_transform(f), "plus", 1)
         ok = ok and good
@@ -361,10 +361,10 @@ def test_criterion_11_homogeneity_and_pole_containment(k3_sweep):
     for base, expo, chi_exp, k in HOMOGENEITY_CASES:
         chi = UnitCharacter(P, 1, chi_exp)
         rep = homogeneity_check(base, expo, chi, P, k)
-        ok = ok and rep["ratfunc_equal"]
+        ok = ok and rep["shells_equal"]
     # pole containment: poles of Z_Phi within those of a_m(s + n + 1, chi)
     n, m = 1, 3
-    for _, Phi, _ in PVS_FUNCTIONS[:2]:
+    for _, Phi in PVS_FUNCTIONS[:2]:
         f = fiber_function(Phi, False, P, 2)
         for chi in characters(P, 1):
             Z = zeta_from_fibers(f, chi)

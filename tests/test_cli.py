@@ -87,6 +87,20 @@ def test_verify_fe_gl1_transforms_each_function_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_verify_fe_pvs_builds_each_function_once(monkeypatch):
+    from padicharm import pvszeta
+    calls = []
+    fe_pvs_sides = pvszeta.fe_pvs_sides
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fe_pvs_sides(*args, **kwargs)
+    monkeypatch.setattr(pvszeta, "fe_pvs_sides", counted)
+    rep, code = run(["verify", "fe-pvs", "--p", "5", "--n", "1", "--k", "3"])
+    assert code == 0 and len(rep["checks"]) == 12
+    assert len(calls) == 3
+
+
 def test_verify_fe_gl1_p7_level2():
     # 3 functions times the 42 characters mod 49
     rep, code = run(["verify", "fe-gl1", "--p", "7", "--level", "2", "--n", "1",
@@ -141,8 +155,14 @@ def test_timing_measures_the_checks():
         assert sum(c["runtime_ms"] for c in rep["checks"]) >= 0.5 * wall_ms, argv
 
 
-def test_check_errors_become_error_status():
-    rep, code = run(["shells", "--p", "3", "--level", "1", "--s", "-0.7"])
+def test_check_errors_become_error_status(monkeypatch):
+    # a domain error raised inside a check is reported as that check's error
+    from padicharm import gdist
+
+    def diverge(*args, **kwargs):
+        raise gdist.GDistError("divergent partial sums")
+    monkeypatch.setattr(gdist, "shell_coefficients_sum", diverge)
+    rep, code = run(["shells", "--p", "3", "--level", "1", "--s", "0.7"])
     assert code == 1
     assert rep["checks"][0]["status"] == "error"
     assert "sum" not in rep["payload"]
@@ -203,11 +223,34 @@ def test_fourier_n0_consumes_fx_json(tmp_path):
     ["verify", "fe-pvs", "--p", "5", "--n", "1", "--k", "7"],
     ["verify", "fe-pvs", "--p", "3", "--n", "2", "--k", "2"],
     ["count-fibers", "--p", "3", "--k", "18"],
+    ["shells", "--p", "5", "--level", "1", "--s", "-1"],
+    ["shells", "--p", "3", "--s", "-0.5"],
+    ["verify", "fe-gl1", "--tolerance", "-1"],
+    ["verify", "fe-gl1", "--tolerance", "nan"],
+    ["verify", "fe-pvs", "--tolerance", "inf"],
 ])
 def test_invalid_input_is_a_json_error(argv, capsys):
     assert main(argv) == 2
     rep = json.loads(capsys.readouterr().out)
     assert list(rep) == ["error"] and rep["error"]
+
+
+@pytest.mark.parametrize("tolerance", ["-1e-6", "nan"])
+def test_config_tolerance_is_validated(tolerance, tmp_path, capsys):
+    cfg = tmp_path / "field.cfg"
+    cfg.write_text(f"p = 5\nlevel = 1\ntolerance = {tolerance}\n")
+    assert main(["verify", "fe-gl1", "--config", str(cfg)]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert list(rep) == ["error"] and "tolerance" in rep["error"]
+
+
+def test_verify_fe_gl1_builds_each_beta_once():
+    # one beta per character mod 5, shared by the transforms and the compares
+    from padicharm.abelian import beta_factor
+    beta_factor.cache_clear()
+    rep, code = run(["verify", "fe-gl1", "--p", "5", "--level", "1"])
+    assert code == 0 and len(rep["checks"]) == 12
+    assert beta_factor.cache_info().misses == 4
 
 
 def test_fx_in_parameters_are_validated(tmp_path):

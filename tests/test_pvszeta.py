@@ -8,9 +8,10 @@ import pytest
 
 from padicharm.abelian import UnitCharacter, characters
 from padicharm.fxspace import check_paley_wiener, mellin_transform
-from padicharm.pvszeta import (LatticeTestFunction, PvsError, _entry_order,
-                               _mask_vec, _piece_job, _rank_census,
-                               _recursion_bins, act_diagonal,
+from padicharm.pvszeta import (LatticeTestFunction, PvsError, _det_class_counts,
+                               _entry_order, _mask_vec, _piece_job, _rank_census,
+                               _recursion_bins, _size_denominator, _size_series,
+                               act_diagonal,
                                check_fe_pvs, det_fiber_counts,
                                evaluate_lattice_function, fiber_function,
                                fiber_shell_values, homogeneity_check,
@@ -222,6 +223,67 @@ def test_spherical_counts_match_igusa_series(m, p, k):
         (v, e) for v in range(k) for e in (1, -1)}
     for (v, u), c in t.counts.items():
         assert Fraction(c, p ** (k * (d - 1))) == want[v], (v, u)
+
+
+def power_series(num, den, count):
+    """The first coefficients of num/den at z = 0, exactly (den[0] != 0)."""
+    out = []
+    for i in range(count):
+        acc = Fraction(num[i]) if i < len(num) else Fraction(0)
+        for j in range(1, min(i, len(den) - 1) + 1):
+            acc -= den[j] * out[i - j]
+        out.append(acc / den[0])
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_size_series_matches_recursion_counts(m, p):
+    # G_m summed over all depths against the depth-k recursion: on every
+    # shell w < k and in all 8 states (w mod 2, eps, c), the z^w coefficient
+    # is the density count / p^(k d), and 0 off its parity
+    k = 4
+    table, _ = _det_class_counts(m, p, k)
+    den = _size_denominator(p, 0, m)
+    series = _size_series(m, p)
+    for w0 in (0, 1):
+        for eps in (1, -1):
+            for c in (1, -1):
+                got = power_series(series.get((w0, eps, c), [0]), den, k)
+                want = [Fraction(table.get((w, eps, c), 0), p ** (k * m * (m + 1) // 2))
+                        if w % 2 == w0 else 0 for w in range(k)]
+                assert got == want, (w0, eps, c)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("Phi", [LatticeTestFunction.spherical(3),
+                                 LatticeTestFunction.shifted(I3, 1),
+                                 LatticeTestFunction.dilated(3, 1)],
+                         ids=["spherical", "shifted", "dilated"])
+def test_exact_series_matches_recursion_shells(Phi, weighted, p):
+    # the exact fiber function against the depth-3 recursion's shells, on
+    # the plus side and on the Clifford-weighted side of Phi^
+    side = lattice_fourier(Phi, p) if weighted else Phi
+    f = fiber_function(side, weighted, p, 3)
+    shells, _, _ = fiber_shell_values(side, weighted, p, 3)
+    scale = max(abs(x) for x in shells.values())
+    assert scale > 0
+    for (w, u), x in shells.items():
+        assert abs(f.evaluate(w, u) - x) <= 1e-12 * scale, (w, u)
+
+
+def test_wrong_series_coefficient_is_caught(monkeypatch):
+    from padicharm import pvszeta
+    series = pvszeta._job_series
+
+    def wrong(*args):
+        out = series(*args).copy()
+        out[0, 2] *= 1 + 1e-9
+        return out
+    monkeypatch.setattr(pvszeta, "_job_series", wrong)
+    with pytest.raises(PvsError, match="differs from the depth-3 recursion"):
+        fiber_function(LatticeTestFunction.spherical(3), False, P, 3)
 
 
 def test_det_fiber_counts_does_not_sweep(monkeypatch):
@@ -445,7 +507,7 @@ def test_homogeneity_identity_and_scalar_dilation():
     assert rep["max_deviation"] < 1e-12
     rep = homogeneity_check(LatticeTestFunction.spherical(3), (0, 0, 1),
                             UnitCharacter(P, 1, 1), P, K)
-    assert rep["ratfunc_equal"], rep["max_deviation"]
+    assert rep["shells_equal"], rep["max_deviation"]
 
 
 @pytest.mark.parametrize("Phi, exponents", [
@@ -502,11 +564,9 @@ def counting_sweeps(monkeypatch):
 def test_check_fe_pvs_never_sweeps(monkeypatch):
     # both sides of the functional equation come from the recursion
     calls = counting_sweeps(monkeypatch)
-    for Phi, hat_max in ((LatticeTestFunction.spherical(3), None),
-                         (LatticeTestFunction.shifted(I3, 1), 0),
-                         (LatticeTestFunction.dilated(3, 1), None)):
-        rep = check_fe_pvs(Phi, 1, UnitCharacter(P, 1, 1), P, 3,
-                           hat_fit_degree_max=hat_max)
+    for Phi in (LatticeTestFunction.spherical(3), LatticeTestFunction.shifted(I3, 1),
+                LatticeTestFunction.dilated(3, 1)):
+        rep = check_fe_pvs(Phi, 1, UnitCharacter(P, 1, 1), P, 3)
         assert rep["ratfunc_equal"], rep["max_deviation"]
     assert calls == []
 
@@ -517,7 +577,7 @@ def test_homogeneity_sweeps_the_moved_side_once(monkeypatch):
     calls = counting_sweeps(monkeypatch)
     rep = homogeneity_check(LatticeTestFunction.spherical(3), (0, 0, 1),
                             UnitCharacter(P, 1, 1), P, K)
-    assert rep["ratfunc_equal"], rep["max_deviation"]
+    assert rep["shells_equal"], rep["max_deviation"]
     assert len(calls) == 1 and len(calls[0]) == 1
     (kind, mask), = calls[0]
     assert kind == "count" and max(mask[1]) > P
