@@ -266,10 +266,6 @@ class MellinData:
             comps[j] = comps[j] + R if j in comps else R
         return MellinData(self.p, self.level, comps, self.pole_class)
 
-    def scale(self, c) -> "MellinData":
-        return MellinData(self.p, self.level,
-                          {j: R * c for j, R in self.comps.items()}, self.pole_class)
-
     def is_zero(self, tol=1e-10) -> bool:
         return all(R.is_zero(tol) for R in self.comps.values())
 

@@ -9,10 +9,11 @@ lattice Fourier transform).  Fiber counts over Sym_m(Z/p^k) come from a
 Jordan-splitting recursion for every m.  Its state carries the Hasse
 invariant, so the same recursion gives the Clifford-weighted Sym_3 bins:
 counts over Sym_3(Z/p^(k+1)) by det, Clifford sign and tr(Y C) mod p, for
-every piece whose mask and phase depend on Y mod p only.  An exhaustive
-sweep of Sym_3(Z/p^k), vectorized over the entry index space, serves the
-entry-wise masks finer than Y mod p and is the recursion's oracle in tests;
-it recovers the extra determinant digit by the linear refinement
+every piece whose mask and phase depend on Y mod p only.  The entry-wise
+masks finer than Y mod p, from the diagonal action of homogeneity checks,
+are count jobs; they enumerate the cells of their own coset in
+Sym_3(Z/p^k) and recover the extra determinant digit by the linear
+refinement
 
     det(Y0 + p^k Z) = det(Y0) + p^k tr(adj(Y0) Z)  (mod p^{2k})
 
@@ -31,6 +32,7 @@ Those are the rational functions the functional-equation verifier compares.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,23 +48,29 @@ from .padic import psi_frac, unit_group, unit_order, unit_part, val_p
 from .quadform import legendre
 from .ratfunc import RationalFunctionZ
 
-ENUM_BUDGET = 10 ** 9      # cells of one Sym_3(Z/p^k) sweep
+ENUM_BUDGET = 10 ** 9      # cells of one coset of Sym_3(Z/p^k)
+COSET_CHUNK = 1 << 16      # cells per vectorized block: 17 MB, about 260 bytes a cell
 # rows of a fiber count table or of refined bins: count-fibers at p = 3,
 # k = 12 (531,440 rows) peaks at 262 MB, about 500 bytes a row
 ROW_BUDGET = 10 ** 6
 SERIES_TOL = 1e-12   # exact series against the recursion's shells; rounding is ~1e-14
+# the two sides of the functional equation, cross-multiplied at 20 sample
+# points: both are exact series in floats, which agree to ~1e-15 for p <= 13
+FE_PVS_TOL = 1e-6
+# moved shells from counts against the base's exact Laurent coefficients,
+# both exact up to float rounding: deviations are ~1e-16
+HOMOGENEITY_TOL = 1e-8
 
 
 class PvsError(PadicharmError):
     pass
 
 
-def check_budget(p: int, k: int) -> None:
-    """Refuse a sweep of Sym_3(Z/p^k) past ENUM_BUDGET cells."""
-    cells = float(p) ** (6 * k)
+def check_budget(cells: float) -> None:
+    """Refuse an enumeration of more than ENUM_BUDGET cells."""
     if cells > ENUM_BUDGET:
         raise PvsError(
-            f"enumeration budget exceeded: p^(kd) = {cells:.3g} > {ENUM_BUDGET:.0g}")
+            f"enumeration budget exceeded: {cells:.3g} cells > {ENUM_BUDGET:.0g}")
 
 
 def check_rows(rows: float) -> None:
@@ -219,26 +227,14 @@ def evaluate_lattice_function(Phi: LatticeTestFunction, X, p: int, sign: int = 1
     return total
 
 
-# ------------------------------------------------------------------ the sweep
+# ------------------------------------------------------------ refined bins
 
-# (p, k) -> {job: refined bins over Sym_3(Z/p^(k+1))}, by recursion or sweep
+# (p, k) -> {job: refined bins over Sym_3(Z/p^(k+1))}, by recursion or coset
 _SWEEP_CACHE: dict = {}
 
 
 def _legendre_table(p: int) -> np.ndarray:
     return np.array([legendre(a, p) for a in range(p)], dtype=np.int64)
-
-
-def _mask_vec(mask_spec, x11, x22, m12, m13, m23, m33):
-    if mask_spec is None:
-        return None
-    residues, moduli = mask_spec
-    entries = (x11, x22, m33, m12, m13, m23)
-    sel = np.ones(m12.shape, dtype=bool)
-    for ent, res, mo in zip(entries, residues, moduli):
-        if mo > 1:
-            sel &= (ent % mo) == (res % mo)
-    return sel
 
 
 def _first_unit_diag_leg(leg, p, d1, d2, d3):
@@ -247,132 +243,13 @@ def _first_unit_diag_leg(leg, p, d1, d2, d3):
     return leg[pick]
 
 
-def _sigma_vec(p, k, x11, x22, m12, m13, m23, m33, det, a11, a22, a33, adjnz, leg):
-    """Vectorized Clifford sign of the integer lift.
-
-    Exact cells (adj = 0 mod p, or det valuation < k) get the sign of their
-    own det class; adj != 0 cells with det = 0 mod p^k get the sign of their
-    valuation-k refinements, which is refinement-independent:
-
-        v=0: +1                      v=1: L(-1) L(adj diag unit)
-        v=2: rank 2 -> +1,           rank 1 -> L(-1) L(j) L(Y diag unit)
-        v=3: rank 2 -> L(-1) L(adj), rank 1 -> L(-1) L(Ydiag) L(j) L(adj/p diag)
-             rank 0 -> +1
-    """
-    lm1 = int(leg[(-1) % p])
-    sigma = np.zeros(det.shape, dtype=np.int64)
-
-    nz1 = det % p != 0
-    sigma[nz1] = 1
-
-    v1 = (~nz1) & (det % p**2 != 0)
-    if np.any(v1):
-        ladj = _first_unit_diag_leg(leg, p, a11, a22, a33)
-        sigma[v1] = lm1 * ladj[v1]
-
-    rank0 = ((x11 % p == 0) & (x22 % p == 0) & (m33 % p == 0)
-             & (m12 % p == 0) & (m13 % p == 0) & (m23 % p == 0))
-    rank1 = (~adjnz) & (~rank0)
-    rank2 = adjnz & (det % p == 0)
-
-    deep2 = det % p**2 == 0
-    v2 = deep2 & (det % p**3 != 0)
-    if np.any(v2):
-        sigma[v2 & rank2] = 1
-        sel = v2 & rank1
-        if np.any(sel):
-            lam1 = _first_unit_diag_leg(leg, p, x11, x22, m33)
-            j2 = (det // p**2) % p
-            sigma[sel] = lm1 * leg[j2[sel]] * lam1[sel]
-
-    deep3 = det % p**3 == 0
-    if k == 2:
-        # spread cells target valuation-2 refinements: profile (0,0,2), +1
-        sigma[deep3 & rank2] = 1
-    else:
-        sel = deep3 & rank2
-        if np.any(sel):
-            ladj = _first_unit_diag_leg(leg, p, a11, a22, a33)
-            sigma[sel] = lm1 * ladj[sel]
-        v3 = deep3 & (det % p**4 != 0)
-        sel = v3 & rank1
-        if np.any(sel):
-            lam1 = _first_unit_diag_leg(leg, p, x11, x22, m33)
-            j3 = (det // p**3) % p
-            ladj1 = _first_unit_diag_leg(leg, p, a11 // p, a22 // p, a33 // p)
-            sigma[sel] = lm1 * lam1[sel] * leg[j3[sel]] * ladj1[sel]
-        sel = v3 & rank0
-        if np.any(sel):
-            sigma[sel] = 1
-    return sigma
-
-
-def _sweep3_block(p, k, jobs, x11_range):
-    """One outer block of the Sym_3(Z/p^k) sweep.
-
-    Bin layouts (key4 = integer det mod p^{k+1}, adjnz = adj(Y) != 0 mod p):
-      ("count", mask):       index (key4, adjnz)                -> 2 p^{k+1}
-      ("rho", mask, C):      index (key4, adjnz, rho-sign, t)   -> 2 p^{k+1} 2 p
-    with t = tr(Y C) mod p; the psi orientation only enters at assembly.
-    """
-    mod = p**k
-    mod4 = p ** (k + 1)
-    leg = _legendre_table(p)
-    r = np.arange(mod, dtype=np.int64)
-    m12, m13, m23, m33 = (a.ravel() for a in np.meshgrid(r, r, r, r, indexing="ij"))
-    out = {}
-    for job in jobs:
-        size = 2 * mod4 if job[0] == "count" else 2 * mod4 * 2 * p
-        out[job] = np.zeros(size, dtype=np.int64)
-    need_sigma = any(job[0] == "rho" for job in jobs)
-
-    for x11 in x11_range:
-        for x22 in range(mod):
-            A = x11 * x22 - m12 * m12
-            det = (m33 * A + 2 * m12 * m13 * m23
-                   - x11 * m23 * m23 - x22 * m13 * m13)
-            key4 = det % mod4
-            a11 = x22 * m33 - m23 * m23
-            a22 = x11 * m33 - m13 * m13
-            a33 = A
-            a12 = -(m12 * m33 - m23 * m13)
-            a13 = m12 * m23 - x22 * m13
-            a23 = -(x11 * m23 - m12 * m13)
-            adjnz = ((a11 % p != 0) | (a22 % p != 0) | (a33 % p != 0)
-                     | (a12 % p != 0) | (a13 % p != 0) | (a23 % p != 0))
-            if need_sigma:
-                sigma = _sigma_vec(p, k, x11, x22, m12, m13, m23, m33,
-                                   det, a11, a22, a33, adjnz, leg)
-            for job in jobs:
-                sel = _mask_vec(job[1], x11, x22, m12, m13, m23, m33)
-                if job[0] == "count":
-                    bins = key4 * 2 + adjnz
-                    if sel is None:
-                        out[job] += np.bincount(bins, minlength=2 * mod4)
-                    else:
-                        out[job] += np.bincount(bins[sel], minlength=2 * mod4)
-                else:
-                    _, _, C = job
-                    if (sigma == 0).any():
-                        bad = (sigma == 0) & (key4 != 0)
-                        if sel is not None:
-                            bad &= sel
-                        if bad.any():
-                            raise PvsError(
-                                "Clifford sign undefined on a consumed class")
-                    if C is None:
-                        tvals = np.zeros(det.shape, dtype=np.int64)
-                    else:
-                        tvals = (x11 * C[0][0] + x22 * C[1][1] + m33 * C[2][2]
-                                 + 2 * (m12 * C[0][1] + m13 * C[0][2]
-                                        + m23 * C[1][2])) % p
-                    s01 = ((1 - sigma) // 2).astype(np.int64)
-                    bins = ((key4 * 2 + adjnz) * 2 + s01) * p + tvals
-                    usable = sigma != 0
-                    if sel is not None:
-                        usable &= sel
-                    out[job] += np.bincount(bins[usable], minlength=2 * mod4 * 2 * p)
-    return out
+def _adjugate_det(x11, x22, x33, x12, x13, x23):
+    """((a11, a22, a33, a12, a13, a23), det) of the symmetric 3 x 3 matrix
+    with the given entries: its adjugate entries, in `_entry_order`, and its
+    determinant."""
+    adj = (x22 * x33 - x23 * x23, x11 * x33 - x13 * x13, x11 * x22 - x12 * x12,
+           x13 * x23 - x12 * x33, x12 * x23 - x22 * x13, x12 * x13 - x11 * x23)
+    return adj, x11 * adj[0] + x12 * adj[3] + x13 * adj[4]
 
 
 def _bin_shape(job, p: int):
@@ -390,41 +267,51 @@ def _by_recursion(job, p: int) -> bool:
     return job[1] is None or all(mo == p for mo in job[1][1])
 
 
-def _sweep_refined(raw, job, p: int, k: int):
-    """A job's sweep bins as counts over Sym_3(Z/p^(k+1)): a cell with
-    adj = 0 mod p keeps its det mod p^(k+1) on all p^6 lifts, any other cell
-    spreads its lifts evenly over the p residues above its det mod p^k."""
+def _refine_bins(raw, job, p: int, k: int):
+    """Bins over Sym_3(Z/p^k), indexed by (det mod p^(k+1), adj != 0 mod p,
+    sign, t), as counts over Sym_3(Z/p^(k+1)): a cell with adj = 0 mod p
+    keeps its det mod p^(k+1) on all p^6 lifts, any other cell spreads its
+    lifts evenly over the p residues above its det mod p^k."""
     signs, phases = _bin_shape(job, p)
     exact, spread = np.moveaxis(raw.reshape(p ** (k + 1), 2, signs, -1)[..., :phases], 1, 0)
     pooled = spread.reshape(p, p ** k, signs, phases).sum(axis=0)
     return exact * p ** 6 + np.tile(pooled, (p, 1, 1)) * p ** 5
 
 
-def sweep_bins(p: int, k: int, jobs) -> dict:
-    """{job: refined bins} from one exhaustive sweep of Sym_3(Z/p^k).
-
-    The recursion's oracle, and the route for masks finer than Y mod p,
-    whose bins go to the cache."""
-    check_budget(p, k)
-    if k < 2 and any(job[0] == "rho" for job in jobs):
-        raise PvsError("Clifford-weighted sweeps need k >= 2")
-    raw = _sweep3_block(p, k, tuple(jobs), range(p ** k))
-    out = {job: _sweep_refined(raw[job], job, p, k) for job in jobs}
-    _SWEEP_CACHE.setdefault((p, k), {}).update(
-        {job: b for job, b in out.items() if not _by_recursion(job, p)})
-    return out
+def _coset_bins(p: int, k: int, job):
+    """A count job's refined bins from the cells of Sym_3(Z/p^k) inside its
+    entry-wise mask, each entry residue + modulus i for i < p^k / modulus,
+    enumerated in blocks of COSET_CHUNK cells."""
+    residues, moduli = job[1]
+    mod4 = p ** (k + 1)
+    shape = tuple(p ** k // mo for mo in moduli)
+    cells = math.prod(shape)
+    check_budget(cells)
+    check_rows(mod4)
+    raw = np.zeros(2 * mod4, dtype=np.int64)
+    for start in range(0, cells, COSET_CHUNK):
+        index = np.unravel_index(np.arange(start, min(start + COSET_CHUNK, cells)), shape)
+        adj, det = _adjugate_det(*(res % mo + mo * i
+                                   for res, mo, i in zip(residues, moduli, index)))
+        adjnz = np.any(np.stack(adj) % p != 0, axis=0)
+        raw += np.bincount(det % mod4 * 2 + adjnz, minlength=2 * mod4)
+    return _refine_bins(raw, job, p, k)
 
 
 def precompute_jobs(p: int, k: int, jobs) -> None:
     """Cache the refined bins of the given jobs: by the Jordan-splitting
-    recursion when the job depends on Y mod p only, else by one sweep."""
+    recursion when the job depends on Y mod p only, else, for a count job
+    under a finer entry-wise mask, by enumerating its coset."""
     cache = _SWEEP_CACHE.setdefault((p, k), {})
-    missing = [job for job in dict.fromkeys(jobs) if job not in cache]
-    cache.update({job: _recursion_bins(p, k, job)
-                  for job in missing if _by_recursion(job, p)})
-    swept = [job for job in missing if job not in cache]
-    if swept:
-        sweep_bins(p, k, swept)
+    for job in dict.fromkeys(jobs):
+        if job in cache:
+            continue
+        if _by_recursion(job, p):
+            cache[job] = _recursion_bins(p, k, job)
+        elif job[0] == "count":
+            cache[job] = _coset_bins(p, k, job)
+        else:
+            raise PvsError("Clifford-weighted pieces need a mask that fixes Y mod p")
 
 
 # -------------------------------------------------------------- fiber counts
@@ -553,10 +440,10 @@ def _job_census(p: int, job) -> dict:
     leg = _legendre_table(p)
     out: dict = {}
     for x11, x22, x33, x12, x13, x23 in blocks:
-        a11, a22, a33 = x22 * x33 - x23 * x23, x11 * x33 - x13 * x13, x11 * x22 - x12 * x12
-        a12, a13, a23 = x13 * x23 - x12 * x33, x12 * x23 - x22 * x13, x12 * x13 - x11 * x23
-        det = (x11 * a11 + x12 * a12 + x13 * a13) % p
-        adjnz = np.any(np.stack([a11, a22, a33, a12, a13, a23]) % p != 0, axis=0)
+        adj, det = _adjugate_det(x11, x22, x33, x12, x13, x23)
+        a11, a22, a33 = adj[:3]
+        det %= p
+        adjnz = np.any(np.stack(adj) % p != 0, axis=0)
         nonzero = np.any(np.stack([x11, x22, x33, x12, x13, x23]) != 0, axis=0)
         rank = np.where(det != 0, 3, np.where(adjnz, 2, np.where(nonzero, 1, 0)))
         # a rank-2 adjugate is a multiple of w w^t by the nondegenerate
@@ -727,23 +614,23 @@ def _job_series(p: int, job, weighted: bool, sign: int) -> np.ndarray:
 # -------------------------------------------- shell values and fiber functions
 
 def _piece_job(piece: LatticePiece, weighted: bool, p: int, k: int):
-    """(job, shell shift, prefactor) realizing one piece in the sweep.
+    """(job, shell shift, prefactor) realizing one piece in refined bins.
 
     Weighted pieces take a Clifford ("rho") job; so do unweighted pieces
     with a phase at scale -1, whose job carries tr(Y C) mod p (their sign
     is ignored at assembly)."""
     if piece.m != 3:
-        raise PvsError("sweep jobs are for m = 3")
+        raise PvsError("refined-bin jobs are for m = 3")
     mask, shift, prefactor = None, 0, 1.0
     if piece.moduli is not None:
         if max(piece.moduli) > p**k:
-            raise PvsError("entry-wise moduli exceed the sweep precision")
+            raise PvsError("entry-wise moduli exceed p^k")
         residues = tuple(piece.B[i][j] % mo for (i, j), mo
                          in zip(_entry_order(3), piece.moduli))
         mask = (residues, piece.moduli)
     elif piece.r >= 0:
         if p**piece.r > p**k:
-            raise PvsError("piece scale exceeds the sweep precision")
+            raise PvsError("piece scale exceeds p^k")
         if piece.r > 0:
             residues = tuple(piece.B[i][j] % p**piece.r for (i, j) in _entry_order(3))
             mask = (residues, (p**piece.r,) * len(residues))
@@ -966,7 +853,7 @@ def fe_pvs_compare(sides, n: int, chi: UnitCharacter, sign: int = 1) -> dict:
                                            0.33 + 0.1j])
     return {
         "max_deviation": dev,
-        "ratfunc_equal": lhs.equals(rhs, tol=1e-6),
+        "ratfunc_equal": lhs.equals(rhs, tol=FE_PVS_TOL),
         "lhs": lhs,
         "rhs": rhs,
     }
@@ -990,8 +877,8 @@ def homogeneity_check(Phi: LatticeTestFunction, g_exponents, chi: UnitCharacter,
 
     so (chi(p) = 1) the chi component of the moved function on shell w is
     q^{-(m-1) sum a} times the base's exact one on shell w - 2 sum a.  The
-    moved side comes from its own counts on its stable shells: the sweep
-    for an entry-wise moved piece, the recursion for the rest."""
+    moved side comes from its own counts on its stable shells: its coset
+    enumeration for an entry-wise moved piece, the recursion for the rest."""
     s_a, chi = sum(int(x) for x in g_exponents), chi.at_level(1)
     shells, lo, hi = fiber_shell_values(act_diagonal(Phi, g_exponents, p), False, p, k)
     cosets = unit_group(p, 1)[0]
@@ -1003,7 +890,7 @@ def homogeneity_check(Phi: LatticeTestFunction, g_exponents, chi: UnitCharacter,
         1.0, float(np.max(np.abs(predicted))), float(np.max(np.abs(moved))))
     return {
         "max_deviation": dev,
-        "shells_equal": dev <= 1e-8,
+        "shells_equal": dev <= HOMOGENEITY_TOL,
         "moved": moved,
         "predicted": predicted,
     }

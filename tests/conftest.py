@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from padicharm.padic import unit_part, val_p
-from padicharm import pvszeta
+from oracles import sweep_bins
 
 
 def fold_residue_counts(per, p, k):
@@ -20,15 +20,16 @@ def fold_residue_counts(per, p, k):
 
 @pytest.fixture(scope="session")
 def sweep_oracle():
-    """{job: refined bins} of the exhaustive Sym_3(Z/p^k) sweep, the
-    recursion's oracle.  One sweep per call, for the jobs not yet swept at
-    (p, k) in this session."""
+    """{job: refined bins} of the exhaustive Sym_3(Z/p^k) sweep
+    (`oracles.sweep_bins`), the oracle of the recursion and of the coset
+    enumeration.  One sweep per call, for the jobs not yet swept at (p, k)
+    in this session."""
     swept = {}
 
     def bins(p, k, jobs):
         missing = [job for job in jobs if (p, k, job) not in swept]
         if missing:
-            for job, b in pvszeta.sweep_bins(p, k, missing).items():
+            for job, b in sweep_bins(p, k, missing).items():
                 swept[(p, k, job)] = b
         return {job: swept[(p, k, job)] for job in jobs}
     return bins

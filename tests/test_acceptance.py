@@ -1,11 +1,12 @@
 """Acceptance suite: every criterion runs at its stated tolerance and
 prints one PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`.
 
-The checks read the Jordan-splitting recursion.  Its oracle, the Sym_3
-sweep at k = 3 (3^18 matrices, vectorized), is shared between the criteria
-that need it through a module fixture, which also serves the entry-wise
-masks of the homogeneity checks; expect a couple of minutes for the full
-suite, dominated by that single enumeration.
+The checks read the Jordan-splitting recursion, and the homogeneity
+checks also the coset enumeration of their entry-wise masks.  The oracle of
+both, the Sym_3 sweep at k = 3 (3^18 matrices, vectorized, in
+`tests/oracles.py`), is shared between criteria 3 and 4 through a module
+fixture; expect a couple of minutes for the full suite, dominated by that
+single enumeration.
 """
 
 import random
@@ -28,8 +29,8 @@ from padicharm.padic import psi_frac, unit_group
 from padicharm.pvszeta import (LatticeTestFunction, act_diagonal, check_fe_pvs,
                                det_fiber_counts, fiber_function,
                                homogeneity_check, lattice_fourier,
-                               zeta_from_fibers, _by_recursion, _piece_job,
-                               _recursion_bins)
+                               zeta_from_fibers, _by_recursion, _coset_bins,
+                               _piece_job, _recursion_bins)
 from padicharm.ratfunc import RationalFunctionZ
 from padicharm.symplectic import (c0_constant, cayley_inv, mat_eq,
                                   siegel_factorize, sp_order)
@@ -64,8 +65,7 @@ HOMOGENEITY_CASES = [
 @pytest.fixture(scope="module")
 def k3_sweep(sweep_oracle):
     """One shared Sym_3 sweep at k = 3: the oracle bins of every job the
-    suite needs, plus a non-diagonal phase; the sweep caches the masks the
-    recursion does not serve.  Returns (bins, seconds)."""
+    suite needs, plus a non-diagonal phase.  Returns (bins, seconds)."""
     jobs = {("rho", None, NONDIAG)}
     for _, Phi in PVS_FUNCTIONS:
         for piece in Phi.pieces:
@@ -158,15 +158,21 @@ def test_criterion_04_prehomogeneous_functional_equation(k3_sweep):
             rep = check_fe_pvs(Phi, 1, chi, P, 3)
             worst = max(worst, rep["max_deviation"])
             all_eq = all_eq and rep["ratfunc_equal"]
-    # the recursion's bins against the shared sweep's, row 0 read by no shell
+    # the recursion's bins against the shared sweep's, row 0 read by no shell,
+    # and the coset bins of the moved homogeneity piece on every row
     oracle = {job: b for job, b in k3_sweep[0].items() if _by_recursion(job, P)}
     same = all(np.array_equal(_recursion_bins(P, 3, job)[1:], b[1:])
                for job, b in oracle.items())
+    cosets = {job: b for job, b in k3_sweep[0].items() if job not in oracle}
+    same_cosets = len(cosets) == 1 and all(np.array_equal(_coset_bins(P, 3, job), b)
+                                           for job, b in cosets.items())
     dt = time.perf_counter() - t0
     report(4, "prehomogeneous functional equation at k = 3",
-           worst < 1e-6 and all_eq and same and dt < 900,
+           worst < 1e-6 and all_eq and same and same_cosets and dt < 900,
            f"max dev {worst:.2e} over 3 functions x 2 characters, recursion bins "
-           f"{'equal' if same else 'differ from'} the sweep's on {len(oracle)} jobs, {dt:.1f}s")
+           f"{'equal' if same else 'differ from'} the sweep's on {len(oracle)} jobs, "
+           f"coset bins {'equal' if same_cosets else 'differ from'} it on "
+           f"{len(cosets)}, {dt:.1f}s")
 
 
 def _gl1_family(n):
@@ -351,7 +357,7 @@ def test_criterion_10_n0_fourier_operator():
            f"inv {worst_inv:.2e}, plancherel {worst_pl:.2e}, shells {worst_sh:.2e}, {dt:.1f}s")
 
 
-def test_criterion_11_homogeneity_and_pole_containment(k3_sweep):
+def test_criterion_11_homogeneity_and_pole_containment():
     t0 = time.perf_counter()
     ok = True
     # g = p I is checked on the pair ch(p^{-1} S) -> ch(p S): moving the

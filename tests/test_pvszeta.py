@@ -8,8 +8,10 @@ import pytest
 
 from padicharm.abelian import UnitCharacter, characters
 from padicharm.fxspace import check_paley_wiener, mellin_transform
-from padicharm.pvszeta import (LatticeTestFunction, PvsError, _det_class_counts,
-                               _entry_order, _mask_vec, _piece_job, _rank_census,
+from padicharm import pvszeta
+from padicharm.pvszeta import (LatticeTestFunction, PvsError, _by_recursion,
+                               _coset_bins, _det_class_counts, _entry_order,
+                               _legendre_table, _piece_job, _rank_census,
                                _recursion_bins, _size_denominator, _size_series,
                                act_diagonal,
                                check_fe_pvs, det_fiber_counts,
@@ -20,6 +22,7 @@ from padicharm.pvszeta import (LatticeTestFunction, PvsError, _det_class_counts,
 from padicharm.quadform import clifford_rho, legendre
 from padicharm.symplectic import det as rational_det
 from padicharm.ratfunc import RationalFunctionZ
+from oracles import _mask_vec, _sigma_vec
 
 P, K = 3, 2
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -74,8 +77,8 @@ def test_det_fiber_counts_m3_conservation_and_values():
 
 
 def test_budget_guard():
-    # a job the sweep serves (an entry-wise mask) past ENUM_BUDGET cells, and
-    # recursion bins past ROW_BUDGET rows
+    # a coset (an entry-wise mask finer than Y mod p) past ENUM_BUDGET cells,
+    # and recursion bins past ROW_BUDGET rows
     moved = ("count", ((0,) * 6, (1, 1, 25, 1, 5, 5)))
     with pytest.raises(PvsError, match="enumeration budget"):
         precompute_jobs(5, 4, (moved,))
@@ -274,7 +277,6 @@ def test_exact_series_matches_recursion_shells(Phi, weighted, p):
 
 
 def test_wrong_series_coefficient_is_caught(monkeypatch):
-    from padicharm import pvszeta
     series = pvszeta._job_series
 
     def wrong(*args):
@@ -287,7 +289,6 @@ def test_wrong_series_coefficient_is_caught(monkeypatch):
 
 
 def test_det_fiber_counts_does_not_sweep(monkeypatch):
-    from padicharm import pvszeta
     monkeypatch.setattr(pvszeta, "_SWEEP_CACHE", {})
     det_fiber_counts(3, 5, 2)
     assert pvszeta._SWEEP_CACHE == {}
@@ -318,7 +319,6 @@ def test_weighted_spherical_shells_match_minus_formula():
 def test_sigma_against_exact_clifford():
     # the vectorized Clifford sign agrees with the exact quadform route on
     # random integral matrices through det valuation 2 (k = 2 consumes)
-    from padicharm.pvszeta import _legendre_table, _sigma_vec
     rng = random.Random(31)
     leg = _legendre_table(P)
     hits = {0: 0, 1: 0, 2: 0}
@@ -359,7 +359,6 @@ def test_sigma_against_exact_clifford():
 def test_sigma_valuation_three_profiles():
     # the valuation-3 Clifford signs feed the refined shells of the k = 3
     # sweep; all three rank profiles against the exact route
-    from padicharm.pvszeta import _legendre_table, _sigma_vec
     leg = _legendre_table(P)
     rng = random.Random(77)
     hits = {"rank2": 0, "rank1": 0, "rank0": 0}
@@ -520,7 +519,7 @@ def test_homogeneity_identity_and_scalar_dilation():
 ])
 def test_act_diagonal_matches_pointwise_definition(Phi, exponents):
     # (g Phi)(X) = Phi(g^{-1} X g^{-t}), g = diag(p^a_i), on random rational X;
-    # at m = 3 the sweep's mask of the moved piece must select the same X
+    # at m = 3 the oracle sweep's mask of the moved piece must select the same X
     rng = random.Random(41)
     m, p = Phi.m, P
     a = exponents
@@ -547,23 +546,22 @@ def test_act_diagonal_matches_pointwise_definition(Phi, exponents):
     assert hits > 0
 
 
-def counting_sweeps(monkeypatch):
-    """The job tuples of every Sym_3 sweep from here on, with an empty cache."""
-    from padicharm import pvszeta
+def counting_cosets(monkeypatch):
+    """The job of every coset enumeration from here on, with an empty cache."""
     calls = []
-    block = pvszeta._sweep3_block
+    coset_bins = pvszeta._coset_bins
 
-    def counting_block(*args):
-        calls.append(args[2])
-        return block(*args)
+    def counting(p, k, job):
+        calls.append(job)
+        return coset_bins(p, k, job)
     monkeypatch.setattr(pvszeta, "_SWEEP_CACHE", {})
-    monkeypatch.setattr(pvszeta, "_sweep3_block", counting_block)
+    monkeypatch.setattr(pvszeta, "_coset_bins", counting)
     return calls
 
 
 def test_check_fe_pvs_never_sweeps(monkeypatch):
     # both sides of the functional equation come from the recursion
-    calls = counting_sweeps(monkeypatch)
+    calls = counting_cosets(monkeypatch)
     for Phi in (LatticeTestFunction.spherical(3), LatticeTestFunction.shifted(I3, 1),
                 LatticeTestFunction.dilated(3, 1)):
         rep = check_fe_pvs(Phi, 1, UnitCharacter(P, 1, 1), P, 3)
@@ -573,14 +571,76 @@ def test_check_fe_pvs_never_sweeps(monkeypatch):
 
 def test_homogeneity_sweeps_the_moved_side_once(monkeypatch):
     # the entry-wise mask of diag(1, 1, p) acting on the spherical function
-    # reaches past Y mod p: one sweep, for its one masked count job
-    calls = counting_sweeps(monkeypatch)
+    # reaches past Y mod p: one coset enumeration, for its one masked count job
+    calls = counting_cosets(monkeypatch)
     rep = homogeneity_check(LatticeTestFunction.spherical(3), (0, 0, 1),
                             UnitCharacter(P, 1, 1), P, K)
     assert rep["shells_equal"], rep["max_deviation"]
-    assert len(calls) == 1 and len(calls[0]) == 1
-    (kind, mask), = calls[0]
+    assert len(calls) == 1
+    (kind, mask), = calls
     assert kind == "count" and max(mask[1]) > P
+
+
+MOVES = [(0, 0, 1), (0, 1, 1), (1, 0, 1)]
+
+
+def moved_job(Phi, exponents, k):
+    """The count job of Phi's one piece moved by diag(p^a_i)."""
+    (piece,) = act_diagonal(Phi, exponents, P).pieces
+    return _piece_job(piece, False, P, k)[0]
+
+
+def test_coset_bins_match_sweep(sweep_oracle):
+    # every row of the refined bins against the oracle sweep of Sym_3(Z/9);
+    # the shifted function's moved pieces reach moduli 27 > 9, and criterion 4
+    # compares one of them with the shared k = 3 sweep
+    jobs = [moved_job(LatticeTestFunction.spherical(3), a, K) for a in MOVES]
+    for job, want in sweep_oracle(P, K, jobs).items():
+        assert not _by_recursion(job, P)
+        assert np.array_equal(_coset_bins(P, K, job), want), job
+
+
+def direct_coset_counts(job, p, K):
+    """det mod p^K over every cell of Sym_3(Z/p^K) inside the job's mask,
+    with no adjugate refinement."""
+    residues, moduli = job[1]
+    x11s, *rest = [res % mo + mo * np.arange(p ** K // mo)
+                   for res, mo in zip(residues, moduli)]
+    x22, x33, x12, x13, x23 = (a.ravel() for a in np.meshgrid(*rest, indexing="ij"))
+    counts = np.zeros(p ** K, dtype=np.int64)
+    for x11 in x11s:
+        det = (x11 * (x22 * x33 - x23 * x23) - x12 * (x12 * x33 - x23 * x13)
+               + x13 * (x12 * x23 - x22 * x13))
+        counts += np.bincount(det % p ** K, minlength=p ** K)
+    return counts
+
+
+@pytest.mark.parametrize("Phi, k", [(LatticeTestFunction.spherical(3), 2),
+                                    (LatticeTestFunction.shifted(I3, 1), 3)],
+                         ids=["spherical", "shifted"])
+@pytest.mark.parametrize("exponents", MOVES)
+def test_coset_bins_match_direct_enumeration(Phi, k, exponents):
+    # the adjugate refinement against det mod p^(k+1) on all p^6 lifts of
+    # each coset cell, every row including det = 0
+    job = moved_job(Phi, exponents, k)
+    bins = _coset_bins(P, k, job)
+    assert bins.shape == (P ** (k + 1), 1, 1)
+    assert np.array_equal(bins[:, 0, 0], direct_coset_counts(job, P, k + 1))
+
+
+def test_coset_bins_do_not_see_chunk_boundaries(monkeypatch):
+    # 6561 cells: one block by default, six full blocks and a partial one here
+    job = moved_job(LatticeTestFunction.spherical(3), (0, 0, 1), K)
+    want = _coset_bins(P, K, job)
+    monkeypatch.setattr(pvszeta, "COSET_CHUNK", 1000)
+    assert np.array_equal(_coset_bins(P, K, job), want)
+
+
+def test_weighted_piece_finer_than_y_mod_p_is_refused():
+    # Clifford-weighted bins come from the recursion alone, and a piece of
+    # scale 2 has a mask finer than Y mod p
+    with pytest.raises(PvsError, match="Clifford-weighted pieces"):
+        fiber_shell_values(LatticeTestFunction.dilated(3, 2), True, P, K)
 
 
 def test_pvs_route_matches_mellin_route():
