@@ -379,8 +379,9 @@ def _validate(args, verb):
     """The one input boundary: p an odd prime, n >= 0, level, k, m >= 1, a
     finite tolerance >= 0, shells at s > -1/2 (where its sums converge), and
     the rows a verb builds within ROW_BUDGET: the p^k rows of a count table,
-    and for verify fe-pvs at n = 1 the 2 p^(k+2) refined bins (det mod
-    p^(k+1), Clifford sign, tr(Y C) mod p) of a phased Clifford job."""
+    and for verify fe-pvs, n <= 1 and k >= 2 (the depth of its series
+    cross-check), the 2 p^(k+2) refined bins (det mod p^(k+1), Clifford
+    sign, tr(Y C) mod p) of a phased Clifford job."""
     from .padic import LocalFieldConfig
     from .pvszeta import check_rows
     LocalFieldConfig(args.p)
@@ -396,11 +397,11 @@ def _validate(args, verb):
         # every count is at most p^(k d); Python prints ints of up to 4300 digits
         if args.k * args.m * (args.m + 1) // 2 * math.log10(args.p) >= 4300:
             raise UsageError(f"count-fibers: p^(k m(m+1)/2) has over 4300 digits at --m {args.m}")
-    elif verb == "verify fe-pvs" and args.n >= 1:
+    elif verb == "verify fe-pvs":
         if args.n >= 2:
             raise UsageError(f"verify fe-pvs needs --n <= 1 (Sym_1 or Sym_3), got {args.n}")
         if args.k < 2:
-            raise UsageError(f"verify fe-pvs needs --k >= 2 when n >= 1, got {args.k}")
+            raise UsageError(f"verify fe-pvs needs --k >= 2, got {args.k}")
         check_rows(2 * float(args.p) ** (args.k + 2))
 
 

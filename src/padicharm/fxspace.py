@@ -41,6 +41,14 @@ from .abelian import (UnitCharacter, beta_factor, beta_factor_inverse_argument,
 from .padic import unit_group, unit_order
 from .ratfunc import PoleError, RationalFunctionZ
 
+# a Mellin component whose numerator is this small against its denominator
+# is zero: in fe-gl1 and fe-pvs runs the vanishing ones are below 1e-16 and
+# the others above 1e-6
+ZERO_COMPONENT_TOL = 1e-13
+# the two sides of the GL(1) functional equation, cross-multiplied at 20
+# sample points: both are exact up to float rounding, ~1e-13 at n = 2
+FE_GL1_TOL = 1e-8
+
 
 class FxError(PadicharmError):
     pass
@@ -305,7 +313,7 @@ def _component_series(Z: MellinData, lo: int, hi: int) -> np.ndarray:
     k = lo..hi over the character exponents j."""
     out = np.zeros((hi - lo + 1, unit_order(Z.p, Z.level)), dtype=complex)
     for j, R in Z.comps.items():
-        if not R.is_zero(1e-13):
+        if not R.is_zero(ZERO_COMPONENT_TOL):
             out[:, j] = R.laurent_coeffs(lo, hi)
     return out
 
@@ -344,7 +352,7 @@ def fx_from_mellin(Z: MellinData, kind: str, n: int) -> FxFunction:
     residues = np.zeros((len(alphas), len(cosets)), dtype=complex)
     laurents = {}
     for j, R in Z.comps.items():
-        if R.is_zero(1e-13):
+        if R.is_zero(ZERO_COMPONENT_TOL):
             continue
         try:
             laurents[j], residues[:, j] = R.partial_fractions(alphas)
@@ -401,7 +409,7 @@ def check_paley_wiener(Z: MellinData, kind: str, n: int):
     and pole location.
     """
     for j, R in Z.comps.items():
-        if R.is_zero(1e-13):
+        if R.is_zero(ZERO_COMPONENT_TOL):
             continue
         chi = Z.character(j)
         quotient = R / class_denominator(chi, kind, n)
@@ -482,7 +490,7 @@ def fourier_L(f: FxFunction, n: int, sign: int = 1) -> FxFunction:
     comps = {}
     for j in range(order):
         mirror = Zg.comps.get(-j % order, RationalFunctionZ.zero())
-        if mirror.is_zero(1e-13):
+        if mirror.is_zero(ZERO_COMPONENT_TOL):
             continue
         comps[j] = _beta_inv_cached(n, p, N, j, sign) * mirror.substitute("invert")
     # comps is M(L(f) |.|^{-(2n+1)/2}); L(f) lands in |.|^{n+1} S^-_{n,beta},
@@ -556,7 +564,7 @@ def fe_gl1_compare(sides, n: int, chi: UnitCharacter, sign: int = 1) -> dict:
     dev = lhs.max_relative_deviation(rhs, z_samples)
     return {
         "max_deviation": dev,
-        "ratfunc_equal": lhs.equals(rhs, tol=1e-8),
+        "ratfunc_equal": lhs.equals(rhs, tol=FE_GL1_TOL),
         "lhs": lhs,
         "rhs": rhs,
     }

@@ -1,4 +1,4 @@
-"""Finite-ring realization of the determinant-fiber zeta theory.
+"""Finite-ring realization of the determinant-fiber zeta theory on Sym_m.
 
 Test functions are finite combinations of pieces
 
@@ -7,13 +7,13 @@ Test functions are finite combinations of pieces
 (the phase matrix C only acts on the p^{-1}-scale pieces produced by the
 lattice Fourier transform).  Fiber counts over Sym_m(Z/p^k) come from a
 Jordan-splitting recursion for every m.  Its state carries the Hasse
-invariant, so the same recursion gives the Clifford-weighted Sym_3 bins:
-counts over Sym_3(Z/p^(k+1)) by det, Clifford sign and tr(Y C) mod p, for
-every piece whose mask and phase depend on Y mod p only.  The entry-wise
-masks finer than Y mod p, from the diagonal action of homogeneity checks,
-are count jobs; they enumerate the cells of their own coset in
-Sym_3(Z/p^k) and recover the extra determinant digit by the linear
-refinement
+invariant, so at odd m = 2n + 1 the same recursion gives the
+Clifford-weighted bins: counts over Sym_m(Z/p^(k+1)) by det, Clifford sign
+and tr(Y C) mod p, for every piece whose mask and phase depend on Y mod p
+only.  The entry-wise masks finer than Y mod p, from the diagonal action of
+homogeneity checks, are count jobs on Sym_3; they enumerate the cells of
+their own coset in Sym_3(Z/p^k) and recover the extra determinant digit by
+the linear refinement
 
     det(Y0 + p^k Z) = det(Y0) + p^k tr(adj(Y0) Z)  (mod p^{2k})
 
@@ -28,6 +28,8 @@ the known denominator prod_{s <= m} (1 - p^(-2 d_s) z^(2s)).  Summed over a
 job's census cells, it gives the Mellin transform of every fiber function
 the recursion serves exactly, and the depth-k shells above cross-check it.
 Those are the rational functions the functional-equation verifier compares.
+At m = 1 (n = 0) det is the identity, so f_Phi = Phi, and the functional
+equation is Tate's.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from . import PadicharmError
 from .abelian import UnitCharacter, beta_factor, character_components
 from .fxspace import (FxFunction, MellinData, TailSpec, fx_from_mellin,
                       mellin_transform)
-from .padic import psi_frac, unit_group, unit_order, unit_part, val_p
+from .padic import psi_frac, unit_group, unit_order
 from .quadform import legendre
 from .ratfunc import RationalFunctionZ
 
@@ -229,7 +231,10 @@ def evaluate_lattice_function(Phi: LatticeTestFunction, X, p: int, sign: int = 1
 
 # ------------------------------------------------------------ refined bins
 
-# (p, k) -> {job: refined bins over Sym_3(Z/p^(k+1))}, by recursion or coset
+# (p, k) -> {job: refined bins over Sym_m(Z/p^(k+1))}, by recursion or coset.
+# A job is ("count", mask, m) or ("rho", mask, C, m): mask None or
+# (residues, moduli) in `_entry_order`, C a phase matrix or None, and the
+# size m last, so that jobs of different sizes never share an entry
 _SWEEP_CACHE: dict = {}
 
 
@@ -301,17 +306,20 @@ def _coset_bins(p: int, k: int, job):
 def precompute_jobs(p: int, k: int, jobs) -> None:
     """Cache the refined bins of the given jobs: by the Jordan-splitting
     recursion when the job depends on Y mod p only, else, for a count job
-    under a finer entry-wise mask, by enumerating its coset."""
+    on Sym_3 under a finer entry-wise mask, by enumerating its coset."""
     cache = _SWEEP_CACHE.setdefault((p, k), {})
     for job in dict.fromkeys(jobs):
         if job in cache:
             continue
         if _by_recursion(job, p):
             cache[job] = _recursion_bins(p, k, job)
-        elif job[0] == "count":
-            cache[job] = _coset_bins(p, k, job)
-        else:
+        elif job[0] != "count":
             raise PvsError("Clifford-weighted pieces need a mask that fixes Y mod p")
+        elif job[-1] != 3:
+            raise PvsError("coset enumeration is for m = 3: a count job "
+                           "under a mask finer than Y mod p")
+        else:
+            cache[job] = _coset_bins(p, k, job)
 
 
 # -------------------------------------------------------------- fiber counts
@@ -417,45 +425,61 @@ def det_fiber_counts(m: int, p: int, k: int) -> FiberCountTable:
     return FiberCountTable(m, p, k, counts, zero, total)
 
 
+def _cell_rank_key(m: int, entries, leg, p: int):
+    """(rank, key) of cells of Sym_m(F_p), m = 1 or 3, from their entries in
+    `_entry_order`: key is det Y0 mod p at full rank, else the Legendre class
+    of the nondegenerate part (1 at rank 0)."""
+    if m == 1:
+        det = entries[0] % p
+        return np.where(det != 0, 1, 0), np.where(det != 0, det, 1)
+    x11, x22, x33 = entries[:3]
+    adj, det = _adjugate_det(*entries)
+    a11, a22, a33 = adj[:3]
+    det %= p
+    adjnz = np.any(np.stack(adj) % p != 0, axis=0)
+    nonzero = np.any(np.stack(entries) != 0, axis=0)
+    rank = np.where(det != 0, 3, np.where(adjnz, 2, np.where(nonzero, 1, 0)))
+    # a rank-2 adjugate is a multiple of w w^t by the nondegenerate
+    # part's discriminant, a rank-1 matrix one of v v^t
+    key = np.where(rank == 3, det, np.where(
+        rank == 2, _first_unit_diag_leg(leg, p, a11, a22, a33),
+        np.where(rank == 1, _first_unit_diag_leg(leg, p, x11, x22, x33), 1)))
+    return rank, key
+
+
 @lru_cache(maxsize=None)
 def _job_census(p: int, job) -> dict:
-    """{(r, key, t): count} over the cells Y0 of Sym_3(F_p) inside the job's
+    """{(r, key, t): count} over the cells Y0 of Sym_m(F_p) inside the job's
     mask, by rank r, phase t = tr(Y0 C) mod p and key: the class of the
-    nondegenerate part, or at full rank det Y0 mod p itself, which every
-    lift keeps.  A job without mask or phase takes the closed-form census."""
-    mask = job[1]
+    nondegenerate part, or at full rank m det Y0 mod p itself, which every
+    lift keeps.  A job without mask or phase takes the closed-form census at
+    any m; the others enumerate their cells (`_cell_rank_key`)."""
+    m, mask = job[-1], job[1]
     C = job[2] if job[0] == "rho" else None
     if mask is None and C is None:
-        census = _rank_census(3, p)
-        out = {(r, delta, 0): n for (r, delta), n in census.items() if r < 3 and n}
+        census = _rank_census(m, p)
+        out = {(r, delta, 0): n for (r, delta), n in census.items() if r < m and n}
         for a in range(1, p):
-            out[(3, a, 0)] = census[(3, legendre(a, p))] // ((p - 1) // 2)
+            out[(m, a, 0)] = census[(m, legendre(a, p))] // ((p - 1) // 2)
         return out
+    if m not in (1, 3):
+        raise PvsError("the cell census of masked or phased jobs is for m = 1 and 3")
+    d = m * (m + 1) // 2
     if mask is not None:      # the mask fixes Y mod p: one cell
         blocks = [[np.array([x % p]) for x in mask[0]]]
     else:
         r = np.arange(p)
-        rest = [a.ravel() for a in np.meshgrid(r, r, r, r, r, indexing="ij")]
-        blocks = [[np.full(p ** 5, x11)] + rest for x11 in range(p)]
+        rest = [a.ravel() for a in np.meshgrid(*[r] * (d - 1), indexing="ij")]
+        blocks = [[np.full(p ** (d - 1), x0)] + rest for x0 in range(p)]
     leg = _legendre_table(p)
     out: dict = {}
-    for x11, x22, x33, x12, x13, x23 in blocks:
-        adj, det = _adjugate_det(x11, x22, x33, x12, x13, x23)
-        a11, a22, a33 = adj[:3]
-        det %= p
-        adjnz = np.any(np.stack(adj) % p != 0, axis=0)
-        nonzero = np.any(np.stack([x11, x22, x33, x12, x13, x23]) != 0, axis=0)
-        rank = np.where(det != 0, 3, np.where(adjnz, 2, np.where(nonzero, 1, 0)))
-        # a rank-2 adjugate is a multiple of w w^t by the nondegenerate
-        # part's discriminant, a rank-1 matrix one of v v^t
-        key = np.where(rank == 3, det, np.where(
-            rank == 2, _first_unit_diag_leg(leg, p, a11, a22, a33),
-            np.where(rank == 1, _first_unit_diag_leg(leg, p, x11, x22, x33), 1)))
-        t = 0 if C is None else (x11 * C[0][0] + x22 * C[1][1] + x33 * C[2][2] + 2 * (
-            x12 * C[0][1] + x13 * C[0][2] + x23 * C[1][2])) % p
+    for entries in blocks:
+        rank, key = _cell_rank_key(m, entries, leg, p)
+        t = 0 if C is None else sum((1 if i == j else 2) * x * C[i][j] for x, (i, j)
+                                    in zip(entries, _entry_order(m))) % p
         # one code per (rank, key, t), with the class -1 stored as p
         counts = np.bincount(((rank * (p + 1) + key % (p + 1)) * p + t).ravel(),
-                             minlength=4 * (p + 1) * p)
+                             minlength=(m + 1) * (p + 1) * p)
         codes = np.flatnonzero(counts)
         for code, n in zip(codes.tolist(), counts[codes].tolist()):
             rest, t0 = divmod(code, p)
@@ -478,33 +502,35 @@ def _shell_keys(p: int, K: int) -> dict:
 
 
 def _recursion_bins(p: int, k: int, job):
-    """A job's refined bins, counts over Sym_3(Z/p^(k+1)) indexed by
+    """A job's refined bins, counts over Sym_m(Z/p^(k+1)) indexed by
     (det mod p^(k+1), Clifford sign, tr(Y C) mod p), by Jordan splitting.
 
-    Each cell Y0 of the job's census has p^((K-1)(d_3 - d_s)) lifts per Z in
-    Sym_s(Z/p^(K-1)), K = k + 1 and s = 3 - rank, moved by `_split_state`;
-    the Clifford sign at size 3 is rho = (-1, -1) (-1, det) c = ell^v c.  At
-    full rank the lifts spread evenly over the residues of det Y0 mod p, with
-    rho = +1; below it, over the unit residues of the det's class in its
-    shell.  The row of det = 0 mod p^(k+1) is left empty: no shell reads it."""
-    K = k + 1
+    Each cell Y0 of the job's census has p^((K-1)(d - d_s)) lifts per Z in
+    Sym_s(Z/p^(K-1)), K = k + 1, d = d_m and s = m - rank, moved by
+    `_split_state`; the Clifford sign at size m = 2n + 1 is
+    rho = (-1, -1)^(n(n+1)/2) ((-1)^n, det) c = ell^(n v) c.  At full rank
+    the lifts spread evenly over the residues of det Y0 mod p, with rho = +1;
+    below it, over the unit residues of the det's class in its shell.  The
+    row of det = 0 mod p^(k+1) is left empty: no shell reads it."""
+    m = job[-1]
+    n, d, K = (m - 1) // 2, m * (m + 1) // 2, k + 1
     signs, phases = _bin_shape(job, p)
     check_rows(p ** K * signs * phases)
     ell = legendre(-1, p)
     per_residue = Counter()      # (v, class or det residue, sign slot, t) -> count
-    for (r, key, t), n in _job_census(p, job).items():
-        if r == 3:
-            per_residue[(0, key, 0, t)] += n * p ** (5 * (K - 1))
+    for (r, key, t), count in _job_census(p, job).items():
+        if r == m:
+            per_residue[(0, key, 0, t)] += count * p ** ((d - 1) * (K - 1))
             continue
-        s = 3 - r
-        lifts = n * p ** ((K - 1) * (6 - s * (s + 1) // 2))
+        s = m - r
+        lifts = count * p ** ((K - 1) * (d - s * (s + 1) // 2))
         for state, c in _det_class_counts(s, p, K - 1)[0].items():
             v, eps, hasse = _split_state(state, s, key, ell)
             if v < K:
-                slot = (1 - ell ** (v % 2) * hasse) // 2 if signs == 2 else 0
+                slot = (1 - ell ** (n * v % 2) * hasse) // 2 if signs == 2 else 0
                 per_residue[(v, eps, slot, t)] += lifts * c // (unit_order(p, K - v) // 2)
     bins = np.zeros((p ** K, signs, phases),
-                    dtype=np.int64 if p ** (6 * K) < 2 ** 63 else object)
+                    dtype=np.int64 if p ** (d * K) < 2 ** 63 else object)
     for (v, key, slot, t), n in per_residue.items():
         rows = np.arange(key, p ** K, p) if v == 0 else _shell_keys(p, K)[(v, key)]
         bins[rows, slot, t] = n
@@ -572,11 +598,11 @@ def _size_series(m: int, p: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _cell_series(p: int, s: int, delta: int) -> dict:
-    """{state (w, eps, c) at size 3: numerator}: z^s G_s moved by a unit block
+def _cell_series(p: int, m: int, s: int, delta: int) -> dict:
+    """{state (w, eps, c) at size m: numerator}: z^s G_s moved by a unit block
     of class delta (a bijection of states), the det density over the cells of
-    rank 3 - s and class delta, over _size_denominator(p, 0, 3), at pz."""
-    lift = _at_pz(_shifted(_size_denominator(p, s, 3), s), p)
+    rank m - s and class delta, over _size_denominator(p, 0, m), at pz."""
+    lift = _at_pz(_shifted(_size_denominator(p, s, m), s), p)
     return {_split_state(state, s, delta, legendre(-1, p)): np.convolve(lift, _at_pz(num, p))
             for state, num in _size_series(s, p).items()}
 
@@ -584,31 +610,34 @@ def _cell_series(p: int, s: int, delta: int) -> dict:
 @lru_cache(maxsize=None)
 def _job_series(p: int, job, weighted: bool, sign: int) -> np.ndarray:
     """Rows j of the numerator of M(f_job)(z, chi_j) over
-    _size_denominator(p, 0, 3) at pz, for the level-1 characters chi_j.
+    _size_denominator(p, 0, m) at pz, for the level-1 characters chi_j, on
+    Sym_m with m = 2n + 1 and d = m(m+1)/2.
 
-    Each census cell Y0 + p Sym_3(Z_p) has measure p^-6; a cell of rank r
-    and class delta feeds `_cell_series` at s = 3 - r.  A full-rank cell
+    Each census cell Y0 + p Sym_m(Z_p) has measure p^-d; a cell of rank r
+    and class delta feeds `_cell_series` at s = m - r.  A full-rank cell
     keeps det Y0 mod p, so it sits on that coset; any other spreads evenly
     over the (p - 1)/2 cosets of each class.  Cells are weighted by psi(t),
-    and by rho = ell^w c when weighted.  As f(p^v u) = p^(v+1)
-    mu(det in p^v u (1 + p Z_p)), M(f)(z) is p^-5 times the sum at pz."""
+    and by rho = ell^(n w) c when weighted.  As f(p^v u) = p^(v+1)
+    mu(det in p^v u (1 + p Z_p)), M(f)(z) is p^-(d-1) times the sum at pz."""
+    m = job[-1]
+    n, d = (m - 1) // 2, m * (m + 1) // 2
     ell = legendre(-1, p)
     cosets = np.array(unit_group(p, 1)[0])
     classes = _legendre_table(p)[cosets]
-    weights: Counter = Counter()      # (rank, key) -> sum of n psi(t)
-    for (r, key, t), n in _job_census(p, job).items():
-        weights[(r, key)] += n * psi_frac(p, t, 1, sign)
+    weights: Counter = Counter()      # (rank, key) -> sum of count psi(t)
+    for (r, key, t), count in _job_census(p, job).items():
+        weights[(r, key)] += count * psi_frac(p, t, 1, sign)
     vectors, numerators = [], []
     for (r, key), x in weights.items():
-        delta = legendre(key, p) if r == 3 else key
-        for (w, eps, c), num in _cell_series(p, 3 - r, delta).items():
-            cells = cosets == key if r == 3 else (classes == eps) * 2 / (p - 1)
-            vectors.append(x * (ell ** w * c if weighted else 1) * cells)
+        delta = legendre(key, p) if r == m else key
+        for (w, eps, c), num in _cell_series(p, m, m - r, delta).items():
+            cells = cosets == key if r == m else (classes == eps) * 2 / (p - 1)
+            vectors.append(x * (ell ** (n * w) * c if weighted else 1) * cells)
             numerators.append(num)
     N = np.zeros((len(numerators), max(map(len, numerators))))
     for row, num in zip(N, numerators):
         row[:len(num)] = num
-    return character_components(np.array(vectors, dtype=complex)).T @ N * float(p) ** -5
+    return character_components(np.array(vectors, dtype=complex)).T @ N * float(p) ** (1 - d)
 
 
 # -------------------------------------------- shell values and fiber functions
@@ -619,30 +648,31 @@ def _piece_job(piece: LatticePiece, weighted: bool, p: int, k: int):
     Weighted pieces take a Clifford ("rho") job; so do unweighted pieces
     with a phase at scale -1, whose job carries tr(Y C) mod p (their sign
     is ignored at assembly)."""
-    if piece.m != 3:
-        raise PvsError("refined-bin jobs are for m = 3")
+    m = piece.m
+    if m % 2 == 0:
+        raise PvsError("even sizes are out of scope")
     mask, shift, prefactor = None, 0, 1.0
     if piece.moduli is not None:
         if max(piece.moduli) > p**k:
             raise PvsError("entry-wise moduli exceed p^k")
         residues = tuple(piece.B[i][j] % mo for (i, j), mo
-                         in zip(_entry_order(3), piece.moduli))
+                         in zip(_entry_order(m), piece.moduli))
         mask = (residues, piece.moduli)
     elif piece.r >= 0:
         if p**piece.r > p**k:
             raise PvsError("piece scale exceeds p^k")
         if piece.r > 0:
-            residues = tuple(piece.B[i][j] % p**piece.r for (i, j) in _entry_order(3))
+            residues = tuple(piece.B[i][j] % p**piece.r for (i, j) in _entry_order(m))
             mask = (residues, (p**piece.r,) * len(residues))
     elif piece.r == -1:
-        # X = p^{-1} Y: det X = p^{-3} det Y and f picks up q^{d-3} = q^3;
+        # X = p^{-1} Y: det X = p^{-m} det Y and f picks up q^{d-m};
         # rho(p^{-1} Y) = rho(Y) (scalars act trivially on rho at odd size)
-        shift, prefactor = -3, float(p) ** 3
+        shift, prefactor = -m, float(p) ** (m * (m + 1) // 2 - m)
         if piece.C is not None:
-            return ("rho", None, piece.C), shift, prefactor
+            return ("rho", None, piece.C, m), shift, prefactor
     else:
         raise PvsError("pieces with r < -1 are outside the enumeration budget")
-    job = ("rho", mask, None) if weighted else ("count", mask)
+    job = ("rho", mask, None, m) if weighted else ("count", mask, m)
     return job, shift, prefactor
 
 
@@ -654,7 +684,7 @@ def piece_shell_values(piece: LatticePiece, weighted: bool, p: int, k: int, sign
         raise PvsError("level-1 shell values need k >= 2")
     job, shift, prefactor = _piece_job(piece, weighted, p, k)
     precompute_jobs(p, k, (job,))
-    d = 6
+    d = piece.m * (piece.m + 1) // 2
     # bins (det mod p^(k+1), sign, t): the sign is ignored on unweighted pieces
     arr = _SWEEP_CACHE[(p, k)][job]
     n_signs, n_phases = arr.shape[1:]
@@ -678,9 +708,10 @@ def piece_shell_values(piece: LatticePiece, weighted: bool, p: int, k: int, sign
 def fiber_shell_values(Phi: LatticeTestFunction, weighted: bool, p: int, k: int,
                        sign: int = 1):
     """Stable shell values of f_Phi / f_{rho Phi}: shells known for every
-    piece, -3..k-3 at scale -1 and 0..k otherwise."""
-    lo = -3 if any(q.moduli is None and q.r < 0 for q in Phi.pieces) else 0
-    hi = k + min(-3 if q.moduli is None and q.r < 0 else 0 for q in Phi.pieces)
+    piece, -m..k-m at scale -1 and 0..k otherwise."""
+    m = Phi.m
+    lo = -m if any(q.moduli is None and q.r < 0 for q in Phi.pieces) else 0
+    hi = k + min(-m if q.moduli is None and q.r < 0 else 0 for q in Phi.pieces)
     vals: dict = {}
     for piece in Phi.pieces:
         for (w, u), x in piece_shell_values(piece, weighted, p, k, sign).items():
@@ -696,27 +727,24 @@ def fiber_function(Phi: LatticeTestFunction, weighted: bool, p: int, k: int,
     """The fiber integration f_Phi (f_{rho Phi^} when weighted) as an exact
     FxFunction: unweighted fibers live in S_n^+, weighted ones in S_n^-.
 
-    At m = 3 (n = 1) its Mellin transform sums the pieces' `_job_series`,
+    At odd m = 2n + 1 its Mellin transform sums the pieces' `_job_series`,
     exact for every piece whose job the recursion serves.  The depth-k
     recursion's shells (`fiber_shell_values`) cross-check it on the stable
     range, which must hold a nonzero shell."""
     m = Phi.m
-    if m % 2 == 0:
-        raise PvsError("even sizes are out of scope")
-    if m == 1:
-        return _fiber_function_m1(Phi, p, sign)
-    den = np.concatenate([np.zeros(3), _at_pz(_size_denominator(p, 0, 3), p)])   # z^3 D(pz)
+    n = (m - 1) // 2
+    den = np.concatenate([np.zeros(m), _at_pz(_size_denominator(p, 0, m), p)])   # z^m D(pz)
     num = np.zeros((p - 1, 2 * len(den)), dtype=complex)
     for piece in Phi.pieces:
         job, shift, prefactor = _piece_job(piece, weighted, p, k)
         if not _by_recursion(job, p):
             raise PvsError("no exact series for masks finer than Y mod p")
         series = _job_series(p, job, weighted, sign)
-        num[:, 3 + shift:3 + shift + series.shape[1]] += piece.weight * prefactor * series
+        num[:, m + shift:m + shift + series.shape[1]] += piece.weight * prefactor * series
     kind = "minus" if weighted else "plus"
     Z = MellinData(p, 1, {j: RationalFunctionZ(row, den) for j, row in enumerate(num)
-                          if row.any()}, (kind, 1))
-    f = fx_from_mellin(Z, kind, 1)
+                          if row.any()}, (kind, n))
+    f = fx_from_mellin(Z, kind, n)
     shells, lo, hi = fiber_shell_values(Phi, weighted, p, k, sign)
     scale = max(map(abs, shells.values()))
     if scale == 0:
@@ -727,60 +755,6 @@ def fiber_function(Phi: LatticeTestFunction, weighted: bool, p: int, k: int,
     if any(x for row in (f.tail.a0, *f.tail.ap, *f.tail.am) for x in row):
         return f
     return FxFunction(p, 1, f.k_min, f.k_tail, f.values, TailSpec.compact())
-
-
-def _fiber_function_m1(Phi: LatticeTestFunction, p: int, sign: int) -> FxFunction:
-    """m = 1: det is the identity, f_Phi = Phi pointwise and rho = 1.
-
-    Pieces b + p^r Z_p with p^r not dividing b are single-coset windows;
-    pieces with b in p^r Z_p are shifted indicators contributing a constant
-    tail from shell r on; negative-scale pieces carry their psi phase on
-    the window shells r..-1.
-    """
-    cosets = unit_group(p, 1)[0]
-    window: dict = {}
-    tail_a0 = {u: 0.0 + 0.0j for u in cosets}
-    tail_starts = []
-    k_min = 0
-    for q in Phi.pieces:
-        b, r, w = q.B[0][0], q.r, q.weight
-        cc = q.C[0][0] if q.C is not None else 0
-        if r >= 1 and b % p**r != 0:
-            v = val_p(b, p)
-            depth = r - v
-            if depth > 1:
-                raise PvsError("level 1 is too coarse for this base point")
-            t = unit_part(b, p, depth)
-            for u in cosets:
-                if (u - t) % p**depth == 0:
-                    window[(v, u)] = window.get((v, u), 0.0) + w
-            k_min = min(k_min, v)
-        else:
-            # ch(p^r Z_p) with a phase psi(t c p^{min(r,0)}) on shells r..-1
-            tail_starts.append((r, w))
-            k_min = min(k_min, r)
-            if r < 0:
-                # on shell v the argument t c = p^v u c has fractional part u c / p^{-v}
-                for v in range(r, 0):
-                    for u in cosets:
-                        ph = psi_frac(p, u * cc, -v, sign) if cc else 1.0
-                        window[(v, u)] = window.get((v, u), 0.0) + w * ph
-            for u in cosets:
-                tail_a0[u] += w
-    k_tail = max([0] + [(v + 1) for (v, _) in window]
-                 + [r for (r, _) in tail_starts if r > 0])
-    # fill window shells below k_tail that the indicator tails already cover
-    for v in range(k_min, k_tail):
-        for u in cosets:
-            extra = sum(w for (r, w) in tail_starts if r <= v and v >= 0)
-            if extra:
-                window[(v, u)] = window.get((v, u), 0.0) + extra
-    if all(abs(x) < 1e-15 for x in tail_a0.values()):
-        tail = TailSpec.compact()
-    else:
-        tail = TailSpec("plus", 0, tuple(tail_a0[u] for u in cosets), (), ())
-    vals = {ku: v for ku, v in window.items() if abs(v) > 1e-15}
-    return FxFunction(p, 1, min(k_min, k_tail), k_tail, vals, tail)
 
 
 def pvs_route_transform(Phi: LatticeTestFunction, p: int, k: int, n: int = 1,

@@ -40,7 +40,7 @@ def sweep_counts(sweep_oracle):
     """The Sym_3(Z/p^k) fiber table folded from the sweep's count bins over
     Sym_3(Z/p^(k+1)); each matrix mod p^k has p^6 lifts, all with its det."""
     def table(p, k):
-        job = ("count", None)
+        job = ("count", None, 3)
         bins = sweep_oracle(p, k, [job])[job]
         return fold_residue_counts(bins.reshape(p, p**k).sum(axis=0) // p**6, p, k)
     return table

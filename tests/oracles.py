@@ -90,8 +90,8 @@ def _sweep3_block(p, k, jobs, x11_range):
     """One outer block of the Sym_3(Z/p^k) sweep.
 
     Bin layouts (key4 = integer det mod p^{k+1}, adjnz = adj(Y) != 0 mod p):
-      ("count", mask):       index (key4, adjnz)                -> 2 p^{k+1}
-      ("rho", mask, C):      index (key4, adjnz, rho-sign, t)   -> 2 p^{k+1} 2 p
+      ("count", mask, 3):    index (key4, adjnz)                -> 2 p^{k+1}
+      ("rho", mask, C, 3):   index (key4, adjnz, rho-sign, t)   -> 2 p^{k+1} 2 p
     with t = tr(Y C) mod p; the psi orientation only enters at assembly.
     """
     mod = p**k
@@ -131,7 +131,7 @@ def _sweep3_block(p, k, jobs, x11_range):
                     else:
                         out[job] += np.bincount(bins[sel], minlength=2 * mod4)
                 else:
-                    _, _, C = job
+                    C = job[2]
                     if (sigma == 0).any():
                         bad = (sigma == 0) & (key4 != 0)
                         if sel is not None:

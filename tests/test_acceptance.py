@@ -66,7 +66,7 @@ HOMOGENEITY_CASES = [
 def k3_sweep(sweep_oracle):
     """One shared Sym_3 sweep at k = 3: the oracle bins of every job the
     suite needs, plus a non-diagonal phase.  Returns (bins, seconds)."""
-    jobs = {("rho", None, NONDIAG)}
+    jobs = {("rho", None, NONDIAG, 3)}
     for _, Phi in PVS_FUNCTIONS:
         for piece in Phi.pieces:
             jobs.add(_piece_job(piece, False, P, 3)[0])

@@ -228,6 +228,7 @@ def test_fourier_n0_consumes_fx_json(tmp_path):
     ["verify", "fe-gl1", "--tolerance", "-1"],
     ["verify", "fe-gl1", "--tolerance", "nan"],
     ["verify", "fe-pvs", "--tolerance", "inf"],
+    ["verify", "fe-pvs", "--p", "3", "--n", "0", "--k", "1"],
 ])
 def test_invalid_input_is_a_json_error(argv, capsys):
     assert main(argv) == 2

@@ -9,6 +9,7 @@ import pytest
 from padicharm.abelian import UnitCharacter, characters
 from padicharm.fxspace import check_paley_wiener, mellin_transform
 from padicharm import pvszeta
+from padicharm.padic import unit_group
 from padicharm.pvszeta import (LatticeTestFunction, PvsError, _by_recursion,
                                _coset_bins, _det_class_counts, _entry_order,
                                _legendre_table, _piece_job, _rank_census,
@@ -79,11 +80,11 @@ def test_det_fiber_counts_m3_conservation_and_values():
 def test_budget_guard():
     # a coset (an entry-wise mask finer than Y mod p) past ENUM_BUDGET cells,
     # and recursion bins past ROW_BUDGET rows
-    moved = ("count", ((0,) * 6, (1, 1, 25, 1, 5, 5)))
+    moved = ("count", ((0,) * 6, (1, 1, 25, 1, 5, 5)), 3)
     with pytest.raises(PvsError, match="enumeration budget"):
         precompute_jobs(5, 4, (moved,))
     with pytest.raises(PvsError, match="row budget"):
-        precompute_jobs(3, 13, (("rho", None, I3),))
+        precompute_jobs(3, 13, (("rho", None, I3, 3),))
 
 
 def brute_census(m, p):
@@ -133,9 +134,10 @@ def test_recursion_bins_match_sweep(sweep_oracle):
     # every job kind the checks build from Y mod p: count and Clifford jobs,
     # unmasked, under one-point masks, and with diagonal and non-diagonal
     # phases; row 0 (det = 0 mod p^(k+1)) is read by no shell
-    jobs = [("count", None), ("count", one_point(I3, P)), ("count", one_point(ZERO3, P)),
-            ("rho", None, None), ("rho", None, I3), ("rho", None, NONDIAG),
-            ("rho", one_point(((1, 0, 0), (0, 2, 0), (0, 0, 0)), P), None)]
+    jobs = [("count", None, 3), ("count", one_point(I3, P), 3),
+            ("count", one_point(ZERO3, P), 3), ("rho", None, None, 3), ("rho", None, I3, 3),
+            ("rho", None, NONDIAG, 3),
+            ("rho", one_point(((1, 0, 0), (0, 2, 0), (0, 0, 0)), P), None, 3)]
     for job, want in sweep_oracle(P, K, jobs).items():
         got = _recursion_bins(P, K, job)
         assert np.array_equal(got[1:], want[1:]), job
@@ -164,7 +166,7 @@ def test_lift_law_against_clifford_rho(p):
     r = np.arange(p)
     lifts = [a.ravel() for a in np.meshgrid(r, r, r, r, r, r, indexing="ij")]
     for Y0 in lift_law_cells(p):
-        bins = _recursion_bins(p, 1, ("rho", one_point(Y0, p), None))
+        bins = _recursion_bins(p, 1, ("rho", one_point(Y0, p), None, 3))
         x11, x22, x33, x12, x13, x23 = (Y0[i][j] + p * x
                                         for (i, j), x in zip(_entry_order(3), lifts))
         det = (x11 * (x22 * x33 - x23 * x23) - x12 * (x12 * x33 - x23 * x13)
@@ -194,7 +196,7 @@ def test_weighted_spherical_shells_exact(p):
     # coefficient of the minus-class L-product times 1 - p^-3
     for k in range(2, 6):
         K = k + 1
-        bins = _recursion_bins(p, k, ("rho", None, None))
+        bins = _recursion_bins(p, k, ("rho", None, None, 3))
         want = minus_series(p, K)
         for v in range(K):
             for u in range(1, p):
@@ -434,6 +436,44 @@ def test_fiber_function_m1():
     assert abs(g.evaluate(1, 1)) < 1e-15
 
 
+M1_FUNCTIONS = [LatticeTestFunction.dilated(1, 0), LatticeTestFunction.dilated(1, 1),
+                LatticeTestFunction.shifted([[2]], 1)]
+
+
+def m1_fiber_deviation(p, k):
+    """max |f - Phi| over shells -3..4 for the M1_FUNCTIONS and, weighted,
+    their Fourier transforms, both psi signs: at m = 1 det is the identity
+    and rho = 1, so the fiber function is the function itself."""
+    worst = 0.0
+    for sign in (1, -1):
+        for Phi in M1_FUNCTIONS:
+            for weighted, side in ((False, Phi), (True, lattice_fourier(Phi, p, sign))):
+                f = fiber_function(side, weighted, p, k, sign)
+                for v in range(-3, 5):
+                    for u in unit_group(p, 1)[0]:
+                        want = evaluate_lattice_function(side, [[Fraction(p) ** v * u]], p, sign)
+                        worst = max(worst, abs(f.evaluate(v, u) - want))
+    return worst
+
+
+@pytest.mark.parametrize("first", ["m1", "m3"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fiber_function_m1_is_phi_pointwise(p, first, monkeypatch):
+    # from empty caches, m = 1 and m = 3 jobs of the same kind, in either
+    # order: a cache entry shared between the sizes spoils whichever comes second
+    monkeypatch.setattr(pvszeta, "_SWEEP_CACHE", {})
+    for cached in (pvszeta._job_census, pvszeta._job_series, pvszeta._cell_series):
+        cached.cache_clear()
+    c = float(1 - Fraction(1, p) ** 3)
+    sizes = ["m1", "m3"] if first == "m1" else ["m3", "m1"]
+    for size in sizes:
+        if size == "m1":
+            assert m1_fiber_deviation(p, 3) < 1e-12
+        else:
+            f = fiber_function(LatticeTestFunction.spherical(3), False, p, 3)
+            assert mellin_transform(f).comps[0].equals(spherical_plus_mellin(p) * c, tol=1e-9)
+
+
 def test_fiber_function_m3_spherical_exact_mellin():
     f = fiber_function(LatticeTestFunction.spherical(3), False, P, K)
     Z = mellin_transform(f)
@@ -577,8 +617,8 @@ def test_homogeneity_sweeps_the_moved_side_once(monkeypatch):
                             UnitCharacter(P, 1, 1), P, K)
     assert rep["shells_equal"], rep["max_deviation"]
     assert len(calls) == 1
-    (kind, mask), = calls
-    assert kind == "count" and max(mask[1]) > P
+    (kind, mask, m), = calls
+    assert kind == "count" and max(mask[1]) > P and m == 3
 
 
 MOVES = [(0, 0, 1), (0, 1, 1), (1, 0, 1)]
@@ -641,6 +681,30 @@ def test_weighted_piece_finer_than_y_mod_p_is_refused():
     # scale 2 has a mask finer than Y mod p
     with pytest.raises(PvsError, match="Clifford-weighted pieces"):
         fiber_shell_values(LatticeTestFunction.dilated(3, 2), True, P, K)
+
+
+def test_m1_count_piece_finer_than_y_mod_p_is_refused():
+    # the coset enumeration behind a finer mask is written for Sym_3
+    with pytest.raises(PvsError, match="coset enumeration is for m = 3"):
+        fiber_shell_values(LatticeTestFunction.dilated(1, 2), False, P, 3)
+
+
+@pytest.mark.parametrize("Phi, message", [
+    (LatticeTestFunction.dilated(1, 2), "no exact series"),
+    (LatticeTestFunction.dilated(1, -2), "r < -1"),
+    (LatticeTestFunction.shifted([[3]], 2), "no exact series"),
+])
+def test_m1_fiber_function_past_y_mod_p_is_refused(Phi, message):
+    # m = 1 takes the exact series like m = 3, with the same reach
+    with pytest.raises(PvsError, match=message):
+        fiber_function(Phi, False, P, 3)
+
+
+def test_masked_sym5_piece_is_refused():
+    # the cells of a masked or phased job are enumerated at m = 1 and 3
+    # only; at m = 5 a phased job would need all 3^15 cells of Sym_5(F_3)
+    with pytest.raises(PvsError, match="for m = 1 and 3"):
+        fiber_function(LatticeTestFunction.dilated(5, 1), False, P, 3)
 
 
 def test_pvs_route_matches_mellin_route():
