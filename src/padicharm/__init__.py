@@ -2,15 +2,15 @@
 
 Submodules
 ----------
-padic       finite-precision Q_p, additive character, unit groups
+padic       finite-precision Q_p, valuation and unit part, the Legendre
+            symbol, additive character, unit groups
 ratfunc     rational functions of z = q^{-s}: residues, substitutions,
             partial fractions
 abelian     unit characters and the abelian L/epsilon/gamma/beta factors,
             with a Tate-integral oracle
-fxspace     shell-function model on F^x, Mellin transform/inversion, the
-            eta kernel, the Fourier operator on the plus space, and the
-            functional-equation / Paley-Wiener verifiers
-quadform    Hilbert symbol, Hasse invariant, Clifford invariant
+fxspace     shell-function model on F^x, Mellin transform and its inversion
+            (fx_from_mellin), the eta kernel, the Fourier operator on the
+            plus space, and the functional-equation / Paley-Wiener verifiers
 pvszeta     determinant-fiber enumeration over Sym_m(Z/p^k), lattice test
             functions and their Fourier transforms, zeta integrals, and the
             prehomogeneous functional-equation verifier

@@ -102,25 +102,6 @@ class UnitCharacter:
         j = self.exponent * dlog * unit_order(self.p, level) // self.order_of_group
         return UnitCharacter(self.p, level, j)
 
-    def value_minus_one(self) -> complex:
-        return self.value(-1 % self.p**self.level)
-
-    @classmethod
-    def from_table(cls, p: int, level: int, table: dict, tol=1e-8) -> "UnitCharacter":
-        """Build from an explicit value table, validating multiplicativity."""
-        mod = p**level
-        elements, gen, dlog = unit_group(p, level)
-        for u in elements:
-            for v in elements[: min(len(elements), 12)]:
-                if abs(table[u] * table[v] - table[u * v % mod]) > tol:
-                    raise CharacterError("value table is not multiplicative")
-        n = unit_order(p, level)
-        gval = table[gen]
-        for j in range(n):
-            if abs(cmath.exp(2j * cmath.pi * j / n) - gval) < tol:
-                return cls(p, level, j)
-        raise CharacterError("generator image is not a root of unity of the right order")
-
 
 def characters(p: int, level: int):
     """All characters of (Z/p^level)^x."""
@@ -186,12 +167,6 @@ def epsilon_factor(chi: UnitCharacter, sign: int = 1) -> RationalFunctionZ:
     return RationalFunctionZ.z_power(e) * gauss_sum(chi, sign)
 
 
-def epsilon_half(chi: UnitCharacter, sign: int = 1) -> complex:
-    """eps(1/2,chi,psi) = q^{-e/2} G(chi,psi); modulus 1 for unitary chi."""
-    e = conductor(chi)
-    return gauss_sum(chi, sign) * chi.p ** (-e / 2.0)
-
-
 def gamma_factor(chi: UnitCharacter, sign: int = 1) -> RationalFunctionZ:
     """gamma(s,chi,psi) = eps(s,chi,psi) L(1-s,chi^{-1}) / L(s,chi)."""
     q = chi.p
@@ -253,11 +228,6 @@ def ab_factors(m: int, chi: UnitCharacter):
         a = a * l_shift(chi2, Fraction(-m + 2 * r), doubled=True)
         b = b * l_shift(chi2, Fraction(2 * r - 1), doubled=True)
     return a, b
-
-
-def twist_by_pi_value(R: RationalFunctionZ, chi_at_pi: complex) -> RationalFunctionZ:
-    """Recover a general chi(p) from the chi(p)=1 normal form: z -> chi(p) z."""
-    return R.substitute("scale", chi_at_pi)
 
 
 # ---------------------------------------------------------------- oracle

@@ -79,13 +79,15 @@ def cmd_beta(args):
 
 
 def cmd_eta_table(args):
-    from .fxspace import eta_kernel
+    from .abelian import coset_values
+    from .fxspace import eta_components
     from .padic import unit_group
-    rows = []
-    for k in range(args.kmin, args.kmax + 1):
-        for u in unit_group(args.p, args.level)[0]:
-            v = eta_kernel(args.n, args.psi_sign, k, u, args.p, args.level)
-            rows.append({"ord": k, "coset": u, "re": v.real, "im": v.imag})
+    cosets = unit_group(args.p, args.level)[0]
+    ks = range(args.kmin, args.kmax + 1)
+    table = coset_values(eta_components(args.n, args.psi_sign, args.kmin, args.kmax,
+                                        args.p, args.level)).tolist() if ks else []
+    rows = [{"ord": k, "coset": u, "re": v.real, "im": v.imag}
+            for k, vals in zip(ks, table) for u, v in zip(cosets, vals)]
     return {"eta": rows, "n": args.n, "p": args.p, "level": args.level}, []
 
 
@@ -367,10 +369,14 @@ def _read_inputs(args):
         if args.fx_in:
             with open(args.fx_in) as fh:
                 phi = FxFunction.from_json(json.load(fh))
+            if any(type(x) is not int for x in (phi.p, phi.level, phi.k_min, phi.k_tail,
+                                                *(x for ku in phi.values for x in ku))):
+                raise UsageError("unreadable input file: p, level, k_min, k_tail and "
+                                 "each shell's k and coset must be integers")
             args.p, args.level = phi.p, phi.level
     except PadicharmError:
         raise
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"unreadable input file: {exc}") from exc
     return phi
 
@@ -378,8 +384,10 @@ def _read_inputs(args):
 def _validate(args, verb):
     """The one input boundary: p an odd prime, n >= 0, level, k, m >= 1, a
     finite tolerance >= 0, shells at s > -1/2 (where its sums converge), and
-    the rows a verb builds within ROW_BUDGET: the p^k rows of a count table,
-    and for verify fe-pvs, n <= 1 and k >= 2 (the depth of its series
+    the rows a verb builds within ROW_BUDGET: the phi(p^level) units of the
+    level, the |ord| terms of phi-eval's eta series, the (kmax - kmin + 1) phi
+    rows of an eta table and its series up to z^kmax, the p^k rows of a count
+    table, and for verify fe-pvs, n <= 1 and k >= 2 (the depth of its series
     cross-check), the 2 p^(k+2) refined bins (det mod p^(k+1), Clifford
     sign, tr(Y C) mod p) of a phased Clifford job."""
     from .padic import LocalFieldConfig
@@ -388,6 +396,9 @@ def _validate(args, verb):
     for name, low in (("n", 0), ("level", 1), ("k", 1), ("m", 1)):
         if getattr(args, name) < low:
             raise UsageError(f"--{name} must be >= {low}, got {getattr(args, name)}")
+    # past level 20 the units are over budget at every p, so the power stops there
+    units = (args.p - 1) * float(args.p) ** min(args.level - 1, 20)
+    check_rows(units)
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise UsageError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     if verb == "shells" and args.s <= -0.5:
@@ -397,6 +408,11 @@ def _validate(args, verb):
         # every count is at most p^(k d); Python prints ints of up to 4300 digits
         if args.k * args.m * (args.m + 1) // 2 * math.log10(args.p) >= 4300:
             raise UsageError(f"count-fibers: p^(k m(m+1)/2) has over 4300 digits at --m {args.m}")
+    elif verb == "phi-eval":
+        check_rows(abs(args.ord))
+    elif verb == "eta-table":
+        check_rows((args.kmax - args.kmin + 1) * units)
+        check_rows(args.kmax)
     elif verb == "verify fe-pvs":
         if args.n >= 2:
             raise UsageError(f"verify fe-pvs needs --n <= 1 (Sym_1 or Sym_3), got {args.n}")

@@ -118,35 +118,6 @@ class FxFunction:
         return FxFunction(self.p, self.level, self.k_min, self.k_tail, vals,
                           self.tail, self.power_shift + c)
 
-    def at_level(self, level: int) -> "FxFunction":
-        """The same function seen at a finer invariance level."""
-        if level == self.level:
-            return self
-        if level < self.level:
-            raise FxError("cannot coarsen the level")
-        fine = unit_group(self.p, level)[0]
-        mod = self.p**self.level
-        vals = {}
-        for (k, u), v in self.values.items():
-            for w in fine:
-                if w % mod == u:
-                    vals[(k, w)] = v
-        t = self.tail
-        if t.kind == "compact":
-            tail = t
-        else:
-            coarse = self.cosets
-            idx = {u: i for i, u in enumerate(coarse)}
-
-            def lift(row):
-                return tuple(row[idx[w % mod]] for w in fine)
-
-            tail = TailSpec(t.kind, t.n, lift(t.a0),
-                            tuple(lift(r) for r in t.ap),
-                            tuple(lift(r) for r in t.am))
-        return FxFunction(self.p, level, self.k_min, self.k_tail, vals, tail,
-                          self.power_shift)
-
     def reflect(self) -> dict:
         """Pointwise values of f(x^{-1}) on the shells where f is known exactly.
 
@@ -157,35 +128,6 @@ class FxFunction:
             raise FxError("reflect() needs compact support")
         mod = self.p**self.level
         return {(-k, pow(u, -1, mod)): v for (k, u), v in self.values.items()}
-
-    def __add__(self, other: "FxFunction") -> "FxFunction":
-        if (self.p, self.level) != (other.p, other.level):
-            raise FxError("incompatible levels")
-        if self.tail.kind != "compact" or other.tail.kind != "compact":
-            # general addition goes through Mellin data at call sites
-            raise FxError("direct addition only for compact functions")
-        k_min = min(self.k_min, other.k_min)
-        k_tail = max(self.k_tail, other.k_tail)
-        vals = {}
-        for k in range(k_min, k_tail):
-            for u in self.cosets:
-                v = self.evaluate(k, u) + other.evaluate(k, u)
-                if v != 0:
-                    vals[(k, u)] = v
-        return FxFunction(self.p, self.level, k_min, k_tail, vals, TailSpec.compact())
-
-    def __mul__(self, c) -> "FxFunction":
-        vals = {ku: v * c for ku, v in self.values.items()}
-        t = self.tail
-        if t.kind == "compact":
-            tail = t
-        else:
-            tail = TailSpec(t.kind, t.n,
-                            tuple(a * c for a in t.a0),
-                            tuple(tuple(a * c for a in row) for row in t.ap),
-                            tuple(tuple(a * c for a in row) for row in t.am))
-        return FxFunction(self.p, self.level, self.k_min, self.k_tail, vals,
-                          tail, self.power_shift)
 
     def to_json(self) -> dict:
         t = self.tail
@@ -225,31 +167,6 @@ class FxFunction:
                    Fraction(num, den))
 
 
-def one_k(p: int, k: int, level: int | None = None) -> FxFunction:
-    """Normalized indicator of 1 + p^k Z_p (d*-volume 1), at the given level >= k."""
-    if k < 1:
-        raise FxError("one_k needs k >= 1")
-    level = k if level is None else level
-    if level < k:
-        raise FxError("level must be >= k")
-    mod = p**level
-    vals = {(0, u): complex(unit_order(p, k)) for u in unit_group(p, level)[0]
-            if u % p**k == 1}
-    return FxFunction(p, level, 0, 1, vals, TailSpec.compact())
-
-
-def indicator_units(p: int, level: int) -> FxFunction:
-    vals = {(0, u): 1.0 + 0.0j for u in unit_group(p, level)[0]}
-    return FxFunction(p, level, 0, 1, vals, TailSpec.compact())
-
-
-def indicator_integers(p: int, level: int) -> FxFunction:
-    """ch(Z_p - 0) as an FxFunction: plus-class tail with a0 = 1."""
-    cosets = unit_group(p, level)[0]
-    ones = tuple(1.0 + 0.0j for _ in cosets)
-    return FxFunction(p, level, 0, 0, {}, TailSpec("plus", 0, ones, (), ()))
-
-
 # ------------------------------------------------------------- Mellin data
 
 @dataclass
@@ -265,18 +182,6 @@ class MellinData:
     def component(self, chi: UnitCharacter) -> RationalFunctionZ:
         chi = chi.at_level(self.level)
         return self.comps.get(chi.exponent, RationalFunctionZ.zero())
-
-    def __add__(self, other: "MellinData") -> "MellinData":
-        if (self.p, self.level) != (other.p, other.level):
-            raise FxError("incompatible Mellin data")
-        comps = dict(self.comps)
-        for j, R in other.comps.items():
-            comps[j] = comps[j] + R if j in comps else R
-        return MellinData(self.p, self.level, comps, self.pole_class)
-
-    def is_zero(self, tol=1e-10) -> bool:
-        return all(R.is_zero(tol) for R in self.comps.values())
-
 
 def mellin_transform(f: FxFunction) -> MellinData:
     """M(f)(z, chi) = sum_k z^k (1/phi(p^N)) sum_u f(p^k u) chi(u), closed form."""
@@ -306,22 +211,6 @@ def mellin_transform(f: FxFunction) -> MellinData:
         comps[j] = R
     klass = None if t.kind == "compact" else (t.kind, t.n)
     return MellinData(p, N, comps, klass)
-
-
-def _component_series(Z: MellinData, lo: int, hi: int) -> np.ndarray:
-    """Laurent coefficients z^lo..z^hi of every nonzero component, as rows
-    k = lo..hi over the character exponents j."""
-    out = np.zeros((hi - lo + 1, unit_order(Z.p, Z.level)), dtype=complex)
-    for j, R in Z.comps.items():
-        if not R.is_zero(ZERO_COMPONENT_TOL):
-            out[:, j] = R.laurent_coeffs(lo, hi)
-    return out
-
-
-def mellin_inverse(Z: MellinData, k: int, u: int) -> complex:
-    """f(p^k u) = sum_chi Res_{z=0}(Z(z,chi) z^(-k-1)) chi(u)^{-1}."""
-    dlog = unit_group(Z.p, Z.level)[2]
-    return complex(coset_values(_component_series(Z, k, k))[0, dlog[u % Z.p**Z.level]])
 
 
 def allowed_alphas(kind: str, n: int, q: float):
@@ -428,24 +317,13 @@ def _beta_inv_cached(n: int, p: int, level: int, j: int, sign: int) -> RationalF
     return beta_factor_inverse_argument(n, UnitCharacter(p, level, j), sign)
 
 
-@lru_cache(maxsize=None)
-def _eta_coeff(n: int, p: int, level: int, sign: int, k: int):
-    """The nonzero residues of shell k at this level, as vectors (js, cs):
-    cs[i] = Res_{z=0} beta_psi(chi_s^{-1}) z^{-k-1} for chi of exponent js[i]."""
-    cs = np.array([_beta_inv_cached(n, p, level, j, sign).laurent_coeff_at_zero(k)
-                   for j in range(unit_order(p, level))], dtype=complex)
-    js = np.flatnonzero(cs)
-    return js, cs[js]
-
-
 def eta_components(n: int, sign: int, lo: int, hi: int, p: int, level: int) -> np.ndarray:
     """Rows k = lo..hi of eta's level-N character components: entry (k, j) is
-    Res_{z=0} beta_psi(chi_j,s^{-1}) z^{-k-1}, the _eta_coeff residue, so that
-    eta_kernel on shell k is coset_values of row k."""
+    Res_{z=0} beta_psi(chi_j,s^{-1}) z^{-k-1}, from one Laurent series per
+    character, so that eta_kernel on shell k is coset_values of row k."""
     out = np.zeros((hi - lo + 1, unit_order(p, level)), dtype=complex)
-    for k in range(lo, hi + 1):
-        js, cs = _eta_coeff(n, p, level, sign, k)
-        out[k - lo, js] = cs
+    for j in range(out.shape[1]):
+        out[:, j] = _beta_inv_cached(n, p, level, j, sign).laurent_coeffs(lo, hi)
     return out
 
 
@@ -569,7 +447,3 @@ def fe_gl1_compare(sides, n: int, chi: UnitCharacter, sign: int = 1) -> dict:
         "rhs": rhs,
     }
 
-
-def check_fe_gl1(f: FxFunction, n: int, chi: UnitCharacter, sign: int = 1) -> dict:
-    """The GL(1) functional equation of f at one character (see fe_gl1_compare)."""
-    return fe_gl1_compare(fe_gl1_sides(f, n, sign), n, chi, sign)

@@ -4,6 +4,7 @@ Elements are pairs (valuation, unit class mod p^N).  The additive character
 psi has conductor Z_p: psi(x) = exp(2*pi*i*frac(x)) with frac the p-adic
 fractional part.  Unit groups (Z/p^N)^x are cyclic for odd p; we fix the
 smallest generator and ship discrete logarithms with the enumeration.
+The valuation, unit part and Legendre symbol of rationals are exact.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ class LocalFieldConfig:
         if self.default_level < 1:
             raise PadicError("default_level must be >= 1")
 
-    @property
-    def q(self) -> int:
-        return self.p
-
 
 def load_config(path) -> LocalFieldConfig:
     """Read a key=value config file with keys p, level, tolerance."""
@@ -89,6 +86,14 @@ def unit_part(x, p: int, level: int) -> int:
     return u.numerator * pow(u.denominator, -1, mod) % mod
 
 
+def legendre(a: int, p: int) -> int:
+    """The Legendre symbol (a|p): 0 on multiples of p, else +-1 by Euler's criterion."""
+    a %= p
+    if a == 0:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
 @dataclass(frozen=True)
 class PadicElement:
     """x = unit * p^valuation with unit known mod p^level."""
@@ -105,45 +110,6 @@ class PadicElement:
         if u % self.p == 0:
             raise PadicError("unit part must be coprime to p")
         object.__setattr__(self, "unit", u)
-
-    @classmethod
-    def from_rational(cls, x, p: int, level: int) -> "PadicElement":
-        return cls(p=p, valuation=val_p(x, p), unit=unit_part(x, p, level),
-                   level=level)
-
-    def __mul__(self, other: "PadicElement") -> "PadicElement":
-        if self.p != other.p:
-            raise PadicError("mixed primes")
-        lvl = min(self.level, other.level)
-        return PadicElement(self.p, self.valuation + other.valuation,
-                            (self.unit * other.unit) % self.p**lvl, lvl)
-
-    def abs_value(self) -> Fraction:
-        return Fraction(1, self.p) ** self.valuation
-
-
-def ord_abs_ac(x: PadicElement):
-    """(ord(x), |x|, ac(x)) with ac(x) = x * p^{-ord(x)} mod p^level."""
-    return x.valuation, x.abs_value(), x.unit
-
-
-def psi_eval(x: PadicElement, sign: int = 1) -> complex:
-    """Additive character of conductor Z_p: exp(sign * 2*pi*i * frac(x)).
-
-    frac(x) is determined mod 1 by the unit class as long as
-    valuation >= -level; deeper poles would need more digits.
-    """
-    if sign not in (1, -1):
-        raise PadicError("sign must be +1 or -1")
-    v = x.valuation
-    if v >= 0:
-        return 1.0 + 0.0j
-    if -v > x.level:
-        raise PadicError(
-            f"insufficient precision: need level >= {-v}, have {x.level}")
-    den = x.p ** (-v)
-    num = x.unit % den
-    return cmath.exp(sign * 2j * cmath.pi * num / den)
 
 
 def psi_frac(p: int, num: int, den_pow: int, sign: int = 1) -> complex:
@@ -208,8 +174,3 @@ def _prime_factors(n: int):
 
 def unit_order(p: int, level: int) -> int:
     return (p - 1) * p ** (level - 1)
-
-
-def coset_volume(p: int, level: int) -> Fraction:
-    """d*t-volume of a coset of 1 + p^level Z_p inside Z_p^x (vol(Z_p^x)=1)."""
-    return Fraction(1, unit_order(p, level))

@@ -46,8 +46,7 @@ from . import PadicharmError
 from .abelian import UnitCharacter, beta_factor, character_components
 from .fxspace import (FxFunction, MellinData, TailSpec, fx_from_mellin,
                       mellin_transform)
-from .padic import psi_frac, unit_group, unit_order
-from .quadform import legendre
+from .padic import legendre, psi_frac, unit_group, unit_order
 from .ratfunc import RationalFunctionZ
 
 ENUM_BUDGET = 10 ** 9      # cells of one coset of Sym_3(Z/p^k)
@@ -135,11 +134,6 @@ class LatticeTestFunction:
         zero = tuple(tuple(0 for _ in range(m)) for _ in range(m))
         return cls(m, (LatticePiece(m, zero, r, complex(weight)),))
 
-    def __add__(self, other: "LatticeTestFunction") -> "LatticeTestFunction":
-        if self.m != other.m:
-            raise PvsError("mixed sizes")
-        return LatticeTestFunction(self.m, self.pieces + other.pieces)
-
 
 def act_diagonal(Phi: LatticeTestFunction, exponents, p: int) -> LatticeTestFunction:
     """(g Phi)(X) = Phi(g^{-1} X g^{-t}) for g = diag(p^{a_i}) on pure-lattice
@@ -201,32 +195,6 @@ def lattice_fourier(Phi: LatticeTestFunction, p: int, sign: int = 1) -> LatticeT
             newC = None        # the phase is trivial on integral matrices
         out.append(LatticePiece(m, newB, r_new, w, newC))
     return LatticeTestFunction(m, tuple(out))
-
-
-def evaluate_lattice_function(Phi: LatticeTestFunction, X, p: int, sign: int = 1) -> complex:
-    """Pointwise evaluation at a rational symmetric matrix (for oracles)."""
-    m = Phi.m
-    total = 0.0 + 0.0j
-    for piece in Phi.pieces:
-        ok = True
-        for idx, (i, j) in enumerate(_entry_order(m)):
-            modulus = (Fraction(piece.moduli[idx]) if piece.moduli is not None
-                       else Fraction(p) ** piece.r)
-            diff = (Fraction(X[i][j]) - piece.B[i][j]) / modulus
-            if diff.denominator % p == 0:   # not a p-adic integer
-                ok = False
-                break
-        if not ok:
-            continue
-        val = piece.weight
-        if piece.C is not None and piece.r < 0:
-            tr = sum(Fraction(X[i][j]) * piece.C[j][i] for i in range(m) for j in range(m))
-            scaled = tr * p ** (-piece.r)
-            if scaled.denominator != 1:
-                raise PvsError("phase argument is not p-integral")
-            val *= psi_frac(p, int(scaled) % p ** (-piece.r), -piece.r, sign)
-        total += val
-    return total
 
 
 # ------------------------------------------------------------ refined bins
@@ -790,13 +758,6 @@ def pvs_route_transform(Phi: LatticeTestFunction, p: int, k: int, n: int = 1,
 
 # --------------------------------------------------------------- zeta and FE
 
-def zeta_from_fibers(f: FxFunction, chi: UnitCharacter, shift=Fraction(0)) -> RationalFunctionZ:
-    """Z(s, chi) = (1 - 1/q) M(f)(s + 1 + shift, chi) as a rational function."""
-    p = f.p
-    comp = mellin_transform(f).component(chi)
-    return comp.substitute("scale", float(p) ** (-(1.0 + float(shift)))) * (1 - 1.0 / p)
-
-
 def fe_pvs_sides(Phi: LatticeTestFunction, n: int, p: int, k: int, sign: int = 1):
     """The character-free parts of the prehomogeneous functional equation,
     once per Phi: (M(f_Phi), M(f_{rho Phi^})), each from its own counts.
@@ -831,13 +792,6 @@ def fe_pvs_compare(sides, n: int, chi: UnitCharacter, sign: int = 1) -> dict:
         "lhs": lhs,
         "rhs": rhs,
     }
-
-
-def check_fe_pvs(Phi: LatticeTestFunction, n: int, chi: UnitCharacter, p: int,
-                 k: int, sign: int = 1) -> dict:
-    """The prehomogeneous functional equation of Phi at one character (see
-    fe_pvs_compare)."""
-    return fe_pvs_compare(fe_pvs_sides(Phi, n, p, k, sign), n, chi, sign)
 
 
 def homogeneity_check(Phi: LatticeTestFunction, g_exponents, chi: UnitCharacter,

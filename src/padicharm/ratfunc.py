@@ -200,7 +200,8 @@ class RationalFunctionZ:
     # ---- Laurent expansion at z = 0 ----
     def laurent_coeffs(self, lo: int, hi: int) -> np.ndarray:
         """Coefficients of z^lo..z^hi of the expansion at z = 0, from one
-        power-series division of num by the z-power-free part of den."""
+        power-series division of num by the z-power-free part of den; the
+        coefficient of z^m is Res_{z=0}(R(z) z^(-m-1))."""
         v, den0 = _split_z_power(self.den)
         out = np.zeros(hi - lo + 1, dtype=complex)
         top = hi + v
@@ -218,10 +219,6 @@ class RationalFunctionZ:
         start = lo + v
         out[max(-start, 0):] = series[max(start, 0):]
         return out
-
-    def laurent_coeff_at_zero(self, m: int) -> complex:
-        """Coefficient of z^m, i.e. Res_{z=0}(R(z) z^(-m-1))."""
-        return complex(self.laurent_coeffs(m, m)[0])
 
     # ---- partial fractions ----
     def partial_fractions(self, alphas):
@@ -242,13 +239,6 @@ class RationalFunctionZ:
                             dtype=complex)
         return _laurent_part(self, alphas, residues, _TERM_TOL), residues
 
-    @classmethod
-    def resum(cls, laurent, alphas, residues) -> "RationalFunctionZ":
-        out = cls.from_laurent(laurent)
-        for alpha, b in zip(alphas, residues):
-            out = out + cls([b], [1.0, -alpha])
-        return out
-
     # ---- Laurent-polynomial test ----
     def laurent_polynomial_witness(self, tol=_TERM_TOL):
         """None if R is a Laurent polynomial (its series at z = 0
@@ -264,21 +254,12 @@ class RationalFunctionZ:
             return complex(max(roots, key=lambda r: abs(_peval(self.num, r))
                                / max(abs(r), 1.0) ** deg))
 
-    def is_laurent_polynomial(self, tol=_TERM_TOL) -> bool:
-        return self.laurent_polynomial_witness(tol) is None
-
     # ---- serialization ----
     def to_json(self) -> dict:
         return {
             "num": [[float(c.real), float(c.imag)] for c in self.num],
             "den": [[float(c.real), float(c.imag)] for c in self.den],
         }
-
-    @classmethod
-    def from_json(cls, obj) -> "RationalFunctionZ":
-        num = [complex(a, b) for a, b in obj["num"]]
-        den = [complex(a, b) for a, b in obj["den"]]
-        return cls(num, den)
 
     def __repr__(self):
         return f"RationalFunctionZ(num={list(np.round(self.num, 6))}, den={list(np.round(self.den, 6))})"

@@ -7,9 +7,8 @@ and diagonal Siegel parabolics, the Cayley transform
 
     h = (2 J X + I)(2 J X - I)^{-1},   X = (1/2) J (I - h)^{-1} (I + h),
 
-the Siegel factorization w_std n_std(X) = p_std g0 (h, I) g0^{-1}, the
-abelianization det with modular character |det|^(2n+1), and the group
-order |Sp_2n(F_q)| = q^(n^2) prod (q^(2i) - 1) behind the Jacobian
+the Siegel factorization w_std n_std(X) = p_std g0 (h, I) g0^{-1}, and the
+group order |Sp_2n(F_q)| = q^(n^2) prod (q^(2i) - 1) behind the Jacobian
 constant c0 = prod 1/zeta_F(2i) = prod (1 - q^(-2i)).
 """
 
@@ -18,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import PadicharmError
-from .padic import val_p
 
 
 class SymplecticError(PadicharmError):
@@ -248,30 +246,6 @@ def siegel_factorize(X: Matrix, n: int):
             if p_inv[i][j] != 0:
                 raise SymplecticError("p_std^{-1} lower-left block is not zero")
     return p_std, h
-
-
-def levi_block_of_p_std(h: Matrix, n: int) -> Matrix:
-    """diag((1/2)(h^t - I), 2 (h - I)^{-1}): the Levi part of p_std."""
-    I = eye(2 * n)
-    top = scale(sub(transpose(mat(h)), I), Fraction(1, 2))
-    bot = scale(inverse(sub(mat(h), I)), 2)
-    z = zeros(2 * n)
-    return block([[top, z], [z, bot]])
-
-
-def abelianization_delta(A: Matrix, n: int, p: int | None = None):
-    """(det A, |det A|^{2n+1}) -- the delta_P character on the Levi.
-
-    For rational input and a prime p, the modulus is returned as the exact
-    power q^{-(2n+1) ord_p(det A)}.
-    """
-    A = mat(A)
-    d = det(A)
-    if d == 0:
-        raise SymplecticError("singular Levi block")
-    if p is None:
-        return d, None
-    return d, Fraction(p) ** (-(2 * n + 1) * val_p(d, p))
 
 
 def sp_order(n: int, q: int, mode: str = "formula"):

@@ -1,17 +1,39 @@
-"""The exhaustive Sym_3(Z/p^k) sweep: the test oracle of the refined bins.
+"""Reference implementations the tests compare the package against.
 
-It visits every cell of Sym_3(Z/p^k), vectorized over the entry index
+The exhaustive Sym_3(Z/p^k) sweep is the oracle of the refined bins.  It visits every cell of Sym_3(Z/p^k), vectorized over the entry index
 space, computes det mod p^(k+1), whether adj(Y) != 0 mod p and, for
 Clifford ("rho") jobs, the Clifford sign of the integer lift by a case
 analysis on the det valuation and the rank mod p (`_sigma_vec`).  Its bins
 fold through the same adjugate refinement as the coset enumeration, so they
 are comparable with `pvszeta._recursion_bins` and `pvszeta._coset_bins`.
+
+The invariants of nondegenerate symmetric matrices over Q, viewed in Q_p,
+are the oracle of the recursion's Hasse state and of the sweep's Clifford
+signs.  Everything there is exact rational: congruence diagonalization, the
+tame Hilbert symbol (cross-checked against a solvability search over
+Z/p^3), the Hasse invariant prod_{i<j}(d_i, d_j)_p, and the odd-size
+Clifford invariant
+
+    rho(X) = (-1,-1)^(n(n+1)/2) ((-1)^n, det X) eps_X,   size = 2n+1,
+
+which is constant on GL-orbits X -> g X g^t and, for p odd, invariant
+under scalar rescaling X -> cX (the symbols (c,c)^3 (c,-1) collapse to
+(c,-c) = 1).
+
+Pointwise evaluation of lattice test functions and the Levi block of the
+Siegel factorization are the oracles of `pvszeta.lattice_fourier` and
+`pvszeta.act_diagonal`, and of `symplectic.siegel_factorize`.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
-from padicharm.pvszeta import (PvsError, _first_unit_diag_leg, _legendre_table,
-                               _refine_bins, check_budget)
+from padicharm.padic import legendre, psi_frac, unit_part, val_p
+from padicharm.pvszeta import (PvsError, _entry_order, _first_unit_diag_leg,
+                               _legendre_table, _refine_bins, check_budget)
+from padicharm.symplectic import (block, det, eye, inverse, mat, scale, sub,
+                                  transpose, zeros)
 
 
 def _mask_vec(mask_spec, x11, x22, m12, m13, m23, m33):
@@ -162,3 +184,168 @@ def sweep_bins(p: int, k: int, jobs) -> dict:
         raise PvsError("Clifford-weighted sweeps need k >= 2")
     raw = _sweep3_block(p, k, tuple(jobs), range(p ** k))
     return {job: _refine_bins(raw[job], job, p, k) for job in jobs}
+
+
+# ------------------------------------------------------ quadratic forms
+
+class QuadFormError(ValueError):
+    pass
+
+
+def _as_sym(rows):
+    M = mat(rows)
+    m = len(M)
+    if any(len(row) != m for row in M):
+        raise QuadFormError("matrix is not square")
+    for i in range(m):
+        for j in range(m):
+            if M[i][j] != M[j][i]:
+                raise QuadFormError("matrix is not symmetric")
+    return M
+
+
+def diagonalize(rows):
+    """Congruence diagonalization: returns (diag entries, P) with P X P^t diagonal."""
+    A = _as_sym(rows)
+    m = len(A)
+    P = eye(m)
+    if det(A) == 0:
+        raise QuadFormError("singular matrix")
+
+    def add_row_col(dst, src, factor):
+        # simultaneous row and column operation keeps symmetry
+        for t in range(m):
+            A[dst][t] += factor * A[src][t]
+        for t in range(m):
+            A[t][dst] += factor * A[t][src]
+        for t in range(m):
+            P[dst][t] += factor * P[src][t]
+
+    def swap(i, j):
+        A[i], A[j] = A[j], A[i]
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        P[i], P[j] = P[j], P[i]
+
+    for i in range(m):
+        if A[i][i] == 0:
+            found = False
+            for j in range(i + 1, m):
+                if A[j][j] != 0:
+                    swap(i, j)
+                    found = True
+                    break
+            if not found:
+                for j in range(i + 1, m):
+                    if A[i][j] != 0:
+                        add_row_col(i, j, Fraction(1))
+                        found = True
+                        break
+            if not found:
+                raise QuadFormError("singular matrix")
+        piv = A[i][i]
+        for j in range(i + 1, m):
+            if A[j][i] != 0:
+                add_row_col(j, i, -A[j][i] / piv)
+    return [A[i][i] for i in range(m)], P
+
+
+def hilbert_symbol(a, b, p: int) -> int:
+    """Tame symbol for odd p: (a,b) = (-1)^(alpha beta (p-1)/2) (u|p)^beta (v|p)^alpha."""
+    if p == 2:
+        raise QuadFormError("p = 2 unsupported")
+    a, b = Fraction(a), Fraction(b)
+    if a == 0 or b == 0:
+        raise QuadFormError("Hilbert symbol needs nonzero entries")
+    al, bl = val_p(a, p), val_p(b, p)
+    ua, ub = unit_part(a, p, 1), unit_part(b, p, 1)
+    sign = -1 if (al * bl * ((p - 1) // 2)) % 2 else 1
+    return sign * legendre(ua, p) ** (bl % 2) * legendre(ub, p) ** (al % 2)
+
+
+def hilbert_symbol_oracle(a, b, p: int, k: int = 3) -> int:
+    """Solvability search: +1 iff z^2 = a x^2 + b y^2 has a primitive
+    solution over Z/p^k (k = 3 is Hensel-sufficient for odd p after
+    square-class reduction)."""
+    if p == 2:
+        raise QuadFormError("p = 2 unsupported")
+
+    def reduce(c):
+        c = Fraction(c)
+        v = val_p(c, p) % 2
+        u = unit_part(c, p, 1)
+        return p**v * u % p ** k
+
+    aa, bb = reduce(a), reduce(b)
+    mod = p**k
+    squares = {z * z % mod for z in range(mod)}
+    for x in range(mod):
+        for y in range(mod):
+            if x % p == 0 and y % p == 0:
+                continue
+            if (aa * x * x + bb * y * y) % mod in squares:
+                return 1
+    return -1
+
+
+def hasse_invariant(rows, p: int) -> int:
+    """eps_X = prod_{i<j} (d_i, d_j)_p over a congruence diagonalization."""
+    d, _ = diagonalize(rows)
+    out = 1
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            out *= hilbert_symbol(d[i], d[j], p)
+    return out
+
+
+def clifford_rho(rows, p: int) -> int:
+    """The Clifford invariant of an odd-size nondegenerate symmetric matrix."""
+    M = _as_sym(rows)
+    m = len(M)
+    if m % 2 == 0:
+        raise QuadFormError("clifford_rho needs odd size 2n+1")
+    n = (m - 1) // 2
+    d = det(M)
+    if d == 0:
+        raise QuadFormError("singular matrix")
+    h1 = hilbert_symbol(-1, -1, p) ** ((n * (n + 1) // 2) % 2)
+    h2 = hilbert_symbol(Fraction((-1) ** n), d, p)
+    return h1 * h2 * hasse_invariant(M, p)
+
+
+# ------------------------------------------- lattice functions, Levi block
+
+def evaluate_lattice_function(Phi, X, p: int, sign: int = 1) -> complex:
+    """Pointwise value of a `pvszeta.LatticeTestFunction` at a rational
+    symmetric matrix X."""
+    m = Phi.m
+    total = 0.0 + 0.0j
+    for piece in Phi.pieces:
+        ok = True
+        for idx, (i, j) in enumerate(_entry_order(m)):
+            modulus = (Fraction(piece.moduli[idx]) if piece.moduli is not None
+                       else Fraction(p) ** piece.r)
+            diff = (Fraction(X[i][j]) - piece.B[i][j]) / modulus
+            if diff.denominator % p == 0:   # not a p-adic integer
+                ok = False
+                break
+        if not ok:
+            continue
+        val = piece.weight
+        if piece.C is not None and piece.r < 0:
+            tr = sum(Fraction(X[i][j]) * piece.C[j][i] for i in range(m) for j in range(m))
+            scaled = tr * p ** (-piece.r)
+            if scaled.denominator != 1:
+                raise PvsError("phase argument is not p-integral")
+            val *= psi_frac(p, int(scaled) % p ** (-piece.r), -piece.r, sign)
+        total += val
+    return total
+
+
+def levi_block_of_p_std(h, n: int):
+    """diag((1/2)(h^t - I), 2 (h - I)^{-1}): the Levi part of p_std."""
+    I = eye(2 * n)
+    top = scale(sub(transpose(mat(h)), I), Fraction(1, 2))
+    bot = scale(inverse(sub(mat(h), I)), 2)
+    z = zeros(2 * n)
+    return block([[top, z], [z, bot]])

@@ -229,6 +229,12 @@ def test_fourier_n0_consumes_fx_json(tmp_path):
     ["verify", "fe-gl1", "--tolerance", "nan"],
     ["verify", "fe-pvs", "--tolerance", "inf"],
     ["verify", "fe-pvs", "--p", "3", "--n", "0", "--k", "1"],
+    # just past the row budget of 10^6: phi(3^13) = 1,062,882 units, phi-eval's
+    # eta series to |ord|, an eta table's rows and its top shell
+    ["gamma", "--p", "3", "--conductor", "1", "--level", "13"],
+    ["phi-eval", "--p", "3", "--ord", "1000001"],
+    ["eta-table", "--p", "3", "--level", "1", "--kmin", "0", "--kmax", "500000"],
+    ["eta-table", "--p", "3", "--level", "1", "--kmin", "1000001", "--kmax", "1000001"],
 ])
 def test_invalid_input_is_a_json_error(argv, capsys):
     assert main(argv) == 2
@@ -260,6 +266,55 @@ def test_fx_in_parameters_are_validated(tmp_path):
                                "shells": [], "tail": {"kind": "compact"}}))
     rep, code = run(["fourier-n0", "--fx-in", str(src)])
     assert code == 2 and "not prime" in rep["error"]
+
+
+@pytest.mark.parametrize("data", [
+    {"p": 3, "level": 1, "k_min": 0, "k_tail": 1, "shells": 5, "tail": {"kind": "compact"}},
+    {"p": 3, "level": 1, "k_min": 0, "k_tail": 1, "shells": [], "tail": ["compact"]},
+    [{"p": 3, "level": 1, "k_min": 0, "k_tail": 1, "shells": [], "tail": {"kind": "compact"}}],
+    {"p": "3", "level": 1, "k_min": 0, "k_tail": 1, "shells": [], "tail": {"kind": "compact"}},
+    {"p": 3, "level": 1, "k_min": 0, "k_tail": 1, "tail": {"kind": "compact"},
+     "shells": [{"k": "0", "coset": 1, "re": 1.0, "im": 0.0}]},
+])
+def test_malformed_fx_in_is_a_json_error(data, tmp_path, capsys):
+    src = tmp_path / "phi.json"
+    src.write_text(json.dumps(data))
+    assert main(["fourier-n0", "--fx-in", str(src)]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert list(rep) == ["error"] and "unreadable input file" in rep["error"]
+
+
+def test_eta_table_expands_each_character_once(monkeypatch):
+    # one Laurent series per character for the whole table, equal to the
+    # per-shell residues and, through one FFT, to eta_kernel
+    from padicharm.abelian import UnitCharacter, beta_factor_inverse_argument
+    from padicharm.fxspace import eta_kernel
+    from padicharm.padic import unit_group
+    from padicharm.ratfunc import RationalFunctionZ
+    p, n, level, lo, hi = 3, 1, 2, -9, 6
+    calls = []
+    series = RationalFunctionZ.laurent_coeffs
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return series(self, a, b)
+    monkeypatch.setattr(RationalFunctionZ, "laurent_coeffs", counting)
+    rep, code = run(["eta-table", "--p", str(p), "--n", str(n), "--level", str(level),
+                     "--kmin", str(lo), "--kmax", str(hi)])
+    assert code == 0 and calls == [(lo, hi)] * 6
+    monkeypatch.undo()
+    from padicharm.fxspace import eta_components
+    table = eta_components(n, 1, lo, hi, p, level)
+    for j in range(6):
+        beta_inv = beta_factor_inverse_argument(n, UnitCharacter(p, level, j))
+        assert [series(beta_inv, k, k)[0] for k in range(lo, hi + 1)] == list(table[:, j])
+    cosets = unit_group(p, level)[0]
+    rows = rep["payload"]["eta"]
+    assert [(r["ord"], r["coset"]) for r in rows] == [(k, u) for k in range(lo, hi + 1)
+                                                       for u in cosets]
+    for r in rows:
+        want = eta_kernel(n, 1, r["ord"], r["coset"], p, level)
+        assert abs(complex(r["re"], r["im"]) - want) <= 1e-15 * max(1.0, abs(want)), r
 
 
 @pytest.mark.parametrize("argv, golden", [

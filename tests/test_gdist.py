@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from padicharm.abelian import UnitCharacter, characters, conductor
-from padicharm.fxspace import FxFunction, TailSpec, indicator_integers, indicator_units
+from padicharm.fxspace import FxFunction, TailSpec
 from padicharm.gdist import (GDistError, GPoint, fourier_n0, fourier_n0_table,
                              l2_norm_fx, l2_norm_truncated, phi_rho_eval,
                              shell_coefficients_sum)
 from padicharm.padic import PadicElement, psi_frac, unit_group
 from padicharm.symplectic import random_symplectic, mul, inverse
+from shell_functions import indicator_integers, indicator_units
 
 
 def compact_fx(p, level, data):

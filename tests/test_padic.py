@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from padicharm.padic import (LocalFieldConfig, PadicElement, PadicError,
-                             coset_volume, load_config, ord_abs_ac, psi_eval,
-                             unit_group, unit_order, unit_part, val_p)
+                             legendre, load_config, psi_frac, unit_group,
+                             unit_order, unit_part, val_p)
 
 
 def test_config_guards():
@@ -18,21 +18,23 @@ def test_config_guards():
         LocalFieldConfig(p=5, default_level=0)
 
 
+def ord_abs_ac(x, p, level):
+    """(ord(x), |x|, ac(x)) of a nonzero rational, ac(x) = x p^{-ord(x)} mod p^level."""
+    return val_p(x, p), Fraction(1, p) ** val_p(x, p), unit_part(x, p, level)
+
+
 def test_ord_abs_ac_examples():
     # p=3, x = 3^2 * 2
-    x = PadicElement.from_rational(Fraction(18), 3, 2)
-    assert ord_abs_ac(x) == (2, Fraction(1, 9), 2)
+    assert ord_abs_ac(Fraction(18), 3, 2) == (2, Fraction(1, 9), 2)
     # x = 1
-    one = PadicElement.from_rational(1, 3, 2)
-    assert ord_abs_ac(one) == (0, Fraction(1), 1)
+    assert ord_abs_ac(1, 3, 2) == (0, Fraction(1), 1)
     # p=5, x = 3/5
-    y = PadicElement.from_rational(Fraction(3, 5), 5, 2)
-    assert ord_abs_ac(y) == (-1, Fraction(5), 3)
+    assert ord_abs_ac(Fraction(3, 5), 5, 2) == (-1, Fraction(5), 3)
 
 
 def test_zero_input_rejected():
     with pytest.raises(PadicError, match="valuation undefined"):
-        PadicElement.from_rational(0, 3, 2)
+        unit_part(0, 3, 2)
 
 
 def test_val_p_and_unit_part_definitions():
@@ -59,29 +61,27 @@ def test_multiplicativity_of_ord_and_ac():
         p = rng.choice([3, 5])
         a = Fraction(rng.randint(1, 400), rng.randint(1, 400))
         b = Fraction(rng.randint(1, 400), rng.randint(1, 400))
-        x = PadicElement.from_rational(a, p, 3)
-        y = PadicElement.from_rational(b, p, 3)
-        xy = PadicElement.from_rational(a * b, p, 3)
-        prod = x * y
-        assert prod.valuation == xy.valuation == x.valuation + y.valuation
-        assert prod.unit == xy.unit
+        assert val_p(a * b, p) == val_p(a, p) + val_p(b, p)
+        assert unit_part(a * b, p, 3) == unit_part(a, p, 3) * unit_part(b, p, 3) % p**3
+
+
+def psi(x, p, sign=1):
+    """psi(x) of a rational x through psi_frac: frac(x) = p^v u mod 1."""
+    x = Fraction(x)
+    v = val_p(x, p)
+    return psi_frac(p, p ** max(v, 0) * unit_part(x, p, max(-v, 1)), -v, sign)
 
 
 def test_psi_conductor_contract():
     # psi = 1 on O
     for uval in [1, 2, 4, 17]:
-        x = PadicElement.from_rational(uval, 3, 2)
-        assert abs(psi_eval(x) - 1.0) < 1e-12
+        assert abs(psi(uval, 3) - 1.0) < 1e-12
     # psi(1/3) = exp(2 pi i/3), psi(2/9) = exp(4 pi i/9)
-    x = PadicElement.from_rational(Fraction(1, 3), 3, 2)
-    assert abs(psi_eval(x) - cmath.exp(2j * cmath.pi / 3)) < 1e-12
-    y = PadicElement.from_rational(Fraction(2, 9), 3, 2)
-    assert abs(psi_eval(y) - cmath.exp(4j * cmath.pi / 9)) < 1e-12
+    assert abs(psi(Fraction(1, 3), 3) - cmath.exp(2j * cmath.pi / 3)) < 1e-12
+    assert abs(psi(Fraction(2, 9), 3) - cmath.exp(4j * cmath.pi / 9)) < 1e-12
+    assert abs(psi(Fraction(2, 9), 3, -1) - cmath.exp(-4j * cmath.pi / 9)) < 1e-12
     # nontrivial on p^{-1} O
-    worst = max(
-        abs(psi_eval(PadicElement.from_rational(Fraction(u, 3), 3, 2)) - 1.0)
-        for u in [1, 2]
-    )
+    worst = max(abs(psi(Fraction(u, 3), 3) - 1.0) for u in [1, 2])
     assert worst > 0.5
 
 
@@ -94,16 +94,15 @@ def test_psi_additive():
         b = Fraction(rng.randint(1, 50), p ** rng.randint(0, 2))
         if a + b == 0:
             continue
-        xa = PadicElement.from_rational(a, p, 4)
-        xb = PadicElement.from_rational(b, p, 4)
-        xab = PadicElement.from_rational(a + b, p, 4)
-        assert abs(psi_eval(xa) * psi_eval(xb) - psi_eval(xab)) < 1e-9
+        assert abs(psi(a, p) * psi(b, p) - psi(a + b, p)) < 1e-9
 
 
-def test_psi_insufficient_precision():
-    x = PadicElement(p=3, valuation=-3, unit=2, level=2)
-    with pytest.raises(PadicError, match="insufficient precision"):
-        psi_eval(x)
+def test_padic_element_guards():
+    assert PadicElement(p=3, valuation=-3, unit=11, level=2).unit == 2
+    with pytest.raises(PadicError, match="coprime"):
+        PadicElement(p=3, valuation=0, unit=6, level=2)
+    with pytest.raises(PadicError, match="level"):
+        PadicElement(p=3, valuation=0, unit=1, level=0)
 
 
 def test_unit_group_small():
@@ -125,8 +124,17 @@ def test_unit_group_rejects_bad_level():
 
 
 def test_coset_volume():
-    assert coset_volume(3, 2) == Fraction(1, 6)
+    # d*t-volume of a coset of 1 + p^level Z_p inside Z_p^x is 1 / phi(p^level)
+    assert Fraction(1, unit_order(3, 2)) == Fraction(1, 6)
     assert unit_order(5, 2) == 20
+
+
+def test_legendre_is_eulers_criterion_on_squares():
+    for p in (3, 5, 7, 11, 13):
+        squares = {x * x % p for x in range(1, p)}
+        assert [legendre(a, p) for a in range(p)] == \
+            [0] + [1 if a in squares else -1 for a in range(1, p)]
+        assert legendre(-1, p) == (-1) ** ((p - 1) // 2)
 
 
 def test_load_config(tmp_path):

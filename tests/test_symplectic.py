@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from padicharm.symplectic import (J, SymplecticError, abelianization_delta,
-                                  c0_constant, cayley, cayley_inv, det,
-                                  doubling_embed, eye, is_symplectic,
-                                  levi_block_of_p_std, mat, mat_eq, mul,
+from padicharm.padic import val_p
+from padicharm.symplectic import (J, SymplecticError, c0_constant, cayley,
+                                  cayley_inv, det, doubling_embed, eye,
+                                  is_symplectic, mat, mat_eq, mul,
                                   random_symplectic, scale, siegel_factorize,
                                   sp_order, standard_elements, sub, transpose,
                                   zeros)
+from oracles import levi_block_of_p_std
 
 
 def test_is_symplectic_basics():
@@ -132,20 +133,17 @@ def test_siegel_factorization():
 
 
 def test_abelianization_delta():
-    d, q = abelianization_delta(eye(3), 1, p=3)
-    assert d == 1 and q == 1
-    d, q = abelianization_delta([[3, 0], [0, 1]], 1, p=3)
-    assert d == 3 and q == Fraction(1, 27)
+    # delta_P on the Levi is det A with modulus |det A|^{2n+1}, here n = 1
+    assert det(eye(3)) == 1
+    d = det(mat([[3, 0], [0, 1]]))
+    assert d == 3 and Fraction(3) ** (-3 * val_p(d, 3)) == Fraction(1, 27)
     rng = random.Random(13)
     for _ in range(20):
         A = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
         B = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
         if det(mat(A)) == 0 or det(mat(B)) == 0:
             continue
-        dA, _ = abelianization_delta(A, 1)
-        dB, _ = abelianization_delta(B, 1)
-        dAB, _ = abelianization_delta(mul(mat(A), mat(B)), 1)
-        assert dAB == dA * dB
+        assert det(mul(mat(A), mat(B))) == det(mat(A)) * det(mat(B))
 
 
 def test_sp_order():
