@@ -385,9 +385,9 @@ def _validate(args, verb):
     """The one input boundary: p an odd prime, n >= 0, level, k, m >= 1, a
     finite tolerance >= 0, shells at s > -1/2 (where its sums converge), and
     the rows a verb builds within ROW_BUDGET: the phi(p^level) units of the
-    level, the |ord| terms of phi-eval's eta series, the (kmax - kmin + 1) phi
-    rows of an eta table and its series up to z^kmax, the p^k rows of a count
-    table, and for verify fe-pvs, n <= 1 and k >= 2 (the depth of its series
+    level, the (|ord| + 1) terms of each unit's eta series in phi-eval, the
+    (kmax - kmin + 1) phi rows of an eta table and its (kmax + 1) series terms
+    per unit, the p^k rows of a count table, and for verify fe-pvs, n <= 1 and k >= 2 (the depth of its series
     cross-check), the 2 p^(k+2) refined bins (det mod p^(k+1), Clifford
     sign, tr(Y C) mod p) of a phased Clifford job."""
     from .padic import LocalFieldConfig
@@ -409,10 +409,10 @@ def _validate(args, verb):
         if args.k * args.m * (args.m + 1) // 2 * math.log10(args.p) >= 4300:
             raise UsageError(f"count-fibers: p^(k m(m+1)/2) has over 4300 digits at --m {args.m}")
     elif verb == "phi-eval":
-        check_rows(abs(args.ord))
+        check_rows(units * (abs(args.ord) + 1))
     elif verb == "eta-table":
         check_rows((args.kmax - args.kmin + 1) * units)
-        check_rows(args.kmax)
+        check_rows(units * (max(args.kmax, 0) + 1))
     elif verb == "verify fe-pvs":
         if args.n >= 2:
             raise UsageError(f"verify fe-pvs needs --n <= 1 (Sym_1 or Sym_3), got {args.n}")

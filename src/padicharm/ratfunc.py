@@ -9,14 +9,19 @@ L-factors of a class fix it in advance), so no roots are searched for:
 multiplicities come from synthetic division, residues from cover-up, and the
 Laurent part from the series at z = 0.
 
-Polynomials are numpy arrays of complex coefficients in ascending order.
-Equality is decided by cross-multiplied evaluation at fixed sample points
-off the unit circle.
+Polynomials are tuples of Python complex coefficients in ascending order.
+The GL(1) calculus builds them with 2 to 10 terms, where numpy's fixed cost
+per call outweighs the arithmetic, so the kernel is plain Python; numpy only
+finds roots on the failure path of the Laurent-polynomial test and returns
+`laurent_coeffs` as an array.  Equality is decided by cross-multiplied
+evaluation at fixed sample points off the unit circle.
 """
 
 from __future__ import annotations
 
 import cmath
+from operator import mul
+
 import numpy as np
 
 from . import PadicharmError
@@ -28,39 +33,49 @@ _DIV_TOL = 1e-9
 # a remainder series coefficient this small against the series is zero: the
 # class-membership margin, far above the ~1e-13 rounding of an n = 2 round trip
 _TERM_TOL = 1e-8
+# a top coefficient this small against the largest is cancellation left by a
+# sum of a few products (about 90 ulp of float64), not a term: the verbs'
+# genuine top coefficients stay above 1e-10 of the largest
+_TRIM_TOL = 1e-14
+# a constant term this small against the largest coefficient is a factor z:
+# dividing the series by it would magnify float64 rounding past 1e-3
+_LEAD_TOL = 1e-13
 _SAMPLES = tuple(
     r * cmath.exp(2j * cmath.pi * (k / 20.0 + 0.037))
     for k, r in zip(range(20), [0.63, 1.41] * 10)
 )
+_ZERO = (0j,)
 
 
 class PoleError(PadicharmError):
     pass
 
 
-def _trim(c: np.ndarray) -> np.ndarray:
-    c = np.asarray(c, dtype=complex)
-    if c.size == 0:
-        return np.zeros(1, dtype=complex)
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return np.zeros(1, dtype=complex)
-    nz = np.nonzero(np.abs(c) > 1e-14 * scale)[0]
-    if nz.size == 0:
-        return np.zeros(1, dtype=complex)
-    return c[: nz[-1] + 1].copy()
+def _trim(c: tuple) -> tuple:
+    """c without the top coefficients below _TRIM_TOL of its largest; (0,)
+    when all of c is zero."""
+    scale = max(map(abs, c), default=0.0)
+    if not scale > 0.0:
+        return _ZERO
+    cut = _TRIM_TOL * scale
+    n = len(c)
+    while n > 1 and abs(c[n - 1]) <= cut:
+        n -= 1
+    return c[:n]
 
 
 def _pmul(a, b):
-    return np.convolve(a, b)
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return tuple(out)
 
 
 def _padd(a, b):
-    n = max(len(a), len(b))
-    out = np.zeros(n, dtype=complex)
-    out[: len(a)] += a
-    out[: len(b)] += b
-    return out
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(map(complex.__add__, a, b)) + a[len(b):]
 
 
 def _peval(c, z):
@@ -76,9 +91,9 @@ class RationalFunctionZ:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=(1.0,)):
-        self.num = _trim(np.atleast_1d(np.asarray(num, dtype=complex)))
-        self.den = _trim(np.atleast_1d(np.asarray(den, dtype=complex)))
-        if len(self.den) == 1 and self.den[0] == 0:
+        self.num = _trim(tuple(map(complex, num)))
+        self.den = _trim(tuple(map(complex, den)))
+        if self.den == _ZERO:
             raise ZeroDivisionError("denominator is identically zero")
 
     # ---- constructors ----
@@ -93,8 +108,8 @@ class RationalFunctionZ:
     @classmethod
     def z_power(cls, k: int) -> "RationalFunctionZ":
         if k >= 0:
-            return cls([0.0] * k + [1.0])
-        return cls([1.0], [0.0] * (-k) + [1.0])
+            return cls(_mono(k))
+        return cls([1.0], _mono(-k))
 
     @classmethod
     def from_laurent(cls, coeffs: dict) -> "RationalFunctionZ":
@@ -102,7 +117,7 @@ class RationalFunctionZ:
         if not coeffs:
             return cls.zero()
         lo = min(min(coeffs), 0)
-        num = np.zeros(max(coeffs) - lo + 1, dtype=complex)
+        num = [0j] * (max(coeffs) - lo + 1)
         for k, c in coeffs.items():
             num[k - lo] += c
         return cls(num, _mono(-lo))
@@ -131,7 +146,7 @@ class RationalFunctionZ:
         return _coerce(other) + (-self)
 
     def __neg__(self):
-        return RationalFunctionZ(-self.num, self.den)
+        return RationalFunctionZ([-c for c in self.num], self.den)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -151,7 +166,7 @@ class RationalFunctionZ:
         return _peval(self.num, complex(z)) / _peval(self.den, complex(z))
 
     def is_zero(self, tol=_EQ_TOL) -> bool:
-        return bool(np.max(np.abs(self.num)) <= tol * max(np.max(np.abs(self.den)), 1.0))
+        return max(map(abs, self.num)) <= tol * max(max(map(abs, self.den)), 1.0)
 
     def equals(self, other, tol=_EQ_TOL) -> bool:
         """Cross-multiplied agreement at 20 deterministic sample points."""
@@ -176,25 +191,19 @@ class RationalFunctionZ:
     # ---- substitutions ----
     def substitute(self, rule: str, c=None) -> "RationalFunctionZ":
         """rule in {'scale','square','invert'}: z -> c*z, z -> z^2, z -> 1/z."""
+        num, den = self.num, self.den
         if rule == "scale":
-            pw = np.power(complex(c), np.arange(len(self.num)))
-            pwd = np.power(complex(c), np.arange(len(self.den)))
-            return RationalFunctionZ(self.num * pw, self.den * pwd)
+            c = complex(c)
+            return RationalFunctionZ([x * c ** k for k, x in enumerate(num)],
+                                     [x * c ** k for k, x in enumerate(den)])
         if rule == "square":
-            num = np.zeros(2 * len(self.num) - 1, dtype=complex)
-            num[::2] = self.num
-            den = np.zeros(2 * len(self.den) - 1, dtype=complex)
-            den[::2] = self.den
-            return RationalFunctionZ(num, den)
+            return RationalFunctionZ(_spread(num), _spread(den))
         if rule == "invert":
-            dn, dd = len(self.num) - 1, len(self.den) - 1
-            num = self.num[::-1].copy()
-            den = self.den[::-1].copy()
-            if dd >= dn:
-                num = _pmul(num, _mono(dd - dn))
-            else:
-                den = _pmul(den, _mono(dn - dd))
-            return RationalFunctionZ(num, den)
+            # z^max(dn, dd) num(1/z) / (z^max(dn, dd) den(1/z))
+            pad = (0j,) * abs(len(den) - len(num))
+            if len(den) >= len(num):
+                return RationalFunctionZ(pad + num[::-1], den[::-1])
+            return RationalFunctionZ(num[::-1], pad + den[::-1])
         raise ValueError(f"unknown substitution rule: {rule}")
 
     # ---- Laurent expansion at z = 0 ----
@@ -203,22 +212,21 @@ class RationalFunctionZ:
         power-series division of num by the z-power-free part of den; the
         coefficient of z^m is Res_{z=0}(R(z) z^(-m-1))."""
         v, den0 = _split_z_power(self.den)
-        out = np.zeros(hi - lo + 1, dtype=complex)
         top = hi + v
         if top < 0:
-            return out
-        # series[i] is the coefficient of z^(i - v)
-        series = np.zeros(top + 1, dtype=complex)
-        num, tail, inv0 = self.num, den0[1:], 1.0 / den0[0]
+            return np.zeros(hi - lo + 1, dtype=complex)
+        # series[t + i] is the coefficient of z^(i - v), after t leading zeros
+        # that let every step read a full window of the t previous terms
+        num, inv0 = self.num, 1.0 / den0[0]
+        tail = den0[:0:-1]
+        t = len(tail)
+        series = [0j] * t
         for i in range(top + 1):
-            acc = num[i] if i < len(num) else 0.0
-            t = min(i, len(tail))
-            if t:
-                acc -= tail[:t] @ series[i - 1::-1][:t]
-            series[i] = acc * inv0
+            acc = num[i] if i < len(num) else 0j
+            acc -= sum(map(mul, tail, series[i:i + t]))
+            series.append(acc * inv0)
         start = lo + v
-        out[max(-start, 0):] = series[max(start, 0):]
-        return out
+        return np.array([0j] * max(-start, 0) + series[t + max(start, 0):], dtype=complex)
 
     # ---- partial fractions ----
     def partial_fractions(self, alphas):
@@ -235,8 +243,7 @@ class RationalFunctionZ:
         both raise PoleError.
         """
         v, den0 = _split_z_power(self.den)
-        residues = np.array([_cover_up(self.num, den0, v, a) for a in alphas],
-                            dtype=complex)
+        residues = tuple(_cover_up(self.num, den0, v, a) for a in alphas)
         return _laurent_part(self, alphas, residues, _TERM_TOL), residues
 
     # ---- Laurent-polynomial test ----
@@ -257,12 +264,14 @@ class RationalFunctionZ:
     # ---- serialization ----
     def to_json(self) -> dict:
         return {
-            "num": [[float(c.real), float(c.imag)] for c in self.num],
-            "den": [[float(c.real), float(c.imag)] for c in self.den],
+            "num": [[c.real, c.imag] for c in self.num],
+            "den": [[c.real, c.imag] for c in self.den],
         }
 
     def __repr__(self):
-        return f"RationalFunctionZ(num={list(np.round(self.num, 6))}, den={list(np.round(self.den, 6))})"
+        num, den = ([complex(round(c.real, 6), round(c.imag, 6)) for c in poly]
+                    for poly in (self.num, self.den))
+        return f"RationalFunctionZ(num={num}, den={den})"
 
 
 def _coerce(x) -> RationalFunctionZ:
@@ -272,14 +281,20 @@ def _coerce(x) -> RationalFunctionZ:
 
 
 def _split_z_power(den):
-    """(v, den0) with den = z^v den0 and den0(0) != 0 (relative to 1e-13)."""
-    v = int(np.argmax(np.abs(den) > 1e-13 * np.max(np.abs(den))))
+    """(v, den0) with den = z^v den0 and den0(0) != 0 (relative to _LEAD_TOL)."""
+    cut = _LEAD_TOL * max(map(abs, den))
+    v = next((i for i, c in enumerate(den) if abs(c) > cut), 0)
     return v, den[v:]
 
 
-def _mono(k: int) -> np.ndarray:
-    out = np.zeros(k + 1, dtype=complex)
-    out[k] = 1.0
+def _mono(k: int) -> tuple:
+    return (0j,) * k + (1 + 0j,)
+
+
+def _spread(c):
+    """c(z^2): a zero between consecutive coefficients."""
+    out = [0j] * (2 * len(c) - 1)
+    out[::2] = c
     return out
 
 
@@ -288,12 +303,16 @@ def _divide(c, alpha):
 
     Returns (q, r, scale): r = sum_i c_i alpha^(deg - i) is the reversed
     polynomial at alpha, and scale the same sum over |c_i| |alpha|^(deg - i),
-    the size of its rounding.  Each step multiplies the carry by alpha, so
-    the division is stable for |alpha| <= 1."""
-    powers = alpha ** np.arange(len(c))
-    q = np.convolve(c, powers)[: len(c)]
-    scale = np.convolve(np.abs(c), np.abs(powers))[len(c) - 1]
-    return q[:-1], q[-1], scale
+    the size of its rounding.  Each step multiplies the carry by alpha and
+    adds the next coefficient, and the scale runs the same recursion on |c_i|
+    and |alpha|, so the division is stable for |alpha| <= 1."""
+    size = abs(alpha)
+    q, carry, scale = [], 0j, 0.0
+    for x in c:
+        carry = carry * alpha + x
+        scale = scale * size + abs(x)
+        q.append(carry)
+    return tuple(q[:-1]), carry, scale
 
 
 def _strip(c, alpha, most):
@@ -314,7 +333,7 @@ def _cover_up(num, den0, v, alpha):
     if md - mn > 1:
         raise PoleError(f"pole of order {md - mn} at z = {1 / alpha:.6g}")
     if md == mn:
-        return 0.0
+        return 0j
     # N(1/alpha) = alpha^-deg(N) rn, D(1/alpha) = alpha^-deg(D) rd
     return rn / rd * alpha ** (v + len(D) - len(N))
 
@@ -325,12 +344,14 @@ def _laurent_part(R, alphas, residues, tol):
     a pole outside alphas (PoleError)."""
     v, den0 = _split_z_power(R.den)
     top = max(len(R.num) - len(den0), -1)
-    series = R.laurent_coeffs(-v, top + len(den0) - 1)
-    ks = np.arange(-v, top + len(den0))
-    scale = max(np.max(np.abs(series)), np.max(np.abs(residues), initial=0.0))
+    # series[i] is the coefficient of z^(i - v)
+    series = R.laurent_coeffs(-v, top + len(den0) - 1).tolist()
+    scale = max(max(map(abs, series)), max(map(abs, residues), default=0.0))
     for alpha, b in zip(alphas, residues):
-        series[ks >= 0] -= b * alpha ** ks[ks >= 0]
+        if b:
+            for i in range(v, len(series)):
+                series[i] -= b * alpha ** (i - v)
     cut = top + v + 1
-    if np.any(np.abs(series[cut:]) > tol * scale):
+    if any(abs(c) > tol * scale for c in series[cut:]):
         raise PoleError("the series does not terminate: a pole outside the given set")
-    return {int(k): complex(c) for k, c in zip(ks[:cut], series[:cut]) if c != 0}
+    return {k: c for k, c in enumerate(series[:cut], -v) if c != 0}

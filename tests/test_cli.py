@@ -235,6 +235,11 @@ def test_fourier_n0_consumes_fx_json(tmp_path):
     ["phi-eval", "--p", "3", "--ord", "1000001"],
     ["eta-table", "--p", "3", "--level", "1", "--kmin", "0", "--kmax", "500000"],
     ["eta-table", "--p", "3", "--level", "1", "--kmin", "1000001", "--kmax", "1000001"],
+    # every unit expands its own series: units x (terms + 1) series terms,
+    # 162 x 20001 and 354294 x 1000001 for phi-eval, 162 x 10001 for one shell
+    ["phi-eval", "--p", "3", "--n", "0", "--level", "5", "--ord", "20000"],
+    ["phi-eval", "--p", "3", "--n", "0", "--level", "12", "--ord", "1000000"],
+    ["eta-table", "--p", "3", "--level", "5", "--kmin", "10000", "--kmax", "10000"],
 ])
 def test_invalid_input_is_a_json_error(argv, capsys):
     assert main(argv) == 2

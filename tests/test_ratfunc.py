@@ -1,9 +1,15 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from padicharm.ratfunc import PoleError, RationalFunctionZ
+from padicharm.ratfunc import PoleError, RationalFunctionZ, _divide, _pmul
+
+# float64 rounding of the kernel against its numpy or exact reference, relative
+# to the sum of |terms| behind each coefficient: set from eps = 1.1e-16 times
+# the at most ~100 roundings behind a coefficient here, not tuned to the data
+KERNEL_TOL = 1e-13
 
 
 def resum(laurent, alphas, residues):
@@ -174,3 +180,71 @@ def test_equality_by_cross_multiplication():
                           np.convolve([1.0, -0.5], [2.0, 1.0]))
     assert R.equals(S)
     assert not R.equals(R + 1e-4)
+
+
+def random_poly(rng, terms):
+    """`terms` complex coefficients whose sizes spread over six decades."""
+    return [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10 ** rng.uniform(-3, 3)
+            for _ in range(terms)]
+
+
+def test_pmul_matches_numpy_convolve():
+    rng = random.Random(17)
+    for _ in range(300):
+        a, b = random_poly(rng, rng.randint(1, 12)), random_poly(rng, rng.randint(1, 12))
+        want = np.convolve(a, b)
+        scale = np.convolve(np.abs(a), np.abs(b))
+        got = _pmul(tuple(a), tuple(b))
+        assert len(got) == len(want)
+        assert np.all(np.abs(np.array(got) - want) <= KERNEL_TOL * scale)
+
+
+def test_divide_matches_numpy_power_convolution():
+    # reference: the leading len(c) terms of c * (alpha^0, alpha^1, ...) by numpy
+    rng = random.Random(19)
+    for _ in range(300):
+        c = random_poly(rng, rng.randint(1, 12))
+        alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * rng.uniform(0.1, 2.0)
+        powers = alpha ** np.arange(len(c))
+        full = np.convolve(c, powers)[: len(c)]
+        sizes = np.convolve(np.abs(c), np.abs(powers))[: len(c)]
+        q, r, scale = _divide(tuple(c), alpha)
+        assert len(q) == len(c) - 1
+        assert np.all(np.abs(np.array(q + (r,)) - full) <= KERNEL_TOL * sizes)
+        assert abs(scale - sizes[-1]) <= KERNEL_TOL * sizes[-1]
+
+
+def exact_series(num, den, top):
+    """The first top + 1 power-series coefficients of num/den, den[0] != 0,
+    in exact Fractions."""
+    out = []
+    for i in range(top + 1):
+        acc = num[i] if i < len(num) else Fraction(0)
+        acc -= sum(den[j] * out[i - j] for j in range(1, min(i, len(den) - 1) + 1))
+        out.append(acc / den[0])
+    return out
+
+
+def test_laurent_coeffs_match_exact_series():
+    # rational inputs held exactly as their float64 values; the reference is
+    # exact, and its scale the same recursion on |num| and |den|
+    rng = random.Random(23)
+
+    def rational():
+        return Fraction(float(Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+    for _ in range(200):
+        num = [rational() for _ in range(rng.randint(1, 12))]
+        den = [rational() for _ in range(rng.randint(1, 12))]
+        den[0] = den[0] or Fraction(1)
+        v = rng.randint(0, 2)   # a factor z^v in the denominator
+        R = RationalFunctionZ([float(c) for c in num], [0.0] * v + [float(c) for c in den])
+        lo, hi = -v - 2, rng.randint(0, 20)
+        series = exact_series(num, den, hi + v)
+        sizes = exact_series([abs(c) for c in num],
+                             [abs(den[0])] + [-abs(c) for c in den[1:]], hi + v)
+        got = R.laurent_coeffs(lo, hi)
+        assert len(got) == hi - lo + 1
+        for m, x in zip(range(lo, hi + 1), got):
+            want = series[m + v] if m + v >= 0 else 0
+            size = float(sizes[m + v]) if m + v >= 0 else 0.0
+            assert abs(x - float(want)) <= KERNEL_TOL * size, (m, x, want)
