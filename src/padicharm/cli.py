@@ -387,9 +387,11 @@ def _validate(args, verb):
     the rows a verb builds within ROW_BUDGET: the phi(p^level) units of the
     level, the (|ord| + 1) terms of each unit's eta series in phi-eval, the
     (kmax - kmin + 1) phi rows of an eta table and its (kmax + 1) series terms
-    per unit, the p^k rows of a count table, and for verify fe-pvs, n <= 1 and k >= 2 (the depth of its series
-    cross-check), the 2 p^(k+2) refined bins (det mod p^(k+1), Clifford
-    sign, tr(Y C) mod p) of a phased Clifford job."""
+    per unit, and the p^k rows of a count table.  verify fe-pvs needs n <= 1,
+    k >= 2 (the depth of its series cross-check) and 2 p^(k+2) <= ROW_BUDGET:
+    that keeps p <= 13 at k >= 3, where a phased job's census enumerates all
+    p^6 cells of Sym_3(F_p), and p <= 23 at k = 2, below the p = 59 where the
+    float partial fractions of the exact series stop cancelling."""
     from .padic import LocalFieldConfig
     from .pvszeta import check_rows
     LocalFieldConfig(args.p)

@@ -7,18 +7,19 @@ Test functions are finite combinations of pieces
 (the phase matrix C only acts on the p^{-1}-scale pieces produced by the
 lattice Fourier transform).  Fiber counts over Sym_m(Z/p^k) come from a
 Jordan-splitting recursion for every m.  Its state carries the Hasse
-invariant, so at odd m = 2n + 1 the same recursion gives the
-Clifford-weighted bins: counts over Sym_m(Z/p^(k+1)) by det, Clifford sign
-and tr(Y C) mod p, for every piece whose mask and phase depend on Y mod p
-only.  The entry-wise masks finer than Y mod p, from the diagonal action of
-homogeneity checks, are count jobs on Sym_3; they enumerate the cells of
-their own coset in Sym_3(Z/p^k) and recover the extra determinant digit by
-the linear refinement
+invariant, so at odd m = 2n + 1 the same recursion gives each job's
+tallies: the cells of Sym_m(Z/p^(k+1)) whose det lies in p^v u (1 + p Z_p),
+v <= k, by Clifford sign and tr(Y C) mod p, for every piece whose mask and
+phase depend on Y mod p only.  The entry-wise masks finer than Y mod p, from
+the diagonal action of homogeneity checks, are count jobs on Sym_3; they
+enumerate the cells of their own coset in Sym_3(Z/p^k), recover the extra
+determinant digit by the linear refinement
 
     det(Y0 + p^k Z) = det(Y0) + p^k tr(adj(Y0) Z)  (mod p^{2k})
 
 whose value classes spread uniformly when adj(Y0) != 0 mod p and are
-constant otherwise.  The shell values
+constant otherwise, and fold the refined counts into the same tallies.  The
+shell values
 
     f_Phi(t) = count(det in t-class) / p^{k(d-1)},      d = m(m+1)/2
 
@@ -46,12 +47,12 @@ from . import PadicharmError
 from .abelian import UnitCharacter, beta_factor, character_components
 from .fxspace import (FxFunction, MellinData, TailSpec, fx_from_mellin,
                       mellin_transform)
-from .padic import legendre, psi_frac, unit_group, unit_order
+from .padic import legendre, psi_frac, unit_group, unit_order, unit_part, val_p
 from .ratfunc import RationalFunctionZ
 
 ENUM_BUDGET = 10 ** 9      # cells of one coset of Sym_3(Z/p^k)
 COSET_CHUNK = 1 << 16      # cells per vectorized block: 17 MB, about 260 bytes a cell
-# rows of a fiber count table or of refined bins: count-fibers at p = 3,
+# rows of a fiber count table or of a coset's refined bins: count-fibers at p = 3,
 # k = 12 (531,440 rows) peaks at 262 MB, about 500 bytes a row
 ROW_BUDGET = 10 ** 6
 SERIES_TOL = 1e-12   # exact series against the recursion's shells; rounding is ~1e-14
@@ -197,9 +198,11 @@ def lattice_fourier(Phi: LatticeTestFunction, p: int, sign: int = 1) -> LatticeT
     return LatticeTestFunction(m, tuple(out))
 
 
-# ------------------------------------------------------------ refined bins
+# ------------------------------------------------------------------- tallies
 
-# (p, k) -> {job: refined bins over Sym_m(Z/p^(k+1))}, by recursion or coset.
+# (p, k) -> {job: tallies {(v, u, slot, t): count}}, by recursion or coset:
+# the job's cells of Sym_m(Z/p^(k+1)) whose det lies in p^v u (1 + p Z_p),
+# v <= k and u a unit digit, by Clifford sign slot and t = tr(Y C) mod p.
 # A job is ("count", mask, m) or ("rho", mask, C, m): mask None or
 # (residues, moduli) in `_entry_order`, C a phase matrix or None, and the
 # size m last, so that jobs of different sizes never share an entry
@@ -225,29 +228,19 @@ def _adjugate_det(x11, x22, x33, x12, x13, x23):
     return adj, x11 * adj[0] + x12 * adj[3] + x13 * adj[4]
 
 
-def _bin_shape(job, p: int):
-    """(sign slots, phase slots) of a job's refined bins: one of each for a
-    count job; two signs for a Clifford job, and p phases t = tr(Y C) mod p
-    when it has a phase matrix."""
-    if job[0] == "count":
-        return 1, 1
-    return 2, (1 if job[2] is None else p)
-
-
 def _by_recursion(job, p: int) -> bool:
     """True when the job's mask, if any, fixes Y mod p (its phase always
     depends on Y mod p only)."""
     return job[1] is None or all(mo == p for mo in job[1][1])
 
 
-def _refine_bins(raw, job, p: int, k: int):
-    """Bins over Sym_3(Z/p^k), indexed by (det mod p^(k+1), adj != 0 mod p,
-    sign, t), as counts over Sym_3(Z/p^(k+1)): a cell with adj = 0 mod p
-    keeps its det mod p^(k+1) on all p^6 lifts, any other cell spreads its
-    lifts evenly over the p residues above its det mod p^k."""
-    signs, phases = _bin_shape(job, p)
-    exact, spread = np.moveaxis(raw.reshape(p ** (k + 1), 2, signs, -1)[..., :phases], 1, 0)
-    pooled = spread.reshape(p, p ** k, signs, phases).sum(axis=0)
+def _refine_bins(raw, p: int, k: int):
+    """Counts over Sym_3(Z/p^k) shaped (det mod p^(k+1), adj != 0 mod p,
+    sign, t), as counts over Sym_3(Z/p^(k+1)) shaped (det, sign, t): a cell
+    with adj = 0 mod p keeps its det mod p^(k+1) on all p^6 lifts, any other
+    cell spreads its lifts evenly over the p residues above its det mod p^k."""
+    exact, spread = np.moveaxis(raw, 1, 0)
+    pooled = spread.reshape(p, p ** k, *raw.shape[2:]).sum(axis=0)
     return exact * p ** 6 + np.tile(pooled, (p, 1, 1)) * p ** 5
 
 
@@ -268,26 +261,32 @@ def _coset_bins(p: int, k: int, job):
                                    for res, mo, i in zip(residues, moduli, index)))
         adjnz = np.any(np.stack(adj) % p != 0, axis=0)
         raw += np.bincount(det % mod4 * 2 + adjnz, minlength=2 * mod4)
-    return _refine_bins(raw, job, p, k)
+    return _refine_bins(raw.reshape(mod4, 2, 1, 1), p, k)
 
 
 def precompute_jobs(p: int, k: int, jobs) -> None:
-    """Cache the refined bins of the given jobs: by the Jordan-splitting
+    """Cache the tallies of the given jobs: by the Jordan-splitting
     recursion when the job depends on Y mod p only, else, for a count job
-    on Sym_3 under a finer entry-wise mask, by enumerating its coset."""
+    on Sym_3 under a finer entry-wise mask, by enumerating its coset and
+    summing its refined counts by det valuation and unit digit."""
     cache = _SWEEP_CACHE.setdefault((p, k), {})
     for job in dict.fromkeys(jobs):
         if job in cache:
             continue
         if _by_recursion(job, p):
-            cache[job] = _recursion_bins(p, k, job)
+            cache[job] = _recursion_tallies(p, k, job)
         elif job[0] != "count":
             raise PvsError("Clifford-weighted pieces need a mask that fixes Y mod p")
         elif job[-1] != 3:
             raise PvsError("coset enumeration is for m = 3: a count job "
                            "under a mask finer than Y mod p")
         else:
-            cache[job] = _coset_bins(p, k, job)
+            counts = _coset_bins(p, k, job)[:, 0, 0].tolist()
+            tallies = Counter()
+            for det in range(1, p ** (k + 1)):
+                if counts[det]:
+                    tallies[(val_p(det, p), unit_part(det, p, 1), 0, 0)] += counts[det]
+            cache[job] = dict(tallies)
 
 
 # -------------------------------------------------------------- fiber counts
@@ -457,52 +456,36 @@ def _job_census(p: int, job) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def _shell_keys(p: int, K: int) -> dict:
-    """{(v, eps): the residues p^v u mod p^K, u a unit of Legendre class eps}."""
-    leg = _legendre_table(p)
-    out = {}
-    for v in range(K):
-        u = np.arange(p ** (K - v))
-        for eps in (1, -1):
-            out[(v, eps)] = p ** v * u[leg[u % p] == eps]
-    return out
-
-
-def _recursion_bins(p: int, k: int, job):
-    """A job's refined bins, counts over Sym_m(Z/p^(k+1)) indexed by
-    (det mod p^(k+1), Clifford sign, tr(Y C) mod p), by Jordan splitting.
+def _recursion_tallies(p: int, k: int, job) -> dict:
+    """A job's tallies {(v, u, slot, t): count}, v <= k: its cells of
+    Sym_m(Z/p^(k+1)) whose det lies in p^v u (1 + p Z_p), by Clifford sign
+    slot (0 for +1; always 0 on a count job) and t = tr(Y C) mod p, by
+    Jordan splitting.
 
     Each cell Y0 of the job's census has p^((K-1)(d - d_s)) lifts per Z in
     Sym_s(Z/p^(K-1)), K = k + 1, d = d_m and s = m - rank, moved by
     `_split_state`; the Clifford sign at size m = 2n + 1 is
     rho = (-1, -1)^(n(n+1)/2) ((-1)^n, det) c = ell^(n v) c.  At full rank
-    the lifts spread evenly over the residues of det Y0 mod p, with rho = +1;
-    below it, over the unit residues of the det's class in its shell.  The
-    row of det = 0 mod p^(k+1) is left empty: no shell reads it."""
+    all p^(d(K-1)) lifts keep det Y0 mod p, with rho = +1; below it, the
+    lifts spread evenly over the (p - 1)/2 unit digits of the det's class."""
     m = job[-1]
     n, d, K = (m - 1) // 2, m * (m + 1) // 2, k + 1
-    signs, phases = _bin_shape(job, p)
-    check_rows(p ** K * signs * phases)
     ell = legendre(-1, p)
-    per_residue = Counter()      # (v, class or det residue, sign slot, t) -> count
+    digits = {eps: [u for u in range(1, p) if legendre(u, p) == eps] for eps in (1, -1)}
+    tallies = Counter()
     for (r, key, t), count in _job_census(p, job).items():
         if r == m:
-            per_residue[(0, key, 0, t)] += count * p ** ((d - 1) * (K - 1))
+            tallies[(0, key, 0, t)] += count * p ** (d * (K - 1))
             continue
         s = m - r
         lifts = count * p ** ((K - 1) * (d - s * (s + 1) // 2))
         for state, c in _det_class_counts(s, p, K - 1)[0].items():
             v, eps, hasse = _split_state(state, s, key, ell)
-            if v < K:
-                slot = (1 - ell ** (n * v % 2) * hasse) // 2 if signs == 2 else 0
-                per_residue[(v, eps, slot, t)] += lifts * c // (unit_order(p, K - v) // 2)
-    bins = np.zeros((p ** K, signs, phases),
-                    dtype=np.int64 if p ** (d * K) < 2 ** 63 else object)
-    for (v, key, slot, t), n in per_residue.items():
-        rows = np.arange(key, p ** K, p) if v == 0 else _shell_keys(p, K)[(v, key)]
-        bins[rows, slot, t] = n
-    return bins
+            if v < K and c:
+                slot = (1 - ell ** (n * v % 2) * hasse) // 2 if job[0] == "rho" else 0
+                for u in digits[eps]:
+                    tallies[(v, u, slot, t)] += lifts * c // ((p - 1) // 2)
+    return dict(tallies)
 
 
 # ------------------------------------------- the recursion summed over depths
@@ -611,7 +594,7 @@ def _job_series(p: int, job, weighted: bool, sign: int) -> np.ndarray:
 # -------------------------------------------- shell values and fiber functions
 
 def _piece_job(piece: LatticePiece, weighted: bool, p: int, k: int):
-    """(job, shell shift, prefactor) realizing one piece in refined bins.
+    """(job, shell shift, prefactor) realizing one piece in tallies.
 
     Weighted pieces take a Clifford ("rho") job; so do unweighted pieces
     with a phase at scale -1, whose job carries tr(Y C) mod p (their sign
@@ -646,31 +629,21 @@ def _piece_job(piece: LatticePiece, weighted: bool, p: int, k: int):
 
 def piece_shell_values(piece: LatticePiece, weighted: bool, p: int, k: int, sign: int):
     """Exact fiber values of one piece on its stable shells:
-    {(shell, unit coset mod p): complex}, from the job's refined bins
-    weighted by Clifford sign times psi(t)."""
+    {(shell, unit coset mod p): complex}, from the job's tallies weighted by
+    Clifford sign times psi(t)."""
     if k < 2:
         raise PvsError("level-1 shell values need k >= 2")
     job, shift, prefactor = _piece_job(piece, weighted, p, k)
     precompute_jobs(p, k, (job,))
     d = piece.m * (piece.m + 1) // 2
-    # bins (det mod p^(k+1), sign, t): the sign is ignored on unweighted pieces
-    arr = _SWEEP_CACHE[(p, k)][job]
-    n_signs, n_phases = arr.shape[1:]
-    signs = np.array([1, -1 if weighted else 1][:n_signs])
-    zeta = np.array([psi_frac(p, t, 1, sign) for t in range(n_phases)])
-    totals = (arr.astype(float) * np.outer(signs, zeta)).sum(axis=(1, 2))
-
-    # the nonzero det residues p^v u mod p^(k+1), by valuation v and unit digit
-    keys = np.flatnonzero(totals[1:]) + 1
-    v = sum((keys % p**e == 0).astype(np.int64) for e in range(1, k + 1))
-    cell = v * p + keys // p**v % p
-    # a unit coset mod p holds p^(k-v) of the unit residues mod p^(k+1-v)
-    norm = float(p) ** ((k + 1) * (d - 1))
-    vals = complex(piece.weight) * prefactor * totals[keys] / (norm * p ** (k - v))
-    re = np.bincount(cell, weights=vals.real)
-    im = np.bincount(cell, weights=vals.imag)
-    return {(c // p + shift, c % p): complex(re[c], im[c])
-            for c in np.flatnonzero(np.bincount(cell)).tolist()}
+    phase = [complex(piece.weight) * prefactor * psi_frac(p, t, 1, sign) for t in range(p)]
+    vals: dict = {}
+    for (v, u, slot, t), count in _SWEEP_CACHE[(p, k)][job].items():
+        # count / p^((k+1)(d-1)) over the p^(k-v) unit residues mod
+        # p^(k+1-v) of the coset; the sign is ignored on unweighted pieces
+        x = count / p ** ((k + 1) * (d - 1) + k - v) * phase[t]
+        vals[(v + shift, u)] = vals.get((v + shift, u), 0) + (-x if weighted and slot else x)
+    return vals
 
 
 def fiber_shell_values(Phi: LatticeTestFunction, weighted: bool, p: int, k: int,

@@ -136,31 +136,13 @@ class RationalFunctionZ:
             _pmul(self.den, other.den),
         )
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __neg__(self):
-        return RationalFunctionZ([-c for c in self.num], self.den)
-
     def __mul__(self, other):
         other = _coerce(other)
         return RationalFunctionZ(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def __truediv__(self, other):
         other = _coerce(other)
         return RationalFunctionZ(_pmul(self.num, other.den), _pmul(self.den, other.num))
-
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
 
     def __call__(self, z):
         return _peval(self.num, complex(z)) / _peval(self.den, complex(z))

@@ -1,11 +1,14 @@
 """Reference implementations the tests compare the package against.
 
-The exhaustive Sym_3(Z/p^k) sweep is the oracle of the refined bins.  It visits every cell of Sym_3(Z/p^k), vectorized over the entry index
-space, computes det mod p^(k+1), whether adj(Y) != 0 mod p and, for
-Clifford ("rho") jobs, the Clifford sign of the integer lift by a case
-analysis on the det valuation and the rank mod p (`_sigma_vec`).  Its bins
-fold through the same adjugate refinement as the coset enumeration, so they
-are comparable with `pvszeta._recursion_bins` and `pvszeta._coset_bins`.
+The exhaustive Sym_3(Z/p^k) sweep is the oracle of the jobs' tallies.  It
+visits every cell of Sym_3(Z/p^k), vectorized over the entry index space,
+computes det mod p^(k+1), whether adj(Y) != 0 mod p and, for Clifford
+("rho") jobs, the Clifford sign of the integer lift by a case analysis on
+the det valuation and the rank mod p (`_sigma_vec`).  Its counts go through
+the same adjugate refinement as the coset enumeration, to refined bins over
+Sym_3(Z/p^(k+1)) comparable row by row with `pvszeta._coset_bins`;
+`fold_tallies` sums them by det valuation and unit digit, to compare with
+the tallies of `pvszeta._recursion_tallies` and of `pvszeta.precompute_jobs`.
 
 The invariants of nondegenerate symmetric matrices over Q, viewed in Q_p,
 are the oracle of the recursion's Hasse state and of the sweep's Clifford
@@ -177,13 +180,33 @@ def _sweep3_block(p, k, jobs, x11_range):
 
 
 def sweep_bins(p: int, k: int, jobs) -> dict:
-    """{job: refined bins} from one exhaustive sweep of Sym_3(Z/p^k), the
-    oracle of the recursion and of the coset enumeration."""
+    """{job: refined bins (det mod p^(k+1), sign, t)} from one exhaustive
+    sweep of Sym_3(Z/p^k), the oracle of the recursion and of the coset
+    enumeration."""
     check_budget(float(p) ** (6 * k))
     if k < 2 and any(job[0] == "rho" for job in jobs):
         raise PvsError("Clifford-weighted sweeps need k >= 2")
     raw = _sweep3_block(p, k, tuple(jobs), range(p ** k))
-    return {job: _refine_bins(raw[job], job, p, k) for job in jobs}
+    return {job: _refine_bins(raw[job].reshape(p ** (k + 1), 2, *(
+        (1, 1) if job[0] == "count" else (2, p))), p, k) for job in jobs}
+
+
+def fold_tallies(bins, p: int, k: int) -> dict:
+    """{(v, u, slot, t): count} of refined bins over Sym_3(Z/p^(k+1)): the
+    nonzero rows det = p^v u' mod p^(k+1) summed by v and the unit digit
+    u = u' mod p.  The valuation counts the powers p^e, e <= k, that divide
+    det, vectorized, apart from the `padic.val_p` loop of
+    `pvszeta.precompute_jobs`."""
+    det, slot, t = np.nonzero(bins)
+    keep = det != 0
+    det, slot, t = det[keep], slot[keep], t[keep]
+    v = sum((det % p ** e == 0).astype(np.int64) for e in range(1, k + 1))
+    u = det // p ** v % p
+    out = {}
+    for key, n in zip(zip(v.tolist(), u.tolist(), slot.tolist(), t.tolist()),
+                      bins[det, slot, t].tolist()):
+        out[key] = out.get(key, 0) + n
+    return out
 
 
 # ------------------------------------------------------ quadratic forms

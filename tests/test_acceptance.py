@@ -26,14 +26,16 @@ from padicharm.fxspace import (FxFunction, TailSpec, check_paley_wiener,
 from padicharm.gdist import (fourier_n0, fourier_n0_table, l2_norm_fx,
                              l2_norm_truncated, shell_coefficients_sum)
 from padicharm.padic import psi_frac, unit_group
+from padicharm import pvszeta
 from padicharm.pvszeta import (LatticeTestFunction, act_diagonal,
                                det_fiber_counts, fe_pvs_compare, fe_pvs_sides,
                                fiber_function, homogeneity_check, lattice_fourier,
                                _by_recursion, _coset_bins, _piece_job,
-                               _recursion_bins)
+                               precompute_jobs)
 from padicharm.ratfunc import RationalFunctionZ
 from padicharm.symplectic import (c0_constant, cayley_inv, mat_eq,
                                   siegel_factorize, sp_order)
+from oracles import fold_tallies
 from shell_functions import one_k
 
 P = 3
@@ -161,20 +163,23 @@ def test_criterion_04_prehomogeneous_functional_equation(k3_sweep):
             rep = fe_pvs_compare(sides, 1, chi)
             worst = max(worst, rep["max_deviation"])
             all_eq = all_eq and rep["ratfunc_equal"]
-    # the recursion's bins against the shared sweep's, row 0 read by no shell,
-    # and the coset bins of the moved homogeneity piece on every row
+    # the cached tallies of every job against the shared sweep's bins folded
+    # to tallies, entry by entry as exact integers, and the coset bins of the
+    # moved homogeneity piece against the sweep's on every row
+    precompute_jobs(P, 3, k3_sweep[0])
+    cached = pvszeta._SWEEP_CACHE[(P, 3)]
     oracle = {job: b for job, b in k3_sweep[0].items() if _by_recursion(job, P)}
-    same = all(np.array_equal(_recursion_bins(P, 3, job)[1:], b[1:])
-               for job, b in oracle.items())
+    same = all(cached[job] == fold_tallies(b, P, 3) for job, b in oracle.items())
     cosets = {job: b for job, b in k3_sweep[0].items() if job not in oracle}
-    same_cosets = len(cosets) == 1 and all(np.array_equal(_coset_bins(P, 3, job), b)
-                                           for job, b in cosets.items())
+    same_cosets = len(cosets) == 1 and all(
+        np.array_equal(_coset_bins(P, 3, job), b) and cached[job] == fold_tallies(b, P, 3)
+        for job, b in cosets.items())
     dt = time.perf_counter() - t0
     report(4, "prehomogeneous functional equation at k = 3",
            worst < 1e-6 and all_eq and same and same_cosets and dt < 900,
-           f"max dev {worst:.2e} over 3 functions x 2 characters, recursion bins "
+           f"max dev {worst:.2e} over 3 functions x 2 characters, recursion tallies "
            f"{'equal' if same else 'differ from'} the sweep's on {len(oracle)} jobs, "
-           f"coset bins {'equal' if same_cosets else 'differ from'} it on "
+           f"coset bins and tallies {'equal' if same_cosets else 'differ from'} it on "
            f"{len(cosets)}, {dt:.1f}s")
 
 

@@ -1,19 +1,20 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from padicharm.abelian import UnitCharacter, characters
-from padicharm.fxspace import check_paley_wiener, mellin_transform
+from padicharm.fxspace import FxError, check_paley_wiener, mellin_transform
 from padicharm import pvszeta
 from padicharm.padic import unit_group
 from padicharm.pvszeta import (LatticeTestFunction, PvsError, _by_recursion,
                                _coset_bins, _det_class_counts, _entry_order,
                                _legendre_table, _piece_job, _rank_census,
-                               _recursion_bins, _size_denominator, _size_series,
+                               _recursion_tallies, _size_denominator, _size_series,
                                act_diagonal, det_fiber_counts,
                                fe_pvs_compare, fe_pvs_sides, fiber_function,
                                fiber_shell_values, homogeneity_check,
@@ -21,7 +22,8 @@ from padicharm.pvszeta import (LatticeTestFunction, PvsError, _by_recursion,
 from padicharm.padic import legendre
 from padicharm.symplectic import det as rational_det
 from padicharm.ratfunc import RationalFunctionZ
-from oracles import _mask_vec, _sigma_vec, clifford_rho, evaluate_lattice_function
+from oracles import (_mask_vec, _sigma_vec, clifford_rho, evaluate_lattice_function,
+                     fold_tallies)
 
 P, K = 3, 2
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -83,12 +85,13 @@ def test_det_fiber_counts_m3_conservation_and_values():
 
 def test_budget_guard():
     # a coset (an entry-wise mask finer than Y mod p) past ENUM_BUDGET cells,
-    # and recursion bins past ROW_BUDGET rows
+    # and the one-cell coset of a mask mod 3^13, whose refined bins over
+    # Sym_3(Z/3^14) are past ROW_BUDGET rows
     moved = ("count", ((0,) * 6, (1, 1, 25, 1, 5, 5)), 3)
     with pytest.raises(PvsError, match="enumeration budget"):
         precompute_jobs(5, 4, (moved,))
     with pytest.raises(PvsError, match="row budget"):
-        precompute_jobs(3, 13, (("rho", None, I3, 3),))
+        precompute_jobs(3, 13, (("count", ((0,) * 6, (3 ** 13,) * 6), 3),))
 
 
 def brute_census(m, p):
@@ -137,14 +140,14 @@ def test_recursion_matches_sweep(p, k, sweep_counts):
 def test_recursion_bins_match_sweep(sweep_oracle):
     # every job kind the checks build from Y mod p: count and Clifford jobs,
     # unmasked, under one-point masks, and with diagonal and non-diagonal
-    # phases; row 0 (det = 0 mod p^(k+1)) is read by no shell
+    # phases; the recursion's tallies against the sweep's bins folded to
+    # tallies, every entry an exact integer
     jobs = [("count", None, 3), ("count", one_point(I3, P), 3),
             ("count", one_point(ZERO3, P), 3), ("rho", None, None, 3), ("rho", None, I3, 3),
             ("rho", None, NONDIAG, 3),
             ("rho", one_point(((1, 0, 0), (0, 2, 0), (0, 0, 0)), P), None, 3)]
     for job, want in sweep_oracle(P, K, jobs).items():
-        got = _recursion_bins(P, K, job)
-        assert np.array_equal(got[1:], want[1:]), job
+        assert _recursion_tallies(P, K, job) == fold_tallies(want, P, K), job
 
 
 def lift_law_cells(p):
@@ -162,23 +165,31 @@ def lift_law_cells(p):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_lift_law_against_clifford_rho(p):
-    # all p^6 lifts Y0 + pX to Sym_3(Z/p^2): det mod p^2 by enumeration
-    # against the recursion's bins under the one-point mask Y0 (at full rank
-    # they keep det Y0 mod p, not just its class, which p = 3 cannot tell);
-    # the bins put all lifts of a det residue under one sign, which
-    # oracles.clifford_rho confirms on ten lifts of every residue
+    # all p^6 lifts Y0 + pX to Sym_3(Z/p^2): det mod p^2 by enumeration, by
+    # valuation v and unit digit u, against the recursion's tallies under the
+    # one-point mask Y0 (at full rank they keep det Y0 mod p, not just its
+    # class, which p = 3 cannot tell); the tallies put all lifts of a (v, u)
+    # under one sign, which oracles.clifford_rho confirms on ten lifts of
+    # every det residue mod p^2
     r = np.arange(p)
     lifts = [a.ravel() for a in np.meshgrid(r, r, r, r, r, r, indexing="ij")]
     for Y0 in lift_law_cells(p):
-        bins = _recursion_bins(p, 1, ("rho", one_point(Y0, p), None, 3))
+        tallies = _recursion_tallies(p, 1, ("rho", one_point(Y0, p), None, 3))
         x11, x22, x33, x12, x13, x23 = (Y0[i][j] + p * x
                                         for (i, j), x in zip(_entry_order(3), lifts))
         det = (x11 * (x22 * x33 - x23 * x23) - x12 * (x12 * x33 - x23 * x13)
                + x13 * (x12 * x23 - x22 * x13)) % p**2
-        hist = np.bincount(det, minlength=p**2)
-        assert np.array_equal(bins.sum(axis=(1, 2))[1:], hist[1:]), Y0
-        for key in np.flatnonzero(hist[1:]) + 1:
-            (slot,) = np.flatnonzero(bins[key, :, 0])
+        nonzero = det != 0
+        v = (det % p == 0).astype(np.int64)
+        u = det // p**v % p
+        hist = Counter(zip(v[nonzero].tolist(), u[nonzero].tolist()))
+        shells = [(v0, u0) for v0, u0, _, _ in tallies]
+        assert len(set(shells)) == len(shells), Y0
+        assert {(v0, u0): n for (v0, u0, _, _), n in tallies.items()} == dict(hist), Y0
+        slots = {(v0, u0): slot for v0, u0, slot, _ in tallies}
+        for key in np.unique(det[nonzero]).tolist():
+            v0 = int(key % p == 0)
+            slot = slots[(v0, key // p**v0 % p)]
             for i in np.flatnonzero(det == key)[:10]:
                 Y = [[int(x11[i]), int(x12[i]), int(x13[i])],
                      [int(x12[i]), int(x22[i]), int(x23[i])],
@@ -200,12 +211,11 @@ def test_weighted_spherical_shells_exact(p):
     # coefficient of the minus-class L-product times 1 - p^-3
     for k in range(2, 6):
         K = k + 1
-        bins = _recursion_bins(p, k, ("rho", None, None, 3))
+        tallies = _recursion_tallies(p, k, ("rho", None, None, 3))
         want = minus_series(p, K)
         for v in range(K):
             for u in range(1, p):
-                rows = p**v * np.arange(u, p ** (K - v), p)
-                signed = sum(int(x) for x in bins[rows, 0, 0] - bins[rows, 1, 0])
+                signed = tallies.get((v, u, 0, 0), 0) - tallies.get((v, u, 1, 0), 0)
                 assert Fraction(signed, p ** (5 * K + K - v - 1)) == want[v], (k, v, u)
 
 
@@ -292,6 +302,29 @@ def test_wrong_series_coefficient_is_caught(monkeypatch):
     monkeypatch.setattr(pvszeta, "_job_series", wrong)
     with pytest.raises(PvsError, match="differs from the depth-3 recursion"):
         fiber_function(LatticeTestFunction.spherical(3), False, P, 3)
+
+
+def test_wrong_tally_is_caught(monkeypatch):
+    # one cell more in one tally, on the deepest stable shell, moves that
+    # shell by 3^-20 ~ 3e-10 against the exact series
+    tallies = pvszeta._recursion_tallies
+
+    def wrong(p, k, job):
+        out = tallies(p, k, job)
+        out[(3, 1, 0, 0)] += 1
+        return out
+    monkeypatch.setattr(pvszeta, "_SWEEP_CACHE", {})
+    monkeypatch.setattr(pvszeta, "_recursion_tallies", wrong)
+    with pytest.raises(PvsError, match="differs from the depth-3 recursion"):
+        fiber_function(LatticeTestFunction.spherical(3), False, P, 3)
+
+
+@pytest.mark.xfail(raises=FxError, strict=True, reason=(
+    "float partial fractions do not cancel the size denominator at p = 59"))
+def test_spherical_sides_at_k2_past_the_cli_bound():
+    # the exact series at n = 1, k = 2 holds up to p = 53; verify fe-pvs
+    # accepts p <= 23 at k = 2 only
+    fe_pvs_sides(LatticeTestFunction.spherical(3), 1, 59, 2)
 
 
 def test_det_fiber_counts_does_not_sweep(monkeypatch):
@@ -682,7 +715,7 @@ def test_coset_bins_do_not_see_chunk_boundaries(monkeypatch):
 
 
 def test_weighted_piece_finer_than_y_mod_p_is_refused():
-    # Clifford-weighted bins come from the recursion alone, and a piece of
+    # Clifford-weighted tallies come from the recursion alone, and a piece of
     # scale 2 has a mask finer than Y mod p
     with pytest.raises(PvsError, match="Clifford-weighted pieces"):
         fiber_shell_values(LatticeTestFunction.dilated(3, 2), True, P, K)

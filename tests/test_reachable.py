@@ -28,15 +28,9 @@ ALLOWED = {
     "pvszeta.homogeneity_check": "ROADMAP item 8: verify homogeneity",
     "pvszeta.act_diagonal": "the moved test function of homogeneity_check",
     "pvszeta._coset_bins": "the coset enumeration of homogeneity_check's moved piece",
-    "pvszeta._refine_bins": "folds _coset_bins, and tests/oracles.py's sweep, into bins",
+    "pvszeta._refine_bins": "refines the counts of _coset_bins and tests/oracles.py's sweep",
     "pvszeta.check_budget": "the cell budget of _coset_bins and tests/oracles.py's sweep",
     "cli.run": "the library entry point perfbench/workloads.py calls",
-    "ratfunc.RationalFunctionZ.__radd__": "operator of the value type",
-    "ratfunc.RationalFunctionZ.__sub__": "operator of the value type",
-    "ratfunc.RationalFunctionZ.__rsub__": "operator of the value type",
-    "ratfunc.RationalFunctionZ.__neg__": "operator of the value type",
-    "ratfunc.RationalFunctionZ.__rmul__": "operator of the value type",
-    "ratfunc.RationalFunctionZ.__rtruediv__": "operator of the value type",
     "ratfunc.RationalFunctionZ.__repr__": "operator of the value type",
 }
 
