@@ -2,18 +2,16 @@
 
 An FxFunction holds finitely many shell values f(p^k u) (k in a window,
 u running over unit cosets mod p^level) together with an asymptotic tail
-for small |x|:
+for small |x| = q^-k, one geometric term per pole of its class:
 
-    plus  tail: a0(u) + sum_i ( ap_i(u) |x|^(i+1/2) + am_i(u) |x|^(i+1/2) (-1)^ord(x) )
-    minus tail: a0(u) |x|^n + sum_i ( ap_i(u) |x|^i + am_i(u) |x|^i (-1)^ord(x) )
+    f(p^k u) = q^(-k power_shift) sum_i rows[i](u) alpha_i^k,   k >= k_tail,
 
-optionally times a global power |x|^power_shift.  The Mellin transform per
-unit character is then a rational function of z whose poles sit at
+    plus:  alpha in {1, +-q^-(i+1/2)}       minus: alpha in {q^-n, +-q^-i}
 
-    plus:  z in {1, +-q^(i+1/2)}        minus: z in {q^n, +-q^i}
-
-and the whole dictionary FxFunction <-> MellinData is exact in both
-directions (geometric summation one way, residues at z = 0 the other).
+(i < n, in allowed_alphas order).  The Mellin transform per unit character
+is then a rational function of z with simple poles at z = 1/alpha only, and
+the whole dictionary FxFunction <-> MellinData is exact in both directions
+(geometric summation one way, residues at z = 0 the other).
 
 Coset rows are in unit_group (dlog) order u = g^k, and component j belongs
 to chi_j(g^k) = exp(2 pi i j k / phi).  The change of axis is owned by
@@ -61,10 +59,12 @@ class StabilizationError(PadicharmError, RuntimeError):
 @dataclass(frozen=True)
 class TailSpec:
     kind: str          # "compact" | "plus" | "minus"
-    n: int = 0
-    a0: tuple = ()     # complex per unit coset, in unit_group order
-    ap: tuple = ()     # ap[i] is a tuple over cosets, i = 0..n-1
-    am: tuple = ()
+    rows: tuple = ()   # rows[i]: the residue at allowed_alphas(kind, n, q)[i],
+                       # complex per unit coset in unit_group order
+
+    @property
+    def n(self) -> int:
+        return len(self.rows) // 2
 
     @classmethod
     def compact(cls):
@@ -96,19 +96,10 @@ class FxFunction:
     def _tail_value(self, k: int, u: int) -> complex:
         q = float(self.p)
         idx = self.cosets.index(u)
-        shift = q ** (-k * float(self.power_shift))
         t = self.tail
-        if t.kind == "plus":
-            out = t.a0[idx]
-            for i in range(t.n):
-                out = out + (t.ap[i][idx] + (-1) ** k * t.am[i][idx]) * q ** (-k * (i + 0.5))
-            return shift * out
-        if t.kind == "minus":
-            out = t.a0[idx] * q ** (-k * t.n)
-            for i in range(t.n):
-                out = out + (t.ap[i][idx] + (-1) ** k * t.am[i][idx]) * q ** (-k * i)
-            return shift * out
-        raise FxError(f"unknown tail kind {t.kind}")
+        total = sum(row[idx] * alpha**k
+                    for row, alpha in zip(t.rows, allowed_alphas(t.kind, t.n, q)))
+        return q ** (-k * float(self.power_shift)) * total
 
     def scale_by_power(self, c) -> "FxFunction":
         """Multiply by |x|^c (c rational, half-integers allowed)."""
@@ -133,9 +124,9 @@ class FxFunction:
         t = self.tail
         tail: dict = {"kind": t.kind, "n": t.n}
         if t.kind != "compact":
-            tail["a0"] = [[v.real, v.imag] for v in t.a0]
-            tail["ap"] = [[[v.real, v.imag] for v in row] for row in t.ap]
-            tail["am"] = [[[v.real, v.imag] for v in row] for row in t.am]
+            # the rows follow allowed_alphas: a0, then ap_i, am_i for each i
+            pairs = [[[v.real, v.imag] for v in row] for row in t.rows]
+            tail.update(a0=pairs[0], ap=pairs[1::2], am=pairs[2::2])
         return {
             "p": self.p,
             "level": self.level,
@@ -155,12 +146,12 @@ class FxFunction:
         if t["kind"] == "compact":
             tail = TailSpec.compact()
         else:
-            tail = TailSpec(
-                t["kind"], t["n"],
-                tuple(complex(a, b) for a, b in t["a0"]),
-                tuple(tuple(complex(a, b) for a, b in row) for row in t["ap"]),
-                tuple(tuple(complex(a, b) for a, b in row) for row in t["am"]),
-            )
+            if not len(t["ap"]) == len(t["am"]) == t["n"]:
+                raise ValueError(f"a tail of n = {t['n']} needs n rows each of ap and am, "
+                                 f"got {len(t['ap'])} and {len(t['am'])}")
+            slots = [t["a0"]] + [row for pair in zip(t["ap"], t["am"]) for row in pair]
+            tail = TailSpec(t["kind"], tuple(tuple(complex(a, b) for a, b in row)
+                                             for row in slots))
         vals = {(s["k"], s["coset"]): complex(s["re"], s["im"]) for s in obj["shells"]}
         num, den = obj.get("power_shift", [0, 1])
         return cls(obj["p"], obj["level"], obj["k_min"], obj["k_tail"], vals, tail,
@@ -174,7 +165,6 @@ class MellinData:
     p: int
     level: int
     comps: dict          # exponent j -> RationalFunctionZ
-    pole_class: tuple | None = None   # ("plus"|"minus", n) hint
 
     def character(self, j: int) -> UnitCharacter:
         return UnitCharacter(self.p, self.level, j)
@@ -195,12 +185,11 @@ def mellin_transform(f: FxFunction) -> MellinData:
     if t.kind == "compact":
         tail, terms = np.zeros((0, len(cosets))), []
     else:
-        # rows in allowed_alphas order (a0, then ap_i, am_i); the row of pole
-        # slot alpha sums to (q^-sigma alpha z)^k over k >= k_tail
-        tail = character_components([t.a0, *(row for pair in zip(t.ap, t.am) for row in pair)])
+        # the row of pole alpha sums to (q^-sigma alpha z)^k over k >= k_tail
+        tail = character_components(t.rows)
         shift = float(p) ** -float(f.power_shift)
         terms = [RationalFunctionZ.geometric(shift * alpha, f.k_tail)
-                 for alpha, _ in allowed_alphas(t.kind, t.n, float(p))]
+                 for alpha in allowed_alphas(t.kind, t.n, float(p))]
     comps = {}
     for j in range(len(cosets)):
         R = RationalFunctionZ.from_laurent(
@@ -209,33 +198,26 @@ def mellin_transform(f: FxFunction) -> MellinData:
             if coef != 0:
                 R = R + term * coef
         comps[j] = R
-    klass = None if t.kind == "compact" else (t.kind, t.n)
-    return MellinData(p, N, comps, klass)
+    return MellinData(p, N, comps)
 
 
-def allowed_alphas(kind: str, n: int, q: float):
-    """Pole data as (alpha, slot) with slot in {('a0',), ('ap', i), ('am', i)}."""
-    out = []
+def allowed_alphas(kind: str, n: int, q: float) -> list:
+    """The alphas of the class's simple poles z = 1/alpha, in slot order:
+    plus 1, then +-q^-(i+1/2); minus q^-n, then +-q^-i; i = 0..n-1."""
     if kind == "plus":
-        out.append((1.0, ("a0",)))
-        for i in range(n):
-            out.append((q ** -(i + 0.5), ("ap", i)))
-            out.append((-(q ** -(i + 0.5)), ("am", i)))
+        first, pairs = 1.0, [q ** -(i + 0.5) for i in range(n)]
     elif kind == "minus":
-        out.append((q ** -float(n), ("a0",)))
-        for i in range(n):
-            out.append((q ** -float(i), ("ap", i)))
-            out.append((-(q ** -float(i)), ("am", i)))
+        first, pairs = q ** -float(n), [q ** -float(i) for i in range(n)]
     else:
         raise FxError(f"unknown class kind {kind}")
-    return out
+    return [first] + [a for alpha in pairs for a in (alpha, -alpha)]
 
 
 def fx_from_mellin(Z: MellinData, kind: str, n: int) -> FxFunction:
     """Materialize the shell function with the stated pole class (power shift 0)."""
     p, N = Z.p, Z.level
     cosets = unit_group(p, N)[0]
-    alphas = [alpha for alpha, _ in allowed_alphas(kind, n, float(p))]
+    alphas = allowed_alphas(kind, n, float(p))
 
     # residues b per (pole slot, character exponent j), slots in alphas order
     residues = np.zeros((len(alphas), len(cosets)), dtype=complex)
@@ -259,35 +241,22 @@ def fx_from_mellin(Z: MellinData, kind: str, n: int) -> FxFunction:
     shells = coset_values(series).tolist()
     vals = {(k, u): v for k, row in zip(range(k_min, k_tail), shells)
             for u, v in zip(cosets, row) if v != 0}
-    # slot rows come in allowed_alphas order: a0, then ap_i, am_i for each i
-    rows = [tuple(row) for row in coset_values(residues).tolist()]
-    tail = TailSpec(kind, n, rows[0], tuple(rows[1::2]), tuple(rows[2::2]))
+    tail = TailSpec(kind, tuple(map(tuple, coset_values(residues).tolist())))
     return FxFunction(p, N, k_min, k_tail, vals, tail, Fraction(0))
 
 
 # --------------------------------------------------- Paley-Wiener checking
 
 def class_denominator(chi: UnitCharacter, kind: str, n: int) -> RationalFunctionZ:
-    """The L-product a Mellin component of the given class must divide into,
-    restricted to the factors beta can carry: (1 - z)-type factors only for
-    unramified chi, z^2-type factors only for unramified chi^2."""
-    q = float(chi.p)
-    D = RationalFunctionZ.one()
+    """The L-product prod (1 - alpha z) over the class's poles that a Mellin
+    component must divide into, restricted to the factors beta can carry:
+    the first pole only for unramified chi, the +-alpha pairs only for
+    unramified chi^2."""
     e, e2 = conductor(chi), conductor(chi.square())
-    if kind == "plus":
-        if e == 0:
-            D = D * RationalFunctionZ([1.0], [1.0, -1.0])
-        for i in range(n):
-            if e2 == 0:
-                D = D * RationalFunctionZ([1.0], [1.0, 0.0, -q ** -(2 * i + 1)])
-    elif kind == "minus":
-        if e == 0:
-            D = D * RationalFunctionZ([1.0], [1.0, -q ** -float(n)])
-        for i in range(n):
-            if e2 == 0:
-                D = D * RationalFunctionZ([1.0], [1.0, 0.0, -q ** -float(2 * i)])
-    else:
-        raise FxError(f"unknown class kind {kind}")
+    D = RationalFunctionZ.one()
+    for slot, alpha in enumerate(allowed_alphas(kind, n, float(chi.p))):
+        if (e if slot == 0 else e2) == 0:
+            D = D * RationalFunctionZ([1.0], [1.0, -alpha])
     return D
 
 
@@ -373,8 +342,7 @@ def fourier_L(f: FxFunction, n: int, sign: int = 1) -> FxFunction:
         comps[j] = _beta_inv_cached(n, p, N, j, sign) * mirror.substitute("invert")
     # comps is M(L(f) |.|^{-(2n+1)/2}); L(f) lands in |.|^{n+1} S^-_{n,beta},
     # so shift by |.|^{-1/2} more to reach the shift-free minus class
-    V = MellinData(p, N, {j: R.substitute("scale", q**0.5) for j, R in comps.items()},
-                   ("minus", n))
+    V = MellinData(p, N, {j: R.substitute("scale", q**0.5) for j, R in comps.items()})
     ok, witness = check_paley_wiener(V, "minus", n)
     if not ok:
         raise FxError(f"transform left the minus class (this should not happen): {witness}")
@@ -443,7 +411,5 @@ def fe_gl1_compare(sides, n: int, chi: UnitCharacter, sign: int = 1) -> dict:
     return {
         "max_deviation": dev,
         "ratfunc_equal": lhs.equals(rhs, tol=FE_GL1_TOL),
-        "lhs": lhs,
-        "rhs": rhs,
     }
 

@@ -434,10 +434,10 @@ def _job_census(p: int, job) -> dict:
     d = m * (m + 1) // 2
     if mask is not None:      # the mask fixes Y mod p: one cell
         blocks = [[np.array([x % p]) for x in mask[0]]]
-    else:
+    else:                     # p blocks of p^(d-1) cells, one at a time
         r = np.arange(p)
-        rest = [a.ravel() for a in np.meshgrid(*[r] * (d - 1), indexing="ij")]
-        blocks = [[np.full(p ** (d - 1), x0)] + rest for x0 in range(p)]
+        tails = [a.ravel() for a in np.meshgrid(*[r] * (d - 1), indexing="ij")]
+        blocks = ([np.full(p ** (d - 1), x0)] + tails for x0 in range(p))
     leg = _legendre_table(p)
     out: dict = {}
     for entries in blocks:
@@ -684,7 +684,7 @@ def fiber_function(Phi: LatticeTestFunction, weighted: bool, p: int, k: int,
         num[:, m + shift:m + shift + series.shape[1]] += piece.weight * prefactor * series
     kind = "minus" if weighted else "plus"
     Z = MellinData(p, 1, {j: RationalFunctionZ(row, den) for j, row in enumerate(num)
-                          if row.any()}, (kind, n))
+                          if row.any()})
     f = fx_from_mellin(Z, kind, n)
     shells, lo, hi = fiber_shell_values(Phi, weighted, p, k, sign)
     scale = max(map(abs, shells.values()))
@@ -693,7 +693,7 @@ def fiber_function(Phi: LatticeTestFunction, weighted: bool, p: int, k: int,
     dev = max(abs(f.evaluate(w, u) - x) for (w, u), x in shells.items()) / scale
     if dev > SERIES_TOL:
         raise PvsError(f"exact series differs from the depth-{k} recursion by {dev:.3g}")
-    if any(x for row in (f.tail.a0, *f.tail.ap, *f.tail.am) for x in row):
+    if any(x for row in f.tail.rows for x in row):
         return f
     return FxFunction(p, 1, f.k_min, f.k_tail, f.values, TailSpec.compact())
 
@@ -714,17 +714,8 @@ def pvs_route_transform(Phi: LatticeTestFunction, p: int, k: int, n: int = 1,
     twist = pow(pow(2, 2 * n, p), -1, p)
     vals = {(kk, u): fm.evaluate(kk, u * twist % p)
             for kk in range(fm.k_min, fm.k_tail) for u in cosets}
-    t = fm.tail
-    if t.kind == "compact":
-        tail = t
-    else:
-        idx = {u: i for i, u in enumerate(cosets)}
-
-        def tw(row):
-            return tuple(row[idx[u * twist % p]] for u in cosets)
-
-        tail = TailSpec(t.kind, t.n, tw(t.a0), tuple(tw(r) for r in t.ap),
-                        tuple(tw(r) for r in t.am))
+    src = [cosets.index(u * twist % p) for u in cosets]
+    tail = TailSpec(fm.tail.kind, tuple(tuple(row[i] for i in src) for row in fm.tail.rows))
     out = FxFunction(p, 1, fm.k_min, fm.k_tail, vals, tail, fm.power_shift)
     return out.scale_by_power(n + 1)
 
@@ -762,8 +753,6 @@ def fe_pvs_compare(sides, n: int, chi: UnitCharacter, sign: int = 1) -> dict:
     return {
         "max_deviation": dev,
         "ratfunc_equal": lhs.equals(rhs, tol=FE_PVS_TOL),
-        "lhs": lhs,
-        "rhs": rhs,
     }
 
 
@@ -792,6 +781,4 @@ def homogeneity_check(Phi: LatticeTestFunction, g_exponents, chi: UnitCharacter,
     return {
         "max_deviation": dev,
         "shells_equal": dev <= HOMOGENEITY_TOL,
-        "moved": moved,
-        "predicted": predicted,
     }

@@ -22,4 +22,4 @@ def indicator_units(p: int, level: int, value: complex = 1.0) -> FxFunction:
 def indicator_integers(p: int, level: int) -> FxFunction:
     """ch(Z_p - 0) as an FxFunction: plus-class tail with a0 = 1."""
     ones = tuple(1.0 + 0.0j for _ in unit_group(p, level)[0])
-    return FxFunction(p, level, 0, 0, {}, TailSpec("plus", 0, ones, (), ()))
+    return FxFunction(p, level, 0, 0, {}, TailSpec("plus", (ones,)))

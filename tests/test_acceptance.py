@@ -188,15 +188,9 @@ def at_level(f, level):
     fine = unit_group(f.p, level)[0]
     mod = f.p**f.level
     vals = {(k, w): v for (k, u), v in f.values.items() for w in fine if w % mod == u}
-    t = f.tail
-    if t.kind != "compact":
-        idx = {u: i for i, u in enumerate(f.cosets)}
-
-        def lift(row):
-            return tuple(row[idx[w % mod]] for w in fine)
-
-        t = TailSpec(t.kind, t.n, lift(t.a0), tuple(map(lift, t.ap)), tuple(map(lift, t.am)))
-    return FxFunction(f.p, level, f.k_min, f.k_tail, vals, t, f.power_shift)
+    src = [f.cosets.index(w % mod) for w in fine]
+    tail = TailSpec(f.tail.kind, tuple(tuple(row[i] for i in src) for row in f.tail.rows))
+    return FxFunction(f.p, level, f.k_min, f.k_tail, vals, tail, f.power_shift)
 
 
 def _gl1_family(n):

@@ -280,6 +280,9 @@ def test_fx_in_parameters_are_validated(tmp_path):
     {"p": "3", "level": 1, "k_min": 0, "k_tail": 1, "shells": [], "tail": {"kind": "compact"}},
     {"p": 3, "level": 1, "k_min": 0, "k_tail": 1, "tail": {"kind": "compact"},
      "shells": [{"k": "0", "coset": 1, "re": 1.0, "im": 0.0}]},
+    # a tail of n = 1 needs one row each of ap and am
+    {"p": 3, "level": 1, "k_min": 0, "k_tail": 1, "shells": [],
+     "tail": {"kind": "plus", "n": 1, "a0": [[1.0, 0.0], [1.0, 0.0]], "ap": [], "am": []}},
 ])
 def test_malformed_fx_in_is_a_json_error(data, tmp_path, capsys):
     src = tmp_path / "phi.json"

@@ -26,10 +26,10 @@ def random_fx(rng, p=3, level=2, kind="plus", n=1):
     if kind == "compact":
         return FxFunction(p, level, k_min, k_tail, vals, TailSpec.compact())
     rnd = lambda: tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in cosets)
-    tail = TailSpec(kind, n, rnd(),
-                    tuple(rnd() for _ in range(n)),
-                    tuple(rnd() for _ in range(n)))
-    return FxFunction(p, level, k_min, k_tail, vals, tail)
+    # drawn as a0, every ap_i, every am_i; stored in allowed_alphas order
+    a0, ap, am = rnd(), [rnd() for _ in range(n)], [rnd() for _ in range(n)]
+    rows = (a0, *(row for pair in zip(ap, am) for row in pair))
+    return FxFunction(p, level, k_min, k_tail, vals, TailSpec(kind, rows))
 
 
 def test_mellin_of_unit_indicator():
@@ -59,9 +59,8 @@ def test_mellin_plus_tail_geometric():
     p, level = 3, 1
     cosets = unit_group(p, level)[0]
     ones = tuple(1.0 + 0.0j for _ in cosets)
-    f = FxFunction(p, level, 2, 2, {}, TailSpec("plus", 1, ones,
-                                                (tuple(0.0 for _ in cosets),),
-                                                (tuple(0.0 for _ in cosets),)))
+    zeros = tuple(0.0 for _ in cosets)
+    f = FxFunction(p, level, 2, 2, {}, TailSpec("plus", (ones, zeros, zeros)))
     Z = mellin_transform(f)
     expected = RationalFunctionZ.z_power(2) / RationalFunctionZ([1.0, -1.0])
     assert Z.comps[0].equals(expected)
@@ -97,7 +96,7 @@ def test_mellin_injectivity_on_minus():
     for _ in range(20):
         f = random_fx(rng, kind="minus", n=1)
         nonzero = (any(abs(v) > 1e-9 for v in f.values.values())
-                   or any(abs(a) > 1e-9 for a in f.tail.a0))
+                   or any(abs(a) > 1e-9 for a in f.tail.rows[0]))
         zero = all(R.is_zero(1e-10) for R in mellin_transform(f).comps.values())
         assert zero != nonzero
 
@@ -297,8 +296,8 @@ def test_fourier_L_rejects_wrong_class():
     p, level = 3, 1
     cosets = unit_group(p, level)[0]
     ones = tuple(1.0 + 0.0j for _ in cosets)
-    zeros = (tuple(0.0 for _ in cosets),)
-    f = FxFunction(p, level, 0, 1, {}, TailSpec("minus", 1, ones, zeros, zeros))
+    zeros = tuple(0.0 for _ in cosets)
+    f = FxFunction(p, level, 0, 1, {}, TailSpec("minus", (ones, zeros, zeros)))
     with pytest.raises(FxError, match="plus"):
         fourier_L(f, 1)
 
@@ -367,6 +366,43 @@ def test_pv_convolve_single_shell_average():
 
     got, _, _ = pv_convolve(kernel, f, 0, 1, K_max=6, tol=1e-12)
     assert abs(got - 2.0) < 1e-12
+
+
+def test_tail_formula_written_out():
+    # plus tail: a0 + sum_i (ap_i + (-1)^k am_i) q^(-k(i+1/2)); minus tail:
+    # a0 q^(-kn) + sum_i (ap_i + (-1)^k am_i) q^(-ki); both times
+    # q^(-k power_shift), summed here from the a0/ap/am rows of the JSON form
+    rng = random.Random(43)
+    p, level, n = 5, 2, 2
+    q, cosets = float(p), unit_group(p, level)[0]
+    exponents = {"plus": (0.0, lambda i: i + 0.5), "minus": (float(n), float)}
+    for kind, (e0, e) in exponents.items():
+        rnd = lambda: [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in cosets]
+        a0, ap, am = rnd(), [rnd() for _ in range(n)], [rnd() for _ in range(n)]
+        pairs = lambda row: [[v.real, v.imag] for v in row]
+        f = FxFunction.from_json({
+            "p": p, "level": level, "k_min": 0, "k_tail": 2, "power_shift": [-1, 3],
+            "shells": [], "tail": {"kind": kind, "n": n, "a0": pairs(a0),
+                                   "ap": [pairs(r) for r in ap], "am": [pairs(r) for r in am]}})
+        for k in (2, 3, 6, 7):
+            for idx, u in enumerate(cosets):
+                want = a0[idx] * q ** (-k * e0) + sum(
+                    (ap[i][idx] + (-1) ** k * am[i][idx]) * q ** (-k * e(i)) for i in range(n))
+                want *= q ** (k / 3)
+                assert f.evaluate(k, u) == pytest.approx(want, rel=1e-12, abs=0), (kind, k, u)
+
+
+def test_hand_written_json_tail():
+    # p = 3, minus class n = 1: f(3^k u) = a0(u) 3^-k + ap0(u) + (-1)^k am0(u), k >= 1
+    f = FxFunction.from_json({
+        "p": 3, "level": 1, "k_min": 0, "k_tail": 1, "power_shift": [0, 1],
+        "shells": [{"k": 0, "coset": 2, "re": 0.5, "im": 0.0}],
+        "tail": {"kind": "minus", "n": 1, "a0": [[2.0, 0.0], [0.0, 1.0]],
+                 "ap": [[[1.0, 0.0], [0.0, 0.0]]], "am": [[[0.0, 0.0], [3.0, 0.0]]]}})
+    want = {(0, 1): 0, (0, 2): 0.5, (1, 1): 5 / 3, (1, 2): -3 + 1j / 3,
+            (2, 1): 11 / 9, (2, 2): 3 + 1j / 9, (3, 2): -3 + 1j / 27}
+    for (k, u), v in want.items():
+        assert abs(f.evaluate(k, u) - v) < 1e-15, (k, u)
 
 
 def test_fx_json_roundtrip():

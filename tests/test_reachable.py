@@ -24,7 +24,6 @@ ALLOWED = {
     "abelian.ab_factors": "ROADMAP item 5: the doubling verb's a_m / b_m factors",
     "abelian.ab_factors.l_shift": "nested in ab_factors",
     "pvszeta.pvs_route_transform": "ROADMAP item 7: the prehomogeneous route of verify fe-gl1",
-    "pvszeta.pvs_route_transform.tw": "nested in pvs_route_transform",
     "pvszeta.homogeneity_check": "ROADMAP item 8: verify homogeneity",
     "pvszeta.act_diagonal": "the moved test function of homogeneity_check",
     "pvszeta._coset_bins": "the coset enumeration of homogeneity_check's moved piece",
