@@ -11,9 +11,9 @@ invariant, so at odd m = 2n + 1 the same recursion gives each job's
 tallies: the cells of Sym_m(Z/p^(k+1)) whose det lies in p^v u (1 + p Z_p),
 v <= k, by Clifford sign and tr(Y C) mod p, for every piece whose mask and
 phase depend on Y mod p only.  The entry-wise masks finer than Y mod p, from
-the diagonal action of homogeneity checks, are count jobs on Sym_3; they
-enumerate the cells of their own coset in Sym_3(Z/p^k), recover the extra
-determinant digit by the linear refinement
+the diagonal action of homogeneity checks, are count jobs; they enumerate
+the cells of their own coset in Sym_m(Z/p^k), recover the extra determinant
+digit by the linear refinement
 
     det(Y0 + p^k Z) = det(Y0) + p^k tr(adj(Y0) Z)  (mod p^{2k})
 
@@ -35,6 +35,7 @@ equation is Tate's.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -50,8 +51,8 @@ from .fxspace import (FxFunction, MellinData, TailSpec, fx_from_mellin,
 from .padic import legendre, psi_frac, unit_group, unit_order, unit_part, val_p
 from .ratfunc import RationalFunctionZ
 
-ENUM_BUDGET = 10 ** 9      # cells of one coset of Sym_3(Z/p^k)
-COSET_CHUNK = 1 << 16      # cells per vectorized block: 17 MB, about 260 bytes a cell
+ENUM_BUDGET = 10 ** 9      # cells of a coset of Sym_m(Z/p^k) or of a phased census
+COSET_CHUNK = 1 << 16      # cells per block: about 150 bytes a cell at m = 3, 370 at m = 5
 # rows of a fiber count table or of a coset's refined bins: count-fibers at p = 3,
 # k = 12 (531,440 rows) peaks at 262 MB, about 500 bytes a row
 ROW_BUDGET = 10 ** 6
@@ -209,23 +210,36 @@ def lattice_fourier(Phi: LatticeTestFunction, p: int, sign: int = 1) -> LatticeT
 _SWEEP_CACHE: dict = {}
 
 
-def _legendre_table(p: int) -> np.ndarray:
-    return np.array([legendre(a, p) for a in range(p)], dtype=np.int64)
+def _minor(at, S, mod: int):
+    """Leibniz' formula mod `mod` for the minor on the index set S of the
+    symmetric matrix with entries at[i, j], i <= j, arrays in [0, mod):
+    products are reduced where their sum, or each factor, could pass int64."""
+    bound = (mod - 1) ** len(S)
+    total = 0
+    for perm in itertools.permutations(range(len(S))):
+        term = 1
+        for i, j in zip(S, perm):
+            x = at[min(i, S[j]), max(i, S[j])]
+            term = term * x % mod if bound >= 2 ** 63 else term * x
+        if math.factorial(len(S)) * bound >= 2 ** 63:
+            term = term % mod
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        total = total - term if odd else total + term
+    return total % mod
 
 
-def _first_unit_diag_leg(leg, p, d1, d2, d3):
-    r1, r2, r3 = d1 % p, d2 % p, d3 % p
-    pick = np.where(r1 != 0, r1, np.where(r2 != 0, r2, r3))
-    return leg[pick]
-
-
-def _adjugate_det(x11, x22, x33, x12, x13, x23):
-    """((a11, a22, a33, a12, a13, a23), det) of the symmetric 3 x 3 matrix
-    with the given entries: its adjugate entries, in `_entry_order`, and its
-    determinant."""
-    adj = (x22 * x33 - x23 * x23, x11 * x33 - x13 * x13, x11 * x22 - x12 * x12,
-           x13 * x23 - x12 * x33, x12 * x23 - x22 * x13, x12 * x13 - x11 * x23)
-    return adj, x11 * adj[0] + x12 * adj[3] + x13 * adj[4]
+def _cell_chunks(m: int, residues, moduli, shape):
+    """The cells residue + modulus i of Sym_m, i over the box `shape` in
+    `_entry_order`, as {(i, j): flat array} in flat-index order.  A chunk
+    fixes all but the last entry and the longest tail of <= COSET_CHUNK cells."""
+    check_budget(math.prod(shape))
+    a = min((e for e in range(len(shape)) if math.prod(shape[e:]) <= COSET_CHUNK),
+            default=len(shape) - 1)
+    axes = [res + mo * np.arange(n).reshape((n,) + (1,) * (len(shape) - 1 - e))
+            for e, (res, mo, n) in enumerate(zip(residues, moduli, shape))]
+    for lead in itertools.product(*map(range, shape[:a])):
+        yield dict(zip(_entry_order(m), (x.ravel() for x in np.broadcast_arrays(
+            *(axes[e][i] for e, i in enumerate(lead)), *axes[a:]))))
 
 
 def _by_recursion(job, p: int) -> bool:
@@ -234,41 +248,40 @@ def _by_recursion(job, p: int) -> bool:
     return job[1] is None or all(mo == p for mo in job[1][1])
 
 
-def _refine_bins(raw, p: int, k: int):
-    """Counts over Sym_3(Z/p^k) shaped (det mod p^(k+1), adj != 0 mod p,
-    sign, t), as counts over Sym_3(Z/p^(k+1)) shaped (det, sign, t): a cell
-    with adj = 0 mod p keeps its det mod p^(k+1) on all p^6 lifts, any other
-    cell spreads its lifts evenly over the p residues above its det mod p^k."""
+def _refine_bins(raw, p: int, k: int, d: int):
+    """Counts over Sym_m(Z/p^k) shaped (det mod p^(k+1), adj != 0 mod p, sign,
+    t), as counts over Sym_m(Z/p^(k+1)) shaped (det, sign, t): a cell with adj
+    = 0 mod p keeps its det mod p^(k+1) on all p^d lifts, d = m(m+1)/2, any
+    other spreads them evenly over the p residues above its det mod p^k."""
     exact, spread = np.moveaxis(raw, 1, 0)
     pooled = spread.reshape(p, p ** k, *raw.shape[2:]).sum(axis=0)
-    return exact * p ** 6 + np.tile(pooled, (p, 1, 1)) * p ** 5
+    return exact * p ** d + np.tile(pooled, (p, 1, 1)) * p ** (d - 1)
 
 
 def _coset_bins(p: int, k: int, job):
-    """A count job's refined bins from the cells of Sym_3(Z/p^k) inside its
-    entry-wise mask, each entry residue + modulus i for i < p^k / modulus,
-    enumerated in blocks of COSET_CHUNK cells."""
+    """A count job's refined bins from the cells of Sym_m(Z/p^k) inside its
+    entry-wise mask, each entry residue + modulus i for i < p^k / modulus;
+    adj(Y) != 0 mod p exactly when det or a principal (m - 1)-minor is a unit."""
     residues, moduli = job[1]
-    mod4 = p ** (k + 1)
-    shape = tuple(p ** k // mo for mo in moduli)
-    cells = math.prod(shape)
-    check_budget(cells)
+    m, mod4 = job[-1], p ** (k + 1)
     check_rows(mod4)
     raw = np.zeros(2 * mod4, dtype=np.int64)
-    for start in range(0, cells, COSET_CHUNK):
-        index = np.unravel_index(np.arange(start, min(start + COSET_CHUNK, cells)), shape)
-        adj, det = _adjugate_det(*(res % mo + mo * i
-                                   for res, mo, i in zip(residues, moduli, index)))
-        adjnz = np.any(np.stack(adj) % p != 0, axis=0)
-        raw += np.bincount(det % mod4 * 2 + adjnz, minlength=2 * mod4)
-    return _refine_bins(raw.reshape(mod4, 2, 1, 1), p, k)
+    shape = tuple(p ** k // mo for mo in moduli)
+    for at in _cell_chunks(m, [r % mo for r, mo in zip(residues, moduli)], moduli, shape):
+        det = _minor(at, range(m), mod4)
+        adjnz = det % p != 0
+        low = {ij: x[~adjnz] % p for ij, x in at.items()}
+        adjnz[~adjnz] = np.any([_minor(low, S, p) != 0
+                                for S in itertools.combinations(range(m), m - 1)], axis=0)
+        raw += np.bincount(det * 2 + adjnz, minlength=2 * mod4)
+    return _refine_bins(raw.reshape(mod4, 2, 1, 1), p, k, len(moduli))
 
 
 def precompute_jobs(p: int, k: int, jobs) -> None:
     """Cache the tallies of the given jobs: by the Jordan-splitting
     recursion when the job depends on Y mod p only, else, for a count job
-    on Sym_3 under a finer entry-wise mask, by enumerating its coset and
-    summing its refined counts by det valuation and unit digit."""
+    under a finer entry-wise mask, by enumerating its coset and summing its
+    refined counts by det valuation and unit digit."""
     cache = _SWEEP_CACHE.setdefault((p, k), {})
     for job in dict.fromkeys(jobs):
         if job in cache:
@@ -277,9 +290,6 @@ def precompute_jobs(p: int, k: int, jobs) -> None:
             cache[job] = _recursion_tallies(p, k, job)
         elif job[0] != "count":
             raise PvsError("Clifford-weighted pieces need a mask that fixes Y mod p")
-        elif job[-1] != 3:
-            raise PvsError("coset enumeration is for m = 3: a count job "
-                           "under a mask finer than Y mod p")
         else:
             counts = _coset_bins(p, k, job)[:, 0, 0].tolist()
             tallies = Counter()
@@ -392,25 +402,22 @@ def det_fiber_counts(m: int, p: int, k: int) -> FiberCountTable:
     return FiberCountTable(m, p, k, counts, zero, total)
 
 
-def _cell_rank_key(m: int, entries, leg, p: int):
-    """(rank, key) of cells of Sym_m(F_p), m = 1 or 3, from their entries in
-    `_entry_order`: key is det Y0 mod p at full rank, else the Legendre class
-    of the nondegenerate part (1 at rank 0)."""
-    if m == 1:
-        det = entries[0] % p
-        return np.where(det != 0, 1, 0), np.where(det != 0, det, 1)
-    x11, x22, x33 = entries[:3]
-    adj, det = _adjugate_det(*entries)
-    a11, a22, a33 = adj[:3]
-    det %= p
-    adjnz = np.any(np.stack(adj) % p != 0, axis=0)
-    nonzero = np.any(np.stack(entries) != 0, axis=0)
-    rank = np.where(det != 0, 3, np.where(adjnz, 2, np.where(nonzero, 1, 0)))
-    # a rank-2 adjugate is a multiple of w w^t by the nondegenerate
-    # part's discriminant, a rank-1 matrix one of v v^t
-    key = np.where(rank == 3, det, np.where(
-        rank == 2, _first_unit_diag_leg(leg, p, a11, a22, a33),
-        np.where(rank == 1, _first_unit_diag_leg(leg, p, x11, x22, x33), 1)))
+def _cell_rank_key(m: int, at, p: int):
+    """(rank, key) of cells of Sym_m(F_p) with entries at[i, j]: the size of
+    the largest nonsingular principal submatrix, tried from size m down on the
+    cells still open, and its minor at full rank, else the minor's Legendre
+    class, that of the nondegenerate part (1 at rank 0)."""
+    cells = np.arange(at[0, 0].size)
+    rank, key, leg = np.zeros_like(cells), np.ones_like(cells), np.array(
+        [legendre(a, p) for a in range(p)])
+    for r in range(m, 0, -1):
+        for S in itertools.combinations(range(m), r):
+            minor = _minor(at, S, p)
+            hit = minor != 0
+            rank[cells[hit]] = r
+            key[cells[hit]] = minor[hit] if r == m else leg[minor[hit]]
+            if hit.any():
+                cells, at = cells[~hit], {ij: x[~hit] for ij, x in at.items()}
     return rank, key
 
 
@@ -420,7 +427,7 @@ def _job_census(p: int, job) -> dict:
     mask, by rank r, phase t = tr(Y0 C) mod p and key: the class of the
     nondegenerate part, or at full rank m det Y0 mod p itself, which every
     lift keeps.  A job without mask or phase takes the closed-form census at
-    any m; the others enumerate their cells (`_cell_rank_key`)."""
+    any m; the others enumerate the one cell their mask fixes, or all p^d."""
     m, mask = job[-1], job[1]
     C = job[2] if job[0] == "rho" else None
     if mask is None and C is None:
@@ -429,31 +436,24 @@ def _job_census(p: int, job) -> dict:
         for a in range(1, p):
             out[(m, a, 0)] = census[(m, legendre(a, p))] // ((p - 1) // 2)
         return out
-    if m not in (1, 3):
-        raise PvsError("the cell census of masked or phased jobs is for m = 1 and 3")
     d = m * (m + 1) // 2
-    if mask is not None:      # the mask fixes Y mod p: one cell
-        blocks = [[np.array([x % p]) for x in mask[0]]]
-    else:                     # p blocks of p^(d-1) cells, one at a time
-        r = np.arange(p)
-        tails = [a.ravel() for a in np.meshgrid(*[r] * (d - 1), indexing="ij")]
-        blocks = ([np.full(p ** (d - 1), x0)] + tails for x0 in range(p))
-    leg = _legendre_table(p)
-    out: dict = {}
-    for entries in blocks:
-        rank, key = _cell_rank_key(m, entries, leg, p)
-        t = 0 if C is None else sum((1 if i == j else 2) * x * C[i][j] for x, (i, j)
-                                    in zip(entries, _entry_order(m))) % p
-        # one code per (rank, key, t), with the class -1 stored as p
-        counts = np.bincount(((rank * (p + 1) + key % (p + 1)) * p + t).ravel(),
-                             minlength=(m + 1) * (p + 1) * p)
-        codes = np.flatnonzero(counts)
-        for code, n in zip(codes.tolist(), counts[codes].tolist()):
-            rest, t0 = divmod(code, p)
-            r0, key0 = divmod(rest, p + 1)
-            cell = (r0, -1 if key0 == p else key0, t0)
-            out[cell] = out.get(cell, 0) + n
-    return out
+    residues, n = ([x % p for x in mask[0]], 1) if mask is not None else ((0,) * d, p)
+    # one code per (Y0[0, 0], rank, key, t), the class -1 stored as p:
+    # decoded in ascending order, the keys come in the order of Y0[0, 0]
+    size = p * (m + 1) * (p + 1) * p
+    counts = np.zeros(size, dtype=np.int64)
+    for at in _cell_chunks(m, residues, (1,) * d, (n,) * d):
+        rank, key = _cell_rank_key(m, at, p)
+        t = 0 if C is None else sum((1 if i == j else 2) * x * C[i][j]
+                                    for (i, j), x in at.items()) % p
+        code = ((at[0, 0] * (m + 1) + rank) * (p + 1) + key % (p + 1)) * p + t
+        counts += np.bincount(code, minlength=size)
+    out = Counter()
+    for code in np.flatnonzero(counts).tolist():
+        rest, t = divmod(code, p)
+        r, key = divmod(rest % ((m + 1) * (p + 1)), p + 1)
+        out[(r, -1 if key == p else key, t)] += int(counts[code])
+    return dict(out)
 
 
 def _recursion_tallies(p: int, k: int, job) -> dict:
@@ -574,7 +574,7 @@ def _job_series(p: int, job, weighted: bool, sign: int) -> np.ndarray:
     n, d = (m - 1) // 2, m * (m + 1) // 2
     ell = legendre(-1, p)
     cosets = np.array(unit_group(p, 1)[0])
-    classes = _legendre_table(p)[cosets]
+    classes = np.array([legendre(u, p) for u in unit_group(p, 1)[0]])
     weights: Counter = Counter()      # (rank, key) -> sum of count psi(t)
     for (r, key, t), count in _job_census(p, job).items():
         weights[(r, key)] += count * psi_frac(p, t, 1, sign)
@@ -758,7 +758,7 @@ def fe_pvs_compare(sides, n: int, chi: UnitCharacter, sign: int = 1) -> dict:
 
 def homogeneity_check(Phi: LatticeTestFunction, g_exponents, chi: UnitCharacter,
                       p: int, k: int) -> dict:
-    """Homogeneity of the zeta distribution under g = diag(p^{a_i}) on Sym_3.
+    """Homogeneity of the zeta distribution under g = diag(p^{a_i}) on Sym_m.
 
     With (g Phi)(X) = Phi(g^{-1} X g^{-t}), the substitution X = g Y g^t
     carries |det g|^{m+1} from dX and |det g|^{-2} from the fiber variable:

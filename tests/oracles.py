@@ -33,8 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from padicharm.padic import legendre, psi_frac, unit_part, val_p
-from padicharm.pvszeta import (PvsError, _entry_order, _first_unit_diag_leg,
-                               _legendre_table, _refine_bins, check_budget)
+from padicharm.pvszeta import PvsError, _entry_order, _refine_bins, check_budget
 from padicharm.symplectic import (block, det, eye, inverse, mat, scale, sub,
                                   transpose, zeros)
 
@@ -49,6 +48,17 @@ def _mask_vec(mask_spec, x11, x22, m12, m13, m23, m33):
         if mo > 1:
             sel &= (ent % mo) == (res % mo)
     return sel
+
+
+def _legendre_table(p):
+    return np.array([legendre(a, p) for a in range(p)], dtype=np.int64)
+
+
+def _first_unit_diag_leg(leg, p, d1, d2, d3):
+    """The Legendre symbol of the first of d1, d2, d3 that is a unit."""
+    r1, r2, r3 = d1 % p, d2 % p, d3 % p
+    pick = np.where(r1 != 0, r1, np.where(r2 != 0, r2, r3))
+    return leg[pick]
 
 
 def _sigma_vec(p, k, x11, x22, m12, m13, m23, m33, det, a11, a22, a33, adjnz, leg):
@@ -188,7 +198,7 @@ def sweep_bins(p: int, k: int, jobs) -> dict:
         raise PvsError("Clifford-weighted sweeps need k >= 2")
     raw = _sweep3_block(p, k, tuple(jobs), range(p ** k))
     return {job: _refine_bins(raw[job].reshape(p ** (k + 1), 2, *(
-        (1, 1) if job[0] == "count" else (2, p))), p, k) for job in jobs}
+        (1, 1) if job[0] == "count" else (2, p))), p, k, 6) for job in jobs}
 
 
 def fold_tallies(bins, p: int, k: int) -> dict:

@@ -13,8 +13,8 @@ from padicharm import pvszeta
 from padicharm.padic import unit_group
 from padicharm.pvszeta import (LatticeTestFunction, PvsError, _by_recursion,
                                _coset_bins, _det_class_counts, _entry_order,
-                               _legendre_table, _piece_job, _rank_census,
-                               _recursion_tallies, _size_denominator, _size_series,
+                               _piece_job, _rank_census, _recursion_tallies,
+                               _size_denominator, _size_series,
                                act_diagonal, det_fiber_counts,
                                fe_pvs_compare, fe_pvs_sides, fiber_function,
                                fiber_shell_values, homogeneity_check,
@@ -22,8 +22,8 @@ from padicharm.pvszeta import (LatticeTestFunction, PvsError, _by_recursion,
 from padicharm.padic import legendre
 from padicharm.symplectic import det as rational_det
 from padicharm.ratfunc import RationalFunctionZ
-from oracles import (_mask_vec, _sigma_vec, clifford_rho, evaluate_lattice_function,
-                     fold_tallies)
+from oracles import (_legendre_table, _mask_vec, _sigma_vec, clifford_rho,
+                     evaluate_lattice_function, fold_tallies)
 
 P, K = 3, 2
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -83,15 +83,22 @@ def test_det_fiber_counts_m3_conservation_and_values():
         assert Fraction(agg[u], P ** (K * 6 - 1)) == Fraction(t1.counts[(0, u)], P ** 5)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     # a coset (an entry-wise mask finer than Y mod p) past ENUM_BUDGET cells,
-    # and the one-cell coset of a mask mod 3^13, whose refined bins over
-    # Sym_3(Z/3^14) are past ROW_BUDGET rows
+    # the one-cell coset of a mask mod 3^13, whose refined bins over
+    # Sym_3(Z/3^14) are past ROW_BUDGET rows, and the census of a phased job
+    # at p = 37, 37^6 ~ 2.6e9 cells, refused before any cell is built
     moved = ("count", ((0,) * 6, (1, 1, 25, 1, 5, 5)), 3)
     with pytest.raises(PvsError, match="enumeration budget"):
         precompute_jobs(5, 4, (moved,))
     with pytest.raises(PvsError, match="row budget"):
         precompute_jobs(3, 13, (("count", ((0,) * 6, (3 ** 13,) * 6), 3),))
+
+    def built(*args):
+        raise AssertionError("a cell was built")
+    monkeypatch.setattr(pvszeta, "_cell_rank_key", built)
+    with pytest.raises(PvsError, match="enumeration budget exceeded"):
+        pvszeta._job_census(37, ("rho", None, I3, 3))
 
 
 def brute_census(m, p):
@@ -122,6 +129,93 @@ def test_rank_census_matches_brute_force(m, p):
     closed = {key: n for key, n in _rank_census(m, p).items() if n}
     assert closed == brute_census(m, p)
     assert sum(closed.values()) == p ** (m * (m + 1) // 2)
+
+
+def congruence_rank_key(Y, p):
+    """(rank, key) of a symmetric matrix over F_p by symmetric elimination:
+    each step takes a unit diagonal pivot (after x_i -> x_i + x_j, which puts
+    2 a_ij on the diagonal, if there is none) and passes to its Schur
+    complement.  The product of the pivots is det at full rank, and has the
+    class of the nondegenerate part below it."""
+    A = [[x % p for x in row] for row in Y]
+    disc = 1
+    while A:
+        n = len(A)
+        piv = next((i for i in range(n) if A[i][i]), None)
+        if piv is None:
+            off = next(((i, j) for i in range(n) for j in range(n) if A[i][j]), None)
+            if off is None:
+                break
+            piv, j = off
+            for t in range(n):
+                A[piv][t] = (A[piv][t] + A[j][t]) % p
+            for t in range(n):
+                A[t][piv] = (A[t][piv] + A[t][j]) % p
+        a = A[piv][piv]
+        disc = disc * a % p
+        rest = [t for t in range(n) if t != piv]
+        A = [[(A[s][t] - A[s][piv] * A[piv][t] * pow(a, -1, p)) % p for t in rest]
+             for s in rest]
+    rank = len(Y) - len(A)
+    return rank, disc if rank == len(Y) else legendre(disc, p)
+
+
+# a symmetric 0/1 matrix of the largest det, 5, among 5 x 5 ones
+DET5 = ((0, 0, 0, 1, 1), (0, 0, 1, 0, 1), (0, 1, 1, 1, 0), (1, 0, 1, 1, 0), (1, 1, 0, 0, 1))
+
+
+@pytest.mark.parametrize("mod", [3 ** 7, 17 ** 3, 3 ** 9])
+def test_minor_matches_exact_det(mod):
+    # Leibniz' formula mod `mod` on entries below it, against exact dets.
+    # (mod - 1) DET5 has det 5 (mod - 1)^5: within int64 at 3^7, past it at
+    # 17^3 though each product fits, and at 3^9 each product passes it
+    rng = random.Random(mod)
+    mats = [[[(mod - 1) * x for x in row] for row in DET5]]
+    for _ in range(200):
+        Y = [[0] * 5 for _ in range(5)]
+        for i, j in _entry_order(5):
+            Y[i][j] = Y[j][i] = rng.randrange(mod - 50, mod) if rng.random() < 0.7 else 0
+        mats.append(Y)
+    at = {(i, j): np.array([Y[i][j] for Y in mats]) for i, j in _entry_order(5)}
+    for S in [(0, 1, 2, 3, 4), (0, 1, 3, 4), (0, 2, 4), (3,)]:
+        want = [int(rational_det([[Y[i][j] for j in S] for i in S])) % mod for Y in mats]
+        assert pvszeta._minor(at, S, mod).tolist() == want, S
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cell_rank_key_matches_congruence_reduction(m, p):
+    # principal minors against elimination, on uniform cells (mostly of full
+    # rank) and on sums of r random rank-1 forms c v v^t (every rank)
+    rng = random.Random(m * 100 + p)
+    cells = []
+    for n in range(400):
+        if n % 2:
+            Y = [[0] * m for _ in range(m)]
+            for _ in range(rng.randrange(m + 1)):
+                c, v = rng.randrange(1, p), [rng.randrange(p) for _ in range(m)]
+                Y = [[Y[i][j] + c * v[i] * v[j] for j in range(m)] for i in range(m)]
+        else:
+            Y = [[0] * m for _ in range(m)]
+            for i, j in _entry_order(m):
+                Y[i][j] = Y[j][i] = rng.randrange(p)
+        cells.append([[x % p for x in row] for row in Y])
+    at = {(i, j): np.array([Y[i][j] for Y in cells]) for i, j in _entry_order(m)}
+    rank, key = pvszeta._cell_rank_key(m, at, p)
+    want = [congruence_rank_key(Y, p) for Y in cells]
+    assert list(zip(rank.tolist(), key.tolist())) == want
+    assert {r for r, _ in want} == set(range(m + 1))
+
+
+@pytest.mark.parametrize("m, p", [(1, 3), (2, 3), (3, 3), (4, 3), (3, 5), (3, 7)])
+def test_phased_census_matches_closed_form(m, p):
+    # the enumerated census of a phased job, summed over t and with full-rank
+    # keys (det mod p) folded to their class, against MacWilliams' closed form
+    C = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+    folded = Counter()
+    for (r, key, t), n in pvszeta._job_census(p, ("rho", None, C, m)).items():
+        folded[(r, legendre(key, p) if r == m else key)] += n
+    assert folded == Counter({key: n for key, n in _rank_census(m, p).items() if n})
 
 
 @pytest.mark.parametrize("m, p, k", [(1, 3, 3), (1, 5, 2), (2, 3, 2), (2, 3, 4),
@@ -678,29 +772,49 @@ def test_coset_bins_match_sweep(sweep_oracle):
         assert np.array_equal(_coset_bins(P, K, job), want), job
 
 
+def int_det(Y):
+    """det of a matrix of integer arrays by cofactor expansion along its
+    first row."""
+    if len(Y) == 1:
+        return Y[0][0]
+    return sum((-1) ** j * Y[0][j] * int_det([row[:j] + row[j + 1:] for row in Y[1:]])
+               for j in range(len(Y)))
+
+
 def direct_coset_counts(job, p, K):
-    """det mod p^K over every cell of Sym_3(Z/p^K) inside the job's mask,
-    with no adjugate refinement."""
-    residues, moduli = job[1]
-    x11s, *rest = [res % mo + mo * np.arange(p ** K // mo)
-                   for res, mo in zip(residues, moduli)]
-    x22, x33, x12, x13, x23 = (a.ravel() for a in np.meshgrid(*rest, indexing="ij"))
+    """det mod p^K over every cell of Sym_m(Z/p^K) inside the job's mask,
+    with no adjugate refinement, one value of the first entry at a time."""
+    (residues, moduli), m = job[1], job[-1]
+    first, *rest = [res % mo + mo * np.arange(p ** K // mo)
+                    for res, mo in zip(residues, moduli)]
+    rest = [a.ravel() for a in np.meshgrid(*rest, indexing="ij")]
     counts = np.zeros(p ** K, dtype=np.int64)
-    for x11 in x11s:
-        det = (x11 * (x22 * x33 - x23 * x23) - x12 * (x12 * x33 - x23 * x13)
-               + x13 * (x12 * x23 - x22 * x13))
-        counts += np.bincount(det % p ** K, minlength=p ** K)
+    for x in first:
+        Y = [[None] * m for _ in range(m)]
+        for value, (i, j) in zip([x] + rest, _entry_order(m)):
+            Y[i][j] = Y[j][i] = value
+        counts += np.bincount(np.atleast_1d(int_det(Y) % p ** K), minlength=p ** K)
     return counts
 
 
-@pytest.mark.parametrize("Phi, k", [(LatticeTestFunction.spherical(3), 2),
-                                    (LatticeTestFunction.shifted(I3, 1), 3)],
-                         ids=["spherical", "shifted"])
-@pytest.mark.parametrize("exponents", MOVES)
-def test_coset_bins_match_direct_enumeration(Phi, k, exponents):
-    # the adjugate refinement against det mod p^(k+1) on all p^6 lifts of
+def coset_cases():
+    """(job, k): the moved count jobs of the spherical (k = 2) and shifted
+    (k = 3) functions on Sym_3, the mask mod 9 of dilated(1, 2) on Sym_1,
+    and a mixed mask on Sym_2."""
+    for n, exponents in enumerate(MOVES):
+        for name, Phi, k in (("spherical", LatticeTestFunction.spherical(3), 2),
+                             ("shifted", LatticeTestFunction.shifted(I3, 1), 3)):
+            yield pytest.param(moved_job(Phi, exponents, k), k, id=f"exponents{n}-{name}")
+    (piece,) = LatticeTestFunction.dilated(1, 2).pieces
+    yield pytest.param(_piece_job(piece, False, P, 3)[0], 3, id="m1-dilated")
+    yield pytest.param(("count", ((0, 1, 2), (1, 3, 9)), 2), 2, id="m2-mixed")
+
+
+@pytest.mark.parametrize("job, k", coset_cases())
+def test_coset_bins_match_direct_enumeration(job, k):
+    # the adjugate refinement against det mod p^(k+1) on all p^d lifts of
     # each coset cell, every row including det = 0
-    job = moved_job(Phi, exponents, k)
+    assert not _by_recursion(job, P)
     bins = _coset_bins(P, k, job)
     assert bins.shape == (P ** (k + 1), 1, 1)
     assert np.array_equal(bins[:, 0, 0], direct_coset_counts(job, P, k + 1))
@@ -721,12 +835,6 @@ def test_weighted_piece_finer_than_y_mod_p_is_refused():
         fiber_shell_values(LatticeTestFunction.dilated(3, 2), True, P, K)
 
 
-def test_m1_count_piece_finer_than_y_mod_p_is_refused():
-    # the coset enumeration behind a finer mask is written for Sym_3
-    with pytest.raises(PvsError, match="coset enumeration is for m = 3"):
-        fiber_shell_values(LatticeTestFunction.dilated(1, 2), False, P, 3)
-
-
 @pytest.mark.parametrize("Phi, message", [
     (LatticeTestFunction.dilated(1, 2), "no exact series"),
     (LatticeTestFunction.dilated(1, -2), "r < -1"),
@@ -738,11 +846,12 @@ def test_m1_fiber_function_past_y_mod_p_is_refused(Phi, message):
         fiber_function(Phi, False, P, 3)
 
 
-def test_masked_sym5_piece_is_refused():
-    # the cells of a masked or phased job are enumerated at m = 1 and 3
-    # only; at m = 5 a phased job would need all 3^15 cells of Sym_5(F_3)
-    with pytest.raises(PvsError, match="for m = 1 and 3"):
-        fiber_function(LatticeTestFunction.dilated(5, 1), False, P, 3)
+@pytest.mark.xfail(raises=FxError, strict=True, reason=(
+    "float partial fractions do not cancel the size denominator at m = 5"))
+def test_masked_sym5_fiber_function():
+    # the census of the one cell the mask fixes passes at m = 5; the exact
+    # series then leaves the plus(2) class in the float partial fractions
+    fiber_function(LatticeTestFunction.dilated(5, 1), False, P, 3)
 
 
 def test_pvs_route_matches_mellin_route():

@@ -28,7 +28,6 @@ ALLOWED = {
     "pvszeta.act_diagonal": "the moved test function of homogeneity_check",
     "pvszeta._coset_bins": "the coset enumeration of homogeneity_check's moved piece",
     "pvszeta._refine_bins": "refines the counts of _coset_bins and tests/oracles.py's sweep",
-    "pvszeta.check_budget": "the cell budget of _coset_bins and tests/oracles.py's sweep",
     "cli.run": "the library entry point perfbench/workloads.py calls",
     "ratfunc.RationalFunctionZ.__repr__": "operator of the value type",
 }
