@@ -12,23 +12,27 @@ RationalFunctionZ in z:
 A character of (Z/p^L)^x is its exponent a on the fixed generator g, so
 chi_a(g^k) = exp(2 pi i a k / phi) with phi = phi(p^L); its conductor is
 L - v_p(a).  The Gauss sums of one level come from a table built once per
-(p, L, sign).  For chi_a of conductor e, the sum over (Z/p^L)^x of
-chi_a^{-1}(u) psi(u / p^e) meets each class mod p^e exactly p^(L-e) times,
-and with u = g^k it is coefficient a of the discrete Fourier transform of
-v_e[k] = psi((g^k mod p^e) / p^e).  So for each conductor e = 1..L one FFT
-of length phi gives
-
-    G(chi_a, psi) = p^-(L-e) FFT(v_e)[a]     for every a of conductor e.
+(p, L, sign).  For chi_a of conductor e, a = p^(L-e) a' with p not dividing
+a', and chi_a(g^k) = exp(2 pi i a' k / phi_e), phi_e = phi(p^e).  As g mod
+p^e generates (Z/p^e)^x, u = g^k for k < phi_e runs over its classes once,
+so G(chi_a, psi) is coefficient a' of the forward transform (coset_values) of
+v_e[k] = psi((g^k mod p^e) / p^e), k < phi_e: one transform of length phi_e
+per conductor e = 1..L.
 
 Shell data and character data are related by one convention.  A row of
 values f(u) over the unit cosets, in unit_group (dlog) order u = g^k, has the
 character components
 
-    c_j = (1/phi) sum_u f(u) chi_j(u)      (character_components: inverse FFT)
+    c_j = (1/phi) sum_u f(u) chi_j(u)      (character_components: inverse DFT)
 
 and is recovered from them as
 
-    f(u) = sum_j c_j chi_j(u)^{-1}          (coset_values: forward FFT).
+    f(u) = sum_j c_j chi_j(u)^{-1}          (coset_values: forward DFT).
+
+Both transforms take a list of rows and return lists.  A call on rows of
+at most DFT_MAX entries and of little total work, which is every call the
+benchmark's verbs make, runs a plain-Python DFT; a longer or larger one runs
+numpy's FFT, and only then is numpy imported.
 
 The whole stack is cross-checked by a shell-sum Tate integral oracle that
 never touches the closed forms.  Its shell averages avg_u f(p^k u) chi(u)
@@ -42,11 +46,10 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from operator import mul
 
 from . import PadicharmError
-from .padic import unit_group, unit_order, val_p
+from .padic import psi_frac, unit_group, unit_order, val_p
 from .ratfunc import RationalFunctionZ
 
 
@@ -119,15 +122,61 @@ def conductor(chi: UnitCharacter) -> int:
     return 0 if chi.exponent == 0 else chi.level - val_p(chi.exponent, chi.p)
 
 
-def character_components(rows) -> np.ndarray:
+# numpy's FFT takes a call whose rows are longer than DFT_MAX, or whose
+# plain-Python DFT would take more than DFT_WORK_MAX multiply-adds; the
+# plain-Python DFT takes the rest.  Measured on a 2-core Xeon VM (Python
+# 3.11.7, numpy 2.4.6): importing numpy takes 0.16 s, a DFT row of length n
+# about 0.075 n^2 us (0.87 ms at n = 100).  DFT_WORK_MAX is one call that
+# costs the import, 0.16 s / 0.075 us ~ 2e6, as eta-table's single call of
+# kmax - kmin + 1 rows can.  DFT_MAX is a verb that does: verify fe-gl1
+# transforms 88-178 rows of its longest length (88 at p = 101, level 1; 124
+# at p = 5, level 3; 160 at p = 3, level 5), in calls of mostly 3 rows, so
+# its Python rows cost as much as the import near n = 100, although none of
+# its calls there comes near DFT_WORK_MAX.
+DFT_MAX = 100
+DFT_WORK_MAX = 2_000_000
+
+
+@lru_cache(maxsize=None)
+def _twiddles(n: int) -> tuple:
+    """Row k holds exp(-2 pi i j k / n), j < n, each read off one table of
+    the n-th roots of unity at index j k mod n, so no twiddle drifts.  The
+    quarter turns are exact, so that a length-2 transform cancels exactly,
+    as an FFT's does."""
+    roots = [cmath.exp(-2j * cmath.pi * t / n) for t in range(n)]
+    for q, root in enumerate((1 + 0j, -1j, -1 + 0j, 1j)):
+        if q * n % 4 == 0:
+            roots[q * n // 4] = root
+    return tuple(tuple(roots[j * k % n] for j in range(n)) for k in range(n))
+
+
+def _dft(rows, inverse: bool) -> list:
+    """The DFT of each row of a list of rows, as lists: sum_j x_j w^(j k), or
+    (1/n) sum_j x_j w^(-j k) when inverse, w = exp(-2 pi i / n)."""
+    if not len(rows):
+        return []
+    n = len(rows[0])
+    if n > DFT_MAX or len(rows) * n * n > DFT_WORK_MAX:
+        import numpy as np
+        a = np.asarray(rows, dtype=complex)
+        return (np.fft.ifft(a, axis=-1) if inverse else np.fft.fft(a, axis=-1)).tolist()
+    tw = _twiddles(n)
+    if inverse:
+        tw, scale = tw[:1] + tw[:0:-1], 1.0 / n
+    else:
+        scale = 1.0
+    return [[sum(map(mul, row, w)) * scale for w in tw] for row in rows]
+
+
+def character_components(rows) -> list:
     """c_j = (1/phi) sum_u f(u) chi_j(u) along the last axis, rows in unit_group order."""
-    return np.fft.ifft(np.asarray(rows, dtype=complex), axis=-1)
+    return _dft(rows, inverse=True)
 
 
-def coset_values(components) -> np.ndarray:
+def coset_values(components) -> list:
     """f(u) = sum_j c_j chi_j(u)^{-1} along the last axis, the inverse of
     character_components; the result is in unit_group order."""
-    return np.fft.fft(np.asarray(components, dtype=complex), axis=-1)
+    return _dft(components, inverse=False)
 
 
 # ---------------------------------------------------------------- factors
@@ -139,17 +188,18 @@ def L_factor(chi: UnitCharacter) -> RationalFunctionZ:
 
 
 @lru_cache(maxsize=None)
-def _gauss_table(p: int, level: int, sign: int) -> np.ndarray:
-    """G(chi_a, psi) for every exponent a mod phi(p^level), by one FFT per conductor."""
-    elements = np.array(unit_group(p, level)[0], dtype=np.int64)
-    cond = np.array([conductor(chi) for chi in characters(p, level)])
-    table = np.ones(len(elements), dtype=complex)
+def _gauss_table(p: int, level: int, sign: int) -> tuple:
+    """G(chi_a, psi) for every exponent a mod phi(p^level), by one transform
+    of length phi(p^e) per conductor e."""
+    elements = unit_group(p, level)[0]
+    table = [1.0 + 0.0j] * len(elements)
     for e in range(1, level + 1):
-        pe = p**e
-        v = np.exp(sign * 2j * np.pi * (elements % pe) / pe)
-        of_e = cond == e
-        table[of_e] = np.fft.fft(v)[of_e] / p ** (level - e)
-    return table
+        phi_e = unit_order(p, e)
+        row = coset_values([[psi_frac(p, u, e, sign) for u in elements[:phi_e]]])[0]
+        for a in range(1, phi_e):
+            if a % p:
+                table[a * p ** (level - e)] = row[a]
+    return tuple(table)
 
 
 def gauss_sum(chi: UnitCharacter, sign: int = 1) -> complex:
@@ -240,39 +290,50 @@ _TRUNCATION = 48    # shells the oracle sums; its stabilization check sums 6 mor
 
 
 @lru_cache(maxsize=None)
+def _psi_rows(p: int, N: int, u0: int, sign: int) -> tuple:
+    """psi(u0 u / p^j) over the units u mod p^N in unit_group order, one row
+    per shell k = -j, for k = -N..-1."""
+    elements = unit_group(p, N)[0]
+    return tuple(tuple(psi_frac(p, u0 * u, j, sign) for u in elements)
+                 for j in range(N, 0, -1))
+
+
+@lru_cache(maxsize=None)
 def _oracle_shells(p: int, N: int, exponent: int, sign: int):
     """The oracle's shell averages, which do not depend on s.
 
-    Row i holds, for the oracle's i-th test-function pair (f, f^), the arrays
+    Row i holds, for the oracle's i-th test-function pair (f, f^), the tuples
     avg_u f(p^k u) chi(u) and avg_u f^(p^k u) chi^{-1}(u) over the shells
     k = -N..truncation+6, for chi of this exponent mod p^N.  Both functions
-    are evaluated from their definitions over (shells x units):
+    are taken from their definitions:
 
         ch(Z_p)              its own transform, psi having conductor Z_p;
         ch(u0 (1 + p^N Z_p)) transform q^{-N} psi(u0 y) ch(p^{-N} Z_p)(y).
 
-    A ramified chi has Z(s, ch(Z_p), chi) = 0, so it takes the two coset
-    indicators u0 = 1 and u0 = g instead.
+    Each is constant on the shells k >= 0 (psi is 1 there) but for the coset
+    indicator, which lives on shell 0 alone; only the N shells k < 0 of the
+    coset transform need sums over the units.  A ramified chi has
+    Z(s, ch(Z_p), chi) = 0, so it takes the two coset indicators u0 = 1 and
+    u0 = g instead.
     """
-    elements, gen, _ = unit_group(p, N)
-    units = np.array(elements, dtype=np.int64)
-    phi = len(units)
-    chi = np.exp(2j * np.pi * exponent * np.arange(phi) / phi)    # chi(g^k) = chi(units[k])
-    ks = np.arange(-N, _TRUNCATION + 7)[:, None]
+    elements, gen, dlog = unit_group(p, N)
+    phi = len(elements)
+    chi = [cmath.exp(2j * cmath.pi * exponent * k / phi) for k in range(phi)]  # chi(g^k)
+    chi_inv = [c.conjugate() for c in chi]
+    tail = _TRUNCATION + 7                  # the shells k = 0..truncation+6
+    q_N = float(p) ** -N
+    mean = 1.0 + 0j if exponent == 0 else 0j    # avg_u chi(u)
 
     def coset(u0):
-        f = ((ks == 0) & (units == u0)).astype(float)
-        den = p ** np.maximum(-ks, 0)      # psi(u0 y) is 1 on the shells k >= 0
-        return f, p ** (-float(N)) * np.exp(sign * 2j * np.pi * (u0 * units % den) / den)
+        f = [0j] * (N + tail)
+        f[N] = chi[dlog[u0]] / phi
+        fhat = [sum(map(mul, row, chi_inv)) * q_N / phi for row in _psi_rows(p, N, u0, sign)]
+        return tuple(f), tuple(fhat + [q_N * mean] * tail)
 
     if exponent == 0:
-        ch_O = np.repeat((ks >= 0).astype(float), phi, axis=1)
-        pairs = ((ch_O, ch_O), coset(1))
-    else:
-        pairs = (coset(1), coset(gen))
-    shells = np.array([(f @ chi, fhat @ chi.conj()) for f, fhat in pairs]) / phi
-    shells.setflags(write=False)    # cached: every caller gets this same array
-    return shells
+        ch_O = (0j,) * N + (1.0 + 0j,) * tail
+        return (ch_O, ch_O), coset(1)
+    return coset(1), coset(gen)
 
 
 def tate_gamma_oracle(chi: UnitCharacter, s: complex, sign: int = 1) -> complex:
@@ -287,14 +348,14 @@ def tate_gamma_oracle(chi: UnitCharacter, s: complex, sign: int = 1) -> complex:
         raise OracleError("sample s outside the common convergence strip 0 < Re(s) < 1")
     p, N = chi.p, chi.level
     tol = 1e-6      # the stabilization and agreement tolerance
-    ks = np.arange(-N, _TRUNCATION + 7)
-    za_pow = (complex(p) ** -(1 - s)) ** ks
-    zb_pow = (complex(p) ** -s) ** ks
+    ks = range(-N, _TRUNCATION + 7)
+    xa, xb = complex(p) ** -(1 - s), complex(p) ** -s
+    za_pow, zb_pow = [xa ** k for k in ks], [xb ** k for k in ks]
     ratios = []
     for b, a in _oracle_shells(p, N, chi.exponent, sign):
-        za = a * za_pow
-        za1, za2 = za[:_TRUNCATION + N + 1].sum(), za.sum()
-        zb = b @ zb_pow
+        za = list(map(mul, a, za_pow))
+        za1, za2 = sum(za[:_TRUNCATION + N + 1]), sum(za)
+        zb = sum(map(mul, b, zb_pow))
         if abs(za1 - za2) > tol * max(abs(za2), 1.0):
             raise OracleError(
                 f"truncation not stabilized at K={_TRUNCATION}: |delta|={abs(za1 - za2):.3g}")

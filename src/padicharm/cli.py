@@ -19,6 +19,7 @@ import math
 import random
 import sys
 import time
+from functools import lru_cache
 
 from . import PadicharmError
 
@@ -85,7 +86,7 @@ def cmd_eta_table(args):
     cosets = unit_group(args.p, args.level)[0]
     ks = range(args.kmin, args.kmax + 1)
     table = coset_values(eta_components(args.n, args.psi_sign, args.kmin, args.kmax,
-                                        args.p, args.level)).tolist() if ks else []
+                                        args.p, args.level)) if ks else []
     rows = [{"ord": k, "coset": u, "re": v.real, "im": v.imag}
             for k, vals in zip(ks, table) for u, v in zip(cosets, vals)]
     return {"eta": rows, "n": args.n, "p": args.p, "level": args.level}, []
@@ -326,7 +327,10 @@ def emit(report: dict, fmt: str) -> bytes:
     raise UsageError(f"unknown format {fmt}")
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state in it, so every run shares it."""
     ap = argparse.ArgumentParser(prog="padicharm",
                                  description="p-adic harmonic analysis on GL(1) "
                                              "and extended symplectic groups")
@@ -391,7 +395,10 @@ def _validate(args, verb):
     k >= 2 (the depth of its series cross-check) and 2 p^(k+2) <= ROW_BUDGET:
     that keeps p <= 13 at k >= 3, where a phased job's census enumerates all
     p^6 cells of Sym_3(F_p), and p <= 23 at k = 2, below the p = 59 where the
-    float partial fractions of the exact series stop cancelling."""
+    float partial fractions of the exact series stop cancelling.  verify
+    fe-gl1 needs n <= 2: from n = 3 the float partial fractions of the
+    Fourier operator's Mellin components lose the poles to rounding (at
+    p = 5, level 2, n = 4 every check fails), until pole arithmetic is exact."""
     from .padic import LocalFieldConfig
     from .pvszeta import check_rows
     LocalFieldConfig(args.p)
@@ -415,6 +422,10 @@ def _validate(args, verb):
     elif verb == "eta-table":
         check_rows((args.kmax - args.kmin + 1) * units)
         check_rows(units * (max(args.kmax, 0) + 1))
+    elif verb == "verify fe-gl1":
+        if args.n >= 3:
+            raise UsageError(f"verify fe-gl1 needs --n <= 2: from n = 3 its float partial "
+                             f"fractions lose the poles to rounding, got {args.n}")
     elif verb == "verify fe-pvs":
         if args.n >= 2:
             raise UsageError(f"verify fe-pvs needs --n <= 1 (Sym_1 or Sym_3), got {args.n}")

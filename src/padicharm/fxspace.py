@@ -15,10 +15,10 @@ the whole dictionary FxFunction <-> MellinData is exact in both directions
 
 Coset rows are in unit_group (dlog) order u = g^k, and component j belongs
 to chi_j(g^k) = exp(2 pi i j k / phi).  The change of axis is owned by
-abelian: character_components (an inverse FFT) gives the components
-(1/phi) sum_u f(u) chi_j(u) of a row, and coset_values (the forward FFT)
-gives back the values sum_j c_j chi_j(u)^{-1}.  Each Mellin component is
-expanded at z = 0 once, as one Laurent series.
+abelian: character_components (an inverse DFT) gives the components
+(1/phi) sum_u f(u) chi_j(u) of a row, and coset_values (the forward DFT)
+gives back the values sum_j c_j chi_j(u)^{-1}.  Rows are lists of complex.
+Each Mellin component is expanded at z = 0 once, as one Laurent series.
 
 On top of that dictionary sit the kernel eta (residues of beta against
 monomials), the Fourier operator on the plus space, principal-value
@@ -30,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from operator import mul
 
 from . import PadicharmError
 from .abelian import (UnitCharacter, beta_factor, beta_factor_inverse_argument,
@@ -178,12 +177,10 @@ def mellin_transform(f: FxFunction) -> MellinData:
     p, N = f.p, f.level
     cosets = unit_group(p, N)[0]
     ks = range(f.k_min, f.k_tail)
-    window = character_components(
-        np.array([[f.values.get((k, u), 0.0) for u in cosets] for k in ks],
-                 dtype=complex).reshape(len(ks), len(cosets)))
+    window = character_components([[f.values.get((k, u), 0.0) for u in cosets] for k in ks])
     t = f.tail
     if t.kind == "compact":
-        tail, terms = np.zeros((0, len(cosets))), []
+        tail, terms = [], []
     else:
         # the row of pole alpha sums to (q^-sigma alpha z)^k over k >= k_tail
         tail = character_components(t.rows)
@@ -193,10 +190,10 @@ def mellin_transform(f: FxFunction) -> MellinData:
     comps = {}
     for j in range(len(cosets)):
         R = RationalFunctionZ.from_laurent(
-            {k: sh for k, sh in zip(ks, window[:, j]) if sh != 0})
-        for coef, term in zip(tail[:, j], terms):
-            if coef != 0:
-                R = R + term * coef
+            {k: row[j] for k, row in zip(ks, window) if row[j] != 0})
+        for row, term in zip(tail, terms):
+            if row[j] != 0:
+                R = R + term * row[j]
         comps[j] = R
     return MellinData(p, N, comps)
 
@@ -219,29 +216,32 @@ def fx_from_mellin(Z: MellinData, kind: str, n: int) -> FxFunction:
     cosets = unit_group(p, N)[0]
     alphas = allowed_alphas(kind, n, float(p))
 
-    # residues b per (pole slot, character exponent j), slots in alphas order
-    residues = np.zeros((len(alphas), len(cosets)), dtype=complex)
+    # residues b per character exponent j, in alphas order
+    zero = (0j,) * len(alphas)
+    columns = [zero] * len(cosets)
     laurents = {}
     for j, R in Z.comps.items():
         if R.is_zero(ZERO_COMPONENT_TOL):
             continue
         try:
-            laurents[j], residues[:, j] = R.partial_fractions(alphas)
+            laurents[j], columns[j] = R.partial_fractions(alphas)
         except PoleError as exc:
             raise FxError(f"chi exponent {j} leaves the {kind}({n}) class: {exc}") from exc
     keys = [k for laurent in laurents.values() for k in laurent]
     k_min, k_tail = min(keys + [0]), max(keys + [0]) + 1
 
     # shell k of component j: its Laurent coefficient plus the pole terms b alpha^k
-    ks = np.arange(k_min, k_tail)[:, None]
-    series = np.where(ks >= 0, np.array(alphas) ** ks, 0.0) @ residues
+    series = []
+    for k in range(k_min, k_tail):
+        powers = [alpha ** k if k >= 0 else 0.0 for alpha in alphas]
+        series.append([sum(map(mul, powers, col)) for col in columns])
     for j, laurent in laurents.items():
         for k, c in laurent.items():
-            series[k - k_min, j] += c
-    shells = coset_values(series).tolist()
+            series[k - k_min][j] += c
+    shells = coset_values(series)
     vals = {(k, u): v for k, row in zip(range(k_min, k_tail), shells)
             for u, v in zip(cosets, row) if v != 0}
-    tail = TailSpec(kind, tuple(map(tuple, coset_values(residues).tolist())))
+    tail = TailSpec(kind, tuple(map(tuple, coset_values(list(zip(*columns))))))
     return FxFunction(p, N, k_min, k_tail, vals, tail, Fraction(0))
 
 
@@ -286,20 +286,19 @@ def _beta_inv_cached(n: int, p: int, level: int, j: int, sign: int) -> RationalF
     return beta_factor_inverse_argument(n, UnitCharacter(p, level, j), sign)
 
 
-def eta_components(n: int, sign: int, lo: int, hi: int, p: int, level: int) -> np.ndarray:
+def eta_components(n: int, sign: int, lo: int, hi: int, p: int, level: int) -> list:
     """Rows k = lo..hi of eta's level-N character components: entry (k, j) is
     Res_{z=0} beta_psi(chi_j,s^{-1}) z^{-k-1}, from one Laurent series per
     character, so that eta_kernel on shell k is coset_values of row k."""
-    out = np.zeros((hi - lo + 1, unit_order(p, level)), dtype=complex)
-    for j in range(out.shape[1]):
-        out[:, j] = _beta_inv_cached(n, p, level, j, sign).laurent_coeffs(lo, hi)
-    return out
+    columns = [_beta_inv_cached(n, p, level, j, sign).laurent_coeffs(lo, hi)
+               for j in range(unit_order(p, level))]
+    return list(zip(*columns))
 
 
 @lru_cache(maxsize=None)
-def _eta_values(n: int, p: int, level: int, sign: int, k: int) -> np.ndarray:
+def _eta_values(n: int, p: int, level: int, sign: int, k: int) -> tuple:
     """eta_kernel on every coset of shell k, in unit_group order."""
-    return coset_values(eta_components(n, sign, k, k, p, level))[0]
+    return tuple(coset_values(eta_components(n, sign, k, k, p, level))[0])
 
 
 def eta_kernel(n: int, sign: int, k: int, u: int, p: int, level: int) -> complex:
@@ -311,7 +310,7 @@ def eta_kernel(n: int, sign: int, k: int, u: int, p: int, level: int) -> complex
         sum_{e(chi) <= N} chi(u)^{-1} Res_{z=0} beta_psi(chi_s^{-1}) z^{-k-1},
 
     the coset values of shell k's component vector (eta_components), one
-    forward FFT per shell, cached, and looked up here by dlog(u).
+    forward transform per shell, cached, and looked up here by dlog(u).
     It also equals the pointwise kernel for k > -(2n+1)(N+1): at odd p,
     e(chi^2) = e(chi) whenever chi^2 is ramified, so a character of
     conductor e >= 2 feeds only the shell -(2n+1)e, and every character the

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import PadicharmError
-from .abelian import UnitCharacter, character_components, coset_values, gamma_factor
+from .abelian import (UnitCharacter, character_components, conductor, coset_values,
+                      gamma_factor)
 from .fxspace import FxFunction, eta_components, eta_kernel, pv_convolve
 from .padic import PadicElement, unit_group, unit_order, unit_part, val_p
 from .symplectic import add, det, eye, is_symplectic, mat
@@ -106,11 +105,12 @@ def fourier_n0_table(phi: FxFunction, k_lo: int, k_hi: int, sign: int = 1) -> di
     b = character_components([[refl.get((m, u), 0.0) for u in cosets]
                               for m in range(m_lo, m_hi + 1)])
     a = eta_components(0, sign, k_lo - m_hi, k_hi - m_lo, p, level)
-    comps = np.zeros((k_hi - k_lo + 1, len(cosets)), dtype=complex)
+    comps = [[0j] * len(cosets) for _ in range(k_hi - k_lo + 1)]
     for m, row in zip(range(m_lo, m_hi + 1), b):
         # eta shells k - m for k = k_lo..k_hi start at row m_hi - m of a
-        comps += a[m_hi - m:m_hi - m + len(comps)] * row
-    return {(k, u): v for k, vals in zip(range(k_lo, k_hi + 1), coset_values(comps).tolist())
+        for out, eta in zip(comps, a[m_hi - m:]):
+            out[:] = [x + y * c for x, y, c in zip(out, eta, row)]
+    return {(k, u): v for k, vals in zip(range(k_lo, k_hi + 1), coset_values(comps))
             for u, v in zip(cosets, vals)}
 
 
@@ -153,10 +153,15 @@ def shell_coefficients_sum(chi: UnitCharacter, s: complex, sign: int = 1,
 
     Convergence needs Re(s) > -1/2 (the positive shells decay like
     q^{-ell(Re(s)+1/2)}); outside, the partial sums are reported divergent.
+    A character of conductor e >= 2 has its only nonzero coefficient at
+    ell = -e, so three equal partial sums count as stable only from radius
+    e + 2, past that support; the default ell_min reaches every conductor
+    that the row budget lets a level have (e <= 12, at p = 3).
     """
     p = chi.p
     if complex(s).real <= -0.5:
         raise GDistError("divergent partial sums: need Re(s) > -1/2")
+    e = conductor(chi)
     z = complex(p) ** (-complex(s))
     coeffs = {}
     total = 0.0 + 0.0j
@@ -172,7 +177,7 @@ def shell_coefficients_sum(chi: UnitCharacter, s: complex, sign: int = 1,
             coeffs[ell] = c
             total += c
         partials.append(total)
-        if len(partials) >= 3:
+        if len(partials) >= 3 and radius >= e + 2:
             a, b, cc = partials[-3], partials[-2], partials[-1]
             scale = max(1.0, abs(cc))
             if abs(a - b) <= tol * scale and abs(b - cc) <= tol * scale and stable_at is None:

@@ -31,6 +31,11 @@ the recursion serves exactly, and the depth-k shells above cross-check it.
 Those are the rational functions the functional-equation verifier compares.
 At m = 1 (n = 0) det is the identity, so f_Phi = Phi, and the functional
 equation is Tate's.
+
+The recursion and the exact series are plain Python on ints, Fractions and
+tuples of floats.  numpy is imported only by the cell enumerations
+(`_cell_chunks`, `_cell_rank_key`, a masked or phased `_job_census`,
+`_coset_bins`, `_refine_bins`), whose work is array-shaped.
 """
 
 from __future__ import annotations
@@ -41,15 +46,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from operator import mul, sub
 
 from . import PadicharmError
 from .abelian import UnitCharacter, beta_factor, character_components
 from .fxspace import (FxFunction, MellinData, TailSpec, fx_from_mellin,
                       mellin_transform)
 from .padic import legendre, psi_frac, unit_group, unit_order, unit_part, val_p
-from .ratfunc import RationalFunctionZ
+from .ratfunc import RationalFunctionZ, _padd, _pmul
 
 ENUM_BUDGET = 10 ** 9      # cells of a coset of Sym_m(Z/p^k) or of a phased census
 COSET_CHUNK = 1 << 16      # cells per block: about 150 bytes a cell at m = 3, 370 at m = 5
@@ -232,6 +236,7 @@ def _cell_chunks(m: int, residues, moduli, shape):
     """The cells residue + modulus i of Sym_m, i over the box `shape` in
     `_entry_order`, as {(i, j): flat array} in flat-index order.  A chunk
     fixes all but the last entry and the longest tail of <= COSET_CHUNK cells."""
+    import numpy as np
     check_budget(math.prod(shape))
     a = min((e for e in range(len(shape)) if math.prod(shape[e:]) <= COSET_CHUNK),
             default=len(shape) - 1)
@@ -253,6 +258,7 @@ def _refine_bins(raw, p: int, k: int, d: int):
     t), as counts over Sym_m(Z/p^(k+1)) shaped (det, sign, t): a cell with adj
     = 0 mod p keeps its det mod p^(k+1) on all p^d lifts, d = m(m+1)/2, any
     other spreads them evenly over the p residues above its det mod p^k."""
+    import numpy as np
     exact, spread = np.moveaxis(raw, 1, 0)
     pooled = spread.reshape(p, p ** k, *raw.shape[2:]).sum(axis=0)
     return exact * p ** d + np.tile(pooled, (p, 1, 1)) * p ** (d - 1)
@@ -262,6 +268,7 @@ def _coset_bins(p: int, k: int, job):
     """A count job's refined bins from the cells of Sym_m(Z/p^k) inside its
     entry-wise mask, each entry residue + modulus i for i < p^k / modulus;
     adj(Y) != 0 mod p exactly when det or a principal (m - 1)-minor is a unit."""
+    import numpy as np
     residues, moduli = job[1]
     m, mod4 = job[-1], p ** (k + 1)
     check_rows(mod4)
@@ -407,6 +414,7 @@ def _cell_rank_key(m: int, at, p: int):
     the largest nonsingular principal submatrix, tried from size m down on the
     cells still open, and its minor at full rank, else the minor's Legendre
     class, that of the nondegenerate part (1 at rank 0)."""
+    import numpy as np
     cells = np.arange(at[0, 0].size)
     rank, key, leg = np.zeros_like(cells), np.ones_like(cells), np.array(
         [legendre(a, p) for a in range(p)])
@@ -436,6 +444,7 @@ def _job_census(p: int, job) -> dict:
         for a in range(1, p):
             out[(m, a, 0)] = census[(m, legendre(a, p))] // ((p - 1) // 2)
         return out
+    import numpy as np
     d = m * (m + 1) // 2
     residues, n = ([x % p for x in mask[0]], 1) if mask is not None else ((0,) * d, p)
     # one code per (Y0[0, 0], rank, key, t), the class -1 stored as p:
@@ -490,28 +499,25 @@ def _recursion_tallies(p: int, k: int, job) -> dict:
 
 # ------------------------------------------- the recursion summed over depths
 
-def _poly_add(a, b):
-    out = np.zeros(max(len(a), len(b)), dtype=object)
-    out[:len(a)] += a
-    out[:len(b)] += b
-    return out
+# Polynomials are tuples of coefficients in ascending order: Fractions while
+# exact, floats once taken at pz.  _padd and _pmul are ratfunc's.
 
-
-def _shifted(c, s: int):
+def _shifted(c, s: int) -> tuple:
     """z^s times the polynomial c."""
-    return np.concatenate([np.zeros(s, dtype=object), c])
+    return (0,) * s + tuple(c)
 
 
-def _at_pz(c, p: int) -> np.ndarray:
+def _at_pz(c, p: int) -> tuple:
     """The exact polynomial c(z) as c(pz), in floats."""
-    return np.array([float(x * p ** i) for i, x in enumerate(c)])
+    return tuple(float(x * p ** i) for i, x in enumerate(c))
 
 
-def _size_denominator(p: int, lo: int, hi: int):
+def _size_denominator(p: int, lo: int, hi: int) -> tuple:
     """prod_{lo < s <= hi} (1 - p^(-2 d_s) z^(2s)), exact."""
-    out = np.array([Fraction(1)], dtype=object)
+    out = (Fraction(1),)
     for s in range(lo + 1, hi + 1):
-        out = _poly_add(out, _shifted(out, 2 * s) * -Fraction(1, p ** (s * (s + 1))))
+        c = -Fraction(1, p ** (s * (s + 1)))
+        out = _padd(out, _shifted([x * c for x in out], 2 * s))
     return out
 
 
@@ -520,7 +526,7 @@ def _move_into(out: dict, series: dict, s: int, delta: int, factor, ell: int) ->
     state moved by a unit block of class delta (`_split_state`)."""
     for state, num in series.items():
         w, eps, c = _split_state(state, s, delta, ell)
-        out[(w % 2, eps, c)] = _poly_add(out.get((w % 2, eps, c), ()), np.convolve(factor, num))
+        out[(w % 2, eps, c)] = _padd(out.get((w % 2, eps, c), ()), _pmul(factor, num))
 
 
 @lru_cache(maxsize=None)
@@ -536,12 +542,13 @@ def _size_series(m: int, p: int) -> dict:
     sign that depends on w only through w (m - 1) mod 2, which T fixes.  So
     G_m = (A + a T A) / (1 - a^2)."""
     if m == 0:
-        return {(0, 1, 1): np.array([Fraction(1)], dtype=object)}
+        return {(0, 1, 1): (Fraction(1),)}
     ell, d = legendre(-1, p), m * (m + 1) // 2
     A: dict = {}
     for (r, delta), n in _rank_census(m, p).items():
         if r and n:
-            lift = _shifted(Fraction(n, p ** d) * _size_denominator(p, m - r, m - 1), m - r)
+            lift = _shifted([Fraction(n, p ** d) * x for x in _size_denominator(p, m - r, m - 1)],
+                            m - r)
             _move_into(A, _size_series(m - r, p), m - r, delta, lift, ell)
     G = dict(A)
     _move_into(G, A, m, 1, _shifted([Fraction(1, p ** d)], m), ell)
@@ -554,12 +561,12 @@ def _cell_series(p: int, m: int, s: int, delta: int) -> dict:
     of class delta (a bijection of states), the det density over the cells of
     rank m - s and class delta, over _size_denominator(p, 0, m), at pz."""
     lift = _at_pz(_shifted(_size_denominator(p, s, m), s), p)
-    return {_split_state(state, s, delta, legendre(-1, p)): np.convolve(lift, _at_pz(num, p))
+    return {_split_state(state, s, delta, legendre(-1, p)): _pmul(lift, _at_pz(num, p))
             for state, num in _size_series(s, p).items()}
 
 
 @lru_cache(maxsize=None)
-def _job_series(p: int, job, weighted: bool, sign: int) -> np.ndarray:
+def _job_series(p: int, job, weighted: bool, sign: int) -> tuple:
     """Rows j of the numerator of M(f_job)(z, chi_j) over
     _size_denominator(p, 0, m) at pz, for the level-1 characters chi_j, on
     Sym_m with m = 2n + 1 and d = m(m+1)/2.
@@ -573,8 +580,7 @@ def _job_series(p: int, job, weighted: bool, sign: int) -> np.ndarray:
     m = job[-1]
     n, d = (m - 1) // 2, m * (m + 1) // 2
     ell = legendre(-1, p)
-    cosets = np.array(unit_group(p, 1)[0])
-    classes = np.array([legendre(u, p) for u in unit_group(p, 1)[0]])
+    cosets = unit_group(p, 1)[0]
     weights: Counter = Counter()      # (rank, key) -> sum of count psi(t)
     for (r, key, t), count in _job_census(p, job).items():
         weights[(r, key)] += count * psi_frac(p, t, 1, sign)
@@ -582,13 +588,16 @@ def _job_series(p: int, job, weighted: bool, sign: int) -> np.ndarray:
     for (r, key), x in weights.items():
         delta = legendre(key, p) if r == m else key
         for (w, eps, c), num in _cell_series(p, m, m - r, delta).items():
-            cells = cosets == key if r == m else (classes == eps) * 2 / (p - 1)
-            vectors.append(x * (ell ** (n * w) * c if weighted else 1) * cells)
+            cells = ([float(u == key) for u in cosets] if r == m else
+                     [float(legendre(u, p) == eps) * 2 / (p - 1) for u in cosets])
+            weight = x * (ell ** (n * w) * c if weighted else 1)
+            vectors.append([weight * cell for cell in cells])
             numerators.append(num)
-    N = np.zeros((len(numerators), max(map(len, numerators))))
-    for row, num in zip(N, numerators):
-        row[:len(num)] = num
-    return character_components(np.array(vectors, dtype=complex)).T @ N * float(p) ** (1 - d)
+    width = max(map(len, numerators))
+    N = [num + (0.0,) * (width - len(num)) for num in numerators]
+    scale = float(p) ** (1 - d)
+    return tuple(tuple(sum(map(mul, comps, column)) * scale for column in zip(*N))
+                 for comps in zip(*character_components(vectors)))
 
 
 # -------------------------------------------- shell values and fiber functions
@@ -674,17 +683,19 @@ def fiber_function(Phi: LatticeTestFunction, weighted: bool, p: int, k: int,
     range, which must hold a nonzero shell."""
     m = Phi.m
     n = (m - 1) // 2
-    den = np.concatenate([np.zeros(m), _at_pz(_size_denominator(p, 0, m), p)])   # z^m D(pz)
-    num = np.zeros((p - 1, 2 * len(den)), dtype=complex)
+    den = _shifted(_at_pz(_size_denominator(p, 0, m), p), m)   # z^m D(pz)
+    num = [[0j] * (2 * len(den)) for _ in range(p - 1)]
     for piece in Phi.pieces:
         job, shift, prefactor = _piece_job(piece, weighted, p, k)
         if not _by_recursion(job, p):
             raise PvsError("no exact series for masks finer than Y mod p")
-        series = _job_series(p, job, weighted, sign)
-        num[:, m + shift:m + shift + series.shape[1]] += piece.weight * prefactor * series
+        c = piece.weight * prefactor
+        for row, series in zip(num, _job_series(p, job, weighted, sign)):
+            for i, x in enumerate(series, m + shift):
+                row[i] += c * x
     kind = "minus" if weighted else "plus"
     Z = MellinData(p, 1, {j: RationalFunctionZ(row, den) for j, row in enumerate(num)
-                          if row.any()})
+                          if any(row)})
     f = fx_from_mellin(Z, kind, n)
     shells, lo, hi = fiber_shell_values(Phi, weighted, p, k, sign)
     scale = max(map(abs, shells.values()))
@@ -772,12 +783,13 @@ def homogeneity_check(Phi: LatticeTestFunction, g_exponents, chi: UnitCharacter,
     s_a, chi = sum(int(x) for x in g_exponents), chi.at_level(1)
     shells, lo, hi = fiber_shell_values(act_diagonal(Phi, g_exponents, p), False, p, k)
     cosets = unit_group(p, 1)[0]
-    moved = character_components(
-        [[shells[(w, u)] for u in cosets] for w in range(lo, hi + 1)])[:, chi.exponent]
+    moved = [row[chi.exponent] for row in character_components(
+        [[shells[(w, u)] for u in cosets] for w in range(lo, hi + 1)])]
     base = mellin_transform(fiber_function(Phi, weighted=False, p=p, k=k)).component(chi)
-    predicted = base.laurent_coeffs(lo - 2 * s_a, hi - 2 * s_a) * float(p) ** ((1 - Phi.m) * s_a)
-    dev = float(np.max(np.abs(moved - predicted))) / max(
-        1.0, float(np.max(np.abs(predicted))), float(np.max(np.abs(moved))))
+    scale = float(p) ** ((1 - Phi.m) * s_a)
+    predicted = [c * scale for c in base.laurent_coeffs(lo - 2 * s_a, hi - 2 * s_a)]
+    dev = max(map(abs, map(sub, moved, predicted))) / max(
+        1.0, max(map(abs, predicted)), max(map(abs, moved)))
     return {
         "max_deviation": dev,
         "shells_equal": dev <= HOMOGENEITY_TOL,

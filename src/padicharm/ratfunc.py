@@ -11,18 +11,16 @@ Laurent part from the series at z = 0.
 
 Polynomials are tuples of Python complex coefficients in ascending order.
 The GL(1) calculus builds them with 2 to 10 terms, where numpy's fixed cost
-per call outweighs the arithmetic, so the kernel is plain Python; numpy only
-finds roots on the failure path of the Laurent-polynomial test and returns
-`laurent_coeffs` as an array.  Equality is decided by cross-multiplied
-evaluation at fixed sample points off the unit circle.
+per call outweighs the arithmetic, so the kernel is plain Python and
+`laurent_coeffs` returns a list; numpy is imported only to find roots, on
+the failure path of the Laurent-polynomial test.  Equality is decided by
+cross-multiplied evaluation at fixed sample points off the unit circle.
 """
 
 from __future__ import annotations
 
 import cmath
-from operator import mul
-
-import numpy as np
+from operator import add, mul
 
 from . import PadicharmError
 
@@ -65,7 +63,8 @@ def _trim(c: tuple) -> tuple:
 
 
 def _pmul(a, b):
-    out = [0j] * (len(a) + len(b) - 1)
+    """The product of two polynomials, exact on exact coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b, i):
             out[j] += x * y
@@ -73,9 +72,10 @@ def _pmul(a, b):
 
 
 def _padd(a, b):
+    """The sum of two polynomials (tuples), exact on exact coefficients."""
     if len(a) < len(b):
         a, b = b, a
-    return tuple(map(complex.__add__, a, b)) + a[len(b):]
+    return tuple(map(add, a, b)) + a[len(b):]
 
 
 def _peval(c, z):
@@ -189,14 +189,14 @@ class RationalFunctionZ:
         raise ValueError(f"unknown substitution rule: {rule}")
 
     # ---- Laurent expansion at z = 0 ----
-    def laurent_coeffs(self, lo: int, hi: int) -> np.ndarray:
+    def laurent_coeffs(self, lo: int, hi: int) -> list:
         """Coefficients of z^lo..z^hi of the expansion at z = 0, from one
         power-series division of num by the z-power-free part of den; the
         coefficient of z^m is Res_{z=0}(R(z) z^(-m-1))."""
         v, den0 = _split_z_power(self.den)
         top = hi + v
         if top < 0:
-            return np.zeros(hi - lo + 1, dtype=complex)
+            return [0j] * (hi - lo + 1)
         # series[t + i] is the coefficient of z^(i - v), after t leading zeros
         # that let every step read a full window of the t previous terms
         num, inv0 = self.num, 1.0 / den0[0]
@@ -208,7 +208,7 @@ class RationalFunctionZ:
             acc -= sum(map(mul, tail, series[i:i + t]))
             series.append(acc * inv0)
         start = lo + v
-        return np.array([0j] * max(-start, 0) + series[t + max(start, 0):], dtype=complex)
+        return [0j] * max(-start, 0) + series[t + max(start, 0):]
 
     # ---- partial fractions ----
     def partial_fractions(self, alphas):
@@ -237,6 +237,7 @@ class RationalFunctionZ:
             _laurent_part(self, (), (), tol)
             return None
         except PoleError:
+            import numpy as np
             _, den0 = _split_z_power(self.den)
             roots = np.roots(den0[::-1])
             deg = len(self.num) - 1
@@ -327,7 +328,7 @@ def _laurent_part(R, alphas, residues, tol):
     v, den0 = _split_z_power(R.den)
     top = max(len(R.num) - len(den0), -1)
     # series[i] is the coefficient of z^(i - v)
-    series = R.laurent_coeffs(-v, top + len(den0) - 1).tolist()
+    series = R.laurent_coeffs(-v, top + len(den0) - 1)
     scale = max(max(map(abs, series)), max(map(abs, residues), default=0.0))
     for alpha, b in zip(alphas, residues):
         if b:

@@ -113,6 +113,40 @@ def test_character_transforms_match_direct_sums(p, level):
     assert np.max(np.abs(coset_values(comps) - rows)) <= 1e-12
 
 
+@pytest.mark.parametrize("transform, reference", [(character_components, np.fft.ifft),
+                                                  (coset_values, np.fft.fft)])
+def test_transforms_match_numpy_fft(transform, reference):
+    # the plain-Python DFT up to DFT_MAX and the numpy branch past it, on
+    # lists of one row and of three, against numpy's FFT
+    rng = np.random.default_rng(21)
+    for n in [*range(2, abelian.DFT_MAX + 1), abelian.DFT_MAX + 1, 128, 162, 486]:
+        rows = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        want = reference(rows, axis=-1)
+        for x, w in ((rows[:1], want[:1]), (rows, want)):
+            got = transform(x.tolist())
+            assert isinstance(got, list) and np.shape(got) == w.shape, n
+            assert np.max(np.abs(np.subtract(got, w))) <= 1e-13 * np.max(np.abs(w)), n
+    # the half-turn twiddle is exactly -1, so a constant row of length 2 (the
+    # characters mod 3) has an exactly zero quadratic component, as under an FFT
+    assert character_components([[0.3 + 0.1j] * 2])[0][1] == 0
+
+
+def test_transform_branch_follows_row_length_and_work(monkeypatch):
+    # numpy takes rows past DFT_MAX and calls past DFT_WORK_MAX multiply-adds,
+    # such as eta-table's one call over kmax - kmin + 1 shells; the
+    # plain-Python DFT takes the rest
+    def no_python_dft(n):
+        raise AssertionError("plain-Python DFT")
+
+    monkeypatch.setattr(abelian, "_twiddles", no_python_dft)
+    n = abelian.DFT_MAX
+    most = abelian.DFT_WORK_MAX // n**2
+    coset_values([[1.0] * (n + 1)])
+    coset_values([[1.0] * n] * (most + 1))
+    with pytest.raises(AssertionError, match="plain-Python"):
+        coset_values([[1.0] * n] * most)
+
+
 def test_L_factor():
     from padicharm.abelian import L_factor
     triv = UnitCharacter(3, 1, 0)
@@ -255,8 +289,8 @@ def test_oracle_shells_match_direct_sums(p, level, sign):
                       for k in ks]
             want_a = [sum(fhat(k, u) * chi.inverse().value(u) for u in elements)
                       / len(elements) for k in ks]
-            assert np.max(np.abs(b - want_b)) <= 1e-13
-            assert np.max(np.abs(a - want_a)) <= 1e-13
+            assert np.max(np.abs(np.subtract(b, want_b))) <= 1e-13
+            assert np.max(np.abs(np.subtract(a, want_a))) <= 1e-13
 
 
 def test_oracle_rejects_disagreeing_test_functions(monkeypatch):
@@ -266,7 +300,7 @@ def test_oracle_rejects_disagreeing_test_functions(monkeypatch):
 
     def perturbed(*key):
         first, (b, a) = shells(*key)
-        return first, (1.01 * b, a)
+        return first, ([1.01 * x for x in b], a)
     monkeypatch.setattr(abelian, "_oracle_shells", perturbed)
     with pytest.raises(OracleError, match="depends on the test function"):
         tate_gamma_oracle(UnitCharacter(5, 1, 1), 0.5)

@@ -247,6 +247,68 @@ def test_invalid_input_is_a_json_error(argv, capsys):
     assert list(rep) == ["error"] and rep["error"]
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_verify_fe_gl1_past_n2_is_refused(n, capsys):
+    # at n >= 3 the float partial fractions lose the poles: p = 5, level 2,
+    # n = 4 failed all 60 checks before the boundary refused it
+    assert main(["verify", "fe-gl1", "--p", "5", "--level", "2", "--n", str(n)]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert list(rep) == ["error"] and "--n <= 2" in rep["error"]
+    assert "partial fractions" in rep["error"]
+
+
+def test_runs_share_the_parser_but_no_state():
+    from padicharm.cli import build_parser
+    assert build_parser() is build_parser()
+    rep, code = run(["shells", "--p", "5", "--level", "2", "--conductor", "2",
+                     "--s", "0.6", "--timing"])
+    assert code == 0 and "runtime_ms" in rep["checks"][0]
+    rep, code = run(["shells"])
+    assert code == 0 and "runtime_ms" not in rep["checks"][0]
+    assert rep["parameters"] == {"p": 3, "n": 1, "level": 2, "k": 2, "conductor": 0,
+                                 "tolerance": 1e-6, "psi_sign": 1, "seed": 0}
+    assert rep["payload"]["s"] == 0.7
+
+
+# a fresh interpreter: imports every padicharm module, runs the invocations
+# of argv[1] and tate_gamma_oracle as the benchmark's workloads do, and
+# prints the exit codes and whether numpy was loaded
+_WORKLOAD_VERBS = """
+import importlib, json, pkgutil, sys
+import padicharm
+for info in pkgutil.iter_modules(padicharm.__path__):
+    importlib.import_module(f"padicharm.{info.name}")
+from padicharm.abelian import characters, tate_gamma_oracle
+from padicharm.cli import run
+codes = [run(argv)[1] for argv in json.loads(sys.argv[1])]
+[tate_gamma_oracle(chi, s) for chi in characters(5, 2) for s in (0.3, 0.5, 0.7)]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_workload_verbs_run_without_numpy():
+    import os
+    import subprocess
+    import sys
+    invocations = [
+        ["verify", "fe-gl1", "--p", "5", "--level", "1", "--n", "0"],
+        ["verify", "fe-gl1", "--p", "5", "--level", "1", "--n", "1", "--seed", "1"],
+        ["verify", "fe-pvs", "--p", "5", "--n", "1", "--k", "2"],
+        ["verify", "fe-pvs", "--p", "5", "--n", "1", "--k", "2", "--psi-sign", "-1"],
+        ["count-fibers", "--p", "5", "--k", "2", "--m", "3"],
+        ["fourier-n0", "--p", "3", "--level", "2"],
+        ["shells", "--p", "5", "--level", "1", "--conductor", "0"],
+        ["shells", "--p", "5", "--level", "1", "--conductor", "1"],
+        ["tate-oracle", "--p", "5", "--level", "2", "--conductor", "2"],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _WORKLOAD_VERBS, json.dumps(invocations)],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    out = json.loads(proc.stdout)
+    assert out == {"codes": [0] * len(invocations), "numpy": False}
+
+
 @pytest.mark.parametrize("tolerance", ["-1e-6", "nan"])
 def test_config_tolerance_is_validated(tolerance, tmp_path, capsys):
     cfg = tmp_path / "field.cfg"
@@ -315,7 +377,7 @@ def test_eta_table_expands_each_character_once(monkeypatch):
     table = eta_components(n, 1, lo, hi, p, level)
     for j in range(6):
         beta_inv = beta_factor_inverse_argument(n, UnitCharacter(p, level, j))
-        assert [series(beta_inv, k, k)[0] for k in range(lo, hi + 1)] == list(table[:, j])
+        assert [series(beta_inv, k, k)[0] for k in range(lo, hi + 1)] == [row[j] for row in table]
     cosets = unit_group(p, level)[0]
     rows = rep["payload"]["eta"]
     assert [(r["ord"], r["coset"]) for r in rows] == [(k, u) for k in range(lo, hi + 1)

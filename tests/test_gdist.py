@@ -189,6 +189,17 @@ def test_shell_coefficients_single_band_for_ramified():
     assert nonzero == [-1]
 
 
+@pytest.mark.parametrize("p, level, e", [(3, 3, 3), (5, 3, 3), (7, 3, 3), (3, 4, 4)])
+def test_shell_coefficients_reach_high_conductors(p, level, e):
+    # conductor e >= 3 puts the one nonzero coefficient at ell = -e, past the
+    # three zero partial sums of radii 0..2
+    chi = next(chi for chi in characters(p, level) if conductor(chi) == e)
+    rep = shell_coefficients_sum(chi, 0.7)
+    nonzero = [ell for ell, c in rep["coefficients"].items() if abs(c) > 1e-12]
+    assert nonzero == [-e] and rep["stable_at"] == e + 2
+    assert rep["deviation"] < 1e-9, (chi, rep["deviation"])
+
+
 def test_shell_coefficients_divergence_guard():
     with pytest.raises(GDistError, match="half-plane|Re"):
         shell_coefficients_sum(UnitCharacter(3, 1, 0), -0.8)

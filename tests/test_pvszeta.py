@@ -390,8 +390,8 @@ def test_wrong_series_coefficient_is_caught(monkeypatch):
     series = pvszeta._job_series
 
     def wrong(*args):
-        out = series(*args).copy()
-        out[0, 2] *= 1 + 1e-9
+        out = [list(row) for row in series(*args)]
+        out[0][2] *= 1 + 1e-9
         return out
     monkeypatch.setattr(pvszeta, "_job_series", wrong)
     with pytest.raises(PvsError, match="differs from the depth-3 recursion"):
