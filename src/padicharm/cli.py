@@ -31,11 +31,12 @@ class UsageError(PadicharmError):
 
 
 def _character(p, level, conductor_wanted):
-    from .abelian import characters, conductor
-    for chi in characters(p, level):
-        if conductor(chi) == conductor_wanted:
-            return chi
-    raise UsageError(f"no character of conductor {conductor_wanted} at level {level}")
+    """The character of least exponent with the wanted conductor e: exponent
+    0 at e = 0, else p^(level-e), as `abelian.conductor` is level - v_p(a)."""
+    from .abelian import UnitCharacter
+    if not 0 <= conductor_wanted <= level:
+        raise UsageError(f"no character of conductor {conductor_wanted} at level {level}")
+    return UnitCharacter(p, level, p ** (level - conductor_wanted) if conductor_wanted else 0)
 
 
 def _check(name, fn, tolerance=None, timing=False):

@@ -32,10 +32,11 @@ Those are the rational functions the functional-equation verifier compares.
 At m = 1 (n = 0) det is the identity, so f_Phi = Phi, and the functional
 equation is Tate's.
 
-The recursion and the exact series are plain Python on ints, Fractions and
-tuples of floats.  numpy is imported only by the cell enumerations
-(`_cell_chunks`, `_cell_rank_key`, a masked or phased `_job_census`,
-`_coset_bins`, `_refine_bins`), whose work is array-shaped.
+The recursion and the exact series are plain Python on ints, polynomials
+over Z[1/p] (int tuples over one power of p) and tuples of floats.  numpy is
+imported only by the cell enumerations (`_cell_chunks`, `_cell_rank_key`, a
+masked or phased `_job_census`, `_coset_bins`, `_refine_bins`), whose work is
+array-shaped.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul, sub
 
@@ -499,41 +499,49 @@ def _recursion_tallies(p: int, k: int, job) -> dict:
 
 # ------------------------------------------- the recursion summed over depths
 
-# Polynomials are tuples of coefficients in ascending order: Fractions while
-# exact, floats once taken at pz.  _padd and _pmul are ratfunc's.
+# An exact polynomial is a pair (c, e) over Z[1/p]: c a tuple of ints in
+# ascending order, read as c / p^e.  No gcd is taken: a product adds the
+# exponents, a sum rescales the operand of smaller e by p^(difference).
+# Once taken at pz it is a tuple of floats.  _padd and _pmul are ratfunc's.
 
 def _shifted(c, s: int) -> tuple:
-    """z^s times the polynomial c."""
+    """z^s times the polynomial c, a tuple."""
     return (0,) * s + tuple(c)
 
 
 def _at_pz(c, p: int) -> tuple:
-    """The exact polynomial c(z) as c(pz), in floats."""
-    return tuple(float(x * p ** i) for i, x in enumerate(c))
+    """The exact polynomial (c, e) as c(pz) / p^e, in correctly rounded floats."""
+    q = p ** c[1]
+    return tuple(a * p ** i / q for i, a in enumerate(c[0]))
 
 
+@lru_cache(maxsize=None)
 def _size_denominator(p: int, lo: int, hi: int) -> tuple:
-    """prod_{lo < s <= hi} (1 - p^(-2 d_s) z^(2s)), exact."""
-    out = (Fraction(1),)
+    """prod_{lo < s <= hi} (1 - p^(-2 d_s) z^(2s)) as an exact pair (c, e)."""
+    x, e = (1,), 0
     for s in range(lo + 1, hi + 1):
-        c = -Fraction(1, p ** (s * (s + 1)))
-        out = _padd(out, _shifted([x * c for x in out], 2 * s))
-    return out
+        q, e = p ** (s * (s + 1)), e + s * (s + 1)
+        x = _padd(tuple(a * q for a in x), _shifted([-a for a in x], 2 * s))
+    return x, e
 
 
-def _move_into(out: dict, series: dict, s: int, delta: int, factor, ell: int) -> None:
-    """Add factor times each numerator of a size-s series to `out`, at its
-    state moved by a unit block of class delta (`_split_state`)."""
-    for state, num in series.items():
+def _move_into(out: dict, series: dict, s: int, delta: int, factor, ell: int, p: int) -> None:
+    """Add factor times each exact numerator of a size-s series to `out`, at
+    its state moved by a unit block of class delta (`_split_state`)."""
+    for state, (num, n) in series.items():
         w, eps, c = _split_state(state, s, delta, ell)
-        out[(w % 2, eps, c)] = _padd(out.get((w % 2, eps, c), ()), _pmul(factor, num))
+        key = w % 2, eps, c
+        (x, e), (y, f) = out.get(key, ((), 0)), (_pmul(factor[0], num), factor[1] + n)
+        if e < f:
+            (x, e), (y, f) = (y, f), (x, e)
+        out[key] = _padd(x, tuple(a * p ** (e - f) for a in y)), e
 
 
 @lru_cache(maxsize=None)
 def _size_series(m: int, p: int) -> dict:
     """G_m(z) = sum_w density(w, eps, c) z^w over Sym_m(Z_p), by the state
     (w mod 2, eps, c) of `_det_class_counts`: {state: numerator over
-    _size_denominator(p, 0, m)}, exact Fraction coefficients.
+    _size_denominator(p, 0, m)}, each an exact pair (c, e) over Z[1/p].
 
     The cells of rank r >= 1 of Sym_m(F_p) give A, the sum of
     N_m(r, delta) p^-d_m z^(m-r) G_{m-r} moved by the rank-r block; the zero
@@ -542,16 +550,16 @@ def _size_series(m: int, p: int) -> dict:
     sign that depends on w only through w (m - 1) mod 2, which T fixes.  So
     G_m = (A + a T A) / (1 - a^2)."""
     if m == 0:
-        return {(0, 1, 1): (Fraction(1),)}
+        return {(0, 1, 1): ((1,), 0)}
     ell, d = legendre(-1, p), m * (m + 1) // 2
     A: dict = {}
     for (r, delta), n in _rank_census(m, p).items():
         if r and n:
-            lift = _shifted([Fraction(n, p ** d) * x for x in _size_denominator(p, m - r, m - 1)],
-                            m - r)
-            _move_into(A, _size_series(m - r, p), m - r, delta, lift, ell)
+            x, e = _size_denominator(p, m - r, m - 1)
+            lift = _shifted([n * a for a in x], m - r), e + d
+            _move_into(A, _size_series(m - r, p), m - r, delta, lift, ell, p)
     G = dict(A)
-    _move_into(G, A, m, 1, _shifted([Fraction(1, p ** d)], m), ell)
+    _move_into(G, A, m, 1, (_shifted((1,), m), d), ell, p)
     return G
 
 
@@ -559,8 +567,10 @@ def _size_series(m: int, p: int) -> dict:
 def _cell_series(p: int, m: int, s: int, delta: int) -> dict:
     """{state (w, eps, c) at size m: numerator}: z^s G_s moved by a unit block
     of class delta (a bijection of states), the det density over the cells of
-    rank m - s and class delta, over _size_denominator(p, 0, m), at pz."""
-    lift = _at_pz(_shifted(_size_denominator(p, s, m), s), p)
+    rank m - s and class delta, over _size_denominator(p, 0, m), at pz: the
+    exact pairs of `_size_series` and `_size_denominator` go to floats first."""
+    x, e = _size_denominator(p, s, m)
+    lift = _at_pz((_shifted(x, s), e), p)
     return {_split_state(state, s, delta, legendre(-1, p)): _pmul(lift, _at_pz(num, p))
             for state, num in _size_series(s, p).items()}
 

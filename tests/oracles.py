@@ -29,11 +29,14 @@ Siegel factorization are the oracles of `pvszeta.lattice_fourier` and
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from padicharm.padic import legendre, psi_frac, unit_part, val_p
-from padicharm.pvszeta import PvsError, _entry_order, _refine_bins, check_budget
+from padicharm.pvszeta import (PvsError, _entry_order, _rank_census, _refine_bins,
+                               _split_state, check_budget)
+from padicharm.ratfunc import _padd, _pmul
 from padicharm.symplectic import (block, det, eye, inverse, mat, scale, sub,
                                   transpose, zeros)
 
@@ -382,3 +385,38 @@ def levi_block_of_p_std(h, n: int):
     bot = scale(inverse(sub(mat(h), I)), 2)
     z = zeros(2 * n)
     return block([[top, z], [z, bot]])
+
+
+def fraction_size_denominator(p: int, lo: int, hi: int) -> tuple:
+    """prod_{lo < s <= hi} (1 - p^(-2 d_s) z^(2s)) in Fractions, ascending."""
+    out = (Fraction(1),)
+    for s in range(lo + 1, hi + 1):
+        c = -Fraction(1, p ** (s * (s + 1)))
+        out = _padd(out, (0,) * (2 * s) + tuple(x * c for x in out))
+    return out
+
+
+@lru_cache(maxsize=None)
+def fraction_size_series(m: int, p: int) -> dict:
+    """G_m(z) of `pvszeta._size_series` in Fractions: {state (w mod 2, eps,
+    c): numerator over fraction_size_denominator(p, 0, m)}.  The cells of
+    rank r >= 1 give A, the sum of N_m(r, delta) p^-d z^(m-r) G_{m-r} moved
+    by the rank-r block, and G_m = A + p^-d z^m T A, T the move of Y -> pY."""
+    if m == 0:
+        return {(0, 1, 1): (Fraction(1),)}
+    ell, d = legendre(-1, p), m * (m + 1) // 2
+
+    def move_into(out, series, s, delta, factor):
+        for state, num in series.items():
+            w, eps, c = _split_state(state, s, delta, ell)
+            out[(w % 2, eps, c)] = _padd(out.get((w % 2, eps, c), ()), _pmul(factor, num))
+
+    A: dict = {}
+    for (r, delta), n in _rank_census(m, p).items():
+        if r and n:
+            lift = (0,) * (m - r) + tuple(Fraction(n, p ** d) * x for x in
+                                          fraction_size_denominator(p, m - r, m - 1))
+            move_into(A, fraction_size_series(m - r, p), m - r, delta, lift)
+    G = dict(A)
+    move_into(G, A, m, 1, (0,) * m + (Fraction(1, p ** d),))
+    return G

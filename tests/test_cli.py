@@ -247,6 +247,30 @@ def test_invalid_input_is_a_json_error(argv, capsys):
     assert list(rep) == ["error"] and rep["error"]
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_character_is_the_first_of_its_conductor(p):
+    # the closed-form exponent against the first match of a scan over the level
+    from padicharm.abelian import characters, conductor
+    from padicharm.cli import UsageError, _character
+    for level in range(1, 5):
+        scan = characters(p, level)
+        for e in range(-1, level + 2):
+            want = next((chi for chi in scan if conductor(chi) == e), None)
+            if want is None:
+                with pytest.raises(UsageError,
+                                   match=f"^no character of conductor {e} at level {level}$"):
+                    _character(p, level, e)
+            else:
+                assert _character(p, level, e) == want, (level, e)
+
+
+@pytest.mark.parametrize("conductor", ["5", "-1"])
+def test_conductor_outside_the_level_is_a_usage_error(conductor, capsys):
+    assert main(["gamma", "--p", "3", "--level", "2", "--conductor", conductor]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": f"no character of conductor {conductor} at level 2"}
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_verify_fe_gl1_past_n2_is_refused(n, capsys):
     # at n >= 3 the float partial fractions lose the poles: p = 5, level 2,
@@ -395,6 +419,12 @@ def test_eta_table_expands_each_character_once(monkeypatch):
     (["count-fibers", "--p", "3", "--k", "2", "--m", "3", "--format", "csv"],
      "count_fibers_p3_k2_m3.csv"),
     (["symplectic-check", "--n", "1", "--seed", "9"], "symplectic_check_n1_seed9.json"),
+    # every float of these reports leaves the exact series layer, so a change of
+    # float order there shows up byte for byte
+    (["verify", "fe-pvs", "--p", "7", "--n", "1", "--k", "4", "--seed", "0"],
+     "verify_fe_pvs_p7_n1_k4_seed0.json"),
+    (["verify", "fe-pvs", "--p", "11", "--n", "0", "--k", "3", "--seed", "0"],
+     "verify_fe_pvs_p11_n0_k3_seed0.json"),
 ])
 def test_exact_reports_match_golden_files(argv, golden, tmp_path):
     out = tmp_path / golden

@@ -13,7 +13,7 @@ from padicharm import pvszeta
 from padicharm.padic import unit_group
 from padicharm.pvszeta import (LatticeTestFunction, PvsError, _by_recursion,
                                _coset_bins, _det_class_counts, _entry_order,
-                               _piece_job, _rank_census, _recursion_tallies,
+                               _at_pz, _piece_job, _rank_census, _recursion_tallies,
                                _size_denominator, _size_series,
                                act_diagonal, det_fiber_counts,
                                fe_pvs_compare, fe_pvs_sides, fiber_function,
@@ -23,7 +23,8 @@ from padicharm.padic import legendre
 from padicharm.symplectic import det as rational_det
 from padicharm.ratfunc import RationalFunctionZ
 from oracles import (_legendre_table, _mask_vec, _sigma_vec, clifford_rho,
-                     evaluate_lattice_function, fold_tallies)
+                     evaluate_lattice_function, fold_tallies, fraction_size_denominator,
+                     fraction_size_series)
 
 P, K = 3, 2
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -349,23 +350,49 @@ def power_series(num, den, count):
     return out
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5])
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_size_series_matches_recursion_counts(m, p):
+def as_fractions(pair, p):
+    """An exact pair (c, e) of the series layer as the Fractions c_i / p^e."""
+    return [Fraction(c, p ** pair[1]) for c in pair[0]]
+
+
+@pytest.mark.parametrize("p, m", [(p, m) for p in (3, 5, 7) for m in (1, 2, 3, 5)] + [(3, 7)])
+def test_size_series_matches_recursion_counts(p, m):
     # G_m summed over all depths against the depth-k recursion: on every
     # shell w < k and in all 8 states (w mod 2, eps, c), the z^w coefficient
     # is the density count / p^(k d), and 0 off its parity
     k = 4
     table, _ = _det_class_counts(m, p, k)
-    den = _size_denominator(p, 0, m)
+    den = as_fractions(_size_denominator(p, 0, m), p)
     series = _size_series(m, p)
     for w0 in (0, 1):
         for eps in (1, -1):
             for c in (1, -1):
-                got = power_series(series.get((w0, eps, c), [0]), den, k)
+                num = series.get((w0, eps, c))
+                got = power_series(as_fractions(num, p) if num else [0], den, k)
                 want = [Fraction(table.get((w, eps, c), 0), p ** (k * m * (m + 1) // 2))
                         if w % 2 == w0 else 0 for w in range(k)]
                 assert got == want, (w0, eps, c)
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_exact_pairs_leave_as_the_fraction_route_does(p):
+    # the Z[1/p] pairs against the Fraction oracle, coefficient by coefficient,
+    # and their floats at pz against float(x p^i) with ==: int / int and
+    # float(Fraction) are both correctly rounded, so every float that leaves
+    # the exact layer is the one the Fraction route gives
+    def floats(xs):
+        return tuple(float(x * p ** i) for i, x in enumerate(xs))
+    for m in range(1, 8):
+        want = fraction_size_series(m, p)
+        assert _size_series(m, p).keys() == want.keys()
+        for state, num in _size_series(m, p).items():
+            assert as_fractions(num, p) == list(want[state]), (m, state)
+            assert _at_pz(num, p) == floats(want[state]), (m, state)
+    for lo in range(8):
+        for hi in range(lo, 8):
+            den = _size_denominator(p, lo, hi)
+            assert as_fractions(den, p) == list(fraction_size_denominator(p, lo, hi))
+            assert _at_pz(den, p) == floats(fraction_size_denominator(p, lo, hi)), (lo, hi)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
