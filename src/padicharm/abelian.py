@@ -34,10 +34,16 @@ at most DFT_MAX entries and of little total work, which is every call the
 benchmark's verbs make, runs a plain-Python DFT; a longer or larger one runs
 numpy's FFT, and only then is numpy imported.
 
+Every gamma factor is built once per (character, sign) and shared: beta
+takes gamma(chi) and gamma(chi^2) at each n, and the oracle and shell
+checks take it again per character.  A RationalFunctionZ is never written
+after it is built, so the callers can share one.
+
 The whole stack is cross-checked by a shell-sum Tate integral oracle that
 never touches the closed forms.  Its shell averages avg_u f(p^k u) chi(u)
 are brute-force sums over the units that do not depend on s, so they are
-computed once per character; a sample s only forms the powers z^k.
+computed once per character; the powers z^k depend on the sample s alone,
+so they are formed once per sample and shared by every character.
 """
 
 from __future__ import annotations
@@ -217,8 +223,12 @@ def epsilon_factor(chi: UnitCharacter, sign: int = 1) -> RationalFunctionZ:
     return RationalFunctionZ.z_power(e) * gauss_sum(chi, sign)
 
 
+@lru_cache(maxsize=None)
 def gamma_factor(chi: UnitCharacter, sign: int = 1) -> RationalFunctionZ:
-    """gamma(s,chi,psi) = eps(s,chi,psi) L(1-s,chi^{-1}) / L(s,chi)."""
+    """gamma(s,chi,psi) = eps(s,chi,psi) L(1-s,chi^{-1}) / L(s,chi).
+
+    One build per (p, level, exponent, sign); callers pass sign by position,
+    so that they share the cache entry."""
     q = chi.p
     eps = epsilon_factor(chi, sign)
     l_s = L_factor(chi)
@@ -287,6 +297,13 @@ class OracleError(PadicharmError, RuntimeError):
 
 
 _TRUNCATION = 48    # shells the oracle sums; its stabilization check sums 6 more
+# relative bound on the truncation's drift over those 6 shells and on the
+# disagreement of the two test functions' ratios: ten times the worst drift
+# the verbs reach (1e-7 at p = 3, Re s = 0.7), far below a wrong factor's gap
+_ORACLE_TOL = 1e-6
+# a denominator zeta integral below this is a zero of Z(s, f, chi), where the
+# ratio would be rounding noise; the oracle's integrals are at least 1/phi(p^N)
+_ZETA_FLOOR = 1e-14
 
 
 @lru_cache(maxsize=None)
@@ -336,33 +353,40 @@ def _oracle_shells(p: int, N: int, exponent: int, sign: int):
     return coset(1), coset(gen)
 
 
+@lru_cache(maxsize=64)
+def _z_powers(p: int, N: int, s: complex) -> tuple:
+    """The powers x^k over the oracle's shells k = -N..truncation+6, for
+    x = p^-(1-s) and x = p^-s: they depend on the sample, not the character."""
+    ks = range(-N, _TRUNCATION + 7)
+    xa, xb = complex(p) ** -(1 - s), complex(p) ** -s
+    return tuple(xa ** k for k in ks), tuple(xb ** k for k in ks)
+
+
 def tate_gamma_oracle(chi: UnitCharacter, s: complex, sign: int = 1) -> complex:
     """Z(1-s, f^, chi^{-1}) / Z(s, f, chi) by brute shell sums.
 
-    The shell averages come from _oracle_shells, once per character; a
-    sample s only takes their dot products with the powers z^k.  The ratios
-    of the two test functions must agree (functional-equation uniqueness)
-    and the truncation must have stabilized, else OracleError.
+    The shell averages come from _oracle_shells, once per character, and
+    the powers z^k from _z_powers, once per sample; a call only takes their
+    dot products.  The ratios of the two test functions must agree
+    (functional-equation uniqueness) and the truncation must have
+    stabilized, else OracleError.
     """
     if not 0.0 < complex(s).real < 1.0:
         raise OracleError("sample s outside the common convergence strip 0 < Re(s) < 1")
     p, N = chi.p, chi.level
-    tol = 1e-6      # the stabilization and agreement tolerance
-    ks = range(-N, _TRUNCATION + 7)
-    xa, xb = complex(p) ** -(1 - s), complex(p) ** -s
-    za_pow, zb_pow = [xa ** k for k in ks], [xb ** k for k in ks]
+    za_pow, zb_pow = _z_powers(p, N, s)
     ratios = []
     for b, a in _oracle_shells(p, N, chi.exponent, sign):
         za = list(map(mul, a, za_pow))
         za1, za2 = sum(za[:_TRUNCATION + N + 1]), sum(za)
         zb = sum(map(mul, b, zb_pow))
-        if abs(za1 - za2) > tol * max(abs(za2), 1.0):
+        if abs(za1 - za2) > _ORACLE_TOL * max(abs(za2), 1.0):
             raise OracleError(
                 f"truncation not stabilized at K={_TRUNCATION}: |delta|={abs(za1 - za2):.3g}")
-        if abs(zb) < 1e-14:
+        if abs(zb) < _ZETA_FLOOR:
             raise OracleError("denominator zeta integral vanished at this sample")
         ratios.append(za2 / zb)
-    if abs(ratios[0] - ratios[1]) > tol * max(abs(ratios[0]), 1.0):
+    if abs(ratios[0] - ratios[1]) > _ORACLE_TOL * max(abs(ratios[0]), 1.0):
         raise OracleError(
             f"gamma ratio depends on the test function: {ratios[0]} vs {ratios[1]}")
     return complex(ratios[0])

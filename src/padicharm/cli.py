@@ -4,14 +4,14 @@ Verbs: gamma, beta, eta-table, verify fe-gl1, verify fe-pvs, count-fibers,
 symplectic-check, tate-oracle, fourier-n0, shells, phi-eval.  Reports are
 JSON (canonical) or CSV (count tables); exit code 0 iff every check passed,
 1 on check failure, 2 on usage errors, invalid parameters and domain errors
-raised outside a check (reported as JSON with an "error" field).  A config
+raised outside a check (reported as JSON with an "error" field).  Flags are
+read from the one table FLAGS, as --name value or --name=value.  A config
 file, when given, overrides flags; flags override defaults.  Reports are
 byte-identical for a fixed --seed (runtimes are only emitted under --timing).
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
@@ -19,7 +19,7 @@ import math
 import random
 import sys
 import time
-from functools import lru_cache
+from types import SimpleNamespace
 
 from . import PadicharmError
 
@@ -209,9 +209,9 @@ def cmd_tate_oracle(args):
             g = gamma_factor(chi, args.psi_sign)
             worst = 0.0
             for s in (0.3, 0.5, 0.7):
-                z = complex(args.p) ** (-s)
+                gz = g(complex(args.p) ** (-s))
                 got = tate_gamma_oracle(chi, s, args.psi_sign)
-                worst = max(worst, abs(got - g(z)) / max(1.0, abs(g(z))))
+                worst = max(worst, abs(got - gz) / max(1.0, abs(gz)))
             return worst
         checks.append(_check(f"tate-oracle[chi^{chi.exponent}]", dev,
                              args.tolerance, args.timing))
@@ -310,6 +310,23 @@ def cmd_phi_eval(args, rng):
             "h": [[str(x) for x in row] for row in h]}, checks
 
 
+# every verb: its command, called with the parsed flags, a Random(--seed)
+# and the --fx-in function (or None)
+VERBS = {
+    "gamma": lambda args, rng, phi: cmd_gamma(args),
+    "beta": lambda args, rng, phi: cmd_beta(args),
+    "eta-table": lambda args, rng, phi: cmd_eta_table(args),
+    "verify fe-gl1": lambda args, rng, phi: cmd_verify_fe_gl1(args, rng),
+    "verify fe-pvs": lambda args, rng, phi: cmd_verify_fe_pvs(args, rng),
+    "count-fibers": lambda args, rng, phi: cmd_count_fibers(args),
+    "symplectic-check": lambda args, rng, phi: cmd_symplectic_check(args, rng),
+    "tate-oracle": lambda args, rng, phi: cmd_tate_oracle(args),
+    "fourier-n0": cmd_fourier_n0,
+    "shells": lambda args, rng, phi: cmd_shells(args),
+    "phi-eval": lambda args, rng, phi: cmd_phi_eval(args, rng),
+}
+
+
 # ------------------------------------------------------------------ driver
 
 def emit(report: dict, fmt: str) -> bytes:
@@ -328,37 +345,80 @@ def emit(report: dict, fmt: str) -> bytes:
     raise UsageError(f"unknown format {fmt}")
 
 
-@lru_cache(maxsize=1)
-def build_parser():
-    """The argument parser, built once per process: parse_args keeps no
-    state in it, so every run shares it."""
-    ap = argparse.ArgumentParser(prog="padicharm",
-                                 description="p-adic harmonic analysis on GL(1) "
-                                             "and extended symplectic groups")
-    ap.add_argument("--config", help="key=value config file (overrides flags)")
-    ap.add_argument("--p", type=int, default=3)
-    ap.add_argument("--n", type=int, default=1)
-    ap.add_argument("--level", type=int, default=2)
-    ap.add_argument("--conductor", type=int, default=0)
-    ap.add_argument("--k", type=int, default=2)
-    ap.add_argument("--m", type=int, default=3)
-    ap.add_argument("--s", type=float, default=0.7)
-    ap.add_argument("--ord", type=int, default=0)
-    ap.add_argument("--unit", type=int, default=1)
-    ap.add_argument("--kmin", type=int, default=-3)
-    ap.add_argument("--kmax", type=int, default=3)
-    ap.add_argument("--tolerance", type=float, default=1e-6)
-    ap.add_argument("--fx-in", help="shell-function JSON to transform (fourier-n0)")
-    ap.add_argument("--psi-sign", type=int, choices=(1, -1), default=1)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--timing", action="store_true")
-    ap.add_argument("--out", help="write the report to this path")
-    ap.add_argument("--format", choices=("json", "csv"), default="json")
-    ap.add_argument("verb", nargs="+",
-                    help="one of: gamma, beta, eta-table, verify fe-gl1, "
-                         "verify fe-pvs, count-fibers, symplectic-check, "
-                         "tate-oracle, fourier-n0, shells, phi-eval")
-    return ap
+# every flag: (type, default, choices); --timing, of type bool, is the one
+# switch and takes no value.  A flag's field is its name with "-" as "_".
+FLAGS = {
+    "config": (str, None, None),        # key=value config file (overrides flags)
+    "p": (int, 3, None),
+    "n": (int, 1, None),
+    "level": (int, 2, None),
+    "conductor": (int, 0, None),
+    "k": (int, 2, None),
+    "m": (int, 3, None),
+    "s": (float, 0.7, None),
+    "ord": (int, 0, None),
+    "unit": (int, 1, None),
+    "kmin": (int, -3, None),
+    "kmax": (int, 3, None),
+    "tolerance": (float, 1e-6, None),
+    "fx-in": (str, None, None),         # shell-function JSON to transform (fourier-n0)
+    "psi-sign": (int, 1, (1, -1)),
+    "seed": (int, 0, None),
+    "timing": (bool, False, None),
+    "out": (str, None, None),           # write the report to this path
+    "format": (str, "json", ("json", "csv")),
+}
+
+
+def usage() -> str:
+    """The --help text: the verbs and the flag table."""
+    lines = ["usage: padicharm VERB [--flag value | --flag=value ...]",
+             "p-adic harmonic analysis on GL(1) and extended symplectic groups",
+             "verbs: " + ", ".join(VERBS), "flags:"]
+    for flag, (kind, default, choices) in FLAGS.items():
+        if kind is bool:
+            lines.append(f"  --{flag}")
+            continue
+        among = f" in {{{', '.join(map(str, choices))}}}" if choices else ""
+        fallback = "" if default is None else f", default {default}"
+        lines.append(f"  --{flag} {kind.__name__}{among}{fallback}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The fields of FLAGS and the verb, a list of the words not starting
+    with "--"; UsageError names an unknown flag, a missing, mistyped or
+    unlisted value, or an empty verb."""
+    fields = {flag: default for flag, (_, default, _) in FLAGS.items()}
+    verb = []
+    words = iter(argv)
+    for word in words:
+        if not word.startswith("--"):
+            verb.append(word)
+            continue
+        flag, has_value, value = word[2:].partition("=")
+        if flag not in FLAGS:
+            raise UsageError(f"unknown flag --{flag}")
+        kind, _, choices = FLAGS[flag]
+        if kind is bool:
+            if has_value:
+                raise UsageError(f"--{flag} takes no value")
+            fields[flag] = True
+            continue
+        if not has_value:
+            value = next(words, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"--{flag} needs a value")
+        try:
+            fields[flag] = kind(value)
+        except ValueError:
+            raise UsageError(f"--{flag}: {value!r} is not a valid {kind.__name__}") from None
+        if choices and fields[flag] not in choices:
+            raise UsageError(f"--{flag} must be one of {', '.join(map(str, choices))}, "
+                             f"got {value}")
+    if not verb:
+        raise UsageError("no verb: one of " + ", ".join(VERBS))
+    return SimpleNamespace(verb=verb, **{f.replace("-", "_"): v for f, v in fields.items()})
 
 
 def _read_inputs(args):
@@ -437,27 +497,12 @@ def _validate(args, verb):
 
 def run_parsed(args) -> tuple[dict, int]:
     verb = " ".join(args.verb)
-    rng = random.Random(args.seed)
-    phi_in = None
-    dispatch = {
-        "gamma": lambda: cmd_gamma(args),
-        "beta": lambda: cmd_beta(args),
-        "eta-table": lambda: cmd_eta_table(args),
-        "verify fe-gl1": lambda: cmd_verify_fe_gl1(args, rng),
-        "verify fe-pvs": lambda: cmd_verify_fe_pvs(args, rng),
-        "count-fibers": lambda: cmd_count_fibers(args),
-        "symplectic-check": lambda: cmd_symplectic_check(args, rng),
-        "tate-oracle": lambda: cmd_tate_oracle(args),
-        "fourier-n0": lambda: cmd_fourier_n0(args, rng, phi_in),
-        "shells": lambda: cmd_shells(args),
-        "phi-eval": lambda: cmd_phi_eval(args, rng),
-    }
     try:
-        if verb not in dispatch:
+        if verb not in VERBS:
             raise UsageError(f"unknown verb {verb}")
         phi_in = _read_inputs(args)
         _validate(args, verb)
-        payload, checks = dispatch[verb]()
+        payload, checks = VERBS[verb](args, random.Random(args.seed), phi_in)
     except PadicharmError as exc:
         sys.stderr.write(str(exc) + "\n")
         return {"error": str(exc)}, 2
@@ -477,11 +522,15 @@ def run_parsed(args) -> tuple[dict, int]:
 
 
 def _parse_and_run(argv):
-    """(args, report, exit_code); args is None when argv does not parse."""
+    """(args, report, exit_code); args is None when argv does not parse or
+    asks for --help."""
+    if "--help" in argv:
+        return None, {"help": usage()}, 0
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit:
-        return None, {"error": "usage"}, 2
+        args = parse_args(argv)
+    except UsageError as exc:
+        sys.stderr.write(str(exc) + "\n")
+        return None, {"error": str(exc)}, 2
     return (args, *run_parsed(args))
 
 
@@ -494,7 +543,8 @@ def run(argv) -> tuple[dict, int]:
 def main(argv=None) -> int:
     args, report, code = _parse_and_run(sys.argv[1:] if argv is None else argv)
     if args is None:
-        return 2
+        sys.stdout.write(report["help"] if code == 0 else emit(report, "json").decode())
+        return code
     try:
         data = emit(report, "json" if code == 2 else args.format)
     except UsageError as exc:

@@ -293,6 +293,39 @@ def test_oracle_shells_match_direct_sums(p, level, sign):
             assert np.max(np.abs(np.subtract(a, want_a))) <= 1e-13
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cached_gamma_factor_equals_a_fresh_build(p):
+    # callers share one cached factor per (character, sign): it must carry
+    # the very coefficients a fresh build gives
+    for level in (1, 2):
+        for chi in characters(p, level):
+            for sign in (1, -1):
+                got, want = gamma_factor(chi, sign), gamma_factor.__wrapped__(chi, sign)
+                assert got.num == want.num and got.den == want.den, (chi, sign)
+
+
+@pytest.mark.parametrize("p, N", [(3, 1), (5, 2), (7, 3)])
+def test_cached_z_powers_equal_the_direct_powers(p, N):
+    ks = range(-N, abelian._TRUNCATION + 7)
+    abelian._z_powers.cache_clear()
+    for s in (0.3, 0.5, 0.7, 0.61 + 0.2j):
+        xa, xb = complex(p) ** -(1 - s), complex(p) ** -s
+        for _ in range(2):      # a fresh build, then the cached rows
+            za, zb = abelian._z_powers(p, N, s)
+            assert za == tuple(xa ** k for k in ks) and zb == tuple(xb ** k for k in ks)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_beta_from_cached_gamma_factors_is_unchanged(n, monkeypatch):
+    # the cached beta against one rebuilt from gamma factors built afresh
+    cached = {(chi, sign): beta_factor(n, chi, sign)
+              for p in (3, 5) for chi in characters(p, 2) for sign in (1, -1)}
+    monkeypatch.setattr(abelian, "gamma_factor", gamma_factor.__wrapped__)
+    for (chi, sign), got in cached.items():
+        want = beta_factor.__wrapped__(n, chi, sign)
+        assert got.num == want.num and got.den == want.den, (chi, sign)
+
+
 def test_oracle_rejects_disagreeing_test_functions(monkeypatch):
     # perturb the second test function's denominator shells: the two gamma
     # ratios then differ, and the oracle must refuse

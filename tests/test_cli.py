@@ -240,11 +240,51 @@ def test_fourier_n0_consumes_fx_json(tmp_path):
     ["phi-eval", "--p", "3", "--n", "0", "--level", "5", "--ord", "20000"],
     ["phi-eval", "--p", "3", "--n", "0", "--level", "12", "--ord", "1000000"],
     ["eta-table", "--p", "3", "--level", "5", "--kmin", "10000", "--kmax", "10000"],
+    # usage errors, each with its reason
+    ["gamma", "--bogus", "1"],
+    ["gamma", "--lev", "2"],
+    ["gamma", "--p"],
+    ["gamma", "--p", "--level", "2"],
+    ["gamma", "--p", "three"],
+    ["shells", "--s=x"],
+    ["gamma", "--psi-sign", "2"],
+    ["count-fibers", "--format", "xml"],
+    ["gamma", "--timing=1"],
+    ["--p", "5"],
+    [],
 ])
 def test_invalid_input_is_a_json_error(argv, capsys):
     assert main(argv) == 2
     rep = json.loads(capsys.readouterr().out)
     assert list(rep) == ["error"] and rep["error"]
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["gamma", "--bogus", "1"], "unknown flag --bogus"),
+    (["gamma", "--p"], "--p needs a value"),
+    (["gamma", "--p", "three"], "--p: 'three' is not a valid int"),
+    (["shells", "--s=x"], "--s: 'x' is not a valid float"),
+    (["gamma", "--psi-sign", "2"], "--psi-sign must be one of 1, -1, got 2"),
+    (["gamma", "--timing=1"], "--timing takes no value"),
+    (["--p", "5"], "no verb: one of gamma, beta, eta-table, verify fe-gl1, verify fe-pvs, "
+                   "count-fibers, symplectic-check, tate-oracle, fourier-n0, shells, phi-eval"),
+])
+def test_usage_errors_state_their_reason(argv, reason):
+    assert run(argv) == ({"error": reason}, 2)
+
+
+def test_help_lists_the_verbs_and_flags(capsys):
+    from padicharm.cli import FLAGS, VERBS
+    assert main(["--help"]) == 0
+    text = capsys.readouterr().out
+    assert all(verb in text for verb in VERBS)
+    assert all(f"--{flag}" in text for flag in FLAGS)
+
+
+def test_flags_take_their_value_after_a_space_or_an_equals_sign():
+    spaced, code = run(["shells", "--p", "5", "--level", "2", "--s", "0.6", "--psi-sign", "-1"])
+    assert code == 0
+    assert run(["shells", "--p=5", "--level=2", "--s=0.6", "--psi-sign=-1"]) == (spaced, 0)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -281,9 +321,7 @@ def test_verify_fe_gl1_past_n2_is_refused(n, capsys):
     assert "partial fractions" in rep["error"]
 
 
-def test_runs_share_the_parser_but_no_state():
-    from padicharm.cli import build_parser
-    assert build_parser() is build_parser()
+def test_runs_share_no_state():
     rep, code = run(["shells", "--p", "5", "--level", "2", "--conductor", "2",
                      "--s", "0.6", "--timing"])
     assert code == 0 and "runtime_ms" in rep["checks"][0]
@@ -425,6 +463,11 @@ def test_eta_table_expands_each_character_once(monkeypatch):
      "verify_fe_pvs_p7_n1_k4_seed0.json"),
     (["verify", "fe-pvs", "--p", "11", "--n", "0", "--k", "3", "--seed", "0"],
      "verify_fe_pvs_p11_n0_k3_seed0.json"),
+    # the oracle's shells and z-powers and the shared gamma factors, every float
+    (["tate-oracle", "--p", "5", "--level", "2", "--conductor", "2"],
+     "tate_oracle_p5_level2_cond2.json"),
+    (["verify", "fe-gl1", "--p", "5", "--level", "1", "--n", "0", "--seed", "0"],
+     "verify_fe_gl1_p5_level1_n0_seed0.json"),
 ])
 def test_exact_reports_match_golden_files(argv, golden, tmp_path):
     out = tmp_path / golden

@@ -1,7 +1,7 @@
 """src/ is what the verbs run.
 
 One small invocation per CLI verb and per input path (--fx-in, --config,
---format csv --out) runs in a fresh interpreter under sys.setprofile, so no
+--format csv --out, --help) runs in a fresh interpreter under sys.setprofile, so no
 cache filled by another test hides a function body.  Every function defined
 in src/padicharm, nested defs and dunders included, must run, unless it is on
 ALLOWED with the reason it stays.  Run as a script, this prints the count of
@@ -54,6 +54,7 @@ def invocations(tmp):
         ["gamma", "--conductor", "0", "--config", str(tmp / "field.cfg")],
         ["count-fibers", "--p", "3", "--k", "1", "--m", "1", "--format", "csv",
          "--out", str(tmp / "counts.csv")],
+        ["--help"],
     ]
 
 
