@@ -237,15 +237,12 @@ def gamma_factor(chi: UnitCharacter, sign: int = 1) -> RationalFunctionZ:
     return eps * l_dual / l_s
 
 
-def gamma_factor_shifted(chi: UnitCharacter, shift: Fraction, sign: int = 1,
-                         doubled: bool = False) -> RationalFunctionZ:
-    """gamma(s + shift, chi, psi), or gamma(2s + shift, chi, psi) if doubled."""
-    q = chi.p
-    g = gamma_factor(chi, sign)
-    g = g.substitute("scale", float(q) ** (-float(shift)))
-    if doubled:
-        g = g.substitute("square")
-    return g
+def _shift_argument(factor: RationalFunctionZ, p: int, shift: Fraction,
+                    doubled: bool = False) -> RationalFunctionZ:
+    """A factor F(s) at s + shift, or at 2s + shift if doubled: z -> q^-shift z,
+    then z -> z^2."""
+    out = factor.substitute("scale", float(p) ** (-float(shift)))
+    return out.substitute("square") if doubled else out
 
 
 @lru_cache(maxsize=None)
@@ -255,10 +252,11 @@ def beta_factor(n: int, chi: UnitCharacter, sign: int = 1) -> RationalFunctionZ:
     The n = 0 case is the empty product: gamma(s + 1/2, chi, psi).  One
     build per (n, p, level, exponent, sign), shared by every caller.
     """
-    out = gamma_factor_shifted(chi, Fraction(-(2 * n - 1), 2), sign)
-    chi2 = chi.square()
+    p, chi2 = chi.p, chi.square()
+    out = _shift_argument(gamma_factor(chi, sign), p, Fraction(-(2 * n - 1), 2))
     for r in range(1, n + 1):
-        out = out * gamma_factor_shifted(chi2, Fraction(-2 * n + 2 * r), sign, doubled=True)
+        out = out * _shift_argument(gamma_factor(chi2, sign), p, Fraction(-2 * n + 2 * r),
+                                    doubled=True)
     return out
 
 
@@ -275,18 +273,12 @@ def ab_factors(m: int, chi: UnitCharacter):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    q = float(chi.p)
-    chi2 = chi.square()
-
-    def l_shift(character, shift, doubled=False):
-        f = L_factor(character).substitute("scale", q ** (-float(shift)))
-        return f.substitute("square") if doubled else f
-
-    a = l_shift(chi, Fraction(-(m - 1), 2))
-    b = l_shift(chi, Fraction(m + 1, 2))
+    p, L, L2 = chi.p, L_factor(chi), L_factor(chi.square())
+    a = _shift_argument(L, p, Fraction(-(m - 1), 2))
+    b = _shift_argument(L, p, Fraction(m + 1, 2))
     for r in range(1, m // 2 + 1):
-        a = a * l_shift(chi2, Fraction(-m + 2 * r), doubled=True)
-        b = b * l_shift(chi2, Fraction(2 * r - 1), doubled=True)
+        a = a * _shift_argument(L2, p, Fraction(-m + 2 * r), doubled=True)
+        b = b * _shift_argument(L2, p, Fraction(2 * r - 1), doubled=True)
     return a, b
 
 

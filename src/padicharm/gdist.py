@@ -145,18 +145,23 @@ def shell_coefficient(ell: int, chi: UnitCharacter, z: complex, sign: int = 1) -
     return z**ell * total / len(cosets)
 
 
-def shell_coefficients_sum(chi: UnitCharacter, s: complex, sign: int = 1,
-                           ell_min: int = -12, ell_max: int = 60,
-                           tol: float = 1e-9) -> dict:
-    """Partial sums of sum_ell f_ell(chi_s) and the abelian gamma target
+# the shells of shell_coefficients_sum: ELL_MIN reaches every conductor e that
+# the row budget lets a level have (e <= 12, at p = 3), since a character of
+# conductor e >= 2 has its only nonzero coefficient at ell = -e
+ELL_MIN, ELL_MAX = -12, 60
+STABLE_TOL = 1e-9   # three consecutive partial sums this close are stable
+
+
+def shell_coefficients_sum(chi: UnitCharacter, s: complex, sign: int = 1) -> dict:
+    """Partial sums of sum_ell f_ell(chi_s) over ELL_MIN <= ell <= ELL_MAX,
+    and the abelian gamma target
     Gamma(1/2, chi_s^{-1}) = gamma(1/2 - s, chi^{-1}, psi).
 
     Convergence needs Re(s) > -1/2 (the positive shells decay like
     q^{-ell(Re(s)+1/2)}); outside, the partial sums are reported divergent.
-    A character of conductor e >= 2 has its only nonzero coefficient at
-    ell = -e, so three equal partial sums count as stable only from radius
-    e + 2, past that support; the default ell_min reaches every conductor
-    that the row budget lets a level have (e <= 12, at p = 3).
+    The shells are summed outward by radius, and three equal partial sums
+    count as stable only from radius e + 2, past the support of a character
+    of conductor e >= 2.
     """
     p = chi.p
     if complex(s).real <= -0.5:
@@ -167,20 +172,16 @@ def shell_coefficients_sum(chi: UnitCharacter, s: complex, sign: int = 1,
     total = 0.0 + 0.0j
     partials = []
     stable_at = None
-    for radius in range(0, max(abs(ell_min), abs(ell_max)) + 1):
-        band = [0] if radius == 0 else [x for x in (radius, -radius)
-                                        if ell_min <= x <= ell_max]
-        if not band and radius > 0:
-            continue
-        for ell in band:
+    for radius in range(ELL_MAX + 1):
+        for ell in [0] if radius == 0 else [x for x in (radius, -radius) if x >= ELL_MIN]:
             c = shell_coefficient(ell, chi, z, sign)
             coeffs[ell] = c
             total += c
         partials.append(total)
-        if len(partials) >= 3 and radius >= e + 2:
+        if radius >= e + 2:   # so partials has radius + 1 >= 3 sums
             a, b, cc = partials[-3], partials[-2], partials[-1]
             scale = max(1.0, abs(cc))
-            if abs(a - b) <= tol * scale and abs(b - cc) <= tol * scale and stable_at is None:
+            if abs(a - b) <= STABLE_TOL * scale and abs(b - cc) <= STABLE_TOL * scale:
                 stable_at = radius
                 break
     # target: gamma(1/2 - s, chi^{-1}, psi) evaluated through the closed form

@@ -28,7 +28,8 @@ a rational generating function of det over Sym_m(Z_p), one per state, with
 the known denominator prod_{s <= m} (1 - p^(-2 d_s) z^(2s)).  Summed over a
 job's census cells, it gives the Mellin transform of every fiber function
 the recursion serves exactly, and the depth-k shells above cross-check it.
-Those are the rational functions the functional-equation verifier compares.
+fe_pvs_compare measures the functional equation of those rational functions,
+and returns its deviation for the caller to judge.
 At m = 1 (n = 0) det is the identity, so f_Phi = Phi, and the functional
 equation is Tate's.
 
@@ -61,11 +62,9 @@ COSET_CHUNK = 1 << 16      # cells per block: about 150 bytes a cell at m = 3, 3
 # k = 12 (531,440 rows) peaks at 262 MB, about 500 bytes a row
 ROW_BUDGET = 10 ** 6
 SERIES_TOL = 1e-12   # exact series against the recursion's shells; rounding is ~1e-14
-# the two sides of the functional equation, cross-multiplied at 20 sample
-# points: both are exact series in floats, which agree to ~1e-15 for p <= 13
-FE_PVS_TOL = 1e-6
-# moved shells from counts against the base's exact Laurent coefficients,
-# both exact up to float rounding: deviations are ~1e-16
+# the bound on homogeneity_check's deviation: moved shells from counts against
+# the base's exact Laurent coefficients, both exact up to float rounding, which
+# deviate by ~1e-16
 HOMOGENEITY_TOL = 1e-8
 
 
@@ -753,11 +752,14 @@ def fe_pvs_sides(Phi: LatticeTestFunction, n: int, p: int, k: int, sign: int = 1
             mellin_transform(fiber_function(lattice_fourier(Phi, p, sign), True, p, k, sign)))
 
 
-def fe_pvs_compare(sides, n: int, chi: UnitCharacter, sign: int = 1) -> dict:
+def fe_pvs_compare(sides, n: int, chi: UnitCharacter, sign: int = 1) -> float:
     """The odd-p prehomogeneous functional equation at one character
 
         chi^{-2n}(2) Z_{rho Phi^}(-s-1/2, chi^{-1})
-            = beta_psi(chi_s) Z_Phi(s+1/2-(n+1), chi)."""
+            = beta_psi(chi_s) Z_Phi(s+1/2-(n+1), chi),
+
+    as the largest relative deviation of the two sides at ten sample points
+    z; the caller judges it."""
     M_plus, M_minus = sides
     p, q = M_plus.p, float(M_plus.p)
     chi = chi.at_level(1)
@@ -768,17 +770,13 @@ def fe_pvs_compare(sides, n: int, chi: UnitCharacter, sign: int = 1) -> dict:
     lhs = (M_minus.component(chi.inverse()).substitute("scale", q ** -0.5)
            .substitute("invert") * (1 - 1.0 / q))
     lhs = lhs * chi.inverse().value(2 % p**chi.level) ** (2 * n)
-    dev = lhs.max_relative_deviation(rhs, [0.41, 0.27j, -0.35, 0.22 + 0.31j, 0.55,
-                                           -0.13 - 0.4j, 0.61j, 0.18 - 0.22j, -0.52j,
-                                           0.33 + 0.1j])
-    return {
-        "max_deviation": dev,
-        "ratfunc_equal": lhs.equals(rhs, tol=FE_PVS_TOL),
-    }
+    return lhs.max_relative_deviation(rhs, [0.41, 0.27j, -0.35, 0.22 + 0.31j, 0.55,
+                                            -0.13 - 0.4j, 0.61j, 0.18 - 0.22j, -0.52j,
+                                            0.33 + 0.1j])
 
 
 def homogeneity_check(Phi: LatticeTestFunction, g_exponents, chi: UnitCharacter,
-                      p: int, k: int) -> dict:
+                      p: int, k: int) -> float:
     """Homogeneity of the zeta distribution under g = diag(p^{a_i}) on Sym_m.
 
     With (g Phi)(X) = Phi(g^{-1} X g^{-t}), the substitution X = g Y g^t
@@ -789,7 +787,9 @@ def homogeneity_check(Phi: LatticeTestFunction, g_exponents, chi: UnitCharacter,
     so (chi(p) = 1) the chi component of the moved function on shell w is
     q^{-(m-1) sum a} times the base's exact one on shell w - 2 sum a.  The
     moved side comes from its own counts on its stable shells: its coset
-    enumeration for an entry-wise moved piece, the recursion for the rest."""
+    enumeration for an entry-wise moved piece, the recursion for the rest.
+    Returns the largest deviation of the moved shells from the predicted
+    ones, relative to the largest of either."""
     s_a, chi = sum(int(x) for x in g_exponents), chi.at_level(1)
     shells, lo, hi = fiber_shell_values(act_diagonal(Phi, g_exponents, p), False, p, k)
     cosets = unit_group(p, 1)[0]
@@ -798,9 +798,5 @@ def homogeneity_check(Phi: LatticeTestFunction, g_exponents, chi: UnitCharacter,
     base = mellin_transform(fiber_function(Phi, weighted=False, p=p, k=k)).component(chi)
     scale = float(p) ** ((1 - Phi.m) * s_a)
     predicted = [c * scale for c in base.laurent_coeffs(lo - 2 * s_a, hi - 2 * s_a)]
-    dev = max(map(abs, map(sub, moved, predicted))) / max(
+    return max(map(abs, map(sub, moved, predicted))) / max(
         1.0, max(map(abs, predicted)), max(map(abs, moved)))
-    return {
-        "max_deviation": dev,
-        "shells_equal": dev <= HOMOGENEITY_TOL,
-    }

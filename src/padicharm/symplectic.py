@@ -23,6 +23,10 @@ class SymplecticError(PadicharmError):
     pass
 
 
+class CayleyPoleError(SymplecticError):
+    """X or h lies on the Cayley transform's singular locus."""
+
+
 Matrix = list  # list of list of Fraction
 
 
@@ -198,7 +202,7 @@ def cayley(X: Matrix, n: int) -> Matrix:
     JX2 = scale(mul(J(n), X), 2)
     den = sub(JX2, eye(2 * n))
     if det(den) == 0:
-        raise SymplecticError("Cayley pole: det(2JX - I) = 0")
+        raise CayleyPoleError("Cayley pole: det(2JX - I) = 0")
     h = mul(add(JX2, eye(2 * n)), inverse(den))
     if not is_symplectic(h, n):
         raise SymplecticError("Cayley image failed the form identity")
@@ -211,7 +215,7 @@ def cayley_inv(h: Matrix, n: int) -> Matrix:
     I = eye(2 * n)
     den = sub(I, h)
     if det(den) == 0:
-        raise SymplecticError("Cayley pole: h has eigenvalue 1")
+        raise CayleyPoleError("Cayley pole: h has eigenvalue 1")
     X = scale(mul(mul(J(n), inverse(den)), add(I, h)), Fraction(1, 2))
     if not mat_eq(X, transpose(X)):
         raise SymplecticError("cayley_inv produced a non-symmetric matrix")
@@ -284,7 +288,8 @@ def c0_constant(n: int, q: int) -> Fraction:
 
 def random_symplectic(n: int, rng, entry_range=3) -> Matrix:
     """Exact random symplectic element via the Cayley transform of a random
-    symmetric integral matrix (resampled off the singular branch)."""
+    symmetric integral matrix, resampled on a Cayley pole; any other failure
+    of cayley is raised."""
     while True:
         X = [[0] * (2 * n) for _ in range(2 * n)]
         for i in range(2 * n):
@@ -292,5 +297,5 @@ def random_symplectic(n: int, rng, entry_range=3) -> Matrix:
                 X[i][j] = X[j][i] = rng.randint(-entry_range, entry_range)
         try:
             return cayley(X, n)
-        except SymplecticError:
+        except CayleyPoleError:
             continue

@@ -26,6 +26,11 @@ under scalar rescaling X -> cX (the symbols (c,c)^3 (c,-1) collapse to
 Pointwise evaluation of lattice test functions and the Levi block of the
 Siegel factorization are the oracles of `pvszeta.lattice_fourier` and
 `pvszeta.act_diagonal`, and of `symplectic.siegel_factorize`.
+
+The two functional equations, written out from the paper's statements, are
+the oracles of `fxspace.fe_gl1_compare` and `pvszeta.fe_pvs_compare`: each
+says whether its two sides are equal as rational functions, at the 20
+sample points of `RationalFunctionZ.equals`.
 """
 
 from fractions import Fraction
@@ -33,6 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from padicharm.abelian import beta_factor
 from padicharm.padic import legendre, psi_frac, unit_part, val_p
 from padicharm.pvszeta import (PvsError, _entry_order, _rank_census, _refine_bins,
                                _split_state, check_budget)
@@ -420,3 +426,37 @@ def fraction_size_series(m: int, p: int) -> dict:
     G = dict(A)
     move_into(G, A, m, 1, (0,) * m + (Fraction(1, p ** d),))
     return G
+
+
+def fe_gl1_holds(sides, n: int, chi, sign: int = 1, tol: float = 1e-8) -> bool:
+    """Whether the GL(1) functional equation holds on sides = (M(L(f) |.|^{-(2n+1)/2}),
+    M(f |.|^{(2n+1)/2})) of `fxspace.fe_gl1_sides`:
+
+        M(L(f) |.|^{-(2n+1)/2})(z^{-1}, chi^{-1}) = beta_psi(chi_s) M(f |.|^{(2n+1)/2})(z, chi).
+    """
+    transformed, scaled = sides
+    chi = chi.at_level(scaled.level)
+    lhs = transformed.component(chi.inverse()).substitute("invert")
+    rhs = beta_factor(n, chi, sign) * scaled.component(chi)
+    return lhs.equals(rhs, tol)
+
+
+def _zeta(M, chi, shift):
+    """Z(s + shift, chi) = (1 - 1/q) M(f)(s + shift + 1, chi) as a rational
+    function of z = q^-s, from the Mellin transform M of a fiber function f."""
+    q = float(M.p)
+    return M.component(chi).substitute("scale", q ** -(shift + 1)) * (1 - 1 / q)
+
+
+def fe_pvs_holds(sides, n: int, chi, sign: int = 1, tol: float = 1e-6) -> bool:
+    """Whether the prehomogeneous functional equation holds on sides = (M(f_Phi),
+    M(f_{rho Phi^})) of `pvszeta.fe_pvs_sides`:
+
+        chi^{-2n}(2) Z_{rho Phi^}(-s-1/2, chi^{-1}) = beta_psi(chi_s) Z_Phi(s+1/2-(n+1), chi),
+
+    where Z(-s-1/2) is Z(s-1/2) at z -> 1/z."""
+    plus, minus = sides
+    chi = chi.at_level(1)
+    lhs = _zeta(minus, chi.inverse(), -0.5).substitute("invert") * chi.value(2) ** (-2 * n)
+    rhs = beta_factor(n, chi, sign) * _zeta(plus, chi, 0.5 - (n + 1))
+    return lhs.equals(rhs, tol)

@@ -27,7 +27,7 @@ from padicharm.gdist import (fourier_n0, fourier_n0_table, l2_norm_fx,
                              l2_norm_truncated, shell_coefficients_sum)
 from padicharm.padic import psi_frac, unit_group
 from padicharm import pvszeta
-from padicharm.pvszeta import (LatticeTestFunction, act_diagonal,
+from padicharm.pvszeta import (HOMOGENEITY_TOL, LatticeTestFunction, act_diagonal,
                                det_fiber_counts, fe_pvs_compare, fe_pvs_sides,
                                fiber_function, homogeneity_check, lattice_fourier,
                                _by_recursion, _coset_bins, _piece_job,
@@ -35,7 +35,7 @@ from padicharm.pvszeta import (LatticeTestFunction, act_diagonal,
 from padicharm.ratfunc import RationalFunctionZ
 from padicharm.symplectic import (c0_constant, cayley_inv, mat_eq,
                                   siegel_factorize, sp_order)
-from oracles import fold_tallies
+from oracles import fe_pvs_holds, fold_tallies
 from shell_functions import one_k
 
 P = 3
@@ -160,9 +160,8 @@ def test_criterion_04_prehomogeneous_functional_equation(k3_sweep):
     for name, Phi in PVS_FUNCTIONS:
         sides = fe_pvs_sides(Phi, 1, P, 3)
         for chi in characters(P, 1):
-            rep = fe_pvs_compare(sides, 1, chi)
-            worst = max(worst, rep["max_deviation"])
-            all_eq = all_eq and rep["ratfunc_equal"]
+            worst = max(worst, fe_pvs_compare(sides, 1, chi))
+            all_eq = all_eq and fe_pvs_holds(sides, 1, chi)
     # the cached tallies of every job against the shared sweep's bins folded
     # to tallies, entry by entry as exact integers, and the coset bins of the
     # moved homogeneity piece against the sweep's on every row
@@ -225,8 +224,7 @@ def test_criterion_05_gl1_functional_equation():
         for f in _gl1_family(n):
             sides = fe_gl1_sides(f, n)
             for chi in characters(P, 2):
-                rep = fe_gl1_compare(sides, n, chi)
-                worst = max(worst, rep["max_deviation"])
+                worst = max(worst, fe_gl1_compare(sides, n, chi))
                 count += 1
     dt = time.perf_counter() - t0
     report(5, "GL(1) functional equation across the test family",
@@ -384,8 +382,7 @@ def test_criterion_11_homogeneity_and_pole_containment():
     # quadratic Mellin component) moved by diag(1,1,p)
     for base, expo, chi_exp, k in HOMOGENEITY_CASES:
         chi = UnitCharacter(P, 1, chi_exp)
-        rep = homogeneity_check(base, expo, chi, P, k)
-        ok = ok and rep["shells_equal"]
+        ok = ok and homogeneity_check(base, expo, chi, P, k) <= HOMOGENEITY_TOL
     # pole containment: poles of Z_Phi within those of a_m(s + n + 1, chi)
     n, m = 1, 3
     for _, Phi in PVS_FUNCTIONS[:2]:

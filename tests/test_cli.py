@@ -416,6 +416,83 @@ def test_malformed_fx_in_is_a_json_error(data, tmp_path, capsys):
     assert list(rep) == ["error"] and "unreadable input file" in rep["error"]
 
 
+def strict_json(text):
+    """json.loads that refuses the NaN and Infinity tokens outside the JSON standard."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_inputs_are_json_errors(value, tmp_path, capsys):
+    # nan and inf pass a test of --s > -1/2 and would print bare NaN tokens;
+    # --fx-in values are refused in the shells and in the tail alike
+    shells = {"p": 3, "level": 1, "k_min": 0, "k_tail": 1, "tail": {"kind": "compact"},
+              "shells": [{"k": 0, "coset": 1, "re": value, "im": 0.0}]}
+    tail = {"p": 3, "level": 1, "k_min": 0, "k_tail": 1, "shells": [],
+            "tail": {"kind": "plus", "n": 0, "a0": [[1.0, 0.0], [0.0, value]],
+                     "ap": [], "am": []}}
+    invocations = [["shells", "--s", str(value)], ["shells", f"--s={-value}"]]
+    for i, data in enumerate((shells, tail)):
+        (tmp_path / f"phi{i}.json").write_text(json.dumps(data))
+        invocations.append(["fourier-n0", "--fx-in", str(tmp_path / f"phi{i}.json")])
+    for argv in invocations:
+        assert main(argv) == 2, argv
+        rep = strict_json(capsys.readouterr().out)
+        assert list(rep) == ["error"] and rep["error"], argv
+
+
+def test_reports_are_strict_json(tmp_path, capsys):
+    # the JSON report of every verb and input path of the reachability test
+    # parses without NaN or Infinity
+    from test_reachable import FX_IN, invocations
+    (tmp_path / "phi.json").write_text(json.dumps(FX_IN))
+    (tmp_path / "field.cfg").write_text("p = 5\nlevel = 1\ntolerance = 1e-6\n")
+    for argv in invocations(tmp_path):
+        if "--help" in argv or "--out" in argv:
+            continue    # usage text, and a CSV table written to a file
+        main(argv)
+        strict_json(capsys.readouterr().out)
+
+
+# a fresh interpreter whose Cayley form identity always fails: runs the verb
+# of argv[1] and prints its exit code and report
+_BROKEN_CAYLEY = """
+import contextlib, io, json, sys
+from padicharm import symplectic
+symplectic.is_symplectic = lambda g, n: False
+from padicharm.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "report": json.loads(out.getvalue())}))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi-eval", "--n", "1"],
+    ["symplectic-check", "--n", "1"],
+])
+def test_broken_cayley_identity_is_an_error_not_a_hang(argv):
+    # only Cayley poles are resampled: any other failure of the transform
+    # ends the verb within the timeout, as a JSON error or an error check
+    import os
+    import subprocess
+    import sys
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _BROKEN_CAYLEY, json.dumps(argv)],
+                          capture_output=True, text=True, timeout=20, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    out = json.loads(proc.stdout)
+    report = out["report"]
+    if out["code"] == 2:
+        assert "form identity" in report["error"]
+    else:
+        errors = [c for c in report["checks"] if c["status"] == "error"]
+        assert out["code"] == 1 and errors, report
+        assert any("form identity" in c["error"] for c in errors), errors
+
+
 def test_eta_table_expands_each_character_once(monkeypatch):
     # one Laurent series per character for the whole table, equal to the
     # per-shell residues and, through one FFT, to eta_kernel

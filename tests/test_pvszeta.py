@@ -11,8 +11,8 @@ from padicharm.abelian import UnitCharacter, characters
 from padicharm.fxspace import FxError, check_paley_wiener, mellin_transform
 from padicharm import pvszeta
 from padicharm.padic import unit_group
-from padicharm.pvszeta import (LatticeTestFunction, PvsError, _by_recursion,
-                               _coset_bins, _det_class_counts, _entry_order,
+from padicharm.pvszeta import (HOMOGENEITY_TOL, LatticeTestFunction, PvsError,
+                               _by_recursion, _coset_bins, _det_class_counts, _entry_order,
                                _at_pz, _piece_job, _rank_census, _recursion_tallies,
                                _size_denominator, _size_series,
                                act_diagonal, det_fiber_counts,
@@ -23,8 +23,8 @@ from padicharm.padic import legendre
 from padicharm.symplectic import det as rational_det
 from padicharm.ratfunc import RationalFunctionZ
 from oracles import (_legendre_table, _mask_vec, _sigma_vec, clifford_rho,
-                     evaluate_lattice_function, fold_tallies, fraction_size_denominator,
-                     fraction_size_series)
+                     evaluate_lattice_function, fe_pvs_holds, fold_tallies,
+                     fraction_size_denominator, fraction_size_series)
 
 P, K = 3, 2
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -668,11 +668,11 @@ def test_zeta_from_fibers_m1():
 
 
 def test_fe_pvs_spherical_both_characters():
+    sides = fe_pvs_sides(LatticeTestFunction.spherical(3), 1, P, K)
     for j in (0, 1):
-        rep = fe_pvs_compare(fe_pvs_sides(LatticeTestFunction.spherical(3), 1, P, K),
-                             1, UnitCharacter(P, 1, j))
-        assert rep["max_deviation"] < 1e-6
-        assert rep["ratfunc_equal"]
+        chi = UnitCharacter(P, 1, j)
+        assert fe_pvs_compare(sides, 1, chi) < 1e-6
+        assert fe_pvs_holds(sides, 1, chi)
 
 
 def test_fe_pvs_n0_reduces_to_tate():
@@ -682,16 +682,16 @@ def test_fe_pvs_n0_reduces_to_tate():
                 LatticeTestFunction.dilated(1, 1)):
         for j in (0, 1):
             for sign in (1, -1):
-                rep = fe_pvs_compare(fe_pvs_sides(Phi, 0, P, K, sign), 0,
+                dev = fe_pvs_compare(fe_pvs_sides(Phi, 0, P, K, sign), 0,
                                      UnitCharacter(P, 1, j), sign)
-                assert rep["max_deviation"] < 1e-8, (Phi, j, sign)
+                assert dev < 1e-8, (Phi, j, sign)
 
 
 def test_fe_pvs_opposite_orientation():
+    sides = fe_pvs_sides(LatticeTestFunction.spherical(3), 1, P, K, -1)
     for j in (0, 1):
-        rep = fe_pvs_compare(fe_pvs_sides(LatticeTestFunction.spherical(3), 1, P, K, -1),
-                             1, UnitCharacter(P, 1, j), -1)
-        assert rep["max_deviation"] < 1e-6 and rep["ratfunc_equal"]
+        chi = UnitCharacter(P, 1, j)
+        assert fe_pvs_compare(sides, 1, chi, -1) < 1e-6 and fe_pvs_holds(sides, 1, chi, -1)
 
 
 def test_insufficient_k_signals():
@@ -701,11 +701,10 @@ def test_insufficient_k_signals():
 
 def test_homogeneity_identity_and_scalar_dilation():
     triv = UnitCharacter(P, 1, 0)
-    rep = homogeneity_check(LatticeTestFunction.spherical(3), (0, 0, 0), triv, P, K)
-    assert rep["max_deviation"] < 1e-12
-    rep = homogeneity_check(LatticeTestFunction.spherical(3), (0, 0, 1),
+    assert homogeneity_check(LatticeTestFunction.spherical(3), (0, 0, 0), triv, P, K) < 1e-12
+    dev = homogeneity_check(LatticeTestFunction.spherical(3), (0, 0, 1),
                             UnitCharacter(P, 1, 1), P, K)
-    assert rep["shells_equal"], rep["max_deviation"]
+    assert dev <= HOMOGENEITY_TOL, dev
 
 
 @pytest.mark.parametrize("Phi, exponents", [
@@ -763,8 +762,8 @@ def test_check_fe_pvs_never_sweeps(monkeypatch):
     calls = counting_cosets(monkeypatch)
     for Phi in (LatticeTestFunction.spherical(3), LatticeTestFunction.shifted(I3, 1),
                 LatticeTestFunction.dilated(3, 1)):
-        rep = fe_pvs_compare(fe_pvs_sides(Phi, 1, P, 3), 1, UnitCharacter(P, 1, 1))
-        assert rep["ratfunc_equal"], rep["max_deviation"]
+        sides = fe_pvs_sides(Phi, 1, P, 3)
+        assert fe_pvs_holds(sides, 1, UnitCharacter(P, 1, 1)), Phi
     assert calls == []
 
 
@@ -772,9 +771,9 @@ def test_homogeneity_sweeps_the_moved_side_once(monkeypatch):
     # the entry-wise mask of diag(1, 1, p) acting on the spherical function
     # reaches past Y mod p: one coset enumeration, for its one masked count job
     calls = counting_cosets(monkeypatch)
-    rep = homogeneity_check(LatticeTestFunction.spherical(3), (0, 0, 1),
+    dev = homogeneity_check(LatticeTestFunction.spherical(3), (0, 0, 1),
                             UnitCharacter(P, 1, 1), P, K)
-    assert rep["shells_equal"], rep["max_deviation"]
+    assert dev <= HOMOGENEITY_TOL, dev
     assert len(calls) == 1
     (kind, mask, m), = calls
     assert kind == "count" and max(mask[1]) > P and m == 3
