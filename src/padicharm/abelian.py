@@ -327,7 +327,7 @@ def _oracle_shells(p: int, N: int, exponent: int, sign: int):
     """
     elements, gen, dlog = unit_group(p, N)
     phi = len(elements)
-    chi = [cmath.exp(2j * cmath.pi * exponent * k / phi) for k in range(phi)]  # chi(g^k)
+    chi = list(map(UnitCharacter(p, N, exponent).value, elements))   # chi(g^k)
     chi_inv = [c.conjugate() for c in chi]
     tail = _TRUNCATION + 7                  # the shells k = 0..truncation+6
     q_N = float(p) ** -N

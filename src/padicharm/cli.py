@@ -174,12 +174,8 @@ def cmd_symplectic_check(args, rng):
     def factorization():
         done = 0
         while done < 20:
-            X = [[0] * (2 * n) for _ in range(2 * n)]
-            for i in range(2 * n):
-                for j in range(i, 2 * n):
-                    X[i][j] = X[j][i] = rng.randint(-3, 3)
             try:
-                sp.siegel_factorize(X, n)
+                sp.siegel_factorize(sp.random_symmetric(n, rng), n)
             except sp.CayleyPoleError:
                 continue
             done += 1
@@ -247,7 +243,7 @@ def cmd_fourier_n0(args, rng, phi=None):
         worst = 0.0
         for k in range(0, 2):
             for u in cosets:
-                got = fourier_n0(G, k, u, sign=-args.psi_sign, K_max=40)
+                got = fourier_n0(G, k, u, sign=-args.psi_sign)
                 worst = max(worst, abs(got - phi.evaluate(k, u)))
         return worst
     # two routes: the table is a character-space product, its inverse the pointwise kernel sum
@@ -454,13 +450,16 @@ def _read_inputs(args):
     return phi
 
 
-def _validate(args, verb):
+def _validate(args, verb, phi):
     """The one input boundary: p an odd prime, n >= 0, level, k, m >= 1, a
     finite tolerance >= 0, shells at a finite s > -1/2 (where its sums
-    converge), and the rows a verb builds within ROW_BUDGET: the phi(p^level)
-    units of the level, the (|ord| + 1) terms of each unit's eta series in
-    phi-eval, the (kmax - kmin + 1) phi rows of an eta table and its
-    (kmax + 1) series terms per unit, and the p^k rows of a count table.
+    converge), --fx-in shells on unit cosets 1 <= u < p^level inside the
+    window k_min <= k < k_tail (checked once p and level are bounded, as
+    p^level of an unchecked level is unbounded), and the rows a verb builds
+    within ROW_BUDGET: the phi(p^level) units of the level, the (|ord| + 1)
+    terms of each unit's eta series in phi-eval, the (kmax - kmin + 1) phi
+    rows of an eta table and its (kmax + 1) series terms per unit, and the
+    p^k rows of a count table.
     verify fe-pvs needs n <= 1, k >= 2 (the depth of its series cross-check)
     and 2 p^(k+2) <= ROW_BUDGET: that keeps p <= 13 at k >= 3, where a phased
     job's census enumerates all p^6 cells of Sym_3(F_p), and p <= 23 at
@@ -478,6 +477,13 @@ def _validate(args, verb):
     # past level 20 the units are over budget at every p, so the power stops there
     units = (args.p - 1) * float(args.p) ** min(args.level - 1, 20)
     check_rows(units)
+    if phi is not None:
+        if phi.k_min > phi.k_tail:
+            raise UsageError(f"invalid input file: k_min = {phi.k_min} > k_tail = {phi.k_tail}")
+        for k, u in phi.values:
+            if not (phi.k_min <= k < phi.k_tail and 0 < u < phi.p ** phi.level and u % phi.p):
+                raise UsageError(f"invalid input file: shell (k={k}, coset={u}) is not on a "
+                                 f"unit coset 1 <= u < p^level with k_min <= k < k_tail")
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise UsageError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     if verb == "shells" and not (math.isfinite(args.s) and args.s > -0.5):
@@ -511,7 +517,7 @@ def run_parsed(args) -> tuple[dict, int]:
         if verb not in VERBS:
             raise UsageError(f"unknown verb {verb}")
         phi_in = _read_inputs(args)
-        _validate(args, verb)
+        _validate(args, verb, phi_in)
         payload, checks = VERBS[verb](args, random.Random(args.seed), phi_in)
     except PadicharmError as exc:
         sys.stderr.write(str(exc) + "\n")

@@ -35,7 +35,7 @@ from operator import mul
 
 from . import PadicharmError
 from .abelian import (UnitCharacter, beta_factor, beta_factor_inverse_argument,
-                      character_components, conductor, coset_values)
+                      character_components, characters, conductor, coset_values)
 from .padic import unit_group, unit_order
 from .ratfunc import PoleError, RationalFunctionZ
 
@@ -284,13 +284,16 @@ def _beta_inv_cached(n: int, p: int, level: int, j: int, sign: int) -> RationalF
     return beta_factor_inverse_argument(n, UnitCharacter(p, level, j), sign)
 
 
+def eta_column(n: int, chi: UnitCharacter, sign: int, lo: int, hi: int) -> list:
+    """eta's chi-component on the shells k = lo..hi: entry k is
+    Res_{z=0} beta_psi(chi_s^{-1}) z^{-k-1}, from one Laurent series."""
+    return _beta_inv_cached(n, chi.p, chi.level, chi.exponent, sign).laurent_coeffs(lo, hi)
+
+
 def eta_components(n: int, sign: int, lo: int, hi: int, p: int, level: int) -> list:
-    """Rows k = lo..hi of eta's level-N character components: entry (k, j) is
-    Res_{z=0} beta_psi(chi_j,s^{-1}) z^{-k-1}, from one Laurent series per
-    character, so that eta_kernel on shell k is coset_values of row k."""
-    columns = [_beta_inv_cached(n, p, level, j, sign).laurent_coeffs(lo, hi)
-               for j in range(unit_order(p, level))]
-    return list(zip(*columns))
+    """Rows k = lo..hi of eta's level-N character components, the eta_column
+    of each chi_j: eta_kernel on shell k is coset_values of row k."""
+    return list(zip(*(eta_column(n, chi, sign, lo, hi) for chi in characters(p, level))))
 
 
 @lru_cache(maxsize=None)
@@ -308,7 +311,8 @@ def eta_kernel(n: int, sign: int, k: int, u: int, p: int, level: int) -> complex
         sum_{e(chi) <= N} chi(u)^{-1} Res_{z=0} beta_psi(chi_s^{-1}) z^{-k-1},
 
     the coset values of shell k's component vector (eta_components), one
-    forward transform per shell, cached, and looked up here by dlog(u).
+    forward transform per shell, cached, and looked up here by dlog(u); a
+    caller that pairs eta with one chi reads eta_column, with no transform.
     It also equals the pointwise kernel for k > -(2n+1)(N+1): at odd p,
     e(chi^2) = e(chi) whenever chi^2 is ramified, so a character of
     conductor e >= 2 feeds only the shell -(2n+1)e, and every character the

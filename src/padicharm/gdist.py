@@ -7,20 +7,21 @@ realized only in the n = 0 degeneration (Sp_0 trivial), where it is the
 classical multiplicative-shell convolution against eta and satisfies the
 inversion and Plancherel identities of the abelian theory.  The shell
 coefficients f_ell(chi_s) integrate eta over |a| = q^{-ell} and their sums
-recover the abelian gamma value at the reflected argument.
+recover the abelian gamma value at the reflected argument.  Integrating
+against chi picks out eta's chi-component, so f_ell is read off one Laurent
+series of beta, fxspace.eta_column, at z^ell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import PadicharmError
 from .abelian import (UnitCharacter, character_components, conductor, coset_values,
                       gamma_factor)
-from .fxspace import FxFunction, eta_components, eta_kernel, pv_convolve
+from .fxspace import FxFunction, eta_column, eta_components, eta_kernel, pv_convolve
 from .padic import PadicElement, unit_group, unit_order, unit_part, val_p
-from .symplectic import add, det, eye, is_symplectic, mat
+from .symplectic import add, c0_constant, det, eye, is_symplectic, mat
 
 
 class GDistError(PadicharmError):
@@ -44,14 +45,9 @@ class GPoint:
 def phi_rho_eval(point: GPoint, n: int, level: int, sign: int = 1) -> complex:
     """Phi(a,h) = c0 eta(a det(h+I)) |det(h+I)|^{-(2n+1)/2}, with eta the
     level coset average (pointwise for ord > -(2n+1)(level+1))."""
-    from .symplectic import c0_constant
     a = point.a
     p = a.p
-    if n == 0:
-        dh = Fraction(1)
-    else:
-        h = mat([list(r) for r in point.h])
-        dh = det(add(h, eye(2 * n)))
+    dh = det(add(mat(point.h), eye(2 * n)))   # 1 at n = 0, where h = ()
     if dh == 0:
         raise GDistError("singular locus of Phi: det(h + I) = 0")
     vh = val_p(dh, p)
@@ -61,27 +57,28 @@ def phi_rho_eval(point: GPoint, n: int, level: int, sign: int = 1) -> complex:
     return c0 * eta * float(p) ** (vh * (2 * n + 1) / 2.0)
 
 
-def fourier_n0(phi: FxFunction, k0: int, u0: int, K_max: int = 40,
-               sign: int = 1, tol: float = 1e-10) -> complex:
+# fourier_n0 sums its pv convolution out to radius FOURIER_K_MAX and stops at
+# three partial sums within FOURIER_TOL of max(1, |sum|): 1e-4 of the 1e-6 at
+# which fourier-n0 judges its double transform, so truncation stays far below it
+FOURIER_K_MAX = 40
+FOURIER_TOL = 1e-10
+
+
+def fourier_n0(phi: FxFunction, k0: int, u0: int, sign: int = 1) -> complex:
     """(Phi * phi^v)(a) at a = p^{k0} u0 for n = 0: the pv convolution of
     eta against the reflection of a compactly supported phi."""
     if phi.tail.kind != "compact":
         raise GDistError("fourier_n0 needs compactly supported input")
     p, level = phi.p, phi.level
     refl = phi.reflect()
-    if refl:
-        lo = min(k for k, _ in refl)
-        hi = max(k for k, _ in refl) + 1
-    else:
-        lo, hi = 0, 1
-    from .fxspace import TailSpec
-    phiv = FxFunction(p, level, lo, hi, refl, TailSpec.compact())
+    ks = [k for k, _ in refl] or [0]
+    phiv = FxFunction(p, level, min(ks), max(ks) + 1, refl)
 
     # the test function only sees eta through its level-N coset averages
     def kernel(k, u):
         return eta_kernel(0, sign, k, u, p, level)
 
-    value, _, _ = pv_convolve(kernel, phiv, k0, u0, K_max=K_max, tol=tol)
+    value, _, _ = pv_convolve(kernel, phiv, k0, u0, K_max=FOURIER_K_MAX, tol=FOURIER_TOL)
     return value
 
 
@@ -133,18 +130,6 @@ def l2_norm_fx(phi: FxFunction, K: int) -> float:
     return total
 
 
-def shell_coefficient(ell: int, chi: UnitCharacter, z: complex, sign: int = 1) -> complex:
-    """f_ell(chi_s) = z^ell avg_u eta_N(p^ell u) chi(u): the shell integral of
-    the level-N coset average of eta against chi_s over |a| = q^{-ell}."""
-    p = chi.p
-    N = chi.level
-    cosets = unit_group(p, N)[0]
-    total = 0.0 + 0.0j
-    for u in cosets:
-        total += eta_kernel(0, sign, ell, u, p, N) * chi.value(u)
-    return z**ell * total / len(cosets)
-
-
 # the shells of shell_coefficients_sum: ELL_MIN reaches every conductor e that
 # the row budget lets a level have (e <= 12, at p = 3), since a character of
 # conductor e >= 2 has its only nonzero coefficient at ell = -e
@@ -157,6 +142,9 @@ def shell_coefficients_sum(chi: UnitCharacter, s: complex, sign: int = 1) -> dic
     and the abelian gamma target
     Gamma(1/2, chi_s^{-1}) = gamma(1/2 - s, chi^{-1}, psi).
 
+    f_ell = z^ell avg_u eta(p^ell u) chi(u), z = q^{-s}, is z^ell times eta's
+    chi-component on shell ell, read off one eta_column of beta_psi(chi_s^{-1}).
+
     Convergence needs Re(s) > -1/2 (the positive shells decay like
     q^{-ell(Re(s)+1/2)}); outside, the partial sums are reported divergent.
     The shells are summed outward by radius, and three equal partial sums
@@ -168,13 +156,14 @@ def shell_coefficients_sum(chi: UnitCharacter, s: complex, sign: int = 1) -> dic
         raise GDistError("divergent partial sums: need Re(s) > -1/2")
     e = conductor(chi)
     z = complex(p) ** (-complex(s))
+    column = eta_column(0, chi, sign, ELL_MIN, ELL_MAX)
     coeffs = {}
     total = 0.0 + 0.0j
     partials = []
     stable_at = None
     for radius in range(ELL_MAX + 1):
         for ell in [0] if radius == 0 else [x for x in (radius, -radius) if x >= ELL_MIN]:
-            c = shell_coefficient(ell, chi, z, sign)
+            c = z**ell * column[ell - ELL_MIN]
             coeffs[ell] = c
             total += c
         partials.append(total)

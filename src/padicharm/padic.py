@@ -132,22 +132,12 @@ def unit_group(p: int, level: int):
     if p == 2:
         raise PadicError("p = 2 unsupported")
     mod = p**level
-    order = (p - 1) * p ** (level - 1)
-    gen = None
-    for g in range(2, mod):
-        if g % p == 0:
-            continue
-        # g generates iff g^(order/ell) != 1 for prime ell | order
-        ok = True
-        for ell in _prime_factors(order):
-            if pow(g, order // ell, mod) == 1:
-                ok = False
-                break
-        if ok:
-            gen = g
-            break
-    if gen is None:
-        raise PadicError("no generator found (should not happen for odd p)")
+    order = unit_order(p, level)
+    primes = _prime_factors(order)
+    # g generates iff g^(order/ell) != 1 for every prime ell | order; a cyclic
+    # group has one, so the search ends
+    gen = next(g for g in range(2, mod)
+               if g % p and all(pow(g, order // ell, mod) != 1 for ell in primes))
     elements = []
     dlog = {}
     x = 1

@@ -286,16 +286,25 @@ def c0_constant(n: int, q: int) -> Fraction:
     return out
 
 
-def random_symplectic(n: int, rng, entry_range=3) -> Matrix:
-    """Exact random symplectic element via the Cayley transform of a random
-    symmetric integral matrix, resampled on a Cayley pole; any other failure
+ENTRY_RANGE = 3   # random symmetric matrices draw their entries from -3..3
+
+
+def random_symmetric(n: int, rng) -> Matrix:
+    """A random symmetric integral 2n x 2n matrix, entries in +-ENTRY_RANGE,
+    drawn row by row on and above the diagonal."""
+    X = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(2 * n):
+        for j in range(i, 2 * n):
+            X[i][j] = X[j][i] = rng.randint(-ENTRY_RANGE, ENTRY_RANGE)
+    return X
+
+
+def random_symplectic(n: int, rng) -> Matrix:
+    """Exact random symplectic element via the Cayley transform of a
+    random_symmetric matrix, resampled on a Cayley pole; any other failure
     of cayley is raised."""
     while True:
-        X = [[0] * (2 * n) for _ in range(2 * n)]
-        for i in range(2 * n):
-            for j in range(i, 2 * n):
-                X[i][j] = X[j][i] = rng.randint(-entry_range, entry_range)
         try:
-            return cayley(X, n)
+            return cayley(random_symmetric(n, rng), n)
         except CayleyPoleError:
             continue

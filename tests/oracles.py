@@ -27,6 +27,10 @@ Pointwise evaluation of lattice test functions and the Levi block of the
 Siegel factorization are the oracles of `pvszeta.lattice_fourier` and
 `pvszeta.act_diagonal`, and of `symplectic.siegel_factorize`.
 
+The shell integral of eta against a character, averaged over every unit of
+the shell from eta's coset values, is the oracle of the single character
+component that `gdist.shell_coefficients_sum` reads.
+
 The two functional equations, written out from the paper's statements, are
 the oracles of `fxspace.fe_gl1_compare` and `pvszeta.fe_pvs_compare`: each
 says whether its two sides are equal as rational functions, at the 20
@@ -39,7 +43,8 @@ from functools import lru_cache
 import numpy as np
 
 from padicharm.abelian import beta_factor
-from padicharm.padic import legendre, psi_frac, unit_part, val_p
+from padicharm.fxspace import eta_kernel
+from padicharm.padic import legendre, psi_frac, unit_group, unit_part, val_p
 from padicharm.pvszeta import (PvsError, _entry_order, _rank_census, _refine_bins,
                                _split_state, check_budget)
 from padicharm.ratfunc import _padd, _pmul
@@ -460,3 +465,12 @@ def fe_pvs_holds(sides, n: int, chi, sign: int = 1, tol: float = 1e-6) -> bool:
     lhs = _zeta(minus, chi.inverse(), -0.5).substitute("invert") * chi.value(2) ** (-2 * n)
     rhs = beta_factor(n, chi, sign) * _zeta(plus, chi, 0.5 - (n + 1))
     return lhs.equals(rhs, tol)
+
+
+def shell_coefficient_by_units(ell: int, chi, z: complex, sign: int = 1) -> complex:
+    """f_ell(chi_s) = z^ell avg_u eta_N(p^ell u) chi(u): the shell integral of
+    the level-N coset average of eta against chi_s over |a| = q^{-ell}, as a
+    sum over the units of eta_kernel's coset values."""
+    cosets = unit_group(chi.p, chi.level)[0]
+    total = sum(eta_kernel(0, sign, ell, u, chi.p, chi.level) * chi.value(u) for u in cosets)
+    return z**ell * total / len(cosets)

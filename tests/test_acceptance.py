@@ -358,7 +358,7 @@ def test_criterion_10_n0_fourier_operator():
                        TailSpec.compact())
         for k in range(phi.k_min, phi.k_tail):
             for u in cosets:
-                got = fourier_n0(G, k, u, sign=-1, K_max=40)
+                got = fourier_n0(G, k, u, sign=-1)
                 worst_inv = max(worst_inv, abs(got - phi.evaluate(k, u)))
         worst_pl = max(worst_pl, abs(l2_norm_truncated(table, P, 1, 12)
                                      - l2_norm_fx(phi, 12)))

@@ -416,6 +416,50 @@ def test_malformed_fx_in_is_a_json_error(data, tmp_path, capsys):
     assert list(rep) == ["error"] and "unreadable input file" in rep["error"]
 
 
+FX_WINDOW = {"p": 3, "level": 1, "k_min": 0, "k_tail": 2, "tail": {"kind": "compact"}}
+
+
+@pytest.mark.parametrize("data", [
+    dict(FX_WINDOW, shells=[{"k": 0, "coset": 4, "re": 1.0, "im": 0.0}]),    # not reduced
+    dict(FX_WINDOW, shells=[{"k": 0, "coset": 3, "re": 1.0, "im": 0.0}]),    # not a unit
+    dict(FX_WINDOW, shells=[{"k": 0, "coset": 0, "re": 1.0, "im": 0.0}]),
+    dict(FX_WINDOW, shells=[{"k": 2, "coset": 1, "re": 1.0, "im": 0.0}]),    # k = k_tail
+    dict(FX_WINDOW, shells=[{"k": -1, "coset": 1, "re": 1.0, "im": 0.0}]),   # k < k_min
+    dict(FX_WINDOW, k_min=3, k_tail=1, shells=[]),
+])
+def test_fx_in_shell_keys_are_validated(data, tmp_path, capsys):
+    # a shell off the window or off the reduced units exits 2, not 1 with
+    # failing checks (or 0, at k >= k_tail, which the Mellin transform ignores)
+    src = tmp_path / "phi.json"
+    src.write_text(json.dumps(data))
+    assert main(["fourier-n0", "--fx-in", str(src)]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert list(rep) == ["error"] and "invalid input file" in rep["error"]
+
+
+def test_fx_in_level_is_bounded_before_its_cosets(tmp_path):
+    # p^level of an unchecked level is unbounded: the row budget refuses
+    # this level before any coset is reduced mod p^level
+    src = tmp_path / "phi.json"
+    src.write_text(json.dumps(dict(FX_WINDOW, level=10**12,
+                                   shells=[{"k": 0, "coset": 1, "re": 1.0, "im": 0.0}])))
+    rep, code = run(["fourier-n0", "--fx-in", str(src)])
+    assert code == 2 and "budget" in rep["error"]
+
+
+def test_shells_reads_no_eta_kernel(monkeypatch):
+    # shells reads one character component of eta, so it needs no coset
+    # values of eta: at conductor 12 they cost minutes and over a gigabyte
+    from padicharm import fxspace, gdist
+
+    def refuse(*args):
+        raise AssertionError("shells evaluated eta_kernel")
+    monkeypatch.setattr(fxspace, "eta_kernel", refuse)
+    monkeypatch.setattr(gdist, "eta_kernel", refuse)
+    rep, code = run(["shells", "--p", "3", "--level", "12", "--conductor", "12", "--s", "0.5"])
+    assert code == 0 and rep["checks"][0]["status"] == "pass"
+
+
 def strict_json(text):
     """json.loads that refuses the NaN and Infinity tokens outside the JSON standard."""
     def refuse(token):

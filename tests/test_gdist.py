@@ -10,6 +10,7 @@ from padicharm.gdist import (GDistError, GPoint, fourier_n0, fourier_n0_table,
                              shell_coefficients_sum)
 from padicharm.padic import PadicElement, psi_frac, unit_group
 from padicharm.symplectic import random_symplectic, mul, inverse
+from oracles import shell_coefficient_by_units
 from shell_functions import indicator_integers, indicator_units
 
 
@@ -151,7 +152,7 @@ def test_fourier_n0_double_transform_is_identity():
         G = compact_fx(p, level, table)
         for k in range(phi.k_min, phi.k_tail):
             for u in unit_group(p, level)[0]:
-                got = fourier_n0(G, k, u, sign=-1, K_max=40)
+                got = fourier_n0(G, k, u, sign=-1)
                 want = phi.evaluate(k, u)
                 assert abs(got - want) < 1e-6, (k, u)
 
@@ -178,6 +179,25 @@ def test_shell_coefficients_match_abelian_gamma():
             rep = shell_coefficients_sum(chi, s)
             assert rep["stable_at"] is not None
             assert rep["deviation"] < 1e-5, (chi, s, rep["deviation"])
+
+
+@pytest.mark.parametrize("p, level", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3),
+                                      (7, 1), (7, 2)])
+def test_shell_coefficients_match_per_unit_average(p, level):
+    # each f_ell is read off one eta_column; the oracle averages eta's coset
+    # values against chi over every unit of the shell.  A character of each
+    # conductor and its inverse, both psi orientations.
+    s = 0.7
+    z = complex(p) ** -s
+    for e in range(level + 1):
+        base = p ** (level - e) if e else 0
+        for chi in {UnitCharacter(p, level, base), UnitCharacter(p, level, -base)}:
+            for sign in (1, -1):
+                coeffs = shell_coefficients_sum(chi, s, sign)["coefficients"]
+                for ell, f in coeffs.items():
+                    c = f / z**ell
+                    want = shell_coefficient_by_units(ell, chi, z, sign) / z**ell
+                    assert abs(c - want) <= 1e-12 * max(1.0, abs(want)), (chi, sign, ell)
 
 
 def test_shell_coefficients_single_band_for_ramified():
