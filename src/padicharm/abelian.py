@@ -6,18 +6,18 @@ RationalFunctionZ in z:
 
     L(s,chi)       = 1/(1-z) unramified, 1 otherwise
     eps(s,chi,psi) = G(chi,psi) z^e, G the Gauss sum over (Z/p^e)^x
-    gamma          = eps * L(1-s, chi^{-1}) / L(s, chi)
+    gamma          = eps * L(1-s, chi^{-1}) / L(s, chi), eps itself if ramified
     beta(n)        = gamma(s-(2n-1)/2) * prod_{r=1..n} gamma(2s-2n+2r, chi^2)
 
 A character of (Z/p^L)^x is its exponent a on the fixed generator g, so
 chi_a(g^k) = exp(2 pi i a k / phi) with phi = phi(p^L); its conductor is
-L - v_p(a).  The Gauss sums of one level come from a table built once per
-(p, L, sign).  For chi_a of conductor e, a = p^(L-e) a' with p not dividing
+L - v_p(a).  For chi_a of conductor e, a = p^(L-e) a' with p not dividing
 a', and chi_a(g^k) = exp(2 pi i a' k / phi_e), phi_e = phi(p^e).  As g mod
 p^e generates (Z/p^e)^x, u = g^k for k < phi_e runs over its classes once,
 so G(chi_a, psi) is coefficient a' of the forward transform (coset_values) of
 v_e[k] = psi((g^k mod p^e) / p^e), k < phi_e: one transform of length phi_e
-per conductor e = 1..L.
+per (p, L, e, sign), built the first time a character of conductor e asks,
+so a verb that needs one character builds one conductor's table.
 
 Shell data and character data are related by one convention.  A row of
 values f(u) over the unit cosets, in unit_group (dlog) order u = g^k, has the
@@ -43,7 +43,9 @@ The whole stack is cross-checked by a shell-sum Tate integral oracle that
 never touches the closed forms.  Its shell averages avg_u f(p^k u) chi(u)
 are brute-force sums over the units that do not depend on s, so they are
 computed once per character; the powers z^k depend on the sample s alone,
-so they are formed once per sample and shared by every character.
+so they are formed once per sample and shared by every character.  Its
+truncated sum and its full sum are read off one running sum, which stops at
+a row's last nonzero shell.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from operator import mul
 
 from . import PadicharmError
@@ -194,25 +197,21 @@ def L_factor(chi: UnitCharacter) -> RationalFunctionZ:
 
 
 @lru_cache(maxsize=None)
-def _gauss_table(p: int, level: int, sign: int) -> tuple:
-    """G(chi_a, psi) for every exponent a mod phi(p^level), by one transform
-    of length phi(p^e) per conductor e."""
-    elements = unit_group(p, level)[0]
-    table = [1.0 + 0.0j] * len(elements)
-    for e in range(1, level + 1):
-        phi_e = unit_order(p, e)
-        row = coset_values([[psi_frac(p, u, e, sign) for u in elements[:phi_e]]])[0]
-        for a in range(1, phi_e):
-            if a % p:
-                table[a * p ** (level - e)] = row[a]
-    return tuple(table)
+def _gauss_table(p: int, level: int, e: int, sign: int) -> tuple:
+    """G(chi_a, psi) for the exponents a = p^(level-e) a' of conductor e, at
+    index a': one transform of length phi(p^e) over the level's first
+    phi(p^e) generator powers, built when a character of conductor e asks."""
+    elements = unit_group(p, level)[0][:unit_order(p, e)]
+    return tuple(coset_values([[psi_frac(p, u, e, sign) for u in elements]])[0])
 
 
 def gauss_sum(chi: UnitCharacter, sign: int = 1) -> complex:
     """G = sum over u in (Z/p^e)^x of chi^{-1}(u) psi(u/p^e), e = conductor."""
     if chi.is_trivial:
         return 1.0 + 0.0j
-    return complex(_gauss_table(chi.p, chi.level, sign)[chi.exponent])
+    e = conductor(chi)
+    row = _gauss_table(chi.p, chi.level, e, sign)
+    return complex(row[chi.exponent // chi.p ** (chi.level - e)])
 
 
 def epsilon_factor(chi: UnitCharacter, sign: int = 1) -> RationalFunctionZ:
@@ -228,9 +227,12 @@ def gamma_factor(chi: UnitCharacter, sign: int = 1) -> RationalFunctionZ:
     """gamma(s,chi,psi) = eps(s,chi,psi) L(1-s,chi^{-1}) / L(s,chi).
 
     One build per (p, level, exponent, sign); callers pass sign by position,
-    so that they share the cache entry."""
-    q = chi.p
+    so that they share the cache entry.  For ramified chi both L-factors are
+    1, and gamma is eps itself."""
     eps = epsilon_factor(chi, sign)
+    if conductor(chi):
+        return eps
+    q = chi.p
     l_s = L_factor(chi)
     # L(1-s, chi^{-1}): substitute z -> q^{-1}/z in L(s, chi^{-1})
     l_dual = L_factor(chi.inverse()).substitute("scale", 1.0 / q).substitute("invert")
@@ -345,6 +347,20 @@ def _oracle_shells(p: int, N: int, exponent: int, sign: int):
     return coset(1), coset(gen)
 
 
+@lru_cache(maxsize=None)
+def _oracle_rows(p: int, N: int, exponent: int, sign: int) -> tuple:
+    """_oracle_shells with the zero shells at the end of each row cut off,
+    so that the oracle's dot products stop at a row's last nonzero shell: a
+    coset indicator lives on shell 0 alone, and for ramified chi its
+    transform vanishes on every shell k >= 0."""
+    def cut(row):
+        n = len(row)
+        while n > 1 and not row[n - 1]:
+            n -= 1
+        return row[:n]
+    return tuple((cut(b), cut(a)) for b, a in _oracle_shells(p, N, exponent, sign))
+
+
 @lru_cache(maxsize=64)
 def _z_powers(p: int, N: int, s: complex) -> tuple:
     """The powers x^k over the oracle's shells k = -N..truncation+6, for
@@ -357,20 +373,22 @@ def _z_powers(p: int, N: int, s: complex) -> tuple:
 def tate_gamma_oracle(chi: UnitCharacter, s: complex, sign: int = 1) -> complex:
     """Z(1-s, f^, chi^{-1}) / Z(s, f, chi) by brute shell sums.
 
-    The shell averages come from _oracle_shells, once per character, and
-    the powers z^k from _z_powers, once per sample; a call only takes their
-    dot products.  The ratios of the two test functions must agree
-    (functional-equation uniqueness) and the truncation must have
-    stabilized, else OracleError.
+    The shell averages come from _oracle_shells (cut by _oracle_rows), once
+    per character, and the powers z^k from _z_powers, once per sample; a
+    call only takes their dot products.  The ratios of the two test
+    functions must agree (functional-equation uniqueness) and the
+    truncation must have stabilized, else OracleError.
     """
     if not 0.0 < complex(s).real < 1.0:
         raise OracleError("sample s outside the common convergence strip 0 < Re(s) < 1")
     p, N = chi.p, chi.level
     za_pow, zb_pow = _z_powers(p, N, s)
     ratios = []
-    for b, a in _oracle_shells(p, N, chi.exponent, sign):
-        za = list(map(mul, a, za_pow))
-        za1, za2 = sum(za[:_TRUNCATION + N + 1]), sum(za)
+    for b, a in _oracle_rows(p, N, chi.exponent, sign):
+        # the truncated sum (shells k <= _TRUNCATION) and the full one, in one
+        # pass; the shells past the end of a cut row are zero
+        za = list(accumulate(map(mul, a, za_pow)))
+        za1, za2 = za[min(_TRUNCATION + N, len(za) - 1)], za[-1]
         zb = sum(map(mul, b, zb_pow))
         if abs(za1 - za2) > _ORACLE_TOL * max(abs(za2), 1.0):
             raise OracleError(

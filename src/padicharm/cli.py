@@ -240,13 +240,10 @@ def cmd_fourier_n0(args, rng, phi=None):
         G = FxFunction(args.p, args.level, min(ks), max(ks) + 1,
                        {ku: complex(v) for ku, v in table.items()},
                        TailSpec.compact())
-        worst = 0.0
-        for k in range(0, 2):
-            for u in cosets:
-                got = fourier_n0(G, k, u, sign=-args.psi_sign)
-                worst = max(worst, abs(got - phi.evaluate(k, u)))
-        return worst
-    # two routes: the table is a character-space product, its inverse the pointwise kernel sum
+        points = [(k, u) for k in range(0, 2) for u in cosets]
+        got = fourier_n0(G, points, sign=-args.psi_sign)
+        return max(abs(g - phi.evaluate(k, u)) for g, (k, u) in zip(got, points))
+    # two routes: the table is a character-space product, its inverse the pv kernel sums
     checks.append(_check("double-transform", inversion, 1e-6, args.timing))
 
     def plancherel():

@@ -37,7 +37,7 @@ from . import PadicharmError
 from .abelian import (UnitCharacter, beta_factor, beta_factor_inverse_argument,
                       character_components, characters, conductor, coset_values)
 from .padic import unit_group, unit_order
-from .ratfunc import PoleError, RationalFunctionZ
+from .ratfunc import PoleError, RationalFunctionZ, _split_z_power
 
 # a Mellin component whose numerator is this small against its denominator
 # is zero: in fe-gl1 and fe-pvs runs the vanishing ones are below 1e-16 and
@@ -92,7 +92,7 @@ class FxFunction:
 
     def _tail_value(self, k: int, u: int) -> complex:
         q = float(self.p)
-        idx = self.cosets.index(u)
+        idx = unit_group(self.p, self.level)[2][u]
         t = self.tail
         total = sum(row[idx] * alpha**k
                     for row, alpha in zip(t.rows, allowed_alphas(t.kind, t.n, q)))
@@ -101,8 +101,8 @@ class FxFunction:
     def scale_by_power(self, c) -> "FxFunction":
         """Multiply by |x|^c (c rational, half-integers allowed)."""
         c = Fraction(c)
-        q = float(self.p)
-        vals = {(k, u): v * q ** (-k * float(c)) for (k, u), v in self.values.items()}
+        q, e = float(self.p), float(c)
+        vals = {(k, u): v * q ** (-k * e) for (k, u), v in self.values.items()}
         return FxFunction(self.p, self.level, self.k_min, self.k_tail, vals,
                           self.tail, self.power_shift + c)
 
@@ -245,11 +245,12 @@ def fx_from_mellin(Z: MellinData, kind: str, n: int) -> FxFunction:
 
 # --------------------------------------------------- Paley-Wiener checking
 
+@lru_cache(maxsize=None)
 def class_denominator(chi: UnitCharacter, kind: str, n: int) -> RationalFunctionZ:
     """The L-product prod (1 - alpha z) over the class's poles that a Mellin
     component must divide into, restricted to the factors beta can carry:
     the first pole only for unramified chi, the +-alpha pairs only for
-    unramified chi^2."""
+    unramified chi^2.  One build per (p, level, exponent, kind, n)."""
     e, e2 = conductor(chi), conductor(chi.square())
     D = RationalFunctionZ.one()
     for slot, alpha in enumerate(allowed_alphas(kind, n, float(chi.p))):
@@ -261,11 +262,13 @@ def class_denominator(chi: UnitCharacter, kind: str, n: int) -> RationalFunction
 def check_paley_wiener(Z: MellinData, kind: str, n: int):
     """True iff every component over its class L-product is a Laurent polynomial.
 
-    Returns (ok, witness); the witness names the offending character exponent
-    and pole location.
+    A component whose denominator is a power of z is a Laurent polynomial
+    already, so it lies in every class and is not divided out; every
+    component of a compactly supported input is one.  Returns (ok, witness);
+    the witness names the offending character exponent and pole location.
     """
     for j, R in Z.comps.items():
-        if R.is_zero(ZERO_COMPONENT_TOL):
+        if R.is_zero(ZERO_COMPONENT_TOL) or len(_split_z_power(R.den)[1]) == 1:
             continue
         chi = Z.character(j)
         quotient = R / class_denominator(chi, kind, n)
@@ -284,10 +287,40 @@ def _beta_inv_cached(n: int, p: int, level: int, j: int, sign: int) -> RationalF
     return beta_factor_inverse_argument(n, UnitCharacter(p, level, j), sign)
 
 
+class _Series:
+    """The Laurent series of R at z = 0 on a held range of exponents, grown on
+    demand.  The first request expands exactly its own range; a request past
+    the held range extends it through laurent_coeffs by at least its width,
+    so shells asked for one by one outward cost a few expansions.  Every
+    coefficient is the one a fresh laurent_coeffs gives, since the series
+    recursion does not depend on the range asked for."""
+
+    def __init__(self, R: RationalFunctionZ):
+        self.R, self.lo, self.coeffs = R, 0, []
+
+    def column(self, lo: int, hi: int) -> list:
+        if not self.coeffs:
+            self.lo, self.coeffs = lo, self.R.laurent_coeffs(lo, hi)
+        width, top = len(self.coeffs), self.lo + len(self.coeffs) - 1
+        if lo < self.lo:
+            start = min(lo, self.lo - width)
+            self.coeffs = self.R.laurent_coeffs(start, self.lo - 1) + self.coeffs
+            self.lo = start
+        if hi > top:
+            self.coeffs += self.R.laurent_coeffs(top + 1, max(hi, top + width))
+        return self.coeffs[lo - self.lo:hi - self.lo + 1]
+
+
+@lru_cache(maxsize=None)
+def _eta_series(n: int, p: int, level: int, j: int, sign: int) -> _Series:
+    return _Series(_beta_inv_cached(n, p, level, j, sign))
+
+
 def eta_column(n: int, chi: UnitCharacter, sign: int, lo: int, hi: int) -> list:
     """eta's chi-component on the shells k = lo..hi: entry k is
-    Res_{z=0} beta_psi(chi_s^{-1}) z^{-k-1}, from one Laurent series."""
-    return _beta_inv_cached(n, chi.p, chi.level, chi.exponent, sign).laurent_coeffs(lo, hi)
+    Res_{z=0} beta_psi(chi_s^{-1}) z^{-k-1}, a slice of the one Laurent
+    series held per (n, chi, sign)."""
+    return _eta_series(n, chi.p, chi.level, chi.exponent, sign).column(lo, hi)
 
 
 def eta_components(n: int, sign: int, lo: int, hi: int, p: int, level: int) -> list:
@@ -298,7 +331,8 @@ def eta_components(n: int, sign: int, lo: int, hi: int, p: int, level: int) -> l
 
 @lru_cache(maxsize=None)
 def _eta_values(n: int, p: int, level: int, sign: int, k: int) -> tuple:
-    """eta_kernel on every coset of shell k, in unit_group order."""
+    """eta_kernel on every coset of shell k, in unit_group order: one slice
+    of each character's series and one forward transform."""
     return tuple(coset_values(eta_components(n, sign, k, k, p, level))[0])
 
 
@@ -311,8 +345,10 @@ def eta_kernel(n: int, sign: int, k: int, u: int, p: int, level: int) -> complex
         sum_{e(chi) <= N} chi(u)^{-1} Res_{z=0} beta_psi(chi_s^{-1}) z^{-k-1},
 
     the coset values of shell k's component vector (eta_components), one
-    forward transform per shell, cached, and looked up here by dlog(u); a
-    caller that pairs eta with one chi reads eta_column, with no transform.
+    forward transform per shell of one slice per character's held series,
+    cached, and looked up here by dlog(u).  A caller that needs the whole
+    shell (fourier_n0) reads its row once, coset by coset; a caller that
+    pairs eta with one chi reads eta_column, with no transform.
     It also equals the pointwise kernel for k > -(2n+1)(N+1): at odd p,
     e(chi^2) = e(chi) whenever chi^2 is ramified, so a character of
     conductor e >= 2 feeds only the shell -(2n+1)e, and every character the
@@ -322,18 +358,24 @@ def eta_kernel(n: int, sign: int, k: int, u: int, p: int, level: int) -> complex
     return complex(_eta_values(n, p, level, sign, k)[d])
 
 
-def fourier_L(f: FxFunction, n: int, sign: int = 1) -> FxFunction:
+def fourier_L(f: FxFunction, n: int, sign: int = 1, *, _scaled=None) -> FxFunction:
     """The Fourier operator on the plus space via the Mellin route:
 
     L(f)(t) = |t|^{(2n+1)/2} M^{-1}( beta_psi(chi_s^{-1})
                                      M(f |.|^{(2n+1)/2})(z^{-1}, chi^{-1}) )(t).
+
+    fe_gl1_sides passes the M(f |.|^{(2n+1)/2}) it keeps as _scaled.
     """
     p, N = f.p, f.level
     q = float(p)
-    ok, witness = check_paley_wiener(mellin_transform(f.scale_by_power(2 * n)), "plus", n)
-    if not ok:
-        raise FxError(f"input is not in the pvs plus space: {witness}")
-    Zg = mellin_transform(f.scale_by_power(Fraction(2 * n + 1, 2)))
+    # a compactly supported f has Laurent-polynomial components: in every class
+    if f.tail.kind != "compact":
+        ok, witness = check_paley_wiener(mellin_transform(f.scale_by_power(2 * n)), "plus", n)
+        if not ok:
+            raise FxError(f"input is not in the pvs plus space: {witness}")
+    Zg = _scaled
+    if Zg is None:
+        Zg = mellin_transform(f.scale_by_power(Fraction(2 * n + 1, 2)))
     order = unit_order(p, N)
     comps = {}
     for j in range(order):
@@ -351,51 +393,78 @@ def fourier_L(f: FxFunction, n: int, sign: int = 1) -> FxFunction:
     return out.scale_by_power(Fraction(n + 1))
 
 
-def pv_convolve(kernel, f: FxFunction, k0: int, u0: int, K_max: int,
-                tol: float = 1e-9):
-    """Principal-value convolution sum_shells kernel(x) f(x^{-1} t), t = p^k0 u0.
+def pv_convolve(kernel_row, f: FxFunction, points, K_max: int, tol: float = 1e-9) -> list:
+    """Principal-value convolutions sum_shells kernel(x) f(x^{-1} t), one per
+    point t = p^k0 u0 of points ((k0, u0) pairs), summed in one pass.
 
-    kernel is a callable (k, u) -> complex at f's level.  Returns
-    (value, k_stable, partial_sums); stability means three consecutive
-    truncations within tol.
+    kernel_row(k) is the kernel on shell k at f's level, a list over the
+    cosets in unit_group order; it is read once per shell for all points,
+    and only where some point meets a nonzero row of f.  For the point
+    t = p^k0 g^b, kernel coset g^a meets f's coset g^(b - a) on shell k0 - k,
+    so each shell's sum is the kernel row against f's permuted row.  f's
+    window rows are read from its values; past k_tail f is read through
+    evaluate.  Returns one (value, k_stable, partial_sums) per point; a
+    point is stable at three consecutive truncations within tol, and its
+    sums stop there.
     """
     p, N = f.p, f.level
-    mod = p**N
-    cosets = unit_group(p, N)[0]
+    cosets, dlog = f.cosets, unit_group(p, N)[2]
     order = len(cosets)
-    # the coset u0 u^{-1} of f that meets kernel coset u, the same on every shell
-    targets = [u0 * pow(u, -1, mod) % mod for u in cosets]
-    partial_sums = []
-    total = 0.0 + 0.0j
-    # radii that have not yet swept past the support window of f cannot be
-    # trusted for stabilization (leading zeros are not convergence)
-    K_start = max(2, abs(k0 - f.k_min), abs(k0 - (f.k_tail - 1)))
+    f_rows = {}
+
+    def f_row(m):
+        # f on shell m in unit_group order, or None where it is zero
+        if m not in f_rows:
+            if m < f.k_min or (m >= f.k_tail and f.tail.kind == "compact"):
+                row = None
+            elif m < f.k_tail:
+                row = [f.values.get((m, u), 0.0) for u in cosets]
+            else:
+                row = [f.evaluate(m, u) for u in cosets]
+            f_rows[m] = row if row and any(row) else None
+        return f_rows[m]
+
+    kernel_rows = {}
+    # per point: k0, the permutation of f's row it reads, the radius from which
+    # its sums may count as stable (radii that have not yet swept past f's
+    # window cannot: leading zeros are not convergence), and its partial sums
+    states = [(k0, [(dlog[u0 % p**N] - a) % order for a in range(order)],
+               max(2, abs(k0 - f.k_min), abs(k0 - (f.k_tail - 1))), [])
+              for k0, u0 in points]
+    results = [None] * len(states)
+    todo = list(range(len(states)))
     for K in range(K_max + 1):
         band = [K] if K == 0 else [K, -K]
-        for i in band:
-            sh = 0.0 + 0.0j
-            for u, target in zip(cosets, targets):
-                fv = f.evaluate(k0 - i, target)
-                if fv != 0:
-                    sh += kernel(i, u) * fv
-            total += sh / order
-        partial_sums.append(total)
-        if K >= K_start:
-            a, b, c = partial_sums[-3], partial_sums[-2], partial_sums[-1]
-            scale = max(1.0, abs(c))
-            if abs(a - b) <= tol * scale and abs(b - c) <= tol * scale:
-                return total, K, partial_sums
+        for idx in todo:
+            k0, perm, K_start, partial_sums = states[idx]
+            total = partial_sums[-1] if partial_sums else 0j
+            for i in band:
+                row = f_row(k0 - i)
+                if row is not None:
+                    if i not in kernel_rows:
+                        kernel_rows[i] = kernel_row(i)
+                    total += sum(map(mul, kernel_rows[i], map(row.__getitem__, perm))) / order
+            partial_sums.append(total)
+            if K >= K_start:
+                a, b, c = partial_sums[-3:]
+                scale = max(1.0, abs(c))
+                if abs(a - b) <= tol * scale and abs(b - c) <= tol * scale:
+                    results[idx] = (total, K, partial_sums)
+        todo = [idx for idx in todo if results[idx] is None]
+        if not todo:
+            return results
     raise StabilizationError(
-        f"pv convolution did not stabilize by K={K_max}; trace={partial_sums}")
+        f"pv convolution did not stabilize by K={K_max}; trace={states[todo[0]][3]}")
 
 
 def fe_gl1_sides(f: FxFunction, n: int, sign: int = 1):
     """The character-free parts of the GL(1) functional equation, once per f:
-    (M(L(f) |.|^{-(2n+1)/2}), M(f |.|^{(2n+1)/2})).  fe_gl1_compare reads one
-    character off each."""
-    Lf = fourier_L(f, n, sign)
-    return (mellin_transform(Lf.scale_by_power(Fraction(-(2 * n + 1), 2))),
-            mellin_transform(f.scale_by_power(Fraction(2 * n + 1, 2))))
+    (M(L(f) |.|^{-(2n+1)/2}), M(f |.|^{(2n+1)/2})).  The second is built
+    once and shared with fourier_L; fe_gl1_compare reads one character off
+    each."""
+    Zg = mellin_transform(f.scale_by_power(Fraction(2 * n + 1, 2)))
+    Lf = fourier_L(f, n, sign, _scaled=Zg)
+    return mellin_transform(Lf.scale_by_power(Fraction(-(2 * n + 1), 2))), Zg
 
 
 def fe_gl1_compare(sides, n: int, chi: UnitCharacter, sign: int = 1) -> float:

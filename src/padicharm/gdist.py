@@ -64,22 +64,26 @@ FOURIER_K_MAX = 40
 FOURIER_TOL = 1e-10
 
 
-def fourier_n0(phi: FxFunction, k0: int, u0: int, sign: int = 1) -> complex:
-    """(Phi * phi^v)(a) at a = p^{k0} u0 for n = 0: the pv convolution of
-    eta against the reflection of a compactly supported phi."""
+def fourier_n0(phi: FxFunction, points, sign: int = 1) -> list:
+    """(Phi * phi^v)(a) at each a = p^{k0} u0 of points ((k0, u0) pairs) for
+    n = 0: the pv convolution of eta against the reflection of a compactly
+    supported phi.  phi is reflected once, each shell's row of eta is read
+    once through eta_kernel, and pv_convolve sums every point in one pass;
+    each point stops at its own stable radius."""
     if phi.tail.kind != "compact":
         raise GDistError("fourier_n0 needs compactly supported input")
     p, level = phi.p, phi.level
+    cosets = unit_group(p, level)[0]
     refl = phi.reflect()
     ks = [k for k, _ in refl] or [0]
     phiv = FxFunction(p, level, min(ks), max(ks) + 1, refl)
 
     # the test function only sees eta through its level-N coset averages
-    def kernel(k, u):
-        return eta_kernel(0, sign, k, u, p, level)
+    def kernel_row(k):
+        return [eta_kernel(0, sign, k, u, p, level) for u in cosets]
 
-    value, _, _ = pv_convolve(kernel, phiv, k0, u0, K_max=FOURIER_K_MAX, tol=FOURIER_TOL)
-    return value
+    return [value for value, _, _ in pv_convolve(kernel_row, phiv, points,
+                                                 K_max=FOURIER_K_MAX, tol=FOURIER_TOL)]
 
 
 def fourier_n0_table(phi: FxFunction, k_lo: int, k_hi: int, sign: int = 1) -> dict:

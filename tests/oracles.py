@@ -35,6 +35,14 @@ The two functional equations, written out from the paper's statements, are
 the oracles of `fxspace.fe_gl1_compare` and `pvszeta.fe_pvs_compare`: each
 says whether its two sides are equal as rational functions, at the 20
 sample points of `RationalFunctionZ.equals`.
+
+The GL(1) shortcuts meet the longer forms they replace, which must give the
+very same floats: the per-point principal-value sum (eta_kernel read coset
+by coset where the reflected function is nonzero) for the batched
+`gdist.fourier_n0` and `fxspace.pv_convolve`; gamma built as the product
+eps L(1-s, chi^-1) / L(s, chi) for every character; the Paley-Wiener test
+that divides every component by its class L-product; and the Tate oracle
+with its truncated and full sums taken separately.
 """
 
 from fractions import Fraction
@@ -42,8 +50,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from padicharm.abelian import beta_factor
-from padicharm.fxspace import eta_kernel
+from padicharm import abelian
+from padicharm.abelian import L_factor, OracleError, beta_factor, epsilon_factor
+from padicharm.fxspace import (ZERO_COMPONENT_TOL, FxFunction, StabilizationError,
+                               class_denominator, eta_kernel)
+from padicharm.gdist import FOURIER_K_MAX, FOURIER_TOL
 from padicharm.padic import legendre, psi_frac, unit_group, unit_part, val_p
 from padicharm.pvszeta import (PvsError, _entry_order, _rank_census, _refine_bins,
                                _split_state, check_budget)
@@ -474,3 +485,91 @@ def shell_coefficient_by_units(ell: int, chi, z: complex, sign: int = 1) -> comp
     cosets = unit_group(chi.p, chi.level)[0]
     total = sum(eta_kernel(0, sign, ell, u, chi.p, chi.level) * chi.value(u) for u in cosets)
     return z**ell * total / len(cosets)
+
+
+def pointwise_pv_convolve(kernel, f, k0: int, u0: int, K_max: int, tol: float) -> complex:
+    """sum_shells kernel(x) f(x^{-1} t) at t = p^k0 u0 alone, kernel(k, u)
+    read coset by coset where f's target coset is nonzero, summed outward by
+    radius until three partial sums agree within tol (from the radius that
+    sweeps past f's window)."""
+    p, N = f.p, f.level
+    mod = p**N
+    cosets = unit_group(p, N)[0]
+    partial_sums, total = [], 0.0 + 0.0j
+    K_start = max(2, abs(k0 - f.k_min), abs(k0 - (f.k_tail - 1)))
+    for K in range(K_max + 1):
+        for i in [K] if K == 0 else [K, -K]:
+            sh = 0.0 + 0.0j
+            for u in cosets:
+                fv = f.evaluate(k0 - i, u0 * pow(u, -1, mod) % mod)
+                if fv != 0:
+                    sh += kernel(i, u) * fv
+            total += sh / len(cosets)
+        partial_sums.append(total)
+        if K >= K_start:
+            a, b, c = partial_sums[-3:]
+            scale = max(1.0, abs(c))
+            if abs(a - b) <= tol * scale and abs(b - c) <= tol * scale:
+                return total
+    raise StabilizationError(f"pv convolution did not stabilize by K={K_max}")
+
+
+def pointwise_fourier_n0(phi, k0: int, u0: int, sign: int = 1) -> complex:
+    """(Phi * phi^v)(p^k0 u0) at n = 0 for one point: phi reflected, and the
+    pv sum of eta_kernel against it at gdist's radius and tolerance."""
+    p, level = phi.p, phi.level
+    refl = phi.reflect()
+    ks = [k for k, _ in refl] or [0]
+    phiv = FxFunction(p, level, min(ks), max(ks) + 1, refl)
+    return pointwise_pv_convolve(lambda k, u: eta_kernel(0, sign, k, u, p, level),
+                                 phiv, k0, u0, FOURIER_K_MAX, FOURIER_TOL)
+
+
+def gamma_factor_composed(chi, sign: int = 1):
+    """gamma(s, chi, psi) = eps(s, chi, psi) L(1-s, chi^{-1}) / L(s, chi) as
+    that product, for ramified chi too."""
+    l_dual = L_factor(chi.inverse()).substitute("scale", 1.0 / chi.p).substitute("invert")
+    return epsilon_factor(chi, sign) * l_dual / L_factor(chi)
+
+
+def paley_wiener_by_quotients(Z, kind: str, n: int):
+    """check_paley_wiener's (ok, witness) with every nonzero component divided
+    by its class L-product and tested, Laurent polynomials included."""
+    for j, R in Z.comps.items():
+        if R.is_zero(ZERO_COMPONENT_TOL):
+            continue
+        chi = Z.character(j)
+        w = (R / class_denominator.__wrapped__(chi, kind, n)).laurent_polynomial_witness()
+        if w is not None:
+            return False, {"chi_exponent": j, "pole": w,
+                           "conductor": abelian.conductor(chi),
+                           "conductor_sq": abelian.conductor(chi.square())}
+    return True, None
+
+
+def _left_sum(terms) -> complex:
+    total = 0
+    for t in terms:
+        total = total + t
+    return total
+
+
+def tate_gamma_by_two_sums(chi, s: complex, sign: int = 1) -> complex:
+    """tate_gamma_oracle's ratio with its truncated sum (shells k <= truncation)
+    and its full sum each taken on its own, left to right from 0, as
+    builtin sum() adds complex terms through CPython 3.13."""
+    p, N = chi.p, chi.level
+    za_pow, zb_pow = abelian._z_powers(p, N, s)
+    ratios = []
+    for b, a in abelian._oracle_shells(p, N, chi.exponent, sign):
+        za = [x * y for x, y in zip(a, za_pow)]
+        za1, za2 = _left_sum(za[:abelian._TRUNCATION + N + 1]), _left_sum(za)
+        zb = _left_sum(x * y for x, y in zip(b, zb_pow))
+        if abs(za1 - za2) > abelian._ORACLE_TOL * max(abs(za2), 1.0):
+            raise OracleError("truncation not stabilized")
+        if abs(zb) < abelian._ZETA_FLOOR:
+            raise OracleError("denominator zeta integral vanished at this sample")
+        ratios.append(za2 / zb)
+    if abs(ratios[0] - ratios[1]) > abelian._ORACLE_TOL * max(abs(ratios[0]), 1.0):
+        raise OracleError("gamma ratio depends on the test function")
+    return complex(ratios[0])

@@ -12,6 +12,7 @@ from padicharm.abelian import (CharacterError, OracleError, UnitCharacter,
                                tate_gamma_oracle)
 from padicharm.padic import psi_frac, unit_group, unit_order
 from padicharm.ratfunc import RationalFunctionZ
+from oracles import gamma_factor_composed, tate_gamma_by_two_sums
 
 
 def quad3():
@@ -242,6 +243,7 @@ def test_oracle_never_touches_closed_forms(monkeypatch):
     for name in ("gauss_sum", "_gauss_table", "epsilon_factor", "gamma_factor"):
         monkeypatch.setattr(abelian, name, _closed_form_forbidden)
     abelian._oracle_shells.cache_clear()
+    abelian._oracle_rows.cache_clear()
     for chi in characters(5, 2):
         for sign in (1, -1):
             assert np.isfinite(tate_gamma_oracle(chi, 0.5, sign))
@@ -302,6 +304,62 @@ def test_cached_gamma_factor_equals_a_fresh_build(p):
             for sign in (1, -1):
                 got, want = gamma_factor(chi, sign), gamma_factor.__wrapped__(chi, sign)
                 assert got.num == want.num and got.den == want.den, (chi, sign)
+
+
+def _bits(poly):
+    return [(c.real.hex(), c.imag.hex()) for c in poly]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_ramified_gamma_is_the_composed_build(p, sign):
+    # gamma is eps itself for ramified chi: the very floats, signed zeros
+    # included, of eps L(1-s, chi^-1) / L(s, chi) built as a product
+    for level in (1, 2, 3):
+        for chi in characters(p, level):
+            if conductor(chi):
+                got, want = gamma_factor.__wrapped__(chi, sign), gamma_factor_composed(chi, sign)
+                assert _bits(got.num) == _bits(want.num), (chi, sign)
+                assert _bits(got.den) == _bits(want.den), (chi, sign)
+
+
+@pytest.mark.parametrize("p, level", [(3, 1), (3, 2), (5, 2), (7, 1)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_tate_oracle_matches_its_two_sum_form(p, level, sign):
+    # the truncated and full sums from one running sum against the two sums
+    # taken apart: the same ratio, and the same OracleError at the same samples
+    # (s = 0.98 leaves the trivial character's truncation unstabilized)
+    raised = 0
+    for chi in characters(p, level):
+        for s in (0.3, 0.5, 0.7, 0.61 + 0.2j, 0.98):
+            try:
+                want = tate_gamma_by_two_sums(chi, s, sign)
+            except OracleError as exc:
+                raised += 1
+                with pytest.raises(OracleError, match=str(exc)):
+                    tate_gamma_oracle(chi, s, sign)
+                continue
+            assert tate_gamma_oracle(chi, s, sign) == want, (chi, s)
+    assert raised
+
+
+def test_gauss_sum_builds_only_its_conductor(monkeypatch):
+    # a character of conductor e asks for one transform of length phi(p^e):
+    # at p = 3, level 5, conductor 2 that is 6 values of psi, not the 3^5 - 3^4
+    # of every conductor 1..5
+    calls = []
+    psi = abelian.psi_frac
+
+    def counting(*args):
+        calls.append(args)
+        return psi(*args)
+    monkeypatch.setattr(abelian, "psi_frac", counting)
+    abelian._gauss_table.cache_clear()
+    chi = UnitCharacter(3, 5, 3 ** 3)
+    assert conductor(chi) == 2
+    direct = sum(chi.inverse().value(u) * psi(3, u, 2) for u in range(1, 9) if u % 3)
+    assert abs(gauss_sum(chi) - direct) < 1e-12 and len(calls) == 6
+    abelian._gauss_table.cache_clear()
 
 
 @pytest.mark.parametrize("p, N", [(3, 1), (5, 2), (7, 3)])

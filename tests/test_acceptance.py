@@ -243,11 +243,13 @@ def test_criterion_06_eta_kernel():
     frefl = FxFunction(P, level, min(k for k, _ in refl),
                        max(k for k, _ in refl) + 1, refl, TailSpec.compact())
 
-    def kernel(k, u):
-        return eta_kernel(n, 1, k, u, P, level) * P ** (-k * (2 * n + 1) / 2.0)
+    def kernel_row(k):
+        return [eta_kernel(n, 1, k, u, P, level) * P ** (-k * (2 * n + 1) / 2.0)
+                for u in unit_group(P, level)[0]]
 
-    for (k0, u0) in [(0, 1), (1, 2), (-1, 4), (2, 5)]:
-        got, _, _ = pv_convolve(kernel, frefl, k0, u0, K_max=30, tol=1e-12)
+    points = [(0, 1), (1, 2), (-1, 4), (2, 5)]
+    for (k0, u0), (got, _, _) in zip(points, pv_convolve(kernel_row, frefl, points,
+                                                          K_max=30, tol=1e-12)):
         worst_a = max(worst_a, abs(got - Lf.evaluate(k0, u0)))
     # (b) eta(chi_s) = beta(chi_s) at 5 z-samples
     worst_b = 0.0
@@ -356,10 +358,9 @@ def test_criterion_10_n0_fourier_operator():
         G = FxFunction(P, 1, min(ks), max(ks) + 1,
                        {ku: complex(v) for ku, v in table.items()},
                        TailSpec.compact())
-        for k in range(phi.k_min, phi.k_tail):
-            for u in cosets:
-                got = fourier_n0(G, k, u, sign=-1)
-                worst_inv = max(worst_inv, abs(got - phi.evaluate(k, u)))
+        points = [(k, u) for k in range(phi.k_min, phi.k_tail) for u in cosets]
+        for (k, u), got in zip(points, fourier_n0(G, points, sign=-1)):
+            worst_inv = max(worst_inv, abs(got - phi.evaluate(k, u)))
         worst_pl = max(worst_pl, abs(l2_norm_truncated(table, P, 1, 12)
                                      - l2_norm_fx(phi, 12)))
     worst_sh = 0.0

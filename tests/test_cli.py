@@ -537,11 +537,29 @@ def test_broken_cayley_identity_is_an_error_not_a_hang(argv):
         assert any("form identity" in c["error"] for c in errors), errors
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_fe_gl1_builds_each_scaled_transform_once(n, monkeypatch):
+    # M(f |.|^{(2n+1)/2}) of each of the three test functions is built once,
+    # by fe_gl1_sides, and fourier_L reads it from there
+    from fractions import Fraction
+    from padicharm import fxspace
+    built = []
+    transform = fxspace.mellin_transform
+
+    def counting(f):
+        if f.tail.kind == "compact" and f.power_shift == Fraction(2 * n + 1, 2):
+            built.append(f)
+        return transform(f)
+    monkeypatch.setattr(fxspace, "mellin_transform", counting)
+    rep, code = run(["verify", "fe-gl1", "--p", "5", "--level", "1", "--n", str(n)])
+    assert code == 0 and len(rep["checks"]) == 12 and len(built) == 3
+
+
 def test_eta_table_expands_each_character_once(monkeypatch):
     # one Laurent series per character for the whole table, equal to the
     # per-shell residues and, through one FFT, to eta_kernel
     from padicharm.abelian import UnitCharacter, beta_factor_inverse_argument
-    from padicharm.fxspace import eta_kernel
+    from padicharm.fxspace import _eta_series, eta_kernel
     from padicharm.padic import unit_group
     from padicharm.ratfunc import RationalFunctionZ
     p, n, level, lo, hi = 3, 1, 2, -9, 6
@@ -552,6 +570,7 @@ def test_eta_table_expands_each_character_once(monkeypatch):
         calls.append((a, b))
         return series(self, a, b)
     monkeypatch.setattr(RationalFunctionZ, "laurent_coeffs", counting)
+    _eta_series.cache_clear()
     rep, code = run(["eta-table", "--p", str(p), "--n", str(n), "--level", str(level),
                      "--kmin", str(lo), "--kmax", str(hi)])
     assert code == 0 and calls == [(lo, hi)] * 6

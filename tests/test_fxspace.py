@@ -6,13 +6,13 @@ import pytest
 
 from padicharm.abelian import (UnitCharacter, beta_factor,
                                beta_factor_inverse_argument, characters, conductor)
-from padicharm.fxspace import (FxError, FxFunction, MellinData, TailSpec,
-                               check_paley_wiener, eta_kernel,
+from padicharm.fxspace import (FxError, FxFunction, MellinData, TailSpec, _eta_series,
+                               check_paley_wiener, eta_column, eta_kernel,
                                fe_gl1_compare, fe_gl1_sides, fourier_L, fx_from_mellin,
                                mellin_transform, pv_convolve)
 from padicharm.padic import psi_frac, unit_group, unit_order
 from padicharm.ratfunc import RationalFunctionZ
-from oracles import fe_gl1_holds
+from oracles import fe_gl1_holds, paley_wiener_by_quotients, pointwise_pv_convolve
 from shell_functions import indicator_integers, indicator_units, one_k
 
 
@@ -107,11 +107,11 @@ def test_pv_convolve_reports_no_stabilization():
     p, level = 3, 1
     f = indicator_integers(p, level)
 
-    def kernel(k, u):
-        return 2.0 ** abs(k)
+    def kernel_row(k):
+        return [2.0 ** abs(k)] * unit_order(p, level)
 
     with pytest.raises(Exception, match="stabilize"):
-        pv_convolve(kernel, f, 0, 1, K_max=8, tol=1e-12)
+        pv_convolve(kernel_row, f, [(0, 1)], K_max=8, tol=1e-12)
 
 
 def test_fx_from_mellin_roundtrip():
@@ -173,6 +173,72 @@ def test_check_paley_wiener_examples():
     bad2 = MellinData(p, 1, {1: RationalFunctionZ([1.0], [1.0, -1.0])})
     ok, witness = check_paley_wiener(bad2, "plus", 1)
     assert not ok and witness["chi_exponent"] == 1
+
+
+def test_check_paley_wiener_matches_the_full_quotient_test():
+    # skipping the components over a power of z against dividing out every
+    # component: the same verdicts and witnesses, on compact inputs (Laurent
+    # polynomials), on tailed ones, and on the beta-twisted data of fourier_L
+    rng = random.Random(67)
+    verdicts = set()
+    for p, level in ((3, 2), (5, 1)):
+        for kind in ("compact", "plus", "minus"):
+            for _ in range(3):
+                f = random_fx(rng, p, level, kind=kind, n=1)
+                data = [mellin_transform(f)]
+                if kind == "compact":
+                    Lf = fourier_L(f, 1)
+                    data.append(mellin_transform(Lf.scale_by_power(Fraction(-1, 2))))
+                for Z in data:
+                    for cls in ("plus", "minus"):
+                        for n in (0, 1, 2):
+                            got = check_paley_wiener(Z, cls, n)
+                            assert got == paley_wiener_by_quotients(Z, cls, n), (kind, cls, n)
+                            verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "jumping"])
+def test_eta_column_extends_to_a_fresh_series(order):
+    # the series held per (n, chi, sign), grown on demand, against a fresh
+    # laurent_coeffs(lo, hi) per request: the same floats, bit for bit
+    requests = {
+        "ascending": [(k, k) for k in range(-8, 30)],
+        "descending": [(k, k) for k in range(30, -9, -1)],
+        "jumping": [(0, 0), (25, 27), (-9, -9), (3, 40), (-2, 1), (12, 12), (-14, 55)],
+    }[order]
+    for p, level in ((3, 2), (5, 1), (7, 2)):
+        for n in (0, 1):
+            for sign in (1, -1):
+                _eta_series.cache_clear()
+                for chi in characters(p, level):
+                    R = beta_factor_inverse_argument(n, chi, sign)
+                    for lo, hi in requests:
+                        assert eta_column(n, chi, sign, lo, hi) == R.laurent_coeffs(lo, hi), \
+                            (p, level, n, sign, chi.exponent, lo, hi)
+
+
+@pytest.mark.parametrize("kind", ["compact", "plus", "minus"])
+def test_batched_pv_convolve_matches_per_point_sums(kind):
+    # one pass for all points against a pv sum per point, bit for bit; past
+    # k_tail a tailed f is read through evaluate, on either side of the window
+    rng = random.Random(71)
+    p, level = 3, 2
+    cosets = unit_group(p, level)[0]
+    weights = {u: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for u in cosets}
+
+    def kernel(k, u):
+        return 0.5 ** abs(k) * weights[u]
+
+    def kernel_row(k):
+        return [kernel(k, u) for u in cosets]
+
+    for _ in range(3):
+        f = random_fx(rng, p, level, kind=kind, n=1)
+        points = [(k, u) for k in (-4, 0, 1, 5) for u in cosets]
+        got = pv_convolve(kernel_row, f, points, K_max=80, tol=1e-12)
+        for (k0, u0), (value, _, _) in zip(points, got):
+            assert value == pointwise_pv_convolve(kernel, f, k0, u0, 80, 1e-12), (k0, u0)
 
 
 @lru_cache(maxsize=None)
@@ -308,11 +374,11 @@ def test_eta_convolution_identity():
     p, n, level = 3, 1, 2
     f = one_k(p, 2, level)
     Lf = fourier_L(f, n)
-    mod = p**level
+    cosets = unit_group(p, level)[0]
 
-    def kernel(k, u):
-        return (eta_kernel(n, 1, k, u, p, level)
-                * p ** (-k * (2 * n + 1) / 2.0))
+    def kernel_row(k):
+        return [eta_kernel(n, 1, k, u, p, level) * p ** (-k * (2 * n + 1) / 2.0)
+                for u in cosets]
 
     for k0, u0 in [(0, 1), (1, 2), (-1, 4)]:
         # f^v(x^{-1} t) = f(t^{-1} x); pv_convolve evaluates kernel * f(x^{-1}t),
@@ -321,7 +387,7 @@ def test_eta_convolution_identity():
         frefl = FxFunction(p, level, min(k for k, _ in fv_vals) if fv_vals else 0,
                            max(k for k, _ in fv_vals) + 1 if fv_vals else 1,
                            fv_vals, TailSpec.compact())
-        got, k_stable, _ = pv_convolve(kernel, frefl, k0, u0, K_max=24, tol=1e-12)
+        [(got, k_stable, _)] = pv_convolve(kernel_row, frefl, [(k0, u0)], K_max=24, tol=1e-12)
         want = Lf.evaluate(k0, u0)
         assert abs(got - want) < 1e-8, (k0, u0, got, want)
 
@@ -361,10 +427,10 @@ def test_pv_convolve_single_shell_average():
     p, level = 3, 1
     f = indicator_units(p, level, 2.0)
 
-    def kernel(k, u):
-        return 1.0 if k == 0 else 0.0
+    def kernel_row(k):
+        return [1.0 if k == 0 else 0.0] * unit_order(p, level)
 
-    got, _, _ = pv_convolve(kernel, f, 0, 1, K_max=6, tol=1e-12)
+    [(got, _, _)] = pv_convolve(kernel_row, f, [(0, 1)], K_max=6, tol=1e-12)
     assert abs(got - 2.0) < 1e-12
 
 

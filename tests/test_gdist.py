@@ -10,7 +10,7 @@ from padicharm.gdist import (GDistError, GPoint, fourier_n0, fourier_n0_table,
                              shell_coefficients_sum)
 from padicharm.padic import PadicElement, psi_frac, unit_group
 from padicharm.symplectic import random_symplectic, mul, inverse
-from oracles import shell_coefficient_by_units
+from oracles import pointwise_fourier_n0, shell_coefficient_by_units
 from shell_functions import indicator_integers, indicator_units
 
 
@@ -107,11 +107,11 @@ def test_fourier_n0_matches_classical_fourier(p):
         phi = compact_fx(p, level, data)
         weighted = phi.scale_by_power(Fraction(-1, 2))
         table = fourier_n0_table(phi, -2, 2)
-        for k in range(-2, 3):
-            for u in (1, 2, p + 2, p**level - 1):
-                want = p ** (-k / 2.0) * classical_fourier_shell(weighted, k, u)
-                assert abs(fourier_n0(phi, k, u) - want) < 1e-8, (k, u)
-                assert abs(table[(k, u)] - want) < 1e-8, (k, u)
+        points = [(k, u) for k in range(-2, 3) for u in (1, 2, p + 2, p**level - 1)]
+        for (k, u), got in zip(points, fourier_n0(phi, points)):
+            want = p ** (-k / 2.0) * classical_fourier_shell(weighted, k, u)
+            assert abs(got - want) < 1e-8, (k, u)
+            assert abs(table[(k, u)] - want) < 1e-8, (k, u)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -128,9 +128,28 @@ def test_fourier_n0_table_matches_pointwise_route(p, level):
         for sign in (1, -1):
             table = fourier_n0_table(phi, -4, 4, sign=sign)
             assert sorted(table) == [(k, u) for k in range(-4, 5) for u in sorted(cosets)]
-            for (k, u), got in table.items():
-                want = fourier_n0(phi, k, u, sign=sign)
+            pointwise = fourier_n0(phi, list(table), sign=sign)
+            for ((k, u), got), want in zip(table.items(), pointwise):
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (sign, k, u)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_batched_fourier_n0_matches_per_point_sums(p, level, sign):
+    # one pass over the shells for all points against a pv sum per point, bit
+    # for bit: on a random phi, and on the wide table fourier-n0 inverts
+    rng = random.Random(10 * p + level)
+    cosets = unit_group(p, level)[0]
+    phi = compact_fx(p, level, {(k, u): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                for k in range(-1, 2) for u in cosets})
+    table = compact_fx(p, level, fourier_n0_table(phi, -12, 12, sign=-sign))
+    some = cosets[::max(1, len(cosets) // 6)]
+    for f in (phi, table):
+        points = [(k, u) for k in (0, 1) for u in cosets] + [(k, u) for k in (-3, 4)
+                                                             for u in some]
+        got = fourier_n0(f, points, sign)
+        assert got == [pointwise_fourier_n0(f, k, u, sign) for k, u in points], (p, level)
 
 
 def test_fourier_n0_table_needs_compact_support():
@@ -150,11 +169,11 @@ def test_fourier_n0_double_transform_is_identity():
     for phi in family:
         table = fourier_n0_table(phi, -14, 14)
         G = compact_fx(p, level, table)
-        for k in range(phi.k_min, phi.k_tail):
-            for u in unit_group(p, level)[0]:
-                got = fourier_n0(G, k, u, sign=-1)
-                want = phi.evaluate(k, u)
-                assert abs(got - want) < 1e-6, (k, u)
+        points = [(k, u) for k in range(phi.k_min, phi.k_tail)
+                  for u in unit_group(p, level)[0]]
+        for (k, u), got in zip(points, fourier_n0(G, points, sign=-1)):
+            want = phi.evaluate(k, u)
+            assert abs(got - want) < 1e-6, (k, u)
 
 
 def test_fourier_n0_truncated_plancherel():
