@@ -9,8 +9,9 @@ ratfunc     rational functions of z = q^{-s}: residues, substitutions,
 abelian     unit characters and the abelian L/epsilon/gamma/beta factors,
             with a Tate-integral oracle
 fxspace     shell-function model on F^x, Mellin transform and its inversion
-            (fx_from_mellin), the eta kernel, the Fourier operator on the
-            plus space, and the functional-equation / Paley-Wiener verifiers
+            (fx_from_mellin, which is also the Paley-Wiener class test), the
+            eta kernel, the Fourier operator on the plus space, and the
+            functional-equation verifier
 pvszeta     determinant-fiber enumeration over Sym_m(Z/p^k), lattice test
             functions and their Fourier transforms, zeta integrals, and the
             prehomogeneous functional-equation verifier

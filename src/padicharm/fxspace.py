@@ -11,7 +11,10 @@ for small |x| = q^-k, one geometric term per pole of its class:
 (i < n, in allowed_alphas order).  The Mellin transform per unit character
 is then a rational function of z with simple poles at z = 1/alpha only, and
 the whole dictionary FxFunction <-> MellinData is exact in both directions
-(geometric summation one way, residues at z = 0 the other).
+(geometric summation one way, residues at z = 0 the other).  The way back,
+fx_from_mellin, is also the Paley-Wiener test: a component may carry only
+the poles its character's beta can carry, the first slot for unramified
+chi and the +-alpha pairs for unramified chi^2.
 
 Coset rows are in unit_group (dlog) order u = g^k, and component j belongs
 to chi_j(g^k) = exp(2 pi i j k / phi).  The change of axis is owned by
@@ -22,8 +25,8 @@ Each Mellin component is expanded at z = 0 once, as one Laurent series.
 
 On top of that dictionary sit the kernel eta (residues of beta against
 monomials), the Fourier operator on the plus space, principal-value
-convolution, the Paley-Wiener verifier and the functional-equation compare,
-which returns its deviation for the caller to judge.
+convolution and the functional-equation compare, which returns its
+deviation for the caller to judge.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from . import PadicharmError
 from .abelian import (UnitCharacter, beta_factor, beta_factor_inverse_argument,
                       character_components, characters, conductor, coset_values)
 from .padic import unit_group, unit_order
-from .ratfunc import PoleError, RationalFunctionZ, _split_z_power
+from .ratfunc import PoleError, RationalFunctionZ
 
 # a Mellin component whose numerator is this small against its denominator
 # is zero: in fe-gl1 and fe-pvs runs the vanishing ones are below 1e-16 and
@@ -209,7 +212,12 @@ def allowed_alphas(kind: str, n: int, q: float) -> list:
 
 
 def fx_from_mellin(Z: MellinData, kind: str, n: int) -> FxFunction:
-    """Materialize the shell function with the stated pole class (power shift 0)."""
+    """Materialize the shell function with the stated pole class (power shift 0).
+
+    This is the class-membership test: each nonzero component is split by
+    partial fractions against the poles its character's beta can carry, the
+    first slot only for unramified chi and the +-alpha pairs only for
+    unramified chi^2.  Any other pole raises FxError."""
     p, N = Z.p, Z.level
     cosets = unit_group(p, N)[0]
     alphas = allowed_alphas(kind, n, float(p))
@@ -221,10 +229,17 @@ def fx_from_mellin(Z: MellinData, kind: str, n: int) -> FxFunction:
     for j, R in Z.comps.items():
         if R.is_zero(ZERO_COMPONENT_TOL):
             continue
+        chi = Z.character(j)
+        e, e2 = conductor(chi), conductor(chi.square())
+        slots = [i for i in range(len(alphas)) if (e if i == 0 else e2) == 0]
         try:
-            laurents[j], columns[j] = R.partial_fractions(alphas)
+            laurents[j], residues = R.partial_fractions([alphas[i] for i in slots])
         except PoleError as exc:
             raise FxError(f"chi exponent {j} leaves the {kind}({n}) class: {exc}") from exc
+        column = list(zero)
+        for i, b in zip(slots, residues):
+            column[i] = b
+        columns[j] = column
     keys = [k for laurent in laurents.values() for k in laurent]
     k_min, k_tail = min(keys + [0]), max(keys + [0]) + 1
 
@@ -241,43 +256,6 @@ def fx_from_mellin(Z: MellinData, kind: str, n: int) -> FxFunction:
             for u, v in zip(cosets, row) if v != 0}
     tail = TailSpec(kind, tuple(map(tuple, coset_values(list(zip(*columns))))))
     return FxFunction(p, N, k_min, k_tail, vals, tail, Fraction(0))
-
-
-# --------------------------------------------------- Paley-Wiener checking
-
-@lru_cache(maxsize=None)
-def class_denominator(chi: UnitCharacter, kind: str, n: int) -> RationalFunctionZ:
-    """The L-product prod (1 - alpha z) over the class's poles that a Mellin
-    component must divide into, restricted to the factors beta can carry:
-    the first pole only for unramified chi, the +-alpha pairs only for
-    unramified chi^2.  One build per (p, level, exponent, kind, n)."""
-    e, e2 = conductor(chi), conductor(chi.square())
-    D = RationalFunctionZ.one()
-    for slot, alpha in enumerate(allowed_alphas(kind, n, float(chi.p))):
-        if (e if slot == 0 else e2) == 0:
-            D = D * RationalFunctionZ([1.0], [1.0, -alpha])
-    return D
-
-
-def check_paley_wiener(Z: MellinData, kind: str, n: int):
-    """True iff every component over its class L-product is a Laurent polynomial.
-
-    A component whose denominator is a power of z is a Laurent polynomial
-    already, so it lies in every class and is not divided out; every
-    component of a compactly supported input is one.  Returns (ok, witness);
-    the witness names the offending character exponent and pole location.
-    """
-    for j, R in Z.comps.items():
-        if R.is_zero(ZERO_COMPONENT_TOL) or len(_split_z_power(R.den)[1]) == 1:
-            continue
-        chi = Z.character(j)
-        quotient = R / class_denominator(chi, kind, n)
-        w = quotient.laurent_polynomial_witness()
-        if w is not None:
-            return False, {"chi_exponent": j, "pole": w,
-                           "conductor": conductor(chi),
-                           "conductor_sq": conductor(chi.square())}
-    return True, None
 
 
 # ----------------------------------------------------------- eta and L-op
@@ -370,9 +348,10 @@ def fourier_L(f: FxFunction, n: int, sign: int = 1, *, _scaled=None) -> FxFuncti
     q = float(p)
     # a compactly supported f has Laurent-polynomial components: in every class
     if f.tail.kind != "compact":
-        ok, witness = check_paley_wiener(mellin_transform(f.scale_by_power(2 * n)), "plus", n)
-        if not ok:
-            raise FxError(f"input is not in the pvs plus space: {witness}")
+        try:
+            fx_from_mellin(mellin_transform(f.scale_by_power(2 * n)), "plus", n)
+        except FxError as exc:
+            raise FxError(f"input is not in the pvs plus space: {exc}") from exc
     Zg = _scaled
     if Zg is None:
         Zg = mellin_transform(f.scale_by_power(Fraction(2 * n + 1, 2)))
@@ -386,14 +365,10 @@ def fourier_L(f: FxFunction, n: int, sign: int = 1, *, _scaled=None) -> FxFuncti
     # comps is M(L(f) |.|^{-(2n+1)/2}); L(f) lands in |.|^{n+1} S^-_{n,beta},
     # so shift by |.|^{-1/2} more to reach the shift-free minus class
     V = MellinData(p, N, {j: R.substitute("scale", q**0.5) for j, R in comps.items()})
-    ok, witness = check_paley_wiener(V, "minus", n)
-    if not ok:
-        raise FxError(f"transform left the minus class (this should not happen): {witness}")
-    out = fx_from_mellin(V, "minus", n)
-    return out.scale_by_power(Fraction(n + 1))
+    return fx_from_mellin(V, "minus", n).scale_by_power(Fraction(n + 1))
 
 
-def pv_convolve(kernel_row, f: FxFunction, points, K_max: int, tol: float = 1e-9) -> list:
+def pv_convolve(kernel_row, f: FxFunction, points, K_max: int, tol: float) -> list:
     """Principal-value convolutions sum_shells kernel(x) f(x^{-1} t), one per
     point t = p^k0 u0 of points ((k0, u0) pairs), summed in one pass.
 

@@ -11,10 +11,11 @@ Laurent part from the series at z = 0.
 
 Polynomials are tuples of Python complex coefficients in ascending order.
 The GL(1) calculus builds them with 2 to 10 terms, where numpy's fixed cost
-per call outweighs the arithmetic, so the kernel is plain Python and
-`laurent_coeffs` returns a list; numpy is imported only to find roots, on
-the failure path of the Laurent-polynomial test.  Equality is decided by
-cross-multiplied evaluation at fixed sample points off the unit circle.
+per call outweighs the arithmetic, so the kernel is plain Python, with no
+numpy, and `laurent_coeffs` returns a list.  `partial_fractions(())` is the
+Laurent-polynomial test: it raises PoleError on any pole off z = 0.
+Equality is decided by cross-multiplied evaluation at fixed sample points
+off the unit circle.
 """
 
 from __future__ import annotations
@@ -227,22 +228,6 @@ class RationalFunctionZ:
         v, den0 = _split_z_power(self.den)
         residues = tuple(_cover_up(self.num, den0, v, a) for a in alphas)
         return _laurent_part(self, alphas, residues, _TERM_TOL), residues
-
-    # ---- Laurent-polynomial test ----
-    def laurent_polynomial_witness(self, tol=_TERM_TOL):
-        """None if R is a Laurent polynomial (its series at z = 0
-        terminates), else the pole z0 of R where the numerator is largest;
-        only this failure path finds roots."""
-        try:
-            _laurent_part(self, (), (), tol)
-            return None
-        except PoleError:
-            import numpy as np
-            _, den0 = _split_z_power(self.den)
-            roots = np.roots(den0[::-1])
-            deg = len(self.num) - 1
-            return complex(max(roots, key=lambda r: abs(_peval(self.num, r))
-                               / max(abs(r), 1.0) ** deg))
 
     # ---- serialization ----
     def to_json(self) -> dict:

@@ -40,9 +40,13 @@ The GL(1) shortcuts meet the longer forms they replace, which must give the
 very same floats: the per-point principal-value sum (eta_kernel read coset
 by coset where the reflected function is nonzero) for the batched
 `gdist.fourier_n0` and `fxspace.pv_convolve`; gamma built as the product
-eps L(1-s, chi^-1) / L(s, chi) for every character; the Paley-Wiener test
-that divides every component by its class L-product; and the Tate oracle
+eps L(1-s, chi^-1) / L(s, chi) for every character; and the Tate oracle
 with its truncated and full sums taken separately.
+
+The roots of each Mellin component, found by numpy and cancelled against
+those of its numerator, are the oracle of the Paley-Wiener verdict of
+`fxspace.fx_from_mellin`, which finds no roots: every pole left must be
+simple and one that the component's character can carry.
 """
 
 from fractions import Fraction
@@ -53,7 +57,7 @@ import numpy as np
 from padicharm import abelian
 from padicharm.abelian import L_factor, OracleError, beta_factor, epsilon_factor
 from padicharm.fxspace import (ZERO_COMPONENT_TOL, FxFunction, StabilizationError,
-                               class_denominator, eta_kernel)
+                               eta_kernel)
 from padicharm.gdist import FOURIER_K_MAX, FOURIER_TOL
 from padicharm.padic import legendre, psi_frac, unit_group, unit_part, val_p
 from padicharm.pvszeta import (PvsError, _entry_order, _rank_census, _refine_bins,
@@ -532,19 +536,49 @@ def gamma_factor_composed(chi, sign: int = 1):
     return epsilon_factor(chi, sign) * l_dual / L_factor(chi)
 
 
-def paley_wiener_by_quotients(Z, kind: str, n: int):
-    """check_paley_wiener's (ok, witness) with every nonzero component divided
-    by its class L-product and tested, Laurent polynomials included."""
+# roots of float polynomials this close, relative to their size, are one
+# root: np.roots finds a double root only to about sqrt(eps) ~ 1e-8
+ROOT_TOL = 1e-5
+
+
+def _roots(c) -> list:
+    """The roots of the polynomial c (ascending coefficients), z = 0 included."""
+    return list(np.roots(np.array(c[::-1]))) if len(c) > 1 else []
+
+
+def paley_wiener_by_roots(Z, kind: str, n: int) -> bool:
+    """fx_from_mellin's class verdict from the poles themselves: the roots of
+    each nonzero component's denominator, less those it shares with its
+    numerator, must be z = 0 or simple poles z = 1/alpha at an alpha of the
+    class that the character's beta can carry: plus 1 and +-q^-(i+1/2),
+    minus q^-n and +-q^-i (i < n), the first for unramified chi only and
+    the pairs for unramified chi^2 only."""
+    q = float(Z.p)
+    if kind == "plus":
+        first, pairs = 1.0, [q ** -(i + 0.5) for i in range(n)]
+    else:
+        first, pairs = q ** -float(n), [q ** -float(i) for i in range(n)]
     for j, R in Z.comps.items():
         if R.is_zero(ZERO_COMPONENT_TOL):
             continue
         chi = Z.character(j)
-        w = (R / class_denominator.__wrapped__(chi, kind, n)).laurent_polynomial_witness()
-        if w is not None:
-            return False, {"chi_exponent": j, "pole": w,
-                           "conductor": abelian.conductor(chi),
-                           "conductor_sq": abelian.conductor(chi.square())}
-    return True, None
+        carried = [first] if abelian.conductor(chi) == 0 else []
+        if abelian.conductor(chi.square()) == 0:
+            carried += [a for alpha in pairs for a in (alpha, -alpha)]
+        zeros, poles = _roots(R.num), []
+        for r in _roots(R.den):
+            shared = [i for i, x in enumerate(zeros)
+                      if abs(x - r) <= ROOT_TOL * max(abs(r), 1.0)]
+            if shared:
+                del zeros[shared[0]]
+            elif abs(r) > ROOT_TOL:
+                poles.append(r)
+        for i, r in enumerate(poles):
+            if any(abs(r - x) <= ROOT_TOL * abs(r) for x in poles[:i]):
+                return False
+            if not any(abs(r * a - 1) <= ROOT_TOL for a in carried):
+                return False
+    return True
 
 
 def _left_sum(terms) -> complex:

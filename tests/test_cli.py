@@ -555,6 +555,30 @@ def test_fe_gl1_builds_each_scaled_transform_once(n, monkeypatch):
     assert code == 0 and len(rep["checks"]) == 12 and len(built) == 3
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_fe_gl1_expands_each_component_of_v_once(n, monkeypatch):
+    # fourier_L's minus-class check is the inversion of V itself: one
+    # Laurent series per nonzero component of V, and no other series
+    from padicharm import fxspace
+    from padicharm.ratfunc import RationalFunctionZ
+    expanded, nonzero = [], []
+    series, invert = RationalFunctionZ.laurent_coeffs, fxspace.fx_from_mellin
+
+    def counting(self, lo, hi):
+        expanded.append(self)
+        return series(self, lo, hi)
+
+    def inverting(Z, kind, n):
+        nonzero.extend(R for R in Z.comps.values()
+                       if not R.is_zero(fxspace.ZERO_COMPONENT_TOL))
+        return invert(Z, kind, n)
+    monkeypatch.setattr(RationalFunctionZ, "laurent_coeffs", counting)
+    monkeypatch.setattr(fxspace, "fx_from_mellin", inverting)
+    rep, code = run(["verify", "fe-gl1", "--p", "5", "--level", "1", "--n", str(n)])
+    # RationalFunctionZ has no __eq__: the lists compare object by object
+    assert code == 0 and nonzero and expanded == nonzero
+
+
 def test_eta_table_expands_each_character_once(monkeypatch):
     # one Laurent series per character for the whole table, equal to the
     # per-shell residues and, through one FFT, to eta_kernel

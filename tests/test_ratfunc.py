@@ -157,14 +157,15 @@ def test_pole_outside_the_set_raises():
     assert not laurent and np.allclose(residues, [2.0, -1.0], atol=1e-12)
 
 
-def test_laurent_polynomial_witness():
-    # (1-z)(1+2z)/(1-z) is a polynomial
-    R = RationalFunctionZ(np.convolve([1.0, -1.0], [1.0, 2.0]), [1.0, -1.0])
-    assert R.laurent_polynomial_witness() is None
-    # 1/(1-z) is not; witness should be z = 1
-    S = RationalFunctionZ([1.0], [1.0, -1.0])
-    w = S.laurent_polynomial_witness()
-    assert w is not None and abs(w - 1.0) < 1e-6
+def test_partial_fractions_against_no_poles():
+    # the Laurent-polynomial test: (1-z)(1+2z)/(z (1-z)) is z^-1 + 2
+    R = RationalFunctionZ(np.convolve([1.0, -1.0], [1.0, 2.0]), [0.0, 1.0, -1.0])
+    laurent, residues = R.partial_fractions(())
+    assert residues == () and laurent.keys() == {-1, 0}
+    assert abs(laurent[-1] - 1) < 1e-12 and abs(laurent[0] - 2) < 1e-12
+    # 1/(1-z) is not one
+    with pytest.raises(PoleError):
+        RationalFunctionZ([1.0], [1.0, -1.0]).partial_fractions(())
 
 
 def test_json_roundtrip():
