@@ -78,15 +78,11 @@ class UnitCharacter:
         order = unit_order(self.p, self.level)
         object.__setattr__(self, "exponent", self.exponent % order)
 
-    @property
-    def order_of_group(self) -> int:
-        return unit_order(self.p, self.level)
-
     def value(self, u: int) -> complex:
         _, _, dlog = unit_group(self.p, self.level)
         k = dlog[u % self.p**self.level]
-        n = self.order_of_group
-        return cmath.exp(2j * cmath.pi * self.exponent * k / n)
+        # the dlog table holds one entry per unit: its length is the group order
+        return cmath.exp(2j * cmath.pi * self.exponent * k / len(dlog))
 
     @property
     def is_trivial(self) -> bool:
@@ -111,13 +107,15 @@ class UnitCharacter:
             raise CharacterError("cannot lower level below the conductor")
         gen = unit_group(self.p, level)[1]
         dlog = unit_group(self.p, self.level)[2][gen % self.p**self.level]
-        j = self.exponent * dlog * unit_order(self.p, level) // self.order_of_group
+        j = self.exponent * dlog * unit_order(self.p, level) // unit_order(self.p, self.level)
         return UnitCharacter(self.p, level, j)
 
 
-def characters(p: int, level: int):
-    """All characters of (Z/p^level)^x."""
-    return [UnitCharacter(p, level, j) for j in range(unit_order(p, level))]
+@lru_cache(maxsize=None)
+def characters(p: int, level: int) -> tuple:
+    """All characters of (Z/p^level)^x, by exponent: one cached tuple per
+    (p, level), shared by every caller."""
+    return tuple(UnitCharacter(p, level, j) for j in range(unit_order(p, level)))
 
 
 def conductor(chi: UnitCharacter) -> int:

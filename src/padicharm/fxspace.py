@@ -38,7 +38,7 @@ from operator import mul
 
 from . import PadicharmError
 from .abelian import (UnitCharacter, beta_factor, beta_factor_inverse_argument,
-                      character_components, characters, conductor, coset_values)
+                      character_components, characters, coset_values)
 from .padic import unit_group, unit_order
 from .ratfunc import PoleError, RationalFunctionZ
 
@@ -105,7 +105,8 @@ class FxFunction:
         """Multiply by |x|^c (c rational, half-integers allowed)."""
         c = Fraction(c)
         q, e = float(self.p), float(c)
-        vals = {(k, u): v * q ** (-k * e) for (k, u), v in self.values.items()}
+        factor = {k: q ** (-k * e) for k in {k for k, _ in self.values}}
+        vals = {(k, u): v * factor[k] for (k, u), v in self.values.items()}
         return FxFunction(self.p, self.level, self.k_min, self.k_tail, vals,
                           self.tail, self.power_shift + c)
 
@@ -166,12 +167,17 @@ class MellinData:
     level: int
     comps: dict          # exponent j -> RationalFunctionZ
 
-    def character(self, j: int) -> UnitCharacter:
-        return UnitCharacter(self.p, self.level, j)
-
     def component(self, chi: UnitCharacter) -> RationalFunctionZ:
         chi = chi.at_level(self.level)
         return self.comps.get(chi.exponent, RationalFunctionZ.zero())
+
+
+@lru_cache(maxsize=None)
+def _geometric_tail(ratio: float, k_tail: int) -> RationalFunctionZ:
+    """sum_{k >= k_tail} (ratio z)^k, built once and shared by every function
+    whose tail has this pole and this start."""
+    return RationalFunctionZ.geometric(ratio, k_tail)
+
 
 def mellin_transform(f: FxFunction) -> MellinData:
     """M(f)(z, chi) = sum_k z^k (1/phi(p^N)) sum_u f(p^k u) chi(u), closed form."""
@@ -186,7 +192,7 @@ def mellin_transform(f: FxFunction) -> MellinData:
         # the row of pole alpha sums to (q^-sigma alpha z)^k over k >= k_tail
         tail = character_components(t.rows)
         shift = float(p) ** -float(f.power_shift)
-        terms = [RationalFunctionZ.geometric(shift * alpha, f.k_tail)
+        terms = [_geometric_tail(shift * alpha, f.k_tail)
                  for alpha in allowed_alphas(t.kind, t.n, float(p))]
     comps = {}
     for j in range(len(cosets)):
@@ -220,6 +226,7 @@ def fx_from_mellin(Z: MellinData, kind: str, n: int) -> FxFunction:
     unramified chi^2.  Any other pole raises FxError."""
     p, N = Z.p, Z.level
     cosets = unit_group(p, N)[0]
+    order = len(cosets)
     alphas = allowed_alphas(kind, n, float(p))
 
     # residues b per character exponent j, in alphas order
@@ -229,9 +236,9 @@ def fx_from_mellin(Z: MellinData, kind: str, n: int) -> FxFunction:
     for j, R in Z.comps.items():
         if R.is_zero(ZERO_COMPONENT_TOL):
             continue
-        chi = Z.character(j)
-        e, e2 = conductor(chi), conductor(chi.square())
-        slots = [i for i in range(len(alphas)) if (e if i == 0 else e2) == 0]
+        # chi_j has conductor 0 iff it is trivial, j = 0 mod phi; chi_j^2 iff 2j = 0 mod phi
+        unramified = (j % order == 0, 2 * j % order == 0)
+        slots = [i for i in range(len(alphas)) if unramified[i > 0]]
         try:
             laurents[j], residues = R.partial_fractions([alphas[i] for i in slots])
         except PoleError as exc:
@@ -376,11 +383,11 @@ def pv_convolve(kernel_row, f: FxFunction, points, K_max: int, tol: float) -> li
     cosets in unit_group order; it is read once per shell for all points,
     and only where some point meets a nonzero row of f.  For the point
     t = p^k0 g^b, kernel coset g^a meets f's coset g^(b - a) on shell k0 - k,
-    so each shell's sum is the kernel row against f's permuted row.  f's
-    window rows are read from its values; past k_tail f is read through
-    evaluate.  Returns one (value, k_stable, partial_sums) per point; a
-    point is stable at three consecutive truncations within tol, and its
-    sums stop there.
+    so each shell's sum is the kernel row against f's permuted row, built
+    once per (shell, b) for every point at the coset g^b.  f's window rows
+    are read from its values; past k_tail f is read through evaluate.
+    Returns one (value, k_stable, partial_sums) per point; a point is stable
+    at three consecutive truncations within tol, and its sums stop there.
     """
     p, N = f.p, f.level
     cosets, dlog = f.cosets, unit_group(p, N)[2]
@@ -399,26 +406,32 @@ def pv_convolve(kernel_row, f: FxFunction, points, K_max: int, tol: float) -> li
             f_rows[m] = row if row and any(row) else None
         return f_rows[m]
 
+    # (m, b) -> f's row on shell m at the cosets g^(b - a) of the kernel cosets
+    # g^a, a = 0..order-1: row[b], row[b - 1], ..., row[0], row[-1], ..., row[b + 1]
+    permuted = {}
     kernel_rows = {}
-    # per point: k0, the permutation of f's row it reads, the radius from which
-    # its sums may count as stable (radii that have not yet swept past f's
-    # window cannot: leading zeros are not convergence), and its partial sums
-    states = [(k0, [(dlog[u0 % p**N] - a) % order for a in range(order)],
-               max(2, abs(k0 - f.k_min), abs(k0 - (f.k_tail - 1))), [])
+    # per point: k0, the dlog b0 of its coset, the radius from which its sums
+    # may count as stable (radii that have not yet swept past f's window
+    # cannot: leading zeros are not convergence), and its partial sums
+    states = [(k0, dlog[u0 % p**N], max(2, abs(k0 - f.k_min), abs(k0 - (f.k_tail - 1))), [])
               for k0, u0 in points]
     results = [None] * len(states)
     todo = list(range(len(states)))
     for K in range(K_max + 1):
         band = [K] if K == 0 else [K, -K]
         for idx in todo:
-            k0, perm, K_start, partial_sums = states[idx]
+            k0, b0, K_start, partial_sums = states[idx]
             total = partial_sums[-1] if partial_sums else 0j
             for i in band:
-                row = f_row(k0 - i)
+                key = k0 - i, b0
+                if key not in permuted:
+                    row = f_row(k0 - i)
+                    permuted[key] = None if row is None else row[b0::-1] + row[:b0:-1]
+                row = permuted[key]
                 if row is not None:
                     if i not in kernel_rows:
                         kernel_rows[i] = kernel_row(i)
-                    total += sum(map(mul, kernel_rows[i], map(row.__getitem__, perm))) / order
+                    total += sum(map(mul, kernel_rows[i], row)) / order
             partial_sums.append(total)
             if K >= K_start:
                 a, b, c = partial_sums[-3:]

@@ -67,8 +67,10 @@ def load_config(path) -> LocalFieldConfig:
 
 
 def val_p(x, p: int) -> int:
-    """ord_p of a nonzero rational x."""
-    x = Fraction(x)
+    """ord_p of a nonzero rational x.  An int is its own numerator over 1, so
+    it takes no Fraction."""
+    if not isinstance(x, int):
+        x = Fraction(x)
     if x == 0:
         raise PadicError("valuation undefined: zero input")
     v = 0

@@ -593,12 +593,13 @@ def _job_series(p: int, job, weighted: bool, sign: int) -> tuple:
     weights: Counter = Counter()      # (rank, key) -> sum of count psi(t)
     for (r, key, t), count in _job_census(p, job).items():
         weights[(r, key)] += count * psi_frac(p, t, 1, sign)
+    spread = {eps: [float(legendre(u, p) == eps) * 2 / (p - 1) for u in cosets]
+              for eps in (1, -1)}
     vectors, numerators = [], []
     for (r, key), x in weights.items():
         delta = legendre(key, p) if r == m else key
         for (w, eps, c), num in _cell_series(p, m, m - r, delta).items():
-            cells = ([float(u == key) for u in cosets] if r == m else
-                     [float(legendre(u, p) == eps) * 2 / (p - 1) for u in cosets])
+            cells = [float(u == key) for u in cosets] if r == m else spread[eps]
             weight = x * (ell ** (n * w) * c if weighted else 1)
             vectors.append([weight * cell for cell in cells])
             numerators.append(num)

@@ -16,11 +16,25 @@ numpy, and `laurent_coeffs` returns a list.  `partial_fractions(())` is the
 Laurent-polynomial test: it raises PoleError on any pole off z = 0.
 Equality is decided by cross-multiplied evaluation at fixed sample points
 off the unit circle.
+
+RationalFunctionZ is a value type: an instance is never written after it is
+built, so callers share instances freely (the gamma and beta caches hand out
+one each), and `zero()` and `one()` return one shared instance each.  The
+generic constructor converts any coefficients to complex; the kernel's own
+results, already tuples of complex, take `_make`, which only trims them.  A
+scalar c enters a product as the one-coefficient function c / 1, built by
+`_make`, so `_trim` alone decides what a coefficient becomes; `_pmul` takes a
+one-coefficient operand in one pass, 0 + x * y per coefficient, the floats
+of its double loop, signed zeros included.  A non-finite coefficient is
+never trimmed to zero, and a non-finite sample makes a deviation infinite,
+so a NaN never reads as zero or as agreement.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+from functools import cache
 from operator import add, mul
 
 from . import PadicharmError
@@ -44,6 +58,7 @@ _SAMPLES = tuple(
     for k, r in zip(range(20), [0.63, 1.41] * 10)
 )
 _ZERO = (0j,)
+_ONE = (1 + 0j,)
 
 
 class PoleError(PadicharmError):
@@ -52,19 +67,30 @@ class PoleError(PadicharmError):
 
 def _trim(c: tuple) -> tuple:
     """c without the top coefficients below _TRIM_TOL of its largest; (0,)
-    when all of c is zero."""
-    scale = max(map(abs, c), default=0.0)
-    if not scale > 0.0:
-        return _ZERO
+    when all of c is zero, and c itself when a coefficient is not finite."""
+    # no default=: a keyword argument sends max() down a slower call path
+    scale = max(map(abs, c)) if c else 0.0
+    if not 0.0 < scale < math.inf:
+        # max() skips a NaN that is not first, so zero alone is tested exactly
+        return _ZERO if all(x == 0 for x in c) else c
     cut = _TRIM_TOL * scale
     n = len(c)
+    if abs(c[-1]) > cut:
+        return c
     while n > 1 and abs(c[n - 1]) <= cut:
         n -= 1
     return c[:n]
 
 
 def _pmul(a, b):
-    """The product of two polynomials, exact on exact coefficients."""
+    """The product of two polynomials, exact on exact coefficients.  A
+    one-coefficient operand takes the double loop's 0 + x * y directly."""
+    if len(b) == 1:
+        y = b[0]
+        return tuple([0 + x * y for x in a])
+    if len(a) == 1:
+        x = a[0]
+        return tuple([0 + x * y for y in b])
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b, i):
@@ -99,18 +125,29 @@ class RationalFunctionZ:
 
     # ---- constructors ----
     @classmethod
+    def _make(cls, num: tuple, den: tuple) -> "RationalFunctionZ":
+        """From tuples of complex that the kernel built: trimmed, not converted."""
+        out = object.__new__(cls)
+        out.num, out.den = _trim(num), _trim(den)
+        if out.den == _ZERO:
+            raise ZeroDivisionError("denominator is identically zero")
+        return out
+
+    @classmethod
+    @cache
     def one(cls) -> "RationalFunctionZ":
         return cls([1.0])
 
     @classmethod
+    @cache
     def zero(cls) -> "RationalFunctionZ":
         return cls([0.0])
 
     @classmethod
     def z_power(cls, k: int) -> "RationalFunctionZ":
         if k >= 0:
-            return cls(_mono(k))
-        return cls([1.0], _mono(-k))
+            return cls._make(_mono(k), _ONE)
+        return cls._make(_ONE, _mono(-k))
 
     @classmethod
     def from_laurent(cls, coeffs: dict) -> "RationalFunctionZ":
@@ -132,43 +169,52 @@ class RationalFunctionZ:
     # ---- arithmetic ----
     def __add__(self, other):
         other = _coerce(other)
-        return RationalFunctionZ(
+        return RationalFunctionZ._make(
             _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
             _pmul(self.den, other.den),
         )
 
     def __mul__(self, other):
         other = _coerce(other)
-        return RationalFunctionZ(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        return RationalFunctionZ._make(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     def __truediv__(self, other):
         other = _coerce(other)
-        return RationalFunctionZ(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        return RationalFunctionZ._make(_pmul(self.num, other.den), _pmul(self.den, other.num))
 
     def __call__(self, z):
-        return _peval(self.num, complex(z)) / _peval(self.den, complex(z))
+        z = complex(z)
+        return _peval(self.num, z) / _peval(self.den, z)
 
     def is_zero(self, tol=_EQ_TOL) -> bool:
-        return max(map(abs, self.num)) <= tol * max(max(map(abs, self.den)), 1.0)
+        # each coefficient is compared, since max() skips a NaN that is not first
+        bound = tol * max(max(map(abs, self.den)), 1.0)
+        return all(abs(x) <= bound for x in self.num)
 
     def equals(self, other, tol=_EQ_TOL) -> bool:
-        """Cross-multiplied agreement at 20 deterministic sample points."""
+        """Cross-multiplied agreement at 20 deterministic sample points; a
+        sample that is not finite fails the comparison."""
         other = _coerce(other)
-        worst = 0.0
         for z in _SAMPLES:
             a = _peval(self.num, z) * _peval(other.den, z)
             b = _peval(other.num, z) * _peval(self.den, z)
-            scale = max(abs(a), abs(b), 1.0)
-            worst = max(worst, abs(a - b) / scale)
-        return worst <= tol
+            if not abs(a - b) / max(abs(a), abs(b), 1.0) <= tol:
+                return False
+        return True
 
     def max_relative_deviation(self, other, samples=None) -> float:
+        """The largest |a - b| / max(|a|, |b|, 1) over the samples; inf when a
+        value at a sample is not finite, which no tolerance passes."""
         other = _coerce(other)
         worst = 0.0
         for z in samples if samples is not None else _SAMPLES:
-            a = self(z)
-            b = other(z)
-            worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1.0))
+            z = complex(z)
+            a = _peval(self.num, z) / _peval(self.den, z)
+            b = _peval(other.num, z) / _peval(other.den, z)
+            dev = abs(a - b) / max(abs(a), abs(b), 1.0)
+            if not math.isfinite(dev):
+                return math.inf
+            worst = max(worst, dev)
         return worst
 
     # ---- substitutions ----
@@ -177,16 +223,17 @@ class RationalFunctionZ:
         num, den = self.num, self.den
         if rule == "scale":
             c = complex(c)
-            return RationalFunctionZ([x * c ** k for k, x in enumerate(num)],
-                                     [x * c ** k for k, x in enumerate(den)])
+            powers = [c ** k for k in range(max(len(num), len(den)))]
+            return RationalFunctionZ._make(tuple(map(mul, num, powers)),
+                                           tuple(map(mul, den, powers)))
         if rule == "square":
-            return RationalFunctionZ(_spread(num), _spread(den))
+            return RationalFunctionZ._make(_spread(num), _spread(den))
         if rule == "invert":
             # z^max(dn, dd) num(1/z) / (z^max(dn, dd) den(1/z))
             pad = (0j,) * abs(len(den) - len(num))
             if len(den) >= len(num):
-                return RationalFunctionZ(pad + num[::-1], den[::-1])
-            return RationalFunctionZ(num[::-1], pad + den[::-1])
+                return RationalFunctionZ._make(pad + num[::-1], den[::-1])
+            return RationalFunctionZ._make(num[::-1], pad + den[::-1])
         raise ValueError(f"unknown substitution rule: {rule}")
 
     # ---- Laurent expansion at z = 0 ----
@@ -227,7 +274,7 @@ class RationalFunctionZ:
         """
         v, den0 = _split_z_power(self.den)
         residues = tuple(_cover_up(self.num, den0, v, a) for a in alphas)
-        return _laurent_part(self, alphas, residues, _TERM_TOL), residues
+        return _laurent_part(self, v, den0, alphas, residues, _TERM_TOL), residues
 
     # ---- serialization ----
     def to_json(self) -> dict:
@@ -245,7 +292,7 @@ class RationalFunctionZ:
 def _coerce(x) -> RationalFunctionZ:
     if isinstance(x, RationalFunctionZ):
         return x
-    return RationalFunctionZ([complex(x)])
+    return RationalFunctionZ._make((complex(x),), _ONE)
 
 
 def _split_z_power(den):
@@ -256,14 +303,14 @@ def _split_z_power(den):
 
 
 def _mono(k: int) -> tuple:
-    return (0j,) * k + (1 + 0j,)
+    return (0j,) * k + _ONE
 
 
 def _spread(c):
     """c(z^2): a zero between consecutive coefficients."""
     out = [0j] * (2 * len(c) - 1)
     out[::2] = c
-    return out
+    return tuple(out)
 
 
 def _divide(c, alpha):
@@ -306,11 +353,10 @@ def _cover_up(num, den0, v, alpha):
     return rn / rd * alpha ** (v + len(D) - len(N))
 
 
-def _laurent_part(R, alphas, residues, tol):
-    """The series of R at z = 0 minus the pole terms, over the Laurent range
-    -v..top; deg(den0) further terms of the remainder must vanish, or R has
-    a pole outside alphas (PoleError)."""
-    v, den0 = _split_z_power(R.den)
+def _laurent_part(R, v, den0, alphas, residues, tol):
+    """The series of R = num / (z^v den0) at z = 0 minus the pole terms, over
+    the Laurent range -v..top; deg(den0) further terms of the remainder must
+    vanish, or R has a pole outside alphas (PoleError)."""
     top = max(len(R.num) - len(den0), -1)
     # series[i] is the coefficient of z^(i - v)
     series = R.laurent_coeffs(-v, top + len(den0) - 1)

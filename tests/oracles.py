@@ -561,7 +561,7 @@ def paley_wiener_by_roots(Z, kind: str, n: int) -> bool:
     for j, R in Z.comps.items():
         if R.is_zero(ZERO_COMPONENT_TOL):
             continue
-        chi = Z.character(j)
+        chi = abelian.UnitCharacter(Z.p, Z.level, j)
         carried = [first] if abelian.conductor(chi) == 0 else []
         if abelian.conductor(chi.square()) == 0:
             carried += [a for alpha in pairs for a in (alpha, -alpha)]

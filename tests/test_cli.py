@@ -240,6 +240,10 @@ def test_fourier_n0_consumes_fx_json(tmp_path):
     ["phi-eval", "--p", "3", "--n", "0", "--level", "5", "--ord", "20000"],
     ["phi-eval", "--p", "3", "--n", "0", "--level", "12", "--ord", "1000000"],
     ["eta-table", "--p", "3", "--level", "5", "--kmin", "10000", "--kmax", "10000"],
+    # tate-oracle averages every unit once per character of conductor <= c:
+    # phi(3^7)^2 = 2.1e6 (about 7 s) and phi(101^2)^2 = 1e8 (minutes)
+    ["tate-oracle", "--p", "3", "--level", "7", "--conductor", "7"],
+    ["tate-oracle", "--p", "101", "--level", "2", "--conductor", "2"],
     # usage errors, each with its reason
     ["gamma", "--bogus", "1"],
     ["gamma", "--lev", "2"],
@@ -257,6 +261,23 @@ def test_invalid_input_is_a_json_error(argv, capsys):
     assert main(argv) == 2
     rep = json.loads(capsys.readouterr().out)
     assert list(rep) == ["error"] and rep["error"]
+
+
+@pytest.mark.parametrize("p, level, conductor", [(3, 7, 6), (5, 3, 3), (5, 2, 2), (3, 7, 0)])
+def test_tate_oracle_within_the_row_budget_is_accepted(p, level, conductor):
+    # 486 x 1458 = 7.1e5 unit averages at (3, 7, 6), about 2.4 s; one character at c = 0
+    from padicharm.cli import _validate, parse_args
+    argv = ["tate-oracle", "--p", str(p), "--level", str(level), "--conductor", str(conductor)]
+    _validate(parse_args(argv), "tate-oracle", None)
+
+
+@pytest.mark.parametrize("tolerance", [1e-6, None])
+@pytest.mark.parametrize("dev", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_deviation_is_an_error(dev, tolerance):
+    from padicharm.cli import _check
+    out = _check("x", lambda: dev, tolerance)
+    assert out["status"] == "error" and out["max_deviation"] is None
+    json.dumps(out, allow_nan=False)    # the report stays valid JSON
 
 
 @pytest.mark.parametrize("argv, reason", [

@@ -142,3 +142,11 @@ def test_load_config(tmp_path):
     cfg.write_text("# local field\np = 5\nlevel = 3\ntolerance = 1e-8\n")
     c = load_config(cfg)
     assert c.p == 5 and c.default_level == 3 and c.numeric_tolerance == 1e-8
+
+
+def test_val_p_of_an_int_matches_its_fraction():
+    for p in (3, 5, 7, 101):
+        for x in [*range(-300, 0), *range(1, 300), 4 * p**9, -(p**12), p**40 + p**39]:
+            assert val_p(x, p) == val_p(Fraction(x), p), (x, p)
+    with pytest.raises(PadicError):
+        val_p(0, 3)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -249,3 +250,133 @@ def test_laurent_coeffs_match_exact_series():
             want = series[m + v] if m + v >= 0 else 0
             size = float(sizes[m + v]) if m + v >= 0 else 0.0
             assert abs(x - float(want)) <= KERNEL_TOL * size, (m, x, want)
+
+
+# ---- the fast paths give the general path's floats, bit for bit ----
+
+NAN = float("nan")
+SIGNED_ZEROS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+
+
+def same_bits(a, b):
+    """Equal tuples of complex, signed zeros told apart and NaN equal to NaN."""
+    def same(x, y):
+        return (x == y and math.copysign(1.0, x) == math.copysign(1.0, y)) or (x != x and y != y)
+    return len(a) == len(b) and all(same(x.real, y.real) and same(x.imag, y.imag)
+                                    for x, y in zip(a, b))
+
+
+def poly_with_zeros(rng, terms):
+    """random_poly with about a third of its coefficients signed zeros,
+    among them the top one now and then."""
+    return [rng.choice(SIGNED_ZEROS) if rng.random() < 0.35 else x
+            for x in random_poly(rng, terms)]
+
+
+def random_ratfunc(rng):
+    den = poly_with_zeros(rng, rng.randint(1, 6))
+    den[0] = 1.0 + rng.random()
+    return RationalFunctionZ(poly_with_zeros(rng, rng.randint(1, 8)), den)
+
+
+def scalars(rng):
+    return [*SIGNED_ZEROS, -0.0, 0.0, 0, 3, -2.5, NAN, complex(NAN, 1.0),
+            *(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(6)),
+            *(rng.uniform(-2, 2) for _ in range(3))]
+
+
+def test_scalar_product_matches_the_general_product():
+    rng = random.Random(23)
+    for _ in range(200):
+        R = random_ratfunc(rng)
+        for c in scalars(rng):
+            fast, general = R * c, R * RationalFunctionZ([c])
+            assert same_bits(fast.num, general.num) and same_bits(fast.den, general.den), c
+
+
+def test_scale_substitution_matches_the_per_coefficient_form():
+    rng = random.Random(29)
+    for _ in range(200):
+        R = random_ratfunc(rng)
+        for c in scalars(rng):
+            c = complex(c)
+            fast = R.substitute("scale", c)
+            want = RationalFunctionZ([x * c ** k for k, x in enumerate(R.num)],
+                                     [x * c ** k for k, x in enumerate(R.den)])
+            assert same_bits(fast.num, want.num) and same_bits(fast.den, want.den), c
+
+
+def test_pmul_of_one_coefficient_matches_the_double_loop():
+    def double_loop(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+        return tuple(out)
+    rng = random.Random(31)
+    for _ in range(300):
+        a = tuple(poly_with_zeros(rng, rng.randint(1, 10)))
+        for y in scalars(rng):
+            y = complex(y)
+            assert same_bits(_pmul(a, (y,)), double_loop(a, (y,)))
+            assert same_bits(_pmul((y,), a), double_loop((y,), a))
+    assert _pmul((2, 3), (Fraction(1, 2),)) == (1, Fraction(3, 2))
+
+
+def test_scalar_product_and_absent_component_build_no_spare_objects(monkeypatch):
+    from padicharm.abelian import UnitCharacter
+    from padicharm.fxspace import MellinData
+    R, want = RationalFunctionZ([1.0, 2.0], [1.0, -0.5]), RationalFunctionZ([2.5, 5.0], [1.0, -0.5])
+    zero, one = RationalFunctionZ.zero(), RationalFunctionZ.one()
+    built = []
+    make, init = RationalFunctionZ._make.__func__, RationalFunctionZ.__init__
+
+    def counted_make(cls, num, den):
+        built.append("_make")
+        return make(cls, num, den)
+
+    def counted_init(self, *args):
+        built.append("__init__")
+        init(self, *args)
+    monkeypatch.setattr(RationalFunctionZ, "_make", classmethod(counted_make))
+    monkeypatch.setattr(RationalFunctionZ, "__init__", counted_init)
+    product = R * 2.5
+    assert built == ["_make", "_make"]    # the scalar's wrapper and the product
+    assert product.equals(want)
+    built.clear()
+    Z = MellinData(5, 1, {0: R})
+    assert Z.component(UnitCharacter(5, 1, 3)) is zero
+    assert RationalFunctionZ.one() is one
+    assert built == []
+
+
+# ---- a NaN never reads as zero or as agreement ----
+
+@pytest.mark.parametrize("coeffs", [[NAN, 1.0], [1.0, NAN], [0.0, NAN], [NAN],
+                                    [complex(0.0, NAN), 0.0], [math.inf, 1.0], [1.0, math.inf]])
+def test_a_non_finite_coefficient_is_never_trimmed_away(coeffs):
+    num = RationalFunctionZ(coeffs).num
+    assert any(not math.isfinite(abs(x)) for x in num), num
+
+
+@pytest.mark.parametrize("coeffs", [[0.0, NAN], [NAN, 0.0], [1e-20, complex(0.0, NAN)], [math.inf]])
+def test_a_non_finite_numerator_is_not_zero(coeffs):
+    assert not RationalFunctionZ(coeffs).is_zero()
+    assert not RationalFunctionZ(coeffs, [1.0, -0.5]).is_zero(1e-13)
+
+
+def test_a_nan_scalar_product_is_not_zero():
+    R = RationalFunctionZ([1.0, 0.5], [1.0, -0.25])
+    assert all(math.isnan(x.real) for x in (R * NAN).num)
+    assert not (R * 0.0).num[0] and len((R * 0.0).num) == 1
+
+
+def test_a_nan_side_deviates_infinitely():
+    R = RationalFunctionZ([1.0, 0.5])
+    assert R.max_relative_deviation(RationalFunctionZ([1.0, NAN])) == math.inf
+    assert RationalFunctionZ([NAN, 1.0]).max_relative_deviation(R, [0.3]) == math.inf
+    assert R.max_relative_deviation(R * math.inf, [0.5j]) == math.inf
+    assert R.max_relative_deviation(RationalFunctionZ([1.0, 0.5])) == 0.0
+    assert not R.equals(RationalFunctionZ([1.0, NAN]))
+    assert not RationalFunctionZ([NAN, 1.0]).equals(RationalFunctionZ([5.0]))
+    assert R.equals(RationalFunctionZ([1.0, 0.5]))
