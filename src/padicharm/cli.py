@@ -6,7 +6,8 @@ JSON (canonical) or CSV (count tables); exit code 0 iff every check passed,
 1 on check failure, 2 on usage errors, invalid parameters and domain errors
 raised outside a check (reported as JSON with an "error" field).  Flags are
 read from the one table FLAGS, as --name value or --name=value.  A config
-file, when given, overrides flags; flags override defaults.  Reports are
+file, when given, overrides the flags it names (padic.CONFIG_KEYS); flags
+override defaults.  Reports are
 byte-identical for a fixed --seed (runtimes are only emitted under --timing).
 """
 
@@ -347,7 +348,7 @@ def emit(report: dict, fmt: str) -> bytes:
 # every flag: (type, default, choices); --timing, of type bool, is the one
 # switch and takes no value.  A flag's field is its name with "-" as "_".
 FLAGS = {
-    "config": (str, None, None),        # key=value config file (overrides flags)
+    "config": (str, None, None),        # key=value config file (overrides the flags it names)
     "p": (int, 3, None),
     "n": (int, 1, None),
     "level": (int, 2, None),
@@ -429,9 +430,8 @@ def _read_inputs(args):
     phi = None
     try:
         if args.config:
-            cfg = load_config(args.config)
-            args.p, args.level = cfg.p, cfg.default_level
-            args.tolerance = cfg.numeric_tolerance
+            for flag, value in load_config(args.config).items():
+                setattr(args, flag, value)
         if args.fx_in:
             with open(args.fx_in) as fh:
                 phi = FxFunction.from_json(json.load(fh))

@@ -40,7 +40,7 @@ from . import PadicharmError
 from .abelian import (UnitCharacter, beta_factor, beta_factor_inverse_argument,
                       character_components, characters, coset_values)
 from .padic import unit_group, unit_order
-from .ratfunc import PoleError, RationalFunctionZ
+from .ratfunc import PoleError, RationalFunctionZ, _laurent_range, _split_z_power
 
 # a Mellin component whose numerator is this small against its denominator
 # is zero: in fe-gl1 and fe-pvs runs the vanishing ones are below 1e-16 and
@@ -273,27 +273,17 @@ def _beta_inv_cached(n: int, p: int, level: int, j: int, sign: int) -> RationalF
 
 
 class _Series:
-    """The Laurent series of R at z = 0 on a held range of exponents, grown on
-    demand.  The first request expands exactly its own range; a request past
-    the held range extends it through laurent_coeffs by at least its width,
-    so shells asked for one by one outward cost a few expansions.  Every
-    coefficient is the one a fresh laurent_coeffs gives, since the series
-    recursion does not depend on the range asked for."""
+    """The Laurent series of R at z = 0, held from its first term z^-v and
+    grown upward on demand by ratfunc's series recursion, so each coefficient
+    is computed once, and is the one a fresh laurent_coeffs gives."""
 
     def __init__(self, R: RationalFunctionZ):
-        self.R, self.lo, self.coeffs = R, 0, []
+        self.num = R.num
+        self.v, self.den0 = _split_z_power(R.den)
+        self.series = [0j] * (len(self.den0) - 1)
 
     def column(self, lo: int, hi: int) -> list:
-        if not self.coeffs:
-            self.lo, self.coeffs = lo, self.R.laurent_coeffs(lo, hi)
-        width, top = len(self.coeffs), self.lo + len(self.coeffs) - 1
-        if lo < self.lo:
-            start = min(lo, self.lo - width)
-            self.coeffs = self.R.laurent_coeffs(start, self.lo - 1) + self.coeffs
-            self.lo = start
-        if hi > top:
-            self.coeffs += self.R.laurent_coeffs(top + 1, max(hi, top + width))
-        return self.coeffs[lo - self.lo:hi - self.lo + 1]
+        return _laurent_range(self.num, self.v, self.den0, self.series, lo, hi)
 
 
 @lru_cache(maxsize=None)

@@ -37,20 +37,21 @@ def _is_prime(n: int) -> bool:
 @dataclass(frozen=True)
 class LocalFieldConfig:
     p: int
-    default_level: int = 2
-    numeric_tolerance: float = 1e-9
 
     def __post_init__(self):
         if not _is_prime(self.p):
             raise PadicError(f"p = {self.p} is not prime")
         if self.p == 2:
             raise PadicError("p = 2 is not supported (odd residue characteristic required)")
-        if self.default_level < 1:
-            raise PadicError("default_level must be >= 1")
 
 
-def load_config(path) -> LocalFieldConfig:
-    """Read a key=value config file with keys p, level, tolerance."""
+# the keys of a config file, each the name of the flag it sets, and their types
+CONFIG_KEYS = {"p": int, "level": int, "tolerance": float}
+
+
+def load_config(path) -> dict:
+    """Read a key=value config file: {flag: value} for the keys it names,
+    each one of CONFIG_KEYS; any other key raises PadicError."""
     vals = {}
     with open(path) as fh:
         for line in fh:
@@ -58,12 +59,12 @@ def load_config(path) -> LocalFieldConfig:
             if not line:
                 continue
             key, _, val = line.partition("=")
-            vals[key.strip()] = val.strip()
-    return LocalFieldConfig(
-        p=int(vals.get("p", 3)),
-        default_level=int(vals.get("level", 2)),
-        numeric_tolerance=float(vals.get("tolerance", 1e-9)),
-    )
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise PadicError(f"unknown config key {key!r}: the keys are "
+                                 + ", ".join(CONFIG_KEYS))
+            vals[key] = CONFIG_KEYS[key](val.strip())
+    return vals
 
 
 def val_p(x, p: int) -> int:

@@ -10,16 +10,11 @@ Jordan-splitting recursion for every m.  Its state carries the Hasse
 invariant, so at odd m = 2n + 1 the same recursion gives each job's
 tallies: the cells of Sym_m(Z/p^(k+1)) whose det lies in p^v u (1 + p Z_p),
 v <= k, by Clifford sign and tr(Y C) mod p, for every piece whose mask and
-phase depend on Y mod p only.  The entry-wise masks finer than Y mod p, from
-the diagonal action of homogeneity checks, are count jobs; they enumerate
-the cells of their own coset in Sym_m(Z/p^k), recover the extra determinant
-digit by the linear refinement
-
-    det(Y0 + p^k Z) = det(Y0) + p^k tr(adj(Y0) Z)  (mod p^{2k})
-
-whose value classes spread uniformly when adj(Y0) != 0 mod p and are
-constant otherwise, and fold the refined counts into the same tallies.  The
-shell values
+phase depend on Y mod p only: the pieces of scale -1, 0 and 1, the only
+ones accepted.  This is the one tally path.  Homogeneity under diagonal
+g = diag(p^a_i), whose moved pieces have entry-wise masks finer than Y mod
+p, is checked by the test oracles against their exhaustive Sym_3 sweep
+(`tests/oracles.py`), not here.  The shell values
 
     f_Phi(t) = count(det in t-class) / p^{k(d-1)},      d = m(m+1)/2
 
@@ -35,8 +30,8 @@ equation is Tate's.
 
 The recursion and the exact series are plain Python on ints, polynomials
 over Z[1/p] (int tuples over one power of p) and tuples of floats.  numpy is
-imported only by the cell enumerations (`_cell_chunks`, `_cell_rank_key`, a
-masked or phased `_job_census`, `_coset_bins`, `_refine_bins`), whose work is
+imported only by the cell enumeration of a masked or phased job's census
+(`_cell_chunks`, `_cell_rank_key`, `_job_census`), whose work is
 array-shaped.
 """
 
@@ -47,25 +42,21 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul, sub
+from operator import mul
 
 from . import PadicharmError
 from .abelian import UnitCharacter, beta_factor, character_components
 from .fxspace import (FxFunction, MellinData, TailSpec, fx_from_mellin,
                       mellin_transform)
-from .padic import legendre, psi_frac, unit_group, unit_order, unit_part, val_p
+from .padic import legendre, psi_frac, unit_group, unit_order
 from .ratfunc import RationalFunctionZ, _padd, _pmul
 
-ENUM_BUDGET = 10 ** 9      # cells of a coset of Sym_m(Z/p^k) or of a phased census
-COSET_CHUNK = 1 << 16      # cells per block: about 150 bytes a cell at m = 3, 370 at m = 5
-# rows of a fiber count table or of a coset's refined bins: count-fibers at p = 3,
-# k = 12 (531,440 rows) peaks at 262 MB, about 500 bytes a row
+ENUM_BUDGET = 10 ** 9      # cells of a phased census
+CELL_CHUNK = 1 << 16       # cells per block: about 150 bytes a cell at m = 3, 370 at m = 5
+# rows of a fiber count table: count-fibers at p = 3, k = 12 (531,440 rows)
+# peaks at 262 MB, about 500 bytes a row
 ROW_BUDGET = 10 ** 6
 SERIES_TOL = 1e-12   # exact series against the recursion's shells; rounding is ~1e-14
-# the bound on homogeneity_check's deviation: moved shells from counts against
-# the base's exact Laurent coefficients, both exact up to float rounding, which
-# deviate by ~1e-16
-HOMOGENEITY_TOL = 1e-8
 
 
 class PvsError(PadicharmError):
@@ -87,7 +78,7 @@ def check_rows(rows: float) -> None:
 
 def _entry_order(m: int):
     """The entries (i, j), i <= j, of Sym_m: the diagonal first, then i < j
-    row by row.  Entry-wise moduli and masks are listed in this order."""
+    row by row.  A job's mask lists its residues and moduli in this order."""
     return ([(i, i) for i in range(m)]
             + [(i, j) for i in range(m) for j in range(i + 1, m)])
 
@@ -96,18 +87,12 @@ def _entry_order(m: int):
 
 @dataclass(frozen=True)
 class LatticePiece:
-    """weight * psi_sign(tr(X C)) * ch(B + p^r Sym(Z_p)), B and C integral.
-
-    moduli, when set, replaces the scalar lattice p^r Sym(Z_p) by the
-    entry-wise lattice {x_ij = B_ij mod given modulus} (used for diagonal
-    dilations); such pieces stay at scale 0.
-    """
+    """weight * psi_sign(tr(X C)) * ch(B + p^r Sym(Z_p)), B and C integral."""
     m: int
     B: tuple
     r: int
     weight: complex
     C: tuple | None = None
-    moduli: tuple | None = None
 
 
 def _sym_tuple(M, m):
@@ -140,34 +125,6 @@ class LatticeTestFunction:
         return cls(m, (LatticePiece(m, zero, r, complex(weight)),))
 
 
-def act_diagonal(Phi: LatticeTestFunction, exponents, p: int) -> LatticeTestFunction:
-    """(g Phi)(X) = Phi(g^{-1} X g^{-t}) for g = diag(p^{a_i}) on pure-lattice
-    pieces.  Equal exponents a are a scalar rescaling p^r S -> p^{r+2a} S;
-    mixed nonnegative exponents turn scale-0 pieces into entry-wise lattices
-    {x_ij in p^{a_i + a_j} Z_p}."""
-    m = Phi.m
-    a = tuple(int(x) for x in exponents)
-    if len(a) != m:
-        raise PvsError("exponent count must match the size")
-    pieces = []
-    for q in Phi.pieces:
-        if q.moduli is not None or q.C is not None:
-            raise PvsError("diagonal action implemented for lattice pieces only")
-        zero = tuple(tuple(0 for _ in range(m)) for _ in range(m))
-        pure = not any(x for row in q.B for x in row)
-        if len(set(a)) == 1 and pure:
-            pieces.append(LatticePiece(m, zero, q.r + 2 * a[0], q.weight))
-            continue
-        if q.r < 0 or any(x < 0 for x in a):
-            raise PvsError("mixed-exponent action needs nonnegative scales and a_i >= 0")
-        # B + p^r S -> g B g^t + {x_ij in p^{r + a_i + a_j} Z_p}
-        newB = tuple(tuple(q.B[i][j] * p ** (a[i] + a[j]) for j in range(m))
-                     for i in range(m))
-        moduli = tuple(p ** (q.r + a[i] + a[j]) for (i, j) in _entry_order(m))
-        pieces.append(LatticePiece(m, newB, 0, q.weight, None, moduli))
-    return LatticeTestFunction(m, tuple(pieces))
-
-
 def lattice_fourier(Phi: LatticeTestFunction, p: int, sign: int = 1) -> LatticeTestFunction:
     """Closed-form Fourier transform piece by piece:
 
@@ -183,8 +140,6 @@ def lattice_fourier(Phi: LatticeTestFunction, p: int, sign: int = 1) -> LatticeT
     zero = tuple(tuple(0 for _ in range(m)) for _ in range(m))
     out = []
     for piece in Phi.pieces:
-        if piece.moduli is not None:
-            raise PvsError("Fourier transform of entry-wise lattices is unsupported")
         B = piece.B
         C = piece.C if piece.C is not None else zero
         w = piece.weight * float(p) ** (-piece.r * d)
@@ -204,12 +159,13 @@ def lattice_fourier(Phi: LatticeTestFunction, p: int, sign: int = 1) -> LatticeT
 
 # ------------------------------------------------------------------- tallies
 
-# (p, k) -> {job: tallies {(v, u, slot, t): count}}, by recursion or coset:
+# (p, k) -> {job: tallies {(v, u, slot, t): count}}, by `_recursion_tallies`:
 # the job's cells of Sym_m(Z/p^(k+1)) whose det lies in p^v u (1 + p Z_p),
 # v <= k and u a unit digit, by Clifford sign slot and t = tr(Y C) mod p.
 # A job is ("count", mask, m) or ("rho", mask, C, m): mask None or
-# (residues, moduli) in `_entry_order`, C a phase matrix or None, and the
-# size m last, so that jobs of different sizes never share an entry
+# (residues, moduli) in `_entry_order` with every modulus p, C a phase matrix
+# or None, and the size m last, so that jobs of different sizes never share
+# an entry
 _SWEEP_CACHE: dict = {}
 
 
@@ -231,78 +187,28 @@ def _minor(at, S, mod: int):
     return total % mod
 
 
-def _cell_chunks(m: int, residues, moduli, shape):
-    """The cells residue + modulus i of Sym_m, i over the box `shape` in
+def _cell_chunks(m: int, residues, n: int):
+    """The cells residue + i of Sym_m, i over [0, n) in each entry of
     `_entry_order`, as {(i, j): flat array} in flat-index order.  A chunk
-    fixes all but the last entry and the longest tail of <= COSET_CHUNK cells."""
+    fixes all but the last entry and the longest tail of <= CELL_CHUNK cells."""
     import numpy as np
-    check_budget(math.prod(shape))
-    a = min((e for e in range(len(shape)) if math.prod(shape[e:]) <= COSET_CHUNK),
-            default=len(shape) - 1)
-    axes = [res + mo * np.arange(n).reshape((n,) + (1,) * (len(shape) - 1 - e))
-            for e, (res, mo, n) in enumerate(zip(residues, moduli, shape))]
-    for lead in itertools.product(*map(range, shape[:a])):
+    d = len(residues)
+    check_budget(n ** d)
+    a = min((e for e in range(d) if n ** (d - e) <= CELL_CHUNK), default=d - 1)
+    axes = [res + np.arange(n).reshape((n,) + (1,) * (d - 1 - e))
+            for e, res in enumerate(residues)]
+    for lead in itertools.product(range(n), repeat=a):
         yield dict(zip(_entry_order(m), (x.ravel() for x in np.broadcast_arrays(
             *(axes[e][i] for e, i in enumerate(lead)), *axes[a:]))))
 
 
-def _by_recursion(job, p: int) -> bool:
-    """True when the job's mask, if any, fixes Y mod p (its phase always
-    depends on Y mod p only)."""
-    return job[1] is None or all(mo == p for mo in job[1][1])
-
-
-def _refine_bins(raw, p: int, k: int, d: int):
-    """Counts over Sym_m(Z/p^k) shaped (det mod p^(k+1), adj != 0 mod p, sign,
-    t), as counts over Sym_m(Z/p^(k+1)) shaped (det, sign, t): a cell with adj
-    = 0 mod p keeps its det mod p^(k+1) on all p^d lifts, d = m(m+1)/2, any
-    other spreads them evenly over the p residues above its det mod p^k."""
-    import numpy as np
-    exact, spread = np.moveaxis(raw, 1, 0)
-    pooled = spread.reshape(p, p ** k, *raw.shape[2:]).sum(axis=0)
-    return exact * p ** d + np.tile(pooled, (p, 1, 1)) * p ** (d - 1)
-
-
-def _coset_bins(p: int, k: int, job):
-    """A count job's refined bins from the cells of Sym_m(Z/p^k) inside its
-    entry-wise mask, each entry residue + modulus i for i < p^k / modulus;
-    adj(Y) != 0 mod p exactly when det or a principal (m - 1)-minor is a unit."""
-    import numpy as np
-    residues, moduli = job[1]
-    m, mod4 = job[-1], p ** (k + 1)
-    check_rows(mod4)
-    raw = np.zeros(2 * mod4, dtype=np.int64)
-    shape = tuple(p ** k // mo for mo in moduli)
-    for at in _cell_chunks(m, [r % mo for r, mo in zip(residues, moduli)], moduli, shape):
-        det = _minor(at, range(m), mod4)
-        adjnz = det % p != 0
-        low = {ij: x[~adjnz] % p for ij, x in at.items()}
-        adjnz[~adjnz] = np.any([_minor(low, S, p) != 0
-                                for S in itertools.combinations(range(m), m - 1)], axis=0)
-        raw += np.bincount(det * 2 + adjnz, minlength=2 * mod4)
-    return _refine_bins(raw.reshape(mod4, 2, 1, 1), p, k, len(moduli))
-
-
 def precompute_jobs(p: int, k: int, jobs) -> None:
-    """Cache the tallies of the given jobs: by the Jordan-splitting
-    recursion when the job depends on Y mod p only, else, for a count job
-    under a finer entry-wise mask, by enumerating its coset and summing its
-    refined counts by det valuation and unit digit."""
+    """Cache the tallies of the given jobs, each by the Jordan-splitting
+    recursion (`_recursion_tallies`)."""
     cache = _SWEEP_CACHE.setdefault((p, k), {})
     for job in dict.fromkeys(jobs):
-        if job in cache:
-            continue
-        if _by_recursion(job, p):
+        if job not in cache:
             cache[job] = _recursion_tallies(p, k, job)
-        elif job[0] != "count":
-            raise PvsError("Clifford-weighted pieces need a mask that fixes Y mod p")
-        else:
-            counts = _coset_bins(p, k, job)[:, 0, 0].tolist()
-            tallies = Counter()
-            for det in range(1, p ** (k + 1)):
-                if counts[det]:
-                    tallies[(val_p(det, p), unit_part(det, p, 1), 0, 0)] += counts[det]
-            cache[job] = dict(tallies)
 
 
 # -------------------------------------------------------------- fiber counts
@@ -450,7 +356,7 @@ def _job_census(p: int, job) -> dict:
     # decoded in ascending order, the keys come in the order of Y0[0, 0]
     size = p * (m + 1) * (p + 1) * p
     counts = np.zeros(size, dtype=np.int64)
-    for at in _cell_chunks(m, residues, (1,) * d, (n,) * d):
+    for at in _cell_chunks(m, residues, n):
         rank, key = _cell_rank_key(m, at, p)
         t = 0 if C is None else sum((1 if i == j else 2) * x * C[i][j]
                                     for (i, j), x in at.items()) % p
@@ -612,36 +518,31 @@ def _job_series(p: int, job, weighted: bool, sign: int) -> tuple:
 
 # -------------------------------------------- shell values and fiber functions
 
-def _piece_job(piece: LatticePiece, weighted: bool, p: int, k: int):
+def _piece_job(piece: LatticePiece, weighted: bool, p: int):
     """(job, shell shift, prefactor) realizing one piece in tallies.
 
     Weighted pieces take a Clifford ("rho") job; so do unweighted pieces
     with a phase at scale -1, whose job carries tr(Y C) mod p (their sign
-    is ignored at assembly)."""
+    is ignored at assembly).  The recursion serves scales -1, 0 and 1 only:
+    a piece of scale 2 or more has a mask finer than Y mod p, and one below
+    -1 may carry a phase finer than it.  Both are refused here, the one
+    place that refuses a piece."""
     m = piece.m
     if m % 2 == 0:
         raise PvsError("even sizes are out of scope")
+    if not -1 <= piece.r <= 1:
+        raise PvsError(f"a piece of scale {piece.r} is past the recursion, "
+                       f"which serves scales -1, 0 and 1")
     mask, shift, prefactor = None, 0, 1.0
-    if piece.moduli is not None:
-        if max(piece.moduli) > p**k:
-            raise PvsError("entry-wise moduli exceed p^k")
-        residues = tuple(piece.B[i][j] % mo for (i, j), mo
-                         in zip(_entry_order(m), piece.moduli))
-        mask = (residues, piece.moduli)
-    elif piece.r >= 0:
-        if p**piece.r > p**k:
-            raise PvsError("piece scale exceeds p^k")
-        if piece.r > 0:
-            residues = tuple(piece.B[i][j] % p**piece.r for (i, j) in _entry_order(m))
-            mask = (residues, (p**piece.r,) * len(residues))
+    if piece.r == 1:
+        residues = tuple(piece.B[i][j] % p for (i, j) in _entry_order(m))
+        mask = residues, (p,) * len(residues)
     elif piece.r == -1:
         # X = p^{-1} Y: det X = p^{-m} det Y and f picks up q^{d-m};
         # rho(p^{-1} Y) = rho(Y) (scalars act trivially on rho at odd size)
         shift, prefactor = -m, float(p) ** (m * (m + 1) // 2 - m)
         if piece.C is not None:
             return ("rho", None, piece.C, m), shift, prefactor
-    else:
-        raise PvsError("pieces with r < -1 are outside the enumeration budget")
     job = ("rho", mask, None, m) if weighted else ("count", mask, m)
     return job, shift, prefactor
 
@@ -652,7 +553,7 @@ def piece_shell_values(piece: LatticePiece, weighted: bool, p: int, k: int, sign
     Clifford sign times psi(t)."""
     if k < 2:
         raise PvsError("level-1 shell values need k >= 2")
-    job, shift, prefactor = _piece_job(piece, weighted, p, k)
+    job, shift, prefactor = _piece_job(piece, weighted, p)
     precompute_jobs(p, k, (job,))
     d = piece.m * (piece.m + 1) // 2
     phase = [complex(piece.weight) * prefactor * psi_frac(p, t, 1, sign) for t in range(p)]
@@ -670,8 +571,8 @@ def fiber_shell_values(Phi: LatticeTestFunction, weighted: bool, p: int, k: int,
     """Stable shell values of f_Phi / f_{rho Phi}: shells known for every
     piece, -m..k-m at scale -1 and 0..k otherwise."""
     m = Phi.m
-    lo = -m if any(q.moduli is None and q.r < 0 for q in Phi.pieces) else 0
-    hi = k + min(-m if q.moduli is None and q.r < 0 else 0 for q in Phi.pieces)
+    lo = -m if any(q.r < 0 for q in Phi.pieces) else 0
+    hi = k + min(-m if q.r < 0 else 0 for q in Phi.pieces)
     vals: dict = {}
     for piece in Phi.pieces:
         for (w, u), x in piece_shell_values(piece, weighted, p, k, sign).items():
@@ -688,7 +589,7 @@ def fiber_function(Phi: LatticeTestFunction, weighted: bool, p: int, k: int,
     FxFunction: unweighted fibers live in S_n^+, weighted ones in S_n^-.
 
     At odd m = 2n + 1 its Mellin transform sums the pieces' `_job_series`,
-    exact for every piece whose job the recursion serves.  The depth-k
+    exact for every piece `_piece_job` accepts.  The depth-k
     recursion's shells (`fiber_shell_values`) cross-check it on the stable
     range, which must hold a nonzero shell."""
     m = Phi.m
@@ -696,9 +597,7 @@ def fiber_function(Phi: LatticeTestFunction, weighted: bool, p: int, k: int,
     den = _shifted(_at_pz(_size_denominator(p, 0, m), p), m)   # z^m D(pz)
     num = [[0j] * (2 * len(den)) for _ in range(p - 1)]
     for piece in Phi.pieces:
-        job, shift, prefactor = _piece_job(piece, weighted, p, k)
-        if not _by_recursion(job, p):
-            raise PvsError("no exact series for masks finer than Y mod p")
+        job, shift, prefactor = _piece_job(piece, weighted, p)
         c = piece.weight * prefactor
         for row, series in zip(num, _job_series(p, job, weighted, sign)):
             for i, x in enumerate(series, m + shift):
@@ -774,30 +673,3 @@ def fe_pvs_compare(sides, n: int, chi: UnitCharacter, sign: int = 1) -> float:
     return lhs.max_relative_deviation(rhs, [0.41, 0.27j, -0.35, 0.22 + 0.31j, 0.55,
                                             -0.13 - 0.4j, 0.61j, 0.18 - 0.22j, -0.52j,
                                             0.33 + 0.1j])
-
-
-def homogeneity_check(Phi: LatticeTestFunction, g_exponents, chi: UnitCharacter,
-                      p: int, k: int) -> float:
-    """Homogeneity of the zeta distribution under g = diag(p^{a_i}) on Sym_m.
-
-    With (g Phi)(X) = Phi(g^{-1} X g^{-t}), the substitution X = g Y g^t
-    carries |det g|^{m+1} from dX and |det g|^{-2} from the fiber variable:
-
-        f_{g Phi}(t) = |det g|^{m-1} f_Phi(det(g)^{-2} t),
-
-    so (chi(p) = 1) the chi component of the moved function on shell w is
-    q^{-(m-1) sum a} times the base's exact one on shell w - 2 sum a.  The
-    moved side comes from its own counts on its stable shells: its coset
-    enumeration for an entry-wise moved piece, the recursion for the rest.
-    Returns the largest deviation of the moved shells from the predicted
-    ones, relative to the largest of either."""
-    s_a, chi = sum(int(x) for x in g_exponents), chi.at_level(1)
-    shells, lo, hi = fiber_shell_values(act_diagonal(Phi, g_exponents, p), False, p, k)
-    cosets = unit_group(p, 1)[0]
-    moved = [row[chi.exponent] for row in character_components(
-        [[shells[(w, u)] for u in cosets] for w in range(lo, hi + 1)])]
-    base = mellin_transform(fiber_function(Phi, weighted=False, p=p, k=k)).component(chi)
-    scale = float(p) ** ((1 - Phi.m) * s_a)
-    predicted = [c * scale for c in base.laurent_coeffs(lo - 2 * s_a, hi - 2 * s_a)]
-    return max(map(abs, map(sub, moved, predicted))) / max(
-        1.0, max(map(abs, predicted)), max(map(abs, moved)))

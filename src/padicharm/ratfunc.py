@@ -242,21 +242,7 @@ class RationalFunctionZ:
         power-series division of num by the z-power-free part of den; the
         coefficient of z^m is Res_{z=0}(R(z) z^(-m-1))."""
         v, den0 = _split_z_power(self.den)
-        top = hi + v
-        if top < 0:
-            return [0j] * (hi - lo + 1)
-        # series[t + i] is the coefficient of z^(i - v), after t leading zeros
-        # that let every step read a full window of the t previous terms
-        num, inv0 = self.num, 1.0 / den0[0]
-        tail = den0[:0:-1]
-        t = len(tail)
-        series = [0j] * t
-        for i in range(top + 1):
-            acc = num[i] if i < len(num) else 0j
-            acc -= sum(map(mul, tail, series[i:i + t]))
-            series.append(acc * inv0)
-        start = lo + v
-        return [0j] * max(-start, 0) + series[t + max(start, 0):]
+        return _laurent_range(self.num, v, den0, [0j] * (len(den0) - 1), lo, hi)
 
     # ---- partial fractions ----
     def partial_fractions(self, alphas):
@@ -300,6 +286,26 @@ def _split_z_power(den):
     cut = _LEAD_TOL * max(map(abs, den))
     v = next((i for i, c in enumerate(den) if abs(c) > cut), 0)
     return v, den[v:]
+
+
+def _laurent_range(num, v: int, den0, series: list, lo: int, hi: int) -> list:
+    """Coefficients of z^lo..z^hi of num / (z^v den0) at z = 0.  `series`
+    holds the expansion so far: t = deg(den0) leading zeros, then the
+    coefficients of z^-v, z^(1-v), ... in order, so that every step reads a
+    full window of the t previous terms.  It is extended in place through
+    z^hi; a term once computed is never computed again."""
+    top = hi + v
+    if top < 0:
+        return [0j] * (hi - lo + 1)
+    inv0 = 1.0 / den0[0]
+    tail = den0[:0:-1]
+    t = len(tail)
+    for i in range(len(series) - t, top + 1):
+        acc = num[i] if i < len(num) else 0j
+        acc -= sum(map(mul, tail, series[i:i + t]))
+        series.append(acc * inv0)
+    start = lo + v
+    return [0j] * max(-start, 0) + series[t + max(start, 0):t + top + 1]
 
 
 def _mono(k: int) -> tuple:

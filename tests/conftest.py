@@ -21,9 +21,9 @@ def fold_residue_counts(per, p, k):
 @pytest.fixture(scope="session")
 def sweep_oracle():
     """{job: refined bins} of the exhaustive Sym_3(Z/p^k) sweep
-    (`oracles.sweep_bins`), the oracle of the recursion and of the coset
-    enumeration.  One sweep per call, for the jobs not yet swept at (p, k)
-    in this session."""
+    (`oracles.sweep_bins`), the oracle of the recursion and the moved side of
+    the homogeneity check.  One sweep per call, for the jobs not yet swept at
+    (p, k) in this session."""
     swept = {}
 
     def bins(p, k, jobs):

@@ -5,10 +5,15 @@ visits every cell of Sym_3(Z/p^k), vectorized over the entry index space,
 computes det mod p^(k+1), whether adj(Y) != 0 mod p and, for Clifford
 ("rho") jobs, the Clifford sign of the integer lift by a case analysis on
 the det valuation and the rank mod p (`_sigma_vec`).  Its counts go through
-the same adjugate refinement as the coset enumeration, to refined bins over
-Sym_3(Z/p^(k+1)) comparable row by row with `pvszeta._coset_bins`;
-`fold_tallies` sums them by det valuation and unit digit, to compare with
-the tallies of `pvszeta._recursion_tallies` and of `pvszeta.precompute_jobs`.
+an adjugate refinement (`_refine_bins`) to refined bins over
+Sym_3(Z/p^(k+1)); `fold_tallies` sums them by det valuation and unit digit,
+to compare with the tallies of `pvszeta._recursion_tallies` and of
+`pvszeta.precompute_jobs`.
+
+The same sweep counts the moved side of the homogeneity check
+(`homogeneity_deviation`): g = diag(p^a_i) moves a lattice piece to an
+entry-wise mask (`diagonal_mask`) finer than Y mod p, which the package's
+one tally path, the recursion, does not serve.
 
 The invariants of nondegenerate symmetric matrices over Q, viewed in Q_p,
 are the oracle of the recursion's Hasse state and of the sweep's Clifford
@@ -25,7 +30,7 @@ under scalar rescaling X -> cX (the symbols (c,c)^3 (c,-1) collapse to
 
 Pointwise evaluation of lattice test functions and the Levi block of the
 Siegel factorization are the oracles of `pvszeta.lattice_fourier` and
-`pvszeta.act_diagonal`, and of `symplectic.siegel_factorize`.
+`diagonal_mask`, and of `symplectic.siegel_factorize`.
 
 The shell integral of eta against a character, averaged over every unit of
 the shell from eta's coset values, is the oracle of the single character
@@ -55,13 +60,14 @@ from functools import lru_cache
 import numpy as np
 
 from padicharm import abelian
-from padicharm.abelian import L_factor, OracleError, beta_factor, epsilon_factor
+from padicharm.abelian import (L_factor, OracleError, beta_factor, character_components,
+                               epsilon_factor)
 from padicharm.fxspace import (ZERO_COMPONENT_TOL, FxFunction, StabilizationError,
-                               eta_kernel)
+                               eta_kernel, mellin_transform)
 from padicharm.gdist import FOURIER_K_MAX, FOURIER_TOL
 from padicharm.padic import legendre, psi_frac, unit_group, unit_part, val_p
-from padicharm.pvszeta import (PvsError, _entry_order, _rank_census, _refine_bins,
-                               _split_state, check_budget)
+from padicharm.pvszeta import (PvsError, _entry_order, _rank_census, _split_state,
+                               check_budget, fiber_function)
 from padicharm.ratfunc import _padd, _pmul
 from padicharm.symplectic import (block, det, eye, inverse, mat, scale, sub,
                                   transpose, zeros)
@@ -218,10 +224,21 @@ def _sweep3_block(p, k, jobs, x11_range):
     return out
 
 
+def _refine_bins(raw, p: int, k: int, d: int):
+    """Counts over Sym_m(Z/p^k) shaped (det mod p^(k+1), adj != 0 mod p, sign,
+    t), as counts over Sym_m(Z/p^(k+1)) shaped (det, sign, t): a cell with adj
+    = 0 mod p keeps its det mod p^(k+1) on all p^d lifts, d = m(m+1)/2, any
+    other spreads them evenly over the p residues above its det mod p^k,
+    since det(Y0 + p^k Z) = det(Y0) + p^k tr(adj(Y0) Z) mod p^(2k)."""
+    exact, spread = np.moveaxis(raw, 1, 0)
+    pooled = spread.reshape(p, p ** k, *raw.shape[2:]).sum(axis=0)
+    return exact * p ** d + np.tile(pooled, (p, 1, 1)) * p ** (d - 1)
+
+
 def sweep_bins(p: int, k: int, jobs) -> dict:
     """{job: refined bins (det mod p^(k+1), sign, t)} from one exhaustive
-    sweep of Sym_3(Z/p^k), the oracle of the recursion and of the coset
-    enumeration."""
+    sweep of Sym_3(Z/p^k), the oracle of the recursion and the moved side of
+    the homogeneity check."""
     check_budget(float(p) ** (6 * k))
     if k < 2 and any(job[0] == "rho" for job in jobs):
         raise PvsError("Clifford-weighted sweeps need k >= 2")
@@ -246,6 +263,58 @@ def fold_tallies(bins, p: int, k: int) -> dict:
                       bins[det, slot, t].tolist()):
         out[key] = out.get(key, 0) + n
     return out
+
+
+def diagonal_mask(Phi, exponents, p: int) -> tuple:
+    """The (residues, moduli) mask, in `_entry_order`, of g Phi for Phi one
+    phaseless lattice piece ch(B + p^r Sym_m(Z_p)) and g = diag(p^a_i), a_i
+    >= 0, where (g Phi)(X) = Phi(g^{-1} X g^{-t}): X = g Y g^t has x_ij =
+    p^(a_i + a_j) y_ij, so g Phi is the indicator of {x_ij = p^(a_i + a_j)
+    B_ij mod p^(r + a_i + a_j)}; a modulus 1 leaves its entry free."""
+    (piece,), a = Phi.pieces, tuple(int(x) for x in exponents)
+    if len(a) != Phi.m or min(a) < 0 or piece.r + 2 * min(a) < 0 or piece.C is not None:
+        raise PvsError("the diagonal action takes a phaseless piece, a_i >= 0 and "
+                       "an integral moved lattice")
+    order = _entry_order(Phi.m)
+    moduli = tuple(p ** (piece.r + a[i] + a[j]) for i, j in order)
+    return tuple(piece.B[i][j] * p ** (a[i] + a[j]) % mo
+                 for (i, j), mo in zip(order, moduli)), moduli
+
+
+def homogeneity_deviation(Phi, exponents, chi, p: int, k: int, sweep=sweep_bins) -> float:
+    """Homogeneity of the zeta distribution under g = diag(p^a_i) on Sym_3,
+    for Phi one phaseless lattice piece.
+
+    With (g Phi)(X) = Phi(g^{-1} X g^{-t}), the substitution X = g Y g^t
+    carries |det g|^{m+1} from dX and |det g|^{-2} from the fiber variable:
+
+        f_{g Phi}(t) = |det g|^{m-1} f_Phi(det(g)^{-2} t),
+
+    so (chi(p) = 1) the chi component of the moved function on shell w is
+    q^{-(m-1) sum a} times the base's exact one on shell w - 2 sum a.  The
+    moved side is counted: `sweep` (`sweep_bins` or a cache of it) bins the
+    count job of `diagonal_mask`, `fold_tallies` sums it, and shell w = 0..k
+    holds weight count / p^((k+1)(d-1)+k-w), as in `pvszeta.piece_shell_values`.
+    The base is the package's exact series (`fiber_function`,
+    `mellin_transform`, `laurent_coeffs`).  Returns the largest deviation of
+    the moved shells from the predicted ones, relative to the largest of
+    either (and 1)."""
+    (piece,), m = Phi.pieces, Phi.m
+    d, s_a, chi = m * (m + 1) // 2, sum(exponents), chi.at_level(1)
+    job = "count", diagonal_mask(Phi, exponents, p), m
+    if max(job[1][1]) > p ** k:
+        raise PvsError("the moved mask is finer than Sym_3(Z/p^k)")
+    cosets = unit_group(p, 1)[0]
+    shells = {(w, u): 0j for w in range(k + 1) for u in cosets}
+    for (v, u, _, _), count in fold_tallies(sweep(p, k, [job])[job], p, k).items():
+        shells[(v, u)] += count / p ** ((k + 1) * (d - 1) + k - v) * piece.weight
+    moved = [row[chi.exponent] for row in character_components(
+        [[shells[(w, u)] for u in cosets] for w in range(k + 1)])]
+    base = mellin_transform(fiber_function(Phi, False, p, k)).component(chi)
+    scale = float(p) ** ((1 - m) * s_a)
+    predicted = [c * scale for c in base.laurent_coeffs(-2 * s_a, k - 2 * s_a)]
+    return max(abs(x - y) for x, y in zip(moved, predicted)) / max(
+        1.0, max(map(abs, predicted)), max(map(abs, moved)))
 
 
 # ------------------------------------------------------ quadratic forms
@@ -384,10 +453,8 @@ def evaluate_lattice_function(Phi, X, p: int, sign: int = 1) -> complex:
     total = 0.0 + 0.0j
     for piece in Phi.pieces:
         ok = True
-        for idx, (i, j) in enumerate(_entry_order(m)):
-            modulus = (Fraction(piece.moduli[idx]) if piece.moduli is not None
-                       else Fraction(p) ** piece.r)
-            diff = (Fraction(X[i][j]) - piece.B[i][j]) / modulus
+        for i, j in _entry_order(m):
+            diff = (Fraction(X[i][j]) - piece.B[i][j]) / Fraction(p) ** piece.r
             if diff.denominator % p == 0:   # not a p-adic integer
                 ok = False
                 break

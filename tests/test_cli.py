@@ -183,6 +183,11 @@ def test_config_overrides_flags(tmp_path):
                          "--config", str(cfg)], tmp_path)
     assert code == 0
     assert rep["parameters"]["p"] == 5
+    # a flag the file does not name keeps its value
+    cfg.write_text("tolerance = 1e-6\n")
+    code, rep = run_cli(["gamma", "--p", "7", "--level", "1", "--conductor", "1",
+                         "--config", str(cfg)], tmp_path)
+    assert code == 0 and (rep["parameters"]["p"], rep["parameters"]["level"]) == (7, 1)
 
 
 def test_csv_rejected_for_nontabular(tmp_path):
@@ -256,8 +261,13 @@ def test_fourier_n0_consumes_fx_json(tmp_path):
     ["gamma", "--timing=1"],
     ["--p", "5"],
     [],
+    # a config key that names no flag: the word after --config is the file's text
+    ["gamma", "--config", "lvl = 1"],
 ])
-def test_invalid_input_is_a_json_error(argv, capsys):
+def test_invalid_input_is_a_json_error(argv, capsys, tmp_path):
+    if "--config" in argv:
+        (tmp_path / "f.cfg").write_text(argv[-1] + "\n")
+        argv = argv[:-1] + [str(tmp_path / "f.cfg")]
     assert main(argv) == 2
     rep = json.loads(capsys.readouterr().out)
     assert list(rep) == ["error"] and rep["error"]
@@ -600,25 +610,39 @@ def test_fe_gl1_expands_each_component_of_v_once(n, monkeypatch):
     assert code == 0 and nonzero and expanded == nonzero
 
 
+def counting_series(monkeypatch):
+    """From here on, with no eta series or shell held: the calls of laurent_coeffs,
+    and (held list, its length before, after) of each growth of an eta series."""
+    from padicharm import fxspace
+    from padicharm.ratfunc import RationalFunctionZ
+    fresh, grown = [], []
+    series, extend = RationalFunctionZ.laurent_coeffs, fxspace._laurent_range
+
+    def growing(num, v, den0, held, lo, hi):
+        before, out = len(held), extend(num, v, den0, held, lo, hi)
+        grown.append((id(held), before, len(held)))
+        return out
+    monkeypatch.setattr(RationalFunctionZ, "laurent_coeffs",
+                        lambda self, lo, hi: fresh.append((lo, hi)) or series(self, lo, hi))
+    monkeypatch.setattr(fxspace, "_laurent_range", growing)
+    fxspace._eta_series.cache_clear()
+    fxspace._eta_values.cache_clear()
+    return fresh, grown
+
+
 def test_eta_table_expands_each_character_once(monkeypatch):
-    # one Laurent series per character for the whole table, equal to the
-    # per-shell residues and, through one FFT, to eta_kernel
+    # one Laurent series per character for the whole table, grown once, equal
+    # to the per-shell residues and, through one FFT, to eta_kernel
     from padicharm.abelian import UnitCharacter, beta_factor_inverse_argument
-    from padicharm.fxspace import _eta_series, eta_kernel
+    from padicharm.fxspace import eta_kernel
     from padicharm.padic import unit_group
     from padicharm.ratfunc import RationalFunctionZ
     p, n, level, lo, hi = 3, 1, 2, -9, 6
-    calls = []
     series = RationalFunctionZ.laurent_coeffs
-
-    def counting(self, a, b):
-        calls.append((a, b))
-        return series(self, a, b)
-    monkeypatch.setattr(RationalFunctionZ, "laurent_coeffs", counting)
-    _eta_series.cache_clear()
+    fresh, grown = counting_series(monkeypatch)
     rep, code = run(["eta-table", "--p", str(p), "--n", str(n), "--level", str(level),
                      "--kmin", str(lo), "--kmax", str(hi)])
-    assert code == 0 and calls == [(lo, hi)] * 6
+    assert code == 0 and fresh == [] and len(grown) == len({held for held, _, _ in grown}) == 6
     monkeypatch.undo()
     from padicharm.fxspace import eta_components
     table = eta_components(n, 1, lo, hi, p, level)
@@ -632,6 +656,19 @@ def test_eta_table_expands_each_character_once(monkeypatch):
     for r in rows:
         want = eta_kernel(n, 1, r["ord"], r["coset"], p, level)
         assert abs(complex(r["re"], r["im"]) - want) <= 1e-15 * max(1.0, abs(want)), r
+
+
+def test_fourier_n0_computes_each_eta_coefficient_once(monkeypatch):
+    # the 12 eta series of the table and of the inverse sweep (6 characters,
+    # both psi signs) are held once each and grown upward in place, each growth
+    # from where the last stopped: no laurent_coeffs regrows one from z^-v
+    fresh, grown = counting_series(monkeypatch)
+    rep, code = run(["fourier-n0", "--p", "3", "--level", "2"])
+    ends = {}
+    for held, before, after in grown:
+        assert before == ends.setdefault(held, before)
+        ends[held] = after
+    assert code == 0 and fresh == [] and len(ends) == 12
 
 
 @pytest.mark.parametrize("argv, golden", [

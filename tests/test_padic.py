@@ -14,8 +14,6 @@ def test_config_guards():
         LocalFieldConfig(p=2)
     with pytest.raises(PadicError):
         LocalFieldConfig(p=9)
-    with pytest.raises(PadicError):
-        LocalFieldConfig(p=5, default_level=0)
 
 
 def ord_abs_ac(x, p, level):
@@ -140,8 +138,12 @@ def test_legendre_is_eulers_criterion_on_squares():
 def test_load_config(tmp_path):
     cfg = tmp_path / "field.cfg"
     cfg.write_text("# local field\np = 5\nlevel = 3\ntolerance = 1e-8\n")
-    c = load_config(cfg)
-    assert c.p == 5 and c.default_level == 3 and c.numeric_tolerance == 1e-8
+    assert load_config(cfg) == {"p": 5, "level": 3, "tolerance": 1e-8}
+    cfg.write_text("tolerance = 1e-6\n")
+    assert load_config(cfg) == {"tolerance": 1e-6}
+    cfg.write_text("lvl = 1\n")
+    with pytest.raises(PadicError, match="unknown config key 'lvl'"):
+        load_config(cfg)
 
 
 def test_val_p_of_an_int_matches_its_fraction():

@@ -11,20 +11,18 @@ from padicharm.abelian import UnitCharacter, characters
 from padicharm.fxspace import FxError, fx_from_mellin, mellin_transform
 from padicharm import pvszeta
 from padicharm.padic import unit_group
-from padicharm.pvszeta import (HOMOGENEITY_TOL, LatticeTestFunction, PvsError,
-                               _by_recursion, _coset_bins, _det_class_counts, _entry_order,
-                               _at_pz, _piece_job, _rank_census, _recursion_tallies,
-                               _size_denominator, _size_series,
-                               act_diagonal, det_fiber_counts,
+from padicharm.pvszeta import (LatticeTestFunction, PvsError, _det_class_counts,
+                               _entry_order, _at_pz, _rank_census, _recursion_tallies,
+                               _size_denominator, _size_series, det_fiber_counts,
                                fe_pvs_compare, fe_pvs_sides, fiber_function,
-                               fiber_shell_values, homogeneity_check,
-                               lattice_fourier, precompute_jobs)
+                               fiber_shell_values, lattice_fourier)
 from padicharm.padic import legendre
 from padicharm.symplectic import det as rational_det
 from padicharm.ratfunc import RationalFunctionZ
-from oracles import (_legendre_table, _mask_vec, _sigma_vec, clifford_rho,
+from oracles import (_legendre_table, _mask_vec, _sigma_vec, clifford_rho, diagonal_mask,
                      evaluate_lattice_function, fe_pvs_holds, fold_tallies,
-                     fraction_size_denominator, fraction_size_series)
+                     fraction_size_denominator, fraction_size_series,
+                     homogeneity_deviation)
 
 P, K = 3, 2
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -85,16 +83,8 @@ def test_det_fiber_counts_m3_conservation_and_values():
 
 
 def test_budget_guard(monkeypatch):
-    # a coset (an entry-wise mask finer than Y mod p) past ENUM_BUDGET cells,
-    # the one-cell coset of a mask mod 3^13, whose refined bins over
-    # Sym_3(Z/3^14) are past ROW_BUDGET rows, and the census of a phased job
-    # at p = 37, 37^6 ~ 2.6e9 cells, refused before any cell is built
-    moved = ("count", ((0,) * 6, (1, 1, 25, 1, 5, 5)), 3)
-    with pytest.raises(PvsError, match="enumeration budget"):
-        precompute_jobs(5, 4, (moved,))
-    with pytest.raises(PvsError, match="row budget"):
-        precompute_jobs(3, 13, (("count", ((0,) * 6, (3 ** 13,) * 6), 3),))
-
+    # the census of a phased job at p = 37, 37^6 ~ 2.6e9 cells, refused
+    # before any cell is built
     def built(*args):
         raise AssertionError("a cell was built")
     monkeypatch.setattr(pvszeta, "_cell_rank_key", built)
@@ -697,12 +687,11 @@ def test_insufficient_k_signals():
         fiber_function(LatticeTestFunction.dilated(3, 1), False, P, 2)
 
 
-def test_homogeneity_identity_and_scalar_dilation():
-    triv = UnitCharacter(P, 1, 0)
-    assert homogeneity_check(LatticeTestFunction.spherical(3), (0, 0, 0), triv, P, K) < 1e-12
-    dev = homogeneity_check(LatticeTestFunction.spherical(3), (0, 0, 1),
-                            UnitCharacter(P, 1, 1), P, K)
-    assert dev <= HOMOGENEITY_TOL, dev
+def test_homogeneity_identity_and_scalar_dilation(sweep_oracle):
+    sph, (triv, quad) = LatticeTestFunction.spherical(3), characters(P, 1)
+    assert homogeneity_deviation(sph, (0, 0, 0), triv, P, K, sweep_oracle) < 1e-12
+    dev = homogeneity_deviation(sph, (0, 0, 1), quad, P, K, sweep_oracle)
+    assert dev <= 1e-8, dev
 
 
 @pytest.mark.parametrize("Phi, exponents", [
@@ -714,14 +703,12 @@ def test_homogeneity_identity_and_scalar_dilation():
     (LatticeTestFunction.dilated(3, 1), (1, 1, 1)),
 ])
 def test_act_diagonal_matches_pointwise_definition(Phi, exponents):
-    # (g Phi)(X) = Phi(g^{-1} X g^{-t}), g = diag(p^a_i), on random rational X;
-    # at m = 3 the oracle sweep's mask of the moved piece must select the same X
+    # (g Phi)(X) = Phi(g^{-1} X g^{-t}), g = diag(p^a_i), on random rational X:
+    # the oracle's mask of the moved piece holds X exactly where Phi(Y) != 0,
+    # and at m = 3 the sweep's `_mask_vec` selects the same integral X
     rng = random.Random(41)
-    m, p = Phi.m, P
-    a = exponents
-    (piece,) = Phi.pieces
-    moved = act_diagonal(Phi, a, p)
-    mask = _piece_job(moved.pieces[0], False, p, 6)[0][1] if m == 3 else None
+    m, p, a, (piece,) = Phi.m, P, exponents, Phi.pieces
+    residues, moduli = mask = diagonal_mask(Phi, a, p)
     hits = 0
     for _ in range(200):
         # Y = g^{-1} X g^{-t}: near the piece's base point half of the time
@@ -732,141 +719,46 @@ def test_act_diagonal_matches_pointwise_definition(Phi, exponents):
                 Y[i][j] = Y[j][i] = base[i][j] + p ** piece.r * Fraction(
                     rng.randint(-9, 9), rng.choice((1, 1, 1, p)))
         X = [[Y[i][j] * p ** (a[i] + a[j]) for j in range(m)] for i in range(m)]
-        want = evaluate_lattice_function(Phi, Y, p)
-        hits += want != 0
-        assert evaluate_lattice_function(moved, X, p) == want, (X, a)
-        if mask is not None and all(x.denominator == 1 for row in X for x in row):
+        want = evaluate_lattice_function(Phi, Y, p) != 0
+        hits += want
+        inside = all(((X[i][j] - res) / mo).denominator % p != 0
+                     for (i, j), res, mo in zip(_entry_order(m), residues, moduli))
+        assert inside == want, (X, a)
+        if m == 3 and all(x.denominator == 1 for row in X for x in row):
             entries = [np.array([int(X[i][j])])
                        for i, j in ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2), (2, 2))]
-            assert bool(_mask_vec(mask, *entries)[0]) == (want != 0), (X, a)
+            assert bool(_mask_vec(mask, *entries)[0]) == want, (X, a)
     assert hits > 0
 
 
-def counting_cosets(monkeypatch):
-    """The job of every coset enumeration from here on, with an empty cache."""
-    calls = []
-    coset_bins = pvszeta._coset_bins
-
-    def counting(p, k, job):
-        calls.append(job)
-        return coset_bins(p, k, job)
-    monkeypatch.setattr(pvszeta, "_SWEEP_CACHE", {})
-    monkeypatch.setattr(pvszeta, "_coset_bins", counting)
-    return calls
-
-
-def test_check_fe_pvs_never_sweeps(monkeypatch):
-    # both sides of the functional equation come from the recursion
-    calls = counting_cosets(monkeypatch)
-    for Phi in (LatticeTestFunction.spherical(3), LatticeTestFunction.shifted(I3, 1),
-                LatticeTestFunction.dilated(3, 1)):
-        sides = fe_pvs_sides(Phi, 1, P, 3)
-        assert fe_pvs_holds(sides, 1, UnitCharacter(P, 1, 1)), Phi
-    assert calls == []
+@pytest.mark.parametrize("Phi", [LatticeTestFunction.dilated(m, r)
+                                 for m in (1, 3) for r in (2, -2)],
+                         ids=["m1-scale2", "m1-scale-2", "m3-scale2", "m3-scale-2"])
+@pytest.mark.parametrize("route", [
+    lambda Phi: fiber_function(Phi, False, P, 3),
+    lambda Phi: fiber_function(Phi, True, P, 3),
+    lambda Phi: fiber_shell_values(Phi, False, P, 3),
+    lambda Phi: fiber_shell_values(Phi, True, P, 3),
+    lambda Phi: fe_pvs_sides(Phi, (Phi.m - 1) // 2, P, 3),
+], ids=["fiber_function", "fiber_function-weighted", "fiber_shell_values",
+        "fiber_shell_values-weighted", "fe_pvs_sides"])
+def test_piece_past_the_recursion_is_refused(route, Phi):
+    # the recursion serves scales -1, 0 and 1 only; _piece_job refuses the
+    # rest, and its refusal reaches every route, weighted or not, at m = 1 and 3
+    with pytest.raises(PvsError, match="past the recursion"):
+        route(Phi)
 
 
-def test_homogeneity_sweeps_the_moved_side_once(monkeypatch):
-    # the entry-wise mask of diag(1, 1, p) acting on the spherical function
-    # reaches past Y mod p: one coset enumeration, for its one masked count job
-    calls = counting_cosets(monkeypatch)
-    dev = homogeneity_check(LatticeTestFunction.spherical(3), (0, 0, 1),
-                            UnitCharacter(P, 1, 1), P, K)
-    assert dev <= HOMOGENEITY_TOL, dev
-    assert len(calls) == 1
-    (kind, mask, m), = calls
-    assert kind == "count" and max(mask[1]) > P and m == 3
-
-
-MOVES = [(0, 0, 1), (0, 1, 1), (1, 0, 1)]
-
-
-def moved_job(Phi, exponents, k):
-    """The count job of Phi's one piece moved by diag(p^a_i)."""
-    (piece,) = act_diagonal(Phi, exponents, P).pieces
-    return _piece_job(piece, False, P, k)[0]
-
-
-def test_coset_bins_match_sweep(sweep_oracle):
-    # every row of the refined bins against the oracle sweep of Sym_3(Z/9);
-    # the shifted function's moved pieces reach moduli 27 > 9, and criterion 4
-    # compares one of them with the shared k = 3 sweep
-    jobs = [moved_job(LatticeTestFunction.spherical(3), a, K) for a in MOVES]
-    for job, want in sweep_oracle(P, K, jobs).items():
-        assert not _by_recursion(job, P)
-        assert np.array_equal(_coset_bins(P, K, job), want), job
-
-
-def int_det(Y):
-    """det of a matrix of integer arrays by cofactor expansion along its
-    first row."""
-    if len(Y) == 1:
-        return Y[0][0]
-    return sum((-1) ** j * Y[0][j] * int_det([row[:j] + row[j + 1:] for row in Y[1:]])
-               for j in range(len(Y)))
-
-
-def direct_coset_counts(job, p, K):
-    """det mod p^K over every cell of Sym_m(Z/p^K) inside the job's mask,
-    with no adjugate refinement, one value of the first entry at a time."""
-    (residues, moduli), m = job[1], job[-1]
-    first, *rest = [res % mo + mo * np.arange(p ** K // mo)
-                    for res, mo in zip(residues, moduli)]
-    rest = [a.ravel() for a in np.meshgrid(*rest, indexing="ij")]
-    counts = np.zeros(p ** K, dtype=np.int64)
-    for x in first:
-        Y = [[None] * m for _ in range(m)]
-        for value, (i, j) in zip([x] + rest, _entry_order(m)):
-            Y[i][j] = Y[j][i] = value
-        counts += np.bincount(np.atleast_1d(int_det(Y) % p ** K), minlength=p ** K)
-    return counts
-
-
-def coset_cases():
-    """(job, k): the moved count jobs of the spherical (k = 2) and shifted
-    (k = 3) functions on Sym_3, the mask mod 9 of dilated(1, 2) on Sym_1,
-    and a mixed mask on Sym_2."""
-    for n, exponents in enumerate(MOVES):
-        for name, Phi, k in (("spherical", LatticeTestFunction.spherical(3), 2),
-                             ("shifted", LatticeTestFunction.shifted(I3, 1), 3)):
-            yield pytest.param(moved_job(Phi, exponents, k), k, id=f"exponents{n}-{name}")
-    (piece,) = LatticeTestFunction.dilated(1, 2).pieces
-    yield pytest.param(_piece_job(piece, False, P, 3)[0], 3, id="m1-dilated")
-    yield pytest.param(("count", ((0, 1, 2), (1, 3, 9)), 2), 2, id="m2-mixed")
-
-
-@pytest.mark.parametrize("job, k", coset_cases())
-def test_coset_bins_match_direct_enumeration(job, k):
-    # the adjugate refinement against det mod p^(k+1) on all p^d lifts of
-    # each coset cell, every row including det = 0
-    assert not _by_recursion(job, P)
-    bins = _coset_bins(P, k, job)
-    assert bins.shape == (P ** (k + 1), 1, 1)
-    assert np.array_equal(bins[:, 0, 0], direct_coset_counts(job, P, k + 1))
-
-
-def test_coset_bins_do_not_see_chunk_boundaries(monkeypatch):
-    # 6561 cells: one block by default, six full blocks and a partial one here
-    job = moved_job(LatticeTestFunction.spherical(3), (0, 0, 1), K)
-    want = _coset_bins(P, K, job)
-    monkeypatch.setattr(pvszeta, "COSET_CHUNK", 1000)
-    assert np.array_equal(_coset_bins(P, K, job), want)
-
-
-def test_weighted_piece_finer_than_y_mod_p_is_refused():
-    # Clifford-weighted tallies come from the recursion alone, and a piece of
-    # scale 2 has a mask finer than Y mod p
-    with pytest.raises(PvsError, match="Clifford-weighted pieces"):
-        fiber_shell_values(LatticeTestFunction.dilated(3, 2), True, P, K)
-
-
-@pytest.mark.parametrize("Phi, message", [
+@pytest.mark.parametrize("Phi, why", [
     (LatticeTestFunction.dilated(1, 2), "no exact series"),
     (LatticeTestFunction.dilated(1, -2), "r < -1"),
     (LatticeTestFunction.shifted([[3]], 2), "no exact series"),
 ])
-def test_m1_fiber_function_past_y_mod_p_is_refused(Phi, message):
-    # m = 1 takes the exact series like m = 3, with the same reach
-    with pytest.raises(PvsError, match=message):
+def test_m1_fiber_function_past_y_mod_p_is_refused(Phi, why):
+    # m = 1 takes the recursion like m = 3, with the same reach: a mask finer
+    # than Y mod p has no exact series, and a scale below -1 a finer phase;
+    # `why` names which, and a shifted piece is refused for its scale alone
+    with pytest.raises(PvsError, match="past the recursion"):
         fiber_function(Phi, False, P, 3)
 
 

@@ -23,10 +23,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ALLOWED = {
     "abelian.ab_factors": "ROADMAP item 5: the doubling verb's a_m / b_m factors",
     "pvszeta.pvs_route_transform": "ROADMAP item 7: the prehomogeneous route of verify fe-gl1",
-    "pvszeta.homogeneity_check": "ROADMAP item 8: verify homogeneity",
-    "pvszeta.act_diagonal": "the moved test function of homogeneity_check",
-    "pvszeta._coset_bins": "the coset enumeration of homogeneity_check's moved piece",
-    "pvszeta._refine_bins": "refines the counts of _coset_bins and tests/oracles.py's sweep",
     "cli.run": "the library entry point perfbench/workloads.py calls",
     "ratfunc.RationalFunctionZ.__repr__": "operator of the value type",
     "ratfunc.RationalFunctionZ.equals": "the value type's equality, which the tests assert with",
