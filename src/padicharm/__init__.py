@@ -12,7 +12,7 @@ fxspace     shell-function model on F^x, Mellin transform and its inversion
             (fx_from_mellin, which is also the Paley-Wiener class test), the
             eta kernel, the Fourier operator on the plus space, and the
             functional-equation verifier
-pvszeta     determinant-fiber enumeration over Sym_m(Z/p^k), lattice test
+pvszeta     determinant-fiber counts over Sym_m(Z/p^k), lattice test
             functions and their Fourier transforms, zeta integrals, and the
             prehomogeneous functional-equation verifier
 symplectic  exact rational doubling geometry: embeddings, Cayley transform,

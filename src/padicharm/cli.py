@@ -461,10 +461,11 @@ def _validate(args, verb, phi):
     rows of an eta table and its (kmax + 1) series terms per unit, and the
     p^k rows of a count table.
     verify fe-pvs needs n <= 1, k >= 2 (the depth of its series cross-check)
-    and 2 p^(k+2) <= ROW_BUDGET: that keeps p <= 13 at k >= 3, where a phased
-    job's census enumerates all p^6 cells of Sym_3(F_p), and p <= 23 at
-    k = 2, below the p = 59 where the float partial fractions of the exact
-    series stop cancelling.  verify fe-gl1 needs n <= 2: from n = 3 the
+    and 2 p^(k+2) <= ROW_BUDGET: that keeps p <= 13 at k >= 3, below the
+    p = 41 where the k = 3 series cross-check of the shifted function fails
+    (1.2e-12 > SERIES_TOL; p = 37 passes in 1.6 s), and p <= 23 at k = 2,
+    below the p = 59 where the float partial fractions of the exact series
+    stop cancelling.  verify fe-gl1 needs n <= 2: from n = 3 the
     float partial fractions of the Fourier operator's Mellin components lose
     the poles to rounding (at p = 5, level 2, n = 4 every check fails), until
     pole arithmetic is exact.  tate-oracle averages over every unit mod

@@ -28,16 +28,15 @@ and returns its deviation for the caller to judge.
 At m = 1 (n = 0) det is the identity, so f_Phi = Phi, and the functional
 equation is Tate's.
 
-The recursion and the exact series are plain Python on ints, polynomials
-over Z[1/p] (int tuples over one power of p) and tuples of floats.  numpy is
-imported only by the cell enumeration of a masked or phased job's census
-(`_cell_chunks`, `_cell_rank_key`, `_job_census`), whose work is
-array-shaped.
+A job's census of Sym_m(F_p) enumerates nothing: MacWilliams' closed form,
+one congruence diagonalization of a masked job's cell, or an exact
+recursion over a phased job's diagonalized phase (`_diagonal_census`).  It,
+the recursion and the exact series are plain Python on ints, polynomials
+over Z[1/p] (int tuples over one power of p) and tuples of floats: no numpy.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -51,8 +50,6 @@ from .fxspace import (FxFunction, MellinData, TailSpec, fx_from_mellin,
 from .padic import legendre, psi_frac, unit_group, unit_order
 from .ratfunc import RationalFunctionZ, _padd, _pmul
 
-ENUM_BUDGET = 10 ** 9      # cells of a phased census
-CELL_CHUNK = 1 << 16       # cells per block: about 150 bytes a cell at m = 3, 370 at m = 5
 # rows of a fiber count table: count-fibers at p = 3, k = 12 (531,440 rows)
 # peaks at 262 MB, about 500 bytes a row
 ROW_BUDGET = 10 ** 6
@@ -61,13 +58,6 @@ SERIES_TOL = 1e-12   # exact series against the recursion's shells; rounding is 
 
 class PvsError(PadicharmError):
     pass
-
-
-def check_budget(cells: float) -> None:
-    """Refuse an enumeration of more than ENUM_BUDGET cells."""
-    if cells > ENUM_BUDGET:
-        raise PvsError(
-            f"enumeration budget exceeded: {cells:.3g} cells > {ENUM_BUDGET:.0g}")
 
 
 def check_rows(rows: float) -> None:
@@ -167,39 +157,6 @@ def lattice_fourier(Phi: LatticeTestFunction, p: int, sign: int = 1) -> LatticeT
 # or None, and the size m last, so that jobs of different sizes never share
 # an entry
 _SWEEP_CACHE: dict = {}
-
-
-def _minor(at, S, mod: int):
-    """Leibniz' formula mod `mod` for the minor on the index set S of the
-    symmetric matrix with entries at[i, j], i <= j, arrays in [0, mod):
-    products are reduced where their sum, or each factor, could pass int64."""
-    bound = (mod - 1) ** len(S)
-    total = 0
-    for perm in itertools.permutations(range(len(S))):
-        term = 1
-        for i, j in zip(S, perm):
-            x = at[min(i, S[j]), max(i, S[j])]
-            term = term * x % mod if bound >= 2 ** 63 else term * x
-        if math.factorial(len(S)) * bound >= 2 ** 63:
-            term = term % mod
-        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
-        total = total - term if odd else total + term
-    return total % mod
-
-
-def _cell_chunks(m: int, residues, n: int):
-    """The cells residue + i of Sym_m, i over [0, n) in each entry of
-    `_entry_order`, as {(i, j): flat array} in flat-index order.  A chunk
-    fixes all but the last entry and the longest tail of <= CELL_CHUNK cells."""
-    import numpy as np
-    d = len(residues)
-    check_budget(n ** d)
-    a = min((e for e in range(d) if n ** (d - e) <= CELL_CHUNK), default=d - 1)
-    axes = [res + np.arange(n).reshape((n,) + (1,) * (d - 1 - e))
-            for e, res in enumerate(residues)]
-    for lead in itertools.product(range(n), repeat=a):
-        yield dict(zip(_entry_order(m), (x.ravel() for x in np.broadcast_arrays(
-            *(axes[e][i] for e, i in enumerate(lead)), *axes[a:]))))
 
 
 def precompute_jobs(p: int, k: int, jobs) -> None:
@@ -314,24 +271,73 @@ def det_fiber_counts(m: int, p: int, k: int) -> FiberCountTable:
     return FiberCountTable(m, p, k, counts, zero, total)
 
 
-def _cell_rank_key(m: int, at, p: int):
-    """(rank, key) of cells of Sym_m(F_p) with entries at[i, j]: the size of
-    the largest nonsingular principal submatrix, tried from size m down on the
-    cells still open, and its minor at full rank, else the minor's Legendre
-    class, that of the nondegenerate part (1 at rank 0)."""
-    import numpy as np
-    cells = np.arange(at[0, 0].size)
-    rank, key, leg = np.zeros_like(cells), np.ones_like(cells), np.array(
-        [legendre(a, p) for a in range(p)])
-    for r in range(m, 0, -1):
-        for S in itertools.combinations(range(m), r):
-            minor = _minor(at, S, p)
-            hit = minor != 0
-            rank[cells[hit]] = r
-            key[cells[hit]] = minor[hit] if r == m else leg[minor[hit]]
-            if hit.any():
-                cells, at = cells[~hit], {ij: x[~hit] for ij, x in at.items()}
-    return rank, key
+def _diagonalize(M, p: int):
+    """(D, det P), D = P M P^t diagonal, of the symmetric M over F_p by
+    symmetric elimination.  A zero pivot a_ii with a_ij != 0, j > i, first
+    takes x_i -> x_i +- x_j (2 a_ij + a_jj and -2 a_ij + a_jj are not both 0);
+    each pivot is scaled by a square to 1 or the least nonsquare."""
+    A = [[x % p for x in row] for row in M]
+    m, det = len(A), 1
+    nonsquare = next(a for a in range(2, p) if legendre(a, p) == -1)
+    for i in range(m):
+        j = next((j for j in range(i + 1, m) if A[i][j]), None)
+        if A[i][i] == 0 and j is not None:
+            lam = 1 if (2 * A[i][j] + A[j][j]) % p else -1
+            A[i] = [(x + lam * y) % p for x, y in zip(A[i], A[j])]
+            for row in A:
+                row[i] = (row[i] + lam * row[j]) % p
+        if A[i][i]:
+            for j in range(i + 1, m):
+                for k in range(i + 1, m):
+                    A[j][k] = (A[j][k] - A[j][i] * A[i][k] * pow(A[i][i], -1, p)) % p
+            s = next(s for s in range(1, p) if s * s * A[i][i] % p in (1, nonsquare))
+            A[i][i], det = s * s * A[i][i] % p, det * s % p
+    return tuple(A[i][i] for i in range(m)), det
+
+
+@lru_cache(maxsize=None)
+def _diagonal_census(p: int, D: tuple) -> dict:
+    """{(r, key, t): count} over Sym_m(F_p), m = len(D), by rank, key (as in
+    `_job_census`) and t = sum_i d_i y_ii.  Split Y = [[a, b^t], [b, Y1]]:
+    - a != 0: Y ~ (a) + Z, Z = Y1 - b b^t / a, and the b for each Z solve
+      sum_(i>1) d_i b_i^2 = a c, c = t - d_1 a - t_Z: with e of these d_i
+      nonzero, of product delta, p^(m-1-e) (p^e + p^(e/2) eta w(c)) / p of
+      them, eta = ((-1)^(e/2) delta | p), w(c) = p (c | p) at odd e, else
+      p [c = 0] - 1 (Lidl and Niederreiter, Finite Fields, Thms 6.26-6.27);
+    - a = 0, b = 0: Y = 0 + Y1;
+    - a = 0, b_j the first b_i != 0: Y ~ H + Z, H hyperbolic of det -b_j^2
+      and Z over Sym_(m-2) of D without d_1, d_j; t is uniform over F_p
+      unless d_j = 0 and every later d_i b_i = 0, where t = t_Z.
+    Keys come by the least y_11 with a cell of the key, then r, key mod p + 1
+    and t: an enumeration's order at D = I."""
+    if not D:
+        return {(0, 1, 0): 1}
+    m, rest, ell = len(D), D[1:], legendre(-1, p)
+    parts = [Counter() for _ in range(p)]        # the cells by a = y_11
+    for (r, key, t), n in _diagonal_census(p, rest).items():
+        parts[0][(r, legendre(key, p) if r == m - 1 else key, t)] += n
+    for j in range(m - 1):
+        later = rest[j + 1:]
+        fixed = math.prod(p for x in later if x == 0) if rest[j] == 0 else 0  # b per b_j, t = t_Z
+        for (r, key, t), n in _diagonal_census(p, rest[:j] + later).items():
+            for b in range(1, p):
+                x = r + 2, -b * b * key % p if r == m - 2 else ell * key
+                parts[0][(*x, t)] += n * fixed * p ** (m - 1)
+                for s in range(p):
+                    parts[0][(*x, s)] += n * (p ** len(later) - fixed) * p ** (m - 2)
+    units = [x for x in rest if x]
+    e, eta = len(units), legendre((-1) ** (len(units) // 2) * math.prod(units), p)
+    sols = [p ** (m - 1 - e) * (p ** e + p ** (e // 2) * eta * (
+        p * legendre(c, p) if e % 2 else p * (c == 0) - 1)) // p for c in range(p)]
+    for a in range(1, p):
+        for (r, key, t), n in _diagonal_census(p, rest).items():
+            x = r + 1, a * key % p if r == m - 1 else legendre(a, p) * key
+            for c in range(p):     # c = t' - d_1 a - t_Z
+                parts[a][(*x, (t + D[0] * a + c) % p)] += n * sols[a * c % p]
+    first = {x: a for a in reversed(range(p)) for x, n in parts[a].items() if n}
+    census = sum(parts, Counter())
+    return {x: census[x] for x in sorted(
+        census, key=lambda x: (first[x], x[0], x[1] % (p + 1), x[2]))}
 
 
 @lru_cache(maxsize=None)
@@ -339,35 +345,24 @@ def _job_census(p: int, job) -> dict:
     """{(r, key, t): count} over the cells Y0 of Sym_m(F_p) inside the job's
     mask, by rank r, phase t = tr(Y0 C) mod p and key: the class of the
     nondegenerate part, or at full rank m det Y0 mod p itself, which every
-    lift keeps.  A job without mask or phase takes the closed-form census at
-    any m; the others enumerate the one cell their mask fixes, or all p^d."""
+    lift keeps.  None is enumerated: no mask or phase takes MacWilliams'
+    census, a mask (never phased) diagonalizes its one cell, and a phase
+    P C P^t = D reads `_diagonal_census(D)` through Y -> P^-t Y P^-1."""
     m, mask = job[-1], job[1]
     C = job[2] if job[0] == "rho" else None
-    if mask is None and C is None:
+    if mask is not None:
+        entry = dict(zip(_entry_order(m), mask[0]))
+        D, det_P = _diagonalize([[entry[min(i, j), max(i, j)] for j in range(m)]
+                                 for i in range(m)], p)
+        r, det = m - D.count(0), math.prod(x for x in D if x) * pow(det_P, -2, p) % p
+        return {(r, det if r == m else legendre(det, p), 0): 1}
+    if C is None:
         census = _rank_census(m, p)
-        out = {(r, delta, 0): n for (r, delta), n in census.items() if r < m and n}
-        for a in range(1, p):
-            out[(m, a, 0)] = census[(m, legendre(a, p))] // ((p - 1) // 2)
-        return out
-    import numpy as np
-    d = m * (m + 1) // 2
-    residues, n = ([x % p for x in mask[0]], 1) if mask is not None else ((0,) * d, p)
-    # one code per (Y0[0, 0], rank, key, t), the class -1 stored as p:
-    # decoded in ascending order, the keys come in the order of Y0[0, 0]
-    size = p * (m + 1) * (p + 1) * p
-    counts = np.zeros(size, dtype=np.int64)
-    for at in _cell_chunks(m, residues, n):
-        rank, key = _cell_rank_key(m, at, p)
-        t = 0 if C is None else sum((1 if i == j else 2) * x * C[i][j]
-                                    for (i, j), x in at.items()) % p
-        code = ((at[0, 0] * (m + 1) + rank) * (p + 1) + key % (p + 1)) * p + t
-        counts += np.bincount(code, minlength=size)
-    out = Counter()
-    for code in np.flatnonzero(counts).tolist():
-        rest, t = divmod(code, p)
-        r, key = divmod(rest % ((m + 1) * (p + 1)), p + 1)
-        out[(r, -1 if key == p else key, t)] += int(counts[code])
-    return dict(out)
+        return {**{(r, delta, 0): n for (r, delta), n in census.items() if r < m and n},
+                **{(m, a, 0): census[(m, legendre(a, p))] // ((p - 1) // 2) for a in range(1, p)}}
+    D, det_P = _diagonalize(C, p)
+    return {(r, key * det_P ** 2 % p if r == m else key, t): n
+            for (r, key, t), n in _diagonal_census(p, D).items()}
 
 
 def _recursion_tallies(p: int, k: int, job) -> dict:

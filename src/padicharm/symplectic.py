@@ -301,10 +301,13 @@ def random_symmetric(n: int, rng) -> Matrix:
 
 def random_symplectic(n: int, rng) -> Matrix:
     """Exact random symplectic element via the Cayley transform of a
-    random_symmetric matrix, resampled on a Cayley pole; any other failure
-    of cayley is raised."""
+    random_symmetric X, resampled on a Cayley pole or a singular X (as
+    h + I = 4 J X (2 J X - I)^(-1), det(h + I) = 0, the singular locus of
+    Phi, exactly when det X = 0); any other failure of cayley is raised."""
     while True:
+        X = mat(random_symmetric(n, rng))
         try:
-            return cayley(random_symmetric(n, rng), n)
+            if det(X):
+                return cayley(X, n)
         except CayleyPoleError:
             continue

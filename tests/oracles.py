@@ -54,6 +54,8 @@ those of its numerator, are the oracle of the Paley-Wiener verdict of
 simple and one that the component's character can carry.
 """
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -67,10 +69,20 @@ from padicharm.fxspace import (ZERO_COMPONENT_TOL, FxFunction, StabilizationErro
 from padicharm.gdist import FOURIER_K_MAX, FOURIER_TOL
 from padicharm.padic import legendre, psi_frac, unit_group, unit_part, val_p
 from padicharm.pvszeta import (PvsError, _entry_order, _rank_census, _split_state,
-                               check_budget, fiber_function)
+                               fiber_function)
 from padicharm.ratfunc import _padd, _pmul
 from padicharm.symplectic import (block, det, eye, inverse, mat, scale, sub,
                                   transpose, zeros)
+
+ENUM_BUDGET = 10 ** 9      # cells of one enumeration
+CELL_CHUNK = 1 << 16       # cells per block: about 150 bytes a cell at m = 3, 370 at m = 5
+
+
+def check_budget(cells: float) -> None:
+    """Refuse an enumeration of more than ENUM_BUDGET cells."""
+    if cells > ENUM_BUDGET:
+        raise PvsError(
+            f"enumeration budget exceeded: {cells:.3g} cells > {ENUM_BUDGET:.0g}")
 
 
 def _mask_vec(mask_spec, x11, x22, m12, m13, m23, m33):
@@ -264,6 +276,77 @@ def fold_tallies(bins, p: int, k: int) -> dict:
         out[key] = out.get(key, 0) + n
     return out
 
+
+def _minor(at, S, p: int):
+    """Leibniz' formula mod p for the minor on the index set S of the
+    symmetric matrix with entries at[i, j] in [0, p), i <= j, arrays: every
+    term is below m! (p - 1)^m, within int64 for m <= 5 at every p < 2000."""
+    total = 0
+    for perm in itertools.permutations(range(len(S))):
+        term = 1
+        for i, j in zip(S, perm):
+            term = term * at[min(i, S[j]), max(i, S[j])]
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        total = total - term if odd else total + term
+    return total % p
+
+
+def _cell_chunks(m: int, residues, n: int):
+    """The cells residue + i of Sym_m, i over [0, n) in each entry of
+    `_entry_order`, as {(i, j): flat array} in flat-index order.  A chunk
+    fixes all but the last entry and the longest tail of <= CELL_CHUNK cells."""
+    d = len(residues)
+    check_budget(n ** d)
+    a = min((e for e in range(d) if n ** (d - e) <= CELL_CHUNK), default=d - 1)
+    axes = [res + np.arange(n).reshape((n,) + (1,) * (d - 1 - e))
+            for e, res in enumerate(residues)]
+    for lead in itertools.product(range(n), repeat=a):
+        yield dict(zip(_entry_order(m), (x.ravel() for x in np.broadcast_arrays(
+            *(axes[e][i] for e, i in enumerate(lead)), *axes[a:]))))
+
+
+def _cell_rank_key(m: int, at, p: int):
+    """(rank, key) of cells of Sym_m(F_p) with entries at[i, j]: the size of
+    the largest nonsingular principal submatrix, tried from size m down on the
+    cells still open, and its minor at full rank, else the minor's Legendre
+    class, that of the nondegenerate part (1 at rank 0)."""
+    cells = np.arange(at[0, 0].size)
+    rank, key, leg = np.zeros_like(cells), np.ones_like(cells), _legendre_table(p)
+    for r in range(m, 0, -1):
+        for S in itertools.combinations(range(m), r):
+            minor = _minor(at, S, p)
+            hit = minor != 0
+            rank[cells[hit]] = r
+            key[cells[hit]] = minor[hit] if r == m else leg[minor[hit]]
+            if hit.any():
+                cells, at = cells[~hit], {ij: x[~hit] for ij, x in at.items()}
+    return rank, key
+
+
+def enumerated_census(p: int, job) -> dict:
+    """The census of `pvszeta._job_census` by enumerating the cells of the
+    job's mask, or all p^d of Sym_m(F_p), in the same key order: by the least
+    Y0[0, 0] with a cell of that key, then rank, key mod p + 1 and t."""
+    m, mask = job[-1], job[1]
+    C = job[2] if job[0] == "rho" else None
+    d = m * (m + 1) // 2
+    residues, n = ([x % p for x in mask[0]], 1) if mask is not None else ((0,) * d, p)
+    # one code per (Y0[0, 0], rank, key, t), the class -1 stored as p:
+    # decoded in ascending order, the keys come in the order of Y0[0, 0]
+    size = p * (m + 1) * (p + 1) * p
+    counts = np.zeros(size, dtype=np.int64)
+    for at in _cell_chunks(m, residues, n):
+        rank, key = _cell_rank_key(m, at, p)
+        t = 0 if C is None else sum((1 if i == j else 2) * x * C[i][j]
+                                    for (i, j), x in at.items()) % p
+        code = ((at[0, 0] * (m + 1) + rank) * (p + 1) + key % (p + 1)) * p + t
+        counts += np.bincount(code, minlength=size)
+    out = Counter()
+    for code in np.flatnonzero(counts).tolist():
+        rest, t = divmod(code, p)
+        r, key = divmod(rest % ((m + 1) * (p + 1)), p + 1)
+        out[(r, -1 if key == p else key, t)] += int(counts[code])
+    return dict(out)
 
 def diagonal_mask(Phi, exponents, p: int) -> tuple:
     """The (residues, moduli) mask, in `_entry_order`, of g Phi for Phi one

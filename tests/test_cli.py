@@ -380,9 +380,6 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 
 
 def test_workload_verbs_run_without_numpy():
-    import os
-    import subprocess
-    import sys
     invocations = [
         ["verify", "fe-gl1", "--p", "5", "--level", "1", "--n", "0"],
         ["verify", "fe-gl1", "--p", "5", "--level", "1", "--n", "1", "--seed", "1"],
@@ -394,12 +391,38 @@ def test_workload_verbs_run_without_numpy():
         ["shells", "--p", "5", "--level", "1", "--conductor", "1"],
         ["tate-oracle", "--p", "5", "--level", "2", "--conductor", "2"],
     ]
+    assert run_fresh(_WORKLOAD_VERBS, invocations) == {
+        "codes": [0] * len(invocations), "numpy": False}
+
+
+def run_fresh(script, invocations):
+    """The JSON that script prints in a fresh interpreter given the
+    invocations as argv[1]."""
+    import os
+    import subprocess
+    import sys
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", _WORKLOAD_VERBS, json.dumps(invocations)],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(invocations)],
                           capture_output=True, text=True, timeout=120, check=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
-    out = json.loads(proc.stdout)
-    assert out == {"codes": [0] * len(invocations), "numpy": False}
+    return json.loads(proc.stdout)
+
+
+def test_fe_pvs_censuses_load_no_numpy():
+    # (13, 3) and (7, 4) reach the phased job of the shifted function's
+    # transform and the masked jobs of the shifted and dilated functions
+    invocations = [["verify", "fe-pvs", "--p", "13", "--n", "1", "--k", "3"],
+                   ["verify", "fe-pvs", "--p", "7", "--n", "1", "--k", "4"]]
+    assert run_fresh(_WORKLOAD_VERBS, invocations) == {"codes": [0, 0], "numpy": False}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_phi_eval_draws_off_the_singular_locus(p):
+    # det(h + I) = 0 exactly when the drawn X is singular, as h + I =
+    # 4 J X (2 J X - I)^(-1): seeds 16, 26, 34 and 38 drew one and exited 2
+    codes = [run(["phi-eval", "--p", str(p), "--n", "1", "--seed", str(seed)])[1]
+             for seed in range(40)]
+    assert codes == [0] * 40
 
 
 @pytest.mark.parametrize("tolerance", ["-1e-6", "nan"])
@@ -549,8 +572,9 @@ print(json.dumps({"code": code, "report": json.loads(out.getvalue())}))
     ["symplectic-check", "--n", "1"],
 ])
 def test_broken_cayley_identity_is_an_error_not_a_hang(argv):
-    # only Cayley poles are resampled: any other failure of the transform
-    # ends the verb within the timeout, as a JSON error or an error check
+    # only Cayley poles and singular draws are resampled: any other failure
+    # of the transform ends the verb within the timeout, as a JSON error or
+    # an error check
     import os
     import subprocess
     import sys

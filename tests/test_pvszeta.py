@@ -19,6 +19,7 @@ from padicharm.pvszeta import (LatticeTestFunction, PvsError, _det_class_counts,
 from padicharm.padic import legendre
 from padicharm.symplectic import det as rational_det
 from padicharm.ratfunc import RationalFunctionZ
+import oracles
 from oracles import (_legendre_table, _mask_vec, _sigma_vec, clifford_rho, diagonal_mask,
                      evaluate_lattice_function, fe_pvs_holds, fold_tallies,
                      fraction_size_denominator, fraction_size_series,
@@ -82,14 +83,18 @@ def test_det_fiber_counts_m3_conservation_and_values():
         assert Fraction(agg[u], P ** (K * 6 - 1)) == Fraction(t1.counts[(0, u)], P ** 5)
 
 
-def test_budget_guard(monkeypatch):
-    # the census of a phased job at p = 37, 37^6 ~ 2.6e9 cells, refused
-    # before any cell is built
+def test_census_at_p37_enumerates_nothing(monkeypatch):
+    # a phased job's census at p = 37, past the oracle's enumeration budget
+    # (37^6 ~ 2.6e9 cells), is built with the oracle's cell functions patched
+    # to raise, and folds to MacWilliams' census
     def built(*args):
-        raise AssertionError("a cell was built")
-    monkeypatch.setattr(pvszeta, "_cell_rank_key", built)
-    with pytest.raises(PvsError, match="enumeration budget exceeded"):
-        pvszeta._job_census(37, ("rho", None, I3, 3))
+        raise AssertionError("a cell was enumerated")
+    monkeypatch.setattr(oracles, "_cell_chunks", built)
+    monkeypatch.setattr(oracles, "_cell_rank_key", built)
+    folded = Counter()
+    for (r, key, t), n in pvszeta._job_census(37, ("rho", None, I3, 3)).items():
+        folded[(r, legendre(key, 37) if r == 3 else key)] += n
+    assert folded == Counter({key: n for key, n in _rank_census(3, 37).items() if n})
 
 
 def brute_census(m, p):
@@ -122,62 +127,33 @@ def test_rank_census_matches_brute_force(m, p):
     assert sum(closed.values()) == p ** (m * (m + 1) // 2)
 
 
-def congruence_rank_key(Y, p):
-    """(rank, key) of a symmetric matrix over F_p by symmetric elimination:
-    each step takes a unit diagonal pivot (after x_i -> x_i + x_j, which puts
-    2 a_ij on the diagonal, if there is none) and passes to its Schur
-    complement.  The product of the pivots is det at full rank, and has the
-    class of the nondegenerate part below it."""
-    A = [[x % p for x in row] for row in Y]
-    disc = 1
-    while A:
-        n = len(A)
-        piv = next((i for i in range(n) if A[i][i]), None)
-        if piv is None:
-            off = next(((i, j) for i in range(n) for j in range(n) if A[i][j]), None)
-            if off is None:
-                break
-            piv, j = off
-            for t in range(n):
-                A[piv][t] = (A[piv][t] + A[j][t]) % p
-            for t in range(n):
-                A[t][piv] = (A[t][piv] + A[t][j]) % p
-        a = A[piv][piv]
-        disc = disc * a % p
-        rest = [t for t in range(n) if t != piv]
-        A = [[(A[s][t] - A[s][piv] * A[piv][t] * pow(a, -1, p)) % p for t in rest]
-             for s in rest]
-    rank = len(Y) - len(A)
-    return rank, disc if rank == len(Y) else legendre(disc, p)
-
-
 # a symmetric 0/1 matrix of the largest det, 5, among 5 x 5 ones
 DET5 = ((0, 0, 0, 1, 1), (0, 0, 1, 0, 1), (0, 1, 1, 1, 0), (1, 0, 1, 1, 0), (1, 1, 0, 0, 1))
 
 
-@pytest.mark.parametrize("mod", [3 ** 7, 17 ** 3, 3 ** 9])
-def test_minor_matches_exact_det(mod):
-    # Leibniz' formula mod `mod` on entries below it, against exact dets.
-    # (mod - 1) DET5 has det 5 (mod - 1)^5: within int64 at 3^7, past it at
-    # 17^3 though each product fits, and at 3^9 each product passes it
-    rng = random.Random(mod)
-    mats = [[[(mod - 1) * x for x in row] for row in DET5]]
+@pytest.mark.parametrize("p", [3, 17, 37])
+def test_minor_matches_exact_det(p):
+    # the oracle's Leibniz formula mod p on entries below p, against exact
+    # dets, on (p - 1) DET5 and on 200 random cells, mostly of full rank
+    rng = random.Random(p)
+    mats = [[[(p - 1) * x for x in row] for row in DET5]]
     for _ in range(200):
         Y = [[0] * 5 for _ in range(5)]
         for i, j in _entry_order(5):
-            Y[i][j] = Y[j][i] = rng.randrange(mod - 50, mod) if rng.random() < 0.7 else 0
+            Y[i][j] = Y[j][i] = rng.randrange(p) if rng.random() < 0.7 else 0
         mats.append(Y)
     at = {(i, j): np.array([Y[i][j] for Y in mats]) for i, j in _entry_order(5)}
     for S in [(0, 1, 2, 3, 4), (0, 1, 3, 4), (0, 2, 4), (3,)]:
-        want = [int(rational_det([[Y[i][j] for j in S] for i in S])) % mod for Y in mats]
-        assert pvszeta._minor(at, S, mod).tolist() == want, S
+        want = [int(rational_det([[Y[i][j] for j in S] for i in S])) % p for Y in mats]
+        assert oracles._minor(at, S, p).tolist() == want, S
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_cell_rank_key_matches_congruence_reduction(m, p):
-    # principal minors against elimination, on uniform cells (mostly of full
-    # rank) and on sums of r random rank-1 forms c v v^t (every rank)
+    # the oracle's principal minors against the congruence diagonalization of
+    # a one-cell job, on uniform cells (mostly of full rank) and on sums of r
+    # random rank-1 forms c v v^t (every rank)
     rng = random.Random(m * 100 + p)
     cells = []
     for n in range(400):
@@ -192,21 +168,79 @@ def test_cell_rank_key_matches_congruence_reduction(m, p):
                 Y[i][j] = Y[j][i] = rng.randrange(p)
         cells.append([[x % p for x in row] for row in Y])
     at = {(i, j): np.array([Y[i][j] for Y in cells]) for i, j in _entry_order(m)}
-    rank, key = pvszeta._cell_rank_key(m, at, p)
-    want = [congruence_rank_key(Y, p) for Y in cells]
-    assert list(zip(rank.tolist(), key.tolist())) == want
-    assert {r for r, _ in want} == set(range(m + 1))
+    rank, key = oracles._cell_rank_key(m, at, p)
+    got = []
+    for Y in cells:
+        residues = tuple(Y[i][j] for i, j in _entry_order(m))
+        [(r, k, _)] = pvszeta._job_census(p, ("count", (residues, (p,) * len(residues)), m))
+        got.append((r, k))
+    assert got == list(zip(rank.tolist(), key.tolist()))
+    assert {r for r, _ in got} == set(range(m + 1))
 
 
 @pytest.mark.parametrize("m, p", [(1, 3), (2, 3), (3, 3), (4, 3), (3, 5), (3, 7)])
 def test_phased_census_matches_closed_form(m, p):
-    # the enumerated census of a phased job, summed over t and with full-rank
-    # keys (det mod p) folded to their class, against MacWilliams' closed form
+    # the census of a phased job, summed over t and with full-rank keys
+    # (det mod p) folded to their class, against MacWilliams' closed form
     C = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
     folded = Counter()
     for (r, key, t), n in pvszeta._job_census(p, ("rho", None, C, m)).items():
         folded[(r, legendre(key, p) if r == m else key)] += n
     assert folded == Counter({key: n for key, n in _rank_census(m, p).items() if n})
+
+
+def diagonal(D):
+    return tuple(tuple(D[i] if i == j else 0 for j in range(len(D))) for i in range(len(D)))
+
+
+def census_by_enumeration(p, C):
+    """The phased job of C: its census by the recursion and by the oracle's
+    enumeration."""
+    job = ("rho", None, tuple(map(tuple, C)), len(C))
+    return pvszeta._job_census(p, job), oracles.enumerated_census(p, job)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5])
+def test_diagonal_census_matches_enumeration(m, p):
+    # every diagonal phase, exactly as integers by (r, key, t): zero entries
+    # are the only way into the hyperbolic branch's non-uniform case, and at
+    # p = 5 entries other than 1 and 2 are scaled to them with det(P) != +-1
+    for D in itertools.product(range(p), repeat=m):
+        got, want = census_by_enumeration(p, diagonal(D))
+        assert got == want, D
+
+
+def test_diagonal_census_matches_enumeration_at_p7():
+    rng = random.Random(7)
+    for D in rng.sample(list(itertools.product(range(7), repeat=3)), 12):
+        got, want = census_by_enumeration(7, diagonal(D))
+        assert got == want, D
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_phased_census_matches_enumeration(p):
+    # seeded non-diagonal phases, and zero pivots x_i -> x_i + x_j
+    # (NONDIAG) and x_i -> x_i - x_j (2 c_ij + c_jj = 0)
+    rng = random.Random(p)
+    phases = [NONDIAG, ((0, 1, 0), (1, p - 2, 0), (0, 0, 1))]
+    while len(phases) < 5:
+        C = [[0] * 3 for _ in range(3)]
+        for i, j in _entry_order(3):
+            C[i][j] = C[j][i] = rng.randrange(p)
+        if C[0][1] or C[0][2] or C[1][2]:
+            phases.append(C)
+    for C in phases:
+        got, want = census_by_enumeration(p, C)
+        assert got == want, C
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_identity_phase_census_keeps_the_enumeration_order(p):
+    # _job_series sums the census in its key order, so the only phase a
+    # verb runs must give the enumeration's keys in the enumeration's order
+    got, want = census_by_enumeration(p, I3)
+    assert list(got.items()) == list(want.items())
 
 
 @pytest.mark.parametrize("m, p, k", [(1, 3, 3), (1, 5, 2), (2, 3, 2), (2, 3, 4),
