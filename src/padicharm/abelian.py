@@ -313,17 +313,21 @@ def _oracle_shells(p: int, N: int, exponent: int, sign: int):
 
     Row i holds, for the oracle's i-th test-function pair (f, f^), the tuples
     avg_u f(p^k u) chi(u) and avg_u f^(p^k u) chi^{-1}(u) over the shells
-    k = -N..truncation+6, for chi of this exponent mod p^N.  Both functions
-    are taken from their definitions:
+    k = -N, -N+1, ..., for chi of this exponent mod p^N, each at its natural
+    length: the shells past the end of a row are zero.  Both functions are
+    taken from their definitions:
 
         ch(Z_p)              its own transform, psi having conductor Z_p;
         ch(u0 (1 + p^N Z_p)) transform q^{-N} psi(u0 y) ch(p^{-N} Z_p)(y).
 
-    Each is constant on the shells k >= 0 (psi is 1 there) but for the coset
-    indicator, which lives on shell 0 alone; only the N shells k < 0 of the
-    coset transform need sums over the units.  A ramified chi has
-    Z(s, ch(Z_p), chi) = 0, so it takes the two coset indicators u0 = 1 and
-    u0 = g instead.
+    ch(Z_p) is 1 on the shells k = 0..truncation+6.  The coset indicator lives
+    on shell 0 alone, so its row is N zeros and one value.  Its transform's
+    row is the N sums over the units on the shells k < 0, followed on the
+    shells k >= 0 (where psi is 1) by the constant q^{-N} avg_u chi(u), which
+    is 0 unless chi is trivial: only the trivial character keeps that tail,
+    and a ramified one's row ends at its last nonzero sum.  A ramified chi
+    has Z(s, ch(Z_p), chi) = 0, so it takes the two coset indicators u0 = 1
+    and u0 = g instead.
     """
     elements, gen, dlog = unit_group(p, N)
     phi = len(elements)
@@ -331,32 +335,19 @@ def _oracle_shells(p: int, N: int, exponent: int, sign: int):
     chi_inv = [c.conjugate() for c in chi]
     tail = _TRUNCATION + 7                  # the shells k = 0..truncation+6
     q_N = float(p) ** -N
-    mean = 1.0 + 0j if exponent == 0 else 0j    # avg_u chi(u)
 
     def coset(u0):
-        f = [0j] * (N + tail)
-        f[N] = chi[dlog[u0]] / phi
         fhat = [sum(map(mul, row, chi_inv)) * q_N / phi for row in _psi_rows(p, N, u0, sign)]
-        return tuple(f), tuple(fhat + [q_N * mean] * tail)
+        if exponent == 0:
+            fhat += [complex(q_N)] * tail
+        while fhat and not fhat[-1]:
+            fhat.pop()
+        return (0j,) * N + (chi[dlog[u0]] / phi,), tuple(fhat)
 
     if exponent == 0:
         ch_O = (0j,) * N + (1.0 + 0j,) * tail
         return (ch_O, ch_O), coset(1)
     return coset(1), coset(gen)
-
-
-@lru_cache(maxsize=None)
-def _oracle_rows(p: int, N: int, exponent: int, sign: int) -> tuple:
-    """_oracle_shells with the zero shells at the end of each row cut off,
-    so that the oracle's dot products stop at a row's last nonzero shell: a
-    coset indicator lives on shell 0 alone, and for ramified chi its
-    transform vanishes on every shell k >= 0."""
-    def cut(row):
-        n = len(row)
-        while n > 1 and not row[n - 1]:
-            n -= 1
-        return row[:n]
-    return tuple((cut(b), cut(a)) for b, a in _oracle_shells(p, N, exponent, sign))
 
 
 @lru_cache(maxsize=64)
@@ -371,20 +362,20 @@ def _z_powers(p: int, N: int, s: complex) -> tuple:
 def tate_gamma_oracle(chi: UnitCharacter, s: complex, sign: int = 1) -> complex:
     """Z(1-s, f^, chi^{-1}) / Z(s, f, chi) by brute shell sums.
 
-    The shell averages come from _oracle_shells (cut by _oracle_rows), once
-    per character, and the powers z^k from _z_powers, once per sample; a
-    call only takes their dot products.  The ratios of the two test
-    functions must agree (functional-equation uniqueness) and the
-    truncation must have stabilized, else OracleError.
+    The shell averages come from _oracle_shells, once per character, and
+    the powers z^k from _z_powers, once per sample; a call only takes their
+    dot products.  The ratios of the two test functions must agree
+    (functional-equation uniqueness) and the truncation must have
+    stabilized, else OracleError.
     """
     if not 0.0 < complex(s).real < 1.0:
         raise OracleError("sample s outside the common convergence strip 0 < Re(s) < 1")
     p, N = chi.p, chi.level
     za_pow, zb_pow = _z_powers(p, N, s)
     ratios = []
-    for b, a in _oracle_rows(p, N, chi.exponent, sign):
+    for b, a in _oracle_shells(p, N, chi.exponent, sign):
         # the truncated sum (shells k <= _TRUNCATION) and the full one, in one
-        # pass; the shells past the end of a cut row are zero
+        # pass; the shells past the end of a row are zero
         za = list(accumulate(map(mul, a, za_pow)))
         za1, za2 = za[min(_TRUNCATION + N, len(za) - 1)], za[-1]
         zb = sum(map(mul, b, zb_pow))

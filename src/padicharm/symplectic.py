@@ -1,9 +1,10 @@
 """Exact rational matrix algebra for the doubling geometry.
 
 All identities here are polynomial identities over Q, so everything is
-Fraction arithmetic: the symplectic form J_n, the doubling embedding of
-Sp_2n x Sp_2n into Sp_4n, the base-change element g0 relating the standard
-and diagonal Siegel parabolics, the Cayley transform
+exact: entries are Fractions, and a matrix product takes each factor over
+its one common denominator and sums ints.  The symplectic form J_n, the
+doubling embedding of Sp_2n x Sp_2n into Sp_4n, the base-change element g0
+relating the standard and diagonal Siegel parabolics, the Cayley transform
 
     h = (2 J X + I)(2 J X - I)^{-1},   X = (1/2) J (I - h)^{-1} (I + h),
 
@@ -15,6 +16,7 @@ constant c0 = prod 1/zeta_F(2i) = prod (1 - q^(-2i)).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import PadicharmError
 
@@ -42,10 +44,20 @@ def zeros(m: int, ncol=None) -> Matrix:
     return [[Fraction(0) for _ in range(ncol or m)] for _ in range(m)]
 
 
+def _integral(A: Matrix):
+    """(the integer matrix d A, d), d the least common denominator of A."""
+    d = lcm(*(x.denominator for row in A for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in A], d
+
+
 def mul(A: Matrix, B: Matrix) -> Matrix:
-    inner = len(B)
-    return [[sum(A[i][t] * B[t][j] for t in range(inner)) for j in range(len(B[0]))]
-            for i in range(len(A))]
+    """A B, each factor taken over its one common denominator, so that the
+    inner products are sums of ints and each entry is reduced once."""
+    a, da = _integral(A)
+    b, db = _integral(B)
+    d = da * db
+    cols = list(zip(*b))
+    return [[Fraction(sum(map(int.__mul__, row, col)), d) for col in cols] for row in a]
 
 
 def add(A: Matrix, B: Matrix) -> Matrix:

@@ -243,7 +243,6 @@ def test_oracle_never_touches_closed_forms(monkeypatch):
     for name in ("gauss_sum", "_gauss_table", "epsilon_factor", "gamma_factor"):
         monkeypatch.setattr(abelian, name, _closed_form_forbidden)
     abelian._oracle_shells.cache_clear()
-    abelian._oracle_rows.cache_clear()
     for chi in characters(5, 2):
         for sign in (1, -1):
             assert np.isfinite(tate_gamma_oracle(chi, 0.5, sign))
@@ -287,12 +286,21 @@ def test_oracle_shells_match_direct_sums(p, level, sign):
         pairs = ((ch_O, ch_O), coset(1)) if chi.is_trivial else (coset(1), coset(gen))
         got = abelian._oracle_shells(p, level, chi.exponent, sign)
         for (f, fhat), (b, a) in zip(pairs, got):
+            # each row at its natural length, zero past its end: ch(Z_p) and
+            # the trivial character's transforms to the last shell, a coset
+            # indicator to shell 0, a ramified transform to its last nonzero sum
+            assert len(b) == (len(ks) if f is ch_O else level + 1)
+            if chi.is_trivial:
+                assert len(a) == len(ks)
+            else:
+                assert len(a) <= level and a[-1]
             want_b = [sum(f(k, u) * chi.value(u) for u in elements) / len(elements)
                       for k in ks]
             want_a = [sum(fhat(k, u) * chi.inverse().value(u) for u in elements)
                       / len(elements) for k in ks]
-            assert np.max(np.abs(np.subtract(b, want_b))) <= 1e-13
-            assert np.max(np.abs(np.subtract(a, want_a))) <= 1e-13
+            for row, want in ((b, want_b), (a, want_a)):
+                padded = list(row) + [0j] * (len(ks) - len(row))
+                assert np.max(np.abs(np.subtract(padded, want))) <= 1e-13
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

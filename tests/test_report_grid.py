@@ -1,0 +1,71 @@
+"""The report grid in one process: every entry of tests/report_grid.py through
+cli.main, in GRID order and in a seeded shuffle, and a few entries against
+their bytes from a fresh interpreter, so that a cache that leaks state from
+one invocation into the next fails here.  And the runner's sha256 of a
+--timing run against the plain run's stdout."""
+
+import contextlib
+import hashlib
+import io
+import random
+
+import pytest
+
+from padicharm import cli
+from report_grid import GRID, measure, run
+
+SHUFFLE_SEED = 5
+
+# one JSON verify, the one CSV entry and an n = 1 phi-eval
+FRESH = [
+    ["verify", "fe-gl1", "--p", "5", "--level", "2", "--n", "1", "--psi-sign", "-1"],
+    ["count-fibers", "--p", "5", "--k", "2", "--m", "2", "--format", "csv"],
+    ["phi-eval", "--p", "3", "--n", "1", "--ord", "1", "--unit", "2", "--level", "1",
+     "--seed", "0"],
+]
+
+
+def in_process(argv):
+    """(exit code, stdout bytes) of cli.main(argv) in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue().encode()
+
+
+@pytest.fixture(scope="module")
+def passes():
+    """{index: (exit code, stdout)} of every entry, in GRID order and in a
+    seeded shuffle."""
+    first = {i: in_process(argv) for i, argv in enumerate(GRID)}
+    order = list(range(len(GRID)))
+    random.Random(SHUFFLE_SEED).shuffle(order)
+    second = {i: in_process(GRID[i]) for i in order}
+    return first, second
+
+
+@pytest.fixture(scope="module")
+def fresh():
+    """{argv: stdout} of each FRESH entry's plain run in a fresh interpreter."""
+    return {tuple(argv): run(argv)[3] for argv in FRESH}
+
+
+def test_grid_in_one_process_in_two_orders(passes):
+    first, second = passes
+    for i, argv in enumerate(GRID):
+        assert first[i][0] == 0, argv
+        assert second[i] == first[i], argv
+
+
+@pytest.mark.parametrize("argv", FRESH, ids=["fe-gl1", "count-fibers-csv", "phi-eval"])
+def test_in_process_report_matches_a_fresh_process(argv, passes, fresh):
+    assert passes[0][GRID.index(argv)][1] == fresh[tuple(argv)]
+
+
+@pytest.mark.parametrize("argv", FRESH[:2], ids=["json", "csv"])
+def test_runner_sha_of_a_timed_run_is_the_plain_runs(argv, fresh):
+    code, _, rss, checks, digest = measure(argv)
+    assert code == 0 and rss > 0
+    assert digest == hashlib.sha256(fresh[tuple(argv)]).hexdigest()
+    # a JSON report's checks carry their runtimes under --timing, CSV none
+    assert bool(checks) == (argv[0] == "verify")
