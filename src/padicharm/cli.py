@@ -472,9 +472,11 @@ def _validate(args, verb, phi):
     p^level once per character of conductor <= c, phi(p^c) of them (1 at
     c = 0), so that product must be within ROW_BUDGET too: 7.1e5 at
     (p, level, c) = (3, 7, 6) takes about 2.4 s, while 2.1e6 at (3, 7, 7)
-    takes about 7 s and 1e8 at (101, 2, 2) runs for minutes."""
+    takes about 7 s and 1e8 at (101, 2, 2) runs for minutes.
+    symplectic-check needs n >= 1, as Sp_0 is trivial, and at n = 1 it counts
+    SL_2(F_p) over all p^4 matrices, so p^4 <= ROW_BUDGET: p <= 31."""
     from .padic import LocalFieldConfig
-    from .pvszeta import check_rows
+    from .pvszeta import ROW_BUDGET, check_rows
     LocalFieldConfig(args.p)
     for name, low in (("n", 0), ("level", 1), ("k", 1), ("m", 1)):
         if getattr(args, name) < low:
@@ -507,6 +509,12 @@ def _validate(args, verb, phi):
     elif verb == "tate-oracle":
         c = min(args.conductor, args.level)
         check_rows(units * ((args.p - 1) * float(args.p) ** (c - 1) if c > 0 else 1))
+    elif verb == "symplectic-check":
+        if args.n < 1:
+            raise UsageError(f"symplectic-check needs --n >= 1: Sp_0 is trivial, got {args.n}")
+        if args.n == 1 and args.p ** 4 > ROW_BUDGET:
+            raise UsageError(f"symplectic-check at --n 1 counts SL_2(F_p) over all p^4 = "
+                             f"{args.p ** 4} matrices, past the budget of {ROW_BUDGET}")
     elif verb == "verify fe-gl1":
         if args.n >= 3:
             raise UsageError(f"verify fe-gl1 needs --n <= 2: from n = 3 its float partial "

@@ -1,8 +1,11 @@
 """Exact rational matrix algebra for the doubling geometry.
 
 All identities here are polynomial identities over Q, so everything is
-exact: entries are Fractions, and a matrix product takes each factor over
-its one common denominator and sums ints.  The symplectic form J_n, the
+exact.  Matrices hold Fractions, but the work is done in ints: a matrix
+product, the form test, the determinant and the inverse each take a matrix
+over its one common denominator d (`_integral`), and a Fraction is built
+only once per entry returned.  `det` and `inverse` read one fraction-free
+(Bareiss) elimination, `_eliminate`.  The symplectic form J_n, the
 doubling embedding of Sp_2n x Sp_2n into Sp_4n, the base-change element g0
 relating the standard and diagonal Siegel parabolics, the Cayley transform
 
@@ -16,6 +19,8 @@ constant c0 = prod 1/zeta_F(2i) = prod (1 - q^(-2i)).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import lcm
 
 from . import PadicharmError
@@ -81,41 +86,47 @@ def mat_eq(A: Matrix, B: Matrix) -> bool:
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
-def det(A: Matrix) -> Fraction:
-    M = [row[:] for row in A]
-    m = len(M)
-    out = Fraction(1)
+def _eliminate(A: Matrix):
+    """(s, D, adj, d): one fraction-free (Bareiss) Gauss-Jordan pass over
+    [a | I], a = d A the integer matrix of _integral.  D is the final pivot,
+    s D = det a with s = +-1 the sign of the row swaps, and adj = D a^{-1};
+    D = 0 and adj = None when A is singular.  Each step sets every other row
+    to (pivot * row - its entry * pivot row) / the previous pivot: an exact
+    division, as every entry stays a minor of [a | I] (Bareiss, Math. Comp.
+    22, 1968)."""
+    a, d = _integral(A)
+    m = len(a)
+    M = [row + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
+    sign = prev = 1
     for col in range(m):
-        piv = next((r for r in range(col, m) if M[r][col] != 0), None)
+        piv = next((r for r in range(col, m) if M[r][col]), None)
         if piv is None:
-            return Fraction(0)
+            return sign, 0, None, d
         if piv != col:
             M[col], M[piv] = M[piv], M[col]
-            out = -out
-        out *= M[col][col]
-        inv = Fraction(1) / M[col][col]
-        for r in range(col + 1, m):
-            f = M[r][col] * inv
-            if f:
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return out
+            sign = -sign
+        top = M[col]
+        pivot = top[col]
+        for r in range(m):
+            if r != col:
+                f = M[r][col]
+                M[r] = [(pivot * x - f * y) // prev for x, y in zip(M[r], top)]
+        prev = pivot
+    return sign, prev, [row[m:] for row in M], d
+
+
+def det(A: Matrix) -> Fraction:
+    """det A = s D / d^m from one integer elimination; det([]) = 1."""
+    sign, D, _, d = _eliminate(A)
+    return Fraction(sign * D, d ** len(A))
 
 
 def inverse(A: Matrix) -> Matrix:
-    m = len(A)
-    M = [row[:] + eye(m)[i] for i, row in enumerate(mat(A))]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if M[r][col] != 0), None)
-        if piv is None:
-            raise SymplecticError("singular matrix")
-        M[col], M[piv] = M[piv], M[col]
-        inv = Fraction(1) / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(m):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [row[m:] for row in M]
+    """A^{-1} = d adj / D from one integer elimination, each entry reduced once."""
+    _, D, adj, d = _eliminate(A)
+    if not D:
+        raise SymplecticError("singular matrix")
+    return [[Fraction(d * x, D) for x in row] for row in adj]
 
 
 def block(rows_of_blocks) -> Matrix:
@@ -133,10 +144,16 @@ def J(n: int) -> Matrix:
 
 
 def is_symplectic(g: Matrix, n: int) -> bool:
+    """g^t J g = J, tested on a = d g as a^t J a = d^2 J, where
+    (a^t J a)_ij = sum_{k < n} a_ki a_(n+k)j - a_(n+k)i a_kj."""
     g = mat(g)
     if len(g) != 2 * n or any(len(row) != 2 * n for row in g):
         raise SymplecticError(f"expected a {2*n}x{2*n} matrix")
-    return mat_eq(mul(mul(transpose(g), J(n)), g), J(n))
+    a, d = _integral(g)
+    top, bot = list(zip(*a[:n])), list(zip(*a[n:]))   # each column's halves
+    return all(sum(map(int.__mul__, top[i], bot[j])) - sum(map(int.__mul__, bot[i], top[j]))
+               == d * d * ((j == i + n) - (i == j + n))
+               for i in range(2 * n) for j in range(2 * n))
 
 
 def _blocks(h: Matrix, n: int):
@@ -165,35 +182,19 @@ def doubling_embed(h1: Matrix, h2: Matrix, n: int) -> Matrix:
     ])
 
 
+@lru_cache(maxsize=None)
 def standard_elements(n: int) -> dict:
     """The fixed matrices of the doubling geometry: g0, g0^{-1}, w_Delta,
-    w_std, J_{2n}; all verified symplectic and mutually consistent."""
-    I_n, z = eye(n), zeros(n)
-    half = Fraction(1, 2)
-    g0 = block([
-        [z, z, scale(I_n, -half), scale(I_n, -half)],
-        [scale(I_n, half), scale(I_n, -half), z, z],
-        [I_n, I_n, z, z],
-        [z, z, I_n, scale(I_n, -1)],
-    ])
-    g0_inv = block([
-        [z, I_n, scale(I_n, half), z],
-        [z, scale(I_n, -1), scale(I_n, half), z],
-        [scale(I_n, -1), z, z, scale(I_n, half)],
-        [scale(I_n, -1), z, z, scale(I_n, -half)],
-    ])
-    w_delta = block([
-        [I_n, z, z, z],
-        [z, scale(I_n, -1), z, z],
-        [z, z, I_n, z],
-        [z, z, z, scale(I_n, -1)],
-    ])
-    w_std = block([
-        [z, z, z, scale(I_n, -half)],
-        [z, z, scale(I_n, half), z],
-        [z, scale(I_n, 2), z, z],
-        [scale(I_n, -2), z, z, z],
-    ])
+    w_std, J_{2n}; all verified symplectic and mutually consistent.  Built
+    and verified once per n: every caller shares the one dict, whose
+    matrices are tuples of row tuples, and must not write to it."""
+    I, z = eye(n), zeros(n)
+    # c I_n for c = -1, 1/2, -1/2, 2, -2
+    m, h, mh, t, mt = (scale(I, c) for c in (-1, Fraction(1, 2), Fraction(-1, 2), 2, -2))
+    g0 = block([[z, z, mh, mh], [h, mh, z, z], [I, I, z, z], [z, z, I, m]])
+    g0_inv = block([[z, I, h, z], [z, m, h, z], [m, z, z, h], [m, z, z, mh]])
+    w_delta = block([[I, z, z, z], [z, m, z, z], [z, z, I, z], [z, z, z, m]])
+    w_std = block([[z, z, z, mh], [z, z, h, z], [z, t, z, z], [mt, z, z, z]])
     out = {"g0": g0, "g0_inv": g0_inv, "w_delta": w_delta, "w_std": w_std,
            "J2n": J(2 * n)}
     if not mat_eq(mul(g0, g0_inv), eye(4 * n)):
@@ -203,7 +204,7 @@ def standard_elements(n: int) -> dict:
             raise SymplecticError(f"{name} is not symplectic")
     if not mat_eq(w_delta, mul(mul(g0_inv, w_std), g0)):
         raise SymplecticError("w_delta != g0^{-1} w_std g0")
-    return out
+    return {name: tuple(map(tuple, M)) for name, M in out.items()}
 
 
 def cayley(X: Matrix, n: int) -> Matrix:
@@ -212,10 +213,12 @@ def cayley(X: Matrix, n: int) -> Matrix:
     if not mat_eq(X, transpose(X)):
         raise SymplecticError("Cayley transform needs a symmetric matrix")
     JX2 = scale(mul(J(n), X), 2)
-    den = sub(JX2, eye(2 * n))
-    if det(den) == 0:
-        raise CayleyPoleError("Cayley pole: det(2JX - I) = 0")
-    h = mul(add(JX2, eye(2 * n)), inverse(den))
+    I = eye(2 * n)
+    try:
+        den_inv = inverse(sub(JX2, I))
+    except SymplecticError:
+        raise CayleyPoleError("Cayley pole: det(2JX - I) = 0") from None
+    h = mul(add(JX2, I), den_inv)
     if not is_symplectic(h, n):
         raise SymplecticError("Cayley image failed the form identity")
     return h
@@ -225,10 +228,11 @@ def cayley_inv(h: Matrix, n: int) -> Matrix:
     """X = (1/2) J (I - h)^{-1} (I + h); inverse to cayley on its domain."""
     h = mat(h)
     I = eye(2 * n)
-    den = sub(I, h)
-    if det(den) == 0:
-        raise CayleyPoleError("Cayley pole: h has eigenvalue 1")
-    X = scale(mul(mul(J(n), inverse(den)), add(I, h)), Fraction(1, 2))
+    try:
+        den_inv = inverse(sub(I, h))
+    except SymplecticError:
+        raise CayleyPoleError("Cayley pole: h has eigenvalue 1") from None
+    X = scale(mul(mul(J(n), den_inv), add(I, h)), Fraction(1, 2))
     if not mat_eq(X, transpose(X)):
         raise SymplecticError("cayley_inv produced a non-symmetric matrix")
     return X
@@ -249,41 +253,31 @@ def siegel_factorize(X: Matrix, n: int):
     """
     h = cayley(X, n)
     std = standard_elements(n)
-    emb = doubling_embed(h, eye(2 * n), n)
-    rhs = mul(mul(std["g0"], emb), std["g0_inv"])
-    p_std = mul(mul(std["w_std"], n_std(X, n)), inverse(rhs))
-    # sanity: the factorization identity itself
+    rhs = mul(mul(std["g0"], doubling_embed(h, eye(2 * n), n)), std["g0_inv"])
     lhs = mul(std["w_std"], n_std(X, n))
+    p_std = mul(lhs, inverse(rhs))
+    # sanity: the factorization identity itself
     if not mat_eq(lhs, mul(p_std, rhs)):
         raise SymplecticError("Siegel factorization identity failed")
-    p_inv = inverse(p_std)
-    for i in range(2 * n, 4 * n):
-        for j in range(2 * n):
-            if p_inv[i][j] != 0:
-                raise SymplecticError("p_std^{-1} lower-left block is not zero")
+    if any(x for row in inverse(p_std)[2 * n:] for x in row[:2 * n]):
+        raise SymplecticError("p_std^{-1} lower-left block is not zero")
     return p_std, h
 
 
 def sp_order(n: int, q: int, mode: str = "formula"):
     """|Sp_2n(F_q)| and c0 = |Sp_2n(F_q)|/q^{dim} = prod (1 - q^{-2i}).
 
-    mode='bruteforce' enumerates Sp_2 = SL_2 over F_q directly (n = 1,
-    q <= 7 budget).
+    mode='bruteforce' counts Sp_2 = SL_2 over F_q directly, over all q^4
+    matrices (n = 1 only; the CLI's input boundary bounds q).
     """
     if mode == "formula":
         order = q ** (n * n)
         for i in range(1, n + 1):
             order *= q ** (2 * i) - 1
     elif mode == "bruteforce":
-        if n != 1 or q > 7:
-            raise SymplecticError("bruteforce budget is n = 1, q <= 7")
-        order = 0
-        for a in range(q):
-            for b in range(q):
-                for c in range(q):
-                    for d in range(q):
-                        if (a * d - b * c) % q == 1:
-                            order += 1
+        if n != 1:
+            raise SymplecticError("bruteforce counts Sp_2 = SL_2 only, at n = 1")
+        order = sum((a * d - b * c) % q == 1 for a, b, c, d in product(range(q), repeat=4))
     else:
         raise SymplecticError(f"unknown mode {mode}")
     c0 = Fraction(order, q ** (n * (2 * n + 1)))

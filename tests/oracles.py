@@ -30,7 +30,10 @@ under scalar rescaling X -> cX (the symbols (c,c)^3 (c,-1) collapse to
 
 Pointwise evaluation of lattice test functions and the Levi block of the
 Siegel factorization are the oracles of `pvszeta.lattice_fourier` and
-`diagonal_mask`, and of `symplectic.siegel_factorize`.
+`diagonal_mask`, and of `symplectic.siegel_factorize`.  Gaussian and
+Gauss-Jordan elimination over Fractions are the oracles of `symplectic.det`
+and `symplectic.inverse`, which share one integer Bareiss pass; the Levi
+block takes its inverse from the Fraction oracle.
 
 The shell integral of eta against a character, averaged over every unit of
 the shell from eta's coset values, is the oracle of the single character
@@ -71,7 +74,7 @@ from padicharm.padic import legendre, psi_frac, unit_group, unit_part, val_p
 from padicharm.pvszeta import (PvsError, _entry_order, _rank_census, _split_state,
                                fiber_function)
 from padicharm.ratfunc import _padd, _pmul
-from padicharm.symplectic import (block, det, eye, inverse, mat, scale, sub,
+from padicharm.symplectic import (SymplecticError, block, det, eye, mat, scale, sub,
                                   transpose, zeros)
 
 ENUM_BUDGET = 10 ** 9      # cells of one enumeration
@@ -554,11 +557,53 @@ def evaluate_lattice_function(Phi, X, p: int, sign: int = 1) -> complex:
     return total
 
 
+def fraction_det(A) -> Fraction:
+    """det A by Gaussian elimination over Fractions: the oracle of
+    `symplectic.det`."""
+    M = [row[:] for row in A]
+    m = len(M)
+    out = Fraction(1)
+    for col in range(m):
+        piv = next((r for r in range(col, m) if M[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            out = -out
+        out *= M[col][col]
+        inv = Fraction(1) / M[col][col]
+        for r in range(col + 1, m):
+            f = M[r][col] * inv
+            if f:
+                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+    return out
+
+
+def fraction_inverse(A):
+    """A^{-1} by Gauss-Jordan elimination over Fractions: the oracle of
+    `symplectic.inverse`."""
+    m = len(A)
+    M = [row[:] + eye(m)[i] for i, row in enumerate(mat(A))]
+    for col in range(m):
+        piv = next((r for r in range(col, m) if M[r][col] != 0), None)
+        if piv is None:
+            raise SymplecticError("singular matrix")
+        M[col], M[piv] = M[piv], M[col]
+        inv = Fraction(1) / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for r in range(m):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+    return [row[m:] for row in M]
+
+
 def levi_block_of_p_std(h, n: int):
-    """diag((1/2)(h^t - I), 2 (h - I)^{-1}): the Levi part of p_std."""
+    """diag((1/2)(h^t - I), 2 (h - I)^{-1}): the Levi part of p_std, its
+    inverse taken by the Fraction oracle."""
     I = eye(2 * n)
     top = scale(sub(transpose(mat(h)), I), Fraction(1, 2))
-    bot = scale(inverse(sub(mat(h), I)), 2)
+    bot = scale(fraction_inverse(sub(mat(h), I)), 2)
     z = zeros(2 * n)
     return block([[top, z], [z, bot]])
 

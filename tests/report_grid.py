@@ -79,8 +79,15 @@ GRID = [
     ["count-fibers", "--p", "3", "--k", "8", "--m", "7"],
     ["count-fibers", "--p", "5", "--k", "2", "--m", "2", "--format", "csv"],
     ["symplectic-check", "--n", "1", "--seed", "9"],
-    # the slowest entry: exact matrix products in symplectic.mul
+    # the exact doubling identities on 4 x 4 and 8 x 8 matrices: a return to
+    # eliminating over Fractions, or to re-verifying the standard elements
+    # per factorization, shows in the wall column
     ["symplectic-check", "--n", "2", "--p", "5", "--seed", "4"],
+    # the same on 16 x 16 matrices, where Fraction elimination took 1.9 s
+    ["symplectic-check", "--n", "4", "--p", "5"],
+    # the largest p the boundary accepts at n = 1, where group-order-c0 counts
+    # SL_2(F_31) over all 31^4 matrices
+    ["symplectic-check", "--n", "1", "--p", "31"],
     ["tate-oracle", "--p", "5", "--level", "2", "--conductor", "2"],
     ["tate-oracle", "--p", "3", "--level", "4", "--conductor", "4", "--psi-sign", "-1"],
     ["tate-oracle", "--p", "7", "--level", "1", "--conductor", "0"],

@@ -263,6 +263,9 @@ def test_fourier_n0_consumes_fx_json(tmp_path):
     [],
     # a config key that names no flag: the word after --config is the file's text
     ["gamma", "--config", "lvl = 1"],
+    # Sp_0 is trivial; at n = 1 the SL_2(F_p) count takes p^4 = 1.9e6 rows at p = 37
+    ["symplectic-check", "--n", "0"],
+    ["symplectic-check", "--n", "1", "--p", "37"],
 ])
 def test_invalid_input_is_a_json_error(argv, capsys, tmp_path):
     if "--config" in argv:

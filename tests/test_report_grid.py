@@ -1,8 +1,9 @@
 """The report grid in one process: every entry of tests/report_grid.py through
 cli.main, in GRID order and in a seeded shuffle, and a few entries against
 their bytes from a fresh interpreter, so that a cache that leaks state from
-one invocation into the next fails here.  And the runner's sha256 of a
---timing run against the plain run's stdout."""
+one invocation into the next fails here.  The runner's sha256 of a --timing
+run against the plain run's stdout.  And a seeded sample of accepted
+symplectic-check and phi-eval inputs, off the grid, each of which must pass."""
 
 import contextlib
 import hashlib
@@ -15,6 +16,8 @@ from padicharm import cli
 from report_grid import GRID, measure, run
 
 SHUFFLE_SEED = 5
+SAMPLE_SEED = 41
+SAMPLE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)   # p^4 <= ROW_BUDGET
 
 # one JSON verify, the one CSV entry and an n = 1 phi-eval
 FRESH = [
@@ -69,3 +72,28 @@ def test_runner_sha_of_a_timed_run_is_the_plain_runs(argv, fresh):
     assert digest == hashlib.sha256(fresh[tuple(argv)]).hexdigest()
     # a JSON report's checks carry their runtimes under --timing, CSV none
     assert bool(checks) == (argv[0] == "verify")
+
+
+def sample_argv(rng):
+    """An accepted symplectic-check or phi-eval input at n = 1..3: p up to
+    the 31 of symplectic-check's SL_2 count at n = 1, a unit at level 1 or
+    2, an ord in -3..3 and a seed."""
+    n, p, seed = rng.randint(1, 3), rng.choice(SAMPLE_PRIMES), rng.randrange(1000)
+    if rng.random() < 0.5:
+        return ["symplectic-check", "--n", str(n), "--p", str(p), "--seed", str(seed)]
+    level = rng.randint(1, 2)
+    unit = rng.choice([u for u in range(1, p ** level) if u % p])
+    return ["phi-eval", "--p", str(p), "--n", str(n), "--ord", str(rng.randint(-3, 3)),
+            "--unit", str(unit), "--level", str(level), "--seed", str(seed)]
+
+
+def test_a_seeded_sample_of_accepted_inputs_passes():
+    # 20 draws, about 2 s in one process
+    rng = random.Random(SAMPLE_SEED)
+    sample = [sample_argv(rng) for _ in range(20)]
+    # the draw reaches the direct SL_2(F_p) count of n = 1 past p = 7
+    assert any(argv[:3] == ["symplectic-check", "--n", "1"] and int(argv[4]) > 7
+               for argv in sample)
+    for argv in sample:
+        code, out = in_process(argv)
+        assert code == 0, (argv, out[:300])

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from padicharm import symplectic
 from padicharm.padic import val_p
 from padicharm.symplectic import (J, CayleyPoleError, SymplecticError, c0_constant,
                                   cayley, cayley_inv, det, doubling_embed, eye,
-                                  is_symplectic, mat, mat_eq, mul,
+                                  inverse, is_symplectic, mat, mat_eq, mul,
                                   random_symplectic, scale, siegel_factorize,
                                   sp_order, standard_elements, sub, transpose,
                                   zeros)
-from oracles import levi_block_of_p_std
+from oracles import fraction_det, fraction_inverse, levi_block_of_p_std
 
 
 def test_is_symplectic_basics():
@@ -161,3 +162,109 @@ def test_sp_order():
         assert c0 == c0_constant(n, q)
     with pytest.raises(SymplecticError):
         sp_order(2, 3, mode="bruteforce")
+    # past the old q <= 7 guard: the direct count is bounded at the CLI only
+    assert sp_order(1, 11, mode="bruteforce") == sp_order(1, 11)
+
+
+DENOMINATORS = (1, 1, 1, 2, 3, 4, 7, 12)
+
+
+def _rational_matrix(rng, rows, cols):
+    """Entries in +-9 over mixed denominators, a third of them zero."""
+    return [[Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS)) if rng.random() < 0.67
+             else Fraction(0) for _ in range(cols)] for _ in range(rows)]
+
+
+def _differential_cases(m, rng):
+    """(kind, A) at size m: a sparse rational matrix; one whose leading
+    column is zero above its last row, so that the first pivot needs a row
+    swap, with its rows reversed as well; a rank-r product B C of an m x r
+    and an r x m matrix, r < m; one whose last row sums the others; an
+    integer matrix."""
+    for _ in range(12):
+        yield "sparse", _rational_matrix(rng, m, m)
+        A = _rational_matrix(rng, m, m)
+        for i in range(m - 1):
+            A[i][0] = Fraction(0)
+        A[-1][0] = Fraction(rng.choice((-3, -1, 1, 5)), rng.choice(DENOMINATORS))
+        yield "swap", A
+        yield "swap", A[::-1]
+        r = rng.randrange(m)
+        yield "rank", mul(_rational_matrix(rng, m, r), _rational_matrix(rng, r, m)) if r \
+            else [[Fraction(0)] * m for _ in range(m)]
+        A = _rational_matrix(rng, m, m)
+        A[-1] = [sum((row[j] for row in A[:-1]), Fraction(0)) for j in range(m)]
+        yield "sum", A
+        yield "int", [[rng.randint(-4, 4) for _ in range(m)] for _ in range(m)]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_det_and_inverse_match_the_fraction_oracle(m):
+    rng = random.Random(100 + m)
+    seen = {"singular": 0, "swap": 0}
+    for kind, A in _differential_cases(m, rng):
+        want = fraction_det(A)
+        got = det(A)
+        assert type(got) is Fraction and got == want, (kind, A)
+        if want == 0:
+            seen["singular"] += 1
+            with pytest.raises(SymplecticError, match="singular matrix"):
+                inverse(A)
+            with pytest.raises(SymplecticError):
+                fraction_inverse(A)
+        else:
+            seen["swap"] += kind == "swap"
+            got = inverse(A)
+            assert got == fraction_inverse(A), (kind, A)
+            assert all(type(x) is Fraction for row in got for x in row)
+    assert seen["singular"] >= 12 and seen["swap"] >= 6
+
+
+def test_det_and_inverse_of_the_empty_matrix():
+    # the n = 0 path of gdist.phi_rho_eval: det(h + I) of h = ()
+    assert det([]) == 1 and type(det([])) is Fraction
+    assert inverse([]) == []
+
+
+def test_is_symplectic_matches_the_product_form():
+    rng = random.Random(17)
+    for n in (1, 2):
+        for _ in range(20):
+            g = random_symplectic(n, rng)
+            g[rng.randrange(2 * n)][rng.randrange(2 * n)] += Fraction(rng.choice((0, 1)),
+                                                                     rng.choice((1, 3)))
+            product_form = mat_eq(mul(mul(transpose(g), J(n)), g), J(n))
+            assert is_symplectic(g, n) == product_form
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cayley_and_its_inverse_eliminate_once(n, monkeypatch):
+    h = random_symplectic(n, random.Random(19))
+    calls, eliminate = [], symplectic._eliminate
+    monkeypatch.setattr(symplectic, "_eliminate", lambda A: calls.append(len(A)) or eliminate(A))
+    X = cayley_inv(h, n)
+    assert calls == [2 * n]
+    assert mat_eq(cayley(X, n), h)
+    assert calls == [2 * n, 2 * n]
+    # the poles: one elimination each, with the messages of the two sides
+    with pytest.raises(CayleyPoleError, match=r"det\(2JX - I\) = 0"):
+        cayley([[0, Fraction(1, 2)], [Fraction(1, 2), 0]], 1)
+    with pytest.raises(CayleyPoleError, match="h has eigenvalue 1"):
+        cayley_inv(eye(2), 1)
+    assert len(calls) == 4
+
+
+def test_standard_elements_are_built_once_per_n():
+    standard_elements.cache_clear()
+    rng = random.Random(23)
+    done = 0
+    while done < 3:
+        try:
+            siegel_factorize(symplectic.random_symmetric(1, rng), 1)
+        except CayleyPoleError:
+            continue
+        done += 1
+    assert standard_elements.cache_info().misses == 1
+    std = standard_elements(1)
+    assert all(type(M) is tuple and all(type(row) is tuple for row in M)
+               for M in std.values())
