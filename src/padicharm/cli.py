@@ -221,6 +221,11 @@ def cmd_tate_oracle(args):
     return {"verified": "tate-oracle", "p": args.p}, checks
 
 
+# fourier-n0 tabulates the transform, and sums both sides of Plancherel, on
+# the shells -FOURIER_RADIUS..FOURIER_RADIUS
+FOURIER_RADIUS = 12
+
+
 def cmd_fourier_n0(args, rng, phi=None):
     from .fxspace import FxFunction, TailSpec
     from .gdist import fourier_n0, fourier_n0_table, l2_norm_fx, l2_norm_truncated
@@ -234,7 +239,8 @@ def cmd_fourier_n0(args, rng, phi=None):
 
     def transform():
         if not table:
-            table.update(fourier_n0_table(phi, -12, 12, sign=args.psi_sign))
+            table.update(fourier_n0_table(phi, -FOURIER_RADIUS, FOURIER_RADIUS,
+                                          sign=args.psi_sign))
         return table
 
     checks = []
@@ -251,8 +257,8 @@ def cmd_fourier_n0(args, rng, phi=None):
     checks.append(_check("double-transform", inversion, 1e-6, args.timing))
 
     def plancherel():
-        return abs(l2_norm_truncated(transform(), args.p, args.level, 12)
-                   - l2_norm_fx(phi, 12))
+        return abs(l2_norm_truncated(transform(), args.p, args.level, FOURIER_RADIUS)
+                   - l2_norm_fx(phi, FOURIER_RADIUS))
     checks.append(_check("plancherel-truncated", plancherel, 1e-4, args.timing))
     payload = {
         "verified": "fourier-n0",
@@ -473,8 +479,22 @@ def _validate(args, verb, phi):
     c = 0), so that product must be within ROW_BUDGET too: 7.1e5 at
     (p, level, c) = (3, 7, 6) takes about 2.4 s, while 2.1e6 at (3, 7, 7)
     takes about 7 s and 1e8 at (101, 2, 2) runs for minutes.
-    symplectic-check needs n >= 1, as Sp_0 is trivial, and at n = 1 it counts
-    SL_2(F_p) over all p^4 matrices, so p^4 <= ROW_BUDGET: p <= 31."""
+    symplectic-check needs 1 <= n <= 4: Sp_0 is trivial, and its exact
+    checks eliminate over 2n x 2n rational matrices whose entries grow with
+    n, 0.4 s at n = 4, 0.8 s at n = 5, 1.6 s at n = 6 and 8 s at n = 8; at
+    n = 1 it counts SL_2(F_p) over all p^4 matrices, so p^4 <= ROW_BUDGET:
+    p <= 31.
+    fourier-n0 inverts its table pointwise: each of its 2 units points sums
+    every shell of the table against units cosets, so units^2 <= ROW_BUDGET
+    (p = 3 to level 6, p = 5 to level 4, p <= 997 at level 1).  The slowest
+    accepted input, p = 997 at level 1, takes about 2.5 s, and p = 3 at
+    level 7 would take 7-9 s.  An --fx-in must be compactly supported, as
+    only then are the kernel sums of its transform finite.  Its window
+    k_min <= k < k_tail widens the table's eta reads to
+    (k_tail - k_min + 2 FOURIER_RADIUS) rows and each unit's eta series to
+    the shell k_tail - 1 + FOURIER_RADIUS, each times units within
+    ROW_BUDGET, as for an eta table: at the corner, p = 3 at level 1 with
+    shells 499975 apart, it takes about 1.9 s."""
     from .padic import LocalFieldConfig
     from .pvszeta import ROW_BUDGET, check_rows
     LocalFieldConfig(args.p)
@@ -512,9 +532,20 @@ def _validate(args, verb, phi):
     elif verb == "symplectic-check":
         if args.n < 1:
             raise UsageError(f"symplectic-check needs --n >= 1: Sp_0 is trivial, got {args.n}")
+        if args.n > 4:
+            raise UsageError(f"symplectic-check needs --n <= 4: its exact elimination over "
+                             f"2n x 2n rational matrices slows with n, got {args.n}")
         if args.n == 1 and args.p ** 4 > ROW_BUDGET:
             raise UsageError(f"symplectic-check at --n 1 counts SL_2(F_p) over all p^4 = "
                              f"{args.p ** 4} matrices, past the budget of {ROW_BUDGET}")
+    elif verb == "fourier-n0":
+        check_rows(units * units)
+        if phi is not None:
+            if phi.tail.kind != "compact":
+                raise UsageError(f"fourier-n0 needs a compactly supported --fx-in, as its "
+                                 f"kernel sums are finite only then; got a {phi.tail.kind} tail")
+            check_rows((phi.k_tail - phi.k_min + 2 * FOURIER_RADIUS) * units)
+            check_rows(units * (max(phi.k_tail - 1 + FOURIER_RADIUS, 0) + 1))
     elif verb == "verify fe-gl1":
         if args.n >= 3:
             raise UsageError(f"verify fe-gl1 needs --n <= 2: from n = 3 its float partial "

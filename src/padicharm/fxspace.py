@@ -24,9 +24,9 @@ gives back the values sum_j c_j chi_j(u)^{-1}.  Rows are lists of complex.
 Each Mellin component is expanded at z = 0 once, as one Laurent series.
 
 On top of that dictionary sit the kernel eta (residues of beta against
-monomials), the Fourier operator on the plus space, principal-value
-convolution and the functional-equation compare, which returns its
-deviation for the caller to judge.
+monomials), the Fourier operator on the plus space, the finite convolution
+of a kernel against a compactly supported f, and the functional-equation
+compare, which returns its deviation for the caller to judge.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ ZERO_COMPONENT_TOL = 1e-13
 
 
 class FxError(PadicharmError):
-    pass
-
-
-class StabilizationError(PadicharmError, RuntimeError):
     pass
 
 
@@ -365,74 +361,37 @@ def fourier_L(f: FxFunction, n: int, sign: int = 1, *, _scaled=None) -> FxFuncti
     return fx_from_mellin(V, "minus", n).scale_by_power(Fraction(n + 1))
 
 
-def pv_convolve(kernel_row, f: FxFunction, points, K_max: int, tol: float) -> list:
-    """Principal-value convolutions sum_shells kernel(x) f(x^{-1} t), one per
-    point t = p^k0 u0 of points ((k0, u0) pairs), summed in one pass.
+def pv_convolve(kernel_row, f: FxFunction, points) -> list:
+    """The convolutions sum_shells kernel(x) f(x^{-1} t) of a compactly
+    supported f, one per point t = p^k0 u0 of points ((k0, u0) pairs).
 
     kernel_row(k) is the kernel on shell k at f's level, a list over the
-    cosets in unit_group order; it is read once per shell for all points,
-    and only where some point meets a nonzero row of f.  For the point
-    t = p^k0 g^b, kernel coset g^a meets f's coset g^(b - a) on shell k0 - k,
-    so each shell's sum is the kernel row against f's permuted row, built
-    once per (shell, b) for every point at the coset g^b.  f's window rows
-    are read from its values; past k_tail f is read through evaluate.
-    Returns one (value, k_stable, partial_sums) per point; a point is stable
-    at three consecutive truncations within tol, and its sums stop there.
+    cosets in unit_group order.  Shell k meets f's shell k0 - k, so each sum
+    is finite: it runs over the kernel shells that meet a nonzero row of f,
+    in the order 0, 1, -1, 2, -2, ..., and each kernel row is read once for
+    all points.  For the point t = p^k0 g^b, kernel coset g^a meets f's coset
+    g^(b - a), so a shell's term is the kernel row against f's row rotated
+    to row[b], row[b - 1], ..., row[0], row[-1], ..., row[b + 1].
     """
+    if f.tail.kind != "compact":
+        raise FxError("pv_convolve needs a compactly supported f")
     p, N = f.p, f.level
     cosets, dlog = f.cosets, unit_group(p, N)[2]
     order = len(cosets)
-    f_rows = {}
-
-    def f_row(m):
-        # f on shell m in unit_group order, or None where it is zero
-        if m not in f_rows:
-            if m < f.k_min or (m >= f.k_tail and f.tail.kind == "compact"):
-                row = None
-            elif m < f.k_tail:
-                row = [f.values.get((m, u), 0.0) for u in cosets]
-            else:
-                row = [f.evaluate(m, u) for u in cosets]
-            f_rows[m] = row if row and any(row) else None
-        return f_rows[m]
-
-    # (m, b) -> f's row on shell m at the cosets g^(b - a) of the kernel cosets
-    # g^a, a = 0..order-1: row[b], row[b - 1], ..., row[0], row[-1], ..., row[b + 1]
-    permuted = {}
-    kernel_rows = {}
-    # per point: k0, the dlog b0 of its coset, the radius from which its sums
-    # may count as stable (radii that have not yet swept past f's window
-    # cannot: leading zeros are not convergence), and its partial sums
-    states = [(k0, dlog[u0 % p**N], max(2, abs(k0 - f.k_min), abs(k0 - (f.k_tail - 1))), [])
-              for k0, u0 in points]
-    results = [None] * len(states)
-    todo = list(range(len(states)))
-    for K in range(K_max + 1):
-        band = [K] if K == 0 else [K, -K]
-        for idx in todo:
-            k0, b0, K_start, partial_sums = states[idx]
-            total = partial_sums[-1] if partial_sums else 0j
-            for i in band:
-                key = k0 - i, b0
-                if key not in permuted:
-                    row = f_row(k0 - i)
-                    permuted[key] = None if row is None else row[b0::-1] + row[:b0:-1]
-                row = permuted[key]
-                if row is not None:
-                    if i not in kernel_rows:
-                        kernel_rows[i] = kernel_row(i)
-                    total += sum(map(mul, kernel_rows[i], row)) / order
-            partial_sums.append(total)
-            if K >= K_start:
-                a, b, c = partial_sums[-3:]
-                scale = max(1.0, abs(c))
-                if abs(a - b) <= tol * scale and abs(b - c) <= tol * scale:
-                    results[idx] = (total, K, partial_sums)
-        todo = [idx for idx in todo if results[idx] is None]
-        if not todo:
-            return results
-    raise StabilizationError(
-        f"pv convolution did not stabilize by K={K_max}; trace={states[todo[0]][3]}")
+    rows = {}
+    for m in range(f.k_min, f.k_tail):
+        row = [f.values.get((m, u), 0.0) for u in cosets]
+        if any(row):
+            rows[m] = row
+    targets = [(k0, dlog[u0 % p**N]) for k0, u0 in points]
+    totals = [0j] * len(targets)
+    for k in sorted({k0 - m for k0, _ in targets for m in rows}, key=lambda k: (abs(k), -k)):
+        kernel = kernel_row(k)
+        for idx, (k0, b0) in enumerate(targets):
+            row = rows.get(k0 - k)
+            if row is not None:
+                totals[idx] += sum(map(mul, kernel, row[b0::-1] + row[:b0:-1])) / order
+    return totals
 
 
 def fe_gl1_sides(f: FxFunction, n: int, sign: int = 1):

@@ -5,11 +5,15 @@ Phi(a, h) = c0 eta(a det(h + I)) |det(h + I)|^{-(2n+1)/2} is evaluated
 pointwise for rational symplectic h; the full group Fourier operator is
 realized only in the n = 0 degeneration (Sp_0 trivial), where it is the
 classical multiplicative-shell convolution against eta and satisfies the
-inversion and Plancherel identities of the abelian theory.  The shell
-coefficients f_ell(chi_s) integrate eta over |a| = q^{-ell} and their sums
-recover the abelian gamma value at the reflected argument.  Integrating
-against chi picks out eta's chi-component, so f_ell is read off one Laurent
-series of beta, fxspace.eta_column, at z^ell.
+inversion and Plancherel identities of the abelian theory (Tate's thesis).
+On a compactly supported phi that convolution is a finite sum over the
+shells of phi^v, taken two ways: as one product in character space
+(fourier_n0_table) and pointwise, kernel row by kernel row (fourier_n0).
+
+The shell coefficients f_ell(chi_s) integrate eta over |a| = q^{-ell} and
+their sums recover the abelian gamma value at the reflected argument.
+Integrating against chi picks out eta's chi-component, so f_ell is read off
+one Laurent series of beta, fxspace.eta_column, at z^ell.
 """
 
 from __future__ import annotations
@@ -57,19 +61,12 @@ def phi_rho_eval(point: GPoint, n: int, level: int, sign: int = 1) -> complex:
     return c0 * eta * float(p) ** (vh * (2 * n + 1) / 2.0)
 
 
-# fourier_n0 sums its pv convolution out to radius FOURIER_K_MAX and stops at
-# three partial sums within FOURIER_TOL of max(1, |sum|): 1e-4 of the 1e-6 at
-# which fourier-n0 judges its double transform, so truncation stays far below it
-FOURIER_K_MAX = 40
-FOURIER_TOL = 1e-10
-
-
 def fourier_n0(phi: FxFunction, points, sign: int = 1) -> list:
     """(Phi * phi^v)(a) at each a = p^{k0} u0 of points ((k0, u0) pairs) for
-    n = 0: the pv convolution of eta against the reflection of a compactly
-    supported phi.  phi is reflected once, each shell's row of eta is read
-    once through eta_kernel, and pv_convolve sums every point in one pass;
-    each point stops at its own stable radius."""
+    n = 0: the convolution of eta against the reflection of a compactly
+    supported phi, a finite sum over the shells of phi^v.  phi is reflected
+    once, each shell's row of eta is read once through eta_kernel, and
+    pv_convolve sums every point in one pass."""
     if phi.tail.kind != "compact":
         raise GDistError("fourier_n0 needs compactly supported input")
     p, level = phi.p, phi.level
@@ -82,8 +79,7 @@ def fourier_n0(phi: FxFunction, points, sign: int = 1) -> list:
     def kernel_row(k):
         return [eta_kernel(0, sign, k, u, p, level) for u in cosets]
 
-    return [value for value, _, _ in pv_convolve(kernel_row, phiv, points,
-                                                 K_max=FOURIER_K_MAX, tol=FOURIER_TOL)]
+    return pv_convolve(kernel_row, phiv, points)
 
 
 def fourier_n0_table(phi: FxFunction, k_lo: int, k_hi: int, sign: int = 1) -> dict:
@@ -93,8 +89,9 @@ def fourier_n0_table(phi: FxFunction, k_lo: int, k_hi: int, sign: int = 1) -> di
     F(phi) = eta * phi^v is a convolution on Z x (Z/p^N)^x, so component j of
     F(phi) on shell k is sum_m a_j(k - m) b_j(m), with a(i) the level-N
     components of eta on shell i (eta_components) and b(m) those of phi^v's
-    shell m.  phi has compact support, so the sum over m is finite and needs
-    no stabilization; the table is one transform in and one out.
+    shell m.  phi has compact support, so the sum over m is finite, and only
+    the nonzero shells of phi^v take part; the table is one transform in and
+    one out.
     """
     if phi.tail.kind != "compact":
         raise GDistError("fourier_n0_table needs compactly supported input")
@@ -108,8 +105,10 @@ def fourier_n0_table(phi: FxFunction, k_lo: int, k_hi: int, sign: int = 1) -> di
     a = eta_components(0, sign, k_lo - m_hi, k_hi - m_lo, p, level)
     comps = [[0j] * len(cosets) for _ in range(k_hi - k_lo + 1)]
     for m, row in zip(range(m_lo, m_hi + 1), b):
-        # eta shells k - m for k = k_lo..k_hi start at row m_hi - m of a
-        for out, eta in zip(comps, a[m_hi - m:]):
+        if not any(row):
+            continue
+        # eta shells k - m for k = k_lo..k_hi are rows m_hi - m onward of a
+        for out, eta in zip(comps, a[m_hi - m:m_hi - m + len(comps)]):
             out[:] = [x + y * c for x, y, c in zip(out, eta, row)]
     return {(k, u): v for k, vals in zip(range(k_lo, k_hi + 1), coset_values(comps))
             for u, v in zip(cosets, vals)}

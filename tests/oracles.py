@@ -45,11 +45,13 @@ says whether its two sides are equal as rational functions, at the 20
 sample points of `RationalFunctionZ.equals`.
 
 The GL(1) shortcuts meet the longer forms they replace, which must give the
-very same floats: the per-point principal-value sum (eta_kernel read coset
-by coset where the reflected function is nonzero) for the batched
-`gdist.fourier_n0` and `fxspace.pv_convolve`; gamma built as the product
-eps L(1-s, chi^-1) / L(s, chi) for every character; and the Tate oracle
-with its truncated and full sums taken separately.
+very same floats: for the batched `gdist.fourier_n0` and
+`fxspace.pv_convolve`, which sum the finitely many shells of a compactly
+supported function, a per-point principal-value sum (eta_kernel read coset
+by coset where the reflected function is nonzero, summed outward by radius
+until stable, to the oracle's own radius and tolerance); gamma built as
+the product eps L(1-s, chi^-1) / L(s, chi) for every character; and the
+Tate oracle with its truncated and full sums taken separately.
 
 The roots of each Mellin component, found by numpy and cancelled against
 those of its numerator, are the oracle of the Paley-Wiener verdict of
@@ -67,9 +69,7 @@ import numpy as np
 from padicharm import abelian
 from padicharm.abelian import (L_factor, OracleError, beta_factor, character_components,
                                epsilon_factor)
-from padicharm.fxspace import (ZERO_COMPONENT_TOL, FxFunction, StabilizationError,
-                               eta_kernel, mellin_transform)
-from padicharm.gdist import FOURIER_K_MAX, FOURIER_TOL
+from padicharm.fxspace import ZERO_COMPONENT_TOL, FxFunction, eta_kernel, mellin_transform
 from padicharm.padic import legendre, psi_frac, unit_group, unit_part, val_p
 from padicharm.pvszeta import (PvsError, _entry_order, _rank_census, _split_state,
                                fiber_function)
@@ -686,6 +686,17 @@ def shell_coefficient_by_units(ell: int, chi, z: complex, sign: int = 1) -> comp
     return z**ell * total / len(cosets)
 
 
+# pointwise_fourier_n0 sums out to radius PV_K_MAX and stops at three partial
+# sums within PV_TOL of max(1, |sum|): 1e-4 of the 1e-6 at which fourier-n0
+# judges its double transform
+PV_K_MAX = 40
+PV_TOL = 1e-10
+
+
+class StabilizationError(RuntimeError):
+    pass
+
+
 def pointwise_pv_convolve(kernel, f, k0: int, u0: int, K_max: int, tol: float) -> complex:
     """sum_shells kernel(x) f(x^{-1} t) at t = p^k0 u0 alone, kernel(k, u)
     read coset by coset where f's target coset is nonzero, summed outward by
@@ -715,13 +726,13 @@ def pointwise_pv_convolve(kernel, f, k0: int, u0: int, K_max: int, tol: float) -
 
 def pointwise_fourier_n0(phi, k0: int, u0: int, sign: int = 1) -> complex:
     """(Phi * phi^v)(p^k0 u0) at n = 0 for one point: phi reflected, and the
-    pv sum of eta_kernel against it at gdist's radius and tolerance."""
+    pv sum of eta_kernel against it to radius PV_K_MAX at tolerance PV_TOL."""
     p, level = phi.p, phi.level
     refl = phi.reflect()
     ks = [k for k, _ in refl] or [0]
     phiv = FxFunction(p, level, min(ks), max(ks) + 1, refl)
     return pointwise_pv_convolve(lambda k, u: eta_kernel(0, sign, k, u, p, level),
-                                 phiv, k0, u0, FOURIER_K_MAX, FOURIER_TOL)
+                                 phiv, k0, u0, PV_K_MAX, PV_TOL)
 
 
 def gamma_factor_composed(chi, sign: int = 1):

@@ -2,13 +2,14 @@
 
 Every verb, fe-gl1 at n = 0..2, levels 1..3 and 6 and both psi signs,
 fe-pvs at the (p, k) corners of its boundary and at n = 0, count-fibers up
-to m = 7, a long eta table, tate-oracle, fourier-n0, shells at conductors 0,
-1, 6 and 12, and phi-eval at n = 0 and 1.  Where an entry guards a cost or
-a path, its comment says which.  Reports carry no runtimes without --timing,
-so for a fixed tree each report's sha256 is fixed: two trees whose sha256
-columns agree print byte-identical reports.  Run as a script from any
-directory; it runs the src/ next to this file, and with an argument, the
-src/ of another tree as well:
+to m = 7, a long eta table, tate-oracle, fourier-n0 up to the corner of its
+boundary and from a committed --fx-in file (tests/data), shells at
+conductors 0, 1, 6 and 12, and phi-eval at n = 0 and 1.  Where an entry
+guards a cost or a path, its comment says which.  Reports carry no runtimes
+without --timing, so for a fixed tree each report's sha256 is fixed: two
+trees whose sha256 columns agree print byte-identical reports.  Run as a
+script from any directory; it runs the src/ next to this file, and with an
+argument, the src/ of another tree as well:
 
     python3 tests/report_grid.py [OTHER_SRC]
 
@@ -33,6 +34,7 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 GRID = [
     ["gamma", "--p", "5", "--level", "2", "--conductor", "0"],
@@ -106,6 +108,13 @@ GRID = [
     # all 84 points: a return to per-point reflection or per-shell series
     # shows in the wall column
     ["fourier-n0", "--p", "7", "--level", "2"],
+    # the largest units the boundary accepts at p = 3 (486, units^2 <= 10^6):
+    # a return to caching a rotated row of the table per (shell, coset) shows
+    # in the RSS column
+    ["fourier-n0", "--p", "3", "--level", "6"],
+    # a compact --fx-in with shells at k = -30 and 40, far from the table's
+    # window: the zero rows between them are skipped
+    ["fourier-n0", "--fx-in", str(DATA / "fx_in_p5_level1.json")],
     ["shells", "--p", "5", "--level", "1", "--conductor", "0", "--s", "0.7"],
     ["shells", "--p", "5", "--level", "1", "--conductor", "1", "--s", "0.7"],
     ["shells", "--p", "3", "--level", "6", "--conductor", "6", "--s", "0.5"],

@@ -266,6 +266,13 @@ def test_fourier_n0_consumes_fx_json(tmp_path):
     # Sp_0 is trivial; at n = 1 the SL_2(F_p) count takes p^4 = 1.9e6 rows at p = 37
     ["symplectic-check", "--n", "0"],
     ["symplectic-check", "--n", "1", "--p", "37"],
+    # fourier-n0's inverse reads units^2 kernel entries per shell: phi(3^7) =
+    # 1458, phi(5^5) = 2500 and phi(1009) = 1008 units are past 1000
+    ["fourier-n0", "--p", "3", "--level", "7"],
+    ["fourier-n0", "--p", "5", "--level", "5"],
+    ["fourier-n0", "--p", "1009", "--level", "1"],
+    # symplectic-check's exact elimination past n = 4
+    ["symplectic-check", "--n", "5", "--p", "5"],
 ])
 def test_invalid_input_is_a_json_error(argv, capsys, tmp_path):
     if "--config" in argv:
@@ -282,6 +289,15 @@ def test_tate_oracle_within_the_row_budget_is_accepted(p, level, conductor):
     from padicharm.cli import _validate, parse_args
     argv = ["tate-oracle", "--p", str(p), "--level", str(level), "--conductor", str(conductor)]
     _validate(parse_args(argv), "tate-oracle", None)
+
+
+@pytest.mark.parametrize("p, level", [(3, 6), (5, 4), (997, 1)])
+def test_fourier_n0_within_the_row_budget_is_accepted(p, level):
+    # units^2 = 486^2, 500^2 and 996^2 <= 10^6; p = 997 at level 1 is the
+    # slowest, about 2.5 s
+    from padicharm.cli import _validate, parse_args
+    _validate(parse_args(["fourier-n0", "--p", str(p), "--level", str(level)]),
+              "fourier-n0", None)
 
 
 @pytest.mark.parametrize("tolerance", [1e-6, None])
@@ -492,6 +508,33 @@ def test_fx_in_shell_keys_are_validated(data, tmp_path, capsys):
     assert main(["fourier-n0", "--fx-in", str(src)]) == 2
     rep = json.loads(capsys.readouterr().out)
     assert list(rep) == ["error"] and "invalid input file" in rep["error"]
+
+
+FX_TAIL = {"a0": [[1.0, 0.0], [1.0, 0.0]], "ap": [[[0.5, 0.0], [0.5, 0.0]]],
+           "am": [[[0.0, 0.5], [0.0, 0.5]]]}
+FX_SHELL = {"coset": 1, "re": 1.0, "im": 0.0}
+
+
+@pytest.mark.parametrize("data, reason", [
+    # a tail: the kernel sums of its transform are not finite
+    (dict(FX_WINDOW, shells=[], tail={"kind": "plus", "n": 0, "a0": FX_TAIL["a0"],
+                                      "ap": [], "am": []}), "compactly supported"),
+    (dict(FX_WINDOW, shells=[dict(FX_SHELL, k=0)], tail=dict(FX_TAIL, kind="minus", n=1)),
+     "compactly supported"),
+    # (k_tail - k_min + 24) eta rows of 2 units: 1000048 > 10^6
+    (dict(FX_WINDOW, k_min=-250000, k_tail=250000,
+          shells=[dict(FX_SHELL, k=-250000), dict(FX_SHELL, k=249999)]), "budget"),
+    # each unit's eta series to the shell k_tail + 11: 2 x 500012 terms
+    (dict(FX_WINDOW, k_min=500000, k_tail=500001, shells=[dict(FX_SHELL, k=500000)]),
+     "budget"),
+])
+def test_fx_in_outside_the_fourier_n0_boundary_is_refused(data, reason, tmp_path, capsys):
+    # refused at the boundary with exit 2, not run into checks that error
+    src = tmp_path / "phi.json"
+    src.write_text(json.dumps(data))
+    assert main(["fourier-n0", "--fx-in", str(src)]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert list(rep) == ["error"] and reason in rep["error"]
 
 
 def test_fx_in_level_is_bounded_before_its_cosets(tmp_path):

@@ -117,7 +117,7 @@ def test_fourier_n0_matches_classical_fourier(p):
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("level", [1, 2])
 def test_fourier_n0_table_matches_pointwise_route(p, level):
-    # the character-space product against the principal-value kernel sum
+    # the character-space product against the finite kernel sums
     rng = random.Random(100 * p + level)
     cosets = unit_group(p, level)[0]
     random_phi = compact_fx(p, level, {
@@ -150,6 +150,39 @@ def test_batched_fourier_n0_matches_per_point_sums(p, level, sign):
                                                              for u in some]
         got = fourier_n0(f, points, sign)
         assert got == [pointwise_fourier_n0(f, k, u, sign) for k, u in points], (p, level)
+
+
+class CountedProducts(complex):
+    """A component of phi^v that counts the products it takes part in."""
+    products = 0
+
+    def __rmul__(self, other):
+        CountedProducts.products += 1
+        return complex.__rmul__(self, other)
+
+
+def test_fourier_n0_table_updates_only_from_nonzero_shells(monkeypatch):
+    # phi on shells 30 and 34 only, its window 30..34: the table on -36..-28
+    # against the per-point pv sums, with one row update (units products)
+    # per nonzero shell of phi^v and output shell, none from the zero shells
+    from padicharm import gdist
+    p, level = 5, 2
+    cosets = unit_group(p, level)[0]
+    rng = random.Random(19)
+    phi = compact_fx(p, level, {(k, u): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                for k in (30, 34) for u in cosets})
+    phi = FxFunction(p, level, 30, 35, phi.values)
+    components = gdist.character_components
+
+    def counted(rows):
+        return [[CountedProducts(c) for c in row] for row in components(rows)]
+    monkeypatch.setattr(gdist, "character_components", counted)
+    CountedProducts.products = 0
+    table = fourier_n0_table(phi, -36, -28)
+    assert CountedProducts.products == 2 * 9 * len(cosets)
+    for (k, u), got in table.items():
+        want = pointwise_fourier_n0(phi, k, u)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (k, u)
 
 
 def test_fourier_n0_table_needs_compact_support():

@@ -3,11 +3,13 @@ cli.main, in GRID order and in a seeded shuffle, and a few entries against
 their bytes from a fresh interpreter, so that a cache that leaks state from
 one invocation into the next fails here.  The runner's sha256 of a --timing
 run against the plain run's stdout.  And a seeded sample of accepted
-symplectic-check and phi-eval inputs, off the grid, each of which must pass."""
+symplectic-check, phi-eval and fourier-n0 inputs, off the grid, each of
+which must pass."""
 
 import contextlib
 import hashlib
 import io
+import json
 import random
 
 import pytest
@@ -18,6 +20,9 @@ from report_grid import GRID, measure, run
 SHUFFLE_SEED = 5
 SAMPLE_SEED = 41
 SAMPLE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)   # p^4 <= ROW_BUDGET
+# fourier-n0 draws stay at units <= 250 of the boundary's 1000, about 0.3 s
+# each at most: the grid holds the corner
+SAMPLE_UNITS = 250
 
 # one JSON verify, the one CSV entry and an n = 1 phi-eval
 FRESH = [
@@ -87,13 +92,39 @@ def sample_argv(rng):
             "--unit", str(unit), "--level", str(level), "--seed", str(seed)]
 
 
-def test_a_seeded_sample_of_accepted_inputs_passes():
-    # 20 draws, about 2 s in one process
+def fourier_argv(rng):
+    """An accepted fourier-n0 input: p among SAMPLE_PRIMES, a level whose
+    units are at most SAMPLE_UNITS, a seed and a psi sign."""
+    p = rng.choice(SAMPLE_PRIMES)
+    levels = [level for level in range(1, 7) if (p - 1) * p ** (level - 1) <= SAMPLE_UNITS]
+    return ["fourier-n0", "--p", str(p), "--level", str(rng.choice(levels)),
+            "--seed", str(rng.randrange(1000)), "--psi-sign", str(rng.choice((1, -1)))]
+
+
+def far_shells(rng):
+    """A compact --fx-in at p = 3, 5 or 7 and level 1 or 2: a few random
+    shells near 0 and two more as far as 2000 shells away."""
+    p, level = rng.choice((3, 5, 7)), rng.randint(1, 2)
+    cosets = [u for u in range(1, p ** level) if u % p]
+    ks = [rng.randint(-2, 2) for _ in range(3)] + [-rng.randint(100, 2000),
+                                                   rng.randint(100, 2000)]
+    shells = [{"k": k, "coset": rng.choice(cosets), "re": rng.uniform(-1, 1),
+               "im": rng.uniform(-1, 1)} for k in ks]
+    return {"p": p, "level": level, "k_min": min(ks), "k_tail": max(ks) + 1,
+            "shells": shells, "tail": {"kind": "compact"}}
+
+
+def test_a_seeded_sample_of_accepted_inputs_passes(tmp_path):
+    # 20 draws of symplectic-check and phi-eval, 8 of fourier-n0 and one
+    # fourier-n0 --fx-in, about 2 s in one process
     rng = random.Random(SAMPLE_SEED)
     sample = [sample_argv(rng) for _ in range(20)]
     # the draw reaches the direct SL_2(F_p) count of n = 1 past p = 7
     assert any(argv[:3] == ["symplectic-check", "--n", "1"] and int(argv[4]) > 7
                for argv in sample)
+    sample += [fourier_argv(rng) for _ in range(8)]
+    (tmp_path / "phi.json").write_text(json.dumps(far_shells(rng)))
+    sample.append(["fourier-n0", "--fx-in", str(tmp_path / "phi.json")])
     for argv in sample:
         code, out = in_process(argv)
         assert code == 0, (argv, out[:300])
