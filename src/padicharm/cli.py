@@ -13,13 +13,14 @@ byte-identical for a fixed --seed (runtimes are only emitted under --timing).
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import json
 import math
 import random
 import sys
 import time
+from itertools import islice
 from types import SimpleNamespace
 
 from . import PadicharmError
@@ -40,16 +41,15 @@ def _character(p, level, conductor_wanted):
     return UnitCharacter(p, level, p ** (level - conductor_wanted) if conductor_wanted else 0)
 
 
-def _check(name, fn, tolerance=None, timing=False):
+def _check(name, fn, tolerance, timing):
     t0 = time.perf_counter()
     try:
         dev = fn()
-        if dev is not None and not math.isfinite(dev):
+        if not math.isfinite(dev):
             # no tolerance passes it, and JSON has no number for it
             raise ArithmeticError(f"non-finite deviation {dev}")
-        status = "pass" if (tolerance is None or dev <= tolerance) else "fail"
-        out = {"name": name, "status": status,
-               "max_deviation": float(dev) if dev is not None else 0.0}
+        out = {"name": name, "status": "pass" if dev <= tolerance else "fail",
+               "max_deviation": float(dev)}
     except Exception as exc:   # noqa: BLE001 - reported, not swallowed
         out = {"name": name, "status": "error", "error": str(exc),
                "max_deviation": None}
@@ -187,15 +187,10 @@ def cmd_symplectic_check(args, rng):
     checks.append(_check("siegel-factorization", factorization, 0.0, args.timing))
 
     def order_check():
-        if n == 1:
-            o_b, c_b = sp.sp_order(1, args.p, mode="bruteforce")
-            o_f, c_f = sp.sp_order(1, args.p, mode="formula")
-            if o_b != o_f or c_b != c_f or c_f != sp.c0_constant(1, args.p):
-                return 1.0
-        else:
-            _, c_f = sp.sp_order(n, args.p, mode="formula")
-            if c_f != sp.c0_constant(n, args.p):
-                return 1.0
+        order, c0 = sp.sp_order(n, args.p)
+        # at n = 1 the formula's order must also be the direct count of SL_2(F_p)
+        if c0 != sp.c0_constant(n, args.p) or (n == 1 and order != sp.sl2_order(args.p)):
+            return 1.0
         return 0.0
     checks.append(_check("group-order-c0", order_check, 0.0, args.timing))
     return {"verified": "symplectic", "n": n}, checks
@@ -221,12 +216,16 @@ def cmd_tate_oracle(args):
     return {"verified": "tate-oracle", "p": args.p}, checks
 
 
+# shells judges its partial sums at this relative deviation from the gamma value
+SHELLS_TOL = 1e-5
+
+
 # fourier-n0 tabulates the transform, and sums both sides of Plancherel, on
 # the shells -FOURIER_RADIUS..FOURIER_RADIUS
 FOURIER_RADIUS = 12
 
 
-def cmd_fourier_n0(args, rng, phi=None):
+def cmd_fourier_n0(args, rng, phi):
     from .fxspace import FxFunction, TailSpec
     from .gdist import fourier_n0, fourier_n0_table, l2_norm_fx, l2_norm_truncated
     from .padic import unit_group
@@ -279,7 +278,7 @@ def cmd_shells(args):
     def deviation():
         rep.update(shell_coefficients_sum(chi, args.s, sign=args.psi_sign))
         return rep["deviation"]
-    checks = [_check("shells-vs-gamma", deviation, 1e-5, args.timing)]
+    checks = [_check("shells-vs-gamma", deviation, SHELLS_TOL, args.timing)]
     payload = {
         "chi": {"p": args.p, "exponent": chi.exponent, "conductor": args.conductor},
         "s": args.s,
@@ -300,16 +299,15 @@ def cmd_phi_eval(args, rng):
     from .padic import PadicElement
     a = PadicElement(p=args.p, valuation=args.ord, unit=args.unit, level=args.level)
     if args.n == 0:
-        v = phi_rho_eval(GPoint(a, ()), 0, args.level, args.psi_sign)
+        v = phi_rho_eval(GPoint(a, ()), args.level, args.psi_sign)
         return {"phi": [v.real, v.imag], "n": 0}, []
     h = sp.random_symplectic(args.n, rng)
     point = GPoint(a, tuple(map(tuple, h)))
-    v = phi_rho_eval(point, args.n, args.level, args.psi_sign)
+    v = phi_rho_eval(point, args.level, args.psi_sign)
     checks = []
 
     def inv_symmetry():
-        w = phi_rho_eval(GPoint(a, tuple(map(tuple, sp.inverse(h)))),
-                         args.n, args.level, args.psi_sign)
+        w = phi_rho_eval(GPoint(a, tuple(map(tuple, sp.inverse(h)))), args.level, args.psi_sign)
         return abs(w - v)
     checks.append(_check("phi(h)=phi(h^-1)", inv_symmetry, 1e-9, args.timing))
     return {"phi": [v.real, v.imag], "n": args.n,
@@ -335,20 +333,23 @@ VERBS = {
 
 # ------------------------------------------------------------------ driver
 
-def emit(report: dict, fmt: str) -> bytes:
+def emit(report: dict, fmt: str, out) -> None:
+    """Write the report to the text stream out: JSON in blocks of 4096 encoder
+    chunks (one write each, as stdout writes through to its buffer), or the
+    count table as CSV, raising UsageError before any write if there is none."""
     if fmt == "json":
-        return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
-    if fmt == "csv":
-        rows = report.get("payload", {}).get("fiber_counts")
-        if rows is None:
-            raise UsageError("CSV output is only available for count tables")
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["ord_class", "unit_coset", "count"])
-        for row in rows:
-            w.writerow([row["ord_class"], row["unit_coset"], row["count"]])
-        return buf.getvalue().encode()
-    raise UsageError(f"unknown format {fmt}")
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+        for block in iter(lambda: "".join(islice(chunks, 4096)), ""):
+            out.write(block)
+        out.write("\n")
+        return
+    rows = report.get("payload", {}).get("fiber_counts")
+    if rows is None:
+        raise UsageError("CSV output is only available for count tables")
+    w = csv.writer(out)
+    w.writerow(["ord_class", "unit_coset", "count"])
+    for row in rows:
+        w.writerow([row["ord_class"], row["unit_coset"], row["count"]])
 
 
 # every flag: (type, default, choices); --timing, of type bool, is the one
@@ -466,6 +467,9 @@ def _validate(args, verb, phi):
     terms of each unit's eta series in phi-eval, the (kmax - kmin + 1) phi
     rows of an eta table and its (kmax + 1) series terms per unit, and the
     p^k rows of a count table.
+    shells sums the shells ell <= ELL_MAX; at conductor 0 shell ell >= 0 adds
+    (1 - 1/q) q^-(ell (s + 1/2)), so twice q^-((ELL_MAX + 1)(s + 1/2)) must be
+    within SHELLS_TOL: s > -0.31786 at p = 3 (s = -0.45 read 3.6e-2 there).
     verify fe-pvs needs n <= 1, k >= 2 (the depth of its series cross-check)
     and 2 p^(k+2) <= ROW_BUDGET: that keeps p <= 13 at k >= 3, below the
     p = 41 where the k = 3 series cross-check of the shifted function fails
@@ -513,10 +517,14 @@ def _validate(args, verb, phi):
                                  f"unit coset 1 <= u < p^level with k_min <= k < k_tail")
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise UsageError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
-    if verb == "shells" and not (math.isfinite(args.s) and args.s > -0.5):
-        raise UsageError(f"shells needs a finite --s > -1/2 for convergent partial sums, "
-                         f"got {args.s}")
-    if verb == "count-fibers":
+    if verb == "shells":
+        from .gdist import ELL_MAX
+        s_min = -0.5 + (math.log(2 / SHELLS_TOL) / ((ELL_MAX + 1) * math.log(args.p))
+                        if args.conductor == 0 else 0)
+        if not (math.isfinite(args.s) and args.s > s_min):
+            raise UsageError(f"shells needs a finite --s > {s_min:.6f} at conductor "
+                             f"{args.conductor}: its sums stop at shell {ELL_MAX}, got {args.s}")
+    elif verb == "count-fibers":
         check_rows(float(args.p) ** args.k)
         # every count is at most p^(k d); Python prints ints of up to 4300 digits
         if args.k * args.m * (args.m + 1) // 2 * math.log10(args.p) >= 4300:
@@ -605,20 +613,19 @@ def run(argv) -> tuple[dict, int]:
 
 def main(argv=None) -> int:
     args, report, code = _parse_and_run(sys.argv[1:] if argv is None else argv)
-    if args is None:
-        sys.stdout.write(report["help"] if code == 0 else emit(report, "json").decode())
+    if args is None and code == 0:
+        sys.stdout.write(report["help"])
         return code
-    try:
-        data = emit(report, "json" if code == 2 else args.format)
-    except UsageError as exc:
-        sys.stderr.write(str(exc) + "\n")
-        report, code = {"error": str(exc)}, 2
-        data = emit(report, "json")
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data.decode())
+    # args is None where argv did not parse; newline="" keeps the CSV's "\r\n"
+    sink = (open(args.out, "w", encoding="utf-8", newline="") if args and args.out
+            else contextlib.nullcontext(sys.stdout))
+    with sink as out:
+        try:
+            emit(report, "json" if code == 2 else args.format, out)
+        except UsageError as exc:
+            sys.stderr.write(str(exc) + "\n")
+            code = 2
+            emit({"error": str(exc)}, "json", out)
     return code
 
 

@@ -26,7 +26,7 @@ Each Mellin component is expanded at z = 0 once, as one Laurent series.
 On top of that dictionary sit the kernel eta (residues of beta against
 monomials), the Fourier operator on the plus space, the finite convolution
 of a kernel against a compactly supported f, and the functional-equation
-compare, which returns its deviation for the caller to judge.
+compare, whose two sides each build their own M(f |.|^{(2n+1)/2}).
 """
 
 from __future__ import annotations
@@ -329,13 +329,13 @@ def eta_kernel(n: int, sign: int, k: int, u: int, p: int, level: int) -> complex
     return complex(_eta_values(n, p, level, sign, k)[d])
 
 
-def fourier_L(f: FxFunction, n: int, sign: int = 1, *, _scaled=None) -> FxFunction:
+def fourier_L(f: FxFunction, n: int, sign: int = 1) -> FxFunction:
     """The Fourier operator on the plus space via the Mellin route:
 
     L(f)(t) = |t|^{(2n+1)/2} M^{-1}( beta_psi(chi_s^{-1})
                                      M(f |.|^{(2n+1)/2})(z^{-1}, chi^{-1}) )(t).
 
-    fe_gl1_sides passes the M(f |.|^{(2n+1)/2}) it keeps as _scaled.
+    It builds its own M(f |.|^{(2n+1)/2}), apart from fe_gl1_sides' right side.
     """
     p, N = f.p, f.level
     q = float(p)
@@ -345,9 +345,7 @@ def fourier_L(f: FxFunction, n: int, sign: int = 1, *, _scaled=None) -> FxFuncti
             fx_from_mellin(mellin_transform(f.scale_by_power(2 * n)), "plus", n)
         except FxError as exc:
             raise FxError(f"input is not in the pvs plus space: {exc}") from exc
-    Zg = _scaled
-    if Zg is None:
-        Zg = mellin_transform(f.scale_by_power(Fraction(2 * n + 1, 2)))
+    Zg = mellin_transform(f.scale_by_power(Fraction(2 * n + 1, 2)))
     order = unit_order(p, N)
     comps = {}
     for j in range(order):
@@ -396,11 +394,11 @@ def pv_convolve(kernel_row, f: FxFunction, points) -> list:
 
 def fe_gl1_sides(f: FxFunction, n: int, sign: int = 1):
     """The character-free parts of the GL(1) functional equation, once per f:
-    (M(L(f) |.|^{-(2n+1)/2}), M(f |.|^{(2n+1)/2})).  The second is built
-    once and shared with fourier_L; fe_gl1_compare reads one character off
-    each."""
+    (M(L(f) |.|^{-(2n+1)/2}), M(f |.|^{(2n+1)/2})), each side from its own
+    transform of f (fourier_L builds the left's); fe_gl1_compare reads one
+    character off each."""
+    Lf = fourier_L(f, n, sign)
     Zg = mellin_transform(f.scale_by_power(Fraction(2 * n + 1, 2)))
-    Lf = fourier_L(f, n, sign, _scaled=Zg)
     return mellin_transform(Lf.scale_by_power(Fraction(-(2 * n + 1), 2))), Zg
 
 

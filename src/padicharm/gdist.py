@@ -46,11 +46,12 @@ class GPoint:
             raise GDistError("h is not symplectic")
 
 
-def phi_rho_eval(point: GPoint, n: int, level: int, sign: int = 1) -> complex:
-    """Phi(a,h) = c0 eta(a det(h+I)) |det(h+I)|^{-(2n+1)/2}, with eta the
-    level coset average (pointwise for ord > -(2n+1)(level+1))."""
+def phi_rho_eval(point: GPoint, level: int, sign: int = 1) -> complex:
+    """Phi(a,h) = c0 eta(a det(h+I)) |det(h+I)|^{-(2n+1)/2}, h in Sp_2n, with
+    eta the level coset average (pointwise for ord > -(2n+1)(level+1))."""
     a = point.a
     p = a.p
+    n = len(point.h) // 2
     dh = det(add(mat(point.h), eye(2 * n)))   # 1 at n = 0, where h = ()
     if dh == 0:
         raise GDistError("singular locus of Phi: det(h + I) = 0")

@@ -45,8 +45,8 @@ def eye(m: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
 
 
-def zeros(m: int, ncol=None) -> Matrix:
-    return [[Fraction(0) for _ in range(ncol or m)] for _ in range(m)]
+def zeros(m: int) -> Matrix:
+    return [[Fraction(0) for _ in range(m)] for _ in range(m)]
 
 
 def _integral(A: Matrix):
@@ -264,24 +264,17 @@ def siegel_factorize(X: Matrix, n: int):
     return p_std, h
 
 
-def sp_order(n: int, q: int, mode: str = "formula"):
-    """|Sp_2n(F_q)| and c0 = |Sp_2n(F_q)|/q^{dim} = prod (1 - q^{-2i}).
+def sp_order(n: int, q: int):
+    """|Sp_2n(F_q)| = q^(n^2) prod (q^(2i) - 1) and c0 = |Sp_2n(F_q)| / q^dim."""
+    order = q ** (n * n)
+    for i in range(1, n + 1):
+        order *= q ** (2 * i) - 1
+    return order, Fraction(order, q ** (n * (2 * n + 1)))
 
-    mode='bruteforce' counts Sp_2 = SL_2 over F_q directly, over all q^4
-    matrices (n = 1 only; the CLI's input boundary bounds q).
-    """
-    if mode == "formula":
-        order = q ** (n * n)
-        for i in range(1, n + 1):
-            order *= q ** (2 * i) - 1
-    elif mode == "bruteforce":
-        if n != 1:
-            raise SymplecticError("bruteforce counts Sp_2 = SL_2 only, at n = 1")
-        order = sum((a * d - b * c) % q == 1 for a, b, c, d in product(range(q), repeat=4))
-    else:
-        raise SymplecticError(f"unknown mode {mode}")
-    c0 = Fraction(order, q ** (n * (2 * n + 1)))
-    return order, c0
+
+def sl2_order(q: int) -> int:
+    """|Sp_2(F_q)| = |SL_2(F_q)| counted directly, over all q^4 matrices."""
+    return sum((a * d - b * c) % q == 1 for a, b, c, d in product(range(q), repeat=4))
 
 
 def c0_constant(n: int, q: int) -> Fraction:

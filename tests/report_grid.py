@@ -25,6 +25,7 @@ tests/test_report_grid.py runs every entry through cli.main in one process.
 """
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -173,7 +174,9 @@ def plain(out: bytes):
         return [], hashlib.sha256(out).hexdigest()
     checks = report.get("checks", [])
     runtimes = [c.pop("runtime_ms") for c in checks]
-    return list(zip(checks, runtimes)), hashlib.sha256(emit(report, "json")).hexdigest()
+    text = io.StringIO()
+    emit(report, "json", text)
+    return list(zip(checks, runtimes)), hashlib.sha256(text.getvalue().encode()).hexdigest()
 
 
 def measure(argv, src=SRC):

@@ -193,7 +193,9 @@ def test_config_overrides_flags(tmp_path):
 def test_csv_rejected_for_nontabular(tmp_path):
     code = main(["beta", "--p", "3", "--format", "csv",
                  "--out", str(tmp_path / "x.csv")])
-    assert code == 2
+    # the refusal comes before any write, so the file holds the error alone
+    assert code == 2 and json.loads((tmp_path / "x.csv").read_text()) == {
+        "error": "CSV output is only available for count tables"}
 
 
 def test_run_api_exit_codes():
@@ -273,6 +275,10 @@ def test_fourier_n0_consumes_fx_json(tmp_path):
     ["fourier-n0", "--p", "1009", "--level", "1"],
     # symplectic-check's exact elimination past n = 4
     ["symplectic-check", "--n", "5", "--p", "5"],
+    # shells at conductor 0 whose shells past ELL_MAX are more than half the
+    # tolerance: at s = -0.45 the check read 3.6e-2 at p = 3 and 2.8e-5 at p = 31
+    ["shells", "--p", "3", "--conductor", "0", "--s", "-0.45"],
+    ["shells", "--p", "31", "--level", "1", "--conductor", "0", "--s", "-0.45"],
 ])
 def test_invalid_input_is_a_json_error(argv, capsys, tmp_path):
     if "--config" in argv:
@@ -300,11 +306,25 @@ def test_fourier_n0_within_the_row_budget_is_accepted(p, level):
               "fourier-n0", None)
 
 
-@pytest.mark.parametrize("tolerance", [1e-6, None])
+@pytest.mark.parametrize("argv", [
+    # conductor 0 just past the bound, where the shells past ELL_MAX leave
+    # about 5e-6 of the sum out, and a ramified character, whose shells end
+    # at ell = -1, right by s = -1/2
+    ["shells", "--p", "3", "--level", "1", "--conductor", "0", "--s", "-0.3178"],
+    ["shells", "--p", "31", "--level", "1", "--conductor", "0", "--s", "-0.4417"],
+    ["shells", "--p", "3", "--level", "2", "--conductor", "1", "--s", "-0.4999"],
+    ["shells", "--p", "7", "--level", "2", "--conductor", "2", "--s", "-0.4999"],
+])
+def test_shells_near_minus_one_half_passes_where_accepted(argv):
+    rep, code = run(argv)
+    assert code == 0, rep
+
+
+@pytest.mark.parametrize("tolerance", [1e-6])
 @pytest.mark.parametrize("dev", [float("nan"), float("inf"), -float("inf")])
 def test_a_non_finite_deviation_is_an_error(dev, tolerance):
     from padicharm.cli import _check
-    out = _check("x", lambda: dev, tolerance)
+    out = _check("x", lambda: dev, tolerance, False)
     assert out["status"] == "error" and out["max_deviation"] is None
     json.dumps(out, allow_nan=False)    # the report stays valid JSON
 
@@ -640,20 +660,29 @@ def test_broken_cayley_identity_is_an_error_not_a_hang(argv):
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_fe_gl1_builds_each_scaled_transform_once(n, monkeypatch):
-    # M(f |.|^{(2n+1)/2}) of each of the three test functions is built once,
-    # by fe_gl1_sides, and fourier_L reads it from there
+    # M(f |.|^{(2n+1)/2}) of each of the three test functions is built once
+    # per side: by fourier_L for the left side and by fe_gl1_sides for the
+    # right, so that the two sides share no transform object
     from fractions import Fraction
     from padicharm import fxspace
-    built = []
-    transform = fxspace.mellin_transform
+    built, inside = {"left": 0, "right": 0}, []
+    transform, fourier_L = fxspace.mellin_transform, fxspace.fourier_L
 
     def counting(f):
         if f.tail.kind == "compact" and f.power_shift == Fraction(2 * n + 1, 2):
-            built.append(f)
+            built["left" if inside else "right"] += 1
         return transform(f)
+
+    def left(*args):
+        inside.append(True)
+        try:
+            return fourier_L(*args)
+        finally:
+            inside.pop()
     monkeypatch.setattr(fxspace, "mellin_transform", counting)
+    monkeypatch.setattr(fxspace, "fourier_L", left)
     rep, code = run(["verify", "fe-gl1", "--p", "5", "--level", "1", "--n", str(n)])
-    assert code == 0 and len(rep["checks"]) == 12 and len(built) == 3
+    assert code == 0 and len(rep["checks"]) == 12 and built == {"left": 3, "right": 3}
 
 
 @pytest.mark.parametrize("n", [0, 1])

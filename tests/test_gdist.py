@@ -41,7 +41,7 @@ def test_phi_rho_eval_n0_closed_form():
     p, level = 3, 2
     for val, unit in [(0, 1), (1, 2), (-1, 1), (-2, 5)]:
         a = PadicElement(p=p, valuation=val, unit=unit, level=level)
-        got = phi_rho_eval(GPoint(a, ()), 0, level)
+        got = phi_rho_eval(GPoint(a, ()), level)
         want = (psi_frac(p, unit, -val) * p ** (-val / 2.0) * (1 - 1.0 / p))
         assert abs(got - want) < 1e-10
 
@@ -54,15 +54,15 @@ def test_phi_rho_invariances():
     while hits < 6:
         h = random_symplectic(n, rng)
         try:
-            base = phi_rho_eval(GPoint(a, tuple(map(tuple, h))), n, level)
+            base = phi_rho_eval(GPoint(a, tuple(map(tuple, h))), level)
         except GDistError:
             continue
         hits += 1
         hinv = inverse(h)
-        assert abs(phi_rho_eval(GPoint(a, tuple(map(tuple, hinv))), n, level) - base) < 1e-9
+        assert abs(phi_rho_eval(GPoint(a, tuple(map(tuple, hinv))), level) - base) < 1e-9
         y = random_symplectic(n, rng)
         conj = mul(mul(y, h), inverse(y))
-        assert abs(phi_rho_eval(GPoint(a, tuple(map(tuple, conj))), n, level) - base) < 1e-9
+        assert abs(phi_rho_eval(GPoint(a, tuple(map(tuple, conj))), level) - base) < 1e-9
 
 
 def test_phi_rho_locally_constant_in_level():
@@ -74,8 +74,8 @@ def test_phi_rho_locally_constant_in_level():
     while hits < 4:
         h = random_symplectic(n, rng)
         try:
-            v2 = phi_rho_eval(GPoint(a, tuple(map(tuple, h))), n, level=2)
-            v3 = phi_rho_eval(GPoint(a, tuple(map(tuple, h))), n, level=3)
+            v2 = phi_rho_eval(GPoint(a, tuple(map(tuple, h))), level=2)
+            v3 = phi_rho_eval(GPoint(a, tuple(map(tuple, h))), level=3)
         except GDistError:
             continue
         hits += 1
@@ -87,7 +87,7 @@ def test_phi_rho_singular_locus():
     a = PadicElement(p=p, valuation=0, unit=1, level=level)
     minus_eye = ((-1, 0), (0, -1))
     with pytest.raises(GDistError, match="singular"):
-        phi_rho_eval(GPoint(a, minus_eye), 1, level)
+        phi_rho_eval(GPoint(a, minus_eye), level)
 
 
 @pytest.mark.parametrize("p", [3, 5])

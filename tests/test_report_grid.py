@@ -3,8 +3,7 @@ cli.main, in GRID order and in a seeded shuffle, and a few entries against
 their bytes from a fresh interpreter, so that a cache that leaks state from
 one invocation into the next fails here.  The runner's sha256 of a --timing
 run against the plain run's stdout.  And a seeded sample of accepted
-symplectic-check, phi-eval and fourier-n0 inputs, off the grid, each of
-which must pass."""
+inputs of every verb, off the grid, each of which must pass."""
 
 import contextlib
 import hashlib
@@ -14,15 +13,20 @@ import random
 
 import pytest
 
-from padicharm import cli
+from padicharm import PadicharmError, cli
+from padicharm.pvszeta import ROW_BUDGET
 from report_grid import GRID, measure, run
 
 SHUFFLE_SEED = 5
 SAMPLE_SEED = 41
 SAMPLE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)   # p^4 <= ROW_BUDGET
 # fourier-n0 draws stay at units <= 250 of the boundary's 1000, about 0.3 s
-# each at most: the grid holds the corner
+# each at most, and so do the draws of the verbs that sum over characters:
+# the grid holds the corners
 SAMPLE_UNITS = 250
+# count-fibers draws stay at p^k <= 10^4 rows of the boundary's 10^6, where
+# the corner takes about 12 s
+SAMPLE_ROWS = 10 ** 4
 
 # one JSON verify, the one CSV entry and an n = 1 phi-eval
 FRESH = [
@@ -92,12 +96,16 @@ def sample_argv(rng):
             "--unit", str(unit), "--level", str(level), "--seed", str(seed)]
 
 
+def sample_levels(p):
+    """The levels of at most SAMPLE_UNITS units at p."""
+    return [level for level in range(1, 7) if (p - 1) * p ** (level - 1) <= SAMPLE_UNITS]
+
+
 def fourier_argv(rng):
     """An accepted fourier-n0 input: p among SAMPLE_PRIMES, a level whose
     units are at most SAMPLE_UNITS, a seed and a psi sign."""
     p = rng.choice(SAMPLE_PRIMES)
-    levels = [level for level in range(1, 7) if (p - 1) * p ** (level - 1) <= SAMPLE_UNITS]
-    return ["fourier-n0", "--p", str(p), "--level", str(rng.choice(levels)),
+    return ["fourier-n0", "--p", str(p), "--level", str(rng.choice(sample_levels(p))),
             "--seed", str(rng.randrange(1000)), "--psi-sign", str(rng.choice((1, -1)))]
 
 
@@ -114,9 +122,66 @@ def far_shells(rng):
             "shells": shells, "tail": {"kind": "compact"}}
 
 
+def accepted(argv) -> bool:
+    """Whether the input boundary accepts argv."""
+    args = cli.parse_args(argv)
+    try:
+        cli._validate(args, " ".join(args.verb), None)
+    except PadicharmError:
+        return False
+    return True
+
+
+def character_argv(rng, verb):
+    """An accepted gamma, beta, tate-oracle or shells input: p among
+    SAMPLE_PRIMES at one of its sample_levels, a conductor up to the level
+    and a psi sign; beta at n = 0..6 and shells at s in (-1/2, 2), drawn
+    again while the boundary refuses it."""
+    while True:
+        p = rng.choice(SAMPLE_PRIMES)
+        level = rng.choice(sample_levels(p))
+        argv = [verb, "--p", str(p), "--level", str(level),
+                "--conductor", str(rng.randint(0, level)),
+                "--psi-sign", str(rng.choice((1, -1)))]
+        if verb == "beta":
+            argv += ["--n", str(rng.randint(0, 6))]
+        if verb == "shells":
+            argv += ["--s", repr(rng.uniform(-0.5, 2.0))]
+        if accepted(argv):
+            return argv
+
+
+def table_argv(rng, verb):
+    """An accepted eta-table input (n = 0..2 at one of sample_levels, up to
+    11 shells from a kmin in -8..2, a psi sign) or count-fibers input
+    (m = 1..7, p^k at most SAMPLE_ROWS)."""
+    p = rng.choice(SAMPLE_PRIMES)
+    if verb == "eta-table":
+        kmin = rng.randint(-8, 2)
+        return [verb, "--p", str(p), "--level", str(rng.choice(sample_levels(p))),
+                "--n", str(rng.randint(0, 2)), "--kmin", str(kmin),
+                "--kmax", str(kmin + rng.randint(0, 10)), "--psi-sign", str(rng.choice((1, -1)))]
+    k = rng.choice([k for k in range(1, 10) if p ** k <= SAMPLE_ROWS])
+    return [verb, "--m", str(rng.randint(1, 7)), "--p", str(p), "--k", str(k)]
+
+
+def verify_argv(rng, which):
+    """An accepted verify input with a psi sign: fe-gl1 at n = 0..2 at one of
+    sample_levels, with a seed; fe-pvs at n = 0..1 and any (p, k) of
+    SAMPLE_PRIMES within its bound 2 p^(k+2) <= ROW_BUDGET."""
+    sign = ["--psi-sign", str(rng.choice((1, -1)))]
+    if which == "fe-gl1":
+        p = rng.choice(SAMPLE_PRIMES)
+        return ["verify", which, "--p", str(p), "--level", str(rng.choice(sample_levels(p))),
+                "--n", str(rng.randint(0, 2)), "--seed", str(rng.randrange(1000)), *sign]
+    p, k = rng.choice([(p, k) for p in SAMPLE_PRIMES for k in range(2, 12)
+                       if 2 * p ** (k + 2) <= ROW_BUDGET])
+    return ["verify", which, "--p", str(p), "--n", str(rng.randint(0, 1)), "--k", str(k), *sign]
+
+
 def test_a_seeded_sample_of_accepted_inputs_passes(tmp_path):
-    # 20 draws of symplectic-check and phi-eval, 8 of fourier-n0 and one
-    # fourier-n0 --fx-in, about 2 s in one process
+    # 20 draws of symplectic-check and phi-eval, 8 of fourier-n0, one
+    # fourier-n0 --fx-in and 20 of each other verb, about 2 s in one process
     rng = random.Random(SAMPLE_SEED)
     sample = [sample_argv(rng) for _ in range(20)]
     # the draw reaches the direct SL_2(F_p) count of n = 1 past p = 7
@@ -125,6 +190,11 @@ def test_a_seeded_sample_of_accepted_inputs_passes(tmp_path):
     sample += [fourier_argv(rng) for _ in range(8)]
     (tmp_path / "phi.json").write_text(json.dumps(far_shells(rng)))
     sample.append(["fourier-n0", "--fx-in", str(tmp_path / "phi.json")])
+    for _ in range(20):
+        sample += [character_argv(rng, verb) for verb in ("gamma", "beta", "tate-oracle",
+                                                          "shells")]
+        sample += [table_argv(rng, verb) for verb in ("eta-table", "count-fibers")]
+        sample += [verify_argv(rng, which) for which in ("fe-gl1", "fe-pvs")]
     for argv in sample:
         code, out = in_process(argv)
         assert code == 0, (argv, out[:300])

@@ -9,8 +9,8 @@ from padicharm.symplectic import (J, CayleyPoleError, SymplecticError, c0_consta
                                   cayley, cayley_inv, det, doubling_embed, eye,
                                   inverse, is_symplectic, mat, mat_eq, mul,
                                   random_symplectic, scale, siegel_factorize,
-                                  sp_order, standard_elements, sub, transpose,
-                                  zeros)
+                                  sl2_order, sp_order, standard_elements, sub,
+                                  transpose, zeros)
 from oracles import fraction_det, fraction_inverse, levi_block_of_p_std
 
 
@@ -148,22 +148,20 @@ def test_abelianization_delta():
 
 
 def test_sp_order():
-    order, c0 = sp_order(1, 3, mode="bruteforce")
+    assert sl2_order(3) == 24
+    order, c0 = sp_order(1, 3)
     assert order == 24 and c0 == Fraction(24, 27)
-    order_f, c0_f = sp_order(1, 3, mode="formula")
-    assert order_f == 24 and c0_f == c0
-    order, c0 = sp_order(1, 5, mode="bruteforce")
+    assert sl2_order(5) == 120
+    order, c0 = sp_order(1, 5)
     assert order == 120 and c0 == Fraction(120, 125)
-    order, _ = sp_order(2, 3, mode="formula")
+    order, _ = sp_order(2, 3)
     assert order == 3**4 * 8 * 80 == 51840
     # c0 = prod (1 - q^{-2i})
     for n, q in ((1, 3), (1, 5), (2, 3)):
         _, c0 = sp_order(n, q)
         assert c0 == c0_constant(n, q)
-    with pytest.raises(SymplecticError):
-        sp_order(2, 3, mode="bruteforce")
     # past the old q <= 7 guard: the direct count is bounded at the CLI only
-    assert sp_order(1, 11, mode="bruteforce") == sp_order(1, 11)
+    assert sl2_order(11) == sp_order(1, 11)[0]
 
 
 DENOMINATORS = (1, 1, 1, 2, 3, 4, 7, 12)
