@@ -1,14 +1,16 @@
 """Command-line surface: compute factors, run verifiers, emit reports.
 
 Verbs: gamma, beta, eta-table, verify fe-gl1, verify fe-pvs, count-fibers,
-symplectic-check, tate-oracle, fourier-n0, shells, phi-eval.  Reports are
-JSON (canonical) or CSV (count tables); exit code 0 iff every check passed,
-1 on check failure, 2 on usage errors, invalid parameters and domain errors
-raised outside a check (reported as JSON with an "error" field).  Flags are
-read from the one table FLAGS, as --name value or --name=value.  A config
-file, when given, overrides the flags it names (padic.CONFIG_KEYS); flags
-override defaults.  Reports are
-byte-identical for a fixed --seed (runtimes are only emitted under --timing).
+symplectic-check, tate-oracle, fourier-n0, shells, phi-eval.  Each verb
+returns its payload and its checks, records of two routes and one of the
+four compares below, which `run_check` runs.  Reports are JSON (canonical)
+or CSV (count tables); exit code 0 iff every check passed, 1 on check
+failure, 2 on usage errors, invalid parameters and domain errors raised
+outside a check (reported as JSON with an "error" field).  Flags are read
+from the one table FLAGS, as --name value or --name=value.  A config file,
+when given, overrides the flags it names (padic.CONFIG_KEYS); flags override
+defaults.  Reports are byte-identical for a fixed --seed (runtimes are only
+emitted under --timing).
 """
 
 from __future__ import annotations
@@ -41,24 +43,66 @@ def _character(p, level, conductor_wanted):
     return UnitCharacter(p, level, p ** (level - conductor_wanted) if conductor_wanted else 0)
 
 
-def _check(name, fn, tolerance, timing):
+class Check:
+    """A check as a record: its name, two routes (callables that return the
+    compared values: numbers at the samples, a matrix or an int), the compare
+    that reads the deviation of the first route's value from the second's,
+    and the tolerance that the deviation may not pass."""
+
+    def __init__(self, name, first, second, compare, tolerance):
+        self.name, self.first, self.second = name, first, second
+        self.compare, self.tolerance = compare, tolerance
+
+
+def run_check(check, timing):
+    """The report entry of a check: pass or fail as its deviation is within
+    its tolerance or not, and error where a route raises or the deviation is
+    not finite, which no tolerance passes and JSON has no number for."""
     t0 = time.perf_counter()
     try:
-        dev = fn()
+        dev = check.compare(check.first(), check.second())
         if not math.isfinite(dev):
-            # no tolerance passes it, and JSON has no number for it
             raise ArithmeticError(f"non-finite deviation {dev}")
-        out = {"name": name, "status": "pass" if dev <= tolerance else "fail",
+        out = {"name": check.name, "status": "pass" if dev <= check.tolerance else "fail",
                "max_deviation": float(dev)}
     except Exception as exc:   # noqa: BLE001 - reported, not swallowed
-        out = {"name": name, "status": "error", "error": str(exc),
+        out = {"name": check.name, "status": "error", "error": str(exc),
                "max_deviation": None}
     if timing:
         out["runtime_ms"] = round(1000 * (time.perf_counter() - t0), 3)
     return out
 
 
+# ---------------------------------------------------------------- compares
+# The one place a deviation is computed: the largest, over the paired values
+# a and b of a check's two routes, of |a - b| / scale(a, b), and inf where
+# one is not finite; or, for exact values, whether they are equal.
+
+def _compare(scale):
+    def compare(first, second):
+        worst = 0.0
+        for a, b in zip(first, second, strict=True):
+            dev = abs(a - b) / scale(a, b)
+            if not math.isfinite(dev):
+                return math.inf
+            worst = max(worst, dev)
+        return worst
+    return compare
+
+
+relative = _compare(lambda a, b: max(abs(a), abs(b), 1.0))    # two sides of an equation
+relative_to_second = _compare(lambda a, b: max(1.0, abs(b)))   # a sum against its closed form
+absolute = _compare(lambda a, b: 1)                            # values of a known size
+
+
+def exact(first, second):
+    return 0.0 if first == second else 1.0
+
+
 # ------------------------------------------------------------------- verbs
+# Each verb takes the parsed flags, a Random(--seed) and the --fx-in
+# function (or None), and returns its payload and its checks, which run
+# after it returns; a route may fill the payload it belongs to.
 
 def _chi_json(chi, conductor_wanted):
     from .padic import unit_group
@@ -68,7 +112,7 @@ def _chi_json(chi, conductor_wanted):
             "generator_image": [gi.real, gi.imag], "conductor": conductor_wanted}
 
 
-def cmd_gamma(args):
+def cmd_gamma(args, rng, phi):
     from .abelian import gamma_factor
     chi = _character(args.p, args.level, args.conductor)
     g = gamma_factor(chi, args.psi_sign)
@@ -76,7 +120,7 @@ def cmd_gamma(args):
             "result": g.to_json()}, []
 
 
-def cmd_beta(args):
+def cmd_beta(args, rng, phi):
     from .abelian import beta_factor
     chi = _character(args.p, args.level, args.conductor)
     b = beta_factor(args.n, chi, args.psi_sign)
@@ -84,7 +128,7 @@ def cmd_beta(args):
             "result": b.to_json()}, []
 
 
-def cmd_eta_table(args):
+def cmd_eta_table(args, rng, phi):
     from .abelian import coset_values
     from .fxspace import eta_components
     from .padic import unit_group
@@ -97,26 +141,27 @@ def cmd_eta_table(args):
     return {"eta": rows, "n": args.n, "p": args.p, "level": args.level}, []
 
 
-def _verify_fe(args, verb, functions, build_sides, compare, level):
-    """One check per test function and character mod p^level, named
-    verb[name,chi^j]; a function's sides are built in its first check, so
-    that --timing charges the build there."""
+def _verify_fe(args, verb, functions, build_sides, side, level):
+    """One check per test function and character chi mod p^level, named
+    verb[name,chi^j], whose routes are the two sides at chi; the first route
+    to read a function's sides builds them, so --timing charges its check."""
     from .abelian import characters
     checks = []
     for name, f in functions:
         sides = []
-        for chi in characters(args.p, level):
-            def dev(f=f, chi=chi, sides=sides):
-                if not sides:
-                    sides.append(build_sides(f))
-                return compare(sides[0], args.n, chi, args.psi_sign)
-            checks.append(_check(f"{verb}[{name},chi^{chi.exponent}]", dev,
-                                 args.tolerance, args.timing))
+
+        def at(i, chi, f=f, sides=sides):
+            if not sides:
+                sides.append(build_sides(f))
+            return side(sides[0], i, args.n, chi, args.psi_sign)
+        checks += [Check(f"{verb}[{name},chi^{chi.exponent}]", lambda chi=chi, at=at: at(0, chi),
+                         lambda chi=chi, at=at: at(1, chi), relative, args.tolerance)
+                   for chi in characters(args.p, level)]
     return checks
 
 
-def cmd_verify_fe_gl1(args, rng):
-    from .fxspace import FxFunction, TailSpec, fe_gl1_compare, fe_gl1_sides
+def cmd_verify_fe_gl1(args, rng, phi):
+    from .fxspace import FxFunction, TailSpec, fe_gl1_side, fe_gl1_sides
     from .padic import unit_group
     cosets = unit_group(args.p, args.level)[0]
     functions = []    # drawn before any check runs; no check reads the rng
@@ -126,13 +171,13 @@ def cmd_verify_fe_gl1(args, rng):
         f = FxFunction(args.p, args.level, -1, 2, vals, TailSpec.compact())
         functions.append((f"f{idx}", f))
     checks = _verify_fe(args, "fe-gl1", functions,
-                        lambda f: fe_gl1_sides(f, args.n, args.psi_sign),
-                        fe_gl1_compare, args.level)
+                        lambda f: fe_gl1_sides(f, args.n, args.psi_sign), fe_gl1_side,
+                        args.level)
     return {"verified": "fe-gl1", "n": args.n}, checks
 
 
-def cmd_verify_fe_pvs(args, rng):
-    from .pvszeta import LatticeTestFunction, fe_pvs_compare, fe_pvs_sides
+def cmd_verify_fe_pvs(args, rng, phi):
+    from .pvszeta import LatticeTestFunction, fe_pvs_side, fe_pvs_sides
     if args.n == 0:
         functions = [("interval", LatticeTestFunction.dilated(1, 0))]
     else:
@@ -143,11 +188,11 @@ def cmd_verify_fe_pvs(args, rng):
             functions.append(("dilated", LatticeTestFunction.dilated(3, 1)))
     checks = _verify_fe(args, "fe-pvs", functions,
                         lambda Phi: fe_pvs_sides(Phi, args.n, args.p, args.k, args.psi_sign),
-                        fe_pvs_compare, 1)
+                        fe_pvs_side, 1)
     return {"verified": "fe-pvs", "n": args.n, "k": args.k}, checks
 
 
-def cmd_count_fibers(args):
+def cmd_count_fibers(args, rng, phi):
     from .pvszeta import det_fiber_counts
     table = det_fiber_counts(args.m, args.p, args.k)
     rows = [{"ord_class": v, "unit_coset": u, "count": c}
@@ -156,63 +201,59 @@ def cmd_count_fibers(args):
             "total": table.total, "m": args.m, "p": args.p, "k": args.k}, []
 
 
-def cmd_symplectic_check(args, rng):
+def cmd_symplectic_check(args, rng, phi):
+    """Exact identities on 30 symplectic h, then 20 X off the Cayley poles."""
     from . import symplectic as sp
-    checks = []
-    n = args.n
+    n, m = args.n, 2 * args.n
+    hs = [sp.random_symplectic(n, rng) for _ in range(30)]
+    drawn = []
+    while len(drawn) < 20:
+        X = sp.random_symmetric(n, rng)
+        with contextlib.suppress(sp.CayleyPoleError):
+            drawn.append((X, sp.cayley(X, n)))
+    g = sp.standard_elements(n)    # its build tests the form identities
 
-    def std_ok():
-        sp.standard_elements(n)   # raises on failure
-        return 0.0
-    checks.append(_check("standard-elements", std_ok, 0.0, args.timing))
+    def blocks(X):
+        # p_std = [[A, B], [C, D]] with 2 A = h^t - I, C = 0 and D = 2 (h - I)^{-1}
+        p_std = sp.siegel_factorize(X, n)[0]
+        return (sp.scale([r[:m] for r in p_std[:m]], 2), [r[:m] for r in p_std[m:]],
+                [r[m:] for r in p_std[m:]])
 
-    def cayley_roundtrip():
-        for _ in range(30):
-            h = sp.random_symplectic(n, rng)
-            x = sp.cayley_inv(h, n)
-            if not sp.mat_eq(sp.cayley(x, n), h):
-                return 1.0
-        return 0.0
-    checks.append(_check("cayley-roundtrip", cayley_roundtrip, 0.0, args.timing))
+    def parabolic(h):
+        I = sp.eye(m)
+        return sp.sub(sp.transpose(h), I), sp.zeros(m), sp.scale(sp.inverse(sp.sub(h, I)), 2)
 
-    def factorization():
-        done = 0
-        while done < 20:
-            try:
-                sp.siegel_factorize(sp.random_symmetric(n, rng), n)
-            except sp.CayleyPoleError:
-                continue
-            done += 1
-        return 0.0
-    checks.append(_check("siegel-factorization", factorization, 0.0, args.timing))
-
-    def order_check():
+    def formula():
         order, c0 = sp.sp_order(n, args.p)
-        # at n = 1 the formula's order must also be the direct count of SL_2(F_p)
-        if c0 != sp.c0_constant(n, args.p) or (n == 1 and order != sp.sl2_order(args.p)):
-            return 1.0
-        return 0.0
-    checks.append(_check("group-order-c0", order_check, 0.0, args.timing))
+        return (order, c0) if n == 1 else (c0,)
+
+    def count():
+        # c0 as a product, and at n = 1 the order as the direct count of SL_2(F_p)
+        c0 = sp.c0_constant(n, args.p)
+        return (sp.sl2_order(args.p), c0) if n == 1 else (c0,)
+    checks = [
+        # g0 g0^{-1} = I and g0^{-1} w_std g0 = w_Delta
+        Check("standard-elements", lambda: [sp.mul(g["g0"], g["g0_inv"]), sp.mat(g["w_delta"])],
+              lambda: [sp.eye(2 * m), sp.mul(sp.mul(g["g0_inv"], g["w_std"]), g["g0"])],
+              exact, 0.0),
+        Check("cayley-roundtrip", lambda: [sp.cayley(sp.cayley_inv(h, n), n) for h in hs],
+              lambda: hs, exact, 0.0),
+        Check("siegel-factorization", lambda: [blocks(X) for X, _ in drawn],
+              lambda: [parabolic(h) for _, h in drawn], exact, 0.0),
+        Check("group-order-c0", formula, count, exact, 0.0),
+    ]
     return {"verified": "symplectic", "n": n}, checks
 
 
-def cmd_tate_oracle(args):
+def cmd_tate_oracle(args, rng, phi):
     from .abelian import characters, conductor, gamma_factor, tate_gamma_oracle
-    checks = []
-    for chi in characters(args.p, args.level):
-        if conductor(chi) > args.conductor:
-            continue
-
-        def dev(chi=chi):
-            g = gamma_factor(chi, args.psi_sign)
-            worst = 0.0
-            for s in (0.3, 0.5, 0.7):
-                gz = g(complex(args.p) ** (-s))
-                got = tate_gamma_oracle(chi, s, args.psi_sign)
-                worst = max(worst, abs(got - gz) / max(1.0, abs(gz)))
-            return worst
-        checks.append(_check(f"tate-oracle[chi^{chi.exponent}]", dev,
-                             args.tolerance, args.timing))
+    s_values = (0.3, 0.5, 0.7)
+    zs = [complex(args.p) ** (-s) for s in s_values]
+    checks = [Check(f"tate-oracle[chi^{chi.exponent}]",
+                    lambda chi=chi: [tate_gamma_oracle(chi, s, args.psi_sign) for s in s_values],
+                    lambda chi=chi: list(map(gamma_factor(chi, args.psi_sign), zs)),
+                    relative_to_second, args.tolerance)
+              for chi in characters(args.p, args.level) if conductor(chi) <= args.conductor]
     return {"verified": "tate-oracle", "p": args.p}, checks
 
 
@@ -234,66 +275,55 @@ def cmd_fourier_n0(args, rng, phi):
         vals = {(k, u): complex(rng.uniform(-1, 1))
                 for k in range(0, 2) for u in cosets}
         phi = FxFunction(args.p, args.level, 0, 2, vals, TailSpec.compact())
+    points = [(k, u) for k in range(0, 2) for u in cosets]
     table = {}
+    payload = {"verified": "fourier-n0", "input": phi.to_json(), "transform": []}
 
     def transform():
         if not table:
             table.update(fourier_n0_table(phi, -FOURIER_RADIUS, FOURIER_RADIUS,
                                           sign=args.psi_sign))
+            payload["transform"] = [{"k": k, "coset": u, "re": v.real, "im": v.imag}
+                                    for (k, u), v in sorted(table.items()) if abs(v) > 1e-12]
         return table
-
-    checks = []
 
     def inversion():
         ks = [k for k, _ in transform()]
         G = FxFunction(args.p, args.level, min(ks), max(ks) + 1,
                        {ku: complex(v) for ku, v in table.items()},
                        TailSpec.compact())
-        points = [(k, u) for k in range(0, 2) for u in cosets]
-        got = fourier_n0(G, points, sign=-args.psi_sign)
-        return max(abs(g - phi.evaluate(k, u)) for g, (k, u) in zip(got, points))
+        return fourier_n0(G, points, sign=-args.psi_sign)
     # two routes: the table is a character-space product, its inverse the pv kernel sums
-    checks.append(_check("double-transform", inversion, 1e-6, args.timing))
-
-    def plancherel():
-        return abs(l2_norm_truncated(transform(), args.p, args.level, FOURIER_RADIUS)
-                   - l2_norm_fx(phi, FOURIER_RADIUS))
-    checks.append(_check("plancherel-truncated", plancherel, 1e-4, args.timing))
-    payload = {
-        "verified": "fourier-n0",
-        "input": phi.to_json(),
-        "transform": [
-            {"k": k, "coset": u, "re": v.real, "im": v.imag}
-            for (k, u), v in sorted(table.items()) if abs(v) > 1e-12
-        ],
-    }
-    return payload, checks
+    return payload, [
+        Check("double-transform", inversion, lambda: [phi.evaluate(k, u) for k, u in points],
+              absolute, 1e-6),
+        Check("plancherel-truncated",
+              lambda: [l2_norm_truncated(transform(), args.p, args.level, FOURIER_RADIUS)],
+              lambda: [l2_norm_fx(phi, FOURIER_RADIUS)], absolute, 1e-4)]
 
 
-def cmd_shells(args):
-    from .gdist import shell_coefficients_sum
+def cmd_shells(args, rng, phi):
+    from .gdist import shell_coefficients_sum, shells_target
     chi = _character(args.p, args.level, args.conductor)
-    rep = {}
+    payload = {"chi": {"p": args.p, "exponent": chi.exponent, "conductor": args.conductor},
+               "s": args.s}
 
-    def deviation():
-        rep.update(shell_coefficients_sum(chi, args.s, sign=args.psi_sign))
-        return rep["deviation"]
-    checks = [_check("shells-vs-gamma", deviation, SHELLS_TOL, args.timing)]
-    payload = {
-        "chi": {"p": args.p, "exponent": chi.exponent, "conductor": args.conductor},
-        "s": args.s,
-    }
-    if rep:
-        payload["coefficients"] = [
-            {"ell": ell, "re": c.real, "im": c.imag}
-            for ell, c in sorted(rep["coefficients"].items())
-        ]
+    def partial_sum():
+        rep = shell_coefficients_sum(chi, args.s, sign=args.psi_sign)
+        payload["coefficients"] = [{"ell": ell, "re": c.real, "im": c.imag}
+                                   for ell, c in sorted(rep["coefficients"].items())]
         payload["sum"] = [rep["sum"].real, rep["sum"].imag]
-        payload["target"] = [rep["target"].real, rep["target"].imag]
-    return payload, checks
+        return [rep["sum"]]
+
+    def target():
+        value = shells_target(chi, args.s, sign=args.psi_sign)
+        payload["target"] = [value.real, value.imag]
+        return [value]
+    return payload, [Check("shells-vs-gamma", partial_sum, target, relative_to_second,
+                           SHELLS_TOL)]
 
 
-def cmd_phi_eval(args, rng):
+def cmd_phi_eval(args, rng, phi):
     from . import symplectic as sp
     from .gdist import GPoint, phi_rho_eval
     from .padic import PadicElement
@@ -302,32 +332,27 @@ def cmd_phi_eval(args, rng):
         v = phi_rho_eval(GPoint(a, ()), args.level, args.psi_sign)
         return {"phi": [v.real, v.imag], "n": 0}, []
     h = sp.random_symplectic(args.n, rng)
-    point = GPoint(a, tuple(map(tuple, h)))
-    v = phi_rho_eval(point, args.level, args.psi_sign)
-    checks = []
-
-    def inv_symmetry():
-        w = phi_rho_eval(GPoint(a, tuple(map(tuple, sp.inverse(h)))), args.level, args.psi_sign)
-        return abs(w - v)
-    checks.append(_check("phi(h)=phi(h^-1)", inv_symmetry, 1e-9, args.timing))
+    v = phi_rho_eval(GPoint(a, tuple(map(tuple, h))), args.level, args.psi_sign)
+    checks = [Check("phi(h)=phi(h^-1)",
+                    lambda: [phi_rho_eval(GPoint(a, tuple(map(tuple, sp.inverse(h)))), args.level,
+                                          args.psi_sign)],
+                    lambda: [v], absolute, 1e-9)]
     return {"phi": [v.real, v.imag], "n": args.n,
             "h": [[str(x) for x in row] for row in h]}, checks
 
 
-# every verb: its command, called with the parsed flags, a Random(--seed)
-# and the --fx-in function (or None)
 VERBS = {
-    "gamma": lambda args, rng, phi: cmd_gamma(args),
-    "beta": lambda args, rng, phi: cmd_beta(args),
-    "eta-table": lambda args, rng, phi: cmd_eta_table(args),
-    "verify fe-gl1": lambda args, rng, phi: cmd_verify_fe_gl1(args, rng),
-    "verify fe-pvs": lambda args, rng, phi: cmd_verify_fe_pvs(args, rng),
-    "count-fibers": lambda args, rng, phi: cmd_count_fibers(args),
-    "symplectic-check": lambda args, rng, phi: cmd_symplectic_check(args, rng),
-    "tate-oracle": lambda args, rng, phi: cmd_tate_oracle(args),
+    "gamma": cmd_gamma,
+    "beta": cmd_beta,
+    "eta-table": cmd_eta_table,
+    "verify fe-gl1": cmd_verify_fe_gl1,
+    "verify fe-pvs": cmd_verify_fe_pvs,
+    "count-fibers": cmd_count_fibers,
+    "symplectic-check": cmd_symplectic_check,
+    "tate-oracle": cmd_tate_oracle,
     "fourier-n0": cmd_fourier_n0,
-    "shells": lambda args, rng, phi: cmd_shells(args),
-    "phi-eval": lambda args, rng, phi: cmd_phi_eval(args, rng),
+    "shells": cmd_shells,
+    "phi-eval": cmd_phi_eval,
 }
 
 
@@ -457,57 +482,61 @@ def _read_inputs(args):
     return phi
 
 
+def _beta_exponent(n, p, e):
+    """The largest power of p among the float coefficients of beta_psi(chi_s)
+    at a character of conductor e, as the factors' shifts scale them: each
+    gamma factor's top coefficient, times |G| = p^(e/2) at a ramified one.
+    beta, eta-table and phi-eval print NaN at the first n where it passes
+    float64, at p = 3 to 999983 and every conductor up to level 6."""
+    if e == 0:
+        return 2 * n * n - 1
+    return 2 * n * n - n if e == 1 and p == 3 else e * (n * n + n / 2)   # chi^2 trivial or not
+
+
 def _validate(args, verb, phi):
-    """The one input boundary: p an odd prime, n >= 0, level, k, m >= 1, a
-    finite tolerance >= 0, shells at a finite s > -1/2 (where its sums
-    converge), --fx-in shells on unit cosets 1 <= u < p^level inside the
-    window k_min <= k < k_tail (checked once p and level are bounded, as
-    p^level of an unchecked level is unbounded), and the rows a verb builds
-    within ROW_BUDGET: the phi(p^level) units of the level, the (|ord| + 1)
-    terms of each unit's eta series in phi-eval, the (kmax - kmin + 1) phi
-    rows of an eta table and its (kmax + 1) series terms per unit, and the
-    p^k rows of a count table.
-    shells sums the shells ell <= ELL_MAX; at conductor 0 shell ell >= 0 adds
-    (1 - 1/q) q^-(ell (s + 1/2)), so twice q^-((ELL_MAX + 1)(s + 1/2)) must be
-    within SHELLS_TOL: s > -0.31786 at p = 3 (s = -0.45 read 3.6e-2 there).
-    verify fe-pvs needs n <= 1, k >= 2 (the depth of its series cross-check)
-    and 2 p^(k+2) <= ROW_BUDGET: that keeps p <= 13 at k >= 3, below the
-    p = 41 where the k = 3 series cross-check of the shifted function fails
-    (1.2e-12 > SERIES_TOL; p = 37 passes in 1.6 s), and p <= 23 at k = 2,
-    below the p = 59 where the float partial fractions of the exact series
-    stop cancelling.  verify fe-gl1 needs n <= 2: from n = 3 the
-    float partial fractions of the Fourier operator's Mellin components lose
-    the poles to rounding (at p = 5, level 2, n = 4 every check fails), until
-    pole arithmetic is exact.  tate-oracle averages over every unit mod
-    p^level once per character of conductor <= c, phi(p^c) of them (1 at
-    c = 0), so that product must be within ROW_BUDGET too: 7.1e5 at
-    (p, level, c) = (3, 7, 6) takes about 2.4 s, while 2.1e6 at (3, 7, 7)
-    takes about 7 s and 1e8 at (101, 2, 2) runs for minutes.
-    symplectic-check needs 1 <= n <= 4: Sp_0 is trivial, and its exact
-    checks eliminate over 2n x 2n rational matrices whose entries grow with
-    n, 0.4 s at n = 4, 0.8 s at n = 5, 1.6 s at n = 6 and 8 s at n = 8; at
-    n = 1 it counts SL_2(F_p) over all p^4 matrices, so p^4 <= ROW_BUDGET:
-    p <= 31.
-    fourier-n0 inverts its table pointwise: each of its 2 units points sums
-    every shell of the table against units cosets, so units^2 <= ROW_BUDGET
-    (p = 3 to level 6, p = 5 to level 4, p <= 997 at level 1).  The slowest
-    accepted input, p = 997 at level 1, takes about 2.5 s, and p = 3 at
-    level 7 would take 7-9 s.  An --fx-in must be compactly supported, as
-    only then are the kernel sums of its transform finite.  Its window
-    k_min <= k < k_tail widens the table's eta reads to
-    (k_tail - k_min + 2 FOURIER_RADIUS) rows and each unit's eta series to
-    the shell k_tail - 1 + FOURIER_RADIUS, each times units within
-    ROW_BUDGET, as for an eta table: at the corner, p = 3 at level 1 with
-    shells 499975 apart, it takes about 1.9 s."""
+    """The one input boundary: n >= 0, level, k, m >= 1, p an odd prime
+    (tested once the units are within budget, as trial division is slow past
+    it), a finite tolerance >= 0, --fx-in shells on unit cosets
+    1 <= u < p^level inside k_min <= k < k_tail (checked once p and level are
+    bounded), and the rows a verb builds within ROW_BUDGET: the phi(p^level)
+    units; phi-eval's (|ord| + 1) eta terms per unit; an eta table's
+    (kmax - kmin + 1) rows and (kmax + 1) terms per unit; a count table's p^k
+    rows; fe-pvs's 2 p^(k+2), which keeps p <= 13 at k >= 3, below the p = 41
+    where the k = 3 series cross-check of the shifted function fails, and
+    p <= 23 at k = 2, below the p = 59 where the exact series' float partial
+    fractions stop cancelling; tate-oracle's units per character of
+    conductor <= c; and fourier-n0's units^2 (p = 997 at level 1 takes
+    2.5 s) and, for an --fx-in, its eta rows and series widened by its window.
+    verify fe-pvs also needs n <= 1 and k >= 2, the depth of its series
+    cross-check; verify fe-gl1 needs n <= 2: from n = 3 the float partial
+    fractions of the Fourier operator's Mellin components lose the poles to
+    rounding.  beta, eta-table and phi-eval need beta's float coefficients
+    within float64 (`_beta_exponent`): beta at its character, the other two
+    at every character of the level, whose eta series they build.  shells
+    needs s > -1/2, where its sums converge, and at conductor 0 twice the
+    first shell past ELL_MAX, q^-((ELL_MAX + 1)(s + 1/2)), within SHELLS_TOL:
+    s > -0.31786 at p = 3.  symplectic-check needs 1 <= n <= 4, as Sp_0 is
+    trivial and its exact elimination slows with n (0.4 s at n = 4, 8 s at
+    n = 8), and, at n = 1, p^4 <= ROW_BUDGET (p <= 31) for its count of
+    SL_2(F_p).  fourier-n0 needs a compactly supported --fx-in: only then
+    are its kernel sums finite."""
     from .padic import LocalFieldConfig
     from .pvszeta import ROW_BUDGET, check_rows
-    LocalFieldConfig(args.p)
     for name, low in (("n", 0), ("level", 1), ("k", 1), ("m", 1)):
         if getattr(args, name) < low:
             raise UsageError(f"--{name} must be >= {low}, got {getattr(args, name)}")
-    # past level 20 the units are over budget at every p, so the power stops there
+    # past the power p^20 every table is over budget at every p, so powers stop
+    # there; the budget comes before the primality test, which is slow for large p
     units = (args.p - 1) * float(args.p) ** min(args.level - 1, 20)
     check_rows(units)
+    LocalFieldConfig(args.p)
+    if verb in ("beta", "eta-table", "phi-eval"):
+        conductors = [min(args.conductor, args.level)] if verb == "beta" else range(args.level + 1)
+        exponent = max(_beta_exponent(args.n, args.p, e) for e in conductors)
+        if exponent * math.log10(args.p) > math.log10(sys.float_info.max):
+            raise UsageError(f"{verb} at --n {args.n} and --p {args.p}: beta's float "
+                             f"coefficients reach p^{exponent:g}, past float64, until "
+                             f"pole arithmetic is exact")
     if phi is not None:
         if phi.k_min > phi.k_tail:
             raise UsageError(f"invalid input file: k_min = {phi.k_min} > k_tail = {phi.k_tail}")
@@ -525,7 +554,7 @@ def _validate(args, verb, phi):
             raise UsageError(f"shells needs a finite --s > {s_min:.6f} at conductor "
                              f"{args.conductor}: its sums stop at shell {ELL_MAX}, got {args.s}")
     elif verb == "count-fibers":
-        check_rows(float(args.p) ** args.k)
+        check_rows(float(args.p) ** min(args.k, 20))
         # every count is at most p^(k d); Python prints ints of up to 4300 digits
         if args.k * args.m * (args.m + 1) // 2 * math.log10(args.p) >= 4300:
             raise UsageError(f"count-fibers: p^(k m(m+1)/2) has over 4300 digits at --m {args.m}")
@@ -563,7 +592,7 @@ def _validate(args, verb, phi):
             raise UsageError(f"verify fe-pvs needs --n <= 1 (Sym_1 or Sym_3), got {args.n}")
         if args.k < 2:
             raise UsageError(f"verify fe-pvs needs --k >= 2, got {args.k}")
-        check_rows(2 * float(args.p) ** (args.k + 2))
+        check_rows(2 * float(args.p) ** min(args.k + 2, 20))
 
 
 def run_parsed(args) -> tuple[dict, int]:
@@ -574,6 +603,7 @@ def run_parsed(args) -> tuple[dict, int]:
         phi_in = _read_inputs(args)
         _validate(args, verb, phi_in)
         payload, checks = VERBS[verb](args, random.Random(args.seed), phi_in)
+        checks = [run_check(check, args.timing) for check in checks]
     except PadicharmError as exc:
         sys.stderr.write(str(exc) + "\n")
         return {"error": str(exc)}, 2

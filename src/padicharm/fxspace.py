@@ -395,23 +395,20 @@ def pv_convolve(kernel_row, f: FxFunction, points) -> list:
 def fe_gl1_sides(f: FxFunction, n: int, sign: int = 1):
     """The character-free parts of the GL(1) functional equation, once per f:
     (M(L(f) |.|^{-(2n+1)/2}), M(f |.|^{(2n+1)/2})), each side from its own
-    transform of f (fourier_L builds the left's); fe_gl1_compare reads one
-    character off each."""
+    transform of f (fourier_L builds the left's); fe_gl1_side reads one
+    character off either."""
     Lf = fourier_L(f, n, sign)
     Zg = mellin_transform(f.scale_by_power(Fraction(2 * n + 1, 2)))
     return mellin_transform(Lf.scale_by_power(Fraction(-(2 * n + 1), 2))), Zg
 
 
-def fe_gl1_compare(sides, n: int, chi: UnitCharacter, sign: int = 1) -> float:
-    """The largest relative deviation, at five sample points z, of
-    M(L(f) |.|^{-(2n+1)/2})(z^{-1}, chi^{-1}) from
-    beta_psi(chi_s) M(f |.|^{(2n+1)/2})(z, chi); the caller judges it."""
+def fe_gl1_side(sides, i: int, n: int, chi: UnitCharacter, sign: int = 1) -> list:
+    """Side i of the GL(1) functional equation at chi, as its values at five
+    sample points z: M(L(f) |.|^{-(2n+1)/2})(z^{-1}, chi^{-1}) at i = 0, and
+    beta_psi(chi_s) M(f |.|^{(2n+1)/2})(z, chi) at i = 1."""
     A, B = sides
     chi = chi.at_level(B.level)
-    lhs = A.component(chi.inverse()).substitute("invert")
-    rhs = beta_factor(n, chi, sign) * B.component(chi)
-    q = float(B.p)
-    z_samples = [0.45 * q ** -0.5, 0.8 * q ** -0.5 * 1j,
-                 (0.3 + 0.4j) * q ** -0.5, -0.22, 0.15 - 0.33j]
-    return lhs.max_relative_deviation(rhs, z_samples)
-
+    R = (A.component(chi.inverse()).substitute("invert") if i == 0
+         else beta_factor(n, chi, sign) * B.component(chi))
+    r = float(B.p) ** -0.5
+    return [R(z) for z in (0.45 * r, 0.8 * r * 1j, (0.3 + 0.4j) * r, -0.22, 0.15 - 0.33j)]

@@ -143,8 +143,7 @@ STABLE_TOL = 1e-9   # three consecutive partial sums this close are stable
 
 def shell_coefficients_sum(chi: UnitCharacter, s: complex, sign: int = 1) -> dict:
     """Partial sums of sum_ell f_ell(chi_s) over ELL_MIN <= ell <= ELL_MAX,
-    and the abelian gamma target
-    Gamma(1/2, chi_s^{-1}) = gamma(1/2 - s, chi^{-1}, psi).
+    whose target is `shells_target`.
 
     f_ell = z^ell avg_u eta(p^ell u) chi(u), z = q^{-s}, is z^ell times eta's
     chi-component on shell ell, read off one eta_column of beta_psi(chi_s^{-1}).
@@ -177,13 +176,11 @@ def shell_coefficients_sum(chi: UnitCharacter, s: complex, sign: int = 1) -> dic
             if abs(a - b) <= STABLE_TOL * scale and abs(b - cc) <= STABLE_TOL * scale:
                 stable_at = radius
                 break
-    # target: gamma(1/2 - s, chi^{-1}, psi) evaluated through the closed form
-    g = gamma_factor(chi.inverse(), sign)
-    target = g(complex(p) ** (-0.5) / z)
-    return {
-        "coefficients": coeffs,
-        "sum": total,
-        "target": target,
-        "stable_at": stable_at,
-        "deviation": abs(total - target) / max(1.0, abs(target)),
-    }
+    return {"coefficients": coeffs, "sum": total, "stable_at": stable_at}
+
+
+def shells_target(chi: UnitCharacter, s: complex, sign: int = 1) -> complex:
+    """The value the shell sums converge to, through the closed form:
+    Gamma(1/2, chi_s^{-1}) = gamma(1/2 - s, chi^{-1}, psi)."""
+    z = complex(chi.p) ** (-complex(s))
+    return gamma_factor(chi.inverse(), sign)(complex(chi.p) ** (-0.5) / z)

@@ -23,8 +23,8 @@ a rational generating function of det over Sym_m(Z_p), one per state, with
 the known denominator prod_{s <= m} (1 - p^(-2 d_s) z^(2s)).  Summed over a
 job's census cells, it gives the Mellin transform of every fiber function
 the recursion serves exactly, and the depth-k shells above cross-check it.
-fe_pvs_compare measures the functional equation of those rational functions,
-and returns its deviation for the caller to judge.
+fe_pvs_side evaluates either side of the functional equation of those
+rational functions, for the caller to compare.
 At m = 1 (n = 0) det is the identity, so f_Phi = Phi, and the functional
 equation is Tate's.
 
@@ -640,31 +640,31 @@ def pvs_route_transform(Phi: LatticeTestFunction, p: int, k: int, n: int = 1,
 def fe_pvs_sides(Phi: LatticeTestFunction, n: int, p: int, k: int, sign: int = 1):
     """The character-free parts of the prehomogeneous functional equation,
     once per Phi: (M(f_Phi), M(f_{rho Phi^})), each from its own counts.
-    fe_pvs_compare reads one character off each."""
+    fe_pvs_side reads one character off either."""
     if Phi.m != 2 * n + 1:
         raise PvsError("size/n mismatch")
     return (mellin_transform(fiber_function(Phi, False, p, k, sign)),
             mellin_transform(fiber_function(lattice_fourier(Phi, p, sign), True, p, k, sign)))
 
 
-def fe_pvs_compare(sides, n: int, chi: UnitCharacter, sign: int = 1) -> float:
-    """The odd-p prehomogeneous functional equation at one character
+def fe_pvs_side(sides, i: int, n: int, chi: UnitCharacter, sign: int = 1) -> list:
+    """Side i of the odd-p prehomogeneous functional equation at one character
 
-        chi^{-2n}(2) Z_{rho Phi^}(-s-1/2, chi^{-1})
-            = beta_psi(chi_s) Z_Phi(s+1/2-(n+1), chi),
+        chi^{-2n}(2) Z_{rho Phi^}(-s-1/2, chi^{-1})      (i = 0)
+            = beta_psi(chi_s) Z_Phi(s+1/2-(n+1), chi)    (i = 1),
 
-    as the largest relative deviation of the two sides at ten sample points
-    z; the caller judges it."""
+    as its values at ten sample points z."""
     M_plus, M_minus = sides
     p, q = M_plus.p, float(M_plus.p)
     chi = chi.at_level(1)
-    # Z(s',.) = (1-1/q) M(f)(s'+1): the shifts below are s' = s+1/2-(n+1)
-    # on the plus side and s' = -s-1/2 on the minus side
-    rhs = (beta_factor(n, chi, sign)
-           * M_plus.component(chi).substitute("scale", q ** (n - 0.5)) * (1 - 1.0 / q))
-    lhs = (M_minus.component(chi.inverse()).substitute("scale", q ** -0.5)
-           .substitute("invert") * (1 - 1.0 / q))
-    lhs = lhs * chi.inverse().value(2 % p**chi.level) ** (2 * n)
-    return lhs.max_relative_deviation(rhs, [0.41, 0.27j, -0.35, 0.22 + 0.31j, 0.55,
-                                            -0.13 - 0.4j, 0.61j, 0.18 - 0.22j, -0.52j,
-                                            0.33 + 0.1j])
+    # Z(s',.) = (1-1/q) M(f)(s'+1): the shifts below are s' = -s-1/2 on the
+    # minus side and s' = s+1/2-(n+1) on the plus side
+    if i == 0:
+        R = (M_minus.component(chi.inverse()).substitute("scale", q ** -0.5)
+             .substitute("invert") * (1 - 1.0 / q))
+        R = R * chi.inverse().value(2 % p**chi.level) ** (2 * n)
+    else:
+        R = (beta_factor(n, chi, sign)
+             * M_plus.component(chi).substitute("scale", q ** (n - 0.5)) * (1 - 1.0 / q))
+    return [R(z) for z in (0.41, 0.27j, -0.35, 0.22 + 0.31j, 0.55, -0.13 - 0.4j, 0.61j,
+                           0.18 - 0.22j, -0.52j, 0.33 + 0.1j)]

@@ -26,8 +26,8 @@ scalar c enters a product as the one-coefficient function c / 1, built by
 `_make`, so `_trim` alone decides what a coefficient becomes; `_pmul` takes a
 one-coefficient operand in one pass, 0 + x * y per coefficient, the floats
 of its double loop, signed zeros included.  A non-finite coefficient is
-never trimmed to zero, and a non-finite sample makes a deviation infinite,
-so a NaN never reads as zero or as agreement.
+never trimmed to zero, and a non-finite sample fails `equals`, so a NaN
+never reads as zero or as agreement.
 """
 
 from __future__ import annotations
@@ -201,21 +201,6 @@ class RationalFunctionZ:
             if not abs(a - b) / max(abs(a), abs(b), 1.0) <= tol:
                 return False
         return True
-
-    def max_relative_deviation(self, other, samples=None) -> float:
-        """The largest |a - b| / max(|a|, |b|, 1) over the samples; inf when a
-        value at a sample is not finite, which no tolerance passes."""
-        other = _coerce(other)
-        worst = 0.0
-        for z in samples if samples is not None else _SAMPLES:
-            z = complex(z)
-            a = _peval(self.num, z) / _peval(self.den, z)
-            b = _peval(other.num, z) / _peval(other.den, z)
-            dev = abs(a - b) / max(abs(a), abs(b), 1.0)
-            if not math.isfinite(dev):
-                return math.inf
-            worst = max(worst, dev)
-        return worst
 
     # ---- substitutions ----
     def substitute(self, rule: str, c=None) -> "RationalFunctionZ":

@@ -185,9 +185,10 @@ def doubling_embed(h1: Matrix, h2: Matrix, n: int) -> Matrix:
 @lru_cache(maxsize=None)
 def standard_elements(n: int) -> dict:
     """The fixed matrices of the doubling geometry: g0, g0^{-1}, w_Delta,
-    w_std, J_{2n}; all verified symplectic and mutually consistent.  Built
-    and verified once per n: every caller shares the one dict, whose
-    matrices are tuples of row tuples, and must not write to it."""
+    w_std, J_{2n}; all verified symplectic (symplectic-check compares
+    g0 g0^{-1} and g0^{-1} w_std g0 with I and w_Delta).  Built and verified
+    once per n: every caller shares the one dict, whose matrices are tuples
+    of row tuples, and must not write to it."""
     I, z = eye(n), zeros(n)
     # c I_n for c = -1, 1/2, -1/2, 2, -2
     m, h, mh, t, mt = (scale(I, c) for c in (-1, Fraction(1, 2), Fraction(-1, 2), 2, -2))
@@ -197,13 +198,9 @@ def standard_elements(n: int) -> dict:
     w_std = block([[z, z, z, mh], [z, z, h, z], [z, t, z, z], [mt, z, z, z]])
     out = {"g0": g0, "g0_inv": g0_inv, "w_delta": w_delta, "w_std": w_std,
            "J2n": J(2 * n)}
-    if not mat_eq(mul(g0, g0_inv), eye(4 * n)):
-        raise SymplecticError("g0 inverse mismatch")
     for name in ("g0", "w_delta", "w_std"):
         if not is_symplectic(out[name], 2 * n):
             raise SymplecticError(f"{name} is not symplectic")
-    if not mat_eq(w_delta, mul(mul(g0_inv, w_std), g0)):
-        raise SymplecticError("w_delta != g0^{-1} w_std g0")
     return {name: tuple(map(tuple, M)) for name, M in out.items()}
 
 
@@ -232,10 +229,7 @@ def cayley_inv(h: Matrix, n: int) -> Matrix:
         den_inv = inverse(sub(I, h))
     except SymplecticError:
         raise CayleyPoleError("Cayley pole: h has eigenvalue 1") from None
-    X = scale(mul(mul(J(n), den_inv), add(I, h)), Fraction(1, 2))
-    if not mat_eq(X, transpose(X)):
-        raise SymplecticError("cayley_inv produced a non-symmetric matrix")
-    return X
+    return scale(mul(mul(J(n), den_inv), add(I, h)), Fraction(1, 2))
 
 
 def n_std(X: Matrix, n: int) -> Matrix:
@@ -248,20 +242,14 @@ def siegel_factorize(X: Matrix, n: int):
     """w_std n_std(X) = p_std * g0 (h, I) g0^{-1} with h = cayley(X).
 
     Returns (p_std, h).  p_std lies in the standard Siegel parabolic (its
-    inverse has vanishing lower-left 2n x 2n block) and its Levi block is
-    diag((1/2)(h^t - I), 2 (h - I)^{-1}).
+    lower-left 2n x 2n block vanishes) and its Levi block is
+    diag((1/2)(h^t - I), 2 (h - I)^{-1}): symplectic-check compares both.
     """
     h = cayley(X, n)
     std = standard_elements(n)
     rhs = mul(mul(std["g0"], doubling_embed(h, eye(2 * n), n)), std["g0_inv"])
     lhs = mul(std["w_std"], n_std(X, n))
-    p_std = mul(lhs, inverse(rhs))
-    # sanity: the factorization identity itself
-    if not mat_eq(lhs, mul(p_std, rhs)):
-        raise SymplecticError("Siegel factorization identity failed")
-    if any(x for row in inverse(p_std)[2 * n:] for x in row[:2 * n]):
-        raise SymplecticError("p_std^{-1} lower-left block is not zero")
-    return p_std, h
+    return mul(lhs, inverse(rhs)), h
 
 
 def sp_order(n: int, q: int):

@@ -40,9 +40,10 @@ the shell from eta's coset values, is the oracle of the single character
 component that `gdist.shell_coefficients_sum` reads.
 
 The two functional equations, written out from the paper's statements, are
-the oracles of `fxspace.fe_gl1_compare` and `pvszeta.fe_pvs_compare`: each
-says whether its two sides are equal as rational functions, at the 20
-sample points of `RationalFunctionZ.equals`.
+the oracles of `fxspace.fe_gl1_side` and `pvszeta.fe_pvs_side`, which the
+verbs compare at a few sample points: each says whether its two sides are
+equal as rational functions, at the 20 sample points of
+`RationalFunctionZ.equals`.
 
 The GL(1) shortcuts meet the longer forms they replace, which must give the
 very same floats: for the batched `gdist.fourier_n0` and

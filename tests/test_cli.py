@@ -279,6 +279,23 @@ def test_fourier_n0_consumes_fx_json(tmp_path):
     # tolerance: at s = -0.45 the check read 3.6e-2 at p = 3 and 2.8e-5 at p = 31
     ["shells", "--p", "3", "--conductor", "0", "--s", "-0.45"],
     ["shells", "--p", "31", "--level", "1", "--conductor", "0", "--s", "-0.45"],
+    # beta's float coefficients past float64: beta and eta-table printed NaN
+    # from n = 18, 15, 11 and 8 at p = 3, 5, 31 and 997, and raised
+    # OverflowError from n = 163 (beta) and 125 (eta-table) at p = 3;
+    # phi-eval printed NaN from n = 12 at p = 31 and took 30 s at p = 3, n = 32
+    ["beta", "--p", "3", "--n", "18", "--level", "1"],
+    ["beta", "--p", "5", "--n", "15", "--level", "1"],
+    ["beta", "--p", "31", "--n", "11", "--level", "1"],
+    ["beta", "--p", "997", "--n", "8", "--level", "1"],
+    ["beta", "--p", "3", "--n", "163"],
+    ["beta", "--p", "997", "--n", "27", "--level", "1"],
+    ["eta-table", "--p", "3", "--n", "18"],
+    ["eta-table", "--p", "997", "--n", "8", "--level", "1"],
+    ["eta-table", "--p", "3", "--n", "125"],
+    ["eta-table", "--p", "31", "--n", "31", "--level", "1"],
+    ["phi-eval", "--p", "31", "--n", "12", "--level", "1"],
+    ["phi-eval", "--p", "997", "--n", "8", "--level", "1"],
+    ["phi-eval", "--p", "3", "--n", "32"],
 ])
 def test_invalid_input_is_a_json_error(argv, capsys, tmp_path):
     if "--config" in argv:
@@ -287,6 +304,54 @@ def test_invalid_input_is_a_json_error(argv, capsys, tmp_path):
     assert main(argv) == 2
     rep = json.loads(capsys.readouterr().out)
     assert list(rep) == ["error"] and rep["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    # 3^100000 rows, once an OverflowError of float(p) ** k
+    ["count-fibers", "--p", "3", "--k", "100000"],
+    ["verify", "fe-pvs", "--p", "3", "--k", "100000"],
+    # 2^61 - 1 is prime, and trial division took over 10 s to say so
+    ["gamma", "--p", "2305843009213693951"],
+])
+def test_huge_inputs_are_refused_at_once(argv, capsys):
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 2
+    rep = json.loads(capsys.readouterr().out)
+    assert list(rep) == ["error"] and "budget" in rep["error"]
+
+
+@pytest.mark.parametrize("verb, p, level, conductor", [
+    ("beta", 3, 1, 0), ("beta", 3, 2, 1), ("beta", 5, 1, 1), ("beta", 31, 2, 2),
+    ("beta", 997, 1, 0), ("beta", 3, 6, 6), ("eta-table", 3, 2, 0), ("eta-table", 997, 1, 0),
+    ("phi-eval", 31, 1, 0), ("phi-eval", 997, 1, 0),
+])
+def test_the_float_bound_on_n_is_where_beta_leaves_float64(verb, p, level, conductor):
+    # the largest n the boundary accepts prints finite numbers; beta at the
+    # next n printed NaN before the boundary refused it
+    from padicharm import PadicharmError
+    from padicharm.abelian import beta_factor
+    from padicharm.cli import _character, _validate, parse_args
+
+    def argv(n):
+        return [verb, "--p", str(p), "--level", str(level), "--conductor", str(conductor),
+                "--n", str(n)]
+
+    def accepted(n):
+        try:
+            _validate(parse_args(argv(n)), verb, None)
+        except PadicharmError:
+            return False
+        return True
+    n = max(n for n in range(40) if accepted(n))
+    assert not any(accepted(m) for m in range(n + 1, 200))
+    rep, code = run(argv(n))
+    assert code == 0
+    strict_json(json.dumps(rep))
+    if verb == "beta":
+        nan = beta_factor(n + 1, _character(p, level, conductor)).to_json()
+        with pytest.raises(ValueError):
+            strict_json(json.dumps(nan))
 
 
 @pytest.mark.parametrize("p, level, conductor", [(3, 7, 6), (5, 3, 3), (5, 2, 2), (3, 7, 0)])
@@ -323,10 +388,39 @@ def test_shells_near_minus_one_half_passes_where_accepted(argv):
 @pytest.mark.parametrize("tolerance", [1e-6])
 @pytest.mark.parametrize("dev", [float("nan"), float("inf"), -float("inf")])
 def test_a_non_finite_deviation_is_an_error(dev, tolerance):
-    from padicharm.cli import _check
-    out = _check("x", lambda: dev, tolerance, False)
+    from padicharm.cli import Check, run_check
+    out = run_check(Check("x", lambda: [0.0], lambda: [0.0], lambda a, b: dev, tolerance),
+                    False)
     assert out["status"] == "error" and out["max_deviation"] is None
     json.dumps(out, allow_nan=False)    # the report stays valid JSON
+
+
+def test_a_nan_side_deviates_infinitely_under_every_compare():
+    # moved from tests/test_ratfunc.py with RationalFunctionZ.max_relative_deviation:
+    # a side that is not finite at a sample deviates infinitely
+    import math
+    from padicharm.cli import absolute, relative, relative_to_second
+    from padicharm.ratfunc import _SAMPLES, RationalFunctionZ
+    nan = float("nan")
+    R = RationalFunctionZ([1.0, 0.5])
+
+    def at(F, samples=_SAMPLES):
+        return [F(z) for z in samples]
+    for compare in (relative, relative_to_second, absolute):
+        assert compare(at(R), at(RationalFunctionZ([1.0, nan]))) == math.inf
+        assert compare(at(RationalFunctionZ([nan, 1.0]), [0.3]), at(R, [0.3])) == math.inf
+        assert compare(at(R, [0.5j]), at(R * math.inf, [0.5j])) == math.inf
+        assert compare(at(R), at(RationalFunctionZ([1.0, 0.5]))) == 0.0
+
+
+def test_compares_read_their_formula():
+    from padicharm.cli import absolute, exact, relative, relative_to_second
+    assert relative([3.0], [2.0]) == 1 / 3 and relative([0.5], [0.25]) == 0.25
+    assert relative_to_second([3.0], [2.0]) == 0.5 and relative_to_second([0.5], [0.0]) == 0.5
+    assert absolute([3.0, 1.0], [2.0, 1.5]) == 1.0
+    assert exact([[1, 2]], [[1, 2]]) == 0.0 and exact((1,), (2,)) == 1.0
+    with pytest.raises(ValueError):
+        relative([1.0, 2.0], [1.0])     # unpaired values
 
 
 @pytest.mark.parametrize("argv, reason", [

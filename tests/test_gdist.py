@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from padicharm.abelian import UnitCharacter, characters, conductor
+from padicharm.cli import relative_to_second
 from padicharm.fxspace import FxFunction, TailSpec
 from padicharm.gdist import (GDistError, GPoint, fourier_n0, fourier_n0_table,
                              l2_norm_fx, l2_norm_truncated, phi_rho_eval,
-                             shell_coefficients_sum)
+                             shell_coefficients_sum, shells_target)
 from padicharm.padic import PadicElement, psi_frac, unit_group
 from padicharm.symplectic import random_symplectic, mul, inverse
 from oracles import pointwise_fourier_n0, shell_coefficient_by_units
@@ -230,7 +231,8 @@ def test_shell_coefficients_match_abelian_gamma():
         for s in (0.7, 0.52 + 0.2j):
             rep = shell_coefficients_sum(chi, s)
             assert rep["stable_at"] is not None
-            assert rep["deviation"] < 1e-5, (chi, s, rep["deviation"])
+            dev = relative_to_second([rep["sum"]], [shells_target(chi, s)])
+            assert dev < 1e-5, (chi, s, dev)
 
 
 @pytest.mark.parametrize("p, level", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3),
@@ -269,7 +271,8 @@ def test_shell_coefficients_reach_high_conductors(p, level, e):
     rep = shell_coefficients_sum(chi, 0.7)
     nonzero = [ell for ell, c in rep["coefficients"].items() if abs(c) > 1e-12]
     assert nonzero == [-e] and rep["stable_at"] == e + 2
-    assert rep["deviation"] < 1e-9, (chi, rep["deviation"])
+    dev = relative_to_second([rep["sum"]], [shells_target(chi, 0.7)])
+    assert dev < 1e-9, (chi, dev)
 
 
 def test_shell_coefficients_divergence_guard():

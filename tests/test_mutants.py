@@ -1,10 +1,14 @@
-"""Mutants that a verb must catch.
+"""Mutants that a verb must catch, and the known survivors.
 
 Each entry of MUTANTS names one semantic fault: a function of src/padicharm,
 a text that occurs exactly once in it, its replacement, and the invocations
 that must exit 1 under it.  The test copies src/ to a temporary directory,
 applies the one replacement there, and runs each invocation in a fresh
 interpreter on the copy.  No mutation package is needed.
+
+SURVIVORS holds the faults that no check catches yet, with the ROADMAP items
+that will, as strict expected failures: each of its invocations must still
+exit 0 under the mutant, so the change that kills one moves it to MUTANTS.
 """
 
 import ast
@@ -34,6 +38,23 @@ MUTANTS = [
 ]
 
 
+# (name, module, function, old text, new text, invocations, the ROADMAP items
+# whose checks will catch it)
+SURVIVORS = [
+    # Phi's exponent of |det(h + I)| as (2n-1)/2: phi(h) = phi(h^-1) holds for
+    # any exponent
+    ("phi-exponent", "gdist", "phi_rho_eval",
+     "(2 * n + 1) / 2.0", "(2 * n - 1) / 2.0",
+     [["phi-eval", "--p", "3", "--n", "1", "--ord", "1", "--unit", "2", "--level", "1",
+       "--seed", str(seed)] for seed in (0, 5)], "items 12, 16 and 21"),
+    # psi's sign flipped in the lattice Fourier transform's phase
+    ("lattice-phase-sign", "pvszeta", "lattice_fourier",
+     "psi_frac(p, tr, -piece.r, sign)", "psi_frac(p, tr, -piece.r, -sign)",
+     [["verify", "fe-pvs", "--p", str(p), "--n", "1", "--k", str(k)]
+      for p, k in ((5, 2), (7, 4), (13, 3))], "item 13's lattice-phase check"),
+]
+
+
 def mutate(src: Path, module: str, function: str, old: str, new: str) -> None:
     """Replace old by new in the top-level function of src/padicharm/module.py,
     where old must occur exactly once."""
@@ -47,9 +68,8 @@ def mutate(src: Path, module: str, function: str, old: str, new: str) -> None:
     path.write_text("".join(lines[:start]) + body.replace(old, new) + "".join(lines[end:]))
 
 
-@pytest.mark.parametrize("name, module, function, old, new, invocations", MUTANTS,
-                         ids=[m[0] for m in MUTANTS])
-def test_mutant_is_caught(name, module, function, old, new, invocations, tmp_path):
+def exits(tmp_path, module, function, old, new, invocations):
+    """(argv, exit code, stdout tail) of each invocation on a mutated copy of src/."""
     copy = tmp_path / "src"
     shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
     mutate(copy, module, function, old, new)
@@ -57,4 +77,19 @@ def test_mutant_is_caught(name, module, function, old, new, invocations, tmp_pat
     for argv in invocations:
         proc = subprocess.run([sys.executable, "-m", "padicharm.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 1, (name, argv, proc.returncode, proc.stdout[-300:])
+        yield argv, proc.returncode, proc.stdout[-300:]
+
+
+@pytest.mark.parametrize("name, module, function, old, new, invocations", MUTANTS,
+                         ids=[m[0] for m in MUTANTS])
+def test_mutant_is_caught(name, module, function, old, new, invocations, tmp_path):
+    for argv, code, out in exits(tmp_path, module, function, old, new, invocations):
+        assert code == 1, (name, argv, code, out)
+
+
+@pytest.mark.parametrize("name, module, function, old, new, invocations, items", SURVIVORS,
+                         ids=[m[0] for m in SURVIVORS])
+def test_known_survivor_still_survives(name, module, function, old, new, invocations, items,
+                                       tmp_path):
+    for argv, code, out in exits(tmp_path, module, function, old, new, invocations):
+        assert code == 0, (f"{name} is caught now: move it to MUTANTS ({items})", argv, out)

@@ -2,8 +2,10 @@
 cli.main, in GRID order and in a seeded shuffle, and a few entries against
 their bytes from a fresh interpreter, so that a cache that leaks state from
 one invocation into the next fails here.  The runner's sha256 of a --timing
-run against the plain run's stdout.  And a seeded sample of accepted
-inputs of every verb, off the grid, each of which must pass."""
+run against the plain run's stdout.  Every grid report carries a check
+unless its verb is UNCHECKED.  And a seeded sample of accepted inputs of
+every verb, off the grid, each of which must pass with a strict JSON
+report."""
 
 import contextlib
 import hashlib
@@ -16,6 +18,7 @@ import pytest
 from padicharm import PadicharmError, cli
 from padicharm.pvszeta import ROW_BUDGET
 from report_grid import GRID, measure, run
+from test_cli import strict_json
 
 SHUFFLE_SEED = 5
 SAMPLE_SEED = 41
@@ -27,6 +30,12 @@ SAMPLE_UNITS = 250
 # count-fibers draws stay at p^k <= 10^4 rows of the boundary's 10^6, where
 # the corner takes about 12 s
 SAMPLE_ROWS = 10 ** 4
+# beta, eta-table and phi-eval draw n up to the boundary's float bound on
+# beta's coefficients (n <= 17 at p = 3, 10 at p = 31), phi-eval only to n =
+# 12 (0.3 s at p = 3), which reaches the bound from p = 11: its exact
+# matrices take 4 s at p = 3, n = 17
+BETA_N = 40
+PHI_EVAL_N = 12
 
 # one JSON verify, the one CSV entry and an n = 1 phi-eval
 FRESH = [
@@ -69,6 +78,31 @@ def test_grid_in_one_process_in_two_orders(passes):
         assert second[i] == first[i], argv
 
 
+# the verbs, and phi-eval at n = 0, whose reports carry no check yet: the
+# list may only shrink (ROADMAP item 14)
+UNCHECKED = {"gamma", "beta", "eta-table", "count-fibers", "phi-eval --n 0"}
+
+
+def unchecked_key(argv):
+    """The UNCHECKED entry that argv falls under, if listed."""
+    if argv[0] == "phi-eval" and argv[argv.index("--n") + 1] == "0":
+        return "phi-eval --n 0"
+    return " ".join(argv[:2]) if argv[0] == "verify" else argv[0]
+
+
+def test_every_report_carries_a_check_unless_unchecked(passes):
+    keys = set()
+    for i, argv in enumerate(GRID):
+        key = unchecked_key(argv)
+        keys.add(key)
+        if "--format" in argv:
+            assert key in UNCHECKED, argv    # CSV carries no checks
+            continue
+        checks = json.loads(passes[0][i][1])["checks"]
+        assert bool(checks) != (key in UNCHECKED), argv
+    assert UNCHECKED <= keys
+
+
 @pytest.mark.parametrize("argv", FRESH, ids=["fe-gl1", "count-fibers-csv", "phi-eval"])
 def test_in_process_report_matches_a_fresh_process(argv, passes, fresh):
     assert passes[0][GRID.index(argv)][1] == fresh[tuple(argv)]
@@ -84,16 +118,22 @@ def test_runner_sha_of_a_timed_run_is_the_plain_runs(argv, fresh):
 
 
 def sample_argv(rng):
-    """An accepted symplectic-check or phi-eval input at n = 1..3: p up to
-    the 31 of symplectic-check's SL_2 count at n = 1, a unit at level 1 or
-    2, an ord in -3..3 and a seed."""
-    n, p, seed = rng.randint(1, 3), rng.choice(SAMPLE_PRIMES), rng.randrange(1000)
-    if rng.random() < 0.5:
-        return ["symplectic-check", "--n", str(n), "--p", str(p), "--seed", str(seed)]
-    level = rng.randint(1, 2)
-    unit = rng.choice([u for u in range(1, p ** level) if u % p])
-    return ["phi-eval", "--p", str(p), "--n", str(n), "--ord", str(rng.randint(-3, 3)),
-            "--unit", str(unit), "--level", str(level), "--seed", str(seed)]
+    """An accepted symplectic-check input at n = 1..3 or phi-eval input at
+    n = 1..PHI_EVAL_N: p up to the 31 of symplectic-check's SL_2 count at
+    n = 1, a unit at level 1 or 2, an ord in -3..3 and a seed, drawn again
+    while the boundary refuses it."""
+    while True:
+        p, seed = rng.choice(SAMPLE_PRIMES), rng.randrange(1000)
+        if rng.random() < 0.5:
+            return ["symplectic-check", "--n", str(rng.randint(1, 3)), "--p", str(p),
+                    "--seed", str(seed)]
+        level = rng.randint(1, 2)
+        unit = rng.choice([u for u in range(1, p ** level) if u % p])
+        argv = ["phi-eval", "--p", str(p), "--n", str(rng.randint(1, PHI_EVAL_N)),
+                "--ord", str(rng.randint(-3, 3)), "--unit", str(unit), "--level", str(level),
+                "--seed", str(seed)]
+        if accepted(argv):
+            return argv
 
 
 def sample_levels(p):
@@ -135,8 +175,8 @@ def accepted(argv) -> bool:
 def character_argv(rng, verb):
     """An accepted gamma, beta, tate-oracle or shells input: p among
     SAMPLE_PRIMES at one of its sample_levels, a conductor up to the level
-    and a psi sign; beta at n = 0..6 and shells at s in (-1/2, 2), drawn
-    again while the boundary refuses it."""
+    and a psi sign; beta at n = 0..BETA_N and shells at s in (-1/2, 2),
+    drawn again while the boundary refuses it."""
     while True:
         p = rng.choice(SAMPLE_PRIMES)
         level = rng.choice(sample_levels(p))
@@ -144,7 +184,7 @@ def character_argv(rng, verb):
                 "--conductor", str(rng.randint(0, level)),
                 "--psi-sign", str(rng.choice((1, -1)))]
         if verb == "beta":
-            argv += ["--n", str(rng.randint(0, 6))]
+            argv += ["--n", str(rng.randint(0, BETA_N))]
         if verb == "shells":
             argv += ["--s", repr(rng.uniform(-0.5, 2.0))]
         if accepted(argv):
@@ -152,15 +192,20 @@ def character_argv(rng, verb):
 
 
 def table_argv(rng, verb):
-    """An accepted eta-table input (n = 0..2 at one of sample_levels, up to
-    11 shells from a kmin in -8..2, a psi sign) or count-fibers input
-    (m = 1..7, p^k at most SAMPLE_ROWS)."""
+    """An accepted eta-table input (n = 0..BETA_N at one of sample_levels,
+    drawn again while the boundary refuses it, up to 11 shells from a kmin
+    in -8..2, a psi sign) or count-fibers input (m = 1..7, p^k at most
+    SAMPLE_ROWS)."""
     p = rng.choice(SAMPLE_PRIMES)
     if verb == "eta-table":
-        kmin = rng.randint(-8, 2)
-        return [verb, "--p", str(p), "--level", str(rng.choice(sample_levels(p))),
-                "--n", str(rng.randint(0, 2)), "--kmin", str(kmin),
-                "--kmax", str(kmin + rng.randint(0, 10)), "--psi-sign", str(rng.choice((1, -1)))]
+        while True:
+            kmin = rng.randint(-8, 2)
+            argv = [verb, "--p", str(p), "--level", str(rng.choice(sample_levels(p))),
+                    "--n", str(rng.randint(0, BETA_N)), "--kmin", str(kmin),
+                    "--kmax", str(kmin + rng.randint(0, 10)),
+                    "--psi-sign", str(rng.choice((1, -1)))]
+            if accepted(argv):
+                return argv
     k = rng.choice([k for k in range(1, 10) if p ** k <= SAMPLE_ROWS])
     return [verb, "--m", str(rng.randint(1, 7)), "--p", str(p), "--k", str(k)]
 
@@ -195,6 +240,9 @@ def test_a_seeded_sample_of_accepted_inputs_passes(tmp_path):
                                                           "shells")]
         sample += [table_argv(rng, verb) for verb in ("eta-table", "count-fibers")]
         sample += [verify_argv(rng, which) for which in ("fe-gl1", "fe-pvs")]
+    # the draws reach the float bound's neighbourhood
+    assert max(int(a[a.index("--n") + 1]) for a in sample if a[0] in ("beta", "eta-table")) >= 12
     for argv in sample:
         code, out = in_process(argv)
         assert code == 0, (argv, out[:300])
+        strict_json(out)

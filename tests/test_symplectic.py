@@ -25,8 +25,10 @@ def test_is_symplectic_basics():
 
 def test_standard_elements_identities():
     for n in (1, 2):
-        std = standard_elements(n)   # construction itself asserts the identities
+        std = standard_elements(n)   # construction itself asserts the form identities
         w = std["w_delta"]
+        assert mat_eq(mul(std["g0"], std["g0_inv"]), eye(4 * n))
+        assert mat_eq(w, mul(mul(std["g0_inv"], std["w_std"]), std["g0"]))
         assert mat_eq(mul(w, w), eye(4 * n))
         assert det(std["g0"]) in (Fraction(1), Fraction(-1))
 
